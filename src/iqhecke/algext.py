@@ -519,6 +519,10 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
         newf = ValueField(f.minpoly, tuple(sorted(set(f.adjoined) | {v.coeffs[0]})))
         root = adjoined_root(newf, newf.adjoined.index(v.coeffs[0]))
         return canonical_sign(root), newf
+    w = sqrt_in_tower(-v)
+    if w is not None:  # v = (i*w)^2 with i not yet in the tower
+        i, f2 = _adjoin_rational_sqrt(f, Fraction(-1))
+        return canonical_sign(lift(w, f2) * i), f2
     raise AlgebraError(f"cannot adjoin a square root of {render_value(v)}")
 
 

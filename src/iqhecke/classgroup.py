@@ -361,12 +361,6 @@ def genus_data(group: ClassGroup) -> GenusData:
     return GenusData(squares=sq, two_torsion=tt, r2=r2)
 
 
-def genus_class(group: ClassGroup, x: IdealClass, squares: set[IdealClass] | None = None):
-    """The coset of CL^2 containing x, as a frozenset of classes."""
-    sq = squares if squares is not None else group.squares()
-    return frozenset(group.mul(x, s) for s in sq)
-
-
 def find_ideal_in_class(
     group: ClassGroup,
     target: IdealClass,

@@ -8,6 +8,11 @@ two-torsion classes pins the character up to squares, eigenvalues at good
 primes are recovered class by class, and sign choices at primes in
 nontrivial genus classes are kept consistent through a doubling table of
 reference pairs (a, alpha(a)).
+
+Every query after the step-1 character probe follows one rule: to learn the
+eigenvalue of T_t W_w, query T_{a,a} T_t W_w for the first ideal a (by norm,
+coprime to the level) that makes the operator principal, and multiply the
+answer by chi(a^-1).  For t*w in a trivial class, a is the unit ideal.
 """
 
 from __future__ import annotations
@@ -191,10 +196,6 @@ def fixture_oracle_to_json(
     }
 
 
-def project_to_principal(F: HeckeEigensystem) -> SyntheticOracle:
-    return SyntheticOracle(F)
-
-
 @dataclass
 class SignTable:
     """Reference pairs (a, alpha(a)), one per genus class reached so far."""
@@ -202,9 +203,11 @@ class SignTable:
     group: ClassGroup
     entries: list = field(default_factory=list)  # (Ideal, AlgValue)
 
-    def genus_key(self, cls: IdealClass):
-        sq = self.group.squares()
-        return min((self.group.mul(cls, s).exps for s in sq))
+    def genus_key(self, cls: IdealClass) -> tuple[int, ...]:
+        """The coset of CL^2 holding cls: its exponent parities on the even
+        cyclic factors (odd factors lie wholly inside CL^2)."""
+        divisors = self.group.elementary_divisors
+        return tuple(e % 2 for e, d in zip(cls.exps, divisors) if d % 2 == 0)
 
     def lookup(self, cls: IdealClass):
         key = self.genus_key(cls)
@@ -263,15 +266,15 @@ def recover(
                 f"T_(a,a) at class {cls.exps} returned {algext.render_value(vrou)}, not +-1"
             )
         restriction[cls] = int(vrou.rational_value())
-    chi = None
-    for cand in character_group(group):
+    for chi in character_group(group):
         if all(
-            eval_on_class(group, cand, cls).as_sign() == sign
+            eval_on_class(group, chi, cls).as_sign() == sign
             for cls, sign in restriction.items()
         ):
-            chi = cand
             break
-    assert chi is not None
+    else:
+        signs = {c.exps: s for c, s in restriction.items()}
+        raise RecoveryError(f"no character has the two-torsion restriction {signs}")
     work = extend_for_root_order(algext.RATIONAL_FIELD, character_order(group, chi))
 
     def chiv(cls: IdealClass) -> AlgValue:
@@ -280,13 +283,31 @@ def recover(
         return v
 
     def absorb(v: AlgValue) -> AlgValue:
-        nonlocal work, alpha
+        nonlocal work
         if v.field != work:
             work = algext.join_fields(work, v.field)
-            alpha = {p: lift(x, work) for p, x in alpha.items()}
         return lift(v, work)
 
-    # Step 2: eigenvalues at good primes, in increasing norm order.
+    def principal(t=None, w=None, coprime_to=None) -> AlgValue:
+        """The eigenvalue of T_t W_w: query T_{a,a} T_t W_w for the first a
+        that makes it principal, times chi(a^-1)."""
+        cls = group.identity()
+        for part in (t, w):
+            if part is not None:
+                cls = group.mul(cls, group.ideal_class(part))
+        a = _first_ideal(
+            group,
+            level,
+            lambda x: group.mul(group.power(x, 2), cls).is_identity(),
+            also_coprime_to=coprime_to,
+        )
+        v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
+        return v * chiv(group.inv(group.ideal_class(a)))
+
+    # Step 2: eigenvalues at good primes, in increasing norm order.  Square
+    # classes (2a, 2b) are read off directly; a nonsquare class is divided
+    # out against its genus entry in the sign table (2c), or else alpha(p)^2
+    # is recovered and a nonzero root doubles the table (2d).
     alpha: dict[Ideal, AlgValue] = {}
     gaps = []
     table = SignTable(group)
@@ -295,24 +316,19 @@ def recover(
             continue
         cls = group.ideal_class(p)
         try:
-            if cls.is_identity():
-                op = make_principal_operator(group, level, t=p)
-                alpha[p] = absorb(oracle.query(op))
-            elif cls in squares:
-                a = _first_ideal(
-                    group,
-                    level,
-                    lambda x, c=cls: group.mul(group.power(x, 2), c).is_identity(),
-                    also_coprime_to=p,
-                )
-                op = make_principal_operator(group, level, aa=a, t=p)
-                v = absorb(oracle.query(op))
-                alpha[p] = v / chiv(group.ideal_class(a))
+            if cls in squares:
+                alpha[p] = principal(t=p, coprime_to=p)
+            elif (hit := table.lookup(cls)) is not None:
+                a_t, alpha_t = hit
+                alpha[p] = principal(t=ideal_mul(p, a_t)) / absorb(alpha_t)
             else:
-                alpha_p = _recover_nonsquare(
-                    oracle, group, level, p, cls, chi, chiv, absorb, table, sign_flip
-                )
-                alpha[p] = absorb(alpha_p)
+                alpha_sq = principal(t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
+                if alpha_sq.is_zero():
+                    alpha[p] = alpha_sq
+                else:
+                    root = absorb(sqrt_or_adjoin(alpha_sq)[0])
+                    alpha[p] = -root if sign_flip else root
+                    table.extend(p, alpha[p])
         except OracleMissingError as exc:
             if on_missing == "error":
                 raise
@@ -326,17 +342,8 @@ def recover(
         for q in exact_prime_power_divisors(level):
             qcls = group.ideal_class(q)
             try:
-                if qcls.is_identity():
-                    v = absorb(oracle.query(make_principal_operator(group, level, w=q)))
-                elif qcls in squares:
-                    a = _first_ideal(
-                        group,
-                        level,
-                        lambda x, c=qcls: group.mul(group.power(x, 2), c).is_identity(),
-                    )
-                    v = absorb(
-                        oracle.query(make_principal_operator(group, level, aa=a, w=q))
-                    )
+                if qcls in squares:
+                    v = principal(w=q)
                 else:
                     inv = group.inv(qcls)
                     helper = next(
@@ -350,10 +357,7 @@ def recover(
                     if helper is None:
                         al_incomplete.append(q)
                         continue
-                    v = absorb(
-                        oracle.query(make_principal_operator(group, level, t=helper, w=q))
-                    )
-                    v = v / alpha[helper]
+                    v = principal(t=helper, w=q) / absorb(alpha[helper])
             except OracleMissingError as exc:
                 if on_missing == "error":
                     raise
@@ -366,53 +370,6 @@ def recover(
             al_signs[q] = int(v.rational_value())
     system = make_eigensystem(group, level, chi, alpha, al_signs, vfield=work)
     return RecoveryResult(system=system, alpha_gaps=gaps, al_incomplete=al_incomplete)
-
-
-def _recover_nonsquare(
-    oracle, group, level, p, cls, chi, chiv, absorb, table: SignTable, sign_flip: bool
-) -> AlgValue:
-    """Steps 2(c) and 2(d).
-
-    When the genus class of p already has a table entry (a, alpha(a)), the
-    eigenvalue comes out of a single division against a principal operator
-    built from p*a, with no sign ambiguity.  Otherwise alpha(p)^2 is
-    computed, and a nonzero value forces a sign choice: take the canonical
-    root and double the table.
-    """
-    hit = table.lookup(cls)
-    if hit is not None:
-        a_t, alpha_t = hit
-        b = ideal_mul(p, a_t)
-        if group.ideal_class(b).is_identity():
-            num = absorb(oracle.query(make_principal_operator(group, level, t=b)))
-            return num / absorb(alpha_t)
-        d = _first_ideal(
-            group,
-            level,
-            lambda x, c=group.ideal_class(b): group.mul(
-                group.power(x, 2), c
-            ).is_identity(),
-        )
-        num = absorb(oracle.query(make_principal_operator(group, level, aa=d, t=b)))
-        return num / (absorb(alpha_t) * chiv(group.ideal_class(d)))
-    a = _first_ideal(
-        group,
-        level,
-        lambda x, c=cls: group.mul(group.power(x, 2), group.power(c, 2)).is_identity(),
-    )
-    op = make_principal_operator(group, level, aa=a, t=ideal_pow(p, 2))
-    v = absorb(oracle.query(op))
-    acls = group.ideal_class(a)
-    npchi = chiv(cls).scale(p.norm)
-    alpha_sq = v / chiv(acls) + npchi
-    if alpha_sq.is_zero():
-        return algext.zero(alpha_sq.field)
-    root, _newf = sqrt_or_adjoin(alpha_sq)
-    root = absorb(root)
-    if sign_flip:
-        root = -root
-    table.extend(p, root)
-    return root
 
 
 def _first_ideal(group: ClassGroup, level: Ideal, class_pred, also_coprime_to=None, bound=10_000):

@@ -63,7 +63,7 @@ from .quadfield import (
     sigma0,
     unit_ideal,
 )
-from .recovery import make_principal_operator, project_to_principal, recover
+from .recovery import SyntheticOracle, make_principal_operator, recover
 
 
 @dataclass
@@ -283,9 +283,7 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
     for group in groups:
         for _ in range(per_field):
             F = random_eigensystem(group, rng, bound)
-            res = recover(
-                project_to_principal(F), group, F.level, bound, on_missing="skip"
-            )
+            res = recover(SyntheticOracle(F), group, F.level, bound, on_missing="skip")
             _require(
                 not res.alpha_gaps,
                 f"synthetic oracle left eigenvalue gaps: {res.alpha_gaps}",
@@ -310,7 +308,7 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
             # a flipped sign convention lands in the same orbit
             if done % 10 == 0:
                 res2 = recover(
-                    project_to_principal(F),
+                    SyntheticOracle(F),
                     group,
                     F.level,
                     bound,
@@ -410,7 +408,7 @@ def separation_eigenvalues(bundle: FixtureBundle) -> dict[str, Fraction]:
     out = {}
     for name in ["F1", "F2", "F4", "F6"]:
         F = bundle.system("16.1", name)
-        v = project_to_principal(F).query(op)
+        v = SyntheticOracle(F).query(op)
         _require(v.is_rational(), f"separation eigenvalue at {name} is irrational")
         out[name] = v.rational_value()
     return out

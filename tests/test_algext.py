@@ -114,6 +114,15 @@ def test_sqrt_or_adjoin_extends_and_verifies():
         assert values_equal(root * root, from_rational(f, q))
 
 
+@pytest.mark.parametrize("text", ["-24 - 16*sqrt2", "-11 + 6*sqrt2"])
+def test_sqrt_of_minus_a_square_adjoins_i(text):
+    # v = -w^2 with w in Q(sqrt2): the root is i*w, in Q(i, sqrt2)
+    v = parse_value(make_value_field(adjoined=[2]), text)
+    root, f = sqrt_or_adjoin(v)
+    assert f == QI2
+    assert values_equal(root * root, lift(v, QI2))
+
+
 def test_canonical_sign():
     root, f = sqrt_or_adjoin(from_rational(Q, 2))
     assert embed(root).real > 0

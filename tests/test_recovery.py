@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -8,22 +12,23 @@ from iqhecke import algext
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.characters import ClassCharacter
-from iqhecke.classgroup import compute_class_group
+from iqhecke.classgroup import compute_class_group, find_ideal_in_class
 from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
     make_field,
     primes_of_norm_up_to,
     principal_ideal,
+    unit_ideal,
 )
 from iqhecke.recovery import (
     FixtureOracle,
     OracleMissingError,
     RecoveryError,
     SignTable,
+    SyntheticOracle,
     fixture_oracle_from_json,
     make_principal_operator,
-    project_to_principal,
     recover,
 )
 from iqhecke.verify import random_eigensystem
@@ -89,7 +94,7 @@ def test_fixture_recovery_strict_mode_raises(G17, K17):
 
 def test_project_to_principal_examples(bundle, G17, K17):
     F0 = bundle.system("2.1", "F0")
-    oracle = project_to_principal(F0)
+    oracle = SyntheticOracle(F0)
     level = F0.level
     p31 = ideal_from_label(K17, "3.1")
     op = make_principal_operator(G17, level, aa=p31, t=ideal_from_label(K17, "9.1"))
@@ -97,7 +102,7 @@ def test_project_to_principal_examples(bundle, G17, K17):
     trivial = make_principal_operator(G17, level)
     assert values_equal(oracle.query(trivial), algext.one(F0.vfield))
     # F0 and F2 are twists, so their principal projections agree everywhere
-    oracle2 = project_to_principal(bundle.system("2.1", "F2"))
+    oracle2 = SyntheticOracle(bundle.system("2.1", "F2"))
     ops = [
         op,
         trivial,
@@ -112,7 +117,7 @@ def test_project_to_principal_examples(bundle, G17, K17):
 
 def test_oracle_coverage_errors(bundle, G17, K17):
     F0 = bundle.system("2.1", "F0")
-    oracle = project_to_principal(F0)
+    oracle = SyntheticOracle(F0)
     # the primes above 53 are principal (53 = 6^2 + 17) but not stored in F0
     op = make_principal_operator(G17, F0.level, t=ideal_from_label(K17, "53.1"))
     with pytest.raises(OracleMissingError):
@@ -123,7 +128,7 @@ def test_class_number_one_recovery_is_exact():
     g = compute_class_group(make_field(1))
     rng = random.Random(5)
     F = random_eigensystem(g, rng, bound=80)
-    res = recover(project_to_principal(F), g, F.level, 80)
+    res = recover(SyntheticOracle(F), g, F.level, 80)
     # with h = 1 every operator is principal and the source comes back exactly
     assert systems_equal(res.system, F)
 
@@ -131,7 +136,7 @@ def test_class_number_one_recovery_is_exact():
 def test_16_1_round_trip(bundle, G17):
     for name in ["F1", "F2", "F4", "F6"]:
         F = bundle.system("16.1", name)
-        res = recover(project_to_principal(F), G17, F.level, bound=17)
+        res = recover(SyntheticOracle(F), G17, F.level, bound=17)
         orbit = orbit_quiet(F)
         assert any(systems_equal(res.system, H) for H in orbit)
         assert res.system.character in (ClassCharacter((1,)), ClassCharacter((3,)))
@@ -139,8 +144,8 @@ def test_16_1_round_trip(bundle, G17):
 
 def test_sign_flip_lands_in_same_orbit(bundle, G17):
     F0 = bundle.system("2.1", "F0")
-    res_a = recover(project_to_principal(F0), G17, F0.level, bound=25)
-    res_b = recover(project_to_principal(F0), G17, F0.level, bound=25, sign_flip=True)
+    res_a = recover(SyntheticOracle(F0), G17, F0.level, bound=25)
+    res_b = recover(SyntheticOracle(F0), G17, F0.level, bound=25, sign_flip=True)
     orbit = orbit_quiet(F0)
     assert any(systems_equal(res_a.system, H) for H in orbit)
     assert any(systems_equal(res_b.system, H) for H in orbit)
@@ -215,7 +220,7 @@ def test_selftwist_pattern_round_trip(bundle, G17):
         vfield=F64.vfield,
     )
     res = recover(
-        project_to_principal(restricted), G17, F64.level, bound=13, on_missing="skip"
+        SyntheticOracle(restricted), G17, F64.level, bound=13, on_missing="skip"
     )
     assert res.system.character.is_trivial()
     assert not res.alpha_gaps
@@ -244,9 +249,9 @@ def test_projection_is_twist_invariant(bundle, G17, K17):
             G17, level, t=ideal_from_label(K17, "21.2")
         ),  # 3.1 * 7.2, principal
     ]
-    base = project_to_principal(F0)
+    base = SyntheticOracle(F0)
     for psi in character_group(G17):
-        other = project_to_principal(twist(F0, psi))
+        other = SyntheticOracle(twist(F0, psi))
         for op in ops:
             assert values_equal(base.query(op), other.query(op))
 
@@ -268,5 +273,83 @@ def test_al_incomplete_reported():
             algext.zero(f) if cls == inverse_of_q else algext.from_rational(f, 2)
         )
     F = make_eigensystem(g, level, ClassCharacter((0,)), alpha, {level: 1})
-    res = recover(project_to_principal(F), g, level, bound=30, on_missing="skip")
+    res = recover(SyntheticOracle(F), g, level, bound=30, on_missing="skip")
     assert res.al_incomplete == [level]
+
+
+class RecordingOracle:
+    def __init__(self, inner):
+        self.inner = inner
+        self.queried = []
+
+    def query(self, op):
+        self.queried.append(str(op))
+        return self.inner.query(op)
+
+
+def test_fixture_recovery_query_sequence(G17):
+    oracle, level = load_oracle(G17)
+    recording = RecordingOracle(oracle)
+    recover(recording, G17, level, bound=13, on_missing="skip")
+    assert recording.queried == [
+        "T(9.1,9.1)",
+        "T(3.1,3.1)*T(9.1)",
+        "T(9.2)",
+        "T(3.1,3.1)*T(21.1)",
+        "T(21.2)",
+        "T(33.1)",
+        "T(3.1,3.1)*T(33.2)",
+        "T(3.1,3.1)*T(13.1)",
+        "T(3.1,3.1)*T(13.2)",
+        "T(3.1,3.1)*W(2.1)",
+    ]
+
+
+@pytest.mark.parametrize("d", [17, 21, 14, 65, 105])
+def test_genus_key_identifies_square_cosets(d):
+    g = compute_class_group(make_field(d))
+    table = SignTable(g)
+    squares = g.squares()
+    classes = g.all_classes()
+    for x in classes:
+        for y in classes:
+            same_coset = g.mul(x, g.inv(y)) in squares
+            assert (table.genus_key(x) == table.genus_key(y)) == same_coset
+
+
+def recover_with_inconsistent_restriction():
+    # C2 x C2 has no character that is -1 on all three nontrivial classes
+    g = compute_class_group(make_field(21))
+    level = unit_ideal(g.field)
+    minus_one = algext.from_rational(algext.RATIONAL_FIELD, -1)
+    oracle = FixtureOracle(
+        {
+            make_principal_operator(g, level, aa=find_ideal_in_class(g, c)): minus_one
+            for c in g.two_torsion()
+            if not c.is_identity()
+        }
+    )
+    recover(oracle, g, level, bound=10)
+
+
+def test_inconsistent_restriction_raises():
+    with pytest.raises(RecoveryError, match="restriction"):
+        recover_with_inconsistent_restriction()
+
+
+def test_inconsistent_restriction_raises_under_optimize():
+    import iqhecke
+
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from test_recovery import recover_with_inconsistent_restriction as run; run()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("iqhecke.recovery.RecoveryError") and "restriction" in last
