@@ -2,8 +2,14 @@
 
 A ValueField is k = Q(theta)(sqrt(r_1), ..., sqrt(r_m)) where theta has a
 monic integer minimal polynomial of small degree and the r_j are base-field
-elements (usually rationals).  Values are stored on the basis
-theta^k * prod_{j in S} sqrt(r_j) with exact rational coefficients.
+elements (usually rationals), the radicands.  A value keeps one base vector
+(rational coefficients on 1, theta, ..., theta^(deg-1)) per root subset S, a
+bitmask: v = sum_S coeffs[S] * prod_{j in S} sqrt(r_j).  The last root owns
+the top bit, so v = v0 + v1*sqrt(r) with v0, v1 the two halves of ``coeffs``
+in the subtower without it.  Inverses and square roots descend through that
+split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
+N = v0^2 - r*v1^2, down to Q(theta).  ``lift`` moves a value into any tower
+over the same base that has every root the value uses.
 
 Square roots are found by exact descent through the tower (never by numeric
 reconstruction); a high-precision embedding is used only to pick the
@@ -68,10 +74,7 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     if len(mp) < 2 or mp[-1] != 1:
         raise AlgebraError(f"minimal polynomial must be monic, got {minpoly}")
     deg = len(mp) - 1
-    adj = []
-    for r in adjoined:
-        adj.append(_as_base_vec(deg, r))
-    return ValueField(mp, tuple(sorted(adj)))
+    return ValueField(mp, tuple(sorted(_as_base_vec(deg, r) for r in adjoined)))
 
 
 RATIONAL_FIELD = make_value_field()
@@ -79,9 +82,10 @@ RATIONAL_FIELD = make_value_field()
 
 def _as_base_vec(deg: int, r) -> BaseVec:
     if isinstance(r, (int, Fraction)):
-        return tuple([_frac(r)] + [Fraction(0)] * (deg - 1))
+        return (_frac(r),) + (Fraction(0),) * (deg - 1)
     vec = tuple(_frac(c) for c in r)
-    assert len(vec) == deg
+    if len(vec) != deg:
+        raise AlgebraError(f"radicand {list(r)} has {len(vec)} coefficients, base degree is {deg}")
     return vec
 
 
@@ -94,11 +98,9 @@ class AlgValue:
         return all(c == 0 for vec in self.coeffs for c in vec)
 
     def is_rational(self) -> bool:
-        for mask, vec in enumerate(self.coeffs):
-            for k, c in enumerate(vec):
-                if c != 0 and (mask or k):
-                    return False
-        return True
+        return all(
+            c == 0 for mask, vec in enumerate(self.coeffs) for k, c in enumerate(vec) if mask or k
+        )
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -160,17 +162,15 @@ class AlgValue:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        dim = f.dim
-        cols = []
-        for idx in range(dim):
-            basis = _basis_value(f, idx)
-            cols.append(_flatten(self * basis))
-        rhs = [Fraction(0)] * dim
-        rhs[0] = Fraction(1)
-        sol = _solve_linear([[cols[j][i] for j in range(dim)] for i in range(dim)], rhs)
-        if sol is None:
-            raise ZeroDivisionError("value is a zero divisor; tower is degenerate")
-        return _unflatten(f, sol)
+        if f.nroots == 0:
+            return from_base_vec(f, _base_inv(f, self.coeffs[0]))
+        # v is a unit exactly when its relative norm is a unit of the subtower
+        v0, v1, r = _halves(self)
+        try:
+            n_inv = (v0 * v0 - v1 * v1 * r).inv()
+        except ZeroDivisionError:
+            raise ZeroDivisionError("value is a zero divisor; tower is degenerate") from None
+        return _merge(f, v0 * n_inv, -(v1 * n_inv))
 
     def __truediv__(self, other: "AlgValue") -> "AlgValue":
         return self * other.inv()
@@ -205,24 +205,32 @@ def _base_mul(f: ValueField, u: BaseVec, v: BaseVec) -> BaseVec:
     return tuple(raw[:deg])
 
 
-def _flatten(v: AlgValue) -> list[Fraction]:
-    return [c for vec in v.coeffs for c in vec]
-
-
-def _unflatten(f: ValueField, flat) -> AlgValue:
+def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
+    """Inverse of a nonzero element of Q(theta)."""
     deg = f.base_degree
-    return AlgValue(
-        f,
-        tuple(
-            tuple(flat[m * deg + k] for k in range(deg)) for m in range(1 << f.nroots)
-        ),
-    )
+    if deg == 1:
+        return (1 / vec[0],)
+    # column k of the multiplication matrix is vec * theta^k
+    cols = [_base_mul(f, vec, _unit_vec(deg, k)) for k in range(deg)]
+    sol = _solve_linear([[col[i] for col in cols] for i in range(deg)], _unit_vec(deg, 0))
+    if sol is None:
+        raise ZeroDivisionError("value is a zero divisor; tower is degenerate")
+    return tuple(sol)
 
 
-def _basis_value(f: ValueField, idx: int) -> AlgValue:
-    flat = [Fraction(0)] * f.dim
-    flat[idx] = Fraction(1)
-    return _unflatten(f, flat)
+def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
+    """(v0, v1, r) with v = v0 + v1*sqrt(r), where sqrt(r) is the last root
+    and v0, v1, r lie in the subtower without it."""
+    f = v.field
+    sub = f.subfield()
+    half = 1 << (f.nroots - 1)
+    r = from_base_vec(sub, f.adjoined[-1])
+    return AlgValue(sub, v.coeffs[:half]), AlgValue(sub, v.coeffs[half:]), r
+
+
+def _merge(f: ValueField, v0: AlgValue, v1: AlgValue) -> AlgValue:
+    """v0 + v1*sqrt(r) in f, for v0, v1 in the subtower without the last root."""
+    return AlgValue(f, v0.coeffs + v1.coeffs)
 
 
 def _solve_linear(mat, rhs):
@@ -246,13 +254,22 @@ def _solve_linear(mat, rhs):
 # -- constructors ------------------------------------------------------------
 
 
+def _value(f: ValueField, parts: dict[int, BaseVec]) -> AlgValue:
+    """The value sum_S parts[S] * prod_{j in S} sqrt(r_j); absent masks are 0."""
+    nothing = (Fraction(0),) * f.base_degree
+    return AlgValue(f, tuple(parts.get(mask, nothing) for mask in range(1 << f.nroots)))
+
+
+def _unit_vec(deg: int, k: int) -> BaseVec:
+    return tuple(Fraction(int(i == k)) for i in range(deg))
+
+
 def from_rational(f: ValueField, q) -> AlgValue:
-    v = _basis_value(f, 0)
-    return v.scale(q)
+    return _value(f, {0: _as_base_vec(f.base_degree, _frac(q))})
 
 
 def zero(f: ValueField) -> AlgValue:
-    return from_rational(f, 0)
+    return _value(f, {})
 
 
 def one(f: ValueField) -> AlgValue:
@@ -262,19 +279,15 @@ def one(f: ValueField) -> AlgValue:
 def theta(f: ValueField) -> AlgValue:
     if f.base_degree < 2:
         raise AlgebraError("base field is Q; there is no generator")
-    return _basis_value(f, 1)
+    return _value(f, {0: _unit_vec(f.base_degree, 1)})
 
 
 def adjoined_root(f: ValueField, j: int) -> AlgValue:
-    deg = f.base_degree
-    return _basis_value(f, (1 << j) * deg)
+    return _value(f, {1 << j: _unit_vec(f.base_degree, 0)})
 
 
 def from_base_vec(f: ValueField, vec: BaseVec) -> AlgValue:
-    flat = [Fraction(0)] * f.dim
-    for k, c in enumerate(vec):
-        flat[k] = c
-    return _unflatten(f, flat)
+    return _value(f, {0: tuple(vec)})
 
 
 # -- field embeddings ---------------------------------------------------------
@@ -288,31 +301,26 @@ def join_fields(f1: ValueField, f2: ValueField) -> ValueField:
 
 
 def lift(v: AlgValue, target: ValueField) -> AlgValue:
-    """Re-express v in a larger tower over the same base."""
+    """Re-express v in another tower over the same base that has every root
+    v uses (a larger tower, or one without roots v does not use)."""
     src = v.field
     if src == target:
         return v
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
-    positions = []
-    for r in src.adjoined:
-        if r not in target.adjoined:
-            raise AlgebraError("target tower does not contain the source tower")
-        positions.append(target.adjoined.index(r))
-    deg = src.base_degree
-    flat = [Fraction(0)] * target.dim
+    positions = [target.adjoined.index(r) if r in target.adjoined else None for r in src.adjoined]
+    parts = {}
     for mask, vec in enumerate(v.coeffs):
+        if all(c == 0 for c in vec):
+            continue
         new_mask = 0
-        mm = mask
-        j = 0
-        while mm:
-            if mm & 1:
-                new_mask |= 1 << positions[j]
-            mm >>= 1
-            j += 1
-        for k, c in enumerate(vec):
-            flat[new_mask * deg + k] += c
-    return _unflatten(target, flat)
+        for j, pos in enumerate(positions):
+            if mask >> j & 1:
+                if pos is None:
+                    raise AlgebraError("value uses a root the target tower does not contain")
+                new_mask |= 1 << pos
+        parts[new_mask] = vec
+    return _value(target, parts)
 
 
 def values_equal(a: AlgValue, b: AlgValue) -> bool:
@@ -454,23 +462,15 @@ def sqrt_in_tower(v: AlgValue) -> AlgValue | None:
     if f.nroots == 0:
         root_vec = _base_sqrt(f, v.coeffs[0])
         return None if root_vec is None else from_base_vec(f, root_vec)
-    sub = f.subfield()
-    deg = f.base_degree
-    half = 1 << (f.nroots - 1)
-    v0 = AlgValue(sub, v.coeffs[:half])
-    v1 = AlgValue(sub, v.coeffs[half:])
-    r = from_base_vec(sub, f.adjoined[-1])
-
-    def merge(a: AlgValue, b: AlgValue) -> AlgValue:
-        return AlgValue(f, a.coeffs + b.coeffs)
-
+    v0, v1, r = _halves(v)
+    sub = v0.field
     if v1.is_zero():
         w0 = sqrt_in_tower(v0)
         if w0 is not None:
-            return merge(w0, zero(sub))
+            return _merge(f, w0, zero(sub))
         w1 = sqrt_in_tower(v0 / r)
         if w1 is not None:
-            return merge(zero(sub), w1)
+            return _merge(f, zero(sub), w1)
         return None
     s = sqrt_in_tower(v0 * v0 - v1 * v1 * r)
     if s is None:
@@ -481,7 +481,7 @@ def sqrt_in_tower(v: AlgValue) -> AlgValue | None:
         if a is None or a.is_zero():
             continue
         b = v1 / a.scale(2)
-        w = merge(a, b)
+        w = _merge(f, a, b)
         if w * w == v:
             return w
     return None
@@ -502,23 +502,23 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
         return canonical_sign(w), f
     if v.is_rational():
         return _adjoin_rational_sqrt(f, v.rational_value())
-    iota = _i_index(f)
-    if iota is not None:
-        u = v * -adjoined_root(f, iota)  # u = v / i
-        if _supported_off_bit(u, iota):
-            rval = u.scale(Fraction(1, 2))
-            rdown = _drop_bit(rval, iota)
-            root_r, f2 = sqrt_or_adjoin(rdown)
+    i = radical(f, -1)
+    if i is not None:
+        u = v * -i  # u = v / i
+        iota = f.adjoined.index(_as_base_vec(f.base_degree, -1))
+        if all(c == 0 for mask, vec in enumerate(u.coeffs) if mask >> iota & 1 for c in vec):
+            # v = 2i * r, and (1 + i)^2 = 2i, so sqrt(v) = sqrt(r) * (1 + i)
+            without_i = ValueField(f.minpoly, f.adjoined[:iota] + f.adjoined[iota + 1 :])
+            root_r, f2 = sqrt_or_adjoin(lift(u.scale(Fraction(1, 2)), without_i))
             f3 = join_fields(f, f2)
-            one_plus_i = one(f3) + adjoined_root(f3, _i_index(f3))
-            root = lift(root_r, f3) * one_plus_i
-            assert values_equal(root * root, lift(v, f3))
+            root = lift(root_r, f3) * (one(f3) + radical(f3, -1))
+            if not values_equal(root * root, lift(v, f3)):
+                raise AlgebraError(f"square root of {render_value(v)} does not square back")
             return canonical_sign(root), f3
     if all(c == 0 for mask, vec in enumerate(v.coeffs) if mask for c in vec):
         # plain base element: adjoin it as a formal generator
-        newf = ValueField(f.minpoly, tuple(sorted(set(f.adjoined) | {v.coeffs[0]})))
-        root = adjoined_root(newf, newf.adjoined.index(v.coeffs[0]))
-        return canonical_sign(root), newf
+        newf = with_radical(f, v.coeffs[0])
+        return canonical_sign(radical(newf, v.coeffs[0])), newf
     w = sqrt_in_tower(-v)
     if w is not None:  # v = (i*w)^2 with i not yet in the tower
         i, f2 = _adjoin_rational_sqrt(f, Fraction(-1))
@@ -528,46 +528,27 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
 
 def _adjoin_rational_sqrt(f: ValueField, q: Fraction) -> tuple[AlgValue, ValueField]:
     s, sf = squarefree_part(q)
-    iota = _i_index(f)
-    if sf < 0 and iota is not None and sf != -1:
-        target = Fraction(-sf)  # reuse i rather than adjoining sqrt(-|f|)
-    else:
-        target = Fraction(sf)
-    tvec = _as_base_vec(f.base_degree, target)
-    newf = ValueField(f.minpoly, tuple(sorted(set(f.adjoined) | {tvec})))
-    root = adjoined_root(newf, newf.adjoined.index(tvec)).scale(s)
+    # reuse i rather than adjoining sqrt(-|sf|)
+    target = -sf if sf < -1 and radical(f, -1) is not None else sf
+    newf = with_radical(f, target)
+    root = radical(newf, target).scale(s)
     if target != sf:
-        root = root * adjoined_root(newf, _i_index(newf))
+        root = root * radical(newf, -1)
     return canonical_sign(root), newf
 
 
-def _i_index(f: ValueField) -> int | None:
-    mi = _as_base_vec(f.base_degree, -1)
-    return f.adjoined.index(mi) if mi in f.adjoined else None
+def radical(f: ValueField, q) -> AlgValue | None:
+    """The adjoined root sqrt(q) of f, or None; q is a rational or a base vector."""
+    vec = _as_base_vec(f.base_degree, q)
+    return adjoined_root(f, f.adjoined.index(vec)) if vec in f.adjoined else None
 
 
-def _supported_off_bit(v: AlgValue, j: int) -> bool:
-    return all(
-        all(c == 0 for c in vec)
-        for mask, vec in enumerate(v.coeffs)
-        if mask & (1 << j)
-    )
-
-
-def _drop_bit(v: AlgValue, j: int) -> AlgValue:
-    """Rewrite a value not involving root j in the tower without root j."""
-    f = v.field
-    sub_adj = tuple(r for k, r in enumerate(f.adjoined) if k != j)
-    sub = ValueField(f.minpoly, sub_adj)
-    deg = f.base_degree
-    flat = [Fraction(0)] * sub.dim
-    for mask, vec in enumerate(v.coeffs):
-        if mask & (1 << j):
-            continue
-        new_mask = (mask & ((1 << j) - 1)) | ((mask >> (j + 1)) << j)
-        for k, c in enumerate(vec):
-            flat[new_mask * deg + k] += c
-    return _unflatten(sub, flat)
+def with_radical(f: ValueField, q) -> ValueField:
+    """f with sqrt(q) adjoined (f itself when it already has that root)."""
+    vec = _as_base_vec(f.base_degree, q)
+    if vec in f.adjoined:
+        return f
+    return ValueField(f.minpoly, tuple(sorted(f.adjoined + (vec,))))
 
 
 # -- numeric embedding (sign choices and rendering order only) ---------------
@@ -658,16 +639,14 @@ class FieldAutomorphism:
         f = self.field
         if v.field != f:
             raise AlgebraError("automorphism applied to a foreign value")
-        out = zero(f)
-        deg = f.base_degree
+        parts = {}
         for mask, vec in enumerate(v.coeffs):
-            base = from_base_vec(f, vec)
             if self.conjugate_base:
-                base = _conjugate_base(f, vec)
-            sign = -1 if bin(mask & self.sign_mask).count("1") % 2 else 1
-            term = base.scale(sign) * _basis_value(f, mask * deg)
-            out = out + term
-        return out
+                vec = _conjugate_base(f, vec)
+            if bin(mask & self.sign_mask).count("1") % 2:
+                vec = tuple(-c for c in vec)
+            parts[mask] = vec
+        return _value(f, parts)
 
     def describe(self) -> str:
         if self.is_identity():
@@ -682,12 +661,12 @@ class FieldAutomorphism:
         return ", ".join(parts)
 
 
-def _conjugate_base(f: ValueField, vec: BaseVec) -> AlgValue:
+def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
     # theta' = -c1 - theta for a monic quadratic x^2 + c1 x + c0
     assert f.base_degree == 2
     c1 = f.minpoly[1]
     x, y = vec
-    return from_base_vec(f, (x - c1 * y, -y))
+    return (x - c1 * y, -y)
 
 
 def automorphisms(f: ValueField) -> list[FieldAutomorphism]:
@@ -695,12 +674,8 @@ def automorphisms(f: ValueField) -> list[FieldAutomorphism]:
     sign flips of the adjoined roots, times the base conjugation when the
     base is quadratic and fixes every adjoined element."""
     base_opts = [False]
-    if f.base_degree == 2:
-        ok = all(
-            _conjugate_base(f, r).coeffs[0] == tuple(r) for r in f.adjoined
-        )
-        if ok:
-            base_opts.append(True)
+    if f.base_degree == 2 and all(_conjugate_base(f, r) == r for r in f.adjoined):
+        base_opts.append(True)
     out = []
     for conj in base_opts:
         for mask in range(1 << f.nroots):

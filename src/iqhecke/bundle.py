@@ -53,15 +53,6 @@ class FixtureBundle:
         self.hecke_field_rows = self._load_hecke_fields()
         self.curves = self._load_curves()
 
-    def _read(self, name: str):
-        path = self.directory / name
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"{name} is not valid JSON: {exc}")
-
     def _load_field(self) -> tuple[QuadField, ClassGroup]:
         data = None
         for path in sorted(self.directory.glob("field_*.json")):
@@ -150,9 +141,6 @@ class FixtureBundle:
             return self.eigensystem_tables[level][name]
         except KeyError:
             raise BundleError(f"no eigensystem {name!r} at level {level}")
-
-    def systems_at(self, level: str) -> list[HeckeEigensystem]:
-        return list(self.eigensystem_tables.get(level, {}).values())
 
     def oracle_files(self) -> list[Path]:
         return sorted(self.directory.glob("oracle_*.json"))

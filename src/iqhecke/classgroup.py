@@ -341,10 +341,6 @@ class GenusData:
     two_torsion: frozenset
     r2: int
 
-    @property
-    def genus_group_order(self) -> int:
-        return 1 << self.r2
-
 
 def genus_data(group: ClassGroup) -> GenusData:
     sq = frozenset(group.squares())

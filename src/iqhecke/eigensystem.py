@@ -49,12 +49,7 @@ def extend_for_root_order(f: ValueField, order: int) -> ValueField:
     if order not in _ROU_REQUIREMENTS:
         raise EigensystemError(f"roots of unity of order {order} are not supported")
     need = _ROU_REQUIREMENTS[order]
-    if need is None:
-        return f
-    vec = algext._as_base_vec(f.base_degree, need)
-    if vec in f.adjoined:
-        return f
-    return ValueField(f.minpoly, tuple(sorted(set(f.adjoined) | {vec})))
+    return f if need is None else algext.with_radical(f, need)
 
 
 def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
@@ -64,16 +59,14 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
     if z.n == 2:
         return algext.from_rational(f, -1)
     if z.n == 4:
-        vec = algext._as_base_vec(f.base_degree, Fraction(-1))
-        if vec not in f.adjoined:
+        i = algext.radical(f, -1)
+        if i is None:
             return None
-        i = algext.adjoined_root(f, f.adjoined.index(vec))
         return i if z.k == 1 else -i
     if z.n in (3, 6):
-        vec = algext._as_base_vec(f.base_degree, Fraction(-3))
-        if vec not in f.adjoined:
+        s = algext.radical(f, -3)
+        if s is None:
             return None
-        s = algext.adjoined_root(f, f.adjoined.index(vec))
         zeta3 = (algext.from_rational(f, -1) + s).scale(Fraction(1, 2))
         z6 = z if z.n == 6 else RootOfUnity.make(2 * z.k, 6)
         out = algext.one(f)
@@ -99,9 +92,6 @@ class HeckeEigensystem:
 
     def stored_primes(self) -> list[Ideal]:
         return [p for p, _ in self.alpha]
-
-    def good_primes(self) -> list[Ideal]:
-        return [p for p, _ in self.alpha if coprime(p, self.level)]
 
     def alpha_at(self, p: Ideal) -> AlgValue:
         for q, v in self.alpha:
@@ -419,8 +409,8 @@ def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
     """Q-dimension of the subfield generated by the given tower values."""
     rows: list[list[Fraction]] = []
 
-    def reduce_row(vec):
-        vec = list(vec)
+    def reduce_row(v: AlgValue) -> bool:
+        vec = [c for part in v.coeffs for c in part]
         for row in rows:
             piv = next(i for i, c in enumerate(row) if c != 0)
             if vec[piv] != 0:
@@ -432,7 +422,7 @@ def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
         return False
 
     basis_vals = [algext.one(f)]
-    reduce_row(algext._flatten(basis_vals[0]))
+    reduce_row(basis_vals[0])
     gens = [lift(v, f) for v in values]
     changed = True
     while changed:
@@ -440,7 +430,7 @@ def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
         for g in gens:
             for b in list(basis_vals):
                 prod = g * b
-                if reduce_row(algext._flatten(prod)):
+                if reduce_row(prod):
                     basis_vals.append(prod)
                     changed = True
     return len(rows)

@@ -179,9 +179,6 @@ class Ideal:
         t = self.field.trace_omega
         return Ideal(self.field, self.a, (-self.b - self.c * t) % self.a, self.c)
 
-    def is_selfconjugate(self) -> bool:
-        return self == self.conjugate()
-
     def __repr__(self):
         return f"Ideal[{self.a}, {self.b}+{self.c}w]"
 

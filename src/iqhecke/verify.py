@@ -706,6 +706,9 @@ def run_checks(bundle: FixtureBundle, names: list[str] | None = None) -> list[Ch
             results.append(
                 CheckResult(name, True, str(exc), skipped=True, seconds=time.perf_counter() - t0)
             )
+        except Exception as exc:  # a crashing check fails alone; the rest still run
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, False, detail, seconds=time.perf_counter() - t0))
     return results
 
 

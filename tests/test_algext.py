@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ Q = make_value_field()
 QI = make_value_field(adjoined=[-1])
 QI2 = make_value_field(adjoined=[-1, 2])
 CUBIC = make_value_field(minpoly=[1, -3, -1, 1])
+QUAD_SQRT3 = make_value_field(minpoly=[-2, 0, 1], adjoined=[3])  # Q(sqrt2)(sqrt3), base sqrt2 = a
 
 
 def rand_value(f, rng, span=4):
@@ -49,7 +54,8 @@ def test_basic_arithmetic():
 
 def test_field_inverse_and_division():
     rng = random.Random(11)
-    for f in (Q, QI, QI2, CUBIC):
+    cubic_i = make_value_field(minpoly=[1, -3, -1, 1], adjoined=[-1])
+    for f in (Q, QI, QI2, CUBIC, QUAD_SQRT3, cubic_i):
         for _ in range(20):
             v = rand_value(f, rng)
             if v.is_zero():
@@ -57,6 +63,12 @@ def test_field_inverse_and_division():
             assert values_equal(v * v.inv(), one(f))
     with pytest.raises(ZeroDivisionError):
         zero(QI).inv()
+    # sqrt(-2) and i*sqrt(2) are independent roots here, so the algebra has zero divisors
+    degenerate = make_value_field(adjoined=[-2, -1, 2])
+    with pytest.raises(ZeroDivisionError, match="degenerate"):
+        parse_value(degenerate, "sqrtm2 - i*sqrt2").inv()
+    v = parse_value(degenerate, "1 + sqrt2")
+    assert values_equal(v * v.inv(), one(degenerate))
 
 
 def test_squarefree_part():
@@ -133,7 +145,7 @@ def test_canonical_sign():
 
 def test_automorphisms_are_ring_maps():
     rng = random.Random(19)
-    for f, expected in ((make_value_field(adjoined=[2]), 2), (Q, 1), (QI2, 4)):
+    for f, expected in ((make_value_field(adjoined=[2]), 2), (Q, 1), (QI2, 4), (QUAD_SQRT3, 4)):
         autos = automorphisms(f)
         assert len(autos) == expected
         for au in autos:
@@ -176,6 +188,23 @@ def test_parse_render_round_trip():
         for _ in range(30):
             v = rand_value(f, rng)
             assert values_equal(parse_value(f, render_value(v)), v)
+
+
+def test_radicand_length_is_checked():
+    with pytest.raises(AlgebraError, match="base degree"):
+        make_value_field(adjoined=[[1, 2]])
+
+
+def test_radicand_length_is_checked_under_optimize():
+    import iqhecke
+
+    code = "from iqhecke.algext import make_value_field; make_value_field(adjoined=[[1, 2]])"
+    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("iqhecke.algext.AlgebraError") and "base degree" in last
 
 
 def test_parse_errors():

@@ -1,5 +1,6 @@
 import json
 
+from iqhecke import verify
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.cli import main
 from iqhecke.eigensystem import eigensystem_from_json, eigensystem_to_json
@@ -77,6 +78,24 @@ def test_verify_json_exit_codes(capsys):
     assert payload[0]["status"] == "PASS"
 
 
+def test_verify_reports_a_crashing_check_and_goes_on(capsys, monkeypatch):
+    def crash(bundle):
+        raise ValueError("boom")
+
+    checks = [(name, crash if name == "class-groups" else fn) for name, fn in verify.ALL_CHECKS]
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "class-groups", "--check", "genus-character-law", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert [(r["name"], r["status"]) for r in payload] == [
+        ("class-groups", "FAIL"),
+        ("genus-character-law", "PASS"),
+    ]
+    assert payload[0]["detail"] == "ValueError: boom"
+
+
 def test_verify_bad_bundle_is_schema_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--bundle", str(tmp_path / "missing"))
     assert code == 2 and "schema error" in err
@@ -116,6 +135,18 @@ def test_compare_ap_detects_mismatch(capsys, tmp_path):
     assert code == 1
     assert "MISMATCH at 11.1" in out
     assert "result: mismatch" in out
+
+
+def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+    data["systems"][0]["field"] = {"minpoly": [0, 1], "adjoined": [[1, 2]]}
+    path = tmp_path / "eigensystems.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2 and "base degree" in err
 
 
 def test_verify_output_is_deterministic(capsys):
