@@ -74,7 +74,13 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     if len(mp) < 2 or mp[-1] != 1:
         raise AlgebraError(f"minimal polynomial must be monic, got {minpoly}")
     deg = len(mp) - 1
-    return ValueField(mp, tuple(sorted(_as_base_vec(deg, r) for r in adjoined)))
+    radicands = [_as_base_vec(deg, r) for r in adjoined]
+    if len(set(radicands)) != len(radicands):
+        raise AlgebraError(f"duplicate radicand in {list(adjoined)}")
+    for q, *rest in radicands:
+        if not any(rest) and (q in (0, 1) or squarefree_part(q) != (1, q)):
+            raise AlgebraError(f"radicand {q} is not a squarefree integer other than 0 and 1")
+    return ValueField(mp, tuple(sorted(radicands)))
 
 
 RATIONAL_FIELD = make_value_field()

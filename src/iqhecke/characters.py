@@ -67,23 +67,7 @@ class ClassCharacter:
 
 
 def character_group(group: ClassGroup) -> list[ClassCharacter]:
-    chars = []
-    divisors = group.elementary_divisors
-    exps = [0] * len(divisors)
-    while True:
-        chars.append(ClassCharacter(tuple(exps)))
-        i = 0
-        while i < len(exps):
-            exps[i] += 1
-            if exps[i] < divisors[i]:
-                break
-            exps[i] = 0
-            i += 1
-        else:
-            break
-    if not divisors:
-        chars = [ClassCharacter(())]
-    return sorted(set(chars))
+    return sorted(ClassCharacter(c.exps) for c in group.all_classes())
 
 
 def trivial_character(group: ClassGroup) -> ClassCharacter:

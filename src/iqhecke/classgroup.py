@@ -4,14 +4,21 @@ The group is realized concretely through reduced positive definite binary
 quadratic forms of the field discriminant.  Composition of classes is done by
 converting forms to ideals, multiplying ideals exactly, and reducing the
 resulting form; with the unique-HNF ideal layer already in place this avoids
-a separate implementation of Gauss composition.  Structure (elementary
-divisors, generators, discrete logs) is found by brute force, which is fine
-for the class numbers this library targets (h up to a few hundred).
+a separate implementation of Gauss composition.
+
+Structure and coordinates come from cyclic orbits of forms, [f, f^2, ...,
+identity], found by brute force, which is fine for the class numbers this
+library targets (h up to a few hundred).  Generators are chosen greedily by
+orbit length, and one table built from their orbits maps every form to its
+exponent vector (discrete logs).  After that, every class query works on
+exponent vectors alone; CL^2 and CL[2] are computed once, at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import gcd, lcm, prod
 
 from .quadfield import (
     Ideal,
@@ -20,7 +27,6 @@ from .quadfield import (
     factor_int,
     ideal_mul,
     ideals_of_norm,
-    is_prime_ideal,
 )
 
 
@@ -68,7 +74,8 @@ def reduce_form(a: int, b: int, c: int) -> BQForm:
 
 def reduced_forms(disc: int) -> list[BQForm]:
     """All reduced forms of the given negative fundamental discriminant."""
-    assert disc < 0 and disc % 4 in (0, 1)
+    if disc >= 0 or disc % 4 not in (0, 1):
+        raise ClassGroupError(f"{disc} is not a negative discriminant")
     out = []
     a = 1
     while 3 * a * a <= -disc:
@@ -131,8 +138,11 @@ class ClassGroup:
         self.h = len(self.forms)
         self._identity = reduce_form(*_principal_form(field))
         self.elementary_divisors, self.generators = self._structure()
-        self._coords = self._coordinate_table()
+        self._coords = self._coordinates(self.generators)
         self._check_counts()
+        classes = self.all_classes()
+        self._squares = frozenset(self.power(x, 2) for x in classes)
+        self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_identity())
 
     # -- construction ------------------------------------------------------
 
@@ -141,112 +151,74 @@ class ClassGroup:
         j = ideal_of_form(self.field, g)
         return form_of_ideal(ideal_mul(i, j))
 
-    def _power(self, f: BQForm, e: int) -> BQForm:
-        out = self._identity
-        for _ in range(e):
-            out = self._compose(out, f)
+    def _cycle(self, f: BQForm) -> list[BQForm]:
+        """The cyclic orbit [f, f^2, ..., identity]; its length is the order of f."""
+        out = [f]
+        while out[-1] != self._identity:
+            out.append(self._compose(out[-1], f))
         return out
 
-    def _order(self, f: BQForm) -> int:
-        out, k = f, 1
-        while out != self._identity:
-            out = self._compose(out, f)
-            k += 1
-        return k
+    def _coordinates(self, gens) -> dict[BQForm, tuple[int, ...]]:
+        """Every form in the span of gens mapped to an exponent vector.
 
-    def _span(self, gens: list[BQForm]) -> set[BQForm]:
-        out = {self._identity}
-        frontier = [self._identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self._compose(x, g)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
+        The table is extended one generator at a time, so exponent index 0
+        varies fastest and each form keeps the first vector that reaches it.
+        """
+        table = {self._identity: ()}
+        for g in gens:
+            cycle = self._cycle(g)
+            powers = [self._identity] + cycle[:-1]
+            new = {}
+            for e, p in enumerate(powers):
+                for f, v in table.items():
+                    new.setdefault(f if e == 0 else self._compose(f, p), v + (e,))
+            table = new
+        return table
 
     def _structure(self) -> tuple[tuple[int, ...], tuple[BQForm, ...]]:
         if self.h == 1:
             return (), ()
         # Greedy decomposition: repeatedly pick an element of maximal order
-        # that intersects the subgroup generated so far trivially.
+        # whose cyclic orbit meets the subgroup generated so far trivially.
+        cycles = {f: self._cycle(f) for f in self.forms if f != self._identity}
+        candidates = sorted(cycles, key=lambda f: (-len(cycles[f]), f.a, f.b))
         gens: list[BQForm] = []
-        divisors: list[int] = []
-        have = {self._identity}
-        orders = {f: self._order(f) for f in self.forms}
+        have = {self._identity: ()}
         while len(have) < self.h:
-            best = None
-            for f in sorted(self.forms, key=lambda f: (-orders[f], f.a, f.b)):
-                if orders[f] == 1:
-                    continue
-                powers = {self._power(f, k) for k in range(1, orders[f])}
-                if powers & have:
-                    continue
-                best = f
-                break
+            best = next((f for f in candidates if not set(cycles[f][:-1]) & have.keys()), None)
             if best is None:
                 raise ClassGroupError("could not decompose class group")
             gens.append(best)
-            divisors.append(orders[best])
-            have = self._span(gens)
+            have = self._coordinates(gens)
         if len(have) != self.h:
             raise ClassGroupError("generator span does not cover the group")
         # Order the factors so divisors ascend (d1 | d2 | ... for the groups
         # at hand, where distinct factor orders only occur pairwise coprime
-        # or equal; assert divisibility to be safe).
-        pairs = sorted(zip(divisors, gens))
-        divisors = [p[0] for p in pairs]
-        gens = [p[1] for p in pairs]
+        # or equal; check divisibility to be safe).
+        divisors, gens = zip(*sorted((len(cycles[g]), g) for g in gens))
         for i in range(len(divisors) - 1):
             if divisors[i + 1] % divisors[i]:
-                raise ClassGroupError(f"divisors not nested: {divisors}")
-        gens = self._normalize_generators(divisors, gens)
-        return tuple(divisors), tuple(gens)
+                raise ClassGroupError(f"divisors not nested: {list(divisors)}")
+        return divisors, tuple(self._normalize_generators(gens))
 
-    def _normalize_generators(self, divisors, gens):
+    def _normalize_generators(self, gens):
         # For disc -68, pin the generator to the class of the norm-3 prime
         # <3, 1+omega> so that published eigensystem tables line up.
         if self.field.disc == -68:
             pinned = form_of_ideal(Ideal(self.field, 3, 1, 1))
-            assert self._order(pinned) == 4
+            if len(self._cycle(pinned)) != 4:
+                raise ClassGroupError("the pinned generator of disc -68 does not have order 4")
             return [pinned]
         return gens
 
-    def _coordinate_table(self) -> dict[BQForm, tuple[int, ...]]:
-        table = {self._identity: tuple(0 for _ in self.elementary_divisors)}
-        if not self.elementary_divisors:
-            return table
-        exps = [0] * len(self.elementary_divisors)
-        while True:
-            f = self._identity
-            for g, e in zip(self.generators, exps):
-                f = self._compose(f, self._power(g, e))
-            table.setdefault(f, tuple(exps))
-            i = 0
-            while i < len(exps):
-                exps[i] += 1
-                if exps[i] < self.elementary_divisors[i]:
-                    break
-                exps[i] = 0
-                i += 1
-            else:
-                break
-        if len(table) != self.h:
-            raise ClassGroupError("generators do not enumerate the group")
-        return table
-
     def _check_counts(self):
-        prod = 1
-        for d in self.elementary_divisors:
-            prod *= d
-        if prod != self.h:
+        if prod(self.elementary_divisors) != self.h:
             raise ClassGroupError("elementary divisors inconsistent with h")
         for g, d in zip(self.generators, self.elementary_divisors):
-            if self._order(g) != d:
+            if len(self._cycle(g)) != d:
                 raise ClassGroupError("generator order != elementary divisor")
+        if len(self._coords) != self.h:
+            raise ClassGroupError("generators do not enumerate the group")
 
     # -- queries -----------------------------------------------------------
 
@@ -274,27 +246,12 @@ class ClassGroup:
         return IdealClass(tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors)))
 
     def all_classes(self) -> list[IdealClass]:
-        out = []
-        exps = [0] * len(self.elementary_divisors)
-        while True:
-            out.append(IdealClass(tuple(exps)))
-            i = 0
-            while i < len(exps):
-                exps[i] += 1
-                if exps[i] < self.elementary_divisors[i]:
-                    break
-                exps[i] = 0
-                i += 1
-            else:
-                break
-        return out if self.elementary_divisors else [self.identity()]
+        """Every class once, exponent index 0 varying fastest."""
+        ranges = [range(d) for d in reversed(self.elementary_divisors)]
+        return [IdealClass(e[::-1]) for e in product(*ranges)]
 
     def class_order(self, x: IdealClass) -> int:
-        k, cur = 1, x
-        while not cur.is_identity():
-            cur = self.mul(cur, x)
-            k += 1
-        return k
+        return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))
 
     def subgroup(self, gens: list[IdealClass]) -> set[IdealClass]:
         out = {self.identity()}
@@ -310,11 +267,13 @@ class ClassGroup:
             frontier = nxt
         return out
 
-    def squares(self) -> set[IdealClass]:
-        return {self.power(x, 2) for x in self.all_classes()}
+    def squares(self) -> frozenset[IdealClass]:
+        """CL^2, computed once at construction."""
+        return self._squares
 
-    def two_torsion(self) -> set[IdealClass]:
-        return {x for x in self.all_classes() if self.power(x, 2).is_identity()}
+    def two_torsion(self) -> frozenset[IdealClass]:
+        """CL[2], computed once at construction."""
+        return self._two_torsion
 
     def to_json(self) -> dict:
         return {
@@ -343,8 +302,8 @@ class GenusData:
 
 
 def genus_data(group: ClassGroup) -> GenusData:
-    sq = frozenset(group.squares())
-    tt = frozenset(group.two_torsion())
+    sq = group.squares()
+    tt = group.two_torsion()
     genus_order = group.h // len(sq)
     r2 = genus_order.bit_length() - 1
     if 1 << r2 != genus_order or len(tt) != genus_order:
@@ -357,33 +316,11 @@ def genus_data(group: ClassGroup) -> GenusData:
     return GenusData(squares=sq, two_torsion=tt, r2=r2)
 
 
-def find_ideal_in_class(
-    group: ClassGroup,
-    target: IdealClass,
-    coprime_to: Ideal | None = None,
-    prefer_prime: bool = False,
-    bound: int = 10_000,
-) -> Ideal:
-    """Smallest-norm ideal in the target class, coprime to a given ideal.
-
-    With prefer_prime, a prime ideal is returned if one of norm <= bound
-    exists; otherwise the smallest suitable ideal found is used.
-    """
-    first_any = None
+def first_ideal(group: ClassGroup, accept, coprime_to=(), bound: int = 10_000) -> Ideal:
+    """The first ideal in label order (smallest norm first) that is coprime
+    to every ideal in coprime_to and whose class satisfies accept."""
     for norm in range(1, bound + 1):
         for i in ideals_of_norm(group.field, norm):
-            if coprime_to is not None and not coprime(i, coprime_to):
-                continue
-            if group.ideal_class(i) != target:
-                continue
-            if not prefer_prime:
+            if all(coprime(i, m) for m in coprime_to) and accept(group.ideal_class(i)):
                 return i
-            if is_prime_ideal(i):
-                return i
-            if first_any is None:
-                first_any = i
-    if first_any is not None:
-        return first_any
-    raise ClassGroupError(
-        f"no ideal of norm <= {bound} found in the requested class"
-    )
+    raise ClassGroupError(f"no ideal of norm <= {bound} found in the requested class")

@@ -392,7 +392,7 @@ class SupportSubgroup:
 
 def support_subgroup(F: HeckeEigensystem, bound: int | None = None) -> SupportSubgroup:
     group = F.group
-    gens = [group.power(x, 2) for x in group.all_classes()]
+    gens = list(group.squares())
     for p, v in F.alpha:
         if bound is not None and p.norm > bound:
             continue

@@ -370,7 +370,8 @@ def factor_ideal(n: Ideal) -> list[tuple[Ideal, int]]:
     check = unit_ideal(n.field)
     for pp, e in out:
         check = ideal_mul(check, ideal_pow(pp, e))
-    assert check == n
+    if check != n:
+        raise QuadFieldError(f"prime factors of {n} recombine to {check}")
     return out
 
 
@@ -411,10 +412,6 @@ def ideal_div_exact(n: Ideal, m: Ideal) -> Ideal:
         for _ in range(e):
             cur = ideal_div_prime(cur, p)
     return cur
-
-
-def galois_conjugate(i: Ideal) -> Ideal:
-    return i.conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .characters import (
     character_order,
     eval_on_class,
 )
-from .classgroup import ClassGroup, IdealClass
+from .classgroup import ClassGroup, IdealClass, first_ideal
 from .eigensystem import (
     EigensystemError,
     HeckeEigensystem,
@@ -43,7 +43,6 @@ from .quadfield import (
     exact_prime_power_divisors,
     ideal_mul,
     ideal_pow,
-    ideals_of_norm,
     label,
     primes_of_norm_up_to,
     unit_ideal,
@@ -259,7 +258,7 @@ def recover(
         if cls.is_identity():
             restriction[cls] = 1
             continue
-        a = _first_ideal(group, level, lambda x, c=cls: x == c)
+        a = first_ideal(group, lambda x, c=cls: x == c, (level,))
         vrou = oracle.query(make_principal_operator(group, level, aa=a))
         if not vrou.is_rational() or vrou.rational_value() not in (1, -1):
             raise RecoveryError(
@@ -288,18 +287,15 @@ def recover(
             work = algext.join_fields(work, v.field)
         return lift(v, work)
 
-    def principal(t=None, w=None, coprime_to=None) -> AlgValue:
+    def principal(t=None, w=None, coprime_to=()) -> AlgValue:
         """The eigenvalue of T_t W_w: query T_{a,a} T_t W_w for the first a
         that makes it principal, times chi(a^-1)."""
         cls = group.identity()
         for part in (t, w):
             if part is not None:
                 cls = group.mul(cls, group.ideal_class(part))
-        a = _first_ideal(
-            group,
-            level,
-            lambda x: group.mul(group.power(x, 2), cls).is_identity(),
-            also_coprime_to=coprime_to,
+        a = first_ideal(
+            group, lambda x: group.mul(group.power(x, 2), cls).is_identity(), (level, *coprime_to)
         )
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
         return v * chiv(group.inv(group.ideal_class(a)))
@@ -317,7 +313,7 @@ def recover(
         cls = group.ideal_class(p)
         try:
             if cls in squares:
-                alpha[p] = principal(t=p, coprime_to=p)
+                alpha[p] = principal(t=p, coprime_to=(p,))
             elif (hit := table.lookup(cls)) is not None:
                 a_t, alpha_t = hit
                 alpha[p] = principal(t=ideal_mul(p, a_t)) / absorb(alpha_t)
@@ -371,16 +367,3 @@ def recover(
     system = make_eigensystem(group, level, chi, alpha, al_signs, vfield=work)
     return RecoveryResult(system=system, alpha_gaps=gaps, al_incomplete=al_incomplete)
 
-
-def _first_ideal(group: ClassGroup, level: Ideal, class_pred, also_coprime_to=None, bound=10_000):
-    """Smallest-norm ideal coprime to the level (and optionally to another
-    ideal) whose class satisfies the predicate."""
-    for norm in range(1, bound + 1):
-        for i in ideals_of_norm(group.field, norm):
-            if not coprime(i, level):
-                continue
-            if also_coprime_to is not None and not coprime(i, also_coprime_to):
-                continue
-            if class_pred(group.ideal_class(i)):
-                return i
-    raise RecoveryError(f"no auxiliary ideal of norm <= {bound} found")

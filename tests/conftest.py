@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import iqhecke
 from iqhecke.bundle import load_default_bundle
 from iqhecke.classgroup import compute_class_group
 from iqhecke.quadfield import make_field
@@ -18,3 +24,17 @@ def G17(K17):
 @pytest.fixture(scope="session")
 def bundle():
     return load_default_bundle()
+
+
+def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python -O -c code args...` with this iqhecke importable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """The runner for checks that must still hold under `python -O`."""
+    return _run_optimized

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -195,16 +191,20 @@ def test_radicand_length_is_checked():
         make_value_field(adjoined=[[1, 2]])
 
 
-def test_radicand_length_is_checked_under_optimize():
-    import iqhecke
-
+def test_radicand_length_is_checked_under_optimize(run_optimized):
     code = "from iqhecke.algext import make_value_field; make_value_field(adjoined=[[1, 2]])"
-    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
-    last = proc.stderr.strip().splitlines()[-1]
+    last = run_optimized(code).stderr.strip().splitlines()[-1]
     assert last.startswith("iqhecke.algext.AlgebraError") and "base degree" in last
+
+
+@pytest.mark.parametrize(
+    "adjoined,message",
+    [([2, 2], "duplicate"), ([2, 8], "squarefree"), ([1], "squarefree"), ([0], "squarefree"),
+     ([Fraction(1, 2)], "squarefree"), ([-4], "squarefree")],
+)
+def test_malformed_radicands_are_rejected(adjoined, message):
+    with pytest.raises(AlgebraError, match=message):
+        make_value_field(adjoined=adjoined)
 
 
 def test_parse_errors():

@@ -5,7 +5,7 @@ import pytest
 from iqhecke.classgroup import (
     ClassGroupError,
     compute_class_group,
-    find_ideal_in_class,
+    first_ideal,
     form_of_ideal,
     genus_data,
     reduced_forms,
@@ -22,14 +22,24 @@ from iqhecke.quadfield import (
     unit_ideal,
 )
 
-FIELDS = {1: (), 5: (2,), 23: (3,), 31: (3,), 17: (4,), 21: (2, 2)}
+# the first six keep their sorted order, so their test ids stay the same
+FIELDS = {
+    1: (), 5: (2,), 17: (4,), 21: (2, 2), 23: (3,), 31: (3,),
+    14: (4,), 65: (2, 4), 105: (2, 2, 2), 47: (5,), 71: (7,), 41: (8,), 89: (12,),
+}
 
 
-@pytest.mark.parametrize("d,divs", sorted(FIELDS.items()))
+@pytest.mark.parametrize("d,divs", FIELDS.items())
 def test_structure(d, divs):
     g = compute_class_group(make_field(d))
     assert g.elementary_divisors == divs
     assert g.h == len(reduced_forms(g.field.disc))
+    classes = g.all_classes()
+    assert len(classes) == len(set(classes)) == g.h
+    for x in classes:
+        k = g.class_order(x)
+        assert g.power(x, k).is_identity()
+        assert not any(g.power(x, j).is_identity() for j in range(1, k))
 
 
 def test_generator_pinned_to_norm_3_prime(G17, K17):
@@ -40,7 +50,7 @@ def test_generator_pinned_to_norm_3_prime(G17, K17):
 
 def test_class_map_is_homomorphism():
     rng = random.Random(7)
-    for d in (5, 17, 21, 23):
+    for d in (5, 17, 21, 23, 14, 65, 105, 47, 71, 41, 89):
         g = compute_class_group(make_field(d))
         pool = [i for n in range(1, 40) for i in ideals_of_norm(g.field, n)]
         for _ in range(500):
@@ -110,24 +120,21 @@ def test_genus_size_relation():
 
 def test_find_ideal_in_class(G17, K17):
     c = G17.ideal_class(ideal_from_label(K17, "3.1"))
-    got = find_ideal_in_class(G17, c, coprime_to=ideal_from_label(K17, "2.1"), prefer_prime=True)
+    got = first_ideal(G17, lambda x: x == c, coprime_to=(ideal_from_label(K17, "2.1"),))
     assert got == ideal_from_label(K17, "3.1")
-    assert find_ideal_in_class(G17, G17.identity(), coprime_to=None) == unit_ideal(K17)
-    # the minimal-norm prime in class c^2 coprime to (3) is the ramified
+    assert first_ideal(G17, lambda x: x.is_identity()) == unit_ideal(K17)
+    # the minimal-norm ideal in class c^2 coprime to (3) is the ramified
     # norm-2 prime; excluding 2 as well forces the norm-13 prime
-    got2 = find_ideal_in_class(
-        G17, G17.power(c, 2), coprime_to=principal_ideal(K17, 3, 0), prefer_prime=True
-    )
+    c2 = G17.power(c, 2)
+    got2 = first_ideal(G17, lambda x: x == c2, coprime_to=(principal_ideal(K17, 3, 0),))
     assert got2 == ideal_from_label(K17, "2.1") and is_prime_ideal(got2)
-    got3 = find_ideal_in_class(
-        G17, G17.power(c, 2), coprime_to=principal_ideal(K17, 6, 0), prefer_prime=True
-    )
+    got3 = first_ideal(G17, lambda x: x == c2, coprime_to=(principal_ideal(K17, 6, 0),))
     assert got3 == ideal_from_label(K17, "13.1") and is_prime_ideal(got3)
 
 
 def test_find_ideal_bound_exhaustion(G17):
     with pytest.raises(ClassGroupError):
-        find_ideal_in_class(G17, G17.identity(), coprime_to=None, bound=0)
+        first_ideal(G17, lambda x: x.is_identity(), bound=0)
 
 
 def test_form_of_ideal_matches_reduction(G17, K17):

@@ -138,15 +138,19 @@ def test_compare_ap_detects_mismatch(capsys, tmp_path):
 
 
 def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
-    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
-    data["systems"][0]["field"] = {"minpoly": [0, 1], "adjoined": [[1, 2]]}
-    path = tmp_path / "eigensystems.json"
-    path.write_text(json.dumps(data))
-    code, _, err = run_cli(
-        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
-        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
-    )
-    assert code == 2 and "base degree" in err
+    for field, message in (
+        ({"minpoly": [0, 1], "adjoined": [[1, 2]]}, "base degree"),
+        ({"adjoined": [2, 8]}, "squarefree"),
+    ):
+        data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+        data["systems"][0]["field"] = field
+        path = tmp_path / "eigensystems.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
+            "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+        )
+        assert code == 2 and message in err
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from iqhecke import quadfield
 from iqhecke.quadfield import (
     Ideal,
     QuadFieldError,
@@ -11,7 +12,6 @@ from iqhecke.quadfield import (
     exact_divisors,
     factor_ideal,
     factor_rational_prime,
-    galois_conjugate,
     ideal_from_gens,
     ideal_from_json,
     ideal_from_label,
@@ -121,10 +121,29 @@ def test_factor_ideal_examples(K17):
 
 
 def test_factor_ideal_recombines_exhaustively(K17):
-    # factor_ideal asserts the product of its factors equals the input
+    # factor_ideal checks that the product of its factors equals the input
     for n in range(1, 501):
         for i in ideals_of_norm(K17, n):
             factor_ideal(i)
+
+
+def test_factor_ideal_recombination_is_checked(K17, monkeypatch):
+    # with only the first prime above 3, the factors of (3) recombine to 3.1
+    three = ideal_from_label(K17, "9.2")
+    real = quadfield.primes_above
+    monkeypatch.setattr(quadfield, "primes_above", lambda field, p: real(field, p)[:1])
+    with pytest.raises(QuadFieldError, match="recombine"):
+        factor_ideal(three)
+
+
+def test_factor_ideal_recombination_is_checked_under_optimize(run_optimized):
+    code = (
+        "from iqhecke import quadfield as q; three = q.ideal_from_label(q.make_field(17), '9.2');"
+        "real = q.primes_above; q.primes_above = lambda field, p: real(field, p)[:1];"
+        "q.factor_ideal(three)"
+    )
+    last = run_optimized(code).stderr.strip().splitlines()[-1]
+    assert last.startswith("iqhecke.quadfield.QuadFieldError") and "recombine" in last
 
 
 def test_divisor_lattice(K17):
@@ -140,18 +159,16 @@ def test_divisor_lattice(K17):
 def test_galois_conjugate(K17):
     p31 = ideal_from_label(K17, "3.1")
     p32 = ideal_from_label(K17, "3.2")
-    assert galois_conjugate(p31) == p32
+    assert p31.conjugate() == p32
     five = principal_ideal(K17, 5, 0)
-    assert galois_conjugate(five) == five
-    assert galois_conjugate(ideal_from_label(K17, "7.1")) == ideal_from_label(K17, "7.2")
+    assert five.conjugate() == five
+    assert ideal_from_label(K17, "7.1").conjugate() == ideal_from_label(K17, "7.2")
     rng = random.Random(3)
     pool = [i for n in range(1, 60) for i in ideals_of_norm(K17, n)]
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert galois_conjugate(galois_conjugate(a)) == a
-        assert galois_conjugate(ideal_mul(a, b)) == ideal_mul(
-            galois_conjugate(a), galois_conjugate(b)
-        )
+        assert a.conjugate().conjugate() == a
+        assert ideal_mul(a, b).conjugate() == ideal_mul(a.conjugate(), b.conjugate())
 
 
 def test_labels_match_published_conventions(K17):

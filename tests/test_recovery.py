@@ -1,8 +1,5 @@
 import json
-import os
 import random
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +9,7 @@ from iqhecke import algext
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.characters import ClassCharacter
-from iqhecke.classgroup import compute_class_group, find_ideal_in_class
+from iqhecke.classgroup import compute_class_group, first_ideal
 from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
@@ -324,7 +321,7 @@ def recover_with_inconsistent_restriction():
     minus_one = algext.from_rational(algext.RATIONAL_FIELD, -1)
     oracle = FixtureOracle(
         {
-            make_principal_operator(g, level, aa=find_ideal_in_class(g, c)): minus_one
+            make_principal_operator(g, level, aa=first_ideal(g, lambda x, c=c: x == c)): minus_one
             for c in g.two_torsion()
             if not c.is_identity()
         }
@@ -337,19 +334,10 @@ def test_inconsistent_restriction_raises():
         recover_with_inconsistent_restriction()
 
 
-def test_inconsistent_restriction_raises_under_optimize():
-    import iqhecke
-
+def test_inconsistent_restriction_raises_under_optimize(run_optimized):
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]);"
         "from test_recovery import recover_with_inconsistent_restriction as run; run()"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    last = proc.stderr.strip().splitlines()[-1]
+    last = run_optimized(code, str(Path(__file__).parent)).stderr.strip().splitlines()[-1]
     assert last.startswith("iqhecke.recovery.RecoveryError") and "restriction" in last
