@@ -352,7 +352,8 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
     """Write q = s^2 * f with f a squarefree integer; returns (s, f)."""
-    assert q != 0
+    if q == 0:
+        raise AlgebraError("0 has no squarefree part")
     m = q.numerator * q.denominator
     sign = -1 if m < 0 else 1
     f = sign

@@ -18,10 +18,10 @@ from .classgroup import BQForm, ClassGroup, compute_class_group
 from .dimensions import DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, eigensystem_from_json
 from .quadfield import (
+    FACTOR_LABEL_DISCS,
     QuadField,
     ideal_from_label,
     make_field,
-    register_label_ordering,
 )
 
 
@@ -63,8 +63,11 @@ class FixtureBundle:
         K = make_field(data["d"])
         if "disc" in data and data["disc"] != K.disc:
             raise BundleError(f"field descriptor disc {data['disc']} != {K.disc}")
-        if data.get("label_ordering"):
-            register_label_ordering(K.disc, data["label_ordering"])
+        ordering = "factor" if K.disc in FACTOR_LABEL_DISCS else "hnf"
+        if data.get("label_ordering", ordering) != ordering:
+            raise BundleError(
+                f"label_ordering {data['label_ordering']!r} != {ordering!r} for disc {K.disc}"
+            )
         group = compute_class_group(K)
         pin = data.get("class_group")
         if pin:

@@ -14,7 +14,6 @@ from .characters import ClassCharacter, eval_on_class, is_quadratic
 from .classgroup import ClassGroup
 from .quadfield import (
     Ideal,
-    divides,
     divisors,
     ideal_div_exact,
     ideal_from_label,
@@ -70,7 +69,7 @@ def oldclass_principal_multiplicity(
     """Dimension of the principal projection of the oldclass of the record's
     newform at level n."""
     m = record.level
-    if not divides(m, n):
+    if not m.contains_ideal(n):
         raise DimensionError(f"{label(m)} does not divide {label(n)}")
     quotient = ideal_div_exact(n, m)
     if record.selftwist is None:

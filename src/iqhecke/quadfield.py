@@ -6,6 +6,12 @@ that O_K = Z[omega].  Integral ideals are stored in a unique Hermite normal
 form [a, b + c*omega] with c | a, c | b and 0 <= b < a; equality of ideals is
 therefore equality of the (a, b, c) triples.  Everything is exact: elements
 use Fractions, ideals use integers, no floating point anywhere.
+
+Ideal arithmetic rests on two primitives, HNF multiplication (`ideal_mul`)
+and trial division of integers (`factor_int`).  An ideal in HNF is its
+content (c) times the primitive ideal [a/c, b/c + omega], so `factor_ideal`
+reads the exponents off the triple without dividing, and exact quotients
+come from n * conj(m) = (N m) * (n / m).
 """
 
 from __future__ import annotations
@@ -20,20 +26,10 @@ class QuadFieldError(ValueError):
     pass
 
 
-def _squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2 if f > 2 else 1
-    return True
-
-
 def factor_int(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization of a positive integer."""
-    assert n > 0
+    if n < 1:
+        raise QuadFieldError(f"can only factor a positive integer, got {n}")
     out = []
     for p in (2, 3):
         e = 0
@@ -57,18 +53,7 @@ def factor_int(n: int) -> list[tuple[int, int]]:
 
 
 def is_rational_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p > 1 and factor_int(p) == [(p, 1)]
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,7 @@ def make_field(d: int) -> QuadField:
     """Build Q(sqrt(-d)) for squarefree d >= 1."""
     if not isinstance(d, int) or d < 1:
         raise QuadFieldError(f"d must be a positive integer, got {d!r}")
-    if not _squarefree(d):
+    if any(e > 1 for _, e in factor_int(d)):
         raise QuadFieldError(f"d must be squarefree, got {d}")
     if (-d) % 4 == 1:
         return QuadField(d=d, disc=-d, half=True)
@@ -112,7 +97,7 @@ class FieldElement:
     y: Fraction
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        assert self.field == other.field
+        _same_field(self, other)
         return FieldElement(self.field, self.x + other.x, self.y + other.y)
 
     def __neg__(self) -> "FieldElement":
@@ -123,7 +108,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         # omega^2 = t*omega - n
-        assert self.field == other.field
+        _same_field(self, other)
         t, n = self.field.trace_omega, self.field.norm_omega
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         return FieldElement(
@@ -137,6 +122,12 @@ class FieldElement:
     def norm(self) -> Fraction:
         t, n = self.field.trace_omega, self.field.norm_omega
         return self.x * self.x + t * self.x * self.y + n * self.y * self.y
+
+
+def _same_field(u, v) -> None:
+    """Raise unless two elements or ideals lie in the same field."""
+    if u.field != v.field:
+        raise QuadFieldError(f"operands over different fields {u.field} and {v.field}")
 
 
 def element(field: QuadField, x, y) -> FieldElement:
@@ -243,8 +234,7 @@ def principal_ideal(field: QuadField, x: int, y: int) -> Ideal:
 
 
 def ideal_mul(i: Ideal, j: Ideal) -> Ideal:
-    if i.field != j.field:
-        raise QuadFieldError("ideals over different fields")
+    _same_field(i, j)
     f = i.field
     t, n = f.trace_omega, f.norm_omega
 
@@ -255,13 +245,14 @@ def ideal_mul(i: Ideal, j: Ideal) -> Ideal:
     g2 = [(j.a, 0), (j.b, j.c)]
     prods = [mul(x1, y1, x2, y2) for x1, y1 in g1 for x2, y2 in g2]
     out = ideal_from_gens(f, prods)
-    assert out.norm == i.norm * j.norm
+    if out.norm != i.norm * j.norm:
+        raise QuadFieldError(f"product of {i} and {j} has norm {out.norm}")
     return out
 
 
 def ideal_add(i: Ideal, j: Ideal) -> Ideal:
     """The sum I + J, i.e. the gcd of the two ideals."""
-    assert i.field == j.field
+    _same_field(i, j)
     return _hnf_from_rows(i.field, [(i.a, 0), (i.b, i.c), (j.a, 0), (j.b, j.c)])
 
 
@@ -272,7 +263,8 @@ def coprime(i: Ideal, j: Ideal) -> bool:
 
 
 def ideal_pow(i: Ideal, e: int) -> Ideal:
-    assert e >= 0
+    if e < 0:
+        raise QuadFieldError(f"negative exponent {e} for an integral ideal")
     out = unit_ideal(i.field)
     base = i
     while e:
@@ -281,11 +273,6 @@ def ideal_pow(i: Ideal, e: int) -> Ideal:
         base = ideal_mul(base, base) if e > 1 else base
         e >>= 1
     return out
-
-
-def _scale_down(i: Ideal, k: int) -> Ideal:
-    assert i.a % k == 0 and i.b % k == 0 and i.c % k == 0
-    return Ideal(i.field, i.a // k, i.b // k, i.c // k)
 
 
 @dataclass(frozen=True)
@@ -323,51 +310,30 @@ def primes_above(field: QuadField, p: int) -> list[Ideal]:
 
 
 def is_prime_ideal(i: Ideal) -> bool:
-    nm = i.norm
-    fac = factor_int(nm)
-    if len(fac) != 1:
-        return False
-    p, e = fac[0]
-    if e == 1:
-        return True
-    if e == 2:
-        rec = factor_rational_prime(i.field, p)
-        return rec.kind == "inert" and i == rec.primes[0]
-    return False
-
-
-def divides(p: Ideal, n: Ideal) -> bool:
-    return p.contains_ideal(n)
-
-
-def ideal_div_prime(n: Ideal, p: Ideal) -> Ideal:
-    """Exact quotient n / p for a prime ideal p dividing n."""
-    if not divides(p, n):
-        raise QuadFieldError(f"{p} does not divide {n}")
-    rec = factor_rational_prime(n.field, factor_int(p.norm)[0][0])
-    q = rec.primes[0].a if rec.kind != "inert" else p.a
-    if rec.kind == "inert":
-        return _scale_down(n, q)
-    # p * conj(p) = (q) for split p, and p^2 = (q) for ramified p.
-    other = p.conjugate() if rec.kind == "split" else p
-    return _scale_down(ideal_mul(n, other), q)
+    return factor_ideal(i) == [(i, 1)]
 
 
 def factor_ideal(n: Ideal) -> list[tuple[Ideal, int]]:
-    """Factor a nonzero integral ideal into prime ideals with exponents."""
-    if n.norm == 0:
-        raise QuadFieldError("zero ideal")
+    """Factor a nonzero integral ideal into prime ideals with exponents.
+
+    n = (c) * [a/c, b/c + omega]: the content c contributes v_p(c) to each
+    prime above a split or inert p and 2*v_p(c) to the prime above a
+    ramified p.  The primitive part is divisible by no rational integer, so
+    above each p it lies in the one prime [p, r + omega] with b/c = r (mod p)
+    and carries all of v_p(a/c).
+    """
+    field, c = n.field, n.c
+    content, primitive = dict(factor_int(c)), dict(factor_int(n.a // c))
     out = []
-    for p, _ in factor_int(n.norm):
-        for pp in primes_above(n.field, p):
-            e = 0
-            cur = n
-            while divides(pp, cur):
-                cur = ideal_div_prime(cur, pp)
-                e += 1
+    for p in sorted(content.keys() | primitive.keys()):
+        per_content = 2 if factor_rational_prime(field, p).kind == "ramified" else 1
+        for pp in primes_above(field, p):
+            e = per_content * content.get(p, 0)
+            if pp.c == 1 and (n.b // c - pp.b) % p == 0:
+                e += primitive.get(p, 0)
             if e:
                 out.append((pp, e))
-    check = unit_ideal(n.field)
+    check = unit_ideal(field)
     for pp, e in out:
         check = ideal_mul(check, ideal_pow(pp, e))
     if check != n:
@@ -406,50 +372,25 @@ def sigma0(n: Ideal) -> int:
 
 
 def ideal_div_exact(n: Ideal, m: Ideal) -> Ideal:
-    """Exact quotient n / m for m | n."""
-    cur = n
-    for p, e in factor_ideal(m):
-        for _ in range(e):
-            cur = ideal_div_prime(cur, p)
-    return cur
+    """Exact quotient n / m for m | n, from n * conj(m) = (N m) * (n / m)."""
+    if not m.contains_ideal(n):
+        raise QuadFieldError(f"{m} does not divide {n}")
+    q, k = ideal_mul(n, m.conjugate()), m.norm
+    return Ideal(n.field, q.a // k, q.b // k, q.c // k)
 
 
 # ---------------------------------------------------------------------------
-# Labels.  The default total order on ideals of a given norm is lexicographic
-# on the HNF triple (a, c, b).  For fields carrying published LMFDB labels a
-# per-discriminant override can be registered; for disc -68 the shipped
-# override orders ideals of norm N by descending exponent vectors with
-# respect to the prime ideals above the rational primes dividing N (primes
-# above p taken in increasing-b order).  That rule reproduces every label
-# used in the published tables for Q(sqrt(-17)).
+# Labels.  The order on the ideals of a given norm is a fixed rule per
+# discriminant.  By default it is lexicographic on the HNF triple (a, c, b).
+# The discriminants in FACTOR_LABEL_DISCS use the factor order instead: ideals
+# of norm N by descending exponent vectors with respect to the prime ideals
+# above the rational primes dividing N (primes above p taken in increasing-b
+# order).  For disc -68 that rule reproduces every label used in the
+# published tables for Q(sqrt(-17)).  A bundle's `label_ordering` field is
+# validated against this rule and never changes it.
 # ---------------------------------------------------------------------------
 
-LABEL_ORDERINGS = {}  # disc -> ordering name
-
-
-def register_label_ordering(disc: int, ordering: str) -> None:
-    if ordering not in ("hnf", "factor"):
-        raise QuadFieldError(f"unknown ordering {ordering!r}")
-    if LABEL_ORDERINGS.get(disc) != ordering:
-        LABEL_ORDERINGS[disc] = ordering
-        ideals_of_norm.cache_clear()
-
-
-def enumerate_ideals_of_norm(field: QuadField, norm: int) -> list[Ideal]:
-    """All integral ideals of the given norm, unordered beyond HNF order."""
-    if norm < 1:
-        return []
-    t, n = field.trace_omega, field.norm_omega
-    out = []
-    c = 1
-    while c * c <= norm:
-        if norm % (c * c) == 0:
-            a = norm // c
-            for b in range(0, a, c):
-                if (b * b + b * c * t + c * c * n) % (a * c) == 0:
-                    out.append(Ideal(field, a, b, c))
-        c += 1
-    return sorted(out, key=lambda i: (i.a, i.c, i.b))
+FACTOR_LABEL_DISCS = frozenset({-68})
 
 
 def _factor_sort_key(i: Ideal):
@@ -463,13 +404,21 @@ def _factor_sort_key(i: Ideal):
 
 @lru_cache(maxsize=None)
 def ideals_of_norm(field: QuadField, norm: int) -> tuple[Ideal, ...]:
-    ideals = enumerate_ideals_of_norm(field, norm)
-    if LABEL_ORDERINGS.get(field.disc) == "factor":
-        ideals = sorted(ideals, key=_factor_sort_key)
-    return tuple(ideals)
-
-
-register_label_ordering(-68, "factor")
+    """All integral ideals of the given norm, in label order."""
+    t, n = field.trace_omega, field.norm_omega
+    out = []
+    c = 1
+    while c * c <= norm:
+        if norm % (c * c) == 0:
+            a = norm // c
+            for b in range(0, a, c):
+                if (b * b + b * c * t + c * c * n) % (a * c) == 0:
+                    out.append(Ideal(field, a, b, c))
+        c += 1
+    # an ideal is determined by its factor key, so neither order has ties
+    if field.disc in FACTOR_LABEL_DISCS:
+        return tuple(sorted(out, key=_factor_sort_key))
+    return tuple(sorted(out, key=lambda i: (i.a, i.c, i.b)))
 
 
 def label(i: Ideal) -> str:
@@ -505,14 +454,11 @@ def ideal_from_json(field: QuadField, data) -> Ideal:
 
 def primes_of_norm_up_to(field: QuadField, bound: int) -> list[Ideal]:
     """Prime ideals of norm <= bound, sorted by (norm, label index)."""
-    out = []
-    for p in range(2, bound + 1):
-        if not is_rational_prime(p):
-            continue
-        rec = factor_rational_prime(field, p)
-        if rec.kind == "inert":
-            if p * p <= bound:
-                out.append(rec.primes[0])
-        else:
-            out.extend(ideals_of_norm(field, p))
+    out = [
+        pp
+        for p in range(2, bound + 1)
+        if is_rational_prime(p)
+        for pp in primes_above(field, p)
+        if pp.norm <= bound
+    ]
     return sorted(out, key=lambda i: (i.norm, ideals_of_norm(field, i.norm).index(i)))

@@ -30,7 +30,8 @@ def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `python -O -c code args...` with this iqhecke importable."""
     env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, "-O", "-c", code, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
     )
 
 

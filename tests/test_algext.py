@@ -71,6 +71,8 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(8)) == (Fraction(2), 2)
     assert squarefree_part(Fraction(-18)) == (Fraction(3), -2)
     assert squarefree_part(Fraction(9, 2)) == (Fraction(3, 2), 2)
+    with pytest.raises(AlgebraError):
+        squarefree_part(Fraction(0))
 
 
 def test_sqrt_examples():

@@ -4,6 +4,8 @@ import shutil
 import pytest
 
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
+from iqhecke.cli import main
+from iqhecke.quadfield import label, principal_ideal
 from iqhecke.verify import run_checks
 
 
@@ -38,6 +40,19 @@ def test_bundle_detects_broken_pin(tmp_path):
     (target / "field_68.json").write_text(json.dumps(field))
     with pytest.raises(BundleError):
         FixtureBundle(target)
+
+
+def test_bundle_label_ordering_is_checked_not_applied(tmp_path, K17, capsys):
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    field = json.loads((target / "field_68.json").read_text())
+    field["label_ordering"] = "hnf"
+    (target / "field_68.json").write_text(json.dumps(field))
+    with pytest.raises(BundleError):
+        FixtureBundle(target)
+    assert label(principal_ideal(K17, 3, 0)) == "9.2"
+    assert main(["verify", "--bundle", str(target)]) == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 def test_bundle_missing_hecke_fields_skips_check(tmp_path):

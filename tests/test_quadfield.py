@@ -11,7 +11,10 @@ from iqhecke.quadfield import (
     element,
     exact_divisors,
     factor_ideal,
+    factor_int,
     factor_rational_prime,
+    ideal_add,
+    ideal_div_exact,
     ideal_from_gens,
     ideal_from_json,
     ideal_from_label,
@@ -49,6 +52,14 @@ def test_make_field_rejects_bad_d():
     for bad in (0, -3, 12, 45):
         with pytest.raises(QuadFieldError):
             make_field(bad)
+    for d in range(1, 200):
+        squarefree = all(d % (k * k) for k in range(2, d + 1))
+        try:
+            make_field(d)
+            accepted = True
+        except QuadFieldError:
+            accepted = False
+        assert accepted == squarefree, d
 
 
 def test_element_norm_multiplicative():
@@ -103,6 +114,11 @@ def test_prime_splitting_products(K17):
         for q in rec.with_multiplicity():
             prod = ideal_mul(prod, q)
         assert prod == principal_ideal(K17, p, 0)
+    sieve = [False, False] + [True] * 1998
+    for n in range(2, 2000):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(sieve[n * n :: n])
+    assert [is_rational_prime(n) for n in range(2000)] == sieve
 
 
 def test_factor_rational_prime_rejects_composite(K17):
@@ -121,10 +137,12 @@ def test_factor_ideal_examples(K17):
 
 
 def test_factor_ideal_recombines_exhaustively(K17):
-    # factor_ideal checks that the product of its factors equals the input
-    for n in range(1, 501):
-        for i in ideals_of_norm(K17, n):
-            factor_ideal(i)
+    # factor_ideal checks that the product of its factors equals the input;
+    # the extra fields bring inert and ramified primes and content > 1
+    for K in (K17, *map(make_field, (1, 2, 3, 5, 14, 65, 105))):
+        for n in range(1, 501):
+            for i in ideals_of_norm(K, n):
+                factor_ideal(i)
 
 
 def test_factor_ideal_recombination_is_checked(K17, monkeypatch):
@@ -154,6 +172,11 @@ def test_divisor_lattice(K17):
     got = {label(q) for q in exact_divisors(n12)}
     assert got == {"1.1", "4.1", "3.1", "12.1"}
     assert len(divisors(n12)) == sigma0(n12) == 6
+    for n in (i for norm in range(1, 101) for i in ideals_of_norm(K17, norm)):
+        for m in divisors(n):
+            assert ideal_mul(ideal_div_exact(n, m), m) == n
+    with pytest.raises(QuadFieldError, match="does not divide"):
+        ideal_div_exact(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
 
 
 def test_galois_conjugate(K17):
@@ -216,6 +239,42 @@ def test_ideal_pow_and_prime_predicates(K17):
     assert not is_prime_ideal(principal_ideal(K17, 3, 0))
     assert coprime(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
     assert not coprime(p21, principal_ideal(K17, 8, 0))
+
+
+def test_checks_raise_quadfield_error(K17, monkeypatch):
+    p21 = ideal_from_label(K17, "2.1")
+    K5 = make_field(5)
+    for call in (
+        lambda: factor_int(0),
+        lambda: factor_int(-12),
+        lambda: ideal_pow(p21, -1),
+        lambda: ideal_add(p21, ideal_from_label(K5, "2.1")),
+        lambda: element(K17, 1, 2) + element(K5, 1, 2),
+        lambda: element(K17, 1, 2) * element(K5, 1, 2),
+    ):
+        with pytest.raises(QuadFieldError):
+            call()
+    monkeypatch.setattr(quadfield, "ideal_from_gens", lambda field, gens: unit_ideal(field))
+    with pytest.raises(QuadFieldError, match="has norm"):
+        ideal_mul(p21, p21)
+
+
+def test_checks_raise_typed_errors_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from iqhecke import algext, quadfield as q\n"
+        "p = q.ideal_from_label(q.make_field(17), '2.1')\n"
+        "calls = (lambda: q.factor_int(0), lambda: q.ideal_pow(p, -1),\n"
+        "         lambda: algext.squarefree_part(Fraction(0)))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert run_optimized(code).stdout.split() == [
+        "QuadFieldError", "QuadFieldError", "AlgebraError"
+    ]
 
 
 def test_hnf_invariants_enforced(K17):
