@@ -8,12 +8,13 @@ bitmask: v = sum_S coeffs[S] * prod_{j in S} sqrt(r_j).  The last root owns
 the top bit, so v = v0 + v1*sqrt(r) with v0, v1 the two halves of ``coeffs``
 in the subtower without it.  Inverses and square roots descend through that
 split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
-N = v0^2 - r*v1^2, down to Q(theta).  ``lift`` moves a value into any tower
-over the same base that has every root the value uses.
+N = v0^2 - r*v1^2, down to Q(theta).
 
-Square roots are found by exact descent through the tower (never by numeric
-reconstruction); a high-precision embedding is used only to pick the
-canonical sign of a root, which cannot affect correctness.
+A root is adjoined only when its radicand is not already a square (Kummer
+theory: no product of the tower's radicands times it is a base square), so
+every tower the library builds is a field; ``make_value_field`` builds exactly
+the tower it is given.  A fixed high-precision embedding gives every root its
+value, and ``canonical_sign`` and ``lift`` follow it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueField:
-    """Q(theta) extended by square roots of the adjoined base elements."""
+    """Q(theta) with square roots of base elements; ``_tower`` keeps one object per tower."""
 
     minpoly: tuple[Fraction, ...]  # monic, constant coefficient first
     adjoined: tuple[BaseVec, ...]  # sorted; each of length deg(minpoly)
@@ -58,8 +59,9 @@ class ValueField:
         return self.base_degree << self.nroots
 
     def subfield(self) -> "ValueField":
-        assert self.adjoined
-        return ValueField(self.minpoly, self.adjoined[:-1])
+        if not self.adjoined:
+            raise AlgebraError("a tower without roots has no subfield")
+        return _tower(self.minpoly, self.adjoined[:-1])
 
     def describe(self) -> str:
         base = "Q" if self.base_degree == 1 else f"Q(a), deg {self.base_degree}"
@@ -80,7 +82,12 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     for q, *rest in radicands:
         if not any(rest) and (q in (0, 1) or squarefree_part(q) != (1, q)):
             raise AlgebraError(f"radicand {q} is not a squarefree integer other than 0 and 1")
-    return ValueField(mp, tuple(sorted(radicands)))
+    return _tower(mp, tuple(sorted(radicands)))
+
+
+@lru_cache(maxsize=None)
+def _tower(minpoly: tuple[Fraction, ...], adjoined: tuple[BaseVec, ...]) -> ValueField:
+    return ValueField(minpoly, adjoined)
 
 
 RATIONAL_FIELD = make_value_field()
@@ -299,39 +306,52 @@ def from_base_vec(f: ValueField, vec: BaseVec) -> AlgValue:
 # -- field embeddings ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def join_fields(f1: ValueField, f2: ValueField) -> ValueField:
+    """f1 with every root of f2 that f1 does not already hold."""
     if f1.minpoly != f2.minpoly:
         raise AlgebraError("cannot join towers over different base fields")
-    merged = tuple(sorted(set(f1.adjoined) | set(f2.adjoined)))
-    return ValueField(f1.minpoly, merged)
+    for r in f2.adjoined:
+        f1 = with_radical(f1, r)
+    return f1
 
 
 def lift(v: AlgValue, target: ValueField) -> AlgValue:
-    """Re-express v in another tower over the same base that has every root
-    v uses (a larger tower, or one without roots v does not use)."""
+    """Re-express v in another tower over the same base that holds a square
+    root of every radicand of v's tower (see ``_monomial_images``)."""
     src = v.field
     if src == target:
         return v
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
-    positions = [target.adjoined.index(r) if r in target.adjoined else None for r in src.adjoined]
-    parts = {}
+    images = _monomial_images(src, target)
+    parts: dict[int, BaseVec] = {}
     for mask, vec in enumerate(v.coeffs):
-        if all(c == 0 for c in vec):
-            continue
-        new_mask = 0
-        for j, pos in enumerate(positions):
-            if mask >> j & 1:
-                if pos is None:
-                    raise AlgebraError("value uses a root the target tower does not contain")
-                new_mask |= 1 << pos
-        parts[new_mask] = vec
+        if any(vec):
+            for tmask, ivec in enumerate(images[mask].coeffs):
+                if any(ivec):
+                    prod = _base_mul(target, ivec, vec)
+                    if tmask in parts:
+                        prod = tuple(a + b for a, b in zip(parts[tmask], prod))
+                    parts[tmask] = prod
     return _value(target, parts)
 
 
+@lru_cache(maxsize=None)
+def _monomial_images(src: ValueField, target: ValueField) -> tuple[AlgValue, ...]:
+    """The image in target of each root product of src, by mask: sqrt(r)
+    goes to the square root of r in target with the same embedded value."""
+    images = [one(target)]
+    for j, r in enumerate(src.adjoined):
+        w, z = sqrt_in_tower(from_base_vec(target, r)), embed(adjoined_root(src, j))
+        if w is None:
+            raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
+        w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
+        images += [m * w for m in images]
+    return tuple(images)
+
+
 def values_equal(a: AlgValue, b: AlgValue) -> bool:
-    if a.field == b.field:
-        return a.coeffs == b.coeffs
     f = join_fields(a.field, b.field)
     return lift(a, f).coeffs == lift(b, f).coeffs
 
@@ -355,14 +375,12 @@ def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
     if q == 0:
         raise AlgebraError("0 has no squarefree part")
     m = q.numerator * q.denominator
-    sign = -1 if m < 0 else 1
-    f = sign
+    f = -1 if m < 0 else 1
     for p, e in factor_int(abs(m)):
         if e % 2:
             f *= p
-    s = _rational_sqrt(q / f)
-    assert s is not None and s > 0
-    return s, f
+    # q = m / den^2 and m / f is a square, so s = sqrt(m / f) / den exactly
+    return Fraction(isqrt(m // f), q.denominator), f
 
 
 def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
@@ -461,104 +479,93 @@ def _rational_quadratic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fra
     return sorted({(-B + r) / (2 * A), (-B - r) / (2 * A)})
 
 
-def sqrt_in_tower(v: AlgValue) -> AlgValue | None:
-    """A w in the same tower with w^2 = v, by descent; None if no such w."""
-    f = v.field
-    if v.is_zero():
-        return v
-    if f.nroots == 0:
-        root_vec = _base_sqrt(f, v.coeffs[0])
-        return None if root_vec is None else from_base_vec(f, root_vec)
-    v0, v1, r = _halves(v)
-    sub = v0.field
-    if v1.is_zero():
-        w0 = sqrt_in_tower(v0)
-        if w0 is not None:
-            return _merge(f, w0, zero(sub))
-        w1 = sqrt_in_tower(v0 / r)
-        if w1 is not None:
-            return _merge(f, zero(sub), w1)
-        return None
-    s = sqrt_in_tower(v0 * v0 - v1 * v1 * r)
-    if s is None:
-        return None
-    for ss in (s, -s):
-        a2 = (v0 + ss).scale(Fraction(1, 2))
-        a = sqrt_in_tower(a2)
-        if a is None or a.is_zero():
-            continue
-        b = v1 / a.scale(2)
-        w = _merge(f, a, b)
-        if w * w == v:
-            return w
+@lru_cache(maxsize=None)
+def _radicand_products(f: ValueField) -> tuple[BaseVec, ...]:
+    """prod_{j in S} r_j for every root subset S, by mask."""
+    out = [_unit_vec(f.base_degree, 0)]
+    for r in f.adjoined:
+        out += [_base_mul(f, p, r) for p in out]
+    return tuple(out)
+
+
+def _base_root(f: ValueField, c: BaseVec) -> AlgValue | None:
+    """A square root in f of the base element c, or None.  By Kummer theory f
+    holds one exactly when c*P is a base square s^2 for a product P of its
+    radicands, and then sqrt(c) = (s/P) * sqrt(P)."""
+    for mask, p in enumerate(_radicand_products(f)):
+        s = _base_sqrt(f, _base_mul(f, c, p))
+        if s is not None:
+            return _value(f, {mask: _base_mul(f, s, _base_inv(f, p))})
     return None
 
 
-def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
-    """A square root of v, extending the tower by a formal root if needed.
+def _square_class(v: AlgValue) -> tuple[BaseVec, AlgValue] | None:
+    """(c, u) with v = c*u^2, c in the base and u in v's tower; None when v
+    has no such form.  Through the last root: with n^2 = v0^2 - r*v1^2 the
+    element x = v + n has x^2 = 2v(v0 + n), so v = c*(x/(c*u))^2 once the
+    subtower has 2(v0 + n) = c*u^2."""
+    f = v.field
+    if f.nroots == 0:
+        return v.coeffs[0], one(f)
+    v0, v1, r = _halves(v)
+    sub = v0.field
+    if v1.is_zero():
+        found = _square_class(v0)
+        return found and (found[0], _merge(f, found[1], zero(sub)))
+    n = sqrt_in_tower(v0 * v0 - v1 * v1 * r)
+    if n is None:
+        return None
+    if (v0 + n).is_zero():
+        n = -n
+    found = _square_class((v0 + n).scale(2))
+    if found is None:
+        return None
+    c, u = found
+    return c, _merge(f, v0 + n, v1) / _merge(f, from_base_vec(sub, c) * u, zero(sub))
 
-    The returned root carries the canonical sign (positive under the fixed
-    embedding, or positive imaginary part when purely imaginary); callers
-    that want the other sign negate it themselves.
+
+def sqrt_in_tower(v: AlgValue) -> AlgValue | None:
+    """A w in the same tower with w^2 = v, by descent; None if no such w."""
+    found = _square_class(v)
+    root = found and _base_root(v.field, found[0])
+    return None if root is None else root * found[1]
+
+
+def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
+    """A square root of v with the canonical sign, and its tower.  With
+    v = c*u^2 (``_square_class``) and no sqrt(c) in the tower, the tower gains
+    the squarefree class of least absolute value (positive on ties) among the
+    rational c*P, P a product of its radicands, or c when no c*P is rational.
     """
     f = v.field
-    if v.is_zero():
-        return v, f
-    w = sqrt_in_tower(v)
-    if w is not None:
-        return canonical_sign(w), f
-    if v.is_rational():
-        return _adjoin_rational_sqrt(f, v.rational_value())
-    i = radical(f, -1)
-    if i is not None:
-        u = v * -i  # u = v / i
-        iota = f.adjoined.index(_as_base_vec(f.base_degree, -1))
-        if all(c == 0 for mask, vec in enumerate(u.coeffs) if mask >> iota & 1 for c in vec):
-            # v = 2i * r, and (1 + i)^2 = 2i, so sqrt(v) = sqrt(r) * (1 + i)
-            without_i = ValueField(f.minpoly, f.adjoined[:iota] + f.adjoined[iota + 1 :])
-            root_r, f2 = sqrt_or_adjoin(lift(u.scale(Fraction(1, 2)), without_i))
-            f3 = join_fields(f, f2)
-            root = lift(root_r, f3) * (one(f3) + radical(f3, -1))
-            if not values_equal(root * root, lift(v, f3)):
-                raise AlgebraError(f"square root of {render_value(v)} does not square back")
-            return canonical_sign(root), f3
-    if all(c == 0 for mask, vec in enumerate(v.coeffs) if mask for c in vec):
-        # plain base element: adjoin it as a formal generator
-        newf = with_radical(f, v.coeffs[0])
-        return canonical_sign(radical(newf, v.coeffs[0])), newf
-    w = sqrt_in_tower(-v)
-    if w is not None:  # v = (i*w)^2 with i not yet in the tower
-        i, f2 = _adjoin_rational_sqrt(f, Fraction(-1))
-        return canonical_sign(lift(w, f2) * i), f2
-    raise AlgebraError(f"cannot adjoin a square root of {render_value(v)}")
-
-
-def _adjoin_rational_sqrt(f: ValueField, q: Fraction) -> tuple[AlgValue, ValueField]:
-    s, sf = squarefree_part(q)
-    # reuse i rather than adjoining sqrt(-|sf|)
-    target = -sf if sf < -1 and radical(f, -1) is not None else sf
-    newf = with_radical(f, target)
-    root = radical(newf, target).scale(s)
-    if target != sf:
-        root = root * radical(newf, -1)
-    return canonical_sign(root), newf
-
-
-def radical(f: ValueField, q) -> AlgValue | None:
-    """The adjoined root sqrt(q) of f, or None; q is a rational or a base vector."""
-    vec = _as_base_vec(f.base_degree, q)
-    return adjoined_root(f, f.adjoined.index(vec)) if vec in f.adjoined else None
+    found = _square_class(v)
+    if found is None:
+        raise AlgebraError(f"cannot adjoin a square root of {render_value(v)}")
+    c, u = found
+    root = _base_root(f, c)
+    if root is None:
+        classes = [
+            squarefree_part(cp[0])[1]
+            for cp in (_base_mul(f, c, p) for p in _radicand_products(f))
+            if not any(cp[1:])
+        ]
+        f = with_radical(f, min(classes, key=lambda q: (abs(q), q < 0)) if classes else c)
+        root, u = _base_root(f, c), lift(u, f)
+    return canonical_sign(root * u), f
 
 
 def with_radical(f: ValueField, q) -> ValueField:
-    """f with sqrt(q) adjoined (f itself when it already has that root)."""
+    """f with sqrt(q) adjoined, or f itself when q is already a square in f;
+    q is a base element, and a rational q is adjoined by its squarefree class."""
     vec = _as_base_vec(f.base_degree, q)
-    if vec in f.adjoined:
+    if vec in f.adjoined or _base_root(f, vec) is not None:
         return f
-    return ValueField(f.minpoly, tuple(sorted(f.adjoined + (vec,))))
+    if not any(vec[1:]):
+        vec = _as_base_vec(f.base_degree, squarefree_part(vec[0])[1])
+    return _tower(f.minpoly, tuple(sorted(f.adjoined + (vec,))))
 
 
-# -- numeric embedding (sign choices and rendering order only) ---------------
+# -- numeric embedding (root values, signs and rendering order) --------------
 
 
 def _poly_roots(coeffs) -> list[complex]:
@@ -670,7 +677,8 @@ class FieldAutomorphism:
 
 def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
     # theta' = -c1 - theta for a monic quadratic x^2 + c1 x + c0
-    assert f.base_degree == 2
+    if f.base_degree != 2:
+        raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
     c1 = f.minpoly[1]
     x, y = vec
     return (x - c1 * y, -y)

@@ -18,7 +18,8 @@ class RootOfUnity:
 
     @staticmethod
     def make(k: int, n: int) -> "RootOfUnity":
-        assert n > 0
+        if n <= 0:
+            raise ValueError(f"root of unity of order {n}")
         k %= n
         g = gcd(k, n)
         return RootOfUnity(k // g, n // g) if k else RootOfUnity(0, 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algext
 from .algext import AlgValue, ValueField, lift, values_equal
@@ -42,39 +43,29 @@ class EigensystemError(ValueError):
 
 # -- roots of unity as tower values -------------------------------------------
 
-_ROU_REQUIREMENTS = {1: None, 2: None, 3: Fraction(-3), 4: Fraction(-1), 6: Fraction(-3)}
+# t = 2cos(2pi/n) for the orders n whose t is rational
+_ROU_TRACE = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
 def extend_for_root_order(f: ValueField, order: int) -> ValueField:
-    if order not in _ROU_REQUIREMENTS:
+    if order not in _ROU_TRACE:
         raise EigensystemError(f"roots of unity of order {order} are not supported")
-    need = _ROU_REQUIREMENTS[order]
-    return f if need is None else algext.with_radical(f, need)
+    return algext.with_radical(f, _ROU_TRACE[order] ** 2 - 4)
 
 
+@lru_cache(maxsize=None)
 def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
-    """The root of unity as a tower value; None when the tower lacks it."""
-    if z.n == 1:
-        return algext.one(f)
-    if z.n == 2:
-        return algext.from_rational(f, -1)
-    if z.n == 4:
-        i = algext.radical(f, -1)
-        if i is None:
-            return None
-        return i if z.k == 1 else -i
-    if z.n in (3, 6):
-        s = algext.radical(f, -3)
-        if s is None:
-            return None
-        zeta3 = (algext.from_rational(f, -1) + s).scale(Fraction(1, 2))
-        z6 = z if z.n == 6 else RootOfUnity.make(2 * z.k, 6)
-        out = algext.one(f)
-        base6 = algext.one(f) + zeta3  # zeta_6 = 1 + zeta_3
-        for _ in range(z6.k % 6):
-            out = out * base6
-        return out
-    return None
+    """zeta_n^k = ((t + sqrt(t^2 - 4))/2)^k with t = 2cos(2pi/n), the root of
+    positive imaginary part; None when the tower lacks it."""
+    t = _ROU_TRACE.get(z.n)
+    s = None if t is None else algext.sqrt_in_tower(algext.from_rational(f, t * t - 4))
+    if s is None:
+        return None
+    zeta = (algext.from_rational(f, t) + algext.canonical_sign(s)).scale(Fraction(1, 2))
+    out = algext.one(f)
+    for _ in range(z.k):
+        out = out * zeta
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,9 @@ def make_eigensystem(
     """Normalize and validate the pieces of an eigensystem."""
     f = vfield
     if f is None:
-        fields = [v.field for v in alpha.values()]
-        f = fields[0] if fields else algext.RATIONAL_FIELD
-        for vf in fields[1:]:
-            f = algext.join_fields(f, vf)
+        f = algext.RATIONAL_FIELD
+        for v in alpha.values():
+            f = algext.join_fields(f, v.field)
     f = extend_for_root_order(f, character_order(group, character))
     lifted = {p: lift(v, f) for p, v in alpha.items()}
     if al_signs is not None and not character.is_trivial():

@@ -136,7 +136,7 @@ def element(field: QuadField, x, y) -> FieldElement:
 
 @dataclass(frozen=True, order=True)
 class Ideal:
-    """Integral ideal [a, b + c*omega] in canonical HNF (c | a, c | b, 0 <= b < a)."""
+    """Integral ideal [a, b + c*omega] in HNF: c | a, c | b, 0 <= b < a, a*c | N(b + c*omega)."""
 
     field: QuadField
     a: int
@@ -147,7 +147,8 @@ class Ideal:
         a, b, c = self.a, self.b, self.c
         if a <= 0 or c <= 0 or not 0 <= b < a:
             raise QuadFieldError(f"bad HNF triple ({a}, {b}, {c})")
-        if a % c or b % c:
+        t, n = self.field.trace_omega, self.field.norm_omega
+        if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
 
     @property

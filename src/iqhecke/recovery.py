@@ -278,13 +278,13 @@ def recover(
 
     def chiv(cls: IdealClass) -> AlgValue:
         v = root_of_unity_value(work, eval_on_class(group, chi, cls))
-        assert v is not None
+        if v is None:
+            raise RecoveryError(f"{work.describe()} lacks the values of character {chi.exps}")
         return v
 
     def absorb(v: AlgValue) -> AlgValue:
         nonlocal work
-        if v.field != work:
-            work = algext.join_fields(work, v.field)
+        work = algext.join_fields(work, v.field)
         return lift(v, work)
 
     def principal(t=None, w=None, coprime_to=()) -> AlgValue:

@@ -114,7 +114,7 @@ def check_class_groups(bundle: FixtureBundle) -> str:
 
 def _chi2(group: ClassGroup) -> ClassCharacter:
     cands = [c for c in quadratic_characters(group) if not c.is_trivial()]
-    assert len(cands) == 1
+    _require(len(cands) == 1, f"{len(cands)} nontrivial quadratic characters, expected one")
     return cands[0]
 
 

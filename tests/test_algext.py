@@ -87,6 +87,9 @@ def test_sqrt_examples():
     assert f == QI and values_equal(r, parse_value(QI, "1+i"))
     r, f = sqrt_or_adjoin(i.scale(4))
     assert values_equal(r, parse_value(f, "sqrt2*(1+i)"))
+    # -2 = -1 * 2 and sqrt2 is already there, so the least class adjoined is -1
+    r, f = sqrt_or_adjoin(from_rational(make_value_field(adjoined=[2]), -2))
+    assert f == QI2 and values_equal(r, parse_value(QI2, "i*sqrt2"))
 
 
 def test_sqrt_or_adjoin_random_towers():
@@ -176,6 +179,11 @@ def test_lift_and_join():
     assert j == QI2
     v = parse_value(f2, "1+2*sqrt2")
     assert values_equal(lift(v, j), parse_value(j, "1+2*sqrt2"))
+    # -1 = sqrtm2^2 / sqrt2^2 is a square already, so the join stays a field
+    m2 = make_value_field(adjoined=[-2, 2])
+    j = join_fields(m2, QI2)
+    assert j.dim == 4
+    assert values_equal(field_symbols(m2)["sqrtm2"], parse_value(QI2, "i*sqrt2"))
     with pytest.raises(AlgebraError):
         join_fields(CUBIC, QI)
 

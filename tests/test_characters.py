@@ -31,6 +31,8 @@ def test_roots_of_unity():
     assert RootOfUnity.make(1, 2).as_sign() == -1
     with pytest.raises(ValueError):
         i.as_sign()
+    with pytest.raises(ValueError):
+        RootOfUnity.make(1, 0)
 
 
 def test_character_group_c4(G17):

@@ -4,7 +4,7 @@ import pytest
 
 from iqhecke import algext
 from iqhecke.algext import parse_value, values_equal
-from iqhecke.characters import ClassCharacter, character_group, mul_characters
+from iqhecke.characters import ClassCharacter, RootOfUnity, character_group, mul_characters
 from iqhecke.classgroup import compute_class_group
 from iqhecke.eigensystem import (
     EigensystemError,
@@ -18,6 +18,7 @@ from iqhecke.eigensystem import (
     inner_twist_pairs,
     make_eigensystem,
     prime_power_coefficients,
+    root_of_unity_value,
     selftwist_status,
     support_subgroup,
     systems_equal,
@@ -272,3 +273,25 @@ def test_make_eigensystem_validation(G17, K17):
             {},
             {ideal_from_label(K17, "2.1"): 2},
         )
+
+
+@pytest.mark.parametrize("adjoined,count", [([-3], 6), ([-1], 4), ([-1, 3], 8)])
+def test_root_of_unity_values_are_multiplicative(adjoined, count):
+    f = algext.make_value_field(adjoined=adjoined)
+    roots = [RootOfUnity.make(k, n) for n in (1, 2, 3, 4, 6) for k in range(n)]
+    values = {z: root_of_unity_value(f, z) for z in roots}
+    values = {z: v for z, v in values.items() if v is not None}
+    assert len(values) == count
+    one = algext.one(f)
+    for z, v in values.items():
+        power = one
+        for _ in range(z.n):
+            power = power * v
+        assert power == one
+        for w, u in values.items():
+            if z * w in values:
+                assert values[z * w] == v * u
+    # Q(i, sqrt3) holds zeta_3 = i*sqrt3 rather than a root sqrt(-3) of its own
+    if adjoined == [-1, 3]:
+        zeta3 = algext.render_value(values[RootOfUnity.make(1, 3)])
+        assert zeta3 == "-1/2 + 1/2*i*sqrt3"

@@ -262,10 +262,15 @@ def test_checks_raise_quadfield_error(K17, monkeypatch):
 def test_checks_raise_typed_errors_under_optimize(run_optimized):
     code = (
         "from fractions import Fraction\n"
-        "from iqhecke import algext, quadfield as q\n"
+        "from iqhecke import algext, characters, classgroup, quadfield as q, verify\n"
         "p = q.ideal_from_label(q.make_field(17), '2.1')\n"
+        "Q = algext.RATIONAL_FIELD\n"
+        "conj = algext.FieldAutomorphism(Q, 0, True)\n"
         "calls = (lambda: q.factor_int(0), lambda: q.ideal_pow(p, -1),\n"
-        "         lambda: algext.squarefree_part(Fraction(0)))\n"
+        "         lambda: q.ideal_from_json(p.field, {'hnf': [5, 1, 1]}),\n"
+        "         lambda: algext.squarefree_part(Fraction(0)), lambda: Q.subfield(),\n"
+        "         lambda: conj.apply(algext.one(Q)), lambda: characters.RootOfUnity.make(1, 0),\n"
+        "         lambda: verify._chi2(classgroup.compute_class_group(q.make_field(21))))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -273,7 +278,8 @@ def test_checks_raise_typed_errors_under_optimize(run_optimized):
         "        print(type(exc).__name__)\n"
     )
     assert run_optimized(code).stdout.split() == [
-        "QuadFieldError", "QuadFieldError", "AlgebraError"
+        "QuadFieldError", "QuadFieldError", "QuadFieldError", "AlgebraError", "AlgebraError",
+        "AlgebraError", "ValueError", "CheckFailure",
     ]
 
 
@@ -282,3 +288,5 @@ def test_hnf_invariants_enforced(K17):
         Ideal(K17, 3, 4, 1)  # b >= a
     with pytest.raises(QuadFieldError):
         Ideal(K17, 4, 1, 2)  # c does not divide b
+    with pytest.raises(QuadFieldError, match="omega-closed"):
+        ideal_from_json(K17, {"hnf": [5, 1, 1]})  # 5 does not divide N(1 + omega) = 18

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from iqhecke import algext
+from iqhecke import algext, recovery
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.characters import ClassCharacter
@@ -341,3 +341,10 @@ def test_inconsistent_restriction_raises_under_optimize(run_optimized):
     )
     last = run_optimized(code, str(Path(__file__).parent)).stderr.strip().splitlines()[-1]
     assert last.startswith("iqhecke.recovery.RecoveryError") and "restriction" in last
+
+
+def test_missing_character_values_raise(G17, monkeypatch):
+    oracle, level = load_oracle(G17)
+    monkeypatch.setattr(recovery, "root_of_unity_value", lambda f, z: None)
+    with pytest.raises(RecoveryError, match="lacks the values"):
+        recover(oracle, G17, level, bound=13, on_missing="skip")
