@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Print deterministic call counts of a tree's library on fixed inputs.
+
+    python3 scripts/call_counts.py TREE
+
+TREE is the root of a checkout. Its library (``TREE/src``) runs on inputs
+from its own benchmark generator (``TREE/perfbench``), which this script only
+imports. Three sections run in this order, in one process, each under
+cProfile:
+
+- ``roundtrip``: 120 ``RoundTripSource`` operations from the ``timed:7``
+  stream, each ``workloads.roundtrip_op``.
+- ``tables``: 16 ``TableSource`` operations from the ``timed:1`` stream,
+  each ``workloads.tables_op``.
+- ``run_checks``: the in-process ``verify.run_checks`` on the default bundle.
+
+Inputs are drawn and the bundle is loaded before profiling starts; memoised
+values carry over from one section to the next. For each section the script
+prints the number of operations that raised, the total number of calls and
+the calls of ``AlgValue.__mul__``, ``ideal_mul`` and ``factor_ideal``. With
+string hashing pinned the counts repeat exactly from run to run, so two trees
+can be compared without timing noise.
+"""
+
+import cProfile
+import os
+import pstats
+import random
+import sys
+import warnings
+from pathlib import Path
+
+ROUNDTRIP_OPS, ROUNDTRIP_SEED = 120, 7
+TABLE_OPS, TABLE_SEED = 16, 1
+COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
+           ("quadfield.py", "ideal_mul", "ideal_mul"),
+           ("quadfield.py", "factor_ideal", "factor_ideal"))
+
+
+def profiled(ops) -> dict:
+    failed = 0
+    prof = cProfile.Profile()
+    for op in ops:
+        prof.enable()
+        try:
+            op()
+        except Exception:
+            failed += 1
+        finally:
+            prof.disable()
+    stats = pstats.Stats(prof)
+    row = {"ops": len(ops), "failed": failed, "calls": stats.total_calls}
+    for filename, func, name in COUNTED:
+        row[name] = sum(nc for (fn, _, fu), (_, nc, _, _, _) in stats.stats.items()
+                        if fu == func and Path(fn).name == filename)
+    return row
+
+
+def main(tree: Path) -> int:
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import inputs
+    import workloads
+    from iqhecke import verify
+    from iqhecke.bundle import load_default_bundle
+
+    warnings.simplefilter("ignore")
+    groups = inputs.sweep_groups()
+    source = inputs.RoundTripSource(groups, random.Random(f"timed:{ROUNDTRIP_SEED}"))
+    trips = [source.next() for _ in range(ROUNDTRIP_OPS)]
+    source = inputs.TableSource(groups, random.Random(f"timed:{TABLE_SEED}"))
+    tables = [source.next() for _ in range(TABLE_OPS)]
+    bundle = load_default_bundle()
+    sections = {
+        "roundtrip": [lambda inp=inp: workloads.roundtrip_op(inp) for inp in trips],
+        "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],
+        "run_checks": [lambda: verify.run_checks(bundle)],
+    }
+    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED]
+    print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
+    for name, ops in sections.items():
+        row = profiled(ops)
+        print(f"{name:<12}" + "".join(f"{row[c]:>18}" for c in columns), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    # set and dict order over string keys must repeat between runs
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  dict(os.environ, PYTHONHASHSEED="0"))
+    sys.exit(main(Path(sys.argv[1]).resolve()))

@@ -26,7 +26,7 @@ from .eigensystem import (
 )
 from .quadfield import QuadFieldError, label, make_field
 from .recovery import fixture_oracle_from_json, recover
-from .verify import compare_ap, run_checks
+from .verify import ALL_CHECKS, compare_ap, run_checks
 
 
 def _bundle_dir(args) -> Path:
@@ -248,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the fixture regression suite")
     p_ver.add_argument("--bundle", help="bundle directory (default: shipped data)")
-    p_ver.add_argument("--check", action="append", help="run only the named check")
+    p_ver.add_argument(
+        "--check", action="append", metavar="NAME", choices=[name for name, _ in ALL_CHECKS],
+        help="run only the named check",
+    )
     p_ver.add_argument("--json", action="store_true")
     p_ver.add_argument("--timing", action="store_true")
     p_ver.set_defaults(fn=cmd_verify)

@@ -8,15 +8,20 @@ of the stored primes comes out of the multiplicative relations:
     alpha(ab) = alpha(a) alpha(b)                 for coprime a, b
     alpha(p^(n+1)) = alpha(p^n) alpha(p) - N(p) chi(p) alpha(p^(n-1))
 
-with chi(p) = 0 at primes dividing the level.
+with chi(p) = 0 at primes dividing the level.  Each system memoises, per
+prime p, the list alpha(p^0), alpha(p^1), ... and grows it on demand, so an
+eigenvalue expansion runs the recursion once per (system, prime).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations_with_replacement
+from operator import mul
 
 from . import algext
 from .algext import AlgValue, ValueField, lift, values_equal
@@ -78,6 +83,16 @@ class HeckeEigensystem:
     vfield: ValueField
     selftwist_candidates: tuple[ClassCharacter, ...] | None = None
 
+    @cached_property
+    def _alpha(self) -> dict:
+        return dict(self.alpha)
+
+    @cached_property
+    def _powers(self) -> dict:
+        """prime -> ([alpha(p^0), alpha(p^1), ...], N(p) chi(p) or None until
+        a power past p^1 is asked for), grown by prime_power_coefficients."""
+        return {}
+
     def alpha_map(self) -> dict:
         return dict(self.alpha)
 
@@ -85,10 +100,9 @@ class HeckeEigensystem:
         return [p for p, _ in self.alpha]
 
     def alpha_at(self, p: Ideal) -> AlgValue:
-        for q, v in self.alpha:
-            if q == p:
-                return v
-        raise EigensystemError(f"no stored eigenvalue at prime {label(p)}")
+        if p not in self._alpha:
+            raise EigensystemError(f"no stored eigenvalue at prime {label(p)}")
+        return self._alpha[p]
 
     def al_sign(self, q: Ideal) -> int:
         if self.al_signs is None:
@@ -157,32 +171,26 @@ def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
 
 
 def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
-    """alpha(a) for any integral ideal via the multiplicative relations."""
+    """alpha(a) for any integral ideal: the product of alpha(p^e) over the
+    prime factorisation of a."""
     if a.is_unit():
         return algext.one(F.vfield)
-    amap = F.alpha_map()
-    out = algext.one(F.vfield)
+    powers = []
     for p, e in factor_ideal(a):
-        if p not in amap:
+        if p not in F._alpha:
             raise EigensystemError(f"missing eigenvalue at prime {label(p)}")
-        ap = amap[p]
-        chip = chi_value(F, p)
-        np = algext.from_rational(F.vfield, p.norm)
-        prev, cur = algext.one(F.vfield), ap
-        for _ in range(e - 1):
-            prev, cur = cur, cur * ap - np * chip * prev
-        out = out * cur
-    return out
+        powers.append(prime_power_coefficients(F, p, e)[e])
+    return reduce(mul, powers)
 
 
 def prime_power_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
-    """[alpha(p^0), ..., alpha(p^nmax)] by the recursion."""
-    ap = F.alpha_at(p)
-    chip = chi_value(F, p)
-    np = algext.from_rational(F.vfield, p.norm)
-    out = [algext.one(F.vfield), ap]
-    for _ in range(nmax - 1):
-        out.append(out[-1] * ap - np * chip * out[-2])
+    """[alpha(p^0), ..., alpha(p^nmax)] by the recursion, memoised in F."""
+    out, nchi = F._powers.get(p) or ([algext.one(F.vfield), F.alpha_at(p)], None)
+    if nchi is None and len(out) <= nmax:
+        nchi = algext.from_rational(F.vfield, p.norm) * chi_value(F, p)
+    while len(out) <= nmax:
+        out.append(out[-1] * out[1] - nchi * out[-2])
+    F._powers[p] = (out, nchi)
     return out[: nmax + 1]
 
 
@@ -397,32 +405,30 @@ def support_subgroup(F: HeckeEigensystem, bound: int | None = None) -> SupportSu
 
 def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
     """Q-dimension of the subfield generated by the given tower values."""
-    rows: list[list[Fraction]] = []
+    rows: list[tuple[int, list[Fraction]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
         vec = [c for part in v.coeffs for c in part]
-        for row in rows:
-            piv = next(i for i, c in enumerate(row) if c != 0)
+        for piv, row in rows:
             if vec[piv] != 0:
                 fac = vec[piv] / row[piv]
                 vec = [a - fac * b for a, b in zip(vec, row)]
-        if any(c != 0 for c in vec):
-            rows.append(vec)
-            return True
-        return False
+        piv = next((i for i, c in enumerate(vec) if c != 0), None)
+        if piv is not None:
+            rows.append((piv, vec))
+        return piv is not None
 
-    basis_vals = [algext.one(f)]
-    reduce_row(basis_vals[0])
-    gens = [lift(v, f) for v in values]
-    changed = True
-    while changed:
-        changed = False
+    # the span of 1 and the independent generators, closed under
+    # multiplication by each generator, is the algebra they generate
+    reduce_row(algext.one(f))
+    gens = [g for g in (lift(v, f) for v in values) if reduce_row(g)]
+    todo = list(gens)
+    while todo:
+        b = todo.pop()
         for g in gens:
-            for b in list(basis_vals):
-                prod = g * b
-                if reduce_row(prod):
-                    basis_vals.append(prod)
-                    changed = True
+            prod = g * b
+            if reduce_row(prod):
+                todo.append(prod)
     return len(rows)
 
 
@@ -454,37 +460,28 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
         return None
 
     principal_gens: list[AlgValue] = []
-    good = [(p, v) for p, v in F.alpha if coprime(p, F.level)]
-    combos = [[(p, v)] for p, v in good]
-    combos += [[a, b] for i, a in enumerate(good) for b in good[i:]]
-    combos += [
-        [a, b, c]
-        for i, a in enumerate(good)
-        for j, b in enumerate(good[i:], i)
-        for c in good[j:]
-    ]
-    for combo in combos:
-        cls = group.identity()
-        val = algext.one(f)
-        seen: dict[Ideal, int] = {}
-        for p, _ in combo:
-            seen[p] = seen.get(p, 0) + 1
-        ok = True
-        for p, e in seen.items():
-            cls = group.mul(cls, group.power(group.ideal_class(p), e))
-            try:
+    good = [p for p, _ in F.alpha if coprime(p, F.level)]
+    classes = {p: group.ideal_class(p) for p in good}
+    aux_values: dict[IdealClass, AlgValue | None] = {}
+    for size in (1, 2, 3):
+        for combo in combinations_with_replacement(good, size):
+            seen = Counter(combo)
+            cls = group.identity()
+            for p, e in seen.items():
+                cls = group.mul(cls, group.power(classes[p], e))
+            if cls not in squares:
+                continue
+            if cls not in aux_values:
+                aux_values[cls] = square_aux_value(cls)
+            val = aux_values[cls]
+            if val is None:
+                continue
+            for p, e in seen.items():
                 val = val * prime_power_coefficients(F, p, e)[e]
-            except EigensystemError:
-                ok = False
-                break
-        if not ok or cls not in squares:
-            continue
-        aux = square_aux_value(cls)
-        if aux is not None:
-            principal_gens.append(aux * val)
+            principal_gens.append(val)
     k_f = _span_dimension(principal_gens, f)
     full_gens = [v for _, v in F.alpha]
-    for p, _ in good:
+    for p in good:
         full_gens.append(chi_value(F, p))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

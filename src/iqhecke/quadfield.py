@@ -321,8 +321,14 @@ def factor_ideal(n: Ideal) -> list[tuple[Ideal, int]]:
     prime above a split or inert p and 2*v_p(c) to the prime above a
     ramified p.  The primitive part is divisible by no rational integer, so
     above each p it lies in the one prime [p, r + omega] with b/c = r (mod p)
-    and carries all of v_p(a/c).
+    and carries all of v_p(a/c).  Factorisations are memoised; each caller
+    gets its own list.
     """
+    return list(_factor_ideal(n))
+
+
+@lru_cache(maxsize=None)
+def _factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
     field, c = n.field, n.c
     content, primitive = dict(factor_int(c)), dict(factor_int(n.a // c))
     out = []
@@ -339,7 +345,7 @@ def factor_ideal(n: Ideal) -> list[tuple[Ideal, int]]:
         check = ideal_mul(check, ideal_pow(pp, e))
     if check != n:
         raise QuadFieldError(f"prime factors of {n} recombine to {check}")
-    return out
+    return tuple(out)
 
 
 def divisors(n: Ideal) -> list[Ideal]:

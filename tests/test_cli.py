@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from iqhecke import verify
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.cli import main
@@ -76,6 +78,14 @@ def test_verify_json_exit_codes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["status"] == "PASS"
+
+
+def test_verify_rejects_an_unknown_check_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "round-trp", "--json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "round-trp" in err and all(name in err for name, _ in verify.ALL_CHECKS)
 
 
 def test_verify_reports_a_crashing_check_and_goes_on(capsys, monkeypatch):

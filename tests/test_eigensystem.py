@@ -1,13 +1,21 @@
+import random
 import warnings
 
 import pytest
 
 from iqhecke import algext
 from iqhecke.algext import parse_value, values_equal
-from iqhecke.characters import ClassCharacter, RootOfUnity, character_group, mul_characters
+from iqhecke.characters import (
+    ClassCharacter,
+    RootOfUnity,
+    character_group,
+    character_order,
+    mul_characters,
+)
 from iqhecke.classgroup import compute_class_group
 from iqhecke.eigensystem import (
     EigensystemError,
+    _span_dimension,
     base_change_candidate,
     coefficient,
     eigensystem_from_json,
@@ -26,12 +34,15 @@ from iqhecke.eigensystem import (
     twist_orbit,
 )
 from iqhecke.quadfield import (
+    factor_ideal,
     ideal_from_label,
     ideal_mul,
+    ideals_of_norm,
     make_field,
     primes_of_norm_up_to,
     unit_ideal,
 )
+from iqhecke.verify import random_eigensystem
 
 
 def orbit_quiet(F):
@@ -68,6 +79,72 @@ def test_recursion_matches_euler_factor_oracle(bundle):
                 rec = prime_power_coefficients(F, p, 4)
                 eul = euler_factor_coefficients(F, p, 4)
                 assert all(values_equal(a, b) for a, b in zip(rec, eul))
+
+
+def _random_system(g, seed, bound):
+    """random_eigensystem with eigenvalues added at the primes dividing the
+    level, so that every ideal of norm <= bound has a coefficient."""
+    F = random_eigensystem(g, random.Random(seed), bound)
+    primes = primes_of_norm_up_to(g.field, bound)
+    bad = {p: algext.from_rational(F.vfield, p.norm % 5 - 2) for p in primes}
+    al = dict(F.al_signs) if F.al_signs is not None else None
+    return make_eigensystem(g, F.level, F.character, bad | F.alpha_map(), al, vfield=F.vfield)
+
+
+def _table(F, bound):
+    K = F.group.field
+    return [coefficient(F, a) for n in range(1, bound + 1) for a in ideals_of_norm(K, n)]
+
+
+def _euler_table(F, bound):
+    """_table from the brute-force Euler factors, which read no memo."""
+    out = []
+    for n in range(1, bound + 1):
+        for a in ideals_of_norm(F.group.field, n):
+            v = algext.one(F.vfield)
+            for p, e in factor_ideal(a):
+                v = v * euler_factor_coefficients(F, p, e)[e]
+            out.append(v)
+    return out
+
+
+def _same(values, others):
+    return len(values) == len(others) and all(map(values_equal, values, others))
+
+
+@pytest.mark.parametrize("d", [1, 5, 23, 17, 21, 14, 65, 105])
+def test_memoised_coefficients_match_euler_factors(d):
+    # one system per field plus its twists by every character of order 3 or 4
+    g = compute_class_group(make_field(d))
+    F = _random_system(g, d, 200)
+    systems = [F] + [
+        twist(F, psi) for psi in character_group(g) if character_order(g, psi) in (3, 4)
+    ]
+    assert len(systems) > 1 or d in (1, 5, 21, 105)
+    for G in systems:
+        assert _same(_table(G, 200), _euler_table(G, 200))
+
+
+def test_memo_does_not_leak_between_systems():
+    g = compute_class_group(make_field(65))
+    warm, fresh = _random_system(g, 7, 120), _random_system(g, 7, 120)
+    blob = eigensystem_to_json(fresh)
+    _table(warm, 120)
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert eigensystem_to_json(warm) == blob
+    derived = [lambda F, psi=psi: twist(F, psi) for psi in character_group(g)]
+    for make in derived + [galois_conjugate_system]:
+        assert _same(_table(make(warm), 120), _euler_table(make(_random_system(g, 7, 120)), 120))
+
+
+def test_span_dimension_examples():
+    f = algext.make_value_field(adjoined=[-1, 3])
+    i, sqrt3 = parse_value(f, "i"), parse_value(f, "sqrt3")
+    assert _span_dimension([], f) == 1
+    assert _span_dimension([i * sqrt3], f) == 2
+    assert _span_dimension([i, sqrt3], f) == 4
+    assert _span_dimension([i + sqrt3], f) == 4  # needs 1, x, x^2 and x^3
+    assert _span_dimension([sqrt3, parse_value(f, "1 + 2*sqrt3"), i * sqrt3, i], f) == 4
 
 
 def test_twist_examples(bundle, F0, K17):

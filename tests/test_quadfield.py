@@ -137,8 +137,10 @@ def test_factor_ideal_examples(K17):
 
 
 def test_factor_ideal_recombines_exhaustively(K17):
-    # factor_ideal checks that the product of its factors equals the input;
-    # the extra fields bring inert and ramified primes and content > 1
+    # factor_ideal checks that the product of its factors equals the input
+    # on each cache miss; the extra fields bring inert and ramified primes
+    # and content > 1
+    quadfield._factor_ideal.cache_clear()
     for K in (K17, *map(make_field, (1, 2, 3, 5, 14, 65, 105))):
         for n in range(1, 501):
             for i in ideals_of_norm(K, n):
@@ -150,6 +152,7 @@ def test_factor_ideal_recombination_is_checked(K17, monkeypatch):
     three = ideal_from_label(K17, "9.2")
     real = quadfield.primes_above
     monkeypatch.setattr(quadfield, "primes_above", lambda field, p: real(field, p)[:1])
+    quadfield._factor_ideal.cache_clear()
     with pytest.raises(QuadFieldError, match="recombine"):
         factor_ideal(three)
 
@@ -158,10 +161,18 @@ def test_factor_ideal_recombination_is_checked_under_optimize(run_optimized):
     code = (
         "from iqhecke import quadfield as q; three = q.ideal_from_label(q.make_field(17), '9.2');"
         "real = q.primes_above; q.primes_above = lambda field, p: real(field, p)[:1];"
-        "q.factor_ideal(three)"
+        "q._factor_ideal.cache_clear(); q.factor_ideal(three)"
     )
     last = run_optimized(code).stderr.strip().splitlines()[-1]
     assert last.startswith("iqhecke.quadfield.QuadFieldError") and "recombine" in last
+
+
+def test_factor_ideal_returns_a_copy(K17):
+    n12 = ideal_from_label(K17, "12.1")
+    factor_ideal(n12).append((n12, 1))
+    factor_ideal(n12)[0] = (n12, 1)
+    p21, p31 = ideal_from_label(K17, "2.1"), ideal_from_label(K17, "3.1")
+    assert factor_ideal(n12) == [(p21, 2), (p31, 1)]
 
 
 def test_divisor_lattice(K17):
