@@ -19,12 +19,14 @@ values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``ideal_mul`` and ``factor_ideal``. With
 string hashing pinned the counts repeat exactly from run to run, so two trees
-can be compared without timing noise.
+can be compared without timing noise. Calls are summed over the profiler's
+raw entries, one per code object. ``pstats`` merges entries by (file, line,
+name) and so keeps only one of the dataclass-generated methods, which all
+share one such label; which one it keeps depends on memory addresses.
 """
 
 import cProfile
 import os
-import pstats
 import random
 import sys
 import warnings
@@ -48,11 +50,11 @@ def profiled(ops) -> dict:
             failed += 1
         finally:
             prof.disable()
-    stats = pstats.Stats(prof)
-    row = {"ops": len(ops), "failed": failed, "calls": stats.total_calls}
+    entries = prof.getstats()  # one per code object; builtins have a str code
+    row = {"ops": len(ops), "failed": failed, "calls": sum(e.callcount for e in entries)}
     for filename, func, name in COUNTED:
-        row[name] = sum(nc for (fn, _, fu), (_, nc, _, _, _) in stats.stats.items()
-                        if fu == func and Path(fn).name == filename)
+        row[name] = sum(e.callcount for e in entries if not isinstance(e.code, str)
+                        and e.code.co_name == func and Path(e.code.co_filename).name == filename)
     return row
 
 

@@ -14,11 +14,17 @@ imports. OUT receives one JSON row per line:
 - the level-2.1 fixture oracle recovered at bound 13.
 - 36 ``TableSource`` operations (seeds 1-3, 12 each) through
   ``workloads.tables_op``.
+- one row per eigensystem of the default bundle (14 systems): its JSON, its
+  twist orbit, its Galois conjugate, its inner-twist pairs, its Hecke-field
+  report and a(p^0), ..., a(p^4) at each stored prime.
+
+That makes 411 rows.
 
 Run it on two trees and compare the dumps with ``diff``; a failed operation
 is a row with its error, so the row count does not depend on the outcome.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -67,6 +73,19 @@ def main(tree: Path, out: Path) -> int:
             "report": [report.principal_degree, report.full_degree, report.field_description],
         }
 
+    def bundle_row(F):
+        return {
+            "system": to_json(F),
+            "orbit": [to_json(H) for H in eigensystem.twist_orbit(F)],
+            "conjugate": to_json(eigensystem.galois_conjugate_system(F)),
+            "inner_twists": [[tau.describe(), list(psi.exps)]
+                             for tau, psi in eigensystem.inner_twist_pairs(F)],
+            "report": list(dataclasses.astuple(eigensystem.hecke_field_report(F))),
+            "powers": {label(p): [algext.render_value(v) for v in
+                                  eigensystem.prime_power_coefficients(F, p, 4)]
+                       for p in F.stored_primes()},
+        }
+
     warnings.simplefilter("ignore")
     groups = inputs.sweep_groups()
     rows = []
@@ -90,6 +109,9 @@ def main(tree: Path, out: Path) -> int:
             inp = source.next()
             rows.append({"tables": [seed, n], "d": inp.system.group.field.d,
                          **attempt(lambda: table_row(inp))})
+    for level, table in bundle.eigensystem_tables.items():
+        for name, F in table.items():
+            rows.append({"bundle": [level, name], **attempt(lambda: bundle_row(F))})
     out.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -1,14 +1,19 @@
 """Exact arithmetic in small square-root towers over a totally real base.
 
 A ValueField is k = Q(theta)(sqrt(r_1), ..., sqrt(r_m)) where theta has a
-monic integer minimal polynomial of small degree and the r_j are base-field
-elements (usually rationals), the radicands.  A value keeps one base vector
-(rational coefficients on 1, theta, ..., theta^(deg-1)) per root subset S, a
-bitmask: v = sum_S coeffs[S] * prod_{j in S} sqrt(r_j).  The last root owns
-the top bit, so v = v0 + v1*sqrt(r) with v0, v1 the two halves of ``coeffs``
-in the subtower without it.  Inverses and square roots descend through that
+monic integer minimal polynomial of small degree deg and the r_j are
+base-field elements (usually rationals), the radicands.  A value is a flat
+tuple of deg * 2^m rationals on the basis theta^k * prod_{j in S} sqrt(r_j),
+at index S*deg + k for a root bitmask S.  The last root owns the top bit, so
+v = v0 + v1*sqrt(r) with v0, v1 the two contiguous halves of ``coeffs``, in
+the subtower without it.  Inverses and square roots descend through that
 split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
-N = v0^2 - r*v1^2, down to Q(theta).
+N = v0^2 - r*v1^2, down to Q(theta), whose elements are base vectors.
+
+Each tower memoises its structure constants (e_i*e_j as a sparse sum), those
+of Q(theta) for base vectors, and the complex value and name of each basis
+element, and each pair of towers its lift map, so products, lifts,
+automorphisms, embeddings and rendering are single loops over coefficients.
 
 A root is adjoined only when its radicand is not already a square (Kummer
 theory: no product of the tower's radicands times it is a base square), so
@@ -22,8 +27,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import isqrt, prod
 
 from .quadfield import factor_int
 
@@ -33,6 +38,9 @@ class AlgebraError(ValueError):
 
 
 BaseVec = tuple[Fraction, ...]  # coefficients on 1, theta, ..., theta^(deg-1)
+Sparse = tuple[tuple[int, Fraction], ...]  # (basis index, coefficient) pairs, zeros left out
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -70,6 +78,69 @@ class ValueField:
         names = ", ".join(_root_name(self, j) for j in range(self.nroots))
         return f"{base}({names})"
 
+    @cached_property
+    def _radicand_products(self) -> tuple[BaseVec, ...]:
+        """prod_{j in S} r_j for every root subset S, by mask."""
+        out = [_unit_vec(self.base_degree, 0)]
+        for r in self.adjoined:
+            out += [_base_mul(self, p, r) for p in out]
+        return tuple(out)
+
+    @cached_property
+    def _base_table(self) -> tuple[tuple[Sparse, ...], ...]:
+        """Structure constants of Q(theta): theta^(a+b), reduced, at [a][b]."""
+        deg = self.base_degree
+        powers = [_unit_vec(deg, k) for k in range(deg)]
+        for _ in range(deg - 1):
+            # theta^n = theta * theta^(n-1), where theta^deg = -(c_0 + c_1*theta + ...)
+            prev = powers[-1]
+            powers.append(tuple((prev[k - 1] if k else _ZERO) - prev[-1] * self.minpoly[k]
+                                for k in range(deg)))
+        return tuple(tuple(_sparse(powers[a + b]) for b in range(deg)) for a in range(deg))
+
+    @cached_property
+    def _table(self) -> tuple[tuple[Sparse, ...], ...]:
+        """Structure constants of the tower: e_i*e_j at [i][j], from
+        theta^a sqrt(S) * theta^b sqrt(T) = theta^(a+b) r_{S&T} sqrt(S^T)."""
+        deg = self.base_degree
+        units = [_unit_vec(deg, k) for k in range(deg)]
+        basis = [divmod(i, deg) for i in range(self.dim)]  # (S, a) at index S*deg + a
+        return tuple(
+            tuple(
+                _sparse(_base_mul(self, _base_mul(self, units[a], units[b]),
+                                  self._radicand_products[s & t]), (s ^ t) * deg)
+                for t, b in basis
+            )
+            for s, a in basis
+        )
+
+    @cached_property
+    def _basis_values(self) -> tuple[complex, ...]:
+        """Each basis element under the fixed embedding: theta goes to the largest
+        real root (else the root of largest imaginary part), sqrt(r) to the principal root."""
+        roots = _poly_roots([float(c) for c in self.minpoly])
+        reals = sorted((r.real for r in roots if abs(r.imag) < 1e-9), reverse=True)
+        th = complex(reals[0]) if reals else max(roots, key=lambda z: z.imag)
+        powers = [th**k for k in range(self.base_degree)]
+        radicals = [cmath.sqrt(sum(float(c) * p for c, p in zip(r, powers)))
+                    for r in self.adjoined]
+        return tuple(
+            p * prod((z for j, z in enumerate(radicals) if mask >> j & 1), start=1 + 0j)
+            for mask in range(1 << self.nroots)
+            for p in powers
+        )
+
+    @cached_property
+    def _basis_names(self) -> tuple[str, ...]:
+        """Each basis element as ``render_value`` writes it; '' for 1."""
+        thetas = [[], ["a"]] + [[f"a^{k}"] for k in range(2, self.base_degree)]
+        roots = [_root_name(self, j) for j in range(self.nroots)]
+        return tuple(
+            "*".join(thetas[k] + [name for j, name in enumerate(roots) if mask >> j & 1])
+            for mask in range(1 << self.nroots)
+            for k in range(self.base_degree)
+        )
+
 
 def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     mp = tuple(_frac(c) for c in minpoly)
@@ -95,7 +166,7 @@ RATIONAL_FIELD = make_value_field()
 
 def _as_base_vec(deg: int, r) -> BaseVec:
     if isinstance(r, (int, Fraction)):
-        return (_frac(r),) + (Fraction(0),) * (deg - 1)
+        return (_frac(r),) + (_ZERO,) * (deg - 1)
     vec = tuple(_frac(c) for c in r)
     if len(vec) != deg:
         raise AlgebraError(f"radicand {list(r)} has {len(vec)} coefficients, base degree is {deg}")
@@ -105,78 +176,45 @@ def _as_base_vec(deg: int, r) -> BaseVec:
 @dataclass(frozen=True)
 class AlgValue:
     field: ValueField
-    coeffs: tuple[BaseVec, ...]  # indexed by subset mask over adjoined roots
+    coeffs: tuple[Fraction, ...]  # on theta^k * prod_{j in S} sqrt(r_j), at index S*deg + k
 
     def is_zero(self) -> bool:
-        return all(c == 0 for vec in self.coeffs for c in vec)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(
-            c == 0 for mask, vec in enumerate(self.coeffs) for k, c in enumerate(vec) if mask or k
-        )
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise AlgebraError(f"{self} is not rational")
-        return self.coeffs[0][0]
+        return self.coeffs[0]
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
-        return AlgValue(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(va, vb))
-                for va, vb in zip(self.coeffs, other.coeffs)
-            ),
-        )
+        return AlgValue(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "AlgValue":
-        return AlgValue(
-            self.field, tuple(tuple(-a for a in vec) for vec in self.coeffs)
-        )
+        return AlgValue(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "AlgValue") -> "AlgValue":
         return self + (-other)
 
     def __mul__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
-        f = self.field
-        deg = f.base_degree
-        zero = tuple(Fraction(0) for _ in range(deg))
-        acc = [list(zero) for _ in range(1 << f.nroots)]
-        for ma, va in enumerate(self.coeffs):
-            if all(c == 0 for c in va):
-                continue
-            for mb, vb in enumerate(other.coeffs):
-                if all(c == 0 for c in vb):
-                    continue
-                prod = _base_mul(f, va, vb)
-                common = ma & mb
-                j = 0
-                while common:
-                    if common & 1:
-                        prod = _base_mul(f, prod, f.adjoined[j])
-                    common >>= 1
-                    j += 1
-                tgt = acc[ma ^ mb]
-                for k in range(deg):
-                    tgt[k] += prod[k]
-        return AlgValue(f, tuple(tuple(vec) for vec in acc))
+        return AlgValue(self.field, _product(self.coeffs, other.coeffs, self.field._table))
 
     def scale(self, q) -> "AlgValue":
         q = _frac(q)
-        return AlgValue(
-            self.field, tuple(tuple(q * a for a in vec) for vec in self.coeffs)
-        )
+        return AlgValue(self.field, tuple(q * a for a in self.coeffs))
 
     def inv(self) -> "AlgValue":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
         if f.nroots == 0:
-            return from_base_vec(f, _base_inv(f, self.coeffs[0]))
+            return AlgValue(f, _base_inv(f, self.coeffs))
         # v is a unit exactly when its relative norm is a unit of the subtower
         v0, v1, r = _halves(self)
         try:
@@ -197,25 +235,36 @@ def _check_same_field(a: AlgValue, b: AlgValue):
         raise AlgebraError("values live in different fields; lift them first")
 
 
+def _product(u, v, table: tuple[tuple[Sparse, ...], ...]) -> tuple[Fraction, ...]:
+    """The product of two coefficient vectors through the structure constants."""
+    acc = [_ZERO] * len(u)
+    for a, row in zip(u, table):
+        if a:
+            for b, terms in zip(v, row):
+                if b:
+                    ab = a * b
+                    for k, c in terms:
+                        acc[k] += ab * c
+    return tuple(acc)
+
+
+def _linear_image(coeffs, images: tuple[Sparse, ...], f: ValueField) -> AlgValue:
+    """sum_i coeffs[i] * images[i] in f: a sparse matrix times a vector."""
+    acc = [_ZERO] * f.dim
+    for c, image in zip(coeffs, images):
+        if c:
+            for k, x in image:
+                acc[k] += c * x
+    return AlgValue(f, tuple(acc))
+
+
+def _sparse(coeffs, lead: int = 0) -> Sparse:
+    """The nonzero coefficients as (index, coefficient) pairs, indices shifted by lead."""
+    return tuple((lead + k, c) for k, c in enumerate(coeffs) if c)
+
+
 def _base_mul(f: ValueField, u: BaseVec, v: BaseVec) -> BaseVec:
-    deg = f.base_degree
-    raw = [Fraction(0)] * (2 * deg - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            raw[i + j] += a * b
-    # reduce theta^k for k >= deg using the monic minimal polynomial
-    for k in range(2 * deg - 2, deg - 1, -1):
-        c = raw[k]
-        if c == 0:
-            continue
-        raw[k] = Fraction(0)
-        for j in range(deg):
-            raw[k - deg + j] -= c * f.minpoly[j]
-    return tuple(raw[:deg])
+    return _product(u, v, f._base_table)
 
 
 def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
@@ -236,7 +285,7 @@ def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
     and v0, v1, r lie in the subtower without it."""
     f = v.field
     sub = f.subfield()
-    half = 1 << (f.nroots - 1)
+    half = len(v.coeffs) // 2
     r = from_base_vec(sub, f.adjoined[-1])
     return AlgValue(sub, v.coeffs[:half]), AlgValue(sub, v.coeffs[half:]), r
 
@@ -246,16 +295,17 @@ def _merge(f: ValueField, v0: AlgValue, v1: AlgValue) -> AlgValue:
     return AlgValue(f, v0.coeffs + v1.coeffs)
 
 
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Q; returns None for singular systems."""
+def _solve_linear(mat, rhs, tol=0):
+    """Gaussian elimination with the largest pivot, exact over Q or numeric
+    over C (a pivot of size <= tol counts as 0); None for singular systems."""
     n = len(mat)
-    m = [row[:] + [r] for row, r in zip(mat, rhs)]
+    m = [list(row) + [r] for row, r in zip(mat, rhs)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[piv][col]) <= tol:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
+        inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
@@ -267,22 +317,16 @@ def _solve_linear(mat, rhs):
 # -- constructors ------------------------------------------------------------
 
 
-def _value(f: ValueField, parts: dict[int, BaseVec]) -> AlgValue:
-    """The value sum_S parts[S] * prod_{j in S} sqrt(r_j); absent masks are 0."""
-    nothing = (Fraction(0),) * f.base_degree
-    return AlgValue(f, tuple(parts.get(mask, nothing) for mask in range(1 << f.nroots)))
-
-
 def _unit_vec(deg: int, k: int) -> BaseVec:
     return tuple(Fraction(int(i == k)) for i in range(deg))
 
 
 def from_rational(f: ValueField, q) -> AlgValue:
-    return _value(f, {0: _as_base_vec(f.base_degree, _frac(q))})
+    return from_base_vec(f, _as_base_vec(f.base_degree, _frac(q)))
 
 
 def zero(f: ValueField) -> AlgValue:
-    return _value(f, {})
+    return AlgValue(f, (_ZERO,) * f.dim)
 
 
 def one(f: ValueField) -> AlgValue:
@@ -292,15 +336,17 @@ def one(f: ValueField) -> AlgValue:
 def theta(f: ValueField) -> AlgValue:
     if f.base_degree < 2:
         raise AlgebraError("base field is Q; there is no generator")
-    return _value(f, {0: _unit_vec(f.base_degree, 1)})
+    return from_base_vec(f, _unit_vec(f.base_degree, 1))
 
 
 def adjoined_root(f: ValueField, j: int) -> AlgValue:
-    return _value(f, {1 << j: _unit_vec(f.base_degree, 0)})
+    return from_base_vec(f, _unit_vec(f.base_degree, 0), 1 << j)
 
 
-def from_base_vec(f: ValueField, vec: BaseVec) -> AlgValue:
-    return _value(f, {0: tuple(vec)})
+def from_base_vec(f: ValueField, vec: BaseVec, mask: int = 0) -> AlgValue:
+    """The base element vec times prod_{j in mask} sqrt(r_j)."""
+    lead = mask * f.base_degree
+    return AlgValue(f, (_ZERO,) * lead + tuple(vec) + (_ZERO,) * (f.dim - lead - len(vec)))
 
 
 # -- field embeddings ---------------------------------------------------------
@@ -318,37 +364,32 @@ def join_fields(f1: ValueField, f2: ValueField) -> ValueField:
 
 def lift(v: AlgValue, target: ValueField) -> AlgValue:
     """Re-express v in another tower over the same base that holds a square
-    root of every radicand of v's tower (see ``_monomial_images``)."""
+    root of every radicand of v's tower (see ``_lift_map``)."""
     src = v.field
     if src == target:
         return v
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
-    images = _monomial_images(src, target)
-    parts: dict[int, BaseVec] = {}
-    for mask, vec in enumerate(v.coeffs):
-        if any(vec):
-            for tmask, ivec in enumerate(images[mask].coeffs):
-                if any(ivec):
-                    prod = _base_mul(target, ivec, vec)
-                    if tmask in parts:
-                        prod = tuple(a + b for a, b in zip(parts[tmask], prod))
-                    parts[tmask] = prod
-    return _value(target, parts)
+    return _linear_image(v.coeffs, _lift_map(src, target), target)
 
 
 @lru_cache(maxsize=None)
-def _monomial_images(src: ValueField, target: ValueField) -> tuple[AlgValue, ...]:
-    """The image in target of each root product of src, by mask: sqrt(r)
-    goes to the square root of r in target with the same embedded value."""
-    images = [one(target)]
+def _lift_map(src: ValueField, target: ValueField) -> tuple[Sparse, ...]:
+    """The image in target of each basis element of src: sqrt(r) goes to the
+    square root of r in target with the same embedded value."""
+    monomials = [one(target)]  # the images of the root products, by mask
     for j, r in enumerate(src.adjoined):
         w, z = sqrt_in_tower(from_base_vec(target, r)), embed(adjoined_root(src, j))
         if w is None:
             raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
         w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
-        images += [m * w for m in images]
-    return tuple(images)
+        monomials += [m * w for m in monomials]
+    # theta^k * m is m through row k of the structure constants
+    return tuple(
+        _sparse(_linear_image(m.coeffs, target._table[k], target).coeffs)
+        for m in monomials
+        for k in range(src.base_degree)
+    )
 
 
 def values_equal(a: AlgValue, b: AlgValue) -> bool:
@@ -386,22 +427,21 @@ def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
 def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
     """Exact square root of a base-field element, or None.
 
-    Degree 1 and 2 bases are handled by direct algebra.  Higher-degree bases
+    Rationals and degree 2 bases are handled by direct algebra.  Higher-degree bases
     go through a numeric embedding with bounded-denominator reconstruction,
     whose candidates are verified exactly by squaring; a missed square can at
-    worst cost a redundant formal generator, never a wrong value.
+    worst cost a redundant formal generator, never a wrong value.  A base of
+    odd degree holds no square root of a rational non-square; one of even
+    degree may (sqrt2 lies in Q(sqrt2 + sqrt3)), so it is searched too.
     """
     deg = f.base_degree
     if all(c == 0 for c in vec):
         return tuple(Fraction(0) for _ in range(deg))
-    if deg == 1:
-        r = _rational_sqrt(vec[0])
-        return None if r is None else (r,)
     if all(c == 0 for c in vec[1:]):
         r = _rational_sqrt(vec[0])
         if r is not None:
             return tuple([r] + [Fraction(0)] * (deg - 1))
-        if deg > 2:
+        if deg % 2:
             return None
     if deg > 2:
         return _base_sqrt_numeric(f, vec)
@@ -441,7 +481,7 @@ def _base_sqrt_numeric(f: ValueField, vec: BaseVec) -> BaseVec | None:
     sqrts = [cmath.sqrt(v) for v in embeds]
     for signs in itertools.product((1, -1), repeat=deg - 1):
         target = [sqrts[0]] + [s * w for s, w in zip(signs, sqrts[1:])]
-        sol = _solve_complex(matrix, target)
+        sol = _solve_linear(matrix, target, tol=1e-12)
         if sol is None:
             continue
         if any(abs(z.imag) > 1e-6 for z in sol):
@@ -450,23 +490,6 @@ def _base_sqrt_numeric(f: ValueField, vec: BaseVec) -> BaseVec | None:
         if _base_mul(f, cand, cand) == tuple(vec):
             return cand
     return None
-
-
-def _solve_complex(mat, rhs):
-    n = len(mat)
-    m = [list(map(complex, row)) + [complex(r)] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-12:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def _rational_quadratic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
@@ -479,23 +502,14 @@ def _rational_quadratic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fra
     return sorted({(-B + r) / (2 * A), (-B - r) / (2 * A)})
 
 
-@lru_cache(maxsize=None)
-def _radicand_products(f: ValueField) -> tuple[BaseVec, ...]:
-    """prod_{j in S} r_j for every root subset S, by mask."""
-    out = [_unit_vec(f.base_degree, 0)]
-    for r in f.adjoined:
-        out += [_base_mul(f, p, r) for p in out]
-    return tuple(out)
-
-
 def _base_root(f: ValueField, c: BaseVec) -> AlgValue | None:
     """A square root in f of the base element c, or None.  By Kummer theory f
     holds one exactly when c*P is a base square s^2 for a product P of its
     radicands, and then sqrt(c) = (s/P) * sqrt(P)."""
-    for mask, p in enumerate(_radicand_products(f)):
+    for mask, p in enumerate(f._radicand_products):
         s = _base_sqrt(f, _base_mul(f, c, p))
         if s is not None:
-            return _value(f, {mask: _base_mul(f, s, _base_inv(f, p))})
+            return from_base_vec(f, _base_mul(f, s, _base_inv(f, p)), mask)
     return None
 
 
@@ -506,7 +520,7 @@ def _square_class(v: AlgValue) -> tuple[BaseVec, AlgValue] | None:
     subtower has 2(v0 + n) = c*u^2."""
     f = v.field
     if f.nroots == 0:
-        return v.coeffs[0], one(f)
+        return v.coeffs, one(f)
     v0, v1, r = _halves(v)
     sub = v0.field
     if v1.is_zero():
@@ -546,7 +560,7 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
     if root is None:
         classes = [
             squarefree_part(cp[0])[1]
-            for cp in (_base_mul(f, c, p) for p in _radicand_products(f))
+            for cp in (_base_mul(f, c, p) for p in f._radicand_products)
             if not any(cp[1:])
         ]
         f = with_radical(f, min(classes, key=lambda q: (abs(q), q < 0)) if classes else c)
@@ -597,34 +611,8 @@ def _poly_eval(coeffs, x: complex) -> complex:
     return out
 
 
-@lru_cache(maxsize=None)
-def _embedding_data(f: ValueField):
-    roots = _poly_roots([float(c) for c in f.minpoly])
-    reals = sorted((r.real for r in roots if abs(r.imag) < 1e-9), reverse=True)
-    th = complex(reals[0]) if reals else max(roots, key=lambda z: z.imag)
-    powers = [th**k for k in range(f.base_degree)]
-
-    def embed_base(vec) -> complex:
-        return sum(float(c) * p for c, p in zip(vec, powers))
-
-    radicals = [cmath.sqrt(embed_base(r)) for r in f.adjoined]
-    return powers, radicals
-
-
 def embed(v: AlgValue) -> complex:
-    powers, radicals = _embedding_data(v.field)
-    out = 0j
-    for mask, vec in enumerate(v.coeffs):
-        term = sum(float(c) * p for c, p in zip(vec, powers))
-        j = 0
-        mm = mask
-        while mm:
-            if mm & 1:
-                term *= radicals[j]
-            mm >>= 1
-            j += 1
-        out += term
-    return out
+    return sum((float(c) * z for c, z in zip(v.coeffs, v.field._basis_values) if c), 0j)
 
 
 def canonical_sign(v: AlgValue) -> AlgValue:
@@ -650,17 +638,25 @@ class FieldAutomorphism:
         return self.sign_mask == 0 and not self.conjugate_base
 
     def apply(self, v: AlgValue) -> AlgValue:
-        f = self.field
-        if v.field != f:
+        if v.field != self.field:
             raise AlgebraError("automorphism applied to a foreign value")
-        parts = {}
-        for mask, vec in enumerate(v.coeffs):
-            if self.conjugate_base:
-                vec = _conjugate_base(f, vec)
-            if bin(mask & self.sign_mask).count("1") % 2:
-                vec = tuple(-c for c in vec)
-            parts[mask] = vec
-        return _value(f, parts)
+        return _linear_image(v.coeffs, self._images, self.field)
+
+    @cached_property
+    def _images(self) -> tuple[Sparse, ...]:
+        """The image of each basis element: theta^k goes to theta'^k when the
+        base is conjugated, and sqrt(S) to -sqrt(S) for an odd number of
+        flipped roots in S."""
+        f = self.field
+        powers = [_unit_vec(f.base_degree, k) for k in range(f.base_degree)]
+        if self.conjugate_base:
+            powers = [_conjugate_base(f, p) for p in powers]
+        return tuple(
+            _sparse(p if bin(mask & self.sign_mask).count("1") % 2 == 0 else [-c for c in p],
+                    mask * f.base_degree)
+            for mask in range(1 << f.nroots)
+            for p in powers
+        )
 
     def describe(self) -> str:
         if self.is_identity():
@@ -691,11 +687,7 @@ def automorphisms(f: ValueField) -> list[FieldAutomorphism]:
     base_opts = [False]
     if f.base_degree == 2 and all(_conjugate_base(f, r) == r for r in f.adjoined):
         base_opts.append(True)
-    out = []
-    for conj in base_opts:
-        for mask in range(1 << f.nroots):
-            out.append(FieldAutomorphism(f, mask, conj))
-    return out
+    return [FieldAutomorphism(f, mask, conj) for conj in base_opts for mask in range(1 << f.nroots)]
 
 
 # -- symbolic values ----------------------------------------------------------
@@ -827,30 +819,18 @@ def parse_value(f: ValueField, text: str, symbols: dict[str, AlgValue] | None = 
 
 
 def render_value(v: AlgValue) -> str:
-    f = v.field
-    terms = []
-    for mask, vec in enumerate(v.coeffs):
-        for k, c in enumerate(vec):
-            if c == 0:
-                continue
-            names = []
-            if k == 1:
-                names.append("a")
-            elif k > 1:
-                names.append(f"a^{k}")
-            for j in range(f.nroots):
-                if mask & (1 << j):
-                    names.append(_root_name(f, j))
-            if not names:
-                terms.append((str(c), c < 0))
-            elif abs(c) == 1:
-                s = "*".join(names)
-                terms.append((s if c > 0 else f"-{s}", c < 0))
-            else:
-                terms.append((f"{c}*" + "*".join(names), c < 0))
-    if not terms:
-        return "0"
-    out = terms[0][0]
-    for text, _neg in terms[1:]:
-        out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
-    return out
+    out = ""
+    for c, name in zip(v.coeffs, v.field._basis_names):
+        if c == 0:
+            continue
+        if not name:
+            text = str(c)
+        elif abs(c) == 1:
+            text = name if c > 0 else f"-{name}"
+        else:
+            text = f"{c}*{name}"
+        if not out:
+            out = text
+        else:
+            out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+    return out or "0"

@@ -11,7 +11,8 @@ identity], found by brute force, which is fine for the class numbers this
 library targets (h up to a few hundred).  Generators are chosen greedily by
 orbit length, and one table built from their orbits maps every form to its
 exponent vector (discrete logs).  After that, every class query works on
-exponent vectors alone; CL^2 and CL[2] are computed once, at construction.
+exponent vectors alone; CL^2 and CL[2] are computed once, at construction,
+and the class of an ideal once, on its first query.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class ClassGroup:
 
     def __init__(self, field: QuadField):
         self.field = field
+        self._ideal_classes: dict[Ideal, IdealClass] = {}
         self.forms = reduced_forms(field.disc)
         self.h = len(self.forms)
         self._identity = reduce_form(*_principal_form(field))
@@ -229,7 +231,11 @@ class ClassGroup:
         return IdealClass(self._coords[f])
 
     def ideal_class(self, i: Ideal) -> IdealClass:
-        return self.class_of_form(form_of_ideal(i))
+        """The class of i, reduced once per ideal and then read from a memo."""
+        cls = self._ideal_classes.get(i)
+        if cls is None:
+            cls = self._ideal_classes[i] = self.class_of_form(form_of_ideal(i))
+        return cls
 
     def is_principal(self, i: Ideal) -> bool:
         return self.ideal_class(i).is_identity()

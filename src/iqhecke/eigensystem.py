@@ -408,7 +408,7 @@ def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
     rows: list[tuple[int, list[Fraction]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
-        vec = [c for part in v.coeffs for c in part]
+        vec = list(v.coeffs)
         for piv, row in rows:
             if vec[piv] != 0:
                 fac = vec[piv] / row[piv]

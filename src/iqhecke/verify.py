@@ -32,6 +32,7 @@ from .dimensions import (
     validate_row,
 )
 from .eigensystem import (
+    EigensystemError,
     HeckeEigensystem,
     euler_factor_coefficients,
     galois_conjugate_system,
@@ -602,7 +603,7 @@ def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> Ap
         q = ideal_from_label(K, lab)
         try:
             eps = F.al_sign(q)
-        except Exception:
+        except EigensystemError:
             out.bad_prime_checks.append((lab, False, "no involution sign stored"))
             continue
         ok = rec.get("ap") == eps

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from iqhecke.algext import (
     AlgebraError,
+    AlgValue,
     automorphisms,
     canonical_sign,
     embed,
@@ -16,10 +18,12 @@ from iqhecke.algext import (
     one,
     parse_value,
     render_value,
+    sqrt_in_tower,
     sqrt_or_adjoin,
     squarefree_part,
     theta,
     values_equal,
+    with_radical,
     zero,
 )
 
@@ -28,6 +32,8 @@ QI = make_value_field(adjoined=[-1])
 QI2 = make_value_field(adjoined=[-1, 2])
 CUBIC = make_value_field(minpoly=[1, -3, -1, 1])
 QUAD_SQRT3 = make_value_field(minpoly=[-2, 0, 1], adjoined=[3])  # Q(sqrt2)(sqrt3), base sqrt2 = a
+QI23 = make_value_field(adjoined=[-1, 2, 3])
+CUBIC_I = make_value_field(minpoly=[1, -3, -1, 1], adjoined=[-1])
 
 
 def rand_value(f, rng, span=4):
@@ -36,6 +42,15 @@ def rand_value(f, rng, span=4):
     for s in syms:
         v = v + s.scale(rng.randint(-span, span))
     return v
+
+
+def rand_full(f, rng):
+    """A value with a random rational coefficient on every basis element."""
+    return AlgValue(f, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.dim)))
+
+
+def close(z, w):
+    return cmath.isclose(z, w, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_basic_arithmetic():
@@ -49,14 +64,18 @@ def test_basic_arithmetic():
 
 
 def test_field_inverse_and_division():
+    # the fixed complex embedding is a ring map, an independent reference
     rng = random.Random(11)
-    cubic_i = make_value_field(minpoly=[1, -3, -1, 1], adjoined=[-1])
-    for f in (Q, QI, QI2, CUBIC, QUAD_SQRT3, cubic_i):
+    for f in (Q, QI, QI2, QI23, CUBIC, QUAD_SQRT3, CUBIC_I):
         for _ in range(20):
-            v = rand_value(f, rng)
+            v, w = rand_value(f, rng), rand_full(f, rng)
+            assert close(embed(v * w), embed(v) * embed(w))
+            assert close(embed(w * w), embed(w) ** 2)
+            assert close(embed(w.inv()), 1 / embed(w))
             if v.is_zero():
                 continue
             assert values_equal(v * v.inv(), one(f))
+            assert close(embed(v.inv()), 1 / embed(v))
     with pytest.raises(ZeroDivisionError):
         zero(QI).inv()
     # sqrt(-2) and i*sqrt(2) are independent roots here, so the algebra has zero divisors
@@ -186,6 +205,37 @@ def test_lift_and_join():
     assert values_equal(field_symbols(m2)["sqrtm2"], parse_value(QI2, "i*sqrt2"))
     with pytest.raises(AlgebraError):
         join_fields(CUBIC, QI)
+
+
+@pytest.mark.parametrize("f,h", [
+    (Q, QI), (make_value_field(adjoined=[2]), QI2), (QI, QI2), (QI2, QI23),
+    (make_value_field(adjoined=[3]), QI23),
+    # sqrt(-2) and sqrt(-6) are i*sqrt2 and i*sqrt2*sqrt3 in the join
+    (make_value_field(adjoined=[-2]), QI2), (make_value_field(adjoined=[-6]), QI23),
+    (CUBIC, CUBIC_I), (make_value_field(minpoly=[-2, 0, 1]), QUAD_SQRT3),
+])
+def test_lift_is_a_ring_map(f, h):
+    g = join_fields(h, f)
+    assert g == h
+    rng = random.Random(29)
+    for _ in range(20):
+        a, b = rand_full(f, rng), rand_full(f, rng)
+        assert lift(a * b, g) == lift(a, g) * lift(b, g)
+        assert lift(a + b, g) == lift(a, g) + lift(b, g)
+        assert close(embed(lift(a, g)), embed(a))
+
+
+def test_even_degree_base_holds_rational_square_roots():
+    # a = sqrt2 + sqrt3 has a^4 - 10a^2 + 1 = 0, and ((a^3 - 9a)/2)^2 = 2
+    f = make_value_field(minpoly=[1, 0, -10, 0, 1])
+    assert with_radical(f, 2) is f
+    root = sqrt_in_tower(from_rational(f, 2))
+    assert values_equal(root * root, from_rational(f, 2))
+    half = parse_value(f, "(a^3 - 9*a)/2")
+    assert values_equal(root, half) or values_equal(root, -half)
+    assert sqrt_in_tower(from_rational(f, 5)) is None
+    assert sqrt_in_tower(from_rational(CUBIC, 2)) is None
+    assert with_radical(CUBIC, 2).dim == 6
 
 
 def test_parse_render_round_trip():

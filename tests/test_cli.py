@@ -5,7 +5,7 @@ import pytest
 from iqhecke import verify
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR
 from iqhecke.cli import main
-from iqhecke.eigensystem import eigensystem_from_json, eigensystem_to_json
+from iqhecke.eigensystem import EigensystemError, eigensystem_from_json, eigensystem_to_json
 
 
 def run_cli(capsys, *args):
@@ -161,6 +161,23 @@ def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
             "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
         )
         assert code == 2 and message in err
+
+
+def test_compare_ap_only_absorbs_missing_signs(bundle, monkeypatch):
+    F = bundle.system("7.2", "a")
+    curve = bundle.curves["2.0.68.1-7.2-a2"]
+
+    def raising(exc):
+        def al_sign(self, q):
+            raise exc
+        return al_sign
+
+    monkeypatch.setattr(type(F), "al_sign", raising(EigensystemError("no sign")))
+    checks = verify.compare_ap(F, curve).bad_prime_checks
+    assert checks == [("7.2", False, "no involution sign stored")]
+    monkeypatch.setattr(type(F), "al_sign", raising(KeyError("unrelated failure")))
+    with pytest.raises(KeyError, match="unrelated failure"):
+        verify.compare_ap(F, curve)
 
 
 def test_verify_output_is_deterministic(capsys):
