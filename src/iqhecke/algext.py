@@ -15,22 +15,28 @@ of Q(theta) for base vectors, and the complex value and name of each basis
 element, and each pair of towers its lift map, so products, lifts,
 automorphisms, embeddings and rendering are single loops over coefficients.
 
-A root is adjoined only when its radicand is not already a square (Kummer
-theory: no product of the tower's radicands times it is a base square), so
-every tower the library builds is a field; ``make_value_field`` builds exactly
-the tower it is given.  A fixed high-precision embedding gives every root its
-value, and ``canonical_sign`` and ``lift`` follow it.
+Square roots are exact.  A base square root comes from p-adic lifting at a
+split prime, bounded through the trace form of Q(theta), which
+``make_value_field`` therefore requires to be positive definite: the base is
+totally real.  A root is adjoined only when its radicand is not already a
+square (Kummer theory: no product of the tower's radicands times it is a base
+square), so every tower the library builds is a field; ``make_value_field``
+builds exactly the tower it is given.  A fixed high-precision embedding gives
+every root its value, and ``canonical_sign`` and ``lift`` follow it.
 """
 
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, prod
+from itertools import count, product
+from math import isqrt, lcm, prod
+from operator import mul
 
-from .quadfield import factor_int
+from .quadfield import factor_int, is_rational_prime
 
 
 class AlgebraError(ValueError):
@@ -115,12 +121,34 @@ class ValueField:
         )
 
     @cached_property
+    def _trace_form(self) -> tuple[int, Fraction, tuple[Fraction, ...]]:
+        """(disc, b, tr) from the trace form T = (Tr theta^(j+k)) of the base:
+        disc = det T is the discriminant of the minimal polynomial, tr is the
+        row Tr(theta^i), and b = max_j (T^-1)_jj, so |x_j|^2 <= Tr(x^2) * b for
+        x = sum x_j theta^j (Cauchy-Schwarz).  By Hermite, T is positive
+        definite, and Gauss-Jordan without row swaps meets only positive
+        pivots, exactly when the base is totally real with distinct roots."""
+        deg, table = self.base_degree, self._base_table
+        tr = tuple(sum(c for a in range(deg) for k, c in table[i][a] if k == a) for i in range(deg))
+        m = [[sum(c * tr[i] for i, c in table[j][k]) for k in range(deg)]
+             + list(_unit_vec(deg, j)) for j in range(deg)]
+        disc = 1
+        for k in range(deg):
+            if m[k][k] <= 0:
+                raise AlgebraError(f"minimal polynomial [{', '.join(map(str, self.minpoly))}] "
+                                   "is not totally real with distinct roots")
+            disc *= m[k][k]
+            m[k] = [x / m[k][k] for x in m[k]]
+            for r in range(deg):
+                if r != k:
+                    m[r] = [x - m[r][k] * y for x, y in zip(m[r], m[k])]
+        return int(disc), max(m[j][deg + j] for j in range(deg)), tr
+
+    @cached_property
     def _basis_values(self) -> tuple[complex, ...]:
-        """Each basis element under the fixed embedding: theta goes to the largest
-        real root (else the root of largest imaginary part), sqrt(r) to the principal root."""
-        roots = _poly_roots([float(c) for c in self.minpoly])
-        reals = sorted((r.real for r in roots if abs(r.imag) < 1e-9), reverse=True)
-        th = complex(reals[0]) if reals else max(roots, key=lambda z: z.imag)
+        """Each basis element under the fixed embedding: theta goes to the root
+        of largest real part, sqrt(r) to the principal root."""
+        th = complex(max(z.real for z in _poly_roots([float(c) for c in self.minpoly])))
         powers = [th**k for k in range(self.base_degree)]
         radicals = [cmath.sqrt(sum(float(c) * p for c, p in zip(r, powers)))
                     for r in self.adjoined]
@@ -144,8 +172,9 @@ class ValueField:
 
 def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     mp = tuple(_frac(c) for c in minpoly)
-    if len(mp) < 2 or mp[-1] != 1:
-        raise AlgebraError(f"minimal polynomial must be monic, got {minpoly}")
+    if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
+        raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
+    _tower(mp, ())._trace_form  # raises unless the base is totally real
     deg = len(mp) - 1
     radicands = [_as_base_vec(deg, r) for r in adjoined]
     if len(set(radicands)) != len(radicands):
@@ -159,9 +188,6 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
 @lru_cache(maxsize=None)
 def _tower(minpoly: tuple[Fraction, ...], adjoined: tuple[BaseVec, ...]) -> ValueField:
     return ValueField(minpoly, adjoined)
-
-
-RATIONAL_FIELD = make_value_field()
 
 
 def _as_base_vec(deg: int, r) -> BaseVec:
@@ -295,14 +321,13 @@ def _merge(f: ValueField, v0: AlgValue, v1: AlgValue) -> AlgValue:
     return AlgValue(f, v0.coeffs + v1.coeffs)
 
 
-def _solve_linear(mat, rhs, tol=0):
-    """Gaussian elimination with the largest pivot, exact over Q or numeric
-    over C (a pivot of size <= tol counts as 0); None for singular systems."""
+def _solve_linear(mat, rhs):
+    """Exact Gaussian elimination over Q; None for singular systems."""
     n = len(mat)
     m = [list(row) + [r] for row, r in zip(mat, rhs)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) <= tol:
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
@@ -319,6 +344,9 @@ def _solve_linear(mat, rhs, tol=0):
 
 def _unit_vec(deg: int, k: int) -> BaseVec:
     return tuple(Fraction(int(i == k)) for i in range(deg))
+
+
+RATIONAL_FIELD = make_value_field()
 
 
 def from_rational(f: ValueField, q) -> AlgValue:
@@ -401,14 +429,8 @@ def values_equal(a: AlgValue, b: AlgValue) -> bool:
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    rn, rd = isqrt(max(q.numerator, 0)), isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
 
 
 def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
@@ -425,81 +447,61 @@ def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
 
 
 def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
-    """Exact square root of a base-field element, or None.
+    """Exact square root of a base element, or None.
 
-    Rationals and degree 2 bases are handled by direct algebra.  Higher-degree bases
-    go through a numeric embedding with bounded-denominator reconstruction,
-    whose candidates are verified exactly by squaring; a missed square can at
-    worst cost a redundant formal generator, never a wrong value.  A base of
-    odd degree holds no square root of a rational non-square; one of even
-    degree may (sqrt2 lies in Q(sqrt2 + sqrt3)), so it is searched too.
+    A rational goes by integer square roots first; a base of odd degree holds
+    no square root of a rational non-square, one of even degree may (sqrt2
+    lies in Q(sqrt2 + sqrt3)).  Otherwise a root w scales to X = e*w in
+    Z[theta], e = disc * D with D the common denominator of vec, as (D*w)^2 is
+    integral and disc * O_K lies in Z[theta].  At the least odd prime p where
+    the minimal polynomial splits into distinct roots x_i and t = X^2 has unit
+    images, X(x_i) = +-sqrt(t(x_i)); both lift by Newton's method to p^k past
+    twice the bound on X's coordinates that Tr(X^2) = Tr(t) gives through the
+    trace form, and the sign pattern that interpolates X squares to t exactly.
     """
     deg = f.base_degree
-    if all(c == 0 for c in vec):
-        return tuple(Fraction(0) for _ in range(deg))
-    if all(c == 0 for c in vec[1:]):
+    if not any(vec[1:]):
         r = _rational_sqrt(vec[0])
         if r is not None:
-            return tuple([r] + [Fraction(0)] * (deg - 1))
+            return _as_base_vec(deg, r)
         if deg % 2:
             return None
-    if deg > 2:
-        return _base_sqrt_numeric(f, vec)
-    # quadratic base: w = x + y*theta with theta^2 = -c1*theta - c0
-    c0, c1 = f.minpoly[0], f.minpoly[1]
-    v0, v1 = vec
-    # y = 0 branch handled above; otherwise x = (v1 + c1*y^2) / (2y) and
-    # (c1^2 - 4c0) u^2 + (2 c1 v1 - 4 v0) u + v1^2 = 0 with u = y^2.
-    A = c1 * c1 - 4 * c0
-    B = 2 * c1 * v1 - 4 * v0
-    C = v1 * v1
-    for u in _rational_quadratic_roots(A, B, C):
-        if u <= 0:
-            continue
-        y = _rational_sqrt(u)
-        if y is None:
-            continue
-        for yy in (y, -y):
-            x = (v1 + c1 * yy * yy) / (2 * yy)
-            cand = (x, yy)
-            if _base_mul(f, cand, cand) == tuple(vec):
-                return cand
+    disc, bound, tr = f._trace_form
+    e = disc * lcm(*(c.denominator for c in vec))
+    t = tuple(int(c * e * e) for c in vec)
+    mp = [int(c) for c in f.minpoly]
+    for p in count(3, 2):
+        if is_rational_prime(p):
+            xs = [x for x in range(p) if _poly_eval(mp, x) % p == 0]
+            images = [_poly_eval(t, x) % p for x in xs]
+            if len(xs) == deg and all(images):
+                break
+    ys = [next((y for y in range(p) if y * y % p == tx), None) for tx in images]
+    if None in ys:
+        return None  # t is not a square mod p
+    m = p
+    while m * m <= 4 * bound * sum(map(mul, t, tr)):
+        m *= p
+    xs = [_hensel(mp, x, m) for x in xs]
+    ys = [_hensel([-_poly_eval(t, x), 0, 1], y, m) for x, y in zip(xs, ys)]
+    # the inverse Vandermonde matrix has denominators prod(x_i - x_j), units mod p
+    vander = [[Fraction(x) ** k for k in range(deg)] for x in xs]
+    cols = [[y * c.numerator * pow(c.denominator, -1, m) for c in
+             _solve_linear(vander, _unit_vec(deg, i))] for i, y in enumerate(ys)]
+    for signs in product((1, -1), repeat=deg - 1):
+        cand = [(sum(map(mul, (1,) + signs, row)) + m // 2) % m - m // 2 for row in zip(*cols)]
+        if _base_mul(f, cand, cand) == t:
+            return tuple(Fraction(c, e) for c in cand)
     return None
 
 
-def _base_sqrt_numeric(f: ValueField, vec: BaseVec) -> BaseVec | None:
-    """Square root of a base element by embedding, reconstruction (denominator
-    bound 10^6), and exact verification.  Tries every sign pattern for the
-    conjugate square roots; a reconstruction that does not square back to the
-    input exactly is discarded."""
-    import itertools
-
-    deg = f.base_degree
-    roots = _poly_roots([float(c) for c in f.minpoly])
-    matrix = [[r**k for k in range(deg)] for r in roots]
-    embeds = [sum(complex(c) * r**k for k, c in enumerate(vec)) for r in roots]
-    sqrts = [cmath.sqrt(v) for v in embeds]
-    for signs in itertools.product((1, -1), repeat=deg - 1):
-        target = [sqrts[0]] + [s * w for s, w in zip(signs, sqrts[1:])]
-        sol = _solve_linear(matrix, target, tol=1e-12)
-        if sol is None:
-            continue
-        if any(abs(z.imag) > 1e-6 for z in sol):
-            continue
-        cand = tuple(Fraction(z.real).limit_denominator(10**6) for z in sol)
-        if _base_mul(f, cand, cand) == tuple(vec):
-            return cand
-    return None
-
-
-def _rational_quadratic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
-    if A == 0:
-        return [] if B == 0 else [-C / B]
-    disc = B * B - 4 * A * C
-    r = _rational_sqrt(disc) if disc >= 0 else None
-    if r is None:
-        return []
-    return sorted({(-B + r) / (2 * A), (-B - r) / (2 * A)})
+def _hensel(g: list[int], x: int, m: int) -> int:
+    """The root mod m of the integer polynomial g above its simple root x mod
+    p, by Newton steps, each of which doubles the p-adic precision."""
+    dg = [k * c for k, c in enumerate(g)][1:]
+    while _poly_eval(g, x) % m:
+        x = (x - _poly_eval(g, x) * pow(_poly_eval(dg, x), -1, m)) % m
+    return x
 
 
 def _base_root(f: ValueField, c: BaseVec) -> AlgValue | None:
@@ -604,10 +606,11 @@ def _poly_roots(coeffs) -> list[complex]:
     return roots
 
 
-def _poly_eval(coeffs, x: complex) -> complex:
-    out = 0j
+def _poly_eval(coeffs, x):
+    """The polynomial with coefficients constant-first at x, by Horner's rule."""
+    out = 0
     for c in reversed(coeffs):
-        out = out * x + complex(c)
+        out = out * x + c
     return out
 
 
@@ -785,29 +788,12 @@ class _Parser:
 
 
 def _tokenize(text: str):
+    """Integers, names (a letter, then letters, digits or _) and operators."""
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            toks.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise AlgebraError(f"bad character {ch!r} in value expression")
+    for num, name, other in re.findall(r"(\d+)|([^\W\d_]\w*)|(\S)", text):
+        if other and other not in "+-*/^()":
+            raise AlgebraError(f"bad character {other!r} in value expression")
+        toks.append(int(num) if num else name or other)
     return toks
 
 

@@ -18,6 +18,7 @@ from .bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
 from .characters import character_group, character_order, quadratic_characters
 from .classgroup import compute_class_group, genus_data
 from .eigensystem import (
+    EigensystemError,
     eigensystem_from_json,
     eigensystem_to_json,
     hecke_field_report,
@@ -25,7 +26,7 @@ from .eigensystem import (
     twist_orbit,
 )
 from .quadfield import QuadFieldError, label, make_field
-from .recovery import fixture_oracle_from_json, recover
+from .recovery import RecoveryError, fixture_oracle_from_json, recover
 from .verify import ALL_CHECKS, compare_ap, run_checks
 
 
@@ -114,7 +115,11 @@ def cmd_recover(args) -> int:
             file=sys.stderr,
         )
         return 2
-    res = recover(oracle, group, level, bound=args.bound, on_missing="skip")
+    try:
+        res = recover(oracle, group, level, bound=args.bound, on_missing="skip")
+    except (RecoveryError, algext.AlgebraError, EigensystemError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         out = eigensystem_to_json(res.system)
         out["alpha_gaps"] = {label(p): str(op) for p, op in res.alpha_gaps}

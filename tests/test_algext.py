@@ -34,6 +34,7 @@ CUBIC = make_value_field(minpoly=[1, -3, -1, 1])
 QUAD_SQRT3 = make_value_field(minpoly=[-2, 0, 1], adjoined=[3])  # Q(sqrt2)(sqrt3), base sqrt2 = a
 QI23 = make_value_field(adjoined=[-1, 2, 3])
 CUBIC_I = make_value_field(minpoly=[1, -3, -1, 1], adjoined=[-1])
+QUARTIC = make_value_field(minpoly=[1, 0, -10, 0, 1])  # a = sqrt2 + sqrt3
 
 
 def rand_value(f, rng, span=4):
@@ -227,7 +228,7 @@ def test_lift_is_a_ring_map(f, h):
 
 def test_even_degree_base_holds_rational_square_roots():
     # a = sqrt2 + sqrt3 has a^4 - 10a^2 + 1 = 0, and ((a^3 - 9a)/2)^2 = 2
-    f = make_value_field(minpoly=[1, 0, -10, 0, 1])
+    f = QUARTIC
     assert with_radical(f, 2) is f
     root = sqrt_in_tower(from_rational(f, 2))
     assert values_equal(root * root, from_rational(f, 2))
@@ -236,6 +237,21 @@ def test_even_degree_base_holds_rational_square_roots():
     assert sqrt_in_tower(from_rational(f, 5)) is None
     assert sqrt_in_tower(from_rational(CUBIC, 2)) is None
     assert with_radical(CUBIC, 2).dim == 6
+
+
+@pytest.mark.parametrize("f", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+@pytest.mark.parametrize("text", ["(a+1)/1000003", "1000000000000*a + 1",
+                                  "(3*a^2 + 5)*1000000000 + 7*a"])
+def test_squares_with_large_coordinates_stay_in_the_base(f, text):
+    # large numerators or denominators, beyond any float reconstruction
+    w = parse_value(f, text)
+    v = w * w
+    root = sqrt_in_tower(v)
+    assert root is not None and (values_equal(root, w) or values_equal(root, -w))
+    assert with_radical(f, v.coeffs) is f
+    root, g = sqrt_or_adjoin(v)
+    assert g is f and values_equal(root * root, v)
+    assert sqrt_in_tower(-v) is None  # the base is totally real, so -w^2 is no square
 
 
 def test_parse_render_round_trip():
@@ -265,6 +281,15 @@ def test_radicand_length_is_checked_under_optimize(run_optimized):
 def test_malformed_radicands_are_rejected(adjoined, message):
     with pytest.raises(AlgebraError, match=message):
         make_value_field(adjoined=adjoined)
+
+
+@pytest.mark.parametrize(
+    "minpoly,message",
+    [([1, 0, 1], "totally real"), ([0, 0, 1], "totally real"), (["1/2", 0, 1], "integer")],
+)
+def test_malformed_minimal_polynomials_are_rejected(minpoly, message):
+    with pytest.raises(AlgebraError, match=message):
+        make_value_field(minpoly=minpoly)
 
 
 def test_parse_errors():

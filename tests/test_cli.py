@@ -43,6 +43,17 @@ def test_recover_command(capsys):
     assert "oracle gaps" in out
 
 
+def test_recover_reports_a_wrong_oracle_value(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
+    probe = next(row for row in data["values"] if row["aa"] == "9.1" and row["t"] is None)
+    probe["value"] = "2"
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.strip() == "error: T_(a,a) at class (2,) returned 2, not +-1"
+
+
 def test_recover_json_reingests_losslessly(capsys, G17):
     oracle = str(DEFAULT_BUNDLE_DIR / "oracle_2.1.json")
     code, out, _ = run_cli(
@@ -151,6 +162,9 @@ def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
     for field, message in (
         ({"minpoly": [0, 1], "adjoined": [[1, 2]]}, "base degree"),
         ({"adjoined": [2, 8]}, "squarefree"),
+        ({"minpoly": [1, 0, 1]}, "totally real"),
+        ({"minpoly": [0, 0, 1]}, "totally real"),
+        ({"minpoly": ["1/2", 0, 1]}, "integer"),
     ):
         data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
         data["systems"][0]["field"] = field
