@@ -18,11 +18,13 @@ automorphisms, embeddings and rendering are single loops over coefficients.
 Square roots are exact.  A base square root comes from p-adic lifting at a
 split prime, bounded through the trace form of Q(theta), which
 ``make_value_field`` therefore requires to be positive definite: the base is
-totally real.  A root is adjoined only when its radicand is not already a
+totally real.  It also requires an irreducible minimal polynomial, so the base
+is a field.  A root is adjoined only when its radicand is not already a
 square (Kummer theory: no product of the tower's radicands times it is a base
 square), so every tower the library builds is a field; ``make_value_field``
-builds exactly the tower it is given.  A fixed high-precision embedding gives
-every root its value, and ``canonical_sign`` and ``lift`` follow it.
+builds exactly the tower it is given.  The embedding sends theta to the
+largest root of its minimal polynomial and gives every root its value, and
+``canonical_sign`` and ``lift`` follow it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count, product
+from itertools import combinations, count, product
 from math import isqrt, lcm, prod
 from operator import mul
 
@@ -146,9 +148,9 @@ class ValueField:
 
     @cached_property
     def _basis_values(self) -> tuple[complex, ...]:
-        """Each basis element under the fixed embedding: theta goes to the root
-        of largest real part, sqrt(r) to the principal root."""
-        th = complex(max(z.real for z in _poly_roots([float(c) for c in self.minpoly])))
+        """Each basis element under the fixed embedding: theta goes to the
+        largest root, sqrt(r) to the principal root."""
+        th = complex(_largest_root([float(c) for c in self.minpoly]))
         powers = [th**k for k in range(self.base_degree)]
         radicals = [cmath.sqrt(sum(float(c) * p for c, p in zip(r, powers)))
                     for r in self.adjoined]
@@ -175,6 +177,8 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
     _tower(mp, ())._trace_form  # raises unless the base is totally real
+    if len(mp) > 2 and not _is_irreducible([int(c) for c in mp]):
+        raise AlgebraError(f"minimal polynomial [{', '.join(map(str, mp))}] is reducible")
     deg = len(mp) - 1
     radicands = [_as_base_vec(deg, r) for r in adjoined]
     if len(set(radicands)) != len(radicands):
@@ -470,12 +474,10 @@ def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
     e = disc * lcm(*(c.denominator for c in vec))
     t = tuple(int(c * e * e) for c in vec)
     mp = [int(c) for c in f.minpoly]
-    for p in count(3, 2):
-        if is_rational_prime(p):
-            xs = [x for x in range(p) if _poly_eval(mp, x) % p == 0]
-            images = [_poly_eval(t, x) % p for x in xs]
-            if len(xs) == deg and all(images):
-                break
+    for p, xs in _split_primes(mp):
+        images = [_poly_eval(t, x) % p for x in xs]
+        if all(images):
+            break
     ys = [next((y for y in range(p) if y * y % p == tx), None) for tx in images]
     if None in ys:
         return None  # t is not a square mod p
@@ -493,6 +495,42 @@ def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
         if _base_mul(f, cand, cand) == t:
             return tuple(Fraction(c, e) for c in cand)
     return None
+
+
+def _split_primes(mp: list[int]):
+    """(p, roots of mp mod p) for each odd prime p, in increasing order, at
+    which the monic integer polynomial mp splits into distinct roots."""
+    for p in count(3, 2):
+        if is_rational_prime(p):
+            xs = [x for x in range(p) if _poly_eval(mp, x) % p == 0]
+            if len(xs) == len(mp) - 1:
+                yield p, xs
+
+
+def _is_irreducible(mp: list[int]) -> bool:
+    """Whether the monic integer polynomial mp is irreducible over Q.  A monic
+    factor of degree k <= deg/2 has integer coefficients (Gauss) of absolute
+    value at most (1 + C)^k, C = 1 + max|c_i| the Cauchy bound on the roots,
+    so it is the product of x - x_i over k roots x_i of mp, lifted mod
+    m > 2(1 + C)^k at a split prime and read with symmetric residues."""
+    deg = len(mp) - 1
+    p, xs = next(_split_primes(mp))
+    m = p
+    while m <= 2 * (2 + max(map(abs, mp[:-1]))) ** (deg // 2):
+        m *= p
+    xs = [_hensel(mp, x, m) for x in xs]
+    for k in range(1, deg // 2 + 1):
+        for roots in combinations(xs, k):
+            g = [1]
+            for x in roots:
+                g = [(a - x * b) % m for a, b in zip([0] + g, g + [0])]
+            g = [(c + m // 2) % m - m // 2 for c in g]
+            rem = list(mp)  # long division by the monic g
+            for i in range(deg - k, -1, -1):
+                rem[i:i + k + 1] = [r - rem[i + k] * c for r, c in zip(rem[i:i + k + 1], g)]
+            if not any(rem):
+                return False
+    return True
 
 
 def _hensel(g: list[int], x: int, m: int) -> int:
@@ -584,26 +622,15 @@ def with_radical(f: ValueField, q) -> ValueField:
 # -- numeric embedding (root values, signs and rendering order) --------------
 
 
-def _poly_roots(coeffs) -> list[complex]:
-    """Durand-Kerner roots of a monic polynomial given constant-first."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return [complex(-coeffs[0])]
-    roots = [complex(0.4, 0.9) ** k for k in range(n)]
-    for _ in range(200):
-        moved = 0.0
-        for i in range(n):
-            num = _poly_eval(coeffs, roots[i])
-            den = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= roots[i] - roots[j]
-            step = num / den
-            roots[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return roots
+def _largest_root(coeffs) -> float:
+    """The largest root of a monic real-rooted polynomial given constant-first,
+    by Newton's method from the Cauchy bound 1 + max|c_i|: right of the largest
+    root the polynomial is increasing and convex, so the iterates descend to it."""
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    x = 1 + max(map(abs, coeffs[:-1]))
+    while (nxt := x - _poly_eval(coeffs, x) / _poly_eval(deriv, x)) < x:
+        x = nxt
+    return x
 
 
 def _poly_eval(coeffs, x):

@@ -273,6 +273,11 @@ class ClassGroup:
             frontier = nxt
         return out
 
+    def genus(self, x: IdealClass) -> tuple[int, ...]:
+        """The coset of CL^2 holding x: its exponent parities on the even
+        cyclic factors (odd factors lie wholly inside CL^2)."""
+        return tuple(e % 2 for e, d in zip(x.exps, self.elementary_divisors) if d % 2 == 0)
+
     def squares(self) -> frozenset[IdealClass]:
         """CL^2, computed once at construction."""
         return self._squares

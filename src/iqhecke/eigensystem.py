@@ -39,7 +39,7 @@ from .characters import (
     mul_characters,
 )
 from .classgroup import ClassGroup, IdealClass
-from .quadfield import Ideal, coprime, factor_ideal, ideals_of_norm, label
+from .quadfield import Ideal, coprime, factor_ideal, label, label_key
 
 
 class EigensystemError(ValueError):
@@ -50,12 +50,6 @@ class EigensystemError(ValueError):
 
 # t = 2cos(2pi/n) for the orders n whose t is rational
 _ROU_TRACE = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
-
-
-def extend_for_root_order(f: ValueField, order: int) -> ValueField:
-    if order not in _ROU_TRACE:
-        raise EigensystemError(f"roots of unity of order {order} are not supported")
-    return algext.with_radical(f, _ROU_TRACE[order] ** 2 - 4)
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +65,21 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
     for _ in range(z.k):
         out = out * zeta
     return out
+
+
+def character_field(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> ValueField:
+    """f with the values of chi: zeta_n for n the order of chi."""
+    n = character_order(group, chi)
+    if n not in _ROU_TRACE:
+        raise EigensystemError(f"roots of unity of order {n} are not supported")
+    return algext.with_radical(f, _ROU_TRACE[n] ** 2 - 4)
+
+
+@lru_cache(maxsize=None)
+def character_values(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> dict:
+    """class -> chi(class) in f, None where f lacks the value; one table per
+    (tower, character), as towers are interned.  Callers must not mutate it."""
+    return {x: root_of_unity_value(f, eval_on_class(group, chi, x)) for x in group.all_classes()}
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,6 @@ class HeckeEigensystem:
         return max((p.norm for p, _ in self.alpha), default=0)
 
 
-def _sort_alpha(items) -> tuple:
-    return tuple(
-        sorted(items, key=lambda pv: (pv[0].norm, ideals_of_norm(pv[0].field, pv[0].norm).index(pv[0])))
-    )
-
-
 def make_eigensystem(
     group: ClassGroup,
     level: Ideal,
@@ -137,7 +140,7 @@ def make_eigensystem(
         f = algext.RATIONAL_FIELD
         for v in alpha.values():
             f = algext.join_fields(f, v.field)
-    f = extend_for_root_order(f, character_order(group, character))
+    f = character_field(f, group, character)
     lifted = {p: lift(v, f) for p, v in alpha.items()}
     if al_signs is not None and not character.is_trivial():
         raise EigensystemError("involution signs only make sense for trivial character")
@@ -152,7 +155,7 @@ def make_eigensystem(
         group=group,
         level=level,
         character=character,
-        alpha=_sort_alpha(lifted.items()),
+        alpha=tuple(sorted(lifted.items(), key=lambda pv: label_key(pv[0]))),
         al_signs=al,
         vfield=f,
         selftwist_candidates=cands,
@@ -163,8 +166,7 @@ def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
     """chi(p) as a tower value, with the zero convention at bad primes."""
     if not coprime(p, F.level):
         return algext.zero(F.vfield)
-    z = eval_on_class(F.group, F.character, F.group.ideal_class(p))
-    v = root_of_unity_value(F.vfield, z)
+    v = character_values(F.vfield, F.group, F.character)[F.group.ideal_class(p)]
     if v is None:
         raise EigensystemError("value field does not contain the character values")
     return v
@@ -215,12 +217,9 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 
 def twist(F: HeckeEigensystem, psi: ClassCharacter) -> HeckeEigensystem:
     group = F.group
-    f = extend_for_root_order(F.vfield, character_order(group, psi))
-    new_alpha = {}
-    for p, v in F.alpha:
-        z = eval_on_class(group, psi, group.ideal_class(p))
-        zval = root_of_unity_value(f, z)
-        new_alpha[p] = lift(v, f) * zval
+    f = character_field(F.vfield, group, psi)
+    values = character_values(f, group, psi)
+    new_alpha = {p: lift(v, f) * values[group.ideal_class(p)] for p, v in F.alpha}
     new_char = mul_characters(group, F.character, character_pow(group, psi, 2))
     al = None
     if F.al_signs is not None:
@@ -312,7 +311,7 @@ def galois_conjugate_system(F: HeckeEigensystem) -> HeckeEigensystem:
     )
 
 
-def inner_twist_pairs(F: HeckeEigensystem, bound: int | None = None) -> list:
+def inner_twist_pairs(F: HeckeEigensystem) -> list:
     """All (tau, psi) with tau(alpha(p)) = psi(p) alpha(p) on stored primes.
 
     The compatibility tau(chi(p)) = psi(p)^2 chi(p) is checked for every
@@ -320,17 +319,13 @@ def inner_twist_pairs(F: HeckeEigensystem, bound: int | None = None) -> list:
     """
     group = F.group
     pairs = []
-    good = [
-        (p, v)
-        for p, v in F.alpha
-        if coprime(p, F.level) and (bound is None or p.norm <= bound)
-    ]
+    good = [(p, v) for p, v in F.alpha if coprime(p, F.level)]
     for tau in algext.automorphisms(F.vfield):
         for psi in character_group(group):
+            values = character_values(F.vfield, group, psi)
             ok = True
             for p, v in good:
-                z = eval_on_class(group, psi, group.ideal_class(p))
-                zval = root_of_unity_value(F.vfield, z)
+                zval = values[group.ideal_class(p)]
                 tv = tau.apply(v)
                 if zval is None:
                     if not (v.is_zero() and tv.is_zero()):
@@ -342,10 +337,10 @@ def inner_twist_pairs(F: HeckeEigensystem, bound: int | None = None) -> list:
             if ok:
                 pairs.append((tau, psi))
     for tau, psi in pairs:
+        values = character_values(F.vfield, group, character_pow(group, psi, 2))
         for p, _ in good:
             chip = chi_value(F, p)
-            z2 = eval_on_class(group, character_pow(group, psi, 2), group.ideal_class(p))
-            z2val = root_of_unity_value(F.vfield, z2)
+            z2val = values[group.ideal_class(p)]
             if z2val is None or not values_equal(tau.apply(chip), z2val * chip):
                 raise EigensystemError(
                     "inner-twist pair fails the character compatibility law"
@@ -353,11 +348,11 @@ def inner_twist_pairs(F: HeckeEigensystem, bound: int | None = None) -> list:
     return pairs
 
 
-def has_quadratic_inner_twist(F: HeckeEigensystem, bound: int | None = None) -> bool:
+def has_quadratic_inner_twist(F: HeckeEigensystem) -> bool:
     """A nontrivial inner twist by a quadratic character (the joined-orbit
     signature in the tables)."""
     group = F.group
-    for tau, psi in inner_twist_pairs(F, bound):
+    for tau, psi in inner_twist_pairs(F):
         if tau.is_identity() and psi.is_trivial():
             continue
         if not psi.is_trivial() and is_quadratic(group, psi) and not tau.is_identity():
@@ -365,15 +360,13 @@ def has_quadratic_inner_twist(F: HeckeEigensystem, bound: int | None = None) -> 
     return False
 
 
-def base_change_candidate(F: HeckeEigensystem, bound: int | None = None) -> bool:
+def base_change_candidate(F: HeckeEigensystem) -> bool:
     if F.level != F.level.conjugate():
         raise EigensystemError(
             "base-change screening needs a conjugation-stable level"
         )
     amap = F.alpha_map()
     for p, v in F.alpha:
-        if bound is not None and p.norm > bound:
-            continue
         q = p.conjugate()
         if q not in amap:
             continue
@@ -388,14 +381,10 @@ class SupportSubgroup:
     index: int
 
 
-def support_subgroup(F: HeckeEigensystem, bound: int | None = None) -> SupportSubgroup:
+def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
     group = F.group
     gens = list(group.squares())
-    for p, v in F.alpha:
-        if bound is not None and p.norm > bound:
-            continue
-        if not v.is_zero():
-            gens.append(group.ideal_class(p))
+    gens += [group.ideal_class(p) for p, v in F.alpha if not v.is_zero()]
     sub = group.subgroup(gens)
     return SupportSubgroup(frozenset(sub), group.h // len(sub))
 
@@ -450,30 +439,21 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     """
     group = F.group
     f = F.vfield
-    squares = group.squares()
-
-    def square_aux_value(cls: IdealClass) -> AlgValue | None:
-        for x in group.all_classes():
-            if group.mul(group.power(x, 2), cls).is_identity():
-                z = eval_on_class(group, F.character, x)
-                return root_of_unity_value(f, z)
-        return None
-
+    chi = character_values(f, group, F.character)
+    # each class c of CL^2 -> chi(x) for the first class x with x^2 c = 1
+    aux_values: dict[IdealClass, AlgValue | None] = {}
+    for x in group.all_classes():
+        aux_values.setdefault(group.inv(group.power(x, 2)), chi[x])
     principal_gens: list[AlgValue] = []
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
     classes = {p: group.ideal_class(p) for p in good}
-    aux_values: dict[IdealClass, AlgValue | None] = {}
     for size in (1, 2, 3):
         for combo in combinations_with_replacement(good, size):
             seen = Counter(combo)
             cls = group.identity()
             for p, e in seen.items():
                 cls = group.mul(cls, group.power(classes[p], e))
-            if cls not in squares:
-                continue
-            if cls not in aux_values:
-                aux_values[cls] = square_aux_value(cls)
-            val = aux_values[cls]
+            val = aux_values.get(cls)  # None off CL^2, or where f lacks chi(x)
             if val is None:
                 continue
             for p, e in seen.items():

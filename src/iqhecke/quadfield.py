@@ -244,8 +244,8 @@ def ideal_mul(i: Ideal, j: Ideal) -> Ideal:
 
     g1 = [(i.a, 0), (i.b, i.c)]
     g2 = [(j.a, 0), (j.b, j.c)]
-    prods = [mul(x1, y1, x2, y2) for x1, y1 in g1 for x2, y2 in g2]
-    out = ideal_from_gens(f, prods)
+    # the products of Z-bases of I and J already span IJ over Z
+    out = _hnf_from_rows(f, [mul(x1, y1, x2, y2) for x1, y1 in g1 for x2, y2 in g2])
     if out.norm != i.norm * j.norm:
         raise QuadFieldError(f"product of {i} and {j} has norm {out.norm}")
     return out
@@ -428,9 +428,14 @@ def ideals_of_norm(field: QuadField, norm: int) -> tuple[Ideal, ...]:
     return tuple(sorted(out, key=lambda i: (i.a, i.c, i.b)))
 
 
+@lru_cache(maxsize=None)
+def label_key(i: Ideal) -> tuple[int, int]:
+    """(N, k) for the ideal labelled N.k; sorting by it is label order."""
+    return i.norm, ideals_of_norm(i.field, i.norm).index(i) + 1
+
+
 def label(i: Ideal) -> str:
-    ordered = ideals_of_norm(i.field, i.norm)
-    return f"{i.norm}.{ordered.index(i) + 1}"
+    return "%d.%d" % label_key(i)
 
 
 def ideal_from_label(field: QuadField, lab: str) -> Ideal:
@@ -468,4 +473,4 @@ def primes_of_norm_up_to(field: QuadField, bound: int) -> list[Ideal]:
         for pp in primes_above(field, p)
         if pp.norm <= bound
     ]
-    return sorted(out, key=lambda i: (i.norm, ideals_of_norm(field, i.norm).index(i)))
+    return sorted(out, key=label_key)

@@ -17,24 +17,20 @@ answer by chi(a^-1).  For t*w in a trivial class, a is the unit ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algext
 from .algext import AlgValue, lift, sqrt_or_adjoin
-from .characters import (
-    character_group,
-    character_order,
-    eval_on_class,
-)
+from .characters import character_group, eval_on_class
 from .classgroup import ClassGroup, IdealClass, first_ideal
 from .eigensystem import (
     EigensystemError,
     HeckeEigensystem,
+    character_field,
+    character_values,
     chi_value,
     coefficient,
-    extend_for_root_order,
     make_eigensystem,
-    root_of_unity_value,
 )
 from .quadfield import (
     Ideal,
@@ -195,36 +191,15 @@ def fixture_oracle_to_json(
     }
 
 
-@dataclass
-class SignTable:
-    """Reference pairs (a, alpha(a)), one per genus class reached so far."""
-
-    group: ClassGroup
-    entries: list = field(default_factory=list)  # (Ideal, AlgValue)
-
-    def genus_key(self, cls: IdealClass) -> tuple[int, ...]:
-        """The coset of CL^2 holding cls: its exponent parities on the even
-        cyclic factors (odd factors lie wholly inside CL^2)."""
-        divisors = self.group.elementary_divisors
-        return tuple(e % 2 for e, d in zip(cls.exps, divisors) if d % 2 == 0)
-
-    def lookup(self, cls: IdealClass):
-        key = self.genus_key(cls)
-        for a, va in self.entries:
-            if self.genus_key(self.group.ideal_class(a)) == key:
-                return a, va
-        return None
-
-    def extend(self, p: Ideal, alpha_p: AlgValue):
-        new = []
-        for a, va in self.entries:
-            common = algext.join_fields(va.field, alpha_p.field)
-            new.append((ideal_mul(a, p), lift(va, common) * lift(alpha_p, common)))
-        self.entries.extend(new)
-        self.entries.append((p, alpha_p))
-
-    def size(self) -> int:
-        return len(self.entries) + 1  # counting the implicit ((1), 1) entry
+def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValue) -> None:
+    """Step 2d: add (p, alpha(p)) and its product with every entry to the
+    table genus -> (a, alpha(a)), whose unit entry ((1), 1) is implicit.  p's
+    genus is new, so the genera double and each keeps one entry."""
+    for a, va in list(table.values()):
+        common = algext.join_fields(va.field, alpha_p.field)
+        ap = ideal_mul(a, p)
+        table[group.genus(group.ideal_class(ap))] = (ap, lift(va, common) * lift(alpha_p, common))
+    table[group.genus(group.ideal_class(p))] = (p, alpha_p)
 
 
 @dataclass
@@ -274,10 +249,10 @@ def recover(
     else:
         signs = {c.exps: s for c, s in restriction.items()}
         raise RecoveryError(f"no character has the two-torsion restriction {signs}")
-    work = extend_for_root_order(algext.RATIONAL_FIELD, character_order(group, chi))
+    work = character_field(algext.RATIONAL_FIELD, group, chi)
 
     def chiv(cls: IdealClass) -> AlgValue:
-        v = root_of_unity_value(work, eval_on_class(group, chi, cls))
+        v = character_values(work, group, chi)[cls]
         if v is None:
             raise RecoveryError(f"{work.describe()} lacks the values of character {chi.exps}")
         return v
@@ -306,7 +281,7 @@ def recover(
     # is recovered and a nonzero root doubles the table (2d).
     alpha: dict[Ideal, AlgValue] = {}
     gaps = []
-    table = SignTable(group)
+    table: dict[tuple[int, ...], tuple[Ideal, AlgValue]] = {}
     for p in primes_of_norm_up_to(K, bound):
         if not coprime(p, level):
             continue
@@ -314,7 +289,7 @@ def recover(
         try:
             if cls in squares:
                 alpha[p] = principal(t=p, coprime_to=(p,))
-            elif (hit := table.lookup(cls)) is not None:
+            elif (hit := table.get(group.genus(cls))) is not None:
                 a_t, alpha_t = hit
                 alpha[p] = principal(t=ideal_mul(p, a_t)) / absorb(alpha_t)
             else:
@@ -324,7 +299,7 @@ def recover(
                 else:
                     root = absorb(sqrt_or_adjoin(alpha_sq)[0])
                     alpha[p] = -root if sign_flip else root
-                    table.extend(p, alpha[p])
+                    double_sign_table(group, table, p, alpha[p])
         except OracleMissingError as exc:
             if on_missing == "error":
                 raise

@@ -285,7 +285,8 @@ def test_malformed_radicands_are_rejected(adjoined, message):
 
 @pytest.mark.parametrize(
     "minpoly,message",
-    [([1, 0, 1], "totally real"), ([0, 0, 1], "totally real"), (["1/2", 0, 1], "integer")],
+    [([1, 0, 1], "totally real"), ([0, 0, 1], "totally real"), (["1/2", 0, 1], "integer"),
+     ([2, -3, 1], "reducible"), ([6, 0, -5, 0, 1], "reducible")],
 )
 def test_malformed_minimal_polynomials_are_rejected(minpoly, message):
     with pytest.raises(AlgebraError, match=message):

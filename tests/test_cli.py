@@ -165,6 +165,8 @@ def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
         ({"minpoly": [1, 0, 1]}, "totally real"),
         ({"minpoly": [0, 0, 1]}, "totally real"),
         ({"minpoly": ["1/2", 0, 1]}, "integer"),
+        ({"minpoly": [2, -3, 1]}, "reducible"),
+        ({"minpoly": [6, 0, -5, 0, 1]}, "reducible"),
     ):
         data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
         data["systems"][0]["field"] = field

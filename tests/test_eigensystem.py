@@ -10,6 +10,7 @@ from iqhecke.characters import (
     RootOfUnity,
     character_group,
     character_order,
+    eval_on_class,
     mul_characters,
 )
 from iqhecke.classgroup import compute_class_group
@@ -17,6 +18,7 @@ from iqhecke.eigensystem import (
     EigensystemError,
     _span_dimension,
     base_change_candidate,
+    character_values,
     coefficient,
     eigensystem_from_json,
     eigensystem_to_json,
@@ -311,8 +313,7 @@ def test_trivial_character_towers_are_totally_real(bundle):
                 continue
             for r in F.vfield.adjoined:
                 assert all(c == 0 for c in r[1:]) and r[0] > 0
-            roots = algext._poly_roots([float(c) for c in F.vfield.minpoly])
-            assert all(abs(z.imag) < 1e-9 for z in roots)
+            assert F.vfield._trace_form[0] > 0  # raises unless the base is totally real
 
 
 def test_al_signs_under_twist(bundle, F0, K17):
@@ -350,6 +351,25 @@ def test_make_eigensystem_validation(G17, K17):
             {},
             {ideal_from_label(K17, "2.1"): 2},
         )
+
+
+@pytest.mark.parametrize("d", [17, 21, 23, 105])
+def test_character_values_agree_with_root_of_unity_values(d):
+    g = compute_class_group(make_field(d))
+    Q, QI = algext.RATIONAL_FIELD, algext.make_value_field(adjoined=[-1])
+    missing = {Q: 0, QI: 0}
+    for f in (Q, QI):
+        for chi in character_group(g):
+            table = character_values(f, g, chi)
+            assert table is character_values(f, g, chi)
+            assert table == {
+                x: root_of_unity_value(f, eval_on_class(g, chi, x)) for x in g.all_classes()
+            }
+            missing[f] += sum(v is None for v in table.values())
+    # Q lacks the values of order 4 (d = 17, CL = C4) and 3 (d = 23, CL = C3);
+    # adjoining i supplies the former only
+    assert (missing[Q] > 0) == (d in (17, 23))
+    assert (missing[QI] > 0) == (d == 23)
 
 
 @pytest.mark.parametrize("adjoined,count", [([-3], 6), ([-1], 4), ([-1, 3], 8)])

@@ -92,6 +92,19 @@ def test_ideal_mul_random_properties(K17):
         assert ideal_mul(ab, c) == ideal_mul(a, ideal_mul(b, c))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 21, 23, 65, 105, 89])
+def test_ideal_mul_agrees_with_the_ideal_generated_by_the_products(d):
+    K = make_field(d)
+    t, n = K.trace_omega, K.norm_omega
+    rng = random.Random(d)
+    pool = [i for norm in range(1, 60) for i in ideals_of_norm(K, norm)]
+    for _ in range(100):
+        i, j = rng.choice(pool), rng.choice(pool)
+        prods = [(x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + t * y1 * y2)
+                 for x1, y1 in ((i.a, 0), (i.b, i.c)) for x2, y2 in ((j.a, 0), (j.b, j.c))]
+        assert ideal_mul(i, j) == ideal_from_gens(K, prods)
+
+
 def test_prime_splitting_examples(K17):
     rec3 = factor_rational_prime(K17, 3)
     assert rec3.kind == "split"
@@ -265,7 +278,7 @@ def test_checks_raise_quadfield_error(K17, monkeypatch):
     ):
         with pytest.raises(QuadFieldError):
             call()
-    monkeypatch.setattr(quadfield, "ideal_from_gens", lambda field, gens: unit_ideal(field))
+    monkeypatch.setattr(quadfield, "_hnf_from_rows", lambda field, rows: unit_ideal(field))
     with pytest.raises(QuadFieldError, match="has norm"):
         ideal_mul(p21, p21)
 

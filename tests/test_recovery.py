@@ -22,8 +22,8 @@ from iqhecke.recovery import (
     FixtureOracle,
     OracleMissingError,
     RecoveryError,
-    SignTable,
     SyntheticOracle,
+    double_sign_table,
     fixture_oracle_from_json,
     make_principal_operator,
     recover,
@@ -151,7 +151,7 @@ def test_sign_flip_lands_in_same_orbit(bundle, G17):
 
 def test_sign_table_doubles_and_caps():
     g = compute_class_group(make_field(21))  # C2 x C2, r2 = 2
-    table = SignTable(g)
+    table = {}
     f = algext.RATIONAL_FIELD
     pool = primes_of_norm_up_to(g.field, 60)
     used = []
@@ -159,12 +159,12 @@ def test_sign_table_doubles_and_caps():
         cls = g.ideal_class(p)
         if cls.is_identity() or cls in g.squares():
             continue
-        if table.lookup(cls) is None:
-            table.extend(p, algext.from_rational(f, 1))
+        if g.genus(cls) not in table:
+            double_sign_table(g, table, p, algext.from_rational(f, 1))
             used.append(p)
-        if table.size() == 4:
+        if len(table) + 1 == 4:  # counting the implicit ((1), 1) entry
             break
-    assert table.size() == 4  # 2^r2
+    assert len(table) + 1 == 4  # 2^r2
     assert len(used) == 2  # doubled exactly r2 times
 
 
@@ -305,13 +305,12 @@ def test_fixture_recovery_query_sequence(G17):
 @pytest.mark.parametrize("d", [17, 21, 14, 65, 105])
 def test_genus_key_identifies_square_cosets(d):
     g = compute_class_group(make_field(d))
-    table = SignTable(g)
     squares = g.squares()
     classes = g.all_classes()
     for x in classes:
         for y in classes:
             same_coset = g.mul(x, g.inv(y)) in squares
-            assert (table.genus_key(x) == table.genus_key(y)) == same_coset
+            assert (g.genus(x) == g.genus(y)) == same_coset
 
 
 def recover_with_inconsistent_restriction():
@@ -345,6 +344,6 @@ def test_inconsistent_restriction_raises_under_optimize(run_optimized):
 
 def test_missing_character_values_raise(G17, monkeypatch):
     oracle, level = load_oracle(G17)
-    monkeypatch.setattr(recovery, "root_of_unity_value", lambda f, z: None)
+    monkeypatch.setattr(recovery, "character_values", lambda f, g, chi: dict.fromkeys(g.all_classes()))
     with pytest.raises(RecoveryError, match="lacks the values"):
         recover(oracle, G17, level, bound=13, on_missing="skip")
