@@ -824,11 +824,8 @@ def _tokenize(text: str):
     return toks
 
 
-def parse_value(f: ValueField, text: str, symbols: dict[str, AlgValue] | None = None) -> AlgValue:
-    syms = dict(field_symbols(f))
-    if symbols:
-        syms.update(symbols)
-    return _Parser(str(text), f, syms).parse()
+def parse_value(f: ValueField, text: str) -> AlgValue:
+    return _Parser(str(text), f, field_symbols(f)).parse()
 
 
 def render_value(v: AlgValue) -> str:

@@ -1,4 +1,7 @@
-"""Characters of the ideal class group, with exact root-of-unity values."""
+"""Characters of the ideal class group, with exact root-of-unity values.
+
+Characters are exponent vectors on the generators of CL and use ClassGroup's law.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .classgroup import ClassGroup, IdealClass
-from .quadfield import Ideal, coprime, exact_prime_power_divisors
+from .quadfield import Ideal, exact_prime_power_divisors
 
 
 @dataclass(frozen=True, order=True)
@@ -31,13 +34,6 @@ class RootOfUnity:
     def __pow__(self, e: int) -> "RootOfUnity":
         return RootOfUnity.make(self.k * e, self.n)
 
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity.make(-self.k, self.n)
-
-    @property
-    def order(self) -> int:
-        return self.n
-
     def is_one(self) -> bool:
         return self.n == 1
 
@@ -48,10 +44,6 @@ class RootOfUnity:
         if self.n == 2:
             return -1
         raise ValueError(f"{self} is not real")
-
-
-ONE = RootOfUnity(0, 1)
-MINUS_ONE = RootOfUnity(1, 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -71,57 +63,21 @@ def character_group(group: ClassGroup) -> list[ClassCharacter]:
     return sorted(ClassCharacter(c.exps) for c in group.all_classes())
 
 
-def trivial_character(group: ClassGroup) -> ClassCharacter:
-    return ClassCharacter(tuple(0 for _ in group.elementary_divisors))
-
-
-def mul_characters(group: ClassGroup, x: ClassCharacter, y: ClassCharacter) -> ClassCharacter:
-    return ClassCharacter(
-        tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, group.elementary_divisors))
-    )
-
-
-def character_pow(group: ClassGroup, x: ClassCharacter, e: int) -> ClassCharacter:
-    return ClassCharacter(tuple((a * e) % d for a, d in zip(x.exps, group.elementary_divisors)))
-
-
-def character_inverse(group: ClassGroup, x: ClassCharacter) -> ClassCharacter:
-    return character_pow(group, x, -1)
-
-
 def character_order(group: ClassGroup, chi: ClassCharacter) -> int:
-    out = 1
-    for e, d in zip(chi.exps, group.elementary_divisors):
-        if e:
-            out = lcm(out, d // gcd(e, d))
-    return out
+    return group.class_order(chi)
 
 
 def eval_on_class(group: ClassGroup, chi: ClassCharacter, cls: IdealClass) -> RootOfUnity:
-    n = 1
-    for d in group.elementary_divisors:
-        n = lcm(n, d)
+    # the divisors are nested, so the last one is the exponent of CL
+    n = group.elementary_divisors[-1] if group.elementary_divisors else 1
     k = 0
     for e, x, d in zip(chi.exps, cls.exps, group.elementary_divisors):
         k += e * x * (n // d)
     return RootOfUnity.make(k, n)
 
 
-def eval_character(
-    group: ClassGroup,
-    chi: ClassCharacter,
-    a: Ideal,
-    level: Ideal | None = None,
-) -> RootOfUnity | None:
-    """chi evaluated at an ideal; None encodes the value 0 at ideals not
-    coprime to the level."""
-    if level is not None and not coprime(a, level):
-        return None
-    return eval_on_class(group, chi, group.ideal_class(a))
-
-
 def is_quadratic(group: ClassGroup, chi: ClassCharacter) -> bool:
-    return character_order(group, chi) <= 2
+    return group.class_order(chi) <= 2
 
 
 def quadratic_characters(group: ClassGroup) -> list[ClassCharacter]:
@@ -132,7 +88,7 @@ def quadratic_characters(group: ClassGroup) -> list[ClassCharacter]:
 def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[ClassCharacter]:
     """The set C(n): nontrivial quadratic psi with psi(q) = +1 for every exact
     prime-power divisor q of n (q = n included when n is a prime power)."""
-    blocks = exact_prime_power_divisors(n) if not n.is_unit() else []
+    blocks = exact_prime_power_divisors(n)
     out = []
     for psi in quadratic_characters(group):
         if psi.is_trivial():

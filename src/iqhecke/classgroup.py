@@ -12,7 +12,8 @@ library targets (h up to a few hundred).  Generators are chosen greedily by
 orbit length, and one table built from their orbits maps every form to its
 exponent vector (discrete logs).  After that, every class query works on
 exponent vectors alone; CL^2 and CL[2] are computed once, at construction,
-and the class of an ideal once, on its first query.
+where the 2-rank is checked against genus theory, and the class of an ideal
+once, on its first query.  Characters share the law on exponent vectors.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ class ClassGroup:
         elementary_divisors: (d1, ..., dk) with d1 | d2 | ... | dk.
         generators: reduced forms generating the cyclic factors, aligned with
             the elementary divisors.
+        r2: the 2-rank, checked against genus theory at construction.
     """
 
     def __init__(self, field: QuadField):
@@ -145,6 +147,17 @@ class ClassGroup:
         classes = self.all_classes()
         self._squares = frozenset(self.power(x, 2) for x in classes)
         self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_identity())
+        # genus theory: CL/CL^2 and CL[2] have order 2^r2, and r2 + 1 primes
+        # divide the discriminant
+        genus_order = self.h // len(self._squares)
+        self.r2 = genus_order.bit_length() - 1
+        if 1 << self.r2 != genus_order or len(self._two_torsion) != genus_order:
+            raise ClassGroupError("genus group is not elementary abelian of the right size")
+        n_disc_primes = len(factor_int(-field.disc))
+        if self.r2 != n_disc_primes - 1:
+            raise ClassGroupError(
+                f"2-rank {self.r2} disagrees with genus theory ({n_disc_primes} primes divide the discriminant)"
+            )
 
     # -- construction ------------------------------------------------------
 
@@ -237,26 +250,26 @@ class ClassGroup:
             cls = self._ideal_classes[i] = self.class_of_form(form_of_ideal(i))
         return cls
 
-    def is_principal(self, i: Ideal) -> bool:
-        return self.ideal_class(i).is_identity()
+    # One law for classes and characters (Z/d1 x ... x Z/dk on the same
+    # generators): each operation returns the type of its operand.
 
-    def mul(self, x: IdealClass, y: IdealClass) -> IdealClass:
-        return IdealClass(
+    def mul(self, x, y):
+        return type(x)(
             tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, self.elementary_divisors))
         )
 
-    def inv(self, x: IdealClass) -> IdealClass:
-        return IdealClass(tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors)))
+    def inv(self, x):
+        return type(x)(tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors)))
 
-    def power(self, x: IdealClass, e: int) -> IdealClass:
-        return IdealClass(tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors)))
+    def power(self, x, e: int):
+        return type(x)(tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors)))
 
     def all_classes(self) -> list[IdealClass]:
         """Every class once, exponent index 0 varying fastest."""
         ranges = [range(d) for d in reversed(self.elementary_divisors)]
         return [IdealClass(e[::-1]) for e in product(*ranges)]
 
-    def class_order(self, x: IdealClass) -> int:
+    def class_order(self, x) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))
 
     def subgroup(self, gens: list[IdealClass]) -> set[IdealClass]:
@@ -303,28 +316,6 @@ def _principal_form(field: QuadField) -> tuple[int, int, int]:
 
 def compute_class_group(field: QuadField) -> ClassGroup:
     return ClassGroup(field)
-
-
-@dataclass(frozen=True)
-class GenusData:
-    squares: frozenset
-    two_torsion: frozenset
-    r2: int
-
-
-def genus_data(group: ClassGroup) -> GenusData:
-    sq = group.squares()
-    tt = group.two_torsion()
-    genus_order = group.h // len(sq)
-    r2 = genus_order.bit_length() - 1
-    if 1 << r2 != genus_order or len(tt) != genus_order:
-        raise ClassGroupError("genus group is not elementary abelian of the right size")
-    n_disc_primes = len(factor_int(-group.field.disc))
-    if r2 != n_disc_primes - 1:
-        raise ClassGroupError(
-            f"2-rank {r2} disagrees with genus theory ({n_disc_primes} primes divide the discriminant)"
-        )
-    return GenusData(squares=sq, two_torsion=tt, r2=r2)
 
 
 def first_ideal(group: ClassGroup, accept, coprime_to=(), bound: int = 10_000) -> Ideal:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import algext
 from .bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
 from .characters import character_group, character_order, quadratic_characters
-from .classgroup import compute_class_group, genus_data
+from .classgroup import compute_class_group
 from .eigensystem import (
     EigensystemError,
     eigensystem_from_json,
@@ -44,7 +44,6 @@ def cmd_field(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     group = compute_class_group(K)
-    gd = genus_data(group)
     chars = character_group(group)
     if args.json:
         print(
@@ -55,7 +54,7 @@ def cmd_field(args) -> int:
                     "class_group": group.to_json(),
                     "n_characters": len(chars),
                     "n_quadratic_characters": len(quadratic_characters(group)),
-                    "r2": gd.r2,
+                    "r2": group.r2,
                 },
                 indent=1,
             )
@@ -71,7 +70,8 @@ def cmd_field(args) -> int:
         print(f"  generator of order {d}: form ({g.a}, {g.b}, {g.c})")
     orders = sorted(character_order(group, chi) for chi in chars)
     print(f"characters: {len(chars)} total, orders {orders}")
-    print(f"genus data: |CL^2| = {len(gd.squares)}, |CL[2]| = {len(gd.two_torsion)}, r2 = {gd.r2}")
+    sq, tt = len(group.squares()), len(group.two_torsion())
+    print(f"genus data: |CL^2| = {sq}, |CL[2]| = {tt}, r2 = {group.r2}")
     return 0
 
 

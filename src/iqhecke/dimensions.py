@@ -26,7 +26,7 @@ class DimensionError(ValueError):
     pass
 
 
-def newspace_dims(group_field, full_dims: dict[Ideal, int]) -> dict[Ideal, int]:
+def newspace_dims(full_dims: dict[Ideal, int]) -> dict[Ideal, int]:
     """Solve for new dimensions from full dimensions, in norm order.
 
     Every divisor of every queried level must be present in full_dims.

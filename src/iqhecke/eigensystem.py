@@ -30,13 +30,9 @@ from .characters import (
     RootOfUnity,
     character_from_json,
     character_group,
-    character_inverse,
-    character_order,
-    character_pow,
     eligible_selftwists,
     eval_on_class,
     is_quadratic,
-    mul_characters,
 )
 from .classgroup import ClassGroup, IdealClass
 from .quadfield import Ideal, coprime, factor_ideal, label, label_key
@@ -69,7 +65,7 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
 
 def character_field(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> ValueField:
     """f with the values of chi: zeta_n for n the order of chi."""
-    n = character_order(group, chi)
+    n = group.class_order(chi)
     if n not in _ROU_TRACE:
         raise EigensystemError(f"roots of unity of order {n} are not supported")
     return algext.with_radical(f, _ROU_TRACE[n] ** 2 - 4)
@@ -220,7 +216,7 @@ def twist(F: HeckeEigensystem, psi: ClassCharacter) -> HeckeEigensystem:
     f = character_field(F.vfield, group, psi)
     values = character_values(f, group, psi)
     new_alpha = {p: lift(v, f) * values[group.ideal_class(p)] for p, v in F.alpha}
-    new_char = mul_characters(group, F.character, character_pow(group, psi, 2))
+    new_char = group.mul(F.character, group.power(psi, 2))
     al = None
     if F.al_signs is not None:
         if psi.is_trivial():
@@ -303,7 +299,7 @@ def galois_conjugate_system(F: HeckeEigensystem) -> HeckeEigensystem:
     return make_eigensystem(
         group,
         F.level.conjugate(),
-        character_inverse(group, F.character),
+        group.inv(F.character),
         new_alpha,
         al,
         vfield=F.vfield,
@@ -337,7 +333,7 @@ def inner_twist_pairs(F: HeckeEigensystem) -> list:
             if ok:
                 pairs.append((tau, psi))
     for tau, psi in pairs:
-        values = character_values(F.vfield, group, character_pow(group, psi, 2))
+        values = character_values(F.vfield, group, group.power(psi, 2))
         for p, _ in good:
             chip = chi_value(F, p)
             z2val = values[group.ideal_class(p)]

@@ -1,11 +1,11 @@
 """Exact arithmetic for imaginary quadratic fields K = Q(sqrt(-d)).
 
-Elements are stored on the integral basis [1, omega], where omega = sqrt(-d)
-when -d = 2, 3 (mod 4) and omega = (1 + sqrt(-d))/2 when -d = 1 (mod 4), so
-that O_K = Z[omega].  Integral ideals are stored in a unique Hermite normal
-form [a, b + c*omega] with c | a, c | b and 0 <= b < a; equality of ideals is
-therefore equality of the (a, b, c) triples.  Everything is exact: elements
-use Fractions, ideals use integers, no floating point anywhere.
+Elements of O_K are integer coordinate pairs (x, y) meaning x + y*omega on the
+integral basis [1, omega], where omega = sqrt(-d) when -d = 2, 3 (mod 4) and
+omega = (1 + sqrt(-d))/2 when -d = 1 (mod 4), so that O_K = Z[omega].
+Integral ideals are stored in a unique Hermite normal form [a, b + c*omega]
+with c | a, c | b and 0 <= b < a; equality of ideals is therefore equality of
+the (a, b, c) triples.  Everything is exact integer arithmetic.
 
 Ideal arithmetic rests on two primitives, HNF multiplication (`ideal_mul`)
 and trial division of integers (`factor_int`).  An ideal in HNF is its
@@ -17,7 +17,6 @@ come from n * conj(m) = (N m) * (n / m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -88,50 +87,10 @@ def make_field(d: int) -> QuadField:
     return QuadField(d=d, disc=-4 * d, half=False)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """x + y*omega with exact rational coordinates."""
-
-    field: QuadField
-    x: Fraction
-    y: Fraction
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        _same_field(self, other)
-        return FieldElement(self.field, self.x + other.x, self.y + other.y)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.x, -self.y)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        # omega^2 = t*omega - n
-        _same_field(self, other)
-        t, n = self.field.trace_omega, self.field.norm_omega
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return FieldElement(
-            self.field, x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + t * y1 * y2
-        )
-
-    def conjugate(self) -> "FieldElement":
-        t = self.field.trace_omega
-        return FieldElement(self.field, self.x + t * self.y, -self.y)
-
-    def norm(self) -> Fraction:
-        t, n = self.field.trace_omega, self.field.norm_omega
-        return self.x * self.x + t * self.x * self.y + n * self.y * self.y
-
-
 def _same_field(u, v) -> None:
-    """Raise unless two elements or ideals lie in the same field."""
+    """Raise unless two ideals lie in the same field."""
     if u.field != v.field:
         raise QuadFieldError(f"operands over different fields {u.field} and {v.field}")
-
-
-def element(field: QuadField, x, y) -> FieldElement:
-    return FieldElement(field, Fraction(x), Fraction(y))
 
 
 @dataclass(frozen=True, order=True)
@@ -215,14 +174,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
+def _times(t: int, n: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """(x1 + y1*omega)(x2 + y2*omega), where omega^2 = t*omega - n."""
+    return (x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + t * y1 * y2)
+
+
 def ideal_from_gens(field: QuadField, gens: list[tuple[int, int]]) -> Ideal:
     """Smallest O_K-ideal containing the elements x + y*omega."""
     t, n = field.trace_omega, field.norm_omega
     rows = []
     for x, y in gens:
         rows.append((x, y))
-        # (x + y*omega)*omega = -y*n + (x + y*t)*omega
-        rows.append((-y * n, x + y * t))
+        rows.append(_times(t, n, x, y, 0, 1))  # times omega
     return _hnf_from_rows(field, rows)
 
 
@@ -238,14 +201,10 @@ def ideal_mul(i: Ideal, j: Ideal) -> Ideal:
     _same_field(i, j)
     f = i.field
     t, n = f.trace_omega, f.norm_omega
-
-    def mul(x1, y1, x2, y2):
-        return (x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + t * y1 * y2)
-
     g1 = [(i.a, 0), (i.b, i.c)]
     g2 = [(j.a, 0), (j.b, j.c)]
     # the products of Z-bases of I and J already span IJ over Z
-    out = _hnf_from_rows(f, [mul(x1, y1, x2, y2) for x1, y1 in g1 for x2, y2 in g2])
+    out = _hnf_from_rows(f, [_times(t, n, x1, y1, x2, y2) for x1, y1 in g1 for x2, y2 in g2])
     if out.norm != i.norm * j.norm:
         raise QuadFieldError(f"product of {i} and {j} has norm {out.norm}")
     return out
@@ -280,11 +239,6 @@ def ideal_pow(i: Ideal, e: int) -> Ideal:
 class SplittingRecord:
     kind: str  # "split" | "inert" | "ramified"
     primes: tuple[Ideal, ...]
-
-    def with_multiplicity(self) -> list[Ideal]:
-        if self.kind == "ramified":
-            return [self.primes[0], self.primes[0]]
-        return list(self.primes)
 
 
 @lru_cache(maxsize=None)

@@ -117,7 +117,7 @@ class SyntheticOracle:
             raise OracleMissingError(op, str(exc))
         if op.w is not None:
             sign = 1
-            for q in exact_prime_power_divisors(op.w) if not op.w.is_unit() else []:
+            for q in exact_prime_power_divisors(op.w):
                 try:
                     sign *= F.al_sign(q)
                 except EigensystemError as exc:

@@ -381,7 +381,7 @@ def check_dimension_table(bundle: FixtureBundle) -> str:
         n: sum(sigma0(ideal_div_exact(n, m)) * nd.get(m, 0) for m in divisors(n))
         for n in levels
     }
-    recovered = newspace_dims(K, full)
+    recovered = newspace_dims(full)
     for n in levels:
         _require(
             recovered[n] == nd.get(n, 0),

@@ -1,5 +1,6 @@
 import pytest
 
+from iqhecke import algext
 from iqhecke.characters import (
     ClassCharacter,
     RootOfUnity,
@@ -8,13 +9,11 @@ from iqhecke.characters import (
     character_order,
     character_to_json,
     eligible_selftwists,
-    eval_character,
     eval_on_class,
-    mul_characters,
     quadratic_characters,
-    trivial_character,
 )
 from iqhecke.classgroup import compute_class_group
+from iqhecke.eigensystem import chi_value
 from iqhecke.quadfield import (
     ideal_from_label,
     make_field,
@@ -47,10 +46,10 @@ def test_character_group_c4(G17):
                 j * k, 4
             )
     # closure and trivial member
-    assert trivial_character(G17) in chars
+    assert ClassCharacter((0,)) in chars
     for a in chars:
         for b in chars:
-            assert mul_characters(G17, a, b) in chars
+            assert G17.mul(a, b) in chars
     assert character_order(G17, chi1) == 4
 
 
@@ -77,19 +76,34 @@ def test_pairing_nondegenerate():
                 )
 
 
-def test_quadratic_character_count():
-    from iqhecke.classgroup import genus_data
+@pytest.mark.parametrize("d", [17, 21, 105])
+def test_characters_use_the_class_group_law(d):
+    g = compute_class_group(make_field(d))
+    chars = character_group(g)
+    for chi in chars:
+        assert isinstance(g.inv(chi), ClassCharacter)
+        assert isinstance(g.power(chi, 3), ClassCharacter)
+        for psi in chars:
+            prod = g.mul(chi, psi)
+            assert isinstance(prod, ClassCharacter)
+            for x in g.all_classes():
+                want = eval_on_class(g, chi, x) * eval_on_class(g, psi, x)
+                assert eval_on_class(g, prod, x) == want
 
+
+def test_quadratic_character_count():
     for d in (1, 5, 17, 21, 23):
         g = compute_class_group(make_field(d))
-        assert len(quadratic_characters(g)) == 1 << genus_data(g).r2
+        assert len(quadratic_characters(g)) == 1 << g.r2
 
 
-def test_eval_with_level_zero_convention(G17, K17):
-    chi0 = trivial_character(G17)
-    level = ideal_from_label(K17, "2.1")
-    assert eval_character(G17, chi0, ideal_from_label(K17, "3.1"), level).is_one()
-    assert eval_character(G17, chi0, principal_ideal(K17, 8, 0), level) is None
+def test_eval_with_level_zero_convention(bundle, K17):
+    F0 = bundle.system("2.1", "F0")
+    assert F0.level == ideal_from_label(K17, "2.1")
+    one, zero = algext.one(F0.vfield), algext.zero(F0.vfield)
+    assert algext.values_equal(chi_value(F0, ideal_from_label(K17, "3.1")), one)
+    assert algext.values_equal(chi_value(F0, ideal_from_label(K17, "2.1")), zero)
+    assert algext.values_equal(chi_value(F0, principal_ideal(K17, 8, 0)), zero)
 
 
 def test_chi2_values(G17, K17):

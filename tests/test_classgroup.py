@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from iqhecke import classgroup
 from iqhecke.classgroup import (
     ClassGroupError,
     compute_class_group,
     first_ideal,
     form_of_ideal,
-    genus_data,
     reduced_forms,
 )
 from iqhecke.quadfield import (
@@ -81,10 +81,10 @@ def test_conjugate_class_is_inverse(G17, K17):
 
 
 def test_is_principal_examples(G17, K17):
-    assert G17.is_principal(principal_ideal(K17, 5, 0))
-    assert not G17.is_principal(ideal_from_label(K17, "2.1"))
+    assert G17.ideal_class(principal_ideal(K17, 5, 0)).is_identity()
+    assert not G17.ideal_class(ideal_from_label(K17, "2.1")).is_identity()
     p31, p32 = ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2")
-    assert G17.is_principal(ideal_mul(p31, p32))
+    assert G17.ideal_class(ideal_mul(p31, p32)).is_identity()
     # no element of Z[sqrt(-17)] has norm 2
     assert all(
         (x * x + 17 * y * y) != 2 for x in range(-2, 3) for y in range(-1, 2)
@@ -99,23 +99,39 @@ def test_ideal_class_examples(G17, K17):
 
 def test_genus_data():
     g17 = compute_class_group(make_field(17))
-    gd = genus_data(g17)
-    assert gd.r2 == 1
-    assert gd.squares == gd.two_torsion and len(gd.squares) == 2
+    assert g17.r2 == 1
+    assert g17.squares() == g17.two_torsion() and len(g17.squares()) == 2
     g1 = compute_class_group(make_field(1))
-    gd1 = genus_data(g1)
-    assert gd1.r2 == 0 and len(gd1.squares) == 1
+    assert g1.r2 == 0 and len(g1.squares()) == 1
     g21 = compute_class_group(make_field(21))
-    assert genus_data(g21).r2 == 2
+    assert g21.r2 == 2
     assert len(factor_int(84)) == 3
 
 
 def test_genus_size_relation():
     for d in (1, 5, 17, 21, 23):
         g = compute_class_group(make_field(d))
-        gd = genus_data(g)
-        assert g.h // len(gd.squares) == 1 << gd.r2
-        assert len(gd.two_torsion) == 1 << gd.r2
+        assert g.h // len(g.squares()) == 1 << g.r2
+        assert len(g.two_torsion()) == 1 << g.r2
+
+
+def test_two_rank_is_checked_at_construction(monkeypatch):
+    # one prime dividing disc -68 would mean r2 = 0, but CL = C4 has r2 = 1
+    K = make_field(17)
+    monkeypatch.setattr(classgroup, "factor_int", lambda n: [(n, 1)])
+    with pytest.raises(ClassGroupError, match="2-rank 1 disagrees"):
+        compute_class_group(K)
+
+
+def test_two_rank_is_checked_at_construction_under_optimize(run_optimized):
+    code = (
+        "from iqhecke import classgroup, quadfield\n"
+        "K = quadfield.make_field(17)\n"
+        "classgroup.factor_int = lambda n: [(n, 1)]\n"
+        "classgroup.compute_class_group(K)\n"
+    )
+    last = run_optimized(code).stderr.strip().splitlines()[-1]
+    assert last.startswith("iqhecke.classgroup.ClassGroupError") and "2-rank 1 disagrees" in last
 
 
 def test_find_ideal_in_class(G17, K17):

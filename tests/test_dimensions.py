@@ -27,7 +27,7 @@ def test_newspace_formula_prime_power_example(K17):
     full[ideal_pow(p, 2)] = 4
     full[ideal_pow(p, 3)] = 4 * 2  # sigma0(p) = 2 copies of the p^2 newform
     full[ideal_pow(p, 4)] = 30
-    new = newspace_dims(K17, full)
+    new = newspace_dims(full)
     assert new[ideal_pow(p, 2)] == 4
     assert new[ideal_pow(p, 3)] == 0
     assert new[ideal_pow(p, 4)] == 30 - 3 * 4  # sigma0(p^2) = 3
@@ -36,13 +36,13 @@ def test_newspace_formula_prime_power_example(K17):
 def test_newspace_formula_trivial_case(K17):
     n = ideal_from_label(K17, "3.1")
     full = {unit_ideal(K17): 0, n: 7}
-    assert newspace_dims(K17, full)[n] == 7
+    assert newspace_dims(full)[n] == 7
 
 
 def test_newspace_missing_divisor_reported(K17):
     n = principal_ideal(K17, 3, 0)
     with pytest.raises(DimensionError):
-        newspace_dims(K17, {n: 1})
+        newspace_dims({n: 1})
 
 
 def test_oldclass_multiplicities(G17, K17):

@@ -11,7 +11,6 @@ from iqhecke.characters import (
     character_group,
     character_order,
     eval_on_class,
-    mul_characters,
 )
 from iqhecke.classgroup import compute_class_group
 from iqhecke.eigensystem import (
@@ -168,7 +167,7 @@ def test_twist_composition_property(bundle, G17):
     for psi in character_group(G17):
         for psi2 in character_group(G17):
             lhs = twist(twist(F0, psi), psi2)
-            rhs = twist(F0, mul_characters(G17, psi, psi2))
+            rhs = twist(F0, G17.mul(psi, psi2))
             assert systems_equal(lhs, rhs)
 
 
@@ -189,12 +188,12 @@ def test_twist_orbit_sizes(bundle, F0):
 
 def test_character_orbit_is_square_coset(bundle, G17):
     squares = {
-        mul_characters(G17, psi, psi) for psi in character_group(G17)
+        G17.mul(psi, psi) for psi in character_group(G17)
     }
     for level, table in bundle.eigensystem_tables.items():
         for F in table.values():
             orbit_chars = {H.character for H in orbit_quiet(F)}
-            coset = {mul_characters(G17, F.character, s) for s in squares}
+            coset = {G17.mul(F.character, s) for s in squares}
             assert orbit_chars == coset
             assert len(coset) == len(squares)
 
@@ -241,12 +240,10 @@ def test_galois_conjugation(bundle, F0, K17):
 
 def test_conjugate_of_twist_property(bundle, G17):
     # (F (x) psi)^sigma = F^sigma (x) psi^(-1) on all stored data
-    from iqhecke.characters import character_inverse
-
     F0 = bundle.system("2.1", "F0")
     for psi in character_group(G17):
         lhs = galois_conjugate_system(twist(F0, psi))
-        rhs = twist(galois_conjugate_system(F0), character_inverse(G17, psi))
+        rhs = twist(galois_conjugate_system(F0), G17.inv(psi))
         assert systems_equal(lhs, rhs)
 
 

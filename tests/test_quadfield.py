@@ -8,8 +8,8 @@ from iqhecke.quadfield import (
     QuadFieldError,
     coprime,
     divisors,
-    element,
     exact_divisors,
+    exact_prime_power_divisors,
     factor_ideal,
     factor_int,
     factor_rational_prime,
@@ -39,13 +39,13 @@ def test_make_field_examples():
 
 
 def test_make_field_disc_is_bruteforce_discriminant():
-    # disc = (omega - conj(omega))^2 for the integral basis [1, omega]
+    # the ramified primes, found by counting roots of the minimal polynomial
+    # of omega mod p, are exactly the primes dividing the discriminant
     for d in (1, 2, 5, 17, 21, 23):
         K = make_field(d)
-        w = element(K, 0, 1)
-        delta = w - w.conjugate()
-        assert (delta * delta).x == K.disc
-        assert (delta * delta).y == 0
+        ramified = [p for p in range(2, 200)
+                    if is_rational_prime(p) and factor_rational_prime(K, p).kind == "ramified"]
+        assert ramified == [p for p in range(2, 200) if is_rational_prime(p) and K.disc % p == 0]
 
 
 def test_make_field_rejects_bad_d():
@@ -60,16 +60,6 @@ def test_make_field_rejects_bad_d():
         except QuadFieldError:
             accepted = False
         assert accepted == squarefree, d
-
-
-def test_element_norm_multiplicative():
-    rng = random.Random(1)
-    for d in (1, 17, 23):
-        K = make_field(d)
-        for _ in range(50):
-            a = element(K, rng.randint(-9, 9), rng.randint(-9, 9))
-            b = element(K, rng.randint(-9, 9), rng.randint(-9, 9))
-            assert (a * b).norm() == a.norm() * b.norm()
 
 
 def test_ideal_mul_examples(K17):
@@ -124,7 +114,7 @@ def test_prime_splitting_products(K17):
             continue
         rec = factor_rational_prime(K17, p)
         prod = unit_ideal(K17)
-        for q in rec.with_multiplicity():
+        for q in rec.primes * (2 if rec.kind == "ramified" else 1):
             prod = ideal_mul(prod, q)
         assert prod == principal_ideal(K17, p, 0)
     sieve = [False, False] + [True] * 1998
@@ -192,6 +182,8 @@ def test_divisor_lattice(K17):
     eight = principal_ideal(K17, 8, 0)
     assert sigma0(eight) == 7
     assert sigma0(unit_ideal(K17)) == 1
+    for K in (K17, make_field(1), make_field(5)):
+        assert exact_prime_power_divisors(unit_ideal(K)) == []
     n12 = ideal_from_label(K17, "12.1")
     got = {label(q) for q in exact_divisors(n12)}
     assert got == {"1.1", "4.1", "3.1", "12.1"}
@@ -273,8 +265,7 @@ def test_checks_raise_quadfield_error(K17, monkeypatch):
         lambda: factor_int(-12),
         lambda: ideal_pow(p21, -1),
         lambda: ideal_add(p21, ideal_from_label(K5, "2.1")),
-        lambda: element(K17, 1, 2) + element(K5, 1, 2),
-        lambda: element(K17, 1, 2) * element(K5, 1, 2),
+        lambda: ideal_mul(p21, ideal_from_label(K5, "2.1")),
     ):
         with pytest.raises(QuadFieldError):
             call()
