@@ -63,7 +63,7 @@ def main(tree: Path) -> int:
     import inputs
     import workloads
     from iqhecke import verify
-    from iqhecke.bundle import load_default_bundle
+    from iqhecke.bundle import FixtureBundle
 
     warnings.simplefilter("ignore")
     groups = inputs.sweep_groups()
@@ -71,7 +71,7 @@ def main(tree: Path) -> int:
     trips = [source.next() for _ in range(ROUNDTRIP_OPS)]
     source = inputs.TableSource(groups, random.Random(f"timed:{TABLE_SEED}"))
     tables = [source.next() for _ in range(TABLE_OPS)]
-    bundle = load_default_bundle()
+    bundle = FixtureBundle()
     sections = {
         "roundtrip": [lambda inp=inp: workloads.roundtrip_op(inp) for inp in trips],
         "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],

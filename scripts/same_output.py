@@ -20,8 +20,10 @@ imports. OUT receives one JSON row per line:
 
 That makes 411 rows.
 
-Run it on two trees and compare the dumps with ``diff``; a failed operation
-is a row with its error, so the row count does not depend on the outcome.
+Run one copy of this script, the newer tree's, on both trees and compare the
+dumps with ``diff``; it uses only library names that both trees have. A
+failed operation is a row with its error, so the row count does not depend on
+the outcome.
 """
 
 import dataclasses
@@ -42,7 +44,7 @@ def main(tree: Path, out: Path) -> int:
     import inputs
     import workloads
     from iqhecke import algext, eigensystem, quadfield, recovery
-    from iqhecke.bundle import load_default_bundle
+    from iqhecke.bundle import FixtureBundle
 
     to_json, label = eigensystem.eigensystem_to_json, quadfield.label
 
@@ -98,7 +100,7 @@ def main(tree: Path, out: Path) -> int:
                     recovery.SyntheticOracle(F), F.group, F.level, inputs.RECOVERY_BOUND,
                     sign_flip=flip, on_missing="skip"), F))
                 rows.append({"recover": [seed, n, flip], "d": F.group.field.d, **row})
-    bundle = load_default_bundle()
+    bundle = FixtureBundle()
     path = next(p for p in bundle.oracle_files() if p.name == "oracle_2.1.json")
     oracle, level = recovery.fixture_oracle_from_json(bundle.group, json.loads(path.read_text()))
     rows.append({"oracle_2.1": 13, **attempt(lambda: recovered(

@@ -29,12 +29,13 @@ largest root of its minimal polynomial and gives every root its value, and
 
 from __future__ import annotations
 
+import ast
 import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, count, product
+from itertools import combinations, count, product, repeat
 from math import isqrt, lcm, prod
 from operator import mul
 
@@ -743,89 +744,58 @@ def field_symbols(f: ValueField) -> dict[str, AlgValue]:
     return symbols
 
 
-class _Parser:
-    def __init__(self, text: str, field: ValueField, symbols: dict[str, AlgValue]):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.field = field
-        self.symbols = symbols
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> AlgValue:
-        v = self.expr()
-        if self.peek() is not None:
-            raise AlgebraError(f"trailing input at token {self.peek()!r}")
-        return v
-
-    def expr(self) -> AlgValue:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        v = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    def term(self) -> AlgValue:
-        v = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.factor()
-            v = v * rhs if op == "*" else v / rhs
-        return v
-
-    def factor(self) -> AlgValue:
-        if self.peek() == "-":
-            self.next()
-            return -self.factor()
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            e = self.next()
-            if not isinstance(e, int) or e < 0:
-                raise AlgebraError("exponent must be a nonnegative integer")
-            out = one(self.field)
-            for _ in range(e):
-                out = out * v
-            return out
-        return v
-
-    def atom(self) -> AlgValue:
-        tok = self.next()
-        if tok == "(":
-            v = self.expr()
-            if self.next() != ")":
-                raise AlgebraError("unbalanced parentheses")
-            return v
-        if isinstance(tok, int):
-            return from_rational(self.field, tok)
-        if isinstance(tok, str) and tok in self.symbols:
-            return self.symbols[tok]
-        raise AlgebraError(f"unknown token {tok!r}")
+_BINARY = {ast.Add: AlgValue.__add__, ast.Sub: AlgValue.__sub__,
+           ast.Mult: AlgValue.__mul__, ast.Div: AlgValue.__truediv__}
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list[str]:
     """Integers, names (a letter, then letters, digits or _) and operators."""
     toks = []
     for num, name, other in re.findall(r"(\d+)|([^\W\d_]\w*)|(\S)", text):
         if other and other not in "+-*/^()":
             raise AlgebraError(f"bad character {other!r} in value expression")
-        toks.append(int(num) if num else name or other)
+        toks.append(str(int(num)) if num else name or other)
     return toks
 
 
 def parse_value(f: ValueField, text: str) -> AlgValue:
-    return _Parser(str(text), f, field_symbols(f)).parse()
+    """Read a value of f from text such as ``2*sqrt2*i`` or ``-a^2+a+2``.
+
+    The text is Python's expression grammar cut down to integers, the names
+    of ``field_symbols(f)``, binary + - * /, unary + and -, and ^ to a
+    nonnegative integer literal.  Any other expression, a division by zero
+    and nesting past the interpreter's recursion limit (about 1,000
+    operators or 200 parentheses; a rendered value has one term per basis
+    element) raise AlgebraError.
+    """
+    text = str(text)
+    source = " ".join(_tokenize(text)).replace("^", "**")
+    if not source.isascii():
+        # Python folds names by NFKC (a fullwidth sqrt2 reads as sqrt2), and
+        # every symbol is ASCII
+        raise AlgebraError(f"unknown name in value {text!r}")
+    symbols = field_symbols(f)
+
+    def value(node: ast.expr) -> AlgValue:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return from_rational(f, node.value)
+        if isinstance(node, ast.Name) and node.id in symbols:
+            return symbols[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            v = value(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](value(node.left), value(node.right))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and type(node.right.value) is int):
+            return prod(repeat(value(node.left), node.right.value), start=one(f))
+        what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
+        raise AlgebraError(f"unsupported {what} in value {text!r}")
+
+    try:
+        return value(ast.parse(source, mode="eval").body)
+    except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
+        raise AlgebraError(f"malformed value {text!r}: {exc}") from None
 
 
 def render_value(v: AlgValue) -> str:

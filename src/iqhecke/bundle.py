@@ -54,10 +54,7 @@ class FixtureBundle:
         self.curves = self._load_curves()
 
     def _load_field(self) -> tuple[QuadField, ClassGroup]:
-        data = None
-        for path in sorted(self.directory.glob("field_*.json")):
-            data = json.loads(path.read_text())
-            break
+        data = self._read_one("field_*.json")
         if data is None:
             raise BundleError("bundle has no field descriptor")
         K = make_field(data["d"])
@@ -172,10 +169,10 @@ class FixtureBundle:
             if hf is None and row.conj:
                 hf = hf_by_level.get(row.conj)
             plus_shapes: list[str | None] = [None] * len(row.hplus)
+            plus_degrees = sorted(row.hplus)
             if hf is not None:
-                degrees = sorted(row.hplus)
                 hf_sorted = sorted(hf, key=lambda r: r.kf_degree)
-                if [r.kf_degree for r in hf_sorted] != degrees:
+                if [r.kf_degree for r in hf_sorted] != plus_degrees:
                     raise BundleError(
                         f"Hecke-field degrees at {row.level} do not match the H+ column"
                     )
@@ -183,9 +180,6 @@ class FixtureBundle:
                     "split" if r.kF_degree == r.kf_degree else "joined"
                     for r in hf_sorted
                 ]
-                plus_degrees = degrees
-            else:
-                plus_degrees = sorted(row.hplus)
             for side, degs, shapes in (
                 ("plus", plus_degrees, plus_shapes),
                 ("minus", sorted(row.hminus), [None] * len(row.hminus)),
@@ -212,7 +206,3 @@ class FixtureBundle:
                         f"unmatched self-twist record at {row.level} ({side})"
                     )
         return records
-
-
-def load_default_bundle() -> FixtureBundle:
-    return FixtureBundle(DEFAULT_BUNDLE_DIR)

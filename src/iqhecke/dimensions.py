@@ -18,6 +18,7 @@ from .quadfield import (
     ideal_div_exact,
     ideal_from_label,
     label,
+    label_key,
     sigma0,
 )
 
@@ -32,7 +33,7 @@ def newspace_dims(full_dims: dict[Ideal, int]) -> dict[Ideal, int]:
     Every divisor of every queried level must be present in full_dims.
     """
     new: dict[Ideal, int] = {}
-    for n in sorted(full_dims, key=lambda i: (i.norm, i.a, i.c, i.b)):
+    for n in sorted(full_dims, key=label_key):
         total = 0
         for m in divisors(n):
             if m == n:

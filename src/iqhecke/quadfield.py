@@ -308,7 +308,7 @@ def divisors(n: Ideal) -> list[Ideal]:
     for p, e in fac:
         powers = [ideal_pow(p, k) for k in range(e + 1)]
         out = [ideal_mul(d, q) for d in out for q in powers]
-    return sorted(out, key=lambda i: (i.norm, i.a, i.c, i.b))
+    return sorted(out, key=label_key)
 
 
 def exact_divisors(n: Ideal) -> list[Ideal]:
@@ -318,7 +318,7 @@ def exact_divisors(n: Ideal) -> list[Ideal]:
     for p, e in fac:
         block = ideal_pow(p, e)
         out = out + [ideal_mul(d, block) for d in out]
-    return sorted(out, key=lambda i: (i.norm, i.a, i.c, i.b))
+    return sorted(out, key=label_key)
 
 
 def exact_prime_power_divisors(n: Ideal) -> list[Ideal]:

@@ -305,7 +305,8 @@ def recover(
                 raise
             gaps.append((p, exc.operator))
 
-    # Step 3: involution signs, only for the trivial character.
+    # Step 3: involution signs, only for the trivial character.  A nonsquare
+    # q is divided out against its genus entry in the sign table, as in 2c.
     al_signs = None
     al_incomplete = []
     if chi.is_trivial():
@@ -315,20 +316,12 @@ def recover(
             try:
                 if qcls in squares:
                     v = principal(w=q)
+                elif (hit := table.get(group.genus(qcls))) is not None:
+                    a_t, alpha_t = hit
+                    v = principal(t=a_t, w=q) / absorb(alpha_t)
                 else:
-                    inv = group.inv(qcls)
-                    helper = next(
-                        (
-                            pp
-                            for pp in sorted(alpha, key=lambda i: i.norm)
-                            if group.ideal_class(pp) == inv and not alpha[pp].is_zero()
-                        ),
-                        None,
-                    )
-                    if helper is None:
-                        al_incomplete.append(q)
-                        continue
-                    v = principal(t=helper, w=q) / absorb(alpha[helper])
+                    al_incomplete.append(q)
+                    continue
             except OracleMissingError as exc:
                 if on_missing == "error":
                     raise

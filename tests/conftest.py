@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import iqhecke
-from iqhecke.bundle import load_default_bundle
+from iqhecke.bundle import FixtureBundle
 from iqhecke.classgroup import compute_class_group
 from iqhecke.quadfield import make_field
 
@@ -23,7 +23,7 @@ def G17(K17):
 
 @pytest.fixture(scope="session")
 def bundle():
-    return load_default_bundle()
+    return FixtureBundle()
 
 
 def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:

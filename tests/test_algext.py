@@ -294,9 +294,16 @@ def test_malformed_minimal_polynomials_are_rejected(minpoly, message):
 
 
 def test_parse_errors():
-    with pytest.raises(AlgebraError):
-        parse_value(Q, "sqrt2")
-    with pytest.raises(AlgebraError):
-        parse_value(Q, "1 +")
-    with pytest.raises(AlgebraError):
-        parse_value(Q, "2 ^ -1")
+    # the grammar's boundary: leading zeros and any whitespace lex, unary signs
+    # chain, x^0 is one, and a long sum stays inside the depth limit
+    assert values_equal(parse_value(QI2, " 007*sqrt2 -\n i^2"), parse_value(QI2, "1 + 7*sqrt2"))
+    assert parse_value(Q, "--3").rational_value() == 3
+    assert parse_value(Q, "+-3").rational_value() == -3
+    assert parse_value(QI, "(1+i)^0").rational_value() == 1
+    assert parse_value(Q, "+".join(["1"] * 500)).rational_value() == 500
+    for text in ["sqrt2", "1 +", "2 ^ -1", "2**3", "0x1", "1_0", "2.5", "True",
+                 "a^2^3", "2^a", "(1", "1)", "1/0"]:
+        with pytest.raises(AlgebraError):
+            parse_value(CUBIC, text)
+    with pytest.raises(AlgebraError):  # fullwidth letters, which NFKC folds to sqrt2
+        parse_value(QI2, "\uff53\uff51\uff52\uff542")

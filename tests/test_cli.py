@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -52,6 +53,16 @@ def test_recover_reports_a_wrong_oracle_value(capsys, tmp_path):
     code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
     assert code == 2
     assert err.strip() == "error: T_(a,a) at class (2,) returned 2, not +-1"
+
+
+def test_recover_reports_a_value_that_divides_by_zero(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
+    data["values"][0]["value"] = "1/0"
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "'1/0'" in err and len(err.splitlines()) == 1
 
 
 def test_recover_json_reingests_losslessly(capsys, G17):
@@ -120,6 +131,18 @@ def test_verify_reports_a_crashing_check_and_goes_on(capsys, monkeypatch):
 def test_verify_bad_bundle_is_schema_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--bundle", str(tmp_path / "missing"))
     assert code == 2 and "schema error" in err
+
+
+def test_verify_value_that_divides_by_zero_is_schema_error(capsys, tmp_path):
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    path = target / "eigensystems_2.1.json"
+    data = json.loads(path.read_text())
+    data["systems"][0]["alpha"]["13.1"] = "2/0"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "verify", "--bundle", str(target))
+    assert code == 2
+    assert err.startswith("schema error: ") and "'2/0'" in err and len(err.splitlines()) == 1
 
 
 def test_verify_bundle_env_var(capsys, monkeypatch, tmp_path):

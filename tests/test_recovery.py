@@ -253,24 +253,34 @@ def test_projection_is_twist_invariant(bundle, G17, K17):
             assert values_equal(base.query(op), other.query(op))
 
 
-def test_al_incomplete_reported():
-    # a level whose single involution block sits in a nonsquare class, with
-    # all eigenvalues zero in the inverse class: the sign is unreachable
-    g = compute_class_group(make_field(17))
-    K = g.field
-    level = ideal_from_label(K, "3.1")
-    alpha = {}
+def recover_at_31(g, zeroed, sign):
+    """Recover a trivial-character system at level 3.1 in Q(sqrt(-17)) with
+    alpha = 0 on the classes in zeroed, 2 elsewhere, and eps(3.1) = sign."""
+    level = ideal_from_label(g.field, "3.1")
     f = algext.RATIONAL_FIELD
-    for p in primes_of_norm_up_to(K, 30):
-        if p.norm % 3 == 0:
-            continue
-        cls = g.ideal_class(p)
-        inverse_of_q = g.inv(g.ideal_class(level))
-        alpha[p] = (
-            algext.zero(f) if cls == inverse_of_q else algext.from_rational(f, 2)
-        )
-    F = make_eigensystem(g, level, ClassCharacter((0,)), alpha, {level: 1})
-    res = recover(SyntheticOracle(F), g, level, bound=30, on_missing="skip")
+    alpha = {
+        p: algext.zero(f) if g.ideal_class(p) in zeroed else algext.from_rational(f, 2)
+        for p in primes_of_norm_up_to(g.field, 30)
+        if p.norm % 3
+    }
+    F = make_eigensystem(g, level, ClassCharacter((0,)), alpha, {level: sign})
+    return level, recover(SyntheticOracle(F), g, level, bound=30, on_missing="skip")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_al_sign_read_from_the_genus_entry(G17, K17, sign):
+    # 3.1 sits in a nonsquare class; with every eigenvalue zero in the
+    # inverse class, the sign table's entry for 3.1's genus still gives eps
+    inverse = G17.inv(G17.ideal_class(ideal_from_label(K17, "3.1")))
+    level, res = recover_at_31(G17, {inverse}, sign)
+    assert res.al_incomplete == [] and res.system.al_sign(level) == sign
+
+
+def test_al_incomplete_reported(G17, K17):
+    # with every eigenvalue zero in the genus of 3.1 the sign is unreachable
+    genus = G17.genus(G17.ideal_class(ideal_from_label(K17, "3.1")))
+    zeroed = {c for c in G17.all_classes() if G17.genus(c) == genus}
+    level, res = recover_at_31(G17, zeroed, 1)
     assert res.al_incomplete == [level]
 
 
