@@ -754,7 +754,12 @@ def _tokenize(text: str) -> list[str]:
     for num, name, other in re.findall(r"(\d+)|([^\W\d_]\w*)|(\S)", text):
         if other and other not in "+-*/^()":
             raise AlgebraError(f"bad character {other!r} in value expression")
-        toks.append(str(int(num)) if num else name or other)
+        if num:
+            try:
+                num = str(int(num))
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise AlgebraError(f"integer of {len(num)} digits in value expression") from None
+        toks.append(num or name or other)
     return toks
 
 

@@ -1,28 +1,36 @@
-"""Loading and cross-checking the shipped fixture bundle.
+"""Every iqhecke file format, and the shipped fixture bundle.
 
-A bundle directory holds the field descriptor with its class-group pin, the
-eigensystem tables, the principal-operator oracle files, the newspace
-dimension table, the Hecke-field table, and elliptic-curve a_p lists.  Every
-file is schema-checked at load time and all ideal labels are resolved
-eagerly, so a broken bundle fails fast.
+This module alone reads and writes JSON (value fields, eigensystems and their
+tables, oracle files, characters and dimension rows); files name ideals by
+their ``N.i`` label.  A bundle directory holds the field descriptor with its
+class-group pin, the eigensystem tables, the principal-operator oracle files,
+the newspace dimension table, the Hecke-field table, and elliptic-curve a_p
+lists.  Every file is schema-checked at load time and all ideal labels are
+resolved eagerly, so a broken bundle fails fast.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from .characters import ClassCharacter, character_from_json, quadratic_characters
+from . import algext
+from .algext import ValueField
+from .characters import ClassCharacter, quadratic_characters
 from .classgroup import BQForm, ClassGroup, compute_class_group
 from .dimensions import DimensionRow, NewformRecord
-from .eigensystem import HeckeEigensystem, eigensystem_from_json
+from .eigensystem import EigensystemError, HeckeEigensystem, make_eigensystem
 from .quadfield import (
     FACTOR_LABEL_DISCS,
+    Ideal,
     QuadField,
     ideal_from_label,
+    label,
     make_field,
 )
+from .recovery import FixtureOracle, RecoveryError, make_principal_operator
 
 
 class BundleError(ValueError):
@@ -30,6 +38,123 @@ class BundleError(ValueError):
 
 
 DEFAULT_BUNDLE_DIR = Path(__file__).parent / "data"
+
+
+def value_field_to_json(f: ValueField) -> dict:
+    def enc(q: Fraction):
+        return int(q) if q.denominator == 1 else str(q)
+
+    return {
+        "minpoly": [enc(c) for c in f.minpoly],
+        "adjoined": [
+            enc(r[0]) if all(c == 0 for c in r[1:]) else [enc(c) for c in r]
+            for r in f.adjoined
+        ],
+    }
+
+
+def value_field_from_json(data) -> ValueField:
+    minpoly = [Fraction(c) for c in data.get("minpoly", [0, 1])]
+    adjoined = []
+    for r in data.get("adjoined", []):
+        adjoined.append([Fraction(c) for c in r] if isinstance(r, list) else Fraction(r))
+    return algext.make_value_field(minpoly, adjoined)
+
+
+def character_from_json(group: ClassGroup, exps: list[int]) -> ClassCharacter:
+    if len(exps) != len(group.elementary_divisors):
+        raise ValueError(f"character exponents {exps} do not fit the class group")
+    return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
+
+
+def eigensystem_to_json(F: HeckeEigensystem) -> dict:
+    return {
+        "field_disc": F.group.field.disc,
+        "level": label(F.level),
+        "character": list(F.character.exps),
+        "field": value_field_to_json(F.vfield),
+        "alpha": {label(p): algext.render_value(v) for p, v in F.alpha},
+        "al": {label(q): s for q, s in F.al_signs} if F.al_signs is not None else None,
+        "selftwist": (
+            {"possible": [list(c.exps) for c in F.selftwist_candidates]}
+            if F.selftwist_candidates
+            else None
+        ),
+    }
+
+
+def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
+    if data.get("field_disc") not in (None, group.field.disc):
+        raise EigensystemError(
+            f"fixture is for discriminant {data['field_disc']}, not {group.field.disc}"
+        )
+    f = value_field_from_json(data.get("field", {}))
+    level = ideal_from_label(group.field, data["level"])
+    chi = character_from_json(
+        group, data.get("character", [0] * len(group.elementary_divisors))
+    )
+    alpha = {
+        ideal_from_label(group.field, lab): algext.parse_value(f, text)
+        for lab, text in data.get("alpha", {}).items()
+    }
+    al = data.get("al")
+    al_map = (
+        {ideal_from_label(group.field, lab): int(s) for lab, s in al.items()}
+        if al is not None
+        else None
+    )
+    cands = None
+    st = data.get("selftwist")
+    if isinstance(st, dict) and "possible" in st:
+        cands = [ClassCharacter(tuple(e)) for e in st["possible"]]
+    return make_eigensystem(
+        group, level, chi, alpha, al_map, vfield=f, selftwist_candidates=cands
+    )
+
+
+def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensystem]:
+    """Read a table file {"field_disc", "level", "systems": [{"name", ...}]}:
+    each row is an eigensystem at the table's level, keyed by its name."""
+    table: dict[str, HeckeEigensystem] = {}
+    for row in data.get("systems", []):
+        name = row.get("name", str(len(table)))
+        if name in table:
+            raise BundleError(f"two systems named {name!r} at level {data['level']}")
+        table[name] = eigensystem_from_json(
+            group, {**row, "level": data["level"], "field_disc": data.get("field_disc")}
+        )
+    return table
+
+
+def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOracle, Ideal]:
+    """Read {"field_disc", "level", "field", "values": [{aa,t,w,value}]}."""
+    if data.get("field_disc") not in (None, group.field.disc):
+        raise RecoveryError("oracle fixture is for a different field")
+    level = ideal_from_label(group.field, data["level"])
+    f = value_field_from_json(data.get("field", {}))
+    mapping = {}
+    for row in data["values"]:
+        op = make_principal_operator(
+            group,
+            level,
+            aa=ideal_from_label(group.field, row["aa"]) if row.get("aa") else None,
+            t=ideal_from_label(group.field, row["t"]) if row.get("t") else None,
+            w=ideal_from_label(group.field, row["w"]) if row.get("w") else None,
+        )
+        mapping[op] = algext.parse_value(f, str(row["value"]))
+    return FixtureOracle(mapping), level
+
+
+def dimension_row_from_json(data: dict) -> DimensionRow:
+    return DimensionRow(
+        level=data["level"],
+        conj=data.get("conj"),
+        nd=data["nd"],
+        hplus=tuple(data.get("Hplus", [])),
+        hminus=tuple(data.get("Hminus", [])),
+        chi0=tuple(data.get("chi0", [])),
+        chi13=tuple(data.get("chi13", [])),
+    )
 
 
 @dataclass
@@ -49,6 +174,7 @@ class FixtureBundle:
             raise BundleError(f"bundle directory {self.directory} does not exist")
         self.field, self.group = self._load_field()
         self.eigensystem_tables = self._load_eigensystems()
+        self.oracles = self._load_oracles()
         self.dimension_rows, self.selftwist_records = self._load_dimension_table()
         self.hecke_field_rows = self._load_hecke_fields()
         self.curves = self._load_curves()
@@ -81,22 +207,24 @@ class FixtureBundle:
         out: dict[str, dict[str, HeckeEigensystem]] = {}
         for path in sorted(self.directory.glob("eigensystems_*.json")):
             data = json.loads(path.read_text())
-            level = data["level"]
-            ideal_from_label(self.field, level)
-            table = {}
-            for row in data.get("systems", []):
-                system = eigensystem_from_json(
-                    self.group, {**row, "level": level, "field_disc": data.get("field_disc")}
-                )
-                table[row.get("name", str(len(table)))] = system
-            out[level] = table
+            ideal_from_label(self.field, data["level"])
+            out[data["level"]] = systems_from_json(self.group, data)
+        return out
+
+    def _load_oracles(self) -> dict[str, tuple[FixtureOracle, Ideal]]:
+        out: dict[str, tuple[FixtureOracle, Ideal]] = {}
+        for path in sorted(self.directory.glob("oracle_*.json")):
+            oracle, level = fixture_oracle_from_json(self.group, json.loads(path.read_text()))
+            if label(level) in out:
+                raise BundleError(f"two oracle files for level {label(level)}")
+            out[label(level)] = (oracle, level)
         return out
 
     def _load_dimension_table(self):
         data = self._read_one("dimension_table_*.json")
         if data is None:
             return [], []
-        rows = [DimensionRow.from_json(r) for r in data.get("rows", [])]
+        rows = [dimension_row_from_json(r) for r in data.get("rows", [])]
         seen = set()
         for row in rows:
             ideal_from_label(self.field, row.level)
@@ -141,9 +269,6 @@ class FixtureBundle:
             return self.eigensystem_tables[level][name]
         except KeyError:
             raise BundleError(f"no eigensystem {name!r} at level {level}")
-
-    def oracle_files(self) -> list[Path]:
-        return sorted(self.directory.glob("oracle_*.json"))
 
     def _nontrivial_quadratic(self) -> ClassCharacter:
         cands = [c for c in quadratic_characters(self.group) if not c.is_trivial()]

@@ -97,16 +97,3 @@ def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[ClassCharacter]:
             out.append(psi)
     return out
 
-
-def character_to_json(chi: ClassCharacter) -> dict:
-    return {"exponents": list(chi.exps)}
-
-
-def character_from_json(group: ClassGroup, data) -> ClassCharacter:
-    if isinstance(data, list):
-        exps = data
-    else:
-        exps = data["exponents"]
-    if len(exps) != len(group.elementary_divisors):
-        raise ValueError(f"character exponents {exps} do not fit the class group")
-    return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))

@@ -299,13 +299,6 @@ class ClassGroup:
         """CL[2], computed once at construction."""
         return self._two_torsion
 
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "elementary_divisors": list(self.elementary_divisors),
-            "generators": [[g.a, g.b, g.c] for g in self.generators],
-        }
-
 
 def _principal_form(field: QuadField) -> tuple[int, int, int]:
     d = field.disc

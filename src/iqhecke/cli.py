@@ -14,19 +14,24 @@ import warnings
 from pathlib import Path
 
 from . import algext
-from .bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
+from .bundle import (
+    DEFAULT_BUNDLE_DIR,
+    FixtureBundle,
+    eigensystem_from_json,
+    eigensystem_to_json,
+    fixture_oracle_from_json,
+    systems_from_json,
+)
 from .characters import character_group, character_order, quadratic_characters
 from .classgroup import compute_class_group
 from .eigensystem import (
     EigensystemError,
-    eigensystem_from_json,
-    eigensystem_to_json,
     hecke_field_report,
     selftwist_status,
     twist_orbit,
 )
 from .quadfield import QuadFieldError, label, make_field
-from .recovery import RecoveryError, fixture_oracle_from_json, recover
+from .recovery import RecoveryError, recover
 from .verify import ALL_CHECKS, compare_ap, run_checks
 
 
@@ -51,7 +56,11 @@ def cmd_field(args) -> int:
                 {
                     "d": K.d,
                     "disc": K.disc,
-                    "class_group": group.to_json(),
+                    "class_group": {
+                        "h": group.h,
+                        "elementary_divisors": list(group.elementary_divisors),
+                        "generators": [[g.a, g.b, g.c] for g in group.generators],
+                    },
                     "n_characters": len(chars),
                     "n_quadratic_characters": len(quadratic_characters(group)),
                     "r2": group.r2,
@@ -140,7 +149,7 @@ def cmd_recover(args) -> int:
 def cmd_verify(args) -> int:
     try:
         bundle = FixtureBundle(_bundle_dir(args))
-    except (BundleError, ValueError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     results = run_checks(bundle, args.check or None)
@@ -167,18 +176,14 @@ def cmd_verify(args) -> int:
 
 def _load_system_file(group, path: Path, name: str | None):
     data = json.loads(path.read_text())
-    if "systems" in data:
-        rows = data["systems"]
-        row = next(
-            (r for r in rows if name is None or r.get("name") == name),
-            None,
-        )
-        if row is None:
-            raise ValueError(f"no system named {name!r} in {path}")
-        return eigensystem_from_json(
-            group, {**row, "level": data["level"], "field_disc": data.get("field_disc")}
-        )
-    return eigensystem_from_json(group, data)
+    if "systems" not in data:
+        return eigensystem_from_json(group, data)
+    systems = systems_from_json(group, data)
+    if name is None and systems:
+        return next(iter(systems.values()))
+    if name not in systems:
+        raise ValueError(f"no system named {name!r} in {path}")
+    return systems[name]
 
 
 def cmd_compare_ap(args) -> int:

@@ -95,29 +95,6 @@ class DimensionRow:
     chi0: tuple[int, ...]
     chi13: tuple[int, ...]
 
-    @staticmethod
-    def from_json(data: dict) -> "DimensionRow":
-        return DimensionRow(
-            level=data["level"],
-            conj=data.get("conj"),
-            nd=data["nd"],
-            hplus=tuple(data.get("Hplus", [])),
-            hminus=tuple(data.get("Hminus", [])),
-            chi0=tuple(data.get("chi0", [])),
-            chi13=tuple(data.get("chi13", [])),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "conj": self.conj,
-            "nd": self.nd,
-            "Hplus": list(self.hplus),
-            "Hminus": list(self.hminus),
-            "chi0": list(self.chi0),
-            "chi13": list(self.chi13),
-        }
-
 
 def _shape_options(side: str, degree: int, record: NewformRecord | None):
     d = degree

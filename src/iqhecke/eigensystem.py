@@ -28,7 +28,6 @@ from .algext import AlgValue, ValueField, lift, values_equal
 from .characters import (
     ClassCharacter,
     RootOfUnity,
-    character_from_json,
     character_group,
     eligible_selftwists,
     eval_on_class,
@@ -469,77 +468,3 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
         field_description=f.describe(),
     )
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def value_field_to_json(f: ValueField) -> dict:
-    def enc(q: Fraction):
-        return int(q) if q.denominator == 1 else str(q)
-
-    return {
-        "minpoly": [enc(c) for c in f.minpoly],
-        "adjoined": [
-            enc(r[0]) if all(c == 0 for c in r[1:]) else [enc(c) for c in r]
-            for r in f.adjoined
-        ],
-    }
-
-
-def value_field_from_json(data) -> ValueField:
-    def dec(x):
-        return Fraction(x)
-
-    minpoly = [dec(c) for c in data.get("minpoly", [0, 1])]
-    adjoined = []
-    for r in data.get("adjoined", []):
-        adjoined.append([dec(c) for c in r] if isinstance(r, list) else dec(r))
-    return algext.make_value_field(minpoly, adjoined)
-
-
-def eigensystem_to_json(F: HeckeEigensystem) -> dict:
-    out = {
-        "field_disc": F.group.field.disc,
-        "level": label(F.level),
-        "character": list(F.character.exps),
-        "field": value_field_to_json(F.vfield),
-        "alpha": {label(p): algext.render_value(v) for p, v in F.alpha},
-        "al": {label(q): s for q, s in F.al_signs} if F.al_signs is not None else None,
-        "selftwist": (
-            {"possible": [list(c.exps) for c in F.selftwist_candidates]}
-            if F.selftwist_candidates
-            else None
-        ),
-    }
-    return out
-
-
-def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
-    from .quadfield import ideal_from_label
-
-    if data.get("field_disc") not in (None, group.field.disc):
-        raise EigensystemError(
-            f"fixture is for discriminant {data['field_disc']}, not {group.field.disc}"
-        )
-    f = value_field_from_json(data.get("field", {}))
-    level = ideal_from_label(group.field, data["level"])
-    chi = character_from_json(
-        group, data.get("character", [0] * len(group.elementary_divisors))
-    )
-    alpha = {
-        ideal_from_label(group.field, lab): algext.parse_value(f, text)
-        for lab, text in data.get("alpha", {}).items()
-    }
-    al = data.get("al")
-    al_map = (
-        {ideal_from_label(group.field, lab): int(s) for lab, s in al.items()}
-        if al is not None
-        else None
-    )
-    cands = None
-    st = data.get("selftwist")
-    if isinstance(st, dict) and "possible" in st:
-        cands = [ClassCharacter(tuple(e)) for e in st["possible"]]
-    return make_eigensystem(
-        group, level, chi, alpha, al_map, vfield=f, selftwist_candidates=cands
-    )

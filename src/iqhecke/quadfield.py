@@ -133,9 +133,6 @@ class Ideal:
     def __repr__(self):
         return f"Ideal[{self.a}, {self.b}+{self.c}w]"
 
-    def to_json(self) -> dict:
-        return {"norm": self.norm, "hnf": [self.a, self.b, self.c]}
-
 
 def _hnf_from_rows(field: QuadField, rows: list[tuple[int, int]]) -> Ideal:
     """HNF of the Z-module spanned by rows (x, y) meaning x + y*omega."""
@@ -402,20 +399,6 @@ def ideal_from_label(field: QuadField, lab: str) -> Ideal:
     if not 1 <= idx <= len(ordered):
         raise QuadFieldError(f"no ideal with label {lab!r}")
     return ordered[idx - 1]
-
-
-def ideal_from_json(field: QuadField, data) -> Ideal:
-    if isinstance(data, str):
-        return ideal_from_label(field, data)
-    if "hnf" in data:
-        a, b, c = data["hnf"]
-        i = Ideal(field, a, b, c)
-        if "norm" in data and data["norm"] != i.norm:
-            raise QuadFieldError(f"norm mismatch in {data}")
-        return i
-    if "gens" in data:
-        return ideal_from_gens(field, [tuple(g) for g in data["gens"]])
-    raise QuadFieldError(f"cannot parse ideal from {data}")
 
 
 def primes_of_norm_up_to(field: QuadField, bound: int) -> list[Ideal]:

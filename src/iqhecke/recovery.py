@@ -138,59 +138,6 @@ class FixtureOracle:
         return self.mapping[op]
 
 
-def fixture_oracle_from_json(group: ClassGroup, data: dict):
-    """Load {"field_disc", "level", "field", "values": [{aa,t,w,value}]}."""
-    from .eigensystem import value_field_from_json
-    from .quadfield import ideal_from_label
-
-    if data.get("field_disc") not in (None, group.field.disc):
-        raise RecoveryError("oracle fixture is for a different field")
-    level = ideal_from_label(group.field, data["level"])
-    f = value_field_from_json(data.get("field", {}))
-    mapping = {}
-    for row in data["values"]:
-        op = make_principal_operator(
-            group,
-            level,
-            aa=ideal_from_label(group.field, row["aa"]) if row.get("aa") else None,
-            t=ideal_from_label(group.field, row["t"]) if row.get("t") else None,
-            w=ideal_from_label(group.field, row["w"]) if row.get("w") else None,
-        )
-        mapping[op] = algext.parse_value(f, str(row["value"]))
-    return FixtureOracle(mapping), level
-
-
-def fixture_oracle_to_json(
-    group: ClassGroup, level: Ideal, oracle: FixtureOracle, vfield=None
-) -> dict:
-    from .eigensystem import value_field_to_json
-
-    f = vfield
-    if f is None:
-        f = algext.RATIONAL_FIELD
-        for v in oracle.mapping.values():
-            f = algext.join_fields(f, v.field)
-    rows = []
-    for op in sorted(
-        oracle.mapping,
-        key=lambda o: (o.t.norm, o.aa.norm, o.w.norm if o.w else 0, str(o)),
-    ):
-        rows.append(
-            {
-                "aa": None if op.aa.is_unit() else label(op.aa),
-                "t": None if op.t.is_unit() else label(op.t),
-                "w": label(op.w) if op.w is not None else None,
-                "value": algext.render_value(lift(oracle.mapping[op], f)),
-            }
-        )
-    return {
-        "field_disc": group.field.disc,
-        "level": label(level),
-        "field": value_field_to_json(f),
-        "values": rows,
-    }
-
-
 def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValue) -> None:
     """Step 2d: add (p, alpha(p)) and its product with every entry to the
     table genus -> (a, alpha(a)), whose unit entry ((1), 1) is implicit.  p's

@@ -59,6 +59,7 @@ from .quadfield import (
     ideals_of_norm,
     is_rational_prime,
     label,
+    label_key,
     make_field,
     primes_of_norm_up_to,
     sigma0,
@@ -158,17 +159,10 @@ def check_genus_character(bundle: FixtureBundle) -> str:
 
 
 def check_recovery_2_1(bundle: FixtureBundle) -> str:
-    import json
-
-    from .recovery import fixture_oracle_from_json
-
     group = bundle.group
     K = bundle.field
-    path = next(
-        (p for p in bundle.oracle_files() if p.name == "oracle_2.1.json"), None
-    )
-    _require(path is not None, "bundle has no oracle fixture for level 2.1")
-    oracle, level = fixture_oracle_from_json(group, json.loads(path.read_text()))
+    _require("2.1" in bundle.oracles, "bundle has no oracle fixture for level 2.1")
+    oracle, level = bundle.oracles["2.1"]
     res = recover(oracle, group, level, bound=13, on_missing="skip")
     F = res.system
     _require(F.character.is_trivial(), "recovered character is not trivial")
@@ -581,12 +575,12 @@ def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> Ap
     out = ApComparison()
     amap = F.alpha_map()
 
-    def by_norm(item):
-        n, i = item[0].split(".")
-        return (int(n), int(i))
+    def by_label(entries: dict) -> list:
+        """(ideal, label, value) for each entry, in label order."""
+        triples = [(ideal_from_label(K, lab), lab, v) for lab, v in entries.items()]
+        return sorted(triples, key=lambda t: label_key(t[0]))
 
-    for lab, ap in sorted(curve.get("ap", {}).items(), key=by_norm):
-        p = ideal_from_label(K, lab)
+    for p, lab, ap in by_label(curve.get("ap", {})):
         if bound is not None and p.norm > bound:
             continue
         if not coprime(p, F.level):
@@ -599,8 +593,7 @@ def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> Ap
             out.matched.append(lab)
         else:
             out.mismatched.append((lab, algext.render_value(v), ap))
-    for lab, rec in sorted(curve.get("bad_primes", {}).items()):
-        q = ideal_from_label(K, lab)
+    for q, lab, rec in by_label(curve.get("bad_primes", {})):
         try:
             eps = F.al_sign(q)
         except EigensystemError:

@@ -302,7 +302,7 @@ def test_parse_errors():
     assert parse_value(QI, "(1+i)^0").rational_value() == 1
     assert parse_value(Q, "+".join(["1"] * 500)).rational_value() == 500
     for text in ["sqrt2", "1 +", "2 ^ -1", "2**3", "0x1", "1_0", "2.5", "True",
-                 "a^2^3", "2^a", "(1", "1)", "1/0"]:
+                 "a^2^3", "2^a", "(1", "1)", "1/0", "9" * 5000, "a^" + "9" * 5000]:
         with pytest.raises(AlgebraError):
             parse_value(CUBIC, text)
     with pytest.raises(AlgebraError):  # fullwidth letters, which NFKC folds to sqrt2

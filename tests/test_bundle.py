@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from iqhecke.algext import AlgebraError
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
 from iqhecke.cli import main
 from iqhecke.quadfield import label, principal_ideal
@@ -79,6 +80,43 @@ def test_mutated_alpha_fails_exactly_affected_checks(tmp_path):
     results = run_checks(b)
     failed = {r.name for r in results if not r.passed and not r.skipped}
     assert failed == {"recovery-2.1", "structure-detectors"}
+
+
+def _break_oracle_value(target):
+    path = target / "oracle_2.1.json"
+    data = json.loads(path.read_text())
+    data["values"][0]["value"] = "1/0"
+    path.write_text(json.dumps(data))
+
+
+def _copy_oracle(target):
+    shutil.copy(target / "oracle_2.1.json", target / "oracle_2.1-copy.json")
+
+
+def _duplicate_system_name(target):
+    path = target / "eigensystems_2.1.json"
+    data = json.loads(path.read_text())
+    data["systems"][1]["name"] = "F0"
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "breakage, error, message",
+    [
+        (_break_oracle_value, AlgebraError, "'1/0'"),
+        (_copy_oracle, BundleError, "two oracle files for level 2.1"),
+        (_duplicate_system_name, BundleError, "two systems named 'F0' at level 2.1"),
+    ],
+)
+def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    breakage(target)
+    with pytest.raises(error, match=message):
+        FixtureBundle(target)
+    assert main(["verify", "--bundle", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and message in err
 
 
 def test_bundle_rejects_bad_json(tmp_path):

@@ -4,9 +4,9 @@ import shutil
 import pytest
 
 from iqhecke import verify
-from iqhecke.bundle import DEFAULT_BUNDLE_DIR
+from iqhecke.bundle import DEFAULT_BUNDLE_DIR, eigensystem_from_json, eigensystem_to_json
 from iqhecke.cli import main
-from iqhecke.eigensystem import EigensystemError, eigensystem_from_json, eigensystem_to_json
+from iqhecke.eigensystem import EigensystemError
 
 
 def run_cli(capsys, *args):
@@ -217,6 +217,24 @@ def test_compare_ap_only_absorbs_missing_signs(bundle, monkeypatch):
     monkeypatch.setattr(type(F), "al_sign", raising(KeyError("unrelated failure")))
     with pytest.raises(KeyError, match="unrelated failure"):
         verify.compare_ap(F, curve)
+
+
+def test_compare_ap_reports_bad_primes_in_label_order(bundle):
+    curve = {"ap": {}, "bad_primes": {"11.1": {"ap": 1}, "2.1": {"ap": 1}}}
+    checks = verify.compare_ap(bundle.system("7.2", "a"), curve).bad_prime_checks
+    assert [lab for lab, _, _ in checks] == ["2.1", "11.1"]
+
+
+def test_compare_ap_rejects_duplicate_system_names(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+    data["systems"].append(data["systems"][0])
+    path = tmp_path / "eigensystems.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2 and "two systems named 'a'" in err
 
 
 def test_verify_output_is_deterministic(capsys):

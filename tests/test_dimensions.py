@@ -87,11 +87,6 @@ def test_validate_row_catches_mutations(bundle):
     assert not rep3.ok and any("conjugate" in v for v in rep3.violations)
 
 
-def test_row_serialization_round_trip(bundle):
-    for row in bundle.dimension_rows:
-        assert DimensionRow.from_json(row.to_json()) == row
-
-
 def test_sigma0_vs_multiplicity_bound(G17, K17):
     chi2 = ClassCharacter((2,))
     m = unit_ideal(K17)

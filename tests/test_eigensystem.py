@@ -5,6 +5,7 @@ import pytest
 
 from iqhecke import algext
 from iqhecke.algext import parse_value, values_equal
+from iqhecke.bundle import eigensystem_from_json, eigensystem_to_json
 from iqhecke.characters import (
     ClassCharacter,
     RootOfUnity,
@@ -19,8 +20,6 @@ from iqhecke.eigensystem import (
     base_change_candidate,
     character_values,
     coefficient,
-    eigensystem_from_json,
-    eigensystem_to_json,
     euler_factor_coefficients,
     galois_conjugate_system,
     hecke_field_report,

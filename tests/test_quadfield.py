@@ -16,7 +16,6 @@ from iqhecke.quadfield import (
     ideal_add,
     ideal_div_exact,
     ideal_from_gens,
-    ideal_from_json,
     ideal_from_label,
     ideal_mul,
     ideal_pow,
@@ -238,13 +237,8 @@ def test_default_hnf_label_order_other_field():
 
 def test_ideal_serialization(K17):
     p31 = ideal_from_label(K17, "3.1")
-    blob = p31.to_json()
-    assert blob == {"norm": 3, "hnf": [3, 1, 1]}
-    assert ideal_from_json(K17, blob) == p31
-    assert ideal_from_json(K17, {"gens": [[3, 0], [4, 1]]}) == p31
-    assert ideal_from_json(K17, "3.1") == p31
-    with pytest.raises(QuadFieldError):
-        ideal_from_json(K17, {"norm": 5, "hnf": [3, 1, 1]})
+    assert (p31.norm, p31.a, p31.b, p31.c) == (3, 3, 1, 1)
+    assert ideal_from_gens(K17, [(3, 0), (4, 1)]) == p31
 
 
 def test_ideal_pow_and_prime_predicates(K17):
@@ -282,7 +276,7 @@ def test_checks_raise_typed_errors_under_optimize(run_optimized):
         "Q = algext.RATIONAL_FIELD\n"
         "conj = algext.FieldAutomorphism(Q, 0, True)\n"
         "calls = (lambda: q.factor_int(0), lambda: q.ideal_pow(p, -1),\n"
-        "         lambda: q.ideal_from_json(p.field, {'hnf': [5, 1, 1]}),\n"
+        "         lambda: q.Ideal(p.field, 5, 1, 1),\n"
         "         lambda: algext.squarefree_part(Fraction(0)), lambda: Q.subfield(),\n"
         "         lambda: conj.apply(algext.one(Q)), lambda: characters.RootOfUnity.make(1, 0),\n"
         "         lambda: verify._chi2(classgroup.compute_class_group(q.make_field(21))))\n"
@@ -304,4 +298,4 @@ def test_hnf_invariants_enforced(K17):
     with pytest.raises(QuadFieldError):
         Ideal(K17, 4, 1, 2)  # c does not divide b
     with pytest.raises(QuadFieldError, match="omega-closed"):
-        ideal_from_json(K17, {"hnf": [5, 1, 1]})  # 5 does not divide N(1 + omega) = 18
+        Ideal(K17, 5, 1, 1)  # 5 does not divide N(1 + omega) = 18
