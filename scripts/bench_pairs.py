@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating parent/change pairs and write the result.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
+        --out BENCH_<n>.json [--claim W.METRIC]
+
+PARENT and CHANGE are the roots of two clean checkouts, for example
+``git clone`` copies of two commits. Pair i runs
+``python3 perfbench/run.py --workload W --seed i --seconds S`` in each tree,
+with S the ``run_seconds`` of CHANGE's ``BENCHMARK.json``, one tree after
+the other: the parent first in odd pairs, the change first in even pairs.
+W is a workload of ``BENCHMARK.json`` or ``all``, and ``--workload`` may be
+repeated. Run nothing else on the machine meanwhile.
+
+The output file holds the parent's commit and the change's subject (when
+the trees are git checkouts), the machine, the method, every run's
+end-to-end metrics, and per metric the median and quartiles of each side
+(``statistics.quantiles``, n=4), the change's median over the parent's and
+the number of pairs in which the change read better. ``call_counts`` holds
+the deterministic counts of ``scripts/call_counts.py`` for both trees (the
+change's script runs on each tree's library). ``--claim tables.ops_per_kref``
+names the metric the change claims to improve; it is copied into ``claim``
+with its summary. A run that exits nonzero or reports ``correct: false``
+stops the script.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        last = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"{tree}: {' '.join(argv[1:])} printed no result\n{proc.stderr}")
+    if proc.returncode or not last["correct"]:
+        sys.exit(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}, "
+                 f"correct={last['correct']}")
+    # a single workload names its metrics bare, ``all`` prefixes the workload
+    prefix = "" if workload == "all" else f"{workload}."
+    out = {f"{prefix}{key}": m["value"] for key, m in last["metrics"].items()}
+    out[f"{workload}.attempted"], out[f"{workload}.failed"] = last["attempted"], last["failed"]
+    return out
+
+
+def call_counts(script: Path, tree: Path) -> dict:
+    """The table that call_counts.py prints, as {section: {column: count}}."""
+    proc = subprocess.run([sys.executable, str(script), str(tree)],
+                          capture_output=True, text=True, check=True)
+    header, *rows = [line.split() for line in proc.stdout.splitlines() if line.strip()]
+    return {row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows}
+
+
+def git(tree: Path, *args: str) -> str | None:
+    if not (tree / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "vcpus": os.cpu_count(),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "platform": platform.platform(),
+    }
+
+
+def summarise(pairs: list, metrics: dict) -> dict:
+    """Median, quartiles, change/parent and pairs won for each metric that
+    every run reported; metrics maps a bare metric name to 'lower'/'higher'."""
+    summary = {}
+    for key in pairs[0]["parent"]:
+        better = metrics.get(key.rsplit(".", 1)[-1])
+        if better is None:
+            continue
+        side = {s: [p[s][key] for p in pairs] for s in ("parent", "change")}
+        stats = {}
+        for s, xs in side.items():
+            q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+            stats[s] = {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+        won = sum((c < p) if better == "lower" else (c > p)
+                  for p, c in zip(side["parent"], side["change"]))
+        summary[key] = {
+            "better": better,
+            **stats,
+            "change_over_parent": round(stats["change"]["median"] / stats["parent"]["median"], 5)
+            if stats["parent"]["median"] else None,
+            "change_better_in": f"{won}/{len(pairs)}",
+        }
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", help="WORKLOAD.METRIC that the change claims to improve")
+    args = parser.parse_args()
+    parent, change = args.parent.resolve(), args.change.resolve()
+    spec = json.loads((change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+
+    pairs = []
+    for i in range(1, args.pairs + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        row = {"pair": i, "seed": i, "first": order[0], "parent": {}, "change": {}}
+        for side in order:
+            for workload in args.workload:
+                row[side].update(run(parent if side == "parent" else change,
+                                     workload, i, seconds))
+        pairs.append(row)
+        print(f"pair {i}/{args.pairs} done", file=sys.stderr, flush=True)
+
+    summary = summarise(pairs, metrics)
+    script = change / "scripts" / "call_counts.py"
+    result = {
+        "change": git(change, "log", "-1", "--format=%s"),
+        "parent_commit": git(parent, "rev-parse", "HEAD"),
+        "date": datetime.date.today().isoformat(),
+        "machine": machine(),
+        "method": (
+            f"{args.pairs} pairs; pair i runs `python3 perfbench/run.py --workload "
+            f"{'/'.join(args.workload)} --seed i --seconds {seconds:g}` on a clean copy of "
+            "the parent and of the change, one after the other, parent first in odd pairs "
+            "and change first in even pairs (scripts/bench_pairs.py). Medians and quartiles "
+            "over the runs of each side (statistics.quantiles, n=4). 'change_better_in' "
+            "counts the pairs in which the change read better than the parent on that seed."
+        ),
+        "claim": args.claim and {"metric": args.claim, **summary[args.claim]},
+        "summary": summary,
+        "pairs": pairs,
+        "call_counts": {
+            "command": "python3 scripts/call_counts.py TREE (cProfile; PYTHONHASHSEED=0)",
+            "parent": call_counts(script, parent),
+            "change": call_counts(script, change),
+        },
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

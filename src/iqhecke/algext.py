@@ -3,17 +3,19 @@
 A ValueField is k = Q(theta)(sqrt(r_1), ..., sqrt(r_m)) where theta has a
 monic integer minimal polynomial of small degree deg and the r_j are
 base-field elements (usually rationals), the radicands.  A value is a flat
-tuple of deg * 2^m rationals on the basis theta^k * prod_{j in S} sqrt(r_j),
+tuple of deg * 2^m integers over one positive denominator, in lowest terms
+(Cohen, GTM 138, sec. 4.2), on the basis theta^k * prod_{j in S} sqrt(r_j),
 at index S*deg + k for a root bitmask S.  The last root owns the top bit, so
-v = v0 + v1*sqrt(r) with v0, v1 the two contiguous halves of ``coeffs``, in
+v = v0 + v1*sqrt(r) with v0, v1 the two contiguous halves of ``nums``, in
 the subtower without it.  Inverses and square roots descend through that
 split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
 N = v0^2 - r*v1^2, down to Q(theta), whose elements are base vectors.
 
-Each tower memoises its structure constants (e_i*e_j as a sparse sum), those
-of Q(theta) for base vectors, and the complex value and name of each basis
-element, and each pair of towers its lift map, so products, lifts,
-automorphisms, embeddings and rendering are single loops over coefficients.
+Each tower memoises its structure constants (e_i*e_j as a sparse sum of
+integers over one denominator), those of Q(theta) for base vectors, and the
+complex value and name of each basis element, and each pair of towers its
+lift map, so products, lifts and automorphisms are one integer loop and one
+gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
 
 Square roots are exact.  A base square root comes from p-adic lifting at a
 split prime, bounded through the trace form of Q(theta), which
@@ -35,8 +37,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, count, product, repeat
-from math import isqrt, lcm, prod
+from itertools import combinations, count, product
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .quadfield import factor_int, is_rational_prime
@@ -47,13 +49,10 @@ class AlgebraError(ValueError):
 
 
 BaseVec = tuple[Fraction, ...]  # coefficients on 1, theta, ..., theta^(deg-1)
-Sparse = tuple[tuple[int, Fraction], ...]  # (basis index, coefficient) pairs, zeros left out
+Sparse = tuple[tuple[int, int], ...]  # (basis index, integer coefficient) pairs, zeros left out
+Table = tuple[tuple[Sparse, ...], ...]  # structure constants: e_i*e_j at [i][j]
 
-_ZERO = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+MAX_EXPONENT = 1000  # the largest n in x^n that parse_value reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,32 +95,35 @@ class ValueField:
         return tuple(out)
 
     @cached_property
-    def _base_table(self) -> tuple[tuple[Sparse, ...], ...]:
+    def _base_table(self) -> Table:
         """Structure constants of Q(theta): theta^(a+b), reduced, at [a][b]."""
         deg = self.base_degree
+        mp = [int(c) for c in self.minpoly]
         powers = [_unit_vec(deg, k) for k in range(deg)]
         for _ in range(deg - 1):
             # theta^n = theta * theta^(n-1), where theta^deg = -(c_0 + c_1*theta + ...)
             prev = powers[-1]
-            powers.append(tuple((prev[k - 1] if k else _ZERO) - prev[-1] * self.minpoly[k]
-                                for k in range(deg)))
+            powers.append(tuple((prev[k - 1] if k else 0) - prev[-1] * mp[k] for k in range(deg)))
         return tuple(tuple(_sparse(powers[a + b]) for b in range(deg)) for a in range(deg))
 
     @cached_property
-    def _table(self) -> tuple[tuple[Sparse, ...], ...]:
-        """Structure constants of the tower: e_i*e_j at [i][j], from
-        theta^a sqrt(S) * theta^b sqrt(T) = theta^(a+b) r_{S&T} sqrt(S^T)."""
+    def _table(self) -> tuple[Table, int]:
+        """Structure constants of the tower over one denominator: e_i*e_j at [i][j],
+        from theta^a sqrt(S) * theta^b sqrt(T) = theta^(a+b) r_{S&T} sqrt(S^T)."""
         deg = self.base_degree
+        den = lcm(*(c.denominator for r in self._radicand_products for c in r))
+        radicands = [[c.numerator * (den // c.denominator) for c in r]
+                     for r in self._radicand_products]
         units = [_unit_vec(deg, k) for k in range(deg)]
         basis = [divmod(i, deg) for i in range(self.dim)]  # (S, a) at index S*deg + a
         return tuple(
             tuple(
-                _sparse(_base_mul(self, _base_mul(self, units[a], units[b]),
-                                  self._radicand_products[s & t]), (s ^ t) * deg)
+                _sparse(_base_mul(self, _base_mul(self, units[a], units[b]), radicands[s & t]),
+                        (s ^ t) * deg)
                 for t, b in basis
             )
             for s, a in basis
-        )
+        ), den
 
     @cached_property
     def _trace_form(self) -> tuple[int, Fraction, tuple[Fraction, ...]]:
@@ -133,7 +135,7 @@ class ValueField:
         pivots, exactly when the base is totally real with distinct roots."""
         deg, table = self.base_degree, self._base_table
         tr = tuple(sum(c for a in range(deg) for k, c in table[i][a] if k == a) for i in range(deg))
-        m = [[sum(c * tr[i] for i, c in table[j][k]) for k in range(deg)]
+        m = [[Fraction(sum(c * tr[i] for i, c in table[j][k])) for k in range(deg)]
              + list(_unit_vec(deg, j)) for j in range(deg)]
         disc = 1
         for k in range(deg):
@@ -174,7 +176,7 @@ class ValueField:
 
 
 def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
-    mp = tuple(_frac(c) for c in minpoly)
+    mp = tuple(Fraction(c) for c in minpoly)
     if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
     _tower(mp, ())._trace_form  # raises unless the base is totally real
@@ -197,8 +199,8 @@ def _tower(minpoly: tuple[Fraction, ...], adjoined: tuple[BaseVec, ...]) -> Valu
 
 def _as_base_vec(deg: int, r) -> BaseVec:
     if isinstance(r, (int, Fraction)):
-        return (_frac(r),) + (_ZERO,) * (deg - 1)
-    vec = tuple(_frac(c) for c in r)
+        return (Fraction(r),) + (Fraction(0),) * (deg - 1)
+    vec = tuple(Fraction(c) for c in r)
     if len(vec) != deg:
         raise AlgebraError(f"radicand {list(r)} has {len(vec)} coefficients, base degree is {deg}")
     return vec
@@ -206,46 +208,59 @@ def _as_base_vec(deg: int, r) -> BaseVec:
 
 @dataclass(frozen=True)
 class AlgValue:
+    """nums/den on the basis of ``field``, in the canonical form den > 0 and
+    gcd(den, *nums) == 1 that every operation returns (``_value``)."""
+
     field: ValueField
-    coeffs: tuple[Fraction, ...]  # on theta^k * prod_{j in S} sqrt(r_j), at index S*deg + k
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise AlgebraError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
-        return AlgValue(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _value(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __neg__(self) -> "AlgValue":
-        return AlgValue(self.field, tuple(-a for a in self.coeffs))
+        return AlgValue(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "AlgValue") -> "AlgValue":
         return self + (-other)
 
     def __mul__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
-        return AlgValue(self.field, _product(self.coeffs, other.coeffs, self.field._table))
+        table, den = self.field._table
+        return _value(self.field, _product(self.nums, other.nums, table),
+                      self.den * other.den * den)
 
     def scale(self, q) -> "AlgValue":
-        q = _frac(q)
-        return AlgValue(self.field, tuple(q * a for a in self.coeffs))
+        q = Fraction(q)
+        return _value(self.field, [q.numerator * n for n in self.nums], q.denominator * self.den)
 
     def inv(self) -> "AlgValue":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
+        if f.dim == 1:
+            return _value(f, (self.den,), self.nums[0])
         if f.nroots == 0:
-            return AlgValue(f, _base_inv(f, self.coeffs))
+            return from_coeffs(f, _base_inv(f, self.coeffs))
         # v is a unit exactly when its relative norm is a unit of the subtower
         v0, v1, r = _halves(self)
         try:
@@ -266,9 +281,24 @@ def _check_same_field(a: AlgValue, b: AlgValue):
         raise AlgebraError("values live in different fields; lift them first")
 
 
-def _product(u, v, table: tuple[tuple[Sparse, ...], ...]) -> tuple[Fraction, ...]:
-    """The product of two coefficient vectors through the structure constants."""
-    acc = [_ZERO] * len(u)
+def _value(f: ValueField, nums, den: int) -> AlgValue:
+    """The value nums/den of f in canonical form (den != 0)."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g == 1:
+        return AlgValue(f, tuple(nums), den)
+    return AlgValue(f, tuple(n // g for n in nums), den // g)
+
+
+def from_coeffs(f: ValueField, coeffs) -> AlgValue:
+    """The value of f with the given rational coefficients (ints or Fractions)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _value(f, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+
+def _product(u, v, table: Table) -> list:
+    """The product of two coefficient vectors through integer structure
+    constants; ints for int vectors (numerators), Fractions for base vectors."""
+    acc = [0] * len(u)
     for a, row in zip(u, table):
         if a:
             for b, terms in zip(v, row):
@@ -276,33 +306,31 @@ def _product(u, v, table: tuple[tuple[Sparse, ...], ...]) -> tuple[Fraction, ...
                     ab = a * b
                     for k, c in terms:
                         acc[k] += ab * c
-    return tuple(acc)
+    return acc
 
 
-def _linear_image(coeffs, images: tuple[Sparse, ...], f: ValueField) -> AlgValue:
-    """sum_i coeffs[i] * images[i] in f: a sparse matrix times a vector."""
-    acc = [_ZERO] * f.dim
-    for c, image in zip(coeffs, images):
+def _linear_image(nums, images: tuple[Sparse, ...], dim: int) -> list[int]:
+    """sum_i nums[i] * images[i]: a sparse integer matrix times a vector."""
+    acc = [0] * dim
+    for c, image in zip(nums, images):
         if c:
             for k, x in image:
                 acc[k] += c * x
-    return AlgValue(f, tuple(acc))
+    return acc
 
 
 def _sparse(coeffs, lead: int = 0) -> Sparse:
-    """The nonzero coefficients as (index, coefficient) pairs, indices shifted by lead."""
+    """The nonzero integer coefficients as (index, coefficient) pairs, indices shifted by lead."""
     return tuple((lead + k, c) for k, c in enumerate(coeffs) if c)
 
 
 def _base_mul(f: ValueField, u: BaseVec, v: BaseVec) -> BaseVec:
-    return _product(u, v, f._base_table)
+    return tuple(_product(u, v, f._base_table))
 
 
 def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
     """Inverse of a nonzero element of Q(theta)."""
     deg = f.base_degree
-    if deg == 1:
-        return (1 / vec[0],)
     # column k of the multiplication matrix is vec * theta^k
     cols = [_base_mul(f, vec, _unit_vec(deg, k)) for k in range(deg)]
     sol = _solve_linear([[col[i] for col in cols] for i in range(deg)], _unit_vec(deg, 0))
@@ -316,14 +344,15 @@ def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
     and v0, v1, r lie in the subtower without it."""
     f = v.field
     sub = f.subfield()
-    half = len(v.coeffs) // 2
+    half = len(v.nums) // 2
     r = from_base_vec(sub, f.adjoined[-1])
-    return AlgValue(sub, v.coeffs[:half]), AlgValue(sub, v.coeffs[half:]), r
+    return _value(sub, v.nums[:half], v.den), _value(sub, v.nums[half:], v.den), r
 
 
 def _merge(f: ValueField, v0: AlgValue, v1: AlgValue) -> AlgValue:
     """v0 + v1*sqrt(r) in f, for v0, v1 in the subtower without the last root."""
-    return AlgValue(f, v0.coeffs + v1.coeffs)
+    return _value(f, [n * v1.den for n in v0.nums] + [n * v0.den for n in v1.nums],
+                  v0.den * v1.den)
 
 
 def _solve_linear(mat, rhs):
@@ -335,7 +364,7 @@ def _solve_linear(mat, rhs):
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
+        inv = 1 / Fraction(m[col][col])
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
@@ -347,19 +376,20 @@ def _solve_linear(mat, rhs):
 # -- constructors ------------------------------------------------------------
 
 
-def _unit_vec(deg: int, k: int) -> BaseVec:
-    return tuple(Fraction(int(i == k)) for i in range(deg))
+def _unit_vec(deg: int, k: int) -> tuple[int, ...]:
+    return tuple(int(i == k) for i in range(deg))
 
 
 RATIONAL_FIELD = make_value_field()
 
 
 def from_rational(f: ValueField, q) -> AlgValue:
-    return from_base_vec(f, _as_base_vec(f.base_degree, _frac(q)))
+    q = Fraction(q)
+    return AlgValue(f, (q.numerator,) + (0,) * (f.dim - 1), q.denominator)
 
 
 def zero(f: ValueField) -> AlgValue:
-    return AlgValue(f, (_ZERO,) * f.dim)
+    return AlgValue(f, (0,) * f.dim, 1)
 
 
 def one(f: ValueField) -> AlgValue:
@@ -379,7 +409,7 @@ def adjoined_root(f: ValueField, j: int) -> AlgValue:
 def from_base_vec(f: ValueField, vec: BaseVec, mask: int = 0) -> AlgValue:
     """The base element vec times prod_{j in mask} sqrt(r_j)."""
     lead = mask * f.base_degree
-    return AlgValue(f, (_ZERO,) * lead + tuple(vec) + (_ZERO,) * (f.dim - lead - len(vec)))
+    return from_coeffs(f, (0,) * lead + tuple(vec) + (0,) * (f.dim - lead - len(vec)))
 
 
 # -- field embeddings ---------------------------------------------------------
@@ -403,13 +433,14 @@ def lift(v: AlgValue, target: ValueField) -> AlgValue:
         return v
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
-    return _linear_image(v.coeffs, _lift_map(src, target), target)
+    images, den = _lift_map(src, target)
+    return _value(target, _linear_image(v.nums, images, target.dim), v.den * den)
 
 
 @lru_cache(maxsize=None)
-def _lift_map(src: ValueField, target: ValueField) -> tuple[Sparse, ...]:
-    """The image in target of each basis element of src: sqrt(r) goes to the
-    square root of r in target with the same embedded value."""
+def _lift_map(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], int]:
+    """The image in target of each basis element of src, over one denominator:
+    sqrt(r) goes to the square root of r in target with the same embedded value."""
     monomials = [one(target)]  # the images of the root products, by mask
     for j, r in enumerate(src.adjoined):
         w, z = sqrt_in_tower(from_base_vec(target, r)), embed(adjoined_root(src, j))
@@ -417,17 +448,15 @@ def _lift_map(src: ValueField, target: ValueField) -> tuple[Sparse, ...]:
             raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
         w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
         monomials += [m * w for m in monomials]
-    # theta^k * m is m through row k of the structure constants
-    return tuple(
-        _sparse(_linear_image(m.coeffs, target._table[k], target).coeffs)
-        for m in monomials
-        for k in range(src.base_degree)
-    )
+    powers = [from_base_vec(target, _unit_vec(src.base_degree, k)) for k in range(src.base_degree)]
+    images = [p * m for m in monomials for p in powers]
+    den = lcm(*(x.den for x in images))
+    return tuple(_sparse([n * (den // x.den) for n in x.nums]) for x in images), den
 
 
 def values_equal(a: AlgValue, b: AlgValue) -> bool:
     f = join_fields(a.field, b.field)
-    return lift(a, f).coeffs == lift(b, f).coeffs
+    return lift(a, f) == lift(b, f)
 
 
 # -- square roots -------------------------------------------------------------
@@ -671,11 +700,11 @@ class FieldAutomorphism:
     def apply(self, v: AlgValue) -> AlgValue:
         if v.field != self.field:
             raise AlgebraError("automorphism applied to a foreign value")
-        return _linear_image(v.coeffs, self._images, self.field)
+        return _value(self.field, _linear_image(v.nums, self._images, self.field.dim), v.den)
 
     @cached_property
     def _images(self) -> tuple[Sparse, ...]:
-        """The image of each basis element: theta^k goes to theta'^k when the
+        """The image of each basis element, integral: theta^k goes to theta'^k when the
         base is conjugated, and sqrt(S) to -sqrt(S) for an odd number of
         flipped roots in S."""
         f = self.field
@@ -706,7 +735,7 @@ def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
     # theta' = -c1 - theta for a monic quadratic x^2 + c1 x + c0
     if f.base_degree != 2:
         raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
-    c1 = f.minpoly[1]
+    c1 = int(f.minpoly[1])
     x, y = vec
     return (x - c1 * y, -y)
 
@@ -767,11 +796,12 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
     """Read a value of f from text such as ``2*sqrt2*i`` or ``-a^2+a+2``.
 
     The text is Python's expression grammar cut down to integers, the names
-    of ``field_symbols(f)``, binary + - * /, unary + and -, and ^ to a
-    nonnegative integer literal.  Any other expression, a division by zero
-    and nesting past the interpreter's recursion limit (about 1,000
-    operators or 200 parentheses; a rendered value has one term per basis
-    element) raise AlgebraError.
+    of ``field_symbols(f)``, binary + - * /, unary + and -, and ^ to an
+    integer literal from 0 to MAX_EXPONENT, computed by repeated squaring.
+    Any other expression, a larger exponent, a division by zero and nesting
+    past the interpreter's recursion limit (about 1,000 operators or 200
+    parentheses; a rendered value has one term per basis element) raise
+    AlgebraError.
     """
     text = str(text)
     source = " ".join(_tokenize(text)).replace("^", "**")
@@ -793,7 +823,9 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
             return _BINARY[type(node.op)](value(node.left), value(node.right))
         if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                 and isinstance(node.right, ast.Constant) and type(node.right.value) is int):
-            return prod(repeat(value(node.left), node.right.value), start=one(f))
+            if node.right.value > MAX_EXPONENT:
+                raise AlgebraError(f"exponent above {MAX_EXPONENT} in value {text[:80]!r}")
+            return _power(value(node.left), node.right.value)
         what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
         raise AlgebraError(f"unsupported {what} in value {text!r}")
 
@@ -801,6 +833,14 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
         return value(ast.parse(source, mode="eval").body)
     except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
         raise AlgebraError(f"malformed value {text!r}: {exc}") from None
+
+
+def _power(v: AlgValue, n: int) -> AlgValue:
+    """v^n for n >= 0, by repeated squaring."""
+    if n < 2:
+        return v if n else one(v.field)
+    half = _power(v * v, n // 2)
+    return half * v if n & 1 else half
 
 
 def render_value(v: AlgValue) -> str:

@@ -1,8 +1,8 @@
 """Every iqhecke file format, and the shipped fixture bundle.
 
 This module alone reads and writes JSON (value fields, eigensystems and their
-tables, oracle files, characters and dimension rows); files name ideals by
-their ``N.i`` label.  A bundle directory holds the field descriptor with its
+tables, oracle files, characters, dimension rows and curves); files name
+ideals by their ``N.i`` label.  A bundle directory holds the field descriptor with its
 class-group pin, the eigensystem tables, the principal-operator oracle files,
 the newspace dimension table, the Hecke-field table, and elliptic-curve a_p
 lists.  Every file is schema-checked at load time and all ideal labels are
@@ -26,6 +26,7 @@ from .quadfield import (
     FACTOR_LABEL_DISCS,
     Ideal,
     QuadField,
+    coprime,
     ideal_from_label,
     label,
     make_field,
@@ -145,6 +146,31 @@ def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOrac
     return FixtureOracle(mapping), level
 
 
+def curve_from_json(K: QuadField, data) -> dict:
+    """Check a curve file {"curve", "conductor", "ap": {label: a_p},
+    "bad_primes": {label: {"ap": a, "reduction": ...}}} and return it: every
+    label names an ideal of K, every a_p and bad-prime a is an integer, and
+    every bad prime divides the conductor."""
+    if not isinstance(data, dict) or not isinstance(data.get("conductor"), str):
+        raise BundleError("a curve file is an object with a conductor label")
+    if data.get("field_disc") not in (None, K.disc):
+        raise BundleError(f"curve is for discriminant {data['field_disc']}, not {K.disc}")
+    conductor = ideal_from_label(K, data["conductor"])
+    ap, bad = data.get("ap", {}), data.get("bad_primes", {})
+    if not isinstance(ap, dict) or not isinstance(bad, dict):
+        raise BundleError("curve 'ap' and 'bad_primes' must be objects keyed by prime label")
+    for lab, a in ap.items():
+        if type(a) is not int:
+            raise BundleError(f"curve a_p at {lab} is {a!r}, not an integer")
+        ideal_from_label(K, lab)
+    for lab, rec in bad.items():
+        if not isinstance(rec, dict) or type(rec.get("ap")) is not int:
+            raise BundleError(f"bad prime {lab}: {rec!r} has no integer 'ap'")
+        if coprime(ideal_from_label(K, lab), conductor):
+            raise BundleError(f"bad prime {lab} does not divide the conductor {data['conductor']}")
+    return data
+
+
 def dimension_row_from_json(data: dict) -> DimensionRow:
     return DimensionRow(
         level=data["level"],
@@ -250,11 +276,11 @@ class FixtureBundle:
     def _load_curves(self):
         out = {}
         for path in sorted(self.directory.glob("curve_*.json")):
-            data = json.loads(path.read_text())
-            ideal_from_label(self.field, data["conductor"])
-            for lab in data.get("ap", {}):
-                ideal_from_label(self.field, lab)
-            out[data.get("curve", path.stem)] = data
+            data = curve_from_json(self.field, json.loads(path.read_text()))
+            name = data.get("curve", path.stem)
+            if name in out:
+                raise BundleError(f"two curve files for {name}")
+            out[name] = data
         return out
 
     def _read_one(self, pattern: str):

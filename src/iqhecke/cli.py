@@ -17,6 +17,7 @@ from . import algext
 from .bundle import (
     DEFAULT_BUNDLE_DIR,
     FixtureBundle,
+    curve_from_json,
     eigensystem_from_json,
     eigensystem_to_json,
     fixture_oracle_from_json,
@@ -191,7 +192,7 @@ def cmd_compare_ap(args) -> int:
         K = make_field(args.field)
         group = compute_class_group(K)
         F = _load_system_file(group, Path(args.eigensystem), args.name)
-        curve = json.loads(Path(args.curve).read_text())
+        curve = curve_from_json(K, json.loads(Path(args.curve).read_text()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

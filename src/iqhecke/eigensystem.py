@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement
+from math import gcd
 from operator import mul
 
 from . import algext
@@ -389,17 +390,19 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 
 def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
     """Q-dimension of the subfield generated by the given tower values."""
-    rows: list[tuple[int, list[Fraction]]] = []  # (pivot, echelon row)
+    rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
-        vec = list(v.coeffs)
+        # v's numerators are v times a positive constant: the rank is the same
+        vec = list(v.nums)
         for piv, row in rows:
-            if vec[piv] != 0:
-                fac = vec[piv] / row[piv]
-                vec = [a - fac * b for a, b in zip(vec, row)]
-        piv = next((i for i, c in enumerate(vec) if c != 0), None)
+            if vec[piv]:
+                a, b = row[piv], vec[piv]
+                vec = [a * x - b * y for x, y in zip(vec, row)]
+        piv = next((i for i, c in enumerate(vec) if c), None)
         if piv is not None:
-            rows.append((piv, vec))
+            g = gcd(*vec)
+            rows.append((piv, [x // g for x in vec]))
         return piv is not None
 
     # the span of 1 and the independent generators, closed under

@@ -209,16 +209,26 @@ def recover(
         work = algext.join_fields(work, v.field)
         return lift(v, work)
 
+    first_for_class: dict[IdealClass, Ideal] = {}  # class of t*w -> its a coprime to the level
+
     def principal(t=None, w=None, coprime_to=()) -> AlgValue:
-        """The eigenvalue of T_t W_w: query T_{a,a} T_t W_w for the first a
-        that makes it principal, times chi(a^-1)."""
+        """The eigenvalue of T_t W_w: query T_{a,a} T_t W_w for the first a,
+        coprime to the level and to coprime_to, that makes it principal,
+        times chi(a^-1)."""
         cls = group.identity()
         for part in (t, w):
             if part is not None:
                 cls = group.mul(cls, group.ideal_class(part))
-        a = first_ideal(
-            group, lambda x: group.mul(group.power(x, 2), cls).is_identity(), (level, *coprime_to)
-        )
+
+        def accept(x: IdealClass) -> bool:
+            return group.mul(group.power(x, 2), cls).is_identity()
+
+        if cls not in first_for_class:
+            first_for_class[cls] = first_ideal(group, accept, (level,))
+        a = first_for_class[cls]
+        if not all(coprime(a, m) for m in coprime_to):
+            # every ideal before a already fails a test that ignores coprime_to
+            a = first_ideal(group, accept, (level, *coprime_to))
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
         return v * chiv(group.inv(group.ideal_class(a)))
 

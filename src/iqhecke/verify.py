@@ -570,7 +570,8 @@ class ApComparison:
 
 def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> ApComparison:
     """Compare stored eigenvalues against a curve's traces of Frobenius, and
-    the involution sign against the curve's local data at the bad prime."""
+    the involution sign against the curve's local data at the bad prime; the
+    curve is a record as ``bundle.curve_from_json`` checks it."""
     K = F.group.field
     out = ApComparison()
     amap = F.alpha_map()

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from iqhecke.algext import (
+    MAX_EXPONENT,
     AlgebraError,
-    AlgValue,
     automorphisms,
     canonical_sign,
     embed,
     field_symbols,
+    from_coeffs,
     from_rational,
     join_fields,
     lift,
@@ -47,7 +48,7 @@ def rand_value(f, rng, span=4):
 
 def rand_full(f, rng):
     """A value with a random rational coefficient on every basis element."""
-    return AlgValue(f, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.dim)))
+    return from_coeffs(f, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.dim)])
 
 
 def close(z, w):
@@ -307,3 +308,16 @@ def test_parse_errors():
             parse_value(CUBIC, text)
     with pytest.raises(AlgebraError):  # fullwidth letters, which NFKC folds to sqrt2
         parse_value(QI2, "\uff53\uff51\uff52\uff542")
+
+
+def test_powers_are_bounded_and_computed_by_squaring():
+    v = parse_value(QI2, "1 + sqrt2 + i/3")
+    power = one(QI2)
+    for n in range(12):
+        assert parse_value(QI2, f"(1 + sqrt2 + i/3)^{n}") == power
+        power = power * v
+    assert parse_value(CUBIC, f"2^{MAX_EXPONENT}").rational_value() == 2**MAX_EXPONENT
+    # an exponent past the cap is refused before any multiplication
+    for text in [f"2^{MAX_EXPONENT + 1}", "1^300000", "a^" + "9" * 4000]:
+        with pytest.raises(AlgebraError, match="exponent"):
+            parse_value(CUBIC, text)

@@ -100,12 +100,25 @@ def _duplicate_system_name(target):
     path.write_text(json.dumps(data))
 
 
+def _copy_curve(target):
+    shutil.copy(target / "curve_7.2a2.json", target / "curve_7.2a2-copy.json")
+
+
+def _drop_bad_prime_ap(target):
+    path = target / "curve_7.2a2.json"
+    data = json.loads(path.read_text())
+    del data["bad_primes"]["7.2"]["ap"]
+    path.write_text(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "breakage, error, message",
     [
         (_break_oracle_value, AlgebraError, "'1/0'"),
         (_copy_oracle, BundleError, "two oracle files for level 2.1"),
         (_duplicate_system_name, BundleError, "two systems named 'F0' at level 2.1"),
+        (_drop_bad_prime_ap, BundleError, "bad prime 7.2"),
+        (_copy_curve, BundleError, "two curve files for 2.0.68.1-7.2-a2"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):

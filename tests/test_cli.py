@@ -202,6 +202,34 @@ def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
         assert code == 2 and message in err
 
 
+def _without_bad_prime_ap(curve):
+    del curve["bad_primes"]["7.2"]["ap"]
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_without_bad_prime_ap, "no integer 'ap'"),
+        (lambda curve: curve["ap"].update({"3.1": "-2"}), "not an integer"),
+        (lambda curve: curve["ap"].update({"3.9": 1}), "no ideal with label '3.9'"),
+        (lambda curve: curve["bad_primes"].update({"2.1": {"ap": 1}}), "does not divide"),
+        (lambda curve: curve.pop("conductor"), "conductor"),
+        (lambda curve: curve.update({"field_disc": -20}), "discriminant -20"),
+    ],
+)
+def test_compare_ap_rejects_malformed_curve_files(capsys, tmp_path, breakage, message):
+    curve = json.loads((DEFAULT_BUNDLE_DIR / "curve_7.2a2.json").read_text())
+    breakage(curve)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17",
+        "--eigensystem", str(DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json"),
+        "--name", "a", "--curve", str(path),
+    )
+    assert code == 2 and err.startswith("error: ") and message in err
+
+
 def test_compare_ap_only_absorbs_missing_signs(bundle, monkeypatch):
     F = bundle.system("7.2", "a")
     curve = bundle.curves["2.0.68.1-7.2-a2"]

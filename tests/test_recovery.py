@@ -13,6 +13,7 @@ from iqhecke.classgroup import compute_class_group, first_ideal
 from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
+    is_prime_ideal,
     make_field,
     primes_of_norm_up_to,
     principal_ideal,
@@ -277,9 +278,11 @@ class RecordingOracle:
     def __init__(self, inner):
         self.inner = inner
         self.queried = []
+        self.ops = []
 
     def query(self, op):
         self.queried.append(str(op))
+        self.ops.append(op)
         return self.inner.query(op)
 
 
@@ -346,3 +349,25 @@ def test_missing_character_values_raise(G17, monkeypatch):
     monkeypatch.setattr(recovery, "character_values", lambda f, g, chi: dict.fromkeys(g.all_classes()))
     with pytest.raises(RecoveryError, match="lacks the values"):
         recover(oracle, G17, level, bound=13, on_missing="skip")
+
+
+@pytest.mark.parametrize("d", [17, 21, 23, 65, 105])
+def test_each_auxiliary_ideal_is_the_first_that_fits(d):
+    # recover memoises the first ideal per class; every T_{a,a} must still be
+    # the first a in label order coprime to the level (and to t when t is a
+    # prime of square class) with a^2 t w principal
+    g = compute_class_group(make_field(d))
+    F = random_eigensystem(g, random.Random(d), bound=80)
+    recording = RecordingOracle(SyntheticOracle(F))
+    recover(recording, g, F.level, 80, on_missing="skip")
+    principal_ops = [op for op in recording.ops if not op.t.is_unit() or op.w is not None]
+    assert len(principal_ops) > 10
+    for op in principal_ops:
+        cls = g.ideal_class(op.t)
+        if op.w is not None:
+            cls = g.mul(cls, g.ideal_class(op.w))
+        extra = (op.t,) if is_prime_ideal(op.t) else ()
+        first = first_ideal(
+            g, lambda x: g.mul(g.power(x, 2), cls).is_identity(), (F.level, *extra)
+        )
+        assert op.aa == first
