@@ -52,7 +52,7 @@ BaseVec = tuple[Fraction, ...]  # coefficients on 1, theta, ..., theta^(deg-1)
 Sparse = tuple[tuple[int, int], ...]  # (basis index, integer coefficient) pairs, zeros left out
 Table = tuple[tuple[Sparse, ...], ...]  # structure constants: e_i*e_j at [i][j]
 
-MAX_EXPONENT = 1000  # the largest n in x^n that parse_value reads
+MAX_EXPONENT = 1000  # the largest product of nested exponents that parse_value reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -797,9 +797,13 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
 
     The text is Python's expression grammar cut down to integers, the names
     of ``field_symbols(f)``, binary + - * /, unary + and -, and ^ to an
-    integer literal from 0 to MAX_EXPONENT, computed by repeated squaring.
-    Any other expression, a larger exponent, a division by zero and nesting
-    past the interpreter's recursion limit (about 1,000 operators or 200
+    integer literal, computed by repeated squaring. Before any power is
+    computed, the syntax tree is checked so that the exponents along every
+    chain of nested powers, as in ``(x^a * y)^b``, multiply to at most
+    MAX_EXPONENT (an exponent 0 counting as 1): nesting would otherwise
+    multiply the size of a value. Any other expression, a larger exponent
+    or product of exponents, a division by zero and nesting past the
+    interpreter's recursion limit (about 1,000 operators or 200
     parentheses; a rendered value has one term per basis element) raise
     AlgebraError.
     """
@@ -821,18 +825,31 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             return _BINARY[type(node.op)](value(node.left), value(node.right))
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-                and isinstance(node.right, ast.Constant) and type(node.right.value) is int):
-            if node.right.value > MAX_EXPONENT:
-                raise AlgebraError(f"exponent above {MAX_EXPONENT} in value {text[:80]!r}")
+        if _is_power(node):
             return _power(value(node.left), node.right.value)
         what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
         raise AlgebraError(f"unsupported {what} in value {text!r}")
 
+    def check_exponents(node: ast.AST, product: int) -> None:
+        if _is_power(node):
+            product *= max(node.right.value, 1)
+            if product > MAX_EXPONENT:
+                raise AlgebraError(f"exponent above {MAX_EXPONENT} in value {text[:80]!r}")
+        for child in ast.iter_child_nodes(node):
+            check_exponents(child, product)
+
     try:
-        return value(ast.parse(source, mode="eval").body)
+        tree = ast.parse(source, mode="eval").body
+        check_exponents(tree, 1)
+        return value(tree)
     except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
         raise AlgebraError(f"malformed value {text!r}: {exc}") from None
+
+
+def _is_power(node: ast.AST) -> bool:
+    """node is x ** n with n an integer literal."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and type(node.right.value) is int)
 
 
 def _power(v: AlgValue, n: int) -> AlgValue:

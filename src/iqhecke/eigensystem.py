@@ -16,11 +16,11 @@ eigenvalue expansion runs the recursion once per (system, prime).
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
 from math import gcd
 from operator import mul
 
@@ -34,7 +34,7 @@ from .characters import (
     eval_on_class,
     is_quadratic,
 )
-from .classgroup import ClassGroup, IdealClass
+from .classgroup import ClassGroup
 from .quadfield import Ideal, coprime, factor_ideal, label, label_key
 
 
@@ -388,8 +388,13 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 # -- Hecke field reporting ----------------------------------------------------
 
 
-def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
-    """Q-dimension of the subfield generated by the given tower values."""
+def _span_dimension(values: Iterable[AlgValue], f: ValueField) -> int:
+    """Q-dimension of the subfield of f generated by the given tower values.
+
+    values may be any iterable. It is read only until the algebra generated
+    so far fills f: that algebra lies in f, so the answer is then f.dim and
+    the values not yet read cannot change it.
+    """
     rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
@@ -405,18 +410,23 @@ def _span_dimension(values: list[AlgValue], f: ValueField) -> int:
             rows.append((piv, [x // g for x in vec]))
         return piv is not None
 
-    # the span of 1 and the independent generators, closed under
-    # multiplication by each generator, is the algebra they generate
-    reduce_row(algext.one(f))
-    gens = [g for g in (lift(v, f) for v in values) if reduce_row(g)]
-    todo = list(gens)
-    while todo:
-        b = todo.pop()
-        for g in gens:
-            prod = g * b
+    basis = [algext.one(f)]
+    reduce_row(basis[0])
+    values = iter(values)
+    while len(basis) < f.dim and (v := next(values, None)) is not None:
+        g = lift(v, f)
+        if not reduce_row(g):
+            continue
+        # the span S of basis is the algebra of the earlier generators, so
+        # S + gS + g^2 S + ... is the algebra with g: close it under g alone
+        todo = basis[1:] + [g]
+        basis.append(g)
+        while todo and len(basis) < f.dim:
+            prod = g * todo.pop()
             if reduce_row(prod):
+                basis.append(prod)
                 todo.append(prod)
-    return len(rows)
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -433,34 +443,36 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     The principal subfield is generated by eigenvalues of operators in the
     trivial class-group component: values chi(x) alpha(b) where b runs over
     products of at most three stored primes (with squares allowed) whose
-    class lies in CL^2, and x^2 [b] = 1.
+    class lies in CL^2, and x^2 [b] = 1. Both sets of generators are read
+    lazily by _span_dimension, which stops once their span fills the value
+    field f; a product b past that point is never formed.
     """
     group = F.group
     f = F.vfield
+    divisors = group.elementary_divisors
     chi = character_values(f, group, F.character)
     # each class c of CL^2 -> chi(x) for the first class x with x^2 c = 1
-    aux_values: dict[IdealClass, AlgValue | None] = {}
+    aux_values: dict[tuple, AlgValue | None] = {}
     for x in group.all_classes():
-        aux_values.setdefault(group.inv(group.power(x, 2)), chi[x])
-    principal_gens: list[AlgValue] = []
+        aux_values.setdefault(group.inv(group.power(x, 2)).exps, chi[x])
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
-    classes = {p: group.ideal_class(p) for p in good}
-    for size in (1, 2, 3):
-        for combo in combinations_with_replacement(good, size):
-            seen = Counter(combo)
-            cls = group.identity()
-            for p, e in seen.items():
-                cls = group.mul(cls, group.power(classes[p], e))
-            val = aux_values.get(cls)  # None off CL^2, or where f lacks chi(x)
-            if val is None:
-                continue
-            for p, e in seen.items():
-                val = val * prime_power_coefficients(F, p, e)[e]
-            principal_gens.append(val)
-    k_f = _span_dimension(principal_gens, f)
-    full_gens = [v for _, v in F.alpha]
-    for p in good:
-        full_gens.append(chi_value(F, p))
+    exps = [group.ideal_class(p).exps for p in good]
+
+    def principal_gens():
+        for size in (1, 2, 3):
+            for combo in combinations_with_replacement(range(len(good)), size):
+                cols = zip(*map(exps.__getitem__, combo))
+                cls = tuple(sum(c) % d for c, d in zip(cols, divisors))
+                val = aux_values.get(cls)  # None off CL^2, or where f lacks chi(x)
+                if val is None:
+                    continue
+                for i, run in groupby(combo):  # combo is sorted
+                    e = len(list(run))
+                    val = val * prime_power_coefficients(F, good[i], e)[e]
+                yield val
+
+    k_f = _span_dimension(principal_gens(), f)
+    full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:
         raise EigensystemError("full Hecke field degree not a multiple of the principal degree")
@@ -470,4 +482,3 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
         ratio=k_F // k_f,
         field_description=f.describe(),
     )
-

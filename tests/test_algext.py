@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from iqhecke import algext
 from iqhecke.algext import (
     MAX_EXPONENT,
     AlgebraError,
@@ -321,3 +322,21 @@ def test_powers_are_bounded_and_computed_by_squaring():
     for text in [f"2^{MAX_EXPONENT + 1}", "1^300000", "a^" + "9" * 4000]:
         with pytest.raises(AlgebraError, match="exponent"):
             parse_value(CUBIC, text)
+
+
+def test_nested_powers_are_bounded_before_any_power_is_computed(monkeypatch):
+    assert parse_value(CUBIC, "(a^2)^3") == parse_value(CUBIC, "a^6")
+    assert parse_value(CUBIC, "a^((2))") == parse_value(CUBIC, "a*a")
+    assert parse_value(QI, "(1+i)^0").rational_value() == 1
+    assert parse_value(Q, "((2^10)^10)^10").rational_value() == 2**1000
+    assert parse_value(Q, "(2^1000)^0 + (3^0)^1000").rational_value() == 2
+
+    def no_power(v, n):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(algext, "_power", no_power)
+    for field, text in [(Q, "((2^1000)^1000)^100"), (QI2, "((1+sqrt2)^1000)^100"),
+                        (Q, "(2^11)^100"), (QI2, "(i * (1+sqrt2)^2 + 1)^501"),
+                        (Q, "1 + ((2^0)^5000)^0")]:
+        with pytest.raises(AlgebraError, match="exponent"):
+            parse_value(field, text)

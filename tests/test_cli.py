@@ -65,6 +65,16 @@ def test_recover_reports_a_value_that_divides_by_zero(capsys, tmp_path):
     assert err.startswith("error: ") and "'1/0'" in err and len(err.splitlines()) == 1
 
 
+def test_recover_reports_a_value_with_nested_powers(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
+    data["values"][0]["value"] = "((2^1000)^1000)^100"
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "exponent above" in err and len(err.splitlines()) == 1
+
+
 def test_recover_json_reingests_losslessly(capsys, G17):
     oracle = str(DEFAULT_BUNDLE_DIR / "oracle_2.1.json")
     code, out, _ = run_cli(

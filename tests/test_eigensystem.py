@@ -1,5 +1,7 @@
 import random
 import warnings
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -16,9 +18,11 @@ from iqhecke.characters import (
 from iqhecke.classgroup import compute_class_group
 from iqhecke.eigensystem import (
     EigensystemError,
+    HeckeFieldReport,
     _span_dimension,
     base_change_candidate,
     character_values,
+    chi_value,
     coefficient,
     euler_factor_coefficients,
     galois_conjugate_system,
@@ -34,6 +38,7 @@ from iqhecke.eigensystem import (
     twist_orbit,
 )
 from iqhecke.quadfield import (
+    coprime,
     factor_ideal,
     ideal_from_label,
     ideal_mul,
@@ -145,6 +150,18 @@ def test_span_dimension_examples():
     assert _span_dimension([i, sqrt3], f) == 4
     assert _span_dimension([i + sqrt3], f) == 4  # needs 1, x, x^2 and x^3
     assert _span_dimension([sqrt3, parse_value(f, "1 + 2*sqrt3"), i * sqrt3, i], f) == 4
+
+
+def test_span_dimension_stops_reading_once_the_span_fills_the_field():
+    f = algext.make_value_field(adjoined=[-1, 3])
+
+    def values(*texts):
+        yield from (parse_value(f, t) for t in texts)
+        raise AssertionError("read past a span that fills the field")
+
+    assert _span_dimension(values("sqrt3", "i"), f) == 4
+    assert _span_dimension(values("2", "i + sqrt3"), f) == 4
+    assert _span_dimension(values(), algext.RATIONAL_FIELD) == 1
 
 
 def test_twist_examples(bundle, F0, K17):
@@ -300,6 +317,74 @@ def test_hecke_field_reports(bundle):
     assert (rep25.principal_degree, rep25.full_degree, rep25.ratio) == (3, 3, 1)
     rep161 = hecke_field_report(bundle.system("16.1", "F1"))
     assert (rep161.principal_degree, rep161.full_degree, rep161.ratio) == (1, 4, 4)
+
+
+def _eager_span_dimension(values, f):
+    """The span of 1 and every independent value, closed under
+    multiplication by each of them, reduced over the rationals."""
+    rows = []
+
+    def independent(v):
+        vec = list(v.coeffs)
+        for piv, row in rows:
+            vec = [x - vec[piv] * y for x, y in zip(vec, row)]
+        piv = next((i for i, c in enumerate(vec) if c), None)
+        if piv is not None:
+            rows.append((piv, [x / vec[piv] for x in vec]))
+        return piv is not None
+
+    independent(algext.one(f))
+    gens = [v for v in values if independent(v)]
+    todo = list(gens)
+    while todo:
+        b = todo.pop()
+        todo += [prod for prod in (g * b for g in gens) if independent(prod)]
+    return len(rows)
+
+
+def _eager_report(F):
+    """hecke_field_report the eager way: a generator from every combo of at
+    most three good primes whose class is in CL^2, then the closure."""
+    group, f = F.group, F.vfield
+    chi = character_values(f, group, F.character)
+    aux = {}
+    for x in group.all_classes():
+        aux.setdefault(group.inv(group.power(x, 2)), chi[x])
+    good = [p for p, _ in F.alpha if coprime(p, F.level)]
+    gens = []
+    for size in (1, 2, 3):
+        for combo in combinations_with_replacement(good, size):
+            seen = Counter(combo)
+            cls = group.identity()
+            for p, e in seen.items():
+                cls = group.mul(cls, group.power(group.ideal_class(p), e))
+            val = aux.get(cls)
+            if val is None:
+                continue
+            for p, e in seen.items():
+                val = val * prime_power_coefficients(F, p, e)[e]
+            gens.append(val)
+    k_f = _eager_span_dimension(gens, f)
+    k_F = _eager_span_dimension([v for _, v in F.alpha] + [chi_value(F, p) for p in good], f)
+    return HeckeFieldReport(k_f, k_F, k_F // k_f, f.describe())
+
+
+def test_hecke_field_report_matches_the_eager_reference(bundle):
+    systems = [bundle.system("16.1", "F1")]
+    for d in (1, 5, 17, 21, 65, 105):
+        g = compute_class_group(make_field(d))
+        for seed in range(4):
+            F = random_eigensystem(g, random.Random(seed), 40)
+            systems.append(F)
+            # twists by characters of order 4 have chi(x) outside the principal subfield
+            systems += [twist(F, psi) for psi in character_group(g) if character_order(g, psi) == 4]
+    shapes = set()
+    for F in systems:
+        rep = hecke_field_report(F)
+        assert rep == _eager_report(F)
+        shapes.add((F.vfield.dim, rep.principal_degree < F.vfield.dim))
+    # towers of dimension 1, 2 and 4, and principal subfields that fill them or not
+    assert {(1, False), (2, False), (4, False), (2, True), (4, True)} <= shapes
 
 
 def test_trivial_character_towers_are_totally_real(bundle):
