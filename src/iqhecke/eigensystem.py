@@ -35,7 +35,7 @@ from .characters import (
     is_quadratic,
 )
 from .classgroup import ClassGroup
-from .quadfield import Ideal, coprime, factor_ideal, label, label_key
+from .quadfield import Ideal, _factor_ideal, coprime, label, label_key
 
 
 class EigensystemError(ValueError):
@@ -94,8 +94,8 @@ class HeckeEigensystem:
 
     @cached_property
     def _powers(self) -> dict:
-        """prime -> ([alpha(p^0), alpha(p^1), ...], N(p) chi(p) or None until
-        a power past p^1 is asked for), grown by prime_power_coefficients."""
+        """prime -> [[alpha(p^0), alpha(p^1), ...], N(p) chi(p) or None until
+        a power past p^1 is asked for], grown in place by _prime_powers."""
         return {}
 
     def alpha_map(self) -> dict:
@@ -173,23 +173,30 @@ def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
     prime factorisation of a."""
     if a.is_unit():
         return algext.one(F.vfield)
-    powers = []
-    for p, e in factor_ideal(a):
+    return reduce(mul, [_prime_powers(F, p, e)[e] for p, e in _factor_ideal(a)])
+
+
+def _prime_powers(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
+    """F's memo [alpha(p^0), alpha(p^1), ...] for p, grown in place by the
+    recursion to at least nmax + 1 terms. Callers must not mutate it."""
+    memo = F._powers.get(p)
+    if memo is None:
         if p not in F._alpha:
             raise EigensystemError(f"missing eigenvalue at prime {label(p)}")
-        powers.append(prime_power_coefficients(F, p, e)[e])
-    return reduce(mul, powers)
+        memo = F._powers[p] = [[algext.one(F.vfield), F._alpha[p]], None]
+    out = memo[0]
+    if len(out) <= nmax:
+        if memo[1] is None:
+            memo[1] = algext.from_rational(F.vfield, p.norm) * chi_value(F, p)
+        nchi = memo[1]
+        while len(out) <= nmax:
+            out.append(out[-1] * out[1] - nchi * out[-2])
+    return out
 
 
 def prime_power_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
     """[alpha(p^0), ..., alpha(p^nmax)] by the recursion, memoised in F."""
-    out, nchi = F._powers.get(p) or ([algext.one(F.vfield), F.alpha_at(p)], None)
-    if nchi is None and len(out) <= nmax:
-        nchi = algext.from_rational(F.vfield, p.norm) * chi_value(F, p)
-    while len(out) <= nmax:
-        out.append(out[-1] * out[1] - nchi * out[-2])
-    F._powers[p] = (out, nchi)
-    return out[: nmax + 1]
+    return _prime_powers(F, p, nmax)[: nmax + 1]
 
 
 def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
@@ -468,7 +475,7 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     continue
                 for i, run in groupby(combo):  # combo is sorted
                     e = len(list(run))
-                    val = val * prime_power_coefficients(F, good[i], e)[e]
+                    val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
     k_f = _span_dimension(principal_gens(), f)

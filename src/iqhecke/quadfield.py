@@ -11,12 +11,17 @@ Ideal arithmetic rests on two primitives, HNF multiplication (`ideal_mul`)
 and trial division of integers (`factor_int`).  An ideal in HNF is its
 content (c) times the primitive ideal [a/c, b/c + omega], so `factor_ideal`
 reads the exponents off the triple without dividing, and exact quotients
-come from n * conj(m) = (N m) * (n / m).
+come from n * conj(m) = (N m) * (n / m).  Coprimality never forms I + J: I
+and J are coprime unless a prime above some p | gcd(N I, N J) contains both,
+which is two integer membership tests per prime.
+
+An ideal hashes its triple once, at construction; the field takes part in
+equality and order but not in the hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import gcd
 
@@ -89,11 +94,11 @@ def make_field(d: int) -> QuadField:
 
 def _same_field(u, v) -> None:
     """Raise unless two ideals lie in the same field."""
-    if u.field != v.field:
+    if u.field is not v.field and u.field != v.field:
         raise QuadFieldError(f"operands over different fields {u.field} and {v.field}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Ideal:
     """Integral ideal [a, b + c*omega] in HNF: c | a, c | b, 0 <= b < a, a*c | N(b + c*omega)."""
 
@@ -101,6 +106,7 @@ class Ideal:
     a: int
     b: int
     c: int
+    _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
@@ -109,6 +115,11 @@ class Ideal:
         t, n = self.field.trace_omega, self.field.norm_omega
         if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
+        # the field is compared but not hashed: ideals of two fields may collide
+        object.__setattr__(self, "_hash", hash((a, b, c)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def norm(self) -> int:
@@ -214,9 +225,17 @@ def ideal_add(i: Ideal, j: Ideal) -> Ideal:
 
 
 def coprime(i: Ideal, j: Ideal) -> bool:
-    if gcd(i.norm, j.norm) == 1:
+    """Whether I + J = O_K: no prime above a common divisor of the norms
+    contains both."""
+    _same_field(i, j)
+    g = gcd(i.norm, j.norm)
+    if g == 1:
         return True
-    return ideal_add(i, j).is_unit()
+    for p, _ in factor_int(g):
+        for pp in factor_rational_prime(i.field, p).primes:
+            if pp.contains_ideal(i) and pp.contains_ideal(j):
+                return False
+    return True
 
 
 def ideal_pow(i: Ideal, e: int) -> Ideal:

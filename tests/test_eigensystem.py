@@ -72,9 +72,28 @@ def test_coefficient_examples(F0, K17):
 
 
 def test_coefficient_missing_prime_reported(F0, K17):
-    with pytest.raises(EigensystemError) as err:
+    with pytest.raises(EigensystemError, match="missing eigenvalue") as err:
         coefficient(F0, ideal_from_label(K17, "53.1"))
     assert "53.1" in str(err.value)
+
+
+def test_coefficient_memo_is_not_exposed(K17):
+    # a fresh system, so that the memo starts empty and is grown by the calls below
+    g = compute_class_group(K17)
+    F = _random_system(g, 3, 60)
+    p = F.stored_primes()[0]
+    p3 = ideal_mul(ideal_mul(p, p), p)
+    before = [coefficient(F, p), coefficient(F, p3)]
+    values = prime_power_coefficients(F, p, 4)
+    values[1], values[3] = algext.zero(F.vfield), algext.zero(F.vfield)
+    values.append(algext.one(F.vfield))
+    assert _same([coefficient(F, p), coefficient(F, p3)], before)
+    assert len(prime_power_coefficients(F, p, 2)) == 3
+    # a prime with no stored eigenvalue fails before and after the memo is warm
+    unstored = next(q for q in primes_of_norm_up_to(K17, 200) if q not in F.alpha_map())
+    for a in (unstored, ideal_mul(p, unstored)):
+        with pytest.raises(EigensystemError, match="missing eigenvalue"):
+            coefficient(F, a)
 
 
 def test_recursion_matches_euler_factor_oracle(bundle):

@@ -251,6 +251,71 @@ def test_ideal_pow_and_prime_predicates(K17):
     assert not coprime(p21, principal_ideal(K17, 8, 0))
 
 
+def test_coprime_agrees_with_the_sum_ideal():
+    # ramified 2 (d = 1, 2, 5, 14, 17, 65, 105), ramified odd primes, inert
+    # primes and prime powers; the sum ideal is the definition
+    for d in (1, 2, 5, 14, 17, 23, 65, 105):
+        K = make_field(d)
+        ideals = [i for n in range(1, 61) for i in ideals_of_norm(K, n)]
+        for i in ideals:
+            for j in ideals:
+                assert coprime(i, j) == ideal_add(i, j).is_unit(), (d, i, j)
+
+
+def _equal_ideals_by_several_routes(K):
+    """(ideal in label order, the same ideal built another way) over K."""
+    out = []
+    for n in range(1, 41):
+        for i in ideals_of_norm(K, n):
+            product = unit_ideal(K)
+            for p, e in factor_ideal(i):
+                product = ideal_mul(product, ideal_pow(p, e))
+            out += [(i, ideal_from_gens(K, [(i.a, 0), (i.b, i.c)])),
+                    (i, i.conjugate().conjugate()), (i, product)]
+    return out
+
+
+def test_ideal_hash_and_equality_contract():
+    K5, K17 = make_field(5), make_field(17)
+    for K in (K5, K17, make_field(2)):
+        pairs = _equal_ideals_by_several_routes(K)
+        assert pairs and all(i == j and hash(i) == hash(j) for i, j in pairs)
+        # products in both orders, and a product against its label
+        ideals = [i for n in range(1, 21) for i in ideals_of_norm(K, n)]
+        for i in ideals:
+            for j in ideals:
+                ij, ji = ideal_mul(i, j), ideal_mul(j, i)
+                assert ij == ji and hash(ij) == hash(ji)
+                assert ij in ideals_of_norm(K, ij.norm)
+                assert hash(ideal_from_label(K, label(ij))) == hash(ij)
+    # the same triple over two fields: equal hashes are allowed, equality is not
+    one5, one17 = unit_ideal(K5), unit_ideal(K17)
+    assert one5 != one17 and len({one5, one17}) == 2
+    p2_5, p2_17 = ideal_from_label(K5, "2.1"), ideal_from_label(K17, "2.1")
+    assert (p2_5.a, p2_5.b, p2_5.c) == (p2_17.a, p2_17.b, p2_17.c) and p2_5 != p2_17
+    # order is lexicographic on (a, b, c) within a field, and ideals are hashable keys
+    ideals = [i for n in range(1, 61) for i in ideals_of_norm(K17, n)]
+    shuffled = random.Random(0).sample(ideals, len(ideals))
+    assert sorted(shuffled) == sorted(ideals, key=lambda i: (i.a, i.b, i.c))
+    index = {i: k for k, i in enumerate(shuffled)}
+    assert all(index[ideal_from_gens(K17, [(i.a, 0), (i.b, i.c)])] == k
+               for k, i in enumerate(shuffled))
+    assert not hasattr(one17, "__dict__")
+
+
+def test_ideal_hash_and_equality_contract_under_optimize(run_optimized):
+    code = (
+        "from iqhecke import quadfield as q\n"
+        "K = q.make_field(17)\n"
+        "p, c = q.ideal_from_label(K, '2.1'), q.ideal_from_label(K, '3.1')\n"
+        "routes = (q.ideal_mul(p, c), q.ideal_mul(c, p), q.ideal_from_label(K, '6.1'),\n"
+        "          q.ideal_from_gens(K, [(6, 0), (1, 1)]), q.ideal_mul(p, c).conjugate().conjugate())\n"
+        "print(len(set(routes)), len({hash(i) for i in routes}),\n"
+        "      q.unit_ideal(K) == q.unit_ideal(q.make_field(5)))"
+    )
+    assert run_optimized(code).stdout.split() == ["1", "1", "False"]
+
+
 def test_checks_raise_quadfield_error(K17, monkeypatch):
     p21 = ideal_from_label(K17, "2.1")
     K5 = make_field(5)
@@ -260,6 +325,7 @@ def test_checks_raise_quadfield_error(K17, monkeypatch):
         lambda: ideal_pow(p21, -1),
         lambda: ideal_add(p21, ideal_from_label(K5, "2.1")),
         lambda: ideal_mul(p21, ideal_from_label(K5, "2.1")),
+        lambda: coprime(p21, ideal_from_label(K5, "3.1")),  # norms are coprime
     ):
         with pytest.raises(QuadFieldError):
             call()
