@@ -21,12 +21,9 @@ imports. OUT receives one JSON row per line:
 That makes 411 rows.
 
 Run one copy of this script, the newer tree's, on both trees and compare the
-dumps with ``diff``; it uses only library names that both trees have. Where a
-name moved, it takes the newer home first: ``eigensystem_to_json`` from
-``iqhecke.bundle``, else from ``iqhecke.eigensystem``, and the 2.1 oracle from
-the bundle's ``oracles``, else read from ``oracle_files()`` with
-``recovery.fixture_oracle_from_json``. A failed operation is a row with its
-error, so the row count does not depend on the outcome.
+dumps with ``diff``; it uses only library names that both trees have. A failed
+operation is a row with its error, so the row count does not depend on the
+outcome.
 """
 
 import dataclasses
@@ -48,8 +45,7 @@ def main(tree: Path, out: Path) -> int:
     import workloads
     from iqhecke import algext, bundle as bundle_module, eigensystem, quadfield, recovery
 
-    to_json = getattr(bundle_module, "eigensystem_to_json", None)
-    to_json = to_json or eigensystem.eigensystem_to_json
+    to_json = bundle_module.eigensystem_to_json
     label = quadfield.label
 
     def attempt(make):
@@ -105,12 +101,7 @@ def main(tree: Path, out: Path) -> int:
                     sign_flip=flip, on_missing="skip"), F))
                 rows.append({"recover": [seed, n, flip], "d": F.group.field.d, **row})
     bundle = bundle_module.FixtureBundle()
-    if hasattr(bundle, "oracles"):
-        oracle, level = bundle.oracles["2.1"]
-    else:
-        path = next(p for p in bundle.oracle_files() if p.name == "oracle_2.1.json")
-        oracle, level = recovery.fixture_oracle_from_json(
-            bundle.group, json.loads(path.read_text()))
+    oracle, level = bundle.oracles["2.1"]
     rows.append({"oracle_2.1": 13, **attempt(lambda: recovered(
         recovery.recover(oracle, bundle.group, level, 13, on_missing="skip")))})
     for seed in SEEDS:

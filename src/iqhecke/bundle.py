@@ -5,8 +5,10 @@ tables, oracle files, characters, dimension rows and curves); files name
 ideals by their ``N.i`` label.  A bundle directory holds the field descriptor with its
 class-group pin, the eigensystem tables, the principal-operator oracle files,
 the newspace dimension table, the Hecke-field table, and elliptic-curve a_p
-lists.  Every file is schema-checked at load time and all ideal labels are
-resolved eagerly, so a broken bundle fails fast.
+lists.  Every file is schema-checked at load time, all ideal labels are
+resolved eagerly, and the newform records that tie the dimension table to the
+self-twist records and the Hecke-field table are built there too, so a broken
+bundle fails fast.
 """
 
 from __future__ import annotations
@@ -172,15 +174,12 @@ def curve_from_json(K: QuadField, data) -> dict:
 
 
 def dimension_row_from_json(data: dict) -> DimensionRow:
-    return DimensionRow(
-        level=data["level"],
-        conj=data.get("conj"),
-        nd=data["nd"],
-        hplus=tuple(data.get("Hplus", [])),
-        hminus=tuple(data.get("Hminus", [])),
-        chi0=tuple(data.get("chi0", [])),
-        chi13=tuple(data.get("chi13", [])),
-    )
+    cols = [data.get(key, []) for key in ("Hplus", "Hminus", "chi0", "chi13")]
+    if type(data.get("nd")) is not int or not all(
+        isinstance(col, list) and all(type(x) is int for x in col) for col in cols
+    ):
+        raise BundleError(f"dimension row {data.get('level')}: nd and columns must be integers")
+    return DimensionRow(data["level"], data.get("conj"), data["nd"], *map(tuple, cols))
 
 
 @dataclass
@@ -201,8 +200,9 @@ class FixtureBundle:
         self.field, self.group = self._load_field()
         self.eigensystem_tables = self._load_eigensystems()
         self.oracles = self._load_oracles()
-        self.dimension_rows, self.selftwist_records = self._load_dimension_table()
+        self.dimension_rows, selftwists = self._load_dimension_table()
         self.hecke_field_rows = self._load_hecke_fields()
+        self._newform_records = self._build_newform_records(selftwists)
         self.curves = self._load_curves()
 
     def _load_field(self) -> tuple[QuadField, ClassGroup]:
@@ -254,10 +254,34 @@ class FixtureBundle:
         seen = set()
         for row in rows:
             ideal_from_label(self.field, row.level)
+            if row.conj is not None:
+                ideal_from_label(self.field, row.conj)
             if row.level in seen:
                 raise BundleError(f"duplicate dimension row {row.level}")
             seen.add(row.level)
-        return rows, data.get("selftwist_records", [])
+        return rows, [self._selftwist_record(r) for r in data.get("selftwist_records", [])]
+
+    def _selftwist_record(self, data) -> tuple[str, str, int, ClassCharacter]:
+        """(level, side, degree, character) from {"level", "side", "degree",
+        "character"?}; without a character it is the one nontrivial quadratic."""
+        if (
+            not isinstance(data, dict)
+            or not isinstance(data.get("level"), str)
+            or data.get("side") not in ("plus", "minus")
+            or type(data.get("degree")) is not int
+        ):
+            raise BundleError(
+                f"self-twist record {data!r} needs a level label, side plus or minus "
+                "and an integer degree"
+            )
+        ideal_from_label(self.field, data["level"])
+        record = data["level"], data["side"], data["degree"]
+        if "character" in data:
+            return (*record, character_from_json(self.group, data["character"]))
+        cands = [c for c in quadratic_characters(self.group) if not c.is_trivial()]
+        if len(cands) != 1:
+            raise BundleError("self-twist record needs an explicit character")
+        return (*record, cands[0])
 
     def _load_hecke_fields(self):
         data = self._read_one("hecke_fields_*.json")
@@ -266,6 +290,8 @@ class FixtureBundle:
         rows = [HeckeFieldRow(**r) for r in data.get("rows", [])]
         for r in rows:
             ideal_from_label(self.field, r.level)
+            if any(type(x) is not int for x in (r.index, r.kf_degree, r.kF_degree)):
+                raise BundleError(f"Hecke-field row {r.level}: index and degrees must be integers")
             if r.kF_degree not in (r.kf_degree, 2 * r.kf_degree):
                 raise BundleError(
                     f"Hecke-field row {r.level}#{r.index}: degree {r.kF_degree} "
@@ -296,26 +322,21 @@ class FixtureBundle:
         except KeyError:
             raise BundleError(f"no eigensystem {name!r} at level {level}")
 
-    def _nontrivial_quadratic(self) -> ClassCharacter:
-        cands = [c for c in quadratic_characters(self.group) if not c.is_trivial()]
-        if len(cands) != 1:
-            raise BundleError("self-twist record needs an explicit character")
-        return cands[0]
-
     def newform_records(self) -> list[NewformRecord]:
         """Records for every dimension-table row, with shapes pinned from the
         Hecke-field table where it covers the level (or its conjugate)."""
+        return list(self._newform_records)
+
+    def _build_newform_records(self, selftwists) -> list[NewformRecord]:
         hf_by_level: dict[str, list[HeckeFieldRow]] = {}
         for r in self.hecke_field_rows or []:
             hf_by_level.setdefault(r.level, []).append(r)
+        flags: dict[tuple[str, str], list[tuple[int, ClassCharacter]]] = {}
+        for lev, side, degree, chi in selftwists:
+            flags.setdefault((lev, side), []).append((degree, chi))
         records: list[NewformRecord] = []
         for row in self.dimension_rows:
             level = ideal_from_label(self.field, row.level)
-            flags = [
-                r
-                for r in self.selftwist_records
-                if r["level"] == row.level
-            ]
             hf = hf_by_level.get(row.level)
             if hf is None and row.conj:
                 hf = hf_by_level.get(row.conj)
@@ -335,18 +356,13 @@ class FixtureBundle:
                 ("plus", plus_degrees, plus_shapes),
                 ("minus", sorted(row.hminus), [None] * len(row.hminus)),
             ):
-                side_flags = [f for f in flags if f["side"] == side]
+                side_flags = flags.pop((row.level, side), [])
                 for d, shape in zip(degs, shapes):
                     st = None
-                    hit = next((f for f in side_flags if f["degree"] == d), None)
+                    hit = next((f for f in side_flags if f[0] == d), None)
                     if hit is not None:
                         side_flags.remove(hit)
-                        st = (
-                            character_from_json(self.group, hit["character"])
-                            if "character" in hit
-                            else self._nontrivial_quadratic()
-                        )
-                        shape = "selftwist"
+                        st, shape = hit[1], "selftwist"
                     records.append(
                         NewformRecord(
                             level=level, side=side, degree=d, selftwist=st, shape=shape
@@ -356,4 +372,6 @@ class FixtureBundle:
                     raise BundleError(
                         f"unmatched self-twist record at {row.level} ({side})"
                     )
+        for lev, side in flags:
+            raise BundleError(f"unmatched self-twist record at {lev} ({side})")
         return records

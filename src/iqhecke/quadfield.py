@@ -12,8 +12,8 @@ and trial division of integers (`factor_int`).  An ideal in HNF is its
 content (c) times the primitive ideal [a/c, b/c + omega], so `factor_ideal`
 reads the exponents off the triple without dividing, and exact quotients
 come from n * conj(m) = (N m) * (n / m).  Coprimality never forms I + J: I
-and J are coprime unless a prime above some p | gcd(N I, N J) contains both,
-which is two integer membership tests per prime.
+and J are coprime iff gcd(N I, N J) = 1 or no prime factor of J, read from the
+factorisation memo, contains I.
 
 An ideal hashes its triple once, at construction; the field takes part in
 equality and order but not in the hash.
@@ -225,17 +225,13 @@ def ideal_add(i: Ideal, j: Ideal) -> Ideal:
 
 
 def coprime(i: Ideal, j: Ideal) -> bool:
-    """Whether I + J = O_K: no prime above a common divisor of the norms
-    contains both."""
+    """Whether I + J = O_K: no prime factor of J contains I.  J's factorisation
+    is memoised, so callers pass the side that repeats (a level, a conductor)
+    second."""
     _same_field(i, j)
-    g = gcd(i.norm, j.norm)
-    if g == 1:
+    if gcd(i.norm, j.norm) == 1:
         return True
-    for p, _ in factor_int(g):
-        for pp in factor_rational_prime(i.field, p).primes:
-            if pp.contains_ideal(i) and pp.contains_ideal(j):
-                return False
-    return True
+    return not any(pp.contains_ideal(i) for pp, _ in _factor_ideal(j))
 
 
 def ideal_pow(i: Ideal, e: int) -> Ideal:
@@ -412,7 +408,7 @@ def ideal_from_label(field: QuadField, lab: str) -> Ideal:
     try:
         norm_s, idx_s = lab.split(".")
         norm, idx = int(norm_s), int(idx_s)
-    except ValueError:
+    except (AttributeError, ValueError):
         raise QuadFieldError(f"bad ideal label {lab!r}")
     ordered = ideals_of_norm(field, norm)
     if not 1 <= idx <= len(ordered):

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -6,8 +7,17 @@ import pytest
 from iqhecke.algext import AlgebraError
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
 from iqhecke.cli import main
-from iqhecke.quadfield import label, principal_ideal
+from iqhecke.quadfield import QuadFieldError, label, principal_ideal
 from iqhecke.verify import run_checks
+
+
+def test_bundle_files_are_in_canonical_layout():
+    # the JSON files are the only copy of the data; one layout keeps diffs reviewable
+    paths = sorted(DEFAULT_BUNDLE_DIR.glob("*.json"))
+    assert len(paths) == 10
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n", path.name
 
 
 def test_default_bundle_loads(bundle):
@@ -82,11 +92,15 @@ def test_mutated_alpha_fails_exactly_affected_checks(tmp_path):
     assert failed == {"recovery-2.1", "structure-detectors"}
 
 
-def _break_oracle_value(target):
-    path = target / "oracle_2.1.json"
+def _edit(target, name, change):
+    path = target / name
     data = json.loads(path.read_text())
-    data["values"][0]["value"] = "1/0"
+    change(data)
     path.write_text(json.dumps(data))
+
+
+def _break_oracle_value(target):
+    _edit(target, "oracle_2.1.json", lambda d: d["values"][0].update(value="1/0"))
 
 
 def _copy_oracle(target):
@@ -94,10 +108,7 @@ def _copy_oracle(target):
 
 
 def _duplicate_system_name(target):
-    path = target / "eigensystems_2.1.json"
-    data = json.loads(path.read_text())
-    data["systems"][1]["name"] = "F0"
-    path.write_text(json.dumps(data))
+    _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][1].update(name="F0"))
 
 
 def _copy_curve(target):
@@ -105,10 +116,37 @@ def _copy_curve(target):
 
 
 def _drop_bad_prime_ap(target):
-    path = target / "curve_7.2a2.json"
-    data = json.loads(path.read_text())
-    del data["bad_primes"]["7.2"]["ap"]
-    path.write_text(json.dumps(data))
+    _edit(target, "curve_7.2a2.json", lambda d: d["bad_primes"]["7.2"].pop("ap"))
+
+
+def _drop_selftwist_side(target):
+    _edit(target, "dimension_table_68.json", lambda d: d["selftwist_records"][0].pop("side"))
+
+
+def _unmatched_selftwist_degree(target):
+    _edit(target, "dimension_table_68.json",
+          lambda d: d["selftwist_records"][0].update(degree=7))
+
+
+def _hecke_field_degrees_off_hplus(target):
+    _edit(target, "hecke_fields_68.json",
+          lambda d: d["rows"][0].update(kf_degree=2, kF_degree=4))
+
+
+def _unknown_conjugate_label(target):
+    _edit(target, "dimension_table_68.json", lambda d: d["rows"][1].update(conj="4.9"))
+
+
+def _numeric_level_label(target):
+    _edit(target, "dimension_table_68.json", lambda d: d["rows"][0].update(level=2))
+
+
+def _string_dimension_column(target):
+    _edit(target, "dimension_table_68.json", lambda d: d["rows"][0].update(Hplus="1"))
+
+
+def _string_hecke_field_index(target):
+    _edit(target, "hecke_fields_68.json", lambda d: d["rows"][0].update(index="1"))
 
 
 @pytest.mark.parametrize(
@@ -119,13 +157,21 @@ def _drop_bad_prime_ap(target):
         (_duplicate_system_name, BundleError, "two systems named 'F0' at level 2.1"),
         (_drop_bad_prime_ap, BundleError, "bad prime 7.2"),
         (_copy_curve, BundleError, "two curve files for 2.0.68.1-7.2-a2"),
+        (_drop_selftwist_side, BundleError, "side plus or minus"),
+        (_unmatched_selftwist_degree, BundleError, "unmatched self-twist record at 64.1 (plus)"),
+        (_hecke_field_degrees_off_hplus, BundleError,
+         "Hecke-field degrees at 2.1 do not match the H+ column"),
+        (_unknown_conjugate_label, QuadFieldError, "no ideal with label '4.9'"),
+        (_numeric_level_label, QuadFieldError, "bad ideal label 2"),
+        (_string_dimension_column, BundleError, "dimension row 2.1: nd and columns"),
+        (_string_hecke_field_index, BundleError, "Hecke-field row 2.1: index and degrees"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
     target = tmp_path / "bundle"
     shutil.copytree(DEFAULT_BUNDLE_DIR, target)
     breakage(target)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         FixtureBundle(target)
     assert main(["verify", "--bundle", str(target)]) == 2
     err = capsys.readouterr().err

@@ -271,6 +271,9 @@ def test_galois_conjugation(bundle, F0, K17):
     assert conj.level == ideal_from_label(K17, "7.1")
     p31, p32 = ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2")
     assert values_equal(conj.alpha_map()[p31], F72.alpha_map()[p32])
+    # at 25.1 conjugation acts on the published system as the twist by chi2
+    F25 = bundle.system("25.1", "F0")
+    assert systems_equal(galois_conjugate_system(F25), twist(F25, ClassCharacter((2,))))
 
 
 def test_conjugate_of_twist_property(bundle, G17):
