@@ -17,17 +17,14 @@ cProfile:
 Inputs are drawn and the bundle is loaded before profiling starts; memoised
 values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
-the calls of ``AlgValue.__mul__``, ``ideal_mul``, ``factor_ideal``,
-``_factor_ideal`` (the misses of its memo), ``coprime`` and
-``_hnf_from_rows`` (every HNF built from generators, products and sums
-included). ``factor_ideal`` counts only the callers of the public wrapper:
-since ``eigensystem.coefficient`` reads the memo directly, its column no
-longer includes the coefficient table. With string hashing pinned the counts
-repeat exactly from run to run, so two trees can be compared without timing
-noise. Calls are summed over the profiler's raw entries, one per code object.
-``pstats`` merges entries by (file, line, name) and so keeps only one of the
-dataclass-generated methods, which all share one such label; which one it
-keeps depends on memory addresses.
+the calls of ``AlgValue.__mul__``, ``ideal_mul``, ``factor_ideal`` (the
+misses of its memo), ``coprime`` and ``_hnf_from_rows`` (every HNF built
+from generators, products and sums included). With string hashing pinned
+the counts repeat exactly from run to run, so two trees can be compared
+without timing noise. Calls are summed over the profiler's raw entries, one
+per code object. ``pstats`` merges entries by (file, line, name) and so keeps
+only one of the dataclass-generated methods, which all share one such label;
+which one it keeps depends on memory addresses.
 """
 
 import cProfile
@@ -42,7 +39,6 @@ TABLE_OPS, TABLE_SEED = 16, 1
 COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("quadfield.py", "ideal_mul", "ideal_mul"),
            ("quadfield.py", "factor_ideal", "factor_ideal"),
-           ("quadfield.py", "_factor_ideal", "_factor_ideal"),
            ("quadfield.py", "coprime", "coprime"),
            ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"))
 

@@ -101,11 +101,9 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
         for lab, text in data.get("alpha", {}).items()
     }
     al = data.get("al")
-    al_map = (
-        {ideal_from_label(group.field, lab): int(s) for lab, s in al.items()}
-        if al is not None
-        else None
-    )
+    if al is not None and any(type(s) is not int for s in al.values()):
+        raise BundleError(f"involution signs {al} must be the integers 1 or -1")
+    al_map = None if al is None else {ideal_from_label(group.field, q): s for q, s in al.items()}
     cands = None
     st = data.get("selftwist")
     if isinstance(st, dict) and "possible" in st:
@@ -234,6 +232,8 @@ class FixtureBundle:
         for path in sorted(self.directory.glob("eigensystems_*.json")):
             data = json.loads(path.read_text())
             ideal_from_label(self.field, data["level"])
+            if data["level"] in out:
+                raise BundleError(f"two eigensystem files for level {data['level']}")
             out[data["level"]] = systems_from_json(self.group, data)
         return out
 
@@ -247,7 +247,7 @@ class FixtureBundle:
         return out
 
     def _load_dimension_table(self):
-        data = self._read_one("dimension_table_*.json")
+        data = self._read_one("dimension_table_*.json", self.field.disc)
         if data is None:
             return [], []
         rows = [dimension_row_from_json(r) for r in data.get("rows", [])]
@@ -284,7 +284,7 @@ class FixtureBundle:
         return (*record, cands[0])
 
     def _load_hecke_fields(self):
-        data = self._read_one("hecke_fields_*.json")
+        data = self._read_one("hecke_fields_*.json", self.field.disc)
         if data is None:
             return None
         rows = [HeckeFieldRow(**r) for r in data.get("rows", [])]
@@ -309,10 +309,15 @@ class FixtureBundle:
             out[name] = data
         return out
 
-    def _read_one(self, pattern: str):
-        for path in sorted(self.directory.glob(pattern)):
-            return json.loads(path.read_text())
-        return None
+    def _read_one(self, pattern: str, disc: int | None = None):
+        """The one file matching pattern, or None; its field_disc, if any, must be disc."""
+        paths = sorted(self.directory.glob(pattern))
+        if len(paths) > 1:
+            raise BundleError(f"two {pattern} files: {paths[0].name} and {paths[1].name}")
+        data = json.loads(paths[0].read_text()) if paths else None
+        if data and disc and data.get("field_disc") not in (None, disc):
+            raise BundleError(f"{paths[0].name} is for discriminant {data['field_disc']}")
+        return data
 
     # -- derived views ------------------------------------------------------
 

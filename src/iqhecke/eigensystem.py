@@ -35,7 +35,7 @@ from .characters import (
     is_quadratic,
 )
 from .classgroup import ClassGroup
-from .quadfield import Ideal, _factor_ideal, coprime, label, label_key
+from .quadfield import Ideal, coprime, factor_ideal, label, label_key
 
 
 class EigensystemError(ValueError):
@@ -173,7 +173,7 @@ def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
     prime factorisation of a."""
     if a.is_unit():
         return algext.one(F.vfield)
-    return reduce(mul, [_prime_powers(F, p, e)[e] for p, e in _factor_ideal(a)])
+    return reduce(mul, [_prime_powers(F, p, e)[e] for p, e in factor_ideal(a)])
 
 
 def _prime_powers(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:

@@ -10,10 +10,14 @@ the (a, b, c) triples.  Everything is exact integer arithmetic.
 Ideal arithmetic rests on two primitives, HNF multiplication (`ideal_mul`)
 and trial division of integers (`factor_int`).  An ideal in HNF is its
 content (c) times the primitive ideal [a/c, b/c + omega], so `factor_ideal`
-reads the exponents off the triple without dividing, and exact quotients
-come from n * conj(m) = (N m) * (n / m).  Coprimality never forms I + J: I
-and J are coprime iff gcd(N I, N J) = 1 or no prime factor of J, read from the
-factorisation memo, contains I.
+reads the exponents off the triple without dividing.  It checks them without
+multiplying back: distinct primes are comaximal, so if the norms of the pp^e
+multiply to N(n) and each pp^e contains n, their product is n.  `divisors`
+keeps the ideals of each norm k | N(n) that contain n, read from the label
+enumeration `ideals_of_norm`, so it is in label order without a product.
+Exact quotients come from n * conj(m) = (N m) * (n / m).  Coprimality never
+forms I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of
+J, read from the factorisation memo, contains I.
 
 An ideal hashes its triple once, at construction; the field takes part in
 equality and order but not in the hash.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 
 class QuadFieldError(ValueError):
@@ -231,7 +235,7 @@ def coprime(i: Ideal, j: Ideal) -> bool:
     _same_field(i, j)
     if gcd(i.norm, j.norm) == 1:
         return True
-    return not any(pp.contains_ideal(i) for pp, _ in _factor_ideal(j))
+    return not any(pp.contains_ideal(i) for pp, _ in factor_ideal(j))
 
 
 def ideal_pow(i: Ideal, e: int) -> Ideal:
@@ -277,27 +281,22 @@ def primes_above(field: QuadField, p: int) -> list[Ideal]:
 
 
 def is_prime_ideal(i: Ideal) -> bool:
-    return factor_ideal(i) == [(i, 1)]
+    return factor_ideal(i) == ((i, 1),)
 
 
-def factor_ideal(n: Ideal) -> list[tuple[Ideal, int]]:
+@lru_cache(maxsize=None)
+def factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
     """Factor a nonzero integral ideal into prime ideals with exponents.
 
     n = (c) * [a/c, b/c + omega]: the content c contributes v_p(c) to each
     prime above a split or inert p and 2*v_p(c) to the prime above a
     ramified p.  The primitive part is divisible by no rational integer, so
     above each p it lies in the one prime [p, r + omega] with b/c = r (mod p)
-    and carries all of v_p(a/c).  Factorisations are memoised; each caller
-    gets its own list.
+    and carries all of v_p(a/c).  Factorisations are memoised as tuples.
     """
-    return list(_factor_ideal(n))
-
-
-@lru_cache(maxsize=None)
-def _factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
     field, c = n.field, n.c
     content, primitive = dict(factor_int(c)), dict(factor_int(n.a // c))
-    out = []
+    out = {}  # keyed by prime, so the primes are distinct
     for p in sorted(content.keys() | primitive.keys()):
         per_content = 2 if factor_rational_prime(field, p).kind == "ramified" else 1
         for pp in primes_above(field, p):
@@ -305,22 +304,18 @@ def _factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
             if pp.c == 1 and (n.b // c - pp.b) % p == 0:
                 e += primitive.get(p, 0)
             if e:
-                out.append((pp, e))
-    check = unit_ideal(field)
-    for pp, e in out:
-        check = ideal_mul(check, ideal_pow(pp, e))
-    if check != n:
-        raise QuadFieldError(f"prime factors of {n} recombine to {check}")
-    return tuple(out)
+                out[pp] = e
+    if prod(pp.norm**e for pp, e in out.items()) != n.norm or not all(
+        (pp if e == 1 else ideal_pow(pp, e)).contains_ideal(n) for pp, e in out.items()
+    ):
+        raise QuadFieldError(f"prime factors {out} of {n} do not recombine to it")
+    return tuple(out.items())
 
 
 def divisors(n: Ideal) -> list[Ideal]:
-    fac = factor_ideal(n)
-    out = [unit_ideal(n.field)]
-    for p, e in fac:
-        powers = [ideal_pow(p, k) for k in range(e + 1)]
-        out = [ideal_mul(d, q) for d in out for q in powers]
-    return sorted(out, key=label_key)
+    """The divisors of n in label order: the ideals of each norm k | N(n) that contain n."""
+    norms = [k for k in range(1, n.norm + 1) if n.norm % k == 0]
+    return [d for k in norms for d in ideals_of_norm(n.field, k) if d.contains_ideal(n)]
 
 
 def exact_divisors(n: Ideal) -> list[Ideal]:

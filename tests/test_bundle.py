@@ -149,6 +149,36 @@ def _string_hecke_field_index(target):
     _edit(target, "hecke_fields_68.json", lambda d: d["rows"][0].update(index="1"))
 
 
+def _second_dimension_table(target):
+    shutil.copy(target / "dimension_table_68.json", target / "dimension_table_69.json")
+    _edit(target, "dimension_table_69.json", lambda d: d.update(rows=[{"level": "2.1", "nd": 999}]))
+
+
+def _second_eigensystem_file(target):
+    shutil.copy(target / "eigensystems_2.1.json", target / "eigensystems_2.1b.json")
+    _edit(target, "eigensystems_2.1b.json", lambda d: d.update(systems=d["systems"][:1]))
+
+
+def _dimension_table_other_field(target):
+    _edit(target, "dimension_table_68.json", lambda d: d.update(field_disc=-20))
+
+
+def _hecke_fields_other_field(target):
+    _edit(target, "hecke_fields_68.json", lambda d: d.update(field_disc=-20))
+
+
+def _fractional_involution_sign(target):
+    _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"2.1": -1.7}))
+
+
+def _boolean_involution_sign(target):
+    _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"2.1": True}))
+
+
+def _string_involution_sign(target):
+    _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"2.1": "1"}))
+
+
 @pytest.mark.parametrize(
     "breakage, error, message",
     [
@@ -165,6 +195,15 @@ def _string_hecke_field_index(target):
         (_numeric_level_label, QuadFieldError, "bad ideal label 2"),
         (_string_dimension_column, BundleError, "dimension row 2.1: nd and columns"),
         (_string_hecke_field_index, BundleError, "Hecke-field row 2.1: index and degrees"),
+        (_second_dimension_table, BundleError,
+         "two dimension_table_*.json files: dimension_table_68.json and dimension_table_69.json"),
+        (_second_eigensystem_file, BundleError, "two eigensystem files for level 2.1"),
+        (_dimension_table_other_field, BundleError,
+         "dimension_table_68.json is for discriminant -20"),
+        (_hecke_fields_other_field, BundleError, "hecke_fields_68.json is for discriminant -20"),
+        (_fractional_involution_sign, BundleError, "involution signs {'2.1': -1.7}"),
+        (_boolean_involution_sign, BundleError, "involution signs {'2.1': True}"),
+        (_string_involution_sign, BundleError, "involution signs {'2.1': '1'}"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):

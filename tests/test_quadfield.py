@@ -6,6 +6,7 @@ from iqhecke import quadfield
 from iqhecke.quadfield import (
     Ideal,
     QuadFieldError,
+    SplittingRecord,
     coprime,
     divisors,
     exact_divisors,
@@ -23,6 +24,7 @@ from iqhecke.quadfield import (
     is_prime_ideal,
     is_rational_prime,
     label,
+    label_key,
     make_field,
     principal_ideal,
     sigma0,
@@ -131,22 +133,27 @@ def test_factor_rational_prime_rejects_composite(K17):
 def test_factor_ideal_examples(K17):
     eight = principal_ideal(K17, 8, 0)
     p21 = ideal_from_label(K17, "2.1")
-    assert factor_ideal(eight) == [(p21, 6)]
+    assert factor_ideal(eight) == ((p21, 6),)
     p31 = ideal_from_label(K17, "3.1")
-    assert factor_ideal(p31) == [(p31, 1)]
+    assert factor_ideal(p31) == ((p31, 1),)
     n12 = ideal_from_label(K17, "12.1")
-    assert factor_ideal(n12) == [(p21, 2), (p31, 1)]
+    assert factor_ideal(n12) == ((p21, 2), (p31, 1))
 
 
-def test_factor_ideal_recombines_exhaustively(K17):
-    # factor_ideal checks that the product of its factors equals the input
-    # on each cache miss; the extra fields bring inert and ramified primes
-    # and content > 1
-    quadfield._factor_ideal.cache_clear()
-    for K in (K17, *map(make_field, (1, 2, 3, 5, 14, 65, 105))):
+FACTOR_FIELDS = (17, 1, 2, 3, 5, 14, 65, 105)  # inert, ramified, content > 1
+
+
+def test_factor_ideal_recombines_exhaustively():
+    # factor_ideal checks norms and containment, not the product; the
+    # product is the reference here
+    quadfield.factor_ideal.cache_clear()
+    for K in map(make_field, FACTOR_FIELDS):
         for n in range(1, 501):
             for i in ideals_of_norm(K, n):
-                factor_ideal(i)
+                product = unit_ideal(K)
+                for p, e in factor_ideal(i):
+                    product = ideal_mul(product, ideal_pow(p, e))
+                assert product == i, (K, i)
 
 
 def test_factor_ideal_recombination_is_checked(K17, monkeypatch):
@@ -154,7 +161,19 @@ def test_factor_ideal_recombination_is_checked(K17, monkeypatch):
     three = ideal_from_label(K17, "9.2")
     real = quadfield.primes_above
     monkeypatch.setattr(quadfield, "primes_above", lambda field, p: real(field, p)[:1])
-    quadfield._factor_ideal.cache_clear()
+    quadfield.factor_ideal.cache_clear()
+    with pytest.raises(QuadFieldError, match="recombine"):
+        factor_ideal(three)
+
+
+def test_factor_ideal_containment_is_checked(K17, monkeypatch):
+    # split 3 read as ramified with one prime: (3) gets 3.1^2, which has the
+    # norm of (3) but does not contain it
+    three = ideal_from_label(K17, "9.2")
+    real = quadfield.factor_rational_prime
+    monkeypatch.setattr(quadfield, "factor_rational_prime",
+                        lambda field, p: SplittingRecord("ramified", real(field, p).primes[:1]))
+    quadfield.factor_ideal.cache_clear()
     with pytest.raises(QuadFieldError, match="recombine"):
         factor_ideal(three)
 
@@ -163,18 +182,18 @@ def test_factor_ideal_recombination_is_checked_under_optimize(run_optimized):
     code = (
         "from iqhecke import quadfield as q; three = q.ideal_from_label(q.make_field(17), '9.2');"
         "real = q.primes_above; q.primes_above = lambda field, p: real(field, p)[:1];"
-        "q._factor_ideal.cache_clear(); q.factor_ideal(three)"
+        "q.factor_ideal.cache_clear(); q.factor_ideal(three)"
     )
     last = run_optimized(code).stderr.strip().splitlines()[-1]
     assert last.startswith("iqhecke.quadfield.QuadFieldError") and "recombine" in last
 
 
-def test_factor_ideal_returns_a_copy(K17):
+def test_factor_ideal_is_one_memoised_tuple(K17):
+    # callers share the memo's answer, which immutability keeps intact
     n12 = ideal_from_label(K17, "12.1")
-    factor_ideal(n12).append((n12, 1))
-    factor_ideal(n12)[0] = (n12, 1)
-    p21, p31 = ideal_from_label(K17, "2.1"), ideal_from_label(K17, "3.1")
-    assert factor_ideal(n12) == [(p21, 2), (p31, 1)]
+    assert factor_ideal(n12) is factor_ideal(n12)
+    assert isinstance(factor_ideal(n12), tuple)
+    assert all(isinstance(f, tuple) for f in factor_ideal(n12))
 
 
 def test_divisor_lattice(K17):
@@ -192,6 +211,18 @@ def test_divisor_lattice(K17):
             assert ideal_mul(ideal_div_exact(n, m), m) == n
     with pytest.raises(QuadFieldError, match="does not divide"):
         ideal_div_exact(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
+
+
+def test_divisors_match_the_product_lattice():
+    # divisors reads the label enumeration; the lattice of products of prime
+    # powers, sorted into label order, is the reference
+    for K in map(make_field, FACTOR_FIELDS):
+        for n in range(1, 301):
+            for i in ideals_of_norm(K, n):
+                lattice = [unit_ideal(K)]
+                for p, e in factor_ideal(i):
+                    lattice = [ideal_mul(d, ideal_pow(p, k)) for d in lattice for k in range(e + 1)]
+                assert divisors(i) == sorted(lattice, key=label_key), (K, i)
 
 
 def test_galois_conjugate(K17):
