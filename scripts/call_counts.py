@@ -17,14 +17,16 @@ cProfile:
 Inputs are drawn and the bundle is loaded before profiling starts; memoised
 values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
-the calls of ``AlgValue.__mul__``, ``ideal_mul``, ``factor_ideal`` (the
-misses of its memo), ``coprime`` and ``_hnf_from_rows`` (every HNF built
-from generators, products and sums included). With string hashing pinned
-the counts repeat exactly from run to run, so two trees can be compared
-without timing noise. Calls are summed over the profiler's raw entries, one
-per code object. ``pstats`` merges entries by (file, line, name) and so keeps
-only one of the dataclass-generated methods, which all share one such label;
-which one it keeps depends on memory addresses.
+the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
+``factor_ideal`` (the misses of its memo), ``coprime``, ``_hnf_from_rows``
+(every HNF built from generators, products and sums included) and
+``is_rational_prime``. The script exits 1 when any operation raised. With
+string hashing pinned the counts repeat exactly from run to run, so two
+trees can be compared without timing noise. Calls are summed over the
+profiler's raw entries, one per code object. ``pstats`` merges entries by
+(file, line, name) and so keeps only one of the dataclass-generated methods,
+which all share one such label; which one it keeps depends on memory
+addresses.
 """
 
 import cProfile
@@ -37,10 +39,12 @@ from pathlib import Path
 ROUNDTRIP_OPS, ROUNDTRIP_SEED = 120, 7
 TABLE_OPS, TABLE_SEED = 16, 1
 COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
+           ("algext.py", "inv", "AlgValue.inv"),
            ("quadfield.py", "ideal_mul", "ideal_mul"),
            ("quadfield.py", "factor_ideal", "factor_ideal"),
            ("quadfield.py", "coprime", "coprime"),
-           ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"))
+           ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"),
+           ("quadfield.py", "is_rational_prime", "is_rational_prime"))
 
 
 def profiled(ops) -> dict:
@@ -83,10 +87,12 @@ def main(tree: Path) -> int:
     }
     columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED]
     print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
+    failed = 0
     for name, ops in sections.items():
         row = profiled(ops)
         print(f"{name:<12}" + "".join(f"{row[c]:>18}" for c in columns), flush=True)
-    return 0
+        failed += row["failed"]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

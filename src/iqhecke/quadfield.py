@@ -241,14 +241,17 @@ def coprime(i: Ideal, j: Ideal) -> bool:
 def ideal_pow(i: Ideal, e: int) -> Ideal:
     if e < 0:
         raise QuadFieldError(f"negative exponent {e} for an integral ideal")
-    out = unit_ideal(i.field)
-    base = i
-    while e:
+    if e == 0:
+        return unit_ideal(i.field)
+    # square-and-multiply seeded with the first factor, so no product has a unit operand
+    out = None
+    while True:
         if e & 1:
-            out = ideal_mul(out, base)
-        base = ideal_mul(base, base) if e > 1 else base
+            out = i if out is None else ideal_mul(out, i)
         e >>= 1
-    return out
+        if not e:
+            return out
+        i = ideal_mul(i, i)
 
 
 @dataclass(frozen=True)
@@ -324,7 +327,7 @@ def exact_divisors(n: Ideal) -> list[Ideal]:
     out = [unit_ideal(n.field)]
     for p, e in fac:
         block = ideal_pow(p, e)
-        out = out + [ideal_mul(d, block) for d in out]
+        out += [block] + [ideal_mul(d, block) for d in out[1:]]
     return sorted(out, key=label_key)
 
 
@@ -411,8 +414,10 @@ def ideal_from_label(field: QuadField, lab: str) -> Ideal:
     return ordered[idx - 1]
 
 
-def primes_of_norm_up_to(field: QuadField, bound: int) -> list[Ideal]:
-    """Prime ideals of norm <= bound, sorted by (norm, label index)."""
+@lru_cache(maxsize=None)
+def primes_of_norm_up_to(field: QuadField, bound: int) -> tuple[Ideal, ...]:
+    """Prime ideals of norm <= bound, sorted by (norm, label index); memoised
+    as a tuple."""
     out = [
         pp
         for p in range(2, bound + 1)
@@ -420,4 +425,4 @@ def primes_of_norm_up_to(field: QuadField, bound: int) -> list[Ideal]:
         for pp in primes_above(field, p)
         if pp.norm <= bound
     ]
-    return sorted(out, key=label_key)
+    return tuple(sorted(out, key=label_key))

@@ -110,11 +110,14 @@ class SyntheticOracle:
 
     def query(self, op: PrincipalOperator) -> AlgValue:
         F = self.system
-        chi_a = chi_value(F, op.aa)
+        # chi((1)) = 1; chi_value's own EigensystemError is not a gap
+        chi_a = None if op.aa.is_unit() else chi_value(F, op.aa)
         try:
-            val = chi_a * coefficient(F, op.t)
+            val = coefficient(F, op.t)
         except EigensystemError as exc:
             raise OracleMissingError(op, str(exc))
+        if chi_a is not None:
+            val = chi_a * val
         if op.w is not None:
             sign = 1
             for q in exact_prime_power_divisors(op.w):
@@ -230,7 +233,15 @@ def recover(
             # every ideal before a already fails a test that ignores coprime_to
             a = first_ideal(group, accept, (level, *coprime_to))
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
-        return v * chiv(group.inv(group.ideal_class(a)))
+        return v if a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
+
+    inverses: dict[Ideal, AlgValue] = {}  # table ideal a_t -> alpha(a_t)^-1, in alpha(a_t)'s tower
+
+    def divided(v: AlgValue, a_t: Ideal, alpha_t: AlgValue) -> AlgValue:
+        """v / alpha(a_t) for a sign-table entry, inverting each entry once."""
+        if a_t not in inverses:
+            inverses[a_t] = alpha_t.inv()
+        return v * absorb(inverses[a_t])
 
     # Step 2: eigenvalues at good primes, in increasing norm order.  Square
     # classes (2a, 2b) are read off directly; a nonsquare class is divided
@@ -248,7 +259,7 @@ def recover(
                 alpha[p] = principal(t=p, coprime_to=(p,))
             elif (hit := table.get(group.genus(cls))) is not None:
                 a_t, alpha_t = hit
-                alpha[p] = principal(t=ideal_mul(p, a_t)) / absorb(alpha_t)
+                alpha[p] = divided(principal(t=ideal_mul(p, a_t)), a_t, alpha_t)
             else:
                 alpha_sq = principal(t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
                 if alpha_sq.is_zero():
@@ -275,7 +286,7 @@ def recover(
                     v = principal(w=q)
                 elif (hit := table.get(group.genus(qcls))) is not None:
                     a_t, alpha_t = hit
-                    v = principal(t=a_t, w=q) / absorb(alpha_t)
+                    v = divided(principal(t=a_t, w=q), a_t, alpha_t)
                 else:
                     al_incomplete.append(q)
                     continue

@@ -26,6 +26,7 @@ from iqhecke.quadfield import (
     label,
     label_key,
     make_field,
+    primes_of_norm_up_to,
     principal_ideal,
     sigma0,
     unit_ideal,
@@ -143,6 +144,14 @@ def test_factor_ideal_examples(K17):
 FACTOR_FIELDS = (17, 1, 2, 3, 5, 14, 65, 105)  # inert, ramified, content > 1
 
 
+def power_by_products(p, e):
+    """p^e as e products from the unit ideal: the reference for ideal_pow."""
+    out = unit_ideal(p.field)
+    for _ in range(e):
+        out = ideal_mul(out, p)
+    return out
+
+
 def test_factor_ideal_recombines_exhaustively():
     # factor_ideal checks norms and containment, not the product; the
     # product is the reference here
@@ -152,7 +161,7 @@ def test_factor_ideal_recombines_exhaustively():
             for i in ideals_of_norm(K, n):
                 product = unit_ideal(K)
                 for p, e in factor_ideal(i):
-                    product = ideal_mul(product, ideal_pow(p, e))
+                    product = ideal_mul(product, power_by_products(p, e))
                 assert product == i, (K, i)
 
 
@@ -221,7 +230,8 @@ def test_divisors_match_the_product_lattice():
             for i in ideals_of_norm(K, n):
                 lattice = [unit_ideal(K)]
                 for p, e in factor_ideal(i):
-                    lattice = [ideal_mul(d, ideal_pow(p, k)) for d in lattice for k in range(e + 1)]
+                    lattice = [ideal_mul(d, power_by_products(p, k))
+                               for d in lattice for k in range(e + 1)]
                 assert divisors(i) == sorted(lattice, key=label_key), (K, i)
 
 
@@ -280,6 +290,42 @@ def test_ideal_pow_and_prime_predicates(K17):
     assert not is_prime_ideal(principal_ideal(K17, 3, 0))
     assert coprime(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
     assert not coprime(p21, principal_ideal(K17, 8, 0))
+
+
+def test_ideal_pow_matches_repeated_products(monkeypatch):
+    primes = [(K, p) for K in map(make_field, (5, 17, 105)) for n in range(1, 51)
+              for p in ideals_of_norm(K, n) if is_prime_ideal(p)]
+    expected = {(p, e): power_by_products(p, e) for _, p in primes for e in range(7)}
+    operands = []
+
+    def counted(i, j):
+        operands.append((i, j))
+        return ideal_mul(i, j)
+
+    monkeypatch.setattr(quadfield, "ideal_mul", counted)
+    for K, p in primes:
+        assert ideal_pow(p, 0) == unit_ideal(K)
+        assert ideal_pow(p, 1) is p
+        for e in range(7):
+            assert ideal_pow(p, e) == expected[p, e], (K, p, e)
+    # square-and-multiply starts from the first factor, never from (1)
+    assert operands and not any(i.is_unit() or j.is_unit() for i, j in operands)
+
+
+SWEEP_FIELDS = (1, 5, 23, 17, 21, 14, 65, 105)
+
+
+def test_primes_of_norm_up_to_is_one_memoised_tuple(K17):
+    assert primes_of_norm_up_to(K17, 60) is primes_of_norm_up_to(K17, 60)
+    assert isinstance(primes_of_norm_up_to(K17, 60), tuple)
+
+
+@pytest.mark.parametrize("d", SWEEP_FIELDS)
+def test_primes_of_norm_up_to_matches_brute_force(d):
+    K = make_field(d)
+    primes = [i for n in range(1, 201) for i in ideals_of_norm(K, n) if is_prime_ideal(i)]
+    for bound in range(201):
+        assert primes_of_norm_up_to(K, bound) == tuple(p for p in primes if p.norm <= bound)
 
 
 def test_coprime_agrees_with_the_sum_ideal():

@@ -149,6 +149,18 @@ def test_sign_flip_lands_in_same_orbit(bundle, G17):
     assert not systems_equal(res_a.system, res_b.system)
 
 
+@pytest.mark.parametrize("sign_flip", [False, True])
+@pytest.mark.parametrize("d", [14, 65, 105])  # C4, C2 x C4, C2^3: the widest sign tables
+def test_round_trip_at_wide_sign_tables(d, sign_flip):
+    g = compute_class_group(make_field(d))
+    rng = random.Random(d)
+    for _ in range(4):
+        F = random_eigensystem(g, rng, 200)
+        res = recover(SyntheticOracle(F), g, F.level, 200, sign_flip=sign_flip, on_missing="skip")
+        assert not res.alpha_gaps
+        assert any(systems_equal(res.system, H) for H in orbit_quiet(F))
+
+
 def test_sign_table_doubles_and_caps():
     g = compute_class_group(make_field(21))  # C2 x C2, r2 = 2
     table = {}
