@@ -392,7 +392,9 @@ def zero(f: ValueField) -> AlgValue:
     return AlgValue(f, (0,) * f.dim, 1)
 
 
+@lru_cache(maxsize=None)
 def one(f: ValueField) -> AlgValue:
+    """The unit of f, one shared value per tower (values are immutable)."""
     return from_rational(f, 1)
 
 

@@ -107,7 +107,12 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
     cands = None
     st = data.get("selftwist")
     if isinstance(st, dict) and "possible" in st:
-        cands = [ClassCharacter(tuple(e)) for e in st["possible"]]
+        cands = [character_from_json(group, e) for e in st["possible"]]
+        # a self-twist psi has psi^2 = 1 and is not the trivial character
+        if any(c.is_trivial() or not group.power(c, 2).is_trivial() for c in cands):
+            raise BundleError(
+                f"self-twist candidates {st['possible']} must be nontrivial quadratic characters"
+            )
     return make_eigensystem(
         group, level, chi, alpha, al_map, vfield=f, selftwist_candidates=cands
     )

@@ -7,13 +7,14 @@ resulting form; with the unique-HNF ideal layer already in place this avoids
 a separate implementation of Gauss composition.
 
 Structure and coordinates come from cyclic orbits of forms, [f, f^2, ...,
-identity], found by brute force, which is fine for the class numbers this
-library targets (h up to a few hundred).  Generators are chosen greedily by
-orbit length, and one table built from their orbits maps every form to its
-exponent vector (discrete logs).  After that, every class query works on
-exponent vectors alone; CL^2 and CL[2] are computed once, at construction,
-where the 2-rank is checked against genus theory, and the class of an ideal
-once, on its first query.  Characters share the law on exponent vectors.
+identity], each composed once by brute force, which is fine for the class
+numbers this library targets (h up to a few hundred).  Generators are chosen
+greedily by orbit length, and the exponent table of the subgroup they span
+grows with each pick until it maps every form to its exponent vector
+(discrete logs).  After that, every class query works on exponent vectors
+alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
+is checked against genus theory, and the class of an ideal once, on its
+first query.  Characters share the law on exponent vectors.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class BQForm:
     a: int
     b: int
     c: int
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
 
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c
@@ -141,9 +138,10 @@ class ClassGroup:
         self.forms = reduced_forms(field.disc)
         self.h = len(self.forms)
         self._identity = reduce_form(*_principal_form(field))
-        self.elementary_divisors, self.generators = self._structure()
-        self._coords = self._coordinates(self.generators)
-        self._check_counts()
+        cycles = {f: self._cycle(f) for f in self.forms}
+        self.elementary_divisors, self.generators, self._coords = self._structure(cycles)
+        if prod(self.elementary_divisors) != self.h or self._coords.keys() != set(self.forms):
+            raise ClassGroupError("generators do not give one exponent vector per form")
         classes = self.all_classes()
         self._squares = frozenset(self.power(x, 2) for x in classes)
         self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_identity())
@@ -173,81 +171,63 @@ class ClassGroup:
             out.append(self._compose(out[-1], f))
         return out
 
-    def _coordinates(self, gens) -> dict[BQForm, tuple[int, ...]]:
-        """Every form in the span of gens mapped to an exponent vector.
+    def _coordinates(self, table, cycle: list[BQForm]) -> dict[BQForm, tuple[int, ...]]:
+        """The exponent table of a subgroup H extended by a generator g that
+        meets H trivially and has the orbit cycle: f * g^e gets v + (e,) for
+        each f -> v in table, so exponent index 0 varies fastest."""
+        new = {f: v + (0,) for f, v in table.items()}
+        for e, p in enumerate(cycle[:-1], 1):
+            for f, v in table.items():
+                new[p if f == self._identity else self._compose(f, p)] = v + (e,)
+        return new
 
-        The table is extended one generator at a time, so exponent index 0
-        varies fastest and each form keeps the first vector that reaches it.
+    def _structure(self, cycles: dict[BQForm, list[BQForm]]):
+        """Elementary divisors, generators and the form -> exponent table.
+
+        Greedy decomposition: repeatedly pick an element of maximal order
+        whose cyclic orbit meets the subgroup generated so far trivially, and
+        extend that subgroup's table by it.  For disc -68 the generator is
+        pinned to the class of the norm-3 prime <3, 1+omega>, so that
+        published eigensystem tables line up.
         """
-        table = {self._identity: ()}
-        for g in gens:
-            cycle = self._cycle(g)
-            powers = [self._identity] + cycle[:-1]
-            new = {}
-            for e, p in enumerate(powers):
-                for f, v in table.items():
-                    new.setdefault(f if e == 0 else self._compose(f, p), v + (e,))
-            table = new
-        return table
-
-    def _structure(self) -> tuple[tuple[int, ...], tuple[BQForm, ...]]:
-        if self.h == 1:
-            return (), ()
-        # Greedy decomposition: repeatedly pick an element of maximal order
-        # whose cyclic orbit meets the subgroup generated so far trivially.
-        cycles = {f: self._cycle(f) for f in self.forms if f != self._identity}
-        candidates = sorted(cycles, key=lambda f: (-len(cycles[f]), f.a, f.b))
+        pinned = None
+        if self.field.disc == -68:
+            pinned = form_of_ideal(Ideal(self.field, 3, 1, 1))
+            if len(cycles[pinned]) != 4:
+                raise ClassGroupError("the pinned generator of disc -68 does not have order 4")
+        candidates = sorted(
+            (f for f in self.forms if f != self._identity),
+            key=lambda f: (-len(cycles[f]), f != pinned, f.a, f.b),
+        )
         gens: list[BQForm] = []
-        have = {self._identity: ()}
-        while len(have) < self.h:
-            best = next((f for f in candidates if not set(cycles[f][:-1]) & have.keys()), None)
+        table = {self._identity: ()}
+        while len(table) < self.h:
+            best = next((f for f in candidates if not table.keys() & cycles[f][:-1]), None)
             if best is None:
                 raise ClassGroupError("could not decompose class group")
             gens.append(best)
-            have = self._coordinates(gens)
-        if len(have) != self.h:
-            raise ClassGroupError("generator span does not cover the group")
+            table = self._coordinates(table, cycles[best])
         # Order the factors so divisors ascend (d1 | d2 | ... for the groups
         # at hand, where distinct factor orders only occur pairwise coprime
         # or equal; check divisibility to be safe).
-        divisors, gens = zip(*sorted((len(cycles[g]), g) for g in gens))
+        order = sorted(range(len(gens)), key=lambda i: (len(cycles[gens[i]]), gens[i]))
+        divisors = tuple(len(cycles[gens[i]]) for i in order)
         for i in range(len(divisors) - 1):
             if divisors[i + 1] % divisors[i]:
                 raise ClassGroupError(f"divisors not nested: {list(divisors)}")
-        return divisors, tuple(self._normalize_generators(gens))
-
-    def _normalize_generators(self, gens):
-        # For disc -68, pin the generator to the class of the norm-3 prime
-        # <3, 1+omega> so that published eigensystem tables line up.
-        if self.field.disc == -68:
-            pinned = form_of_ideal(Ideal(self.field, 3, 1, 1))
-            if len(self._cycle(pinned)) != 4:
-                raise ClassGroupError("the pinned generator of disc -68 does not have order 4")
-            return [pinned]
-        return gens
-
-    def _check_counts(self):
-        if prod(self.elementary_divisors) != self.h:
-            raise ClassGroupError("elementary divisors inconsistent with h")
-        for g, d in zip(self.generators, self.elementary_divisors):
-            if len(self._cycle(g)) != d:
-                raise ClassGroupError("generator order != elementary divisor")
-        if len(self._coords) != self.h:
-            raise ClassGroupError("generators do not enumerate the group")
+        coords = {f: tuple(v[i] for i in order) for f, v in table.items()}
+        return divisors, tuple(gens[i] for i in order), coords
 
     # -- queries -----------------------------------------------------------
 
     def identity(self) -> IdealClass:
         return IdealClass(tuple(0 for _ in self.elementary_divisors))
 
-    def class_of_form(self, f: BQForm) -> IdealClass:
-        return IdealClass(self._coords[f])
-
     def ideal_class(self, i: Ideal) -> IdealClass:
         """The class of i, reduced once per ideal and then read from a memo."""
         cls = self._ideal_classes.get(i)
         if cls is None:
-            cls = self._ideal_classes[i] = self.class_of_form(form_of_ideal(i))
+            cls = self._ideal_classes[i] = IdealClass(self._coords[form_of_ideal(i)])
         return cls
 
     # One law for classes and characters (Z/d1 x ... x Z/dk on the same

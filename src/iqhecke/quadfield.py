@@ -321,14 +321,9 @@ def divisors(n: Ideal) -> list[Ideal]:
     return [d for k in norms for d in ideals_of_norm(n.field, k) if d.contains_ideal(n)]
 
 
-def exact_divisors(n: Ideal) -> list[Ideal]:
-    """Divisors q || n, i.e. with q and n/q coprime: full prime-power blocks."""
-    fac = factor_ideal(n)
-    out = [unit_ideal(n.field)]
-    for p, e in fac:
-        block = ideal_pow(p, e)
-        out += [block] + [ideal_mul(d, block) for d in out[1:]]
-    return sorted(out, key=label_key)
+def is_exact_divisor(q: Ideal, n: Ideal) -> bool:
+    """Whether q || n, i.e. q and n/q are coprime: q takes each prime power of n whole."""
+    return set(factor_ideal(q)) <= set(factor_ideal(n))
 
 
 def exact_prime_power_divisors(n: Ideal) -> list[Ideal]:

@@ -35,10 +35,10 @@ from .eigensystem import (
 from .quadfield import (
     Ideal,
     coprime,
-    exact_divisors,
     exact_prime_power_divisors,
     ideal_mul,
     ideal_pow,
+    is_exact_divisor,
     label,
     primes_of_norm_up_to,
     unit_ideal,
@@ -93,7 +93,7 @@ def make_principal_operator(
         group.power(group.ideal_class(aa), 2), group.ideal_class(t)
     )
     if w is not None:
-        if w not in exact_divisors(level):
+        if not is_exact_divisor(w, level):
             raise RecoveryError(f"{label(w)} is not an exact divisor of the level")
         total = group.mul(total, group.ideal_class(w))
     if not total.is_identity():

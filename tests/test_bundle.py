@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from iqhecke.algext import AlgebraError
-from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle
+from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle, eigensystem_to_json
 from iqhecke.cli import main
 from iqhecke.quadfield import QuadFieldError, label, principal_ideal
 from iqhecke.verify import run_checks
@@ -179,6 +179,13 @@ def _string_involution_sign(target):
     _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"2.1": "1"}))
 
 
+def _selftwist_candidates(possible):
+    def breakage(target):
+        _edit(target, "eigensystems_64.1.json",
+              lambda d: d["systems"][0]["selftwist"].update(possible=possible))
+    return breakage
+
+
 @pytest.mark.parametrize(
     "breakage, error, message",
     [
@@ -204,6 +211,12 @@ def _string_involution_sign(target):
         (_fractional_involution_sign, BundleError, "involution signs {'2.1': -1.7}"),
         (_boolean_involution_sign, BundleError, "involution signs {'2.1': True}"),
         (_string_involution_sign, BundleError, "involution signs {'2.1': '1'}"),
+        (_selftwist_candidates([[1, 2]]), ValueError,
+         "character exponents [1, 2] do not fit the class group"),
+        (_selftwist_candidates([[1]]), BundleError,
+         "self-twist candidates [[1]] must be nontrivial quadratic characters"),
+        (_selftwist_candidates([[0]]), BundleError,
+         "self-twist candidates [[0]] must be nontrivial quadratic characters"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
@@ -215,6 +228,13 @@ def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, 
     assert main(["verify", "--bundle", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error: ") and message in err
+
+
+def test_shipped_selftwist_candidate_is_written_back_unchanged(bundle):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_64.1.json").read_text())
+    assert data["systems"][0]["selftwist"] == {"possible": [[2]]}
+    F = bundle.system("64.1", data["systems"][0]["name"])
+    assert eigensystem_to_json(F)["selftwist"] == {"possible": [[2]]}
 
 
 def test_bundle_rejects_bad_json(tmp_path):

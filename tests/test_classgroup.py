@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from iqhecke.classgroup import (
     compute_class_group,
     first_ideal,
     form_of_ideal,
+    ideal_of_form,
     reduced_forms,
 )
 from iqhecke.quadfield import (
@@ -28,14 +30,25 @@ FIELDS = {
     14: (4,), 65: (2, 4), 105: (2, 2, 2), 47: (5,), 71: (7,), 41: (8,), 89: (12,),
 }
 
+# then every other squarefree d < 400 (the fields of the shape probe, 31
+# class-group shapes), with its divisors unpinned
+BELOW_400 = [d for d in range(1, 400) if all(d % (p * p) for p in range(2, 20))]
+STRUCTURES = [*FIELDS.items(), *((d, None) for d in BELOW_400 if d not in FIELDS)]
 
-@pytest.mark.parametrize("d,divs", FIELDS.items())
+
+@pytest.mark.parametrize("d,divs", STRUCTURES)
 def test_structure(d, divs):
     g = compute_class_group(make_field(d))
-    assert g.elementary_divisors == divs
-    assert g.h == len(reduced_forms(g.field.disc))
+    ds = g.elementary_divisors
+    assert divs is None or ds == divs
+    assert all(b % a == 0 for a, b in zip(ds, ds[1:]))
+    assert prod(ds) == g.h == len(reduced_forms(g.field.disc))
+    for gen, dv in zip(g.generators, ds):
+        assert g.class_order(g.ideal_class(ideal_of_form(g.field, gen))) == dv
     classes = g.all_classes()
     assert len(classes) == len(set(classes)) == g.h
+    # the forms map one-to-one onto the classes
+    assert {g.ideal_class(ideal_of_form(g.field, f)) for f in g.forms} == set(classes)
     for x in classes:
         k = g.class_order(x)
         assert g.power(x, k).is_identity()

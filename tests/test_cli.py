@@ -105,6 +105,23 @@ def test_verify_command(capsys):
     assert len(lines) == 2 and all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_reports_a_skipped_check(capsys, tmp_path):
+    # a check with no data to read is skipped, and a skip does not fail verify
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    (target / "hecke_fields_68.json").unlink()
+    code, out, _ = run_cli(capsys, "verify", "--bundle", str(target))
+    assert code == 0
+    assert "SKIP hecke-fields: bundle has no Hecke-field table" in out.splitlines()
+    code, out, _ = run_cli(
+        capsys, "verify", "--bundle", str(target), "--check", "hecke-fields", "--json"
+    )
+    assert code == 0
+    assert json.loads(out) == [
+        {"name": "hecke-fields", "status": "SKIP", "detail": "bundle has no Hecke-field table"}
+    ]
+
+
 def test_verify_json_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "genus-character-law", "--json")
     assert code == 0

@@ -9,7 +9,6 @@ from iqhecke.quadfield import (
     SplittingRecord,
     coprime,
     divisors,
-    exact_divisors,
     exact_prime_power_divisors,
     factor_ideal,
     factor_int,
@@ -21,6 +20,7 @@ from iqhecke.quadfield import (
     ideal_mul,
     ideal_pow,
     ideals_of_norm,
+    is_exact_divisor,
     is_prime_ideal,
     is_rational_prime,
     label,
@@ -212,7 +212,7 @@ def test_divisor_lattice(K17):
     for K in (K17, make_field(1), make_field(5)):
         assert exact_prime_power_divisors(unit_ideal(K)) == []
     n12 = ideal_from_label(K17, "12.1")
-    got = {label(q) for q in exact_divisors(n12)}
+    got = {label(q) for q in divisors(n12) if is_exact_divisor(q, n12)}
     assert got == {"1.1", "4.1", "3.1", "12.1"}
     assert len(divisors(n12)) == sigma0(n12) == 6
     for n in (i for norm in range(1, 101) for i in ideals_of_norm(K17, norm)):
@@ -233,6 +233,19 @@ def test_divisors_match_the_product_lattice():
                     lattice = [ideal_mul(d, power_by_products(p, k))
                                for d in lattice for k in range(e + 1)]
                 assert divisors(i) == sorted(lattice, key=label_key), (K, i)
+
+
+def test_exact_divisors_match_the_block_products():
+    # the reference: every product of whole prime-power blocks of n
+    for K in map(make_field, (17, 65, 105)):
+        for n in range(1, 201):
+            for i in ideals_of_norm(K, n):
+                blocks = [unit_ideal(K)]
+                for p, e in factor_ideal(i):
+                    pe = power_by_products(p, e)
+                    blocks += [ideal_mul(d, pe) for d in blocks]
+                got = [q for q in divisors(i) if is_exact_divisor(q, i)]
+                assert got == sorted(blocks, key=label_key), (K, i)
 
 
 def test_galois_conjugate(K17):
