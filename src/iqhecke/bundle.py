@@ -22,7 +22,7 @@ from . import algext
 from .algext import ValueField
 from .characters import ClassCharacter, quadratic_characters
 from .classgroup import BQForm, ClassGroup, compute_class_group
-from .dimensions import DimensionRow, NewformRecord
+from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import EigensystemError, HeckeEigensystem, make_eigensystem
 from .quadfield import (
     FACTOR_LABEL_DISCS,
@@ -43,6 +43,14 @@ class BundleError(ValueError):
 DEFAULT_BUNDLE_DIR = Path(__file__).parent / "data"
 
 
+def _checked(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise BundleError(f"{what} must be {shape}, not {type(value).__name__}")
+    return value
+
+
 def value_field_to_json(f: ValueField) -> dict:
     def enc(q: Fraction):
         return int(q) if q.denominator == 1 else str(q)
@@ -57,15 +65,16 @@ def value_field_to_json(f: ValueField) -> dict:
 
 
 def value_field_from_json(data) -> ValueField:
-    minpoly = [Fraction(c) for c in data.get("minpoly", [0, 1])]
+    _checked(data, dict, "a value field")
+    minpoly = [Fraction(c) for c in _checked(data.get("minpoly", [0, 1]), list, "minpoly")]
     adjoined = []
-    for r in data.get("adjoined", []):
+    for r in _checked(data.get("adjoined", []), list, "adjoined"):
         adjoined.append([Fraction(c) for c in r] if isinstance(r, list) else Fraction(r))
     return algext.make_value_field(minpoly, adjoined)
 
 
 def character_from_json(group: ClassGroup, exps: list[int]) -> ClassCharacter:
-    if len(exps) != len(group.elementary_divisors):
+    if len(_checked(exps, list, "character exponents")) != len(group.elementary_divisors):
         raise ValueError(f"character exponents {exps} do not fit the class group")
     return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
 
@@ -87,27 +96,30 @@ def eigensystem_to_json(F: HeckeEigensystem) -> dict:
 
 
 def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
-    if data.get("field_disc") not in (None, group.field.disc):
+    if _checked(data, dict, "an eigensystem").get("field_disc") not in (None, group.field.disc):
         raise EigensystemError(
             f"fixture is for discriminant {data['field_disc']}, not {group.field.disc}"
         )
     f = value_field_from_json(data.get("field", {}))
     level = ideal_from_label(group.field, data["level"])
+    at = f"at level {data['level']}"
     chi = character_from_json(
         group, data.get("character", [0] * len(group.elementary_divisors))
     )
     alpha = {
         ideal_from_label(group.field, lab): algext.parse_value(f, text)
-        for lab, text in data.get("alpha", {}).items()
+        for lab, text in _checked(data.get("alpha", {}), dict, f"alpha {at}").items()
     }
     al = data.get("al")
-    if al is not None and any(type(s) is not int for s in al.values()):
+    if al is not None and any(
+        type(s) is not int for s in _checked(al, dict, f"involution signs {at}").values()
+    ):
         raise BundleError(f"involution signs {al} must be the integers 1 or -1")
     al_map = None if al is None else {ideal_from_label(group.field, q): s for q, s in al.items()}
     cands = None
     st = data.get("selftwist")
     if isinstance(st, dict) and "possible" in st:
-        cands = [character_from_json(group, e) for e in st["possible"]]
+        cands = [character_from_json(group, e) for e in _checked(st["possible"], list, "possible")]
         # a self-twist psi has psi^2 = 1 and is not the trivial character
         if any(c.is_trivial() or not group.power(c, 2).is_trivial() for c in cands):
             raise BundleError(
@@ -122,10 +134,12 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
     """Read a table file {"field_disc", "level", "systems": [{"name", ...}]}:
     each row is an eigensystem at the table's level, keyed by its name."""
     table: dict[str, HeckeEigensystem] = {}
-    for row in data.get("systems", []):
-        name = row.get("name", str(len(table)))
+    rows = _checked(data, dict, "an eigensystem table").get("systems", [])
+    at = f"at level {data.get('level')}"
+    for i, row in enumerate(_checked(rows, list, f"systems {at}")):
+        name = _checked(row, dict, f"system {i} {at}").get("name", str(len(table)))
         if name in table:
-            raise BundleError(f"two systems named {name!r} at level {data['level']}")
+            raise BundleError(f"two systems named {name!r} {at}")
         table[name] = eigensystem_from_json(
             group, {**row, "level": data["level"], "field_disc": data.get("field_disc")}
         )
@@ -134,12 +148,13 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
 
 def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOracle, Ideal]:
     """Read {"field_disc", "level", "field", "values": [{aa,t,w,value}]}."""
-    if data.get("field_disc") not in (None, group.field.disc):
+    if _checked(data, dict, "an oracle file").get("field_disc") not in (None, group.field.disc):
         raise RecoveryError("oracle fixture is for a different field")
     level = ideal_from_label(group.field, data["level"])
     f = value_field_from_json(data.get("field", {}))
     mapping = {}
-    for row in data["values"]:
+    for i, row in enumerate(_checked(data["values"], list, "oracle values")):
+        _checked(row, dict, f"oracle row {i}")
         op = make_principal_operator(
             group,
             level,
@@ -223,7 +238,7 @@ class FixtureBundle:
         group = compute_class_group(K)
         pin = data.get("class_group")
         if pin:
-            if pin.get("h") != group.h:
+            if _checked(pin, dict, "class_group").get("h") != group.h:
                 raise BundleError(f"class number pin {pin.get('h')} != computed {group.h}")
             if tuple(pin.get("elementary_divisors", [])) != group.elementary_divisors:
                 raise BundleError("elementary-divisor pin does not match")
@@ -235,7 +250,7 @@ class FixtureBundle:
     def _load_eigensystems(self) -> dict[str, dict[str, HeckeEigensystem]]:
         out: dict[str, dict[str, HeckeEigensystem]] = {}
         for path in sorted(self.directory.glob("eigensystems_*.json")):
-            data = json.loads(path.read_text())
+            data = self._read(path)
             ideal_from_label(self.field, data["level"])
             if data["level"] in out:
                 raise BundleError(f"two eigensystem files for level {data['level']}")
@@ -245,7 +260,7 @@ class FixtureBundle:
     def _load_oracles(self) -> dict[str, tuple[FixtureOracle, Ideal]]:
         out: dict[str, tuple[FixtureOracle, Ideal]] = {}
         for path in sorted(self.directory.glob("oracle_*.json")):
-            oracle, level = fixture_oracle_from_json(self.group, json.loads(path.read_text()))
+            oracle, level = fixture_oracle_from_json(self.group, self._read(path))
             if label(level) in out:
                 raise BundleError(f"two oracle files for level {label(level)}")
             out[label(level)] = (oracle, level)
@@ -255,7 +270,15 @@ class FixtureBundle:
         data = self._read_one("dimension_table_*.json", self.field.disc)
         if data is None:
             return [], []
-        rows = [dimension_row_from_json(r) for r in data.get("rows", [])]
+        if self.group.elementary_divisors != C4:
+            raise BundleError(
+                f"the dimension table follows the C4 rules, but the class group has "
+                f"elementary divisors {self.group.elementary_divisors}"
+            )
+        rows = [
+            dimension_row_from_json(_checked(r, dict, f"dimension row {i}"))
+            for i, r in enumerate(_checked(data.get("rows", []), list, "dimension rows"))
+        ]
         seen = set()
         for row in rows:
             ideal_from_label(self.field, row.level)
@@ -292,7 +315,10 @@ class FixtureBundle:
         data = self._read_one("hecke_fields_*.json", self.field.disc)
         if data is None:
             return None
-        rows = [HeckeFieldRow(**r) for r in data.get("rows", [])]
+        rows = [
+            HeckeFieldRow(**_checked(r, dict, f"Hecke-field row {i}"))
+            for i, r in enumerate(_checked(data.get("rows", []), list, "Hecke-field rows"))
+        ]
         for r in rows:
             ideal_from_label(self.field, r.level)
             if any(type(x) is not int for x in (r.index, r.kf_degree, r.kF_degree)):
@@ -307,19 +333,23 @@ class FixtureBundle:
     def _load_curves(self):
         out = {}
         for path in sorted(self.directory.glob("curve_*.json")):
-            data = curve_from_json(self.field, json.loads(path.read_text()))
+            data = curve_from_json(self.field, self._read(path))
             name = data.get("curve", path.stem)
             if name in out:
                 raise BundleError(f"two curve files for {name}")
             out[name] = data
         return out
 
+    @staticmethod
+    def _read(path: Path) -> dict:
+        return _checked(json.loads(path.read_text()), dict, path.name)
+
     def _read_one(self, pattern: str, disc: int | None = None):
         """The one file matching pattern, or None; its field_disc, if any, must be disc."""
         paths = sorted(self.directory.glob(pattern))
         if len(paths) > 1:
             raise BundleError(f"two {pattern} files: {paths[0].name} and {paths[1].name}")
-        data = json.loads(paths[0].read_text()) if paths else None
+        data = self._read(paths[0]) if paths else None
         if data and disc and data.get("field_disc") not in (None, disc):
             raise BundleError(f"{paths[0].name} is for discriminant {data['field_disc']}")
         return data

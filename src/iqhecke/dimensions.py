@@ -27,6 +27,11 @@ class DimensionError(ValueError):
     pass
 
 
+# The class group whose rules DimensionRow and validate_row encode: h = 4 in
+# check (i), the columns chi0 and chi13, and the C4 orbit shapes.
+C4 = (4,)
+
+
 def newspace_dims(full_dims: dict[Ideal, int]) -> dict[Ideal, int]:
     """Solve for new dimensions from full dimensions, in norm order.
 
@@ -151,6 +156,11 @@ def validate_row(
     (iii) the chi1,chi3 column decomposes into shapes 2d,2d | 4d | 2d;
     (iv) the conjugate label really is the Galois conjugate of the level.
     """
+    if group.elementary_divisors != C4:
+        raise DimensionError(
+            f"dimension rows follow the C4 rules, not those of the class group "
+            f"with elementary divisors {group.elementary_divisors}"
+        )
     violations = []
     K = group.field
     level = ideal_from_label(K, row.level)

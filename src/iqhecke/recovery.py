@@ -7,17 +7,20 @@ twist orbit that the oracle determines: the character restricted to the
 two-torsion classes pins the character up to squares, eigenvalues at good
 primes are recovered class by class, and sign choices at primes in
 nontrivial genus classes are kept consistent through a doubling table of
-reference pairs (a, alpha(a)).
+reference pairs (a, alpha(a)^-1), one per genus.
 
 Every query after the step-1 character probe follows one rule: to learn the
 eigenvalue of T_t W_w, query T_{a,a} T_t W_w for the first ideal a (by norm,
 coprime to the level) that makes the operator principal, and multiply the
-answer by chi(a^-1).  For t*w in a trivial class, a is the unit ideal.
+answer by chi(a^-1); for t*w in a trivial class, a is the unit ideal.  A
+nonsquare [t w] is read as T_{t b} W_w times alpha(b)^-1 for the table entry
+(b, alpha(b)^-1) of its genus, and is left to step 2d while there is none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import algext
 from .algext import AlgValue, lift, sqrt_or_adjoin
@@ -114,19 +117,11 @@ class SyntheticOracle:
         chi_a = None if op.aa.is_unit() else chi_value(F, op.aa)
         try:
             val = coefficient(F, op.t)
+            if op.w is not None:
+                val = val.scale(prod(map(F.al_sign, exact_prime_power_divisors(op.w))))
         except EigensystemError as exc:
             raise OracleMissingError(op, str(exc))
-        if chi_a is not None:
-            val = chi_a * val
-        if op.w is not None:
-            sign = 1
-            for q in exact_prime_power_divisors(op.w):
-                try:
-                    sign *= F.al_sign(q)
-                except EigensystemError as exc:
-                    raise OracleMissingError(op, str(exc))
-            val = val.scale(sign)
-        return val
+        return val if chi_a is None else chi_a * val
 
 
 class FixtureOracle:
@@ -142,9 +137,10 @@ class FixtureOracle:
 
 
 def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValue) -> None:
-    """Step 2d: add (p, alpha(p)) and its product with every entry to the
-    table genus -> (a, alpha(a)), whose unit entry ((1), 1) is implicit.  p's
-    genus is new, so the genera double and each keeps one entry."""
+    """Step 2d: add (p, alpha_p) and its product with every entry to the table
+    genus -> (a, value at a), whose unit entry ((1), 1) is implicit; any
+    multiplicative value doubles this way.  p's genus is new, so the genera
+    double and each keeps one entry."""
     for a, va in list(table.values()):
         common = algext.join_fields(va.field, alpha_p.field)
         ap = ideal_mul(a, p)
@@ -174,7 +170,6 @@ def recover(
     """
     if on_missing not in ("error", "skip"):
         raise RecoveryError(f"bad on_missing={on_missing!r}")
-    K = group.field
     squares = group.squares()
 
     # Step 1: the character on the two-torsion classes, then its chosen lift.
@@ -184,19 +179,27 @@ def recover(
             restriction[cls] = 1
             continue
         a = first_ideal(group, lambda x, c=cls: x == c, (level,))
-        vrou = oracle.query(make_principal_operator(group, level, aa=a))
+        probe = make_principal_operator(group, level, aa=a)
+        try:
+            vrou = oracle.query(probe)
+        except OracleMissingError:
+            if on_missing == "error":
+                raise
+            raise RecoveryError(f"the oracle has no value for the character probe {probe}")
         if not vrou.is_rational() or vrou.rational_value() not in (1, -1):
             raise RecoveryError(
                 f"T_(a,a) at class {cls.exps} returned {algext.render_value(vrou)}, not +-1"
             )
         restriction[cls] = int(vrou.rational_value())
-    for chi in character_group(group):
-        if all(
-            eval_on_class(group, chi, cls).as_sign() == sign
-            for cls, sign in restriction.items()
-        ):
-            break
-    else:
+    chi = next(
+        (
+            chi
+            for chi in character_group(group)
+            if all(eval_on_class(group, chi, c).as_sign() == s for c, s in restriction.items())
+        ),
+        None,
+    )
+    if chi is None:
         signs = {c.exps: s for c, s in restriction.items()}
         raise RecoveryError(f"no character has the two-torsion restriction {signs}")
     work = character_field(algext.RATIONAL_FIELD, group, chi)
@@ -214,14 +217,10 @@ def recover(
 
     first_for_class: dict[IdealClass, Ideal] = {}  # class of t*w -> its a coprime to the level
 
-    def principal(t=None, w=None, coprime_to=()) -> AlgValue:
-        """The eigenvalue of T_t W_w: query T_{a,a} T_t W_w for the first a,
-        coprime to the level and to coprime_to, that makes it principal,
-        times chi(a^-1)."""
-        cls = group.identity()
-        for part in (t, w):
-            if part is not None:
-                cls = group.mul(cls, group.ideal_class(part))
+    def principal(cls: IdealClass, t=None, w=None, coprime_to=()) -> AlgValue:
+        """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
+        for the first a, coprime to the level and to coprime_to, that makes
+        it principal, times chi(a^-1)."""
 
         def accept(x: IdealClass) -> bool:
             return group.mul(group.power(x, 2), cls).is_identity()
@@ -235,64 +234,57 @@ def recover(
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
         return v if a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
 
-    inverses: dict[Ideal, AlgValue] = {}  # table ideal a_t -> alpha(a_t)^-1, in alpha(a_t)'s tower
+    table: dict[tuple[int, ...], tuple[Ideal, AlgValue]] = {}  # genus -> (a, alpha(a)^-1)
 
-    def divided(v: AlgValue, a_t: Ideal, alpha_t: AlgValue) -> AlgValue:
-        """v / alpha(a_t) for a sign-table entry, inverting each entry once."""
-        if a_t not in inverses:
-            inverses[a_t] = alpha_t.inv()
-        return v * absorb(inverses[a_t])
+    def read(cls: IdealClass, t=None, w=None) -> AlgValue | None:
+        """The eigenvalue of T_t W_w, with cls = [t w]: read directly for a
+        square class (2a, 2b); else that of T_{t a} W_w times alpha(a)^-1 for
+        the table entry (a, alpha(a)^-1) of cls's genus (2c); else None (2d)."""
+        if cls in squares:
+            return principal(cls, t, w, coprime_to=() if t is None else (t,))
+        hit = table.get(group.genus(cls))
+        if hit is None:
+            return None
+        a, alpha_inv = hit
+        ta = a if t is None else ideal_mul(t, a)
+        return principal(group.mul(cls, group.ideal_class(a)), ta, w) * absorb(alpha_inv)
 
-    # Step 2: eigenvalues at good primes, in increasing norm order.  Square
-    # classes (2a, 2b) are read off directly; a nonsquare class is divided
-    # out against its genus entry in the sign table (2c), or else alpha(p)^2
-    # is recovered and a nonzero root doubles the table (2d).
+    # Step 2: eigenvalues at good primes, in increasing norm order.  A prime
+    # that read() cannot reach (2d) gets alpha(p)^2 = alpha(p^2) + chi(p) N(p);
+    # a nonzero root doubles the sign table.
     alpha: dict[Ideal, AlgValue] = {}
     gaps = []
-    table: dict[tuple[int, ...], tuple[Ideal, AlgValue]] = {}
-    for p in primes_of_norm_up_to(K, bound):
+    for p in primes_of_norm_up_to(group.field, bound):
         if not coprime(p, level):
             continue
         cls = group.ideal_class(p)
         try:
-            if cls in squares:
-                alpha[p] = principal(t=p, coprime_to=(p,))
-            elif (hit := table.get(group.genus(cls))) is not None:
-                a_t, alpha_t = hit
-                alpha[p] = divided(principal(t=ideal_mul(p, a_t)), a_t, alpha_t)
-            else:
-                alpha_sq = principal(t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
-                if alpha_sq.is_zero():
-                    alpha[p] = alpha_sq
-                else:
-                    root = absorb(sqrt_or_adjoin(alpha_sq)[0])
-                    alpha[p] = -root if sign_flip else root
-                    double_sign_table(group, table, p, alpha[p])
+            v = read(cls, t=p)
+            if v is None:
+                v = principal(group.power(cls, 2), t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
+                if not v.is_zero():
+                    root = absorb(sqrt_or_adjoin(v)[0])
+                    v = -root if sign_flip else root
+                    double_sign_table(group, table, p, v.inv())
+            alpha[p] = v
         except OracleMissingError as exc:
             if on_missing == "error":
                 raise
             gaps.append((p, exc.operator))
 
-    # Step 3: involution signs, only for the trivial character.  A nonsquare
-    # q is divided out against its genus entry in the sign table, as in 2c.
+    # Step 3: involution signs, only for the trivial character.
     al_signs = None
     al_incomplete = []
     if chi.is_trivial():
         al_signs = {}
         for q in exact_prime_power_divisors(level):
-            qcls = group.ideal_class(q)
             try:
-                if qcls in squares:
-                    v = principal(w=q)
-                elif (hit := table.get(group.genus(qcls))) is not None:
-                    a_t, alpha_t = hit
-                    v = divided(principal(t=a_t, w=q), a_t, alpha_t)
-                else:
-                    al_incomplete.append(q)
-                    continue
-            except OracleMissingError as exc:
+                v = read(group.ideal_class(q), w=q)
+            except OracleMissingError:
                 if on_missing == "error":
                     raise
+                v = None
+            if v is None:
                 al_incomplete.append(q)
                 continue
             if not v.is_rational() or v.rational_value() not in (1, -1):
@@ -302,4 +294,3 @@ def recover(
             al_signs[q] = int(v.rational_value())
     system = make_eigensystem(group, level, chi, alpha, al_signs, vfield=work)
     return RecoveryResult(system=system, alpha_gaps=gaps, al_incomplete=al_incomplete)
-

@@ -179,6 +179,18 @@ def _string_involution_sign(target):
     _edit(target, "eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"2.1": "1"}))
 
 
+def _write(name, data):
+    def breakage(target):
+        (target / name).write_text(json.dumps(data))
+    return breakage
+
+
+def _edited(name, change):
+    def breakage(target):
+        _edit(target, name, change)
+    return breakage
+
+
 def _selftwist_candidates(possible):
     def breakage(target):
         _edit(target, "eigensystems_64.1.json",
@@ -217,6 +229,25 @@ def _selftwist_candidates(possible):
          "self-twist candidates [[1]] must be nontrivial quadratic characters"),
         (_selftwist_candidates([[0]]), BundleError,
          "self-twist candidates [[0]] must be nontrivial quadratic characters"),
+        (_write("oracle_2.1.json", [1]), BundleError,
+         "oracle_2.1.json must be an object, not list"),
+        (_write("oracle_2.1.json", {"level": "2.1", "values": [1]}), BundleError,
+         "oracle row 0 must be an object, not int"),
+        (_edited("oracle_2.1.json", lambda d: d["field"].update(minpoly=5)), BundleError,
+         "minpoly must be a list, not int"),
+        (_edited("eigensystems_2.1.json", lambda d: d.update(systems=[1])), BundleError,
+         "system 0 at level 2.1 must be an object, not int"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(alpha=[1])),
+         BundleError, "alpha at level 2.1 must be an object, not list"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(character=5)),
+         BundleError, "character exponents must be a list, not int"),
+        (_selftwist_candidates(5), BundleError, "possible must be a list, not int"),
+        (_edited("dimension_table_68.json", lambda d: d.update(rows=[1])), BundleError,
+         "dimension row 0 must be an object, not int"),
+        (_edited("hecke_fields_68.json", lambda d: d.update(rows=[1])), BundleError,
+         "Hecke-field row 0 must be an object, not int"),
+        (_edited("field_68.json", lambda d: d.update(class_group=[4])), BundleError,
+         "class_group must be an object, not list"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
@@ -228,6 +259,18 @@ def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, 
     assert main(["verify", "--bundle", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error: ") and message in err
+
+
+@pytest.mark.parametrize("d, disc", [(5, -20), (21, -84), (47, -47)])
+def test_dimension_table_needs_a_c4_class_group(tmp_path, capsys, d, disc):
+    (tmp_path / f"field_{-disc}.json").write_text(json.dumps({"d": d}))
+    row = {"level": "1.1", "nd": 4, "Hplus": [1], "chi0": [1, 1]}
+    table = {"field_disc": disc, "rows": [row]}
+    (tmp_path / f"dimension_table_{-disc}.json").write_text(json.dumps(table))
+    with pytest.raises(BundleError, match="C4 rules"):
+        FixtureBundle(tmp_path)
+    assert main(["verify", "--bundle", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: the dimension table follows the C4")
 
 
 def test_shipped_selftwist_candidate_is_written_back_unchanged(bundle):

@@ -55,6 +55,24 @@ def test_recover_reports_a_wrong_oracle_value(capsys, tmp_path):
     assert err.strip() == "error: T_(a,a) at class (2,) returned 2, not +-1"
 
 
+def test_recover_reports_a_missing_character_probe(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
+    data["values"] = [row for row in data["values"] if row["aa"] != "9.1"]
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.strip() == "error: the oracle has no value for the character probe T(9.1,9.1)"
+
+
+def test_recover_reports_an_oracle_file_of_the_wrong_shape(capsys, tmp_path):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({"level": "2.1", "values": 5}))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.strip() == "error: oracle values must be a list, not int"
+
+
 def test_recover_reports_a_value_that_divides_by_zero(capsys, tmp_path):
     data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
     data["values"][0]["value"] = "1/0"

@@ -1,6 +1,7 @@
 import pytest
 
 from iqhecke.characters import ClassCharacter
+from iqhecke.classgroup import compute_class_group
 from iqhecke.dimensions import (
     DimensionError,
     DimensionRow,
@@ -14,6 +15,7 @@ from iqhecke.quadfield import (
     ideal_from_label,
     ideal_mul,
     ideal_pow,
+    make_field,
     principal_ideal,
     sigma0,
     unit_ideal,
@@ -85,6 +87,18 @@ def test_validate_row_catches_mutations(bundle):
     bad_conj = DimensionRow("7.1", "7.1", 4, (1,), (), (1, 1), ())
     rep3 = validate_row(bundle.group, bad_conj, bundle.newform_records())
     assert not rep3.ok and any("conjugate" in v for v in rep3.violations)
+
+
+@pytest.mark.parametrize("d", [17, 5, 21, 47])  # C4, C2, C2 x C2, C5
+def test_validate_row_applies_the_c4_rules_only_to_c4(d):
+    g = compute_class_group(make_field(d))
+    row = DimensionRow("1.1", None, 4, (1,), (), (1, 1), ())
+    records = [NewformRecord(level=unit_ideal(g.field), side="plus", degree=1)]
+    if d == 17:
+        assert validate_row(g, row, records).ok
+    else:
+        with pytest.raises(DimensionError, match="C4 rules"):
+            validate_row(g, row, records)
 
 
 def test_sigma0_vs_multiplicity_bound(G17, K17):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
     is_prime_ideal,
+    label,
     make_field,
     primes_of_norm_up_to,
     principal_ideal,
@@ -314,6 +316,55 @@ def test_fixture_recovery_query_sequence(G17):
         "T(3.1,3.1)*T(13.2)",
         "T(3.1,3.1)*W(2.1)",
     ]
+
+
+def test_synthetic_recovery_query_sequence_at_c2xc4():
+    # Q(sqrt(-65)) has CL = C2 x C4 (r2 = 2); the level 20.1 = 4.1 * 5.1 has
+    # 4.1 in a square class and 5.1 in a nonsquare genus, so step 3 reads one
+    # sign directly and one through the sign table.  A synthetic oracle
+    # leaves no gaps, so only this list shows a change in what is queried.
+    g = compute_class_group(make_field(65))
+    F = random_eigensystem(g, random.Random(5), bound=40)
+    assert label(F.level) == "20.1" and F.character.is_trivial()
+    recording = RecordingOracle(SyntheticOracle(F))
+    res = recover(recording, g, F.level, 40, on_missing="skip")
+    assert not res.alpha_gaps and res.al_incomplete == []
+    assert recording.queried == [
+        "T(9.2,9.2)",
+        "T(33.1,33.1)",
+        "T(13.1,13.1)",
+        "T(3.1,3.1)*T(9.2)",
+        "T(9.1)",
+        "T(3.1,3.1)*T(121.3)",
+        "T(121.1)",
+        "T(3.1,3.1)*T(429.4)",
+        "T(3.1,3.1)*T(209.2)",
+        "T(209.1)",
+        "T(3.1,3.1)*T(69.2)",
+        "T(69.4)",
+        "T(3.1,3.1)*T(29.1)",
+        "T(3.1,3.1)*T(29.2)",
+        "T(341.2)",
+        "T(3.1,3.1)*T(341.1)",
+        "T(1221.4)",
+        "T(1221.1)",
+        "W(4.1)",
+        "T(3.1,3.1)*T(33.1)*W(5.1)",
+    ]
+
+
+def oracle_without_character_probe(G17):
+    oracle, level = load_oracle(G17)
+    probe = make_principal_operator(G17, level, aa=ideal_from_label(G17.field, "9.1"))
+    return FixtureOracle({op: v for op, v in oracle.mapping.items() if op != probe}), level
+
+
+def test_missing_character_probe_cannot_be_skipped(G17):
+    oracle, level = oracle_without_character_probe(G17)
+    with pytest.raises(RecoveryError, match=re.escape("character probe T(9.1,9.1)")):
+        recover(oracle, G17, level, bound=13, on_missing="skip")
+    with pytest.raises(OracleMissingError):
+        recover(oracle, G17, level, bound=13, on_missing="error")
 
 
 @pytest.mark.parametrize("d", [17, 21, 14, 65, 105])
