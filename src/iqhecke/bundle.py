@@ -64,17 +64,32 @@ def value_field_to_json(f: ValueField) -> dict:
     }
 
 
+def _rational(c, what: str) -> Fraction:
+    """A coefficient written as a JSON number or a fraction string such as "1/2"."""
+    if type(c) not in (int, float, str):
+        raise BundleError(f"{what} coefficient {c!r} must be a number or a fraction string")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise BundleError(f"{what} coefficient {c!r} is not a rational number") from None
+
+
 def value_field_from_json(data) -> ValueField:
     _checked(data, dict, "a value field")
-    minpoly = [Fraction(c) for c in _checked(data.get("minpoly", [0, 1]), list, "minpoly")]
-    adjoined = []
-    for r in _checked(data.get("adjoined", []), list, "adjoined"):
-        adjoined.append([Fraction(c) for c in r] if isinstance(r, list) else Fraction(r))
+    minpoly = [
+        _rational(c, "minpoly") for c in _checked(data.get("minpoly", [0, 1]), list, "minpoly")
+    ]
+    adjoined = [
+        [_rational(c, "adjoined") for c in r] if isinstance(r, list) else _rational(r, "adjoined")
+        for r in _checked(data.get("adjoined", []), list, "adjoined")
+    ]
     return algext.make_value_field(minpoly, adjoined)
 
 
 def character_from_json(group: ClassGroup, exps: list[int]) -> ClassCharacter:
-    if len(_checked(exps, list, "character exponents")) != len(group.elementary_divisors):
+    if any(type(e) is not int for e in _checked(exps, list, "character exponents")):
+        raise BundleError(f"character exponents {exps} must be integers")
+    if len(exps) != len(group.elementary_divisors):
         raise ValueError(f"character exponents {exps} do not fit the class group")
     return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
 

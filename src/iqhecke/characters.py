@@ -89,11 +89,10 @@ def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[ClassCharacter]:
     """The set C(n): nontrivial quadratic psi with psi(q) = +1 for every exact
     prime-power divisor q of n (q = n included when n is a prime power)."""
     blocks = exact_prime_power_divisors(n)
-    out = []
-    for psi in quadratic_characters(group):
-        if psi.is_trivial():
-            continue
-        if all(eval_on_class(group, psi, group.ideal_class(q)).as_sign() == 1 for q in blocks):
-            out.append(psi)
-    return out
+    return [
+        psi
+        for psi in quadratic_characters(group)
+        if not psi.is_trivial()
+        and all(eval_on_class(group, psi, group.ideal_class(q)).as_sign() == 1 for q in blocks)
+    ]
 

@@ -154,25 +154,22 @@ def cmd_verify(args) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     results = run_checks(bundle, args.check or None)
-    payload = []
-    failed = False
-    for r in results:
-        failed = failed or (not r.passed and not r.skipped)
-        if args.json:
-            payload.append(
-                {
-                    "name": r.name,
-                    "status": r.status(),
-                    "detail": r.detail,
-                    **({"seconds": round(r.seconds, 3)} if args.timing else {}),
-                }
-            )
-        else:
-            timing = f" [{r.seconds:.2f}s]" if args.timing else ""
-            print(f"{r.status():4} {r.name}{timing}: {r.detail}")
     if args.json:
+        payload = [
+            {
+                "name": r.name,
+                "status": r.status,
+                "detail": r.detail,
+                **({"seconds": round(r.seconds, 3)} if args.timing else {}),
+            }
+            for r in results
+        ]
         print(json.dumps(payload, indent=1))
-    return 1 if failed else 0
+    else:
+        for r in results:
+            timing = f" [{r.seconds:.2f}s]" if args.timing else ""
+            print(f"{r.status:4} {r.name}{timing}: {r.detail}")
+    return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
 def _load_system_file(group, path: Path, name: str | None):

@@ -8,6 +8,8 @@ divisors on which the self-twist character is +1 count.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .characters import ClassCharacter, eval_on_class, is_quadratic
@@ -83,11 +85,10 @@ def oldclass_principal_multiplicity(
     psi = record.selftwist
     if not is_quadratic(group, psi) or psi.is_trivial():
         raise DimensionError("self-twist character must be quadratic and nontrivial")
-    count = 0
-    for d in divisors(quotient):
-        if eval_on_class(group, psi, group.ideal_class(d)).as_sign() == 1:
-            count += 1
-    return count
+    return sum(
+        eval_on_class(group, psi, group.ideal_class(d)).as_sign() == 1
+        for d in divisors(quotient)
+    )
 
 
 @dataclass(frozen=True)
@@ -101,47 +102,40 @@ class DimensionRow:
     chi13: tuple[int, ...]
 
 
-def _shape_options(side: str, degree: int, record: NewformRecord | None):
-    d = degree
-    if side == "plus":
-        shapes = {"split": (d, d), "joined": (2 * d,), "selftwist": (d,)}
-    else:
-        shapes = {"split": (2 * d, 2 * d), "joined": (4 * d,), "selftwist": (2 * d,)}
-    if record is not None and record.shape is not None:
+def _shape_options(record: NewformRecord) -> dict[str, tuple[int, ...]]:
+    """The orbit shapes the record may take in its side's character column:
+    d,d | 2d | d on the plus side and 2d,2d | 4d | 2d on the minus side."""
+    d = record.degree if record.side == "plus" else 2 * record.degree
+    shapes = {"split": (d, d), "joined": (2 * d,), "selftwist": (d,)}
+    if record.shape is not None:
         return {record.shape: shapes[record.shape]}
-    if record is not None and record.selftwist is not None:
+    if record.selftwist is not None:
         return {"selftwist": shapes["selftwist"]}
-    return {k: v for k, v in shapes.items() if k != "selftwist"}
+    return {"split": shapes["split"], "joined": shapes["joined"]}
 
 
-def _cover(entries: list[int], blocks: list[dict]) -> bool:
+def _cover(entries: Iterable[int], blocks: list[dict]) -> bool:
     """Can the multiset of entries be partitioned into one shape per block?"""
-    remaining = sorted(entries, reverse=True)
 
-    def rec(i, rem):
+    def rec(i: int, rest: Counter) -> bool:
         if i == len(blocks):
-            return not rem
-        for shape in blocks[i].values():
-            probe = list(rem)
-            ok = True
-            for x in shape:
-                if x in probe:
-                    probe.remove(x)
-                else:
-                    ok = False
-                    break
-            if ok and rec(i + 1, probe):
-                return True
-        return False
+            return not rest
+        return any(
+            not need - rest and rec(i + 1, rest - need)
+            for need in map(Counter, blocks[i].values())
+        )
 
-    return rec(0, remaining)
+    return rec(0, Counter(entries))
 
 
 @dataclass
 class RowReport:
     level: str
-    ok: bool
     violations: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate_row(
@@ -162,18 +156,13 @@ def validate_row(
             f"with elementary divisors {group.elementary_divisors}"
         )
     violations = []
-    K = group.field
-    level = ideal_from_label(K, row.level)
+    level = ideal_from_label(group.field, row.level)
     conj = level.conjugate()
-    if row.conj is None:
-        if conj != level:
-            violations.append(f"level {row.level} is not self-conjugate")
-    else:
-        if label(conj) != row.conj:
-            violations.append(
-                f"conjugate of {row.level} is {label(conj)}, row says {row.conj}"
-            )
-    here = [r for r in records if label(r.level) == row.level]
+    if row.conj is None and conj != level:
+        violations.append(f"level {row.level} is not self-conjugate")
+    elif row.conj is not None and label(conj) != row.conj:
+        violations.append(f"conjugate of {row.level} is {label(conj)}, row says {row.conj}")
+    here = [r for r in records if r.level == level]
     plus = [r for r in here if r.side == "plus"]
     minus = [r for r in here if r.side == "minus"]
     if sorted(r.degree for r in plus) != sorted(row.hplus):
@@ -186,10 +175,8 @@ def validate_row(
         violations.append(
             f"nd = {row.nd} but 4*dimH - deficit = {4 * dim_h - deficit}"
         )
-    plus_blocks = [_shape_options("plus", r.degree, r) for r in plus]
-    if not _cover(list(row.chi0), plus_blocks):
+    if not _cover(row.chi0, [_shape_options(r) for r in plus]):
         violations.append("chi0 column does not decompose into H+ orbit shapes")
-    minus_blocks = [_shape_options("minus", r.degree, r) for r in minus]
-    if not _cover(list(row.chi13), minus_blocks):
+    if not _cover(row.chi13, [_shape_options(r) for r in minus]):
         violations.append("chi1,chi3 column does not decompose into H- orbit shapes")
-    return RowReport(level=row.level, ok=not violations, violations=violations)
+    return RowReport(level=row.level, violations=violations)

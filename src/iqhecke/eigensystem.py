@@ -241,13 +241,12 @@ def twist(F: HeckeEigensystem, psi: ClassCharacter) -> HeckeEigensystem:
 
 def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
     """Same level, character, and stored eigenvalues (exact comparison)."""
-    if F.level != G.level or F.character != G.character:
-        return False
-    pf, pg = F.stored_primes(), G.stored_primes()
-    if pf != pg:
-        return False
-    gm = G.alpha_map()
-    return all(values_equal(v, gm[p]) for p, v in F.alpha)
+    return (
+        F.level == G.level
+        and F.character == G.character
+        and F.stored_primes() == G.stored_primes()
+        and all(values_equal(v, w) for (_, v), (_, w) in zip(F.alpha, G.alpha))
+    )
 
 
 def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
@@ -266,35 +265,30 @@ def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
 
 @dataclass(frozen=True)
 class SelfTwistReport:
-    status: str  # "impossible" | "possible"
     candidates: tuple[ClassCharacter, ...]
+
+    @property
+    def status(self) -> str:
+        """The verdict: "possible" while a candidate survives, else "impossible"."""
+        return "possible" if self.candidates else "impossible"
 
 
 def selftwist_status(F: HeckeEigensystem, bound: int | None = None) -> SelfTwistReport:
     """Self-twist screening: never proves a self-twist, only rules one out
-    or reports the surviving candidate characters."""
+    or reports the surviving candidate characters, those eligible at the
+    level that are +1 at every good stored prime (of norm <= bound) with a
+    nonzero eigenvalue."""
     group = F.group
-    elig = eligible_selftwists(group, F.level)
-    if not elig:
-        return SelfTwistReport("impossible", ())
-    survivors = []
-    for psi in elig:
-        ok = True
-        for p, v in F.alpha:
-            if not coprime(p, F.level):
-                continue
-            if bound is not None and p.norm > bound:
-                continue
-            if v.is_zero():
-                continue
-            if eval_on_class(group, psi, group.ideal_class(p)).as_sign() != 1:
-                ok = False
-                break
-        if ok:
-            survivors.append(psi)
-    if not survivors:
-        return SelfTwistReport("impossible", ())
-    return SelfTwistReport("possible", tuple(survivors))
+    survivors = (
+        psi
+        for psi in eligible_selftwists(group, F.level)
+        if all(
+            eval_on_class(group, psi, group.ideal_class(p)).as_sign() == 1
+            for p, v in F.alpha
+            if coprime(p, F.level) and (bound is None or p.norm <= bound) and not v.is_zero()
+        )
+    )
+    return SelfTwistReport(tuple(survivors))
 
 
 def galois_conjugate_system(F: HeckeEigensystem) -> HeckeEigensystem:
@@ -321,46 +315,35 @@ def inner_twist_pairs(F: HeckeEigensystem) -> list:
     detected pair and a violation is a hard failure.
     """
     group = F.group
+    good = [(p, group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
     pairs = []
-    good = [(p, v) for p, v in F.alpha if coprime(p, F.level)]
+    # every value here lies in F.vfield, where equal values are equal as data;
+    # where the tower lacks psi(p), only alpha(p) = 0 is consistent
     for tau in algext.automorphisms(F.vfield):
+        moved = [(cls, v, tau.apply(v)) for _, cls, v in good]
         for psi in character_group(group):
             values = character_values(F.vfield, group, psi)
-            ok = True
-            for p, v in good:
-                zval = values[group.ideal_class(p)]
-                tv = tau.apply(v)
-                if zval is None:
-                    if not (v.is_zero() and tv.is_zero()):
-                        ok = False
-                        break
-                elif not values_equal(tv, zval * v):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                v.is_zero() if (z := values[cls]) is None else tv == z * v
+                for cls, v, tv in moved
+            ):
                 pairs.append((tau, psi))
     for tau, psi in pairs:
         values = character_values(F.vfield, group, group.power(psi, 2))
-        for p, _ in good:
-            chip = chi_value(F, p)
-            z2val = values[group.ideal_class(p)]
-            if z2val is None or not values_equal(tau.apply(chip), z2val * chip):
-                raise EigensystemError(
-                    "inner-twist pair fails the character compatibility law"
-                )
+        for p, cls, _ in good:
+            chip, z2 = chi_value(F, p), values[cls]
+            if z2 is None or tau.apply(chip) != z2 * chip:
+                raise EigensystemError("inner-twist pair fails the character compatibility law")
     return pairs
 
 
 def has_quadratic_inner_twist(F: HeckeEigensystem) -> bool:
     """A nontrivial inner twist by a quadratic character (the joined-orbit
     signature in the tables)."""
-    group = F.group
-    for tau, psi in inner_twist_pairs(F):
-        if tau.is_identity() and psi.is_trivial():
-            continue
-        if not psi.is_trivial() and is_quadratic(group, psi) and not tau.is_identity():
-            return True
-    return False
+    return any(
+        not psi.is_trivial() and is_quadratic(F.group, psi) and not tau.is_identity()
+        for tau, psi in inner_twist_pairs(F)
+    )
 
 
 def base_change_candidate(F: HeckeEigensystem) -> bool:
@@ -368,14 +351,8 @@ def base_change_candidate(F: HeckeEigensystem) -> bool:
         raise EigensystemError(
             "base-change screening needs a conjugation-stable level"
         )
-    amap = F.alpha_map()
-    for p, v in F.alpha:
-        q = p.conjugate()
-        if q not in amap:
-            continue
-        if not values_equal(v, amap[q]):
-            return False
-    return True
+    amap = F._alpha
+    return all(values_equal(v, amap[q]) for p, v in F.alpha if (q := p.conjugate()) in amap)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Regression checks over the fixture bundle, shared by pytest and the CLI.
 
-Each check returns a CheckResult; the CLI runner prints one line per check
-and exits nonzero if any fails.  The checks mirror the package's acceptance
+Each check returns a detail string, or raises CheckFailure (the check
+fails) or CheckSkipped (the bundle lacks its data).  run_checks turns each
+outcome into a CheckResult whose status is PASS, FAIL or SKIP, and a check
+that crashes fails alone; the CLI runner prints one line per check and exits
+nonzero if any fails.  The checks mirror the package's acceptance
 surface: exact class-group facts, the genus-character congruence law, the
 level-2.1 recovery regression, synthetic round trips through the recovery
 procedure, the multiplicative-relations oracle, dimension-table validation,
@@ -71,18 +74,16 @@ from .recovery import SyntheticOracle, make_principal_operator, recover
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
+    status: str  # "PASS" | "FAIL" | "SKIP"
     detail: str = ""
-    skipped: bool = False
     seconds: float = 0.0
-
-    def status(self) -> str:
-        if self.skipped:
-            return "SKIP"
-        return "PASS" if self.passed else "FAIL"
 
 
 class CheckFailure(AssertionError):
+    pass
+
+
+class CheckSkipped(Exception):
     pass
 
 
@@ -345,11 +346,8 @@ def check_dimension_table(bundle: FixtureBundle) -> str:
     rows = bundle.dimension_rows
     _require(rows, "bundle has no dimension table")
     records = bundle.newform_records()
-    failures = []
-    for row in rows:
-        report = validate_row(bundle.group, row, records)
-        if not report.ok:
-            failures.append(f"{row.level}: {'; '.join(report.violations)}")
+    reports = [validate_row(bundle.group, row, records) for row in rows]
+    failures = [f"{r.level}: {'; '.join(r.violations)}" for r in reports if not r.ok]
     _require(not failures, " | ".join(failures))
     row64 = next(r for r in rows if r.level == "64.1")
     dim_h = sum(row64.hplus) + sum(row64.hminus)
@@ -411,19 +409,15 @@ def separation_eigenvalues(bundle: FixtureBundle) -> dict[str, Fraction]:
 
 def check_structure_detectors(bundle: FixtureBundle) -> str:
     group = bundle.group
-    K = bundle.field
     details = []
 
     F0 = bundle.system("2.1", "F0")
-    pairs = inner_twist_pairs(F0)
     chi2 = _chi2(group)
-    nontrivial = [
-        (tau, psi)
-        for tau, psi in pairs
-        if not (tau.is_identity() and psi.is_trivial())
-    ]
     _require(
-        any(psi == chi2 and tau.describe() == "sqrt2 -> -sqrt2" for tau, psi in nontrivial),
+        any(
+            psi == chi2 and tau.describe() == "sqrt2 -> -sqrt2"
+            for tau, psi in inner_twist_pairs(F0)
+        ),
         "F0 at 2.1 is missing the inner twist (sqrt2 -> -sqrt2, chi2)",
     )
     _require(
@@ -514,7 +508,7 @@ def check_structure_detectors(bundle: FixtureBundle) -> str:
 
 def check_hecke_fields(bundle: FixtureBundle) -> str:
     if bundle.hecke_field_rows is None:
-        skip_check("bundle has no Hecke-field table")
+        raise CheckSkipped("bundle has no Hecke-field table")
     rows = bundle.hecke_field_rows
     # degrees recomputed from the fixture eigensystems match the table
     expectations = {
@@ -674,27 +668,12 @@ def run_checks(bundle: FixtureBundle, names: list[str] | None = None) -> list[Ch
             continue
         t0 = time.perf_counter()
         try:
-            detail = fn(bundle)
-            results.append(
-                CheckResult(name, True, detail, seconds=time.perf_counter() - t0)
-            )
+            status, detail = "PASS", fn(bundle)
         except CheckFailure as exc:
-            results.append(
-                CheckResult(name, False, str(exc), seconds=time.perf_counter() - t0)
-            )
-        except _SkipCheck as exc:
-            results.append(
-                CheckResult(name, True, str(exc), skipped=True, seconds=time.perf_counter() - t0)
-            )
+            status, detail = "FAIL", str(exc)
+        except CheckSkipped as exc:
+            status, detail = "SKIP", str(exc)
         except Exception as exc:  # a crashing check fails alone; the rest still run
-            detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, False, detail, seconds=time.perf_counter() - t0))
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, status, detail, time.perf_counter() - t0))
     return results
-
-
-class _SkipCheck(Exception):
-    pass
-
-
-def skip_check(message: str):
-    raise _SkipCheck(message)

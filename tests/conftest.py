@@ -28,7 +28,9 @@ def bundle():
 
 def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `python -O -c code args...` with this iqhecke importable."""
-    env = {**os.environ, "PYTHONPATH": str(Path(iqhecke.__file__).resolve().parents[1])}
+    src = str(Path(iqhecke.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-O", "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,

@@ -73,10 +73,10 @@ def test_bundle_missing_hecke_fields_skips_check(tmp_path):
     b = FixtureBundle(target)
     assert b.hecke_field_rows is None
     results = run_checks(b, ["hecke-fields"])
-    assert len(results) == 1 and results[0].skipped
+    assert len(results) == 1 and results[0].status == "SKIP"
     # the dimension table still validates without shape pins
     results2 = run_checks(b, ["dimension-table"])
-    assert results2[0].passed
+    assert results2[0].status == "PASS"
 
 
 def test_mutated_alpha_fails_exactly_affected_checks(tmp_path):
@@ -88,7 +88,7 @@ def test_mutated_alpha_fails_exactly_affected_checks(tmp_path):
     (target / "eigensystems_2.1.json").write_text(json.dumps(data))
     b = FixtureBundle(target)
     results = run_checks(b)
-    failed = {r.name for r in results if not r.passed and not r.skipped}
+    failed = {r.name for r in results if r.status == "FAIL"}
     assert failed == {"recovery-2.1", "structure-detectors"}
 
 
@@ -198,6 +198,14 @@ def _selftwist_candidates(possible):
     return breakage
 
 
+def _character(exps):
+    return _edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(character=exps))
+
+
+def _value_field(**field):
+    return _edited("eigensystems_2.1.json", lambda d: d["systems"][0]["field"].update(field))
+
+
 @pytest.mark.parametrize(
     "breakage, error, message",
     [
@@ -248,6 +256,26 @@ def _selftwist_candidates(possible):
          "Hecke-field row 0 must be an object, not int"),
         (_edited("field_68.json", lambda d: d.update(class_group=[4])), BundleError,
          "class_group must be an object, not list"),
+        (_character([1.5]), BundleError, "character exponents [1.5] must be integers"),
+        (_character(["1"]), BundleError, "character exponents ['1'] must be integers"),
+        (_character([None]), BundleError, "character exponents [None] must be integers"),
+        (_character([True]), BundleError, "character exponents [True] must be integers"),
+        (_value_field(minpoly=[None, 1]), BundleError,
+         "minpoly coefficient None must be a number or a fraction string"),
+        (_value_field(minpoly=[False, True]), BundleError,
+         "minpoly coefficient False must be a number or a fraction string"),
+        (_value_field(minpoly=[[0], 1]), BundleError,
+         "minpoly coefficient [0] must be a number or a fraction string"),
+        (_value_field(minpoly=["1/0", 1]), BundleError,
+         "minpoly coefficient '1/0' is not a rational number"),
+        (_value_field(adjoined=[None]), BundleError,
+         "adjoined coefficient None must be a number or a fraction string"),
+        (_value_field(adjoined=[{}]), BundleError,
+         "adjoined coefficient {} must be a number or a fraction string"),
+        (_value_field(adjoined=[[[2]]]), BundleError,
+         "adjoined coefficient [2] must be a number or a fraction string"),
+        (_edited("oracle_2.1.json", lambda d: d["field"].update(adjoined=[True])), BundleError,
+         "adjoined coefficient True must be a number or a fraction string"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):

@@ -73,6 +73,27 @@ def test_recover_reports_an_oracle_file_of_the_wrong_shape(capsys, tmp_path):
     assert err.strip() == "error: oracle values must be a list, not int"
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"minpoly": [None, 1]}, "minpoly coefficient None must be a number"),
+        ({"minpoly": [False, True]}, "minpoly coefficient False must be a number"),
+        ({"adjoined": [None]}, "adjoined coefficient None must be a number"),
+        ({"adjoined": [{}]}, "adjoined coefficient {} must be a number"),
+    ],
+)
+def test_recover_reports_a_value_field_coefficient_of_the_wrong_type(
+    capsys, tmp_path, field, message
+):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
+    data["field"].update(field)
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
 def test_recover_reports_a_value_that_divides_by_zero(capsys, tmp_path):
     data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
     data["values"][0]["value"] = "1/0"
@@ -245,6 +266,19 @@ def test_compare_ap_rejects_malformed_value_field(capsys, tmp_path):
             "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
         )
         assert code == 2 and message in err
+
+
+def test_compare_ap_rejects_character_exponents_that_are_not_integers(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+    data["systems"][0]["character"] = [1.5]
+    path = tmp_path / "eigensystems.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2
+    assert err == "error: character exponents [1.5] must be integers\n"
 
 
 def _without_bad_prime_ap(curve):

@@ -1,9 +1,13 @@
+import random
+from itertools import chain, product
+
 import pytest
 
 from iqhecke.characters import ClassCharacter
 from iqhecke.classgroup import compute_class_group
 from iqhecke.dimensions import (
     DimensionError,
+    _cover,
     DimensionRow,
     NewformRecord,
     newspace_dims,
@@ -115,3 +119,41 @@ def test_sigma0_vs_multiplicity_bound(G17, K17):
             if G17.power(G17.ideal_class(d), 2) is not None
         ]
         assert mult >= 1  # the divisor (1) always passes
+
+
+def _cover_by_brute_force(entries, blocks):
+    """Try every choice of one shape per block."""
+    return any(
+        sorted(chain.from_iterable(choice)) == sorted(entries)
+        for choice in product(*(block.values() for block in blocks))
+    )
+
+
+def test_cover_matches_brute_force():
+    rng = random.Random(22)
+    outcomes = []
+    for _ in range(3000):
+        # small sizes, so blocks and shapes repeat; zero blocks included
+        blocks = [
+            {f"s{j}": tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+             for j in range(rng.randint(1, 3))}
+            for _ in range(rng.randint(0, 4))
+        ]
+        if rng.random() < 0.6:
+            # a real cover, then perhaps one entry changed, dropped or added
+            entries = [x for block in blocks for x in rng.choice(list(block.values()))]
+            edit = rng.randint(0, 3)
+            if edit == 1 and entries:
+                entries[rng.randrange(len(entries))] = rng.randint(1, 4)
+            elif edit == 2 and entries:
+                entries.pop(rng.randrange(len(entries)))
+            elif edit == 3:
+                entries.append(rng.randint(1, 4))
+        else:
+            entries = [rng.randint(1, 4) for _ in range(rng.randint(0, 8))]
+        rng.shuffle(entries)
+        expected = _cover_by_brute_force(entries, blocks)
+        assert _cover(entries, blocks) == expected, (entries, blocks)
+        outcomes.append((len(blocks), expected))
+    assert {(0, True), (0, False)} <= set(outcomes)
+    assert sum(ok for _, ok in outcomes) > 500 and sum(not ok for _, ok in outcomes) > 500
