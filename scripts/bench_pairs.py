@@ -54,11 +54,16 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def call_counts(script: Path, tree: Path) -> dict:
-    """The table that call_counts.py prints, as {section: {column: count}}."""
+    """The tables that call_counts.py prints: {section: {column: count}} from
+    the first, and under "memos" {memo: {column: count}} from the second."""
     proc = subprocess.run([sys.executable, str(script), str(tree)],
                           capture_output=True, text=True, check=True)
-    header, *rows = [line.split() for line in proc.stdout.splitlines() if line.strip()]
-    return {row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows}
+    tables = []
+    for block in proc.stdout.split("\n\n"):
+        header, *rows = [line.split() for line in block.splitlines() if line.strip()]
+        tables.append({row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows})
+    counts, *memo_table = tables
+    return {**counts, "memos": memo_table[0]} if memo_table else counts
 
 
 def git(tree: Path, *args: str) -> str | None:

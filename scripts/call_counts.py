@@ -20,7 +20,10 @@ prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
 ``factor_ideal`` (the misses of its memo), ``coprime``, ``_hnf_from_rows``
 (every HNF built from generators, products and sums included) and
-``is_rational_prime``. The script exits 1 when any operation raised. With
+``is_rational_prime``. A second table gives, for every ``lru_cache``d
+function of the ``iqhecke`` package (found by its ``cache_info``), the hits
+and misses of its memo in each section. The script exits 1 when any
+operation raised. With
 string hashing pinned the counts repeat exactly from run to run, so two
 trees can be compared without timing noise. Calls are summed over the
 profiler's raw entries, one per code object. ``pstats`` merges entries by
@@ -66,6 +69,14 @@ def profiled(ops) -> dict:
     return row
 
 
+def memos() -> dict:
+    """Every lru_cache'd function of the loaded iqhecke modules, by dotted name."""
+    return {f"{name}.{attr}": fn
+            for name, module in sorted(sys.modules.items()) if name.startswith("iqhecke.")
+            for attr, fn in vars(module).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == name}
+
+
 def main(tree: Path) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import inputs
@@ -88,10 +99,22 @@ def main(tree: Path) -> int:
     columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED]
     print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
     failed = 0
+    cached = memos()
+    before = {memo: fn.cache_info() for memo, fn in cached.items()}
+    used = {memo: {} for memo in cached}
     for name, ops in sections.items():
         row = profiled(ops)
         print(f"{name:<12}" + "".join(f"{row[c]:>18}" for c in columns), flush=True)
         failed += row["failed"]
+        for memo, fn in cached.items():
+            info = fn.cache_info()
+            used[memo][f"{name}.hits"] = info.hits - before[memo].hits
+            used[memo][f"{name}.misses"] = info.misses - before[memo].misses
+            before[memo] = info
+    width = max(map(len, cached), default=4) + 2
+    print(f"\n{'memo':<{width}}" + "".join(f"{c:>20}" for c in next(iter(used.values()), {})))
+    for memo, row in used.items():
+        print(f"{memo:<{width}}" + "".join(f"{n:>20}" for n in row.values()))
     return 1 if failed else 0
 
 

@@ -16,6 +16,8 @@ integers over one denominator), those of Q(theta) for base vectors, and the
 complex value and name of each basis element, and each pair of towers its
 lift map, so products, lifts and automorphisms are one integer loop and one
 gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
+``with_radical`` is memoised per (tower, radicand vector), so its Kummer test
+runs once per pair.
 
 Square roots are exact.  A base square root comes from p-adic lifting at a
 split prime, bounded through the trace form of Q(theta), which
@@ -642,8 +644,13 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
 
 def with_radical(f: ValueField, q) -> ValueField:
     """f with sqrt(q) adjoined, or f itself when q is already a square in f;
-    q is a base element, and a rational q is adjoined by its squarefree class."""
-    vec = _as_base_vec(f.base_degree, q)
+    q is a base element, and a rational q is adjoined by its squarefree class.
+    Memoised per (tower, radicand vector), as towers are interned."""
+    return _with_radical(f, _as_base_vec(f.base_degree, q))
+
+
+@lru_cache(maxsize=None)
+def _with_radical(f: ValueField, vec: BaseVec) -> ValueField:
     if vec in f.adjoined or _base_root(f, vec) is not None:
         return f
     if not any(vec[1:]):

@@ -44,9 +44,9 @@ DEFAULT_BUNDLE_DIR = Path(__file__).parent / "data"
 
 
 def _checked(value, kind: type, what: str):
-    """value, if it is a JSON object (kind dict) or list (kind list)."""
+    """value, if it is a JSON object (kind dict), list (kind list) or string (kind str)."""
     if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "a list"
+        shape = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise BundleError(f"{what} must be {shape}, not {type(value).__name__}")
     return value
 
@@ -153,6 +153,7 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
     at = f"at level {data.get('level')}"
     for i, row in enumerate(_checked(rows, list, f"systems {at}")):
         name = _checked(row, dict, f"system {i} {at}").get("name", str(len(table)))
+        _checked(name, str, f"the name of system {i} {at}")
         if name in table:
             raise BundleError(f"two systems named {name!r} {at}")
         table[name] = eigensystem_from_json(

@@ -19,8 +19,15 @@ Exact quotients come from n * conj(m) = (N m) * (n / m).  Coprimality never
 forms I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of
 J, read from the factorisation memo, contains I.
 
-An ideal hashes its triple once, at construction; the field takes part in
-equality and order but not in the hash.
+An ideal stores its norm and hashes its triple once, at construction; the
+field takes part in equality and order but not in the hash, and the norm in
+neither.
+
+Memos, each keyed by a field or by ideals, so they grow with the primes and
+levels a caller visits and never with eigenvalue data: `factor_rational_prime`
+(field, p), `factor_ideal` (n), `_exact_prime_power_divisors` (n),
+`ideals_of_norm` (field, N), `label_key` (ideal) and `primes_of_norm_up_to`
+(field, bound).
 """
 
 from __future__ import annotations
@@ -110,6 +117,7 @@ class Ideal:
     a: int
     b: int
     c: int
+    norm: int = dataclass_field(init=False, repr=False, compare=False)
     _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,15 +127,12 @@ class Ideal:
         t, n = self.field.trace_omega, self.field.norm_omega
         if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
+        object.__setattr__(self, "norm", a * c)
         # the field is compared but not hashed: ideals of two fields may collide
         object.__setattr__(self, "_hash", hash((a, b, c)))
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def norm(self) -> int:
-        return self.a * self.c
 
     def is_unit(self) -> bool:
         return self.a == 1 and self.c == 1
@@ -232,7 +237,8 @@ def coprime(i: Ideal, j: Ideal) -> bool:
     """Whether I + J = O_K: no prime factor of J contains I.  J's factorisation
     is memoised, so callers pass the side that repeats (a level, a conductor)
     second."""
-    _same_field(i, j)
+    if i.field is not j.field:
+        _same_field(i, j)
     if gcd(i.norm, j.norm) == 1:
         return True
     return not any(pp.contains_ideal(i) for pp, _ in factor_ideal(j))
@@ -327,7 +333,14 @@ def is_exact_divisor(q: Ideal, n: Ideal) -> bool:
 
 
 def exact_prime_power_divisors(n: Ideal) -> list[Ideal]:
-    return [ideal_pow(p, e) for p, e in factor_ideal(n)]
+    """The prime powers pp^e exactly dividing n, in factorisation order; a
+    fresh list each call, read from a memo of tuples."""
+    return list(_exact_prime_power_divisors(n))
+
+
+@lru_cache(maxsize=None)
+def _exact_prime_power_divisors(n: Ideal) -> tuple[Ideal, ...]:
+    return tuple(ideal_pow(p, e) for p, e in factor_ideal(n))
 
 
 def sigma0(n: Ideal) -> int:

@@ -15,11 +15,23 @@ coprime to the level) that makes the operator principal, and multiply the
 answer by chi(a^-1); for t*w in a trivial class, a is the unit ideal.  A
 nonsquare [t w] is read as T_{t b} W_w times alpha(b)^-1 for the table entry
 (b, alpha(b)^-1) of its genus, and is left to step 2d while there is none.
+
+What depends only on the field, the level or the class group is memoised
+here, so a run of recoveries pays it once per key, and every key is a group,
+an ideal or a class, never an eigensystem:
+- ``_principal_operator`` (group, aa, t, w): the class test [aa]^2 [t] [w] = 1
+  and the operator it admits; ``make_principal_operator`` still checks the
+  level on every call;
+- ``_auxiliary_ideal`` (group, level, class, extra coprime ideals): the ideal
+  a of a query T_{a,a} T_t W_w;
+- ``_product`` (i, j): the products t*a (2c), a*p (2d's table doubling) and
+  p^2 (2d), each built once through this module's ``ideal_mul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from . import algext
@@ -40,7 +52,6 @@ from .quadfield import (
     coprime,
     exact_prime_power_divisors,
     ideal_mul,
-    ideal_pow,
     is_exact_divisor,
     label,
     primes_of_norm_up_to,
@@ -87,21 +98,55 @@ def make_principal_operator(
     t: Ideal | None = None,
     w: Ideal | None = None,
 ) -> PrincipalOperator:
+    """T_{aa,aa} T_t W_w at the level, after checking on every call that aa
+    and t are coprime to the level and w || level; the class test is the
+    memoised ``_principal_operator``."""
     K = group.field
     aa = aa if aa is not None else unit_ideal(K)
     t = t if t is not None else unit_ideal(K)
     if not coprime(aa, level) or not coprime(t, level):
         raise RecoveryError(f"operator parts must be coprime to the level {label(level)}")
-    total = group.mul(
-        group.power(group.ideal_class(aa), 2), group.ideal_class(t)
-    )
+    if w is not None and not is_exact_divisor(w, level):
+        raise RecoveryError(f"{label(w)} is not an exact divisor of the level")
+    return _principal_operator(group, aa, t, w)
+
+
+@lru_cache(maxsize=None)
+def _principal_operator(
+    group: ClassGroup, aa: Ideal, t: Ideal, w: Ideal | None
+) -> PrincipalOperator:
+    """The operator once [aa]^2 [t] [w] is trivial, memoised per (group, aa, t,
+    w); the test does not depend on the level.  A failing test raises, and
+    lru_cache stores no exception, so it raises again on the next call."""
+    total = group.mul(group.power(group.ideal_class(aa), 2), group.ideal_class(t))
     if w is not None:
-        if not is_exact_divisor(w, level):
-            raise RecoveryError(f"{label(w)} is not an exact divisor of the level")
         total = group.mul(total, group.ideal_class(w))
     if not total.is_identity():
         raise RecoveryError("operator is not principal (total ideal class nontrivial)")
     return PrincipalOperator(aa, t, w)
+
+
+@lru_cache(maxsize=None)
+def _auxiliary_ideal(group: ClassGroup, level: Ideal, cls: IdealClass, coprime_to=()) -> Ideal:
+    """The first ideal a (label order), coprime to the level and to each ideal
+    in coprime_to, with [a]^2 cls trivial; memoised per (group, level, cls,
+    coprime_to)."""
+
+    def accept(x: IdealClass) -> bool:
+        return group.mul(group.power(x, 2), cls).is_identity()
+
+    if coprime_to:
+        a = _auxiliary_ideal(group, level, cls)
+        if all(coprime(a, m) for m in coprime_to):
+            return a
+        # every ideal before a already fails a test that ignores coprime_to
+    return first_ideal(group, accept, (level, *coprime_to))
+
+
+@lru_cache(maxsize=None)
+def _product(i: Ideal, j: Ideal) -> Ideal:
+    """i*j, memoised per pair; a miss calls this module's ``ideal_mul``."""
+    return ideal_mul(i, j)
 
 
 class SyntheticOracle:
@@ -143,7 +188,7 @@ def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValu
     double and each keeps one entry."""
     for a, va in list(table.values()):
         common = algext.join_fields(va.field, alpha_p.field)
-        ap = ideal_mul(a, p)
+        ap = _product(a, p)
         table[group.genus(group.ideal_class(ap))] = (ap, lift(va, common) * lift(alpha_p, common))
     table[group.genus(group.ideal_class(p))] = (p, alpha_p)
 
@@ -215,22 +260,11 @@ def recover(
         work = algext.join_fields(work, v.field)
         return lift(v, work)
 
-    first_for_class: dict[IdealClass, Ideal] = {}  # class of t*w -> its a coprime to the level
-
     def principal(cls: IdealClass, t=None, w=None, coprime_to=()) -> AlgValue:
         """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
         for the first a, coprime to the level and to coprime_to, that makes
         it principal, times chi(a^-1)."""
-
-        def accept(x: IdealClass) -> bool:
-            return group.mul(group.power(x, 2), cls).is_identity()
-
-        if cls not in first_for_class:
-            first_for_class[cls] = first_ideal(group, accept, (level,))
-        a = first_for_class[cls]
-        if not all(coprime(a, m) for m in coprime_to):
-            # every ideal before a already fails a test that ignores coprime_to
-            a = first_ideal(group, accept, (level, *coprime_to))
+        a = _auxiliary_ideal(group, level, cls, coprime_to)
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
         return v if a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
 
@@ -246,7 +280,7 @@ def recover(
         if hit is None:
             return None
         a, alpha_inv = hit
-        ta = a if t is None else ideal_mul(t, a)
+        ta = a if t is None else _product(t, a)
         return principal(group.mul(cls, group.ideal_class(a)), ta, w) * absorb(alpha_inv)
 
     # Step 2: eigenvalues at good primes, in increasing norm order.  A prime
@@ -261,7 +295,7 @@ def recover(
         try:
             v = read(cls, t=p)
             if v is None:
-                v = principal(group.power(cls, 2), t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
+                v = principal(group.power(cls, 2), t=_product(p, p)) + chiv(cls).scale(p.norm)
                 if not v.is_zero():
                     root = absorb(sqrt_or_adjoin(v)[0])
                     v = -root if sign_flip else root

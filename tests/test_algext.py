@@ -256,6 +256,18 @@ def test_squares_with_large_coordinates_stay_in_the_base(f, text):
     assert sqrt_in_tower(-v) is None  # the base is totally real, so -w^2 is no square
 
 
+def test_with_radical_is_one_tower_per_radicand_vector():
+    # a list radicand and a tuple radicand name one memo entry and one tower
+    f = QUAD_SQRT3.subfield()  # Q(sqrt2), base a = sqrt2
+    hits = algext._with_radical.cache_info().hits
+    g = with_radical(f, [1, 1])
+    assert g is with_radical(f, (1, 1)) is with_radical(f, (Fraction(1), Fraction(1)))
+    assert algext._with_radical.cache_info().hits >= hits + 2
+    assert g.dim == 4 and g.adjoined == ((1, 1),)
+    assert with_radical(f, 3) is QUAD_SQRT3 and with_radical(f, [3, 0]) is QUAD_SQRT3
+    assert with_radical(f, 2) is f and with_radical(f, [2, 0]) is f
+
+
 def test_parse_render_round_trip():
     rng = random.Random(23)
     for f in (QI2, CUBIC):

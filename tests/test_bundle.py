@@ -250,6 +250,10 @@ def _value_field(**field):
         (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(character=5)),
          BundleError, "character exponents must be a list, not int"),
         (_selftwist_candidates(5), BundleError, "possible must be a list, not int"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(name=[1])),
+         BundleError, "the name of system 0 at level 2.1 must be a string, not list"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(name=7)),
+         BundleError, "the name of system 0 at level 2.1 must be a string, not int"),
         (_edited("dimension_table_68.json", lambda d: d.update(rows=[1])), BundleError,
          "dimension row 0 must be an object, not int"),
         (_edited("hecke_fields_68.json", lambda d: d.update(rows=[1])), BundleError,

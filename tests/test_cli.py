@@ -344,6 +344,19 @@ def test_compare_ap_rejects_duplicate_system_names(capsys, tmp_path):
     assert code == 2 and "two systems named 'a'" in err
 
 
+def test_compare_ap_rejects_a_system_name_that_is_not_a_string(capsys, tmp_path):
+    data = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+    data["systems"][0]["name"] = [1]
+    path = tmp_path / "eigensystems.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path), "--name", "a",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2
+    assert err == "error: the name of system 0 at level 7.2 must be a string, not list\n"
+
+
 def test_verify_output_is_deterministic(capsys):
     args = ("verify", "--check", "class-groups", "--check", "dimension-table",
             "--check", "structure-detectors")

@@ -222,6 +222,16 @@ def test_divisor_lattice(K17):
         ideal_div_exact(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
 
 
+def test_exact_prime_power_divisors_are_a_fresh_list_each_call(K17):
+    n12 = ideal_from_label(K17, "12.1")
+    first = exact_prime_power_divisors(n12)
+    assert [label(q) for q in first] == ["4.1", "3.1"]
+    first.append(unit_ideal(K17))
+    first[0] = n12
+    assert [label(q) for q in exact_prime_power_divisors(n12)] == ["4.1", "3.1"]
+    assert exact_prime_power_divisors(n12) is not exact_prime_power_divisors(n12)
+
+
 def test_divisors_match_the_product_lattice():
     # divisors reads the label enumeration; the lattice of products of prime
     # powers, sorted into label order, is the reference
@@ -391,6 +401,17 @@ def test_ideal_hash_and_equality_contract():
     assert all(index[ideal_from_gens(K17, [(i.a, 0), (i.b, i.c)])] == k
                for k, i in enumerate(shuffled))
     assert not hasattr(one17, "__dict__")
+
+
+def test_ideal_norm_is_stored_and_takes_no_part_in_comparisons(K17):
+    ideals = [i for n in range(1, 61) for i in ideals_of_norm(K17, n)]
+    assert all(i.norm == i.a * i.c for i in ideals)
+    i, j = ideal_from_label(K17, "6.1"), ideal_from_label(K17, "6.2")
+    twin = Ideal(K17, i.a, i.b, i.c)
+    object.__setattr__(twin, "norm", 7)  # a stored norm that disagrees is not compared
+    assert twin == i and hash(twin) == hash(i) and not twin < i and not i < twin
+    assert (twin < j) == (i < j) and sorted([j, twin]) == sorted([j, i])
+    assert "norm" not in repr(i)
 
 
 def test_ideal_hash_and_equality_contract_under_optimize(run_optimized):

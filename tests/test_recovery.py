@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from iqhecke import algext, recovery
+from iqhecke import algext, quadfield, recovery
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, fixture_oracle_from_json
 from iqhecke.characters import ClassCharacter
@@ -64,6 +64,31 @@ def test_principality_enforced(G17, K17):
         make_principal_operator(
             G17, principal_ideal(K17, 4, 0), aa=p31, w=ideal_from_label(K17, "2.1")
         )
+
+
+def test_non_principal_operator_raises_on_every_call(G17, K17):
+    # the memoised class test stores no failure
+    level = ideal_from_label(K17, "2.1")
+    p131 = ideal_from_label(K17, "13.1")
+    for _ in range(2):
+        with pytest.raises(RecoveryError, match="not principal"):
+            make_principal_operator(G17, level, aa=p131, t=p131)
+
+
+def test_memoised_operator_still_checks_the_level(G17, K17):
+    # an operator accepted at one level meets the level checks again at another
+    p21, p31, p131 = (ideal_from_label(K17, lab) for lab in ("2.1", "3.1", "13.1"))
+    op = make_principal_operator(G17, p21, aa=p31, t=p131)
+    assert make_principal_operator(G17, ideal_from_label(K17, "7.1"), aa=p31, t=p131) is op
+    for level in ("3.1", "6.1", "13.1", "26.1"):
+        with pytest.raises(RecoveryError, match="coprime to the level"):
+            make_principal_operator(G17, ideal_from_label(K17, level), aa=p31, t=p131)
+    w_op = make_principal_operator(G17, p21, aa=p31, w=p21)
+    assert str(w_op) == "T(3.1,3.1)*W(2.1)"
+    with pytest.raises(RecoveryError, match="not an exact divisor"):
+        make_principal_operator(G17, principal_ideal(K17, 4, 0), aa=p31, w=p21)
+    with pytest.raises(RecoveryError, match="not an exact divisor"):
+        make_principal_operator(G17, ideal_from_label(K17, "13.2"), aa=p31, w=p21)
 
 
 def test_fixture_recovery(G17, K17):
@@ -318,18 +343,58 @@ def test_fixture_recovery_query_sequence(G17):
     ]
 
 
+# the memos of level-free work: operator class tests, auxiliary ideals, ideal
+# products, prime-power divisors and radical towers
+LEVEL_FREE_MEMOS = (
+    recovery._principal_operator,
+    recovery._auxiliary_ideal,
+    recovery._product,
+    quadfield._exact_prime_power_divisors,
+    algext._with_radical,
+)
+
+
+def clear_level_free_memos():
+    for memo in LEVEL_FREE_MEMOS:
+        memo.cache_clear()
+
+
+def recorded_recovery(oracle, group, level, bound):
+    recording = RecordingOracle(oracle)
+    res = recover(recording, group, level, bound, on_missing="skip")
+    return res, recording.queried
+
+
+def test_recover_is_the_same_with_cold_and_warm_memos(G17):
+    oracle, level = load_oracle(G17)
+    cases = [(oracle, G17, level, 13)]
+    for d in (21, 65, 105):
+        g = compute_class_group(make_field(d))
+        F = random_eigensystem(g, random.Random(d), bound=60)
+        cases.append((SyntheticOracle(F), g, F.level, 60))
+    for case in cases:
+        clear_level_free_memos()
+        cold = recorded_recovery(*case)
+        assert all(memo.cache_info().currsize for memo in LEVEL_FREE_MEMOS[:2])
+        warm = recorded_recovery(*case)
+        assert warm == cold and len(cold[1]) > 5
+        assert warm[0].system.vfield is cold[0].system.vfield
+
+
 def test_synthetic_recovery_query_sequence_at_c2xc4():
     # Q(sqrt(-65)) has CL = C2 x C4 (r2 = 2); the level 20.1 = 4.1 * 5.1 has
     # 4.1 in a square class and 5.1 in a nonsquare genus, so step 3 reads one
     # sign directly and one through the sign table.  A synthetic oracle
     # leaves no gaps, so only this list shows a change in what is queried.
+    # It runs with every level-free memo cleared, then with them warm.
     g = compute_class_group(make_field(65))
     F = random_eigensystem(g, random.Random(5), bound=40)
     assert label(F.level) == "20.1" and F.character.is_trivial()
-    recording = RecordingOracle(SyntheticOracle(F))
-    res = recover(recording, g, F.level, 40, on_missing="skip")
+    clear_level_free_memos()
+    res, queried = recorded_recovery(SyntheticOracle(F), g, F.level, 40)
     assert not res.alpha_gaps and res.al_incomplete == []
-    assert recording.queried == [
+    assert recorded_recovery(SyntheticOracle(F), g, F.level, 40) == (res, queried)
+    assert queried == [
         "T(9.2,9.2)",
         "T(33.1,33.1)",
         "T(13.1,13.1)",
