@@ -26,7 +26,6 @@ operation is a row with its error, so the row count does not depend on the
 outcome.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -72,8 +71,14 @@ def main(tree: Path, out: Path) -> int:
             "orbit": [to_json(H) for H in orbit],
             "conjugate": to_json(conjugate),
             "selftwist": [selftwist.status, [list(c.exps) for c in selftwist.candidates]],
-            "report": [report.principal_degree, report.full_degree, report.field_description],
+            "report": [report.principal_degree, report.full_degree,
+                       inp.report_system.vfield.describe()],
         }
+
+    def report_row(F):
+        report = eigensystem.hecke_field_report(F)
+        k_f, k_F = report.principal_degree, report.full_degree
+        return [k_f, k_F, k_F // k_f, F.vfield.describe()]
 
     def bundle_row(F):
         return {
@@ -82,7 +87,7 @@ def main(tree: Path, out: Path) -> int:
             "conjugate": to_json(eigensystem.galois_conjugate_system(F)),
             "inner_twists": [[tau.describe(), list(psi.exps)]
                              for tau, psi in eigensystem.inner_twist_pairs(F)],
-            "report": list(dataclasses.astuple(eigensystem.hecke_field_report(F))),
+            "report": report_row(F),
             "powers": {label(p): [algext.render_value(v) for v in
                                   eigensystem.prime_power_coefficients(F, p, 4)]
                        for p in F.stored_primes()},

@@ -15,6 +15,10 @@ grows with each pick until it maps every form to its exponent vector
 alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
 is checked against genus theory, and the class of an ideal once, on its
 first query.  Characters share the law on exponent vectors.
+
+The ideal -> class memo lives on the group.  A ``ClassGroup`` hashes by
+identity, so memos keyed by a group (``recovery``'s, ``character_values``)
+hold one entry per ``compute_class_group`` call: keep one group per field.
 """
 
 from __future__ import annotations
@@ -23,14 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 
-from .quadfield import (
-    Ideal,
-    QuadField,
-    coprime,
-    factor_int,
-    ideal_mul,
-    ideals_of_norm,
-)
+from .quadfield import Ideal, QuadField, factor_int, ideal_mul
 
 
 class ClassGroupError(ValueError):
@@ -289,13 +286,3 @@ def _principal_form(field: QuadField) -> tuple[int, int, int]:
 
 def compute_class_group(field: QuadField) -> ClassGroup:
     return ClassGroup(field)
-
-
-def first_ideal(group: ClassGroup, accept, coprime_to=(), bound: int = 10_000) -> Ideal:
-    """The first ideal in label order (smallest norm first) that is coprime
-    to every ideal in coprime_to and whose class satisfies accept."""
-    for norm in range(1, bound + 1):
-        for i in ideals_of_norm(group.field, norm):
-            if all(coprime(i, m) for m in coprime_to) and accept(group.ideal_class(i)):
-                return i
-    raise ClassGroupError(f"no ideal of norm <= {bound} found in the requested class")

@@ -417,8 +417,11 @@ def _span_dimension(values: Iterable[AlgValue], f: ValueField) -> int:
 class HeckeFieldReport:
     principal_degree: int
     full_degree: int
-    ratio: int
-    field_description: str
+
+    @property
+    def ratio(self) -> int:
+        """[full Hecke field : principal subfield], a whole number."""
+        return self.full_degree // self.principal_degree
 
 
 def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
@@ -460,9 +463,4 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:
         raise EigensystemError("full Hecke field degree not a multiple of the principal degree")
-    return HeckeFieldReport(
-        principal_degree=k_f,
-        full_degree=k_F,
-        ratio=k_F // k_f,
-        field_description=f.describe(),
-    )
+    return HeckeFieldReport(principal_degree=k_f, full_degree=k_F)

@@ -25,9 +25,9 @@ neither.
 
 Memos, each keyed by a field or by ideals, so they grow with the primes and
 levels a caller visits and never with eigenvalue data: `factor_rational_prime`
-(field, p), `factor_ideal` (n), `_exact_prime_power_divisors` (n),
+(field, p), `factor_ideal` (n), `exact_prime_power_divisors` (n),
 `ideals_of_norm` (field, N), `label_key` (ideal) and `primes_of_norm_up_to`
-(field, bound).
+(field, bound).  Callers share each memo's answer, a tuple for a sequence.
 """
 
 from __future__ import annotations
@@ -332,14 +332,10 @@ def is_exact_divisor(q: Ideal, n: Ideal) -> bool:
     return set(factor_ideal(q)) <= set(factor_ideal(n))
 
 
-def exact_prime_power_divisors(n: Ideal) -> list[Ideal]:
-    """The prime powers pp^e exactly dividing n, in factorisation order; a
-    fresh list each call, read from a memo of tuples."""
-    return list(_exact_prime_power_divisors(n))
-
-
 @lru_cache(maxsize=None)
-def _exact_prime_power_divisors(n: Ideal) -> tuple[Ideal, ...]:
+def exact_prime_power_divisors(n: Ideal) -> tuple[Ideal, ...]:
+    """The prime powers pp^e exactly dividing n, in factorisation order; one
+    memoised tuple, shared by every caller."""
     return tuple(ideal_pow(p, e) for p, e in factor_ideal(n))
 
 

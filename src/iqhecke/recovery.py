@@ -9,35 +9,38 @@ primes are recovered class by class, and sign choices at primes in
 nontrivial genus classes are kept consistent through a doubling table of
 reference pairs (a, alpha(a)^-1), one per genus.
 
-Every query after the step-1 character probe follows one rule: to learn the
-eigenvalue of T_t W_w, query T_{a,a} T_t W_w for the first ideal a (by norm,
-coprime to the level) that makes the operator principal, and multiply the
-answer by chi(a^-1); for t*w in a trivial class, a is the unit ideal.  A
-nonsquare [t w] is read as T_{t b} W_w times alpha(b)^-1 for the table entry
-(b, alpha(b)^-1) of its genus, and is left to step 2d while there is none.
+Every auxiliary ideal a is the first (label order, coprime to the level) that
+fits, read from one class table per level: the step-1 probe of a two-torsion
+class c is T_{a,a} with a in c, and the eigenvalue of T_t W_w is that of
+T_{a,a} T_t W_w with [a]^2 [t w] trivial, times chi(a^-1); for t*w in a
+trivial class, a is the unit ideal.  A nonsquare [t w] is read as
+T_{t b} W_w times alpha(b)^-1 for the table entry (b, alpha(b)^-1) of its
+genus, and is left to step 2d while there is none.
 
 What depends only on the field, the level or the class group is memoised
 here, so a run of recoveries pays it once per key, and every key is a group,
-an ideal or a class, never an eigensystem:
+an ideal or a class, never an eigensystem (a group hashes by identity, so a
+memo holds one entry per group object):
 - ``_principal_operator`` (group, aa, t, w): the class test [aa]^2 [t] [w] = 1
   and the operator it admits; ``make_principal_operator`` still checks the
   level on every call;
-- ``_auxiliary_ideal`` (group, level, class, extra coprime ideals): the ideal
-  a of a query T_{a,a} T_t W_w;
-- ``_product`` (i, j): the products t*a (2c), a*p (2d's table doubling) and
-  p^2 (2d), each built once through this module's ``ideal_mul``.
+- ``_class_ideals`` (group, modulus): the class table over the ideals coprime
+  to the level, or to level*t when the level's choice meets t;
+- ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
+  level*t, each built once through this module's ``ideal_mul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
 from math import prod
 
 from . import algext
 from .algext import AlgValue, lift, sqrt_or_adjoin
 from .characters import character_group, eval_on_class
-from .classgroup import ClassGroup, IdealClass, first_ideal
+from .classgroup import ClassGroup, IdealClass
 from .eigensystem import (
     EigensystemError,
     HeckeEigensystem,
@@ -52,6 +55,7 @@ from .quadfield import (
     coprime,
     exact_prime_power_divisors,
     ideal_mul,
+    ideals_of_norm,
     is_exact_divisor,
     label,
     primes_of_norm_up_to,
@@ -127,26 +131,36 @@ def _principal_operator(
 
 
 @lru_cache(maxsize=None)
-def _auxiliary_ideal(group: ClassGroup, level: Ideal, cls: IdealClass, coprime_to=()) -> Ideal:
-    """The first ideal a (label order), coprime to the level and to each ideal
-    in coprime_to, with [a]^2 cls trivial; memoised per (group, level, cls,
-    coprime_to)."""
-
-    def accept(x: IdealClass) -> bool:
-        return group.mul(group.power(x, 2), cls).is_identity()
-
-    if coprime_to:
-        a = _auxiliary_ideal(group, level, cls)
-        if all(coprime(a, m) for m in coprime_to):
-            return a
-        # every ideal before a already fails a test that ignores coprime_to
-    return first_ideal(group, accept, (level, *coprime_to))
+def _class_ideals(group: ClassGroup, modulus: Ideal) -> tuple[dict, dict]:
+    """(first, roots) over the ideals coprime to the modulus, in label order
+    (norm, index): first[x] is the first ideal in class x, roots[c] the first
+    a with [a]^2 c trivial, for c in CL^2.  A class's first ideal precedes its
+    others, so roots[c] is some first[x].  The scan stops when every class has
+    its first ideal; each class holds infinitely many primes, so it needs no
+    norm bound.  The memo shares its dicts: read only."""
+    first, roots = {}, {}
+    for i in chain.from_iterable(ideals_of_norm(group.field, n) for n in count(1)):
+        if not coprime(i, modulus):
+            continue
+        x = group.ideal_class(i)
+        if x not in first:
+            first[x] = i
+            roots.setdefault(group.inv(group.power(x, 2)), i)
+            if len(first) == group.h:
+                return first, roots
 
 
 @lru_cache(maxsize=None)
 def _product(i: Ideal, j: Ideal) -> Ideal:
     """i*j, memoised per pair; a miss calls this module's ``ideal_mul``."""
     return ideal_mul(i, j)
+
+
+def _sign(v: AlgValue, what: str) -> int:
+    """v as the integer +-1, else a RecoveryError "<what> <v>, not +-1"."""
+    if not v.is_rational() or v.rational_value() not in (1, -1):
+        raise RecoveryError(f"{what} {algext.render_value(v)}, not +-1")
+    return int(v.rational_value())
 
 
 class SyntheticOracle:
@@ -216,6 +230,7 @@ def recover(
     if on_missing not in ("error", "skip"):
         raise RecoveryError(f"bad on_missing={on_missing!r}")
     squares = group.squares()
+    first, roots = _class_ideals(group, level)
 
     # Step 1: the character on the two-torsion classes, then its chosen lift.
     restriction = {}
@@ -223,19 +238,14 @@ def recover(
         if cls.is_identity():
             restriction[cls] = 1
             continue
-        a = first_ideal(group, lambda x, c=cls: x == c, (level,))
-        probe = make_principal_operator(group, level, aa=a)
+        probe = make_principal_operator(group, level, aa=first[cls])
         try:
             vrou = oracle.query(probe)
         except OracleMissingError:
             if on_missing == "error":
                 raise
             raise RecoveryError(f"the oracle has no value for the character probe {probe}")
-        if not vrou.is_rational() or vrou.rational_value() not in (1, -1):
-            raise RecoveryError(
-                f"T_(a,a) at class {cls.exps} returned {algext.render_value(vrou)}, not +-1"
-            )
-        restriction[cls] = int(vrou.rational_value())
+        restriction[cls] = _sign(vrou, f"T_(a,a) at class {cls.exps} returned")
     chi = next(
         (
             chi
@@ -260,11 +270,14 @@ def recover(
         work = algext.join_fields(work, v.field)
         return lift(v, work)
 
-    def principal(cls: IdealClass, t=None, w=None, coprime_to=()) -> AlgValue:
+    def principal(cls: IdealClass, t=None, w=None, coprime_to=None) -> AlgValue:
         """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
-        for the first a, coprime to the level and to coprime_to, that makes
-        it principal, times chi(a^-1)."""
-        a = _auxiliary_ideal(group, level, cls, coprime_to)
+        for the first a, coprime to the level (and to coprime_to if given),
+        that makes it principal, times chi(a^-1)."""
+        a = roots[cls]
+        if coprime_to is not None and not coprime(a, coprime_to):
+            # every ideal before a already fails a test that ignores coprime_to
+            a = _class_ideals(group, _product(level, coprime_to))[1][cls]
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
         return v if a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
 
@@ -275,7 +288,7 @@ def recover(
         square class (2a, 2b); else that of T_{t a} W_w times alpha(a)^-1 for
         the table entry (a, alpha(a)^-1) of cls's genus (2c); else None (2d)."""
         if cls in squares:
-            return principal(cls, t, w, coprime_to=() if t is None else (t,))
+            return principal(cls, t, w, coprime_to=t)
         hit = table.get(group.genus(cls))
         if hit is None:
             return None
@@ -320,11 +333,7 @@ def recover(
                 v = None
             if v is None:
                 al_incomplete.append(q)
-                continue
-            if not v.is_rational() or v.rational_value() not in (1, -1):
-                raise RecoveryError(
-                    f"involution sign at {label(q)} is {algext.render_value(v)}, not +-1"
-                )
-            al_signs[q] = int(v.rational_value())
+            else:
+                al_signs[q] = _sign(v, f"involution sign at {label(q)} is")
     system = make_eigensystem(group, level, chi, alpha, al_signs, vfield=work)
     return RecoveryResult(system=system, alpha_gaps=gaps, al_incomplete=al_incomplete)

@@ -18,6 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algext
 from .bundle import FixtureBundle
@@ -95,10 +96,16 @@ def _require(cond, message):
 # -- 1. class-group facts -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _group(d: int) -> ClassGroup:
+    """Q(sqrt(-d))'s class group, one per process: group-keyed memos stay put."""
+    return compute_class_group(make_field(d))
+
+
 def check_class_groups(bundle: FixtureBundle) -> str:
     expectations = {17: (4,), 5: (2,), 23: (3,), 31: (3,), 21: (2, 2)}
     for d, divs in expectations.items():
-        g = compute_class_group(make_field(d))
+        g = _group(d)
         _require(
             g.elementary_divisors == divs,
             f"class group of Q(sqrt(-{d})) is {g.elementary_divisors}, expected {divs}",
@@ -273,7 +280,7 @@ ROUND_TRIP_FIELDS = (1, 5, 23, 17, 21)
 
 def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) -> str:
     rng = random.Random(68)
-    groups = [compute_class_group(make_field(d)) for d in ROUND_TRIP_FIELDS]
+    groups = [_group(d) for d in ROUND_TRIP_FIELDS]
     per_field = -(-count // len(groups))
     done = 0
     for group in groups:

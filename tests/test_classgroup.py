@@ -7,7 +7,6 @@ from iqhecke import classgroup
 from iqhecke.classgroup import (
     ClassGroupError,
     compute_class_group,
-    first_ideal,
     form_of_ideal,
     ideal_of_form,
     reduced_forms,
@@ -23,6 +22,7 @@ from iqhecke.quadfield import (
     primes_of_norm_up_to,
     unit_ideal,
 )
+from iqhecke.recovery import _class_ideals
 
 # the first six keep their sorted order, so their test ids stay the same
 FIELDS = {
@@ -148,22 +148,18 @@ def test_two_rank_is_checked_at_construction_under_optimize(run_optimized):
 
 
 def test_find_ideal_in_class(G17, K17):
+    # recovery's class table: the first ideal of each class coprime to a modulus
     c = G17.ideal_class(ideal_from_label(K17, "3.1"))
-    got = first_ideal(G17, lambda x: x == c, coprime_to=(ideal_from_label(K17, "2.1"),))
-    assert got == ideal_from_label(K17, "3.1")
-    assert first_ideal(G17, lambda x: x.is_identity()) == unit_ideal(K17)
+    first = _class_ideals(G17, ideal_from_label(K17, "2.1"))[0]
+    assert first[c] == ideal_from_label(K17, "3.1")
+    assert _class_ideals(G17, unit_ideal(K17))[0][G17.identity()] == unit_ideal(K17)
     # the minimal-norm ideal in class c^2 coprime to (3) is the ramified
     # norm-2 prime; excluding 2 as well forces the norm-13 prime
     c2 = G17.power(c, 2)
-    got2 = first_ideal(G17, lambda x: x == c2, coprime_to=(principal_ideal(K17, 3, 0),))
+    got2 = _class_ideals(G17, principal_ideal(K17, 3, 0))[0][c2]
     assert got2 == ideal_from_label(K17, "2.1") and is_prime_ideal(got2)
-    got3 = first_ideal(G17, lambda x: x == c2, coprime_to=(principal_ideal(K17, 6, 0),))
+    got3 = _class_ideals(G17, principal_ideal(K17, 6, 0))[0][c2]
     assert got3 == ideal_from_label(K17, "13.1") and is_prime_ideal(got3)
-
-
-def test_find_ideal_bound_exhaustion(G17):
-    with pytest.raises(ClassGroupError):
-        first_ideal(G17, lambda x: x.is_identity(), bound=0)
 
 
 def test_form_of_ideal_matches_reduction(G17, K17):

@@ -388,7 +388,7 @@ def _eager_report(F):
             gens.append(val)
     k_f = _eager_span_dimension(gens, f)
     k_F = _eager_span_dimension([v for _, v in F.alpha] + [chi_value(F, p) for p in good], f)
-    return HeckeFieldReport(k_f, k_F, k_F // k_f, f.describe())
+    return HeckeFieldReport(k_f, k_F)
 
 
 def test_hecke_field_report_matches_the_eager_reference(bundle):

@@ -210,7 +210,7 @@ def test_divisor_lattice(K17):
     assert sigma0(eight) == 7
     assert sigma0(unit_ideal(K17)) == 1
     for K in (K17, make_field(1), make_field(5)):
-        assert exact_prime_power_divisors(unit_ideal(K)) == []
+        assert exact_prime_power_divisors(unit_ideal(K)) == ()
     n12 = ideal_from_label(K17, "12.1")
     got = {label(q) for q in divisors(n12) if is_exact_divisor(q, n12)}
     assert got == {"1.1", "4.1", "3.1", "12.1"}
@@ -222,14 +222,13 @@ def test_divisor_lattice(K17):
         ideal_div_exact(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
 
 
-def test_exact_prime_power_divisors_are_a_fresh_list_each_call(K17):
+def test_exact_prime_power_divisors_are_one_memoised_tuple(K17):
+    # callers share the memo's answer, which immutability keeps intact
     n12 = ideal_from_label(K17, "12.1")
     first = exact_prime_power_divisors(n12)
+    assert isinstance(first, tuple)
     assert [label(q) for q in first] == ["4.1", "3.1"]
-    first.append(unit_ideal(K17))
-    first[0] = n12
-    assert [label(q) for q in exact_prime_power_divisors(n12)] == ["4.1", "3.1"]
-    assert exact_prime_power_divisors(n12) is not exact_prime_power_divisors(n12)
+    assert exact_prime_power_divisors(n12) is first
 
 
 def test_divisors_match_the_product_lattice():

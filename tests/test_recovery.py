@@ -10,7 +10,7 @@ from iqhecke import algext, quadfield, recovery
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, fixture_oracle_from_json
 from iqhecke.characters import ClassCharacter
-from iqhecke.classgroup import compute_class_group, first_ideal
+from iqhecke.classgroup import compute_class_group
 from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
@@ -30,7 +30,8 @@ from iqhecke.recovery import (
     make_principal_operator,
     recover,
 )
-from iqhecke.verify import random_eigensystem
+from iqhecke.verify import random_eigensystem, run_checks
+from reference_search import first_ideal
 
 
 def orbit_quiet(F):
@@ -343,13 +344,13 @@ def test_fixture_recovery_query_sequence(G17):
     ]
 
 
-# the memos of level-free work: operator class tests, auxiliary ideals, ideal
-# products, prime-power divisors and radical towers
+# the memos of level-free work: operator class tests, class tables of
+# auxiliary ideals, ideal products, prime-power divisors and radical towers
 LEVEL_FREE_MEMOS = (
     recovery._principal_operator,
-    recovery._auxiliary_ideal,
+    recovery._class_ideals,
     recovery._product,
-    quadfield._exact_prime_power_divisors,
+    quadfield.exact_prime_power_divisors,
     algext._with_radical,
 )
 
@@ -443,6 +444,50 @@ def test_genus_key_identifies_square_cosets(d):
             assert (g.genus(x) == g.genus(y)) == same_coset
 
 
+@pytest.mark.parametrize("d", [1, 5, 17, 21, 23, 65, 105])
+def test_class_table_matches_the_label_order_search(d):
+    # first[x]: the first ideal in class x coprime to the modulus; roots[c]:
+    # the first a with [a]^2 c trivial, for every square class c (in C3,
+    # unlike C4, x^2 and x^-2 differ).  A root that meets an extra ideal t is
+    # replaced by the root of modulus m*t, which must be the first a coprime
+    # to both m and t; with CL^2 trivial every root is the unit ideal, so
+    # only d = 17, 23 and 65 take that path.
+    g = compute_class_group(make_field(d))
+    K = g.field
+    primes = primes_of_norm_up_to(K, 30)
+    moduli = [unit_ideal(K), *primes[:4], quadfield.ideal_mul(primes[0], primes[1]),
+              principal_ideal(K, 6, 0)]
+    fallbacks = 0
+    for m in moduli:
+        first, roots = recovery._class_ideals(g, m)
+        assert first.keys() == set(g.all_classes())
+        assert roots.keys() == g.squares()
+        for x in g.all_classes():
+            assert first[x] == first_ideal(g, lambda y: y == x, (m,))
+        for c in g.squares():
+            def fits(y, c=c):
+                return g.mul(g.power(y, 2), c).is_identity()
+
+            assert roots[c] == first_ideal(g, fits, (m,))
+            for t in primes:
+                if quadfield.coprime(roots[c], t) or not quadfield.coprime(t, m):
+                    continue
+                fallbacks += 1
+                got = recovery._class_ideals(g, quadfield.ideal_mul(m, t))[1][c]
+                assert got == first_ideal(g, fits, (m, t))
+    assert fallbacks > 0 or len(g.squares()) == 1
+
+
+def test_repeated_round_trip_check_keeps_group_memos_fixed(bundle):
+    # verify keeps one class group per check field, so a second run of the
+    # round-trip check finds every group-keyed memo entry it needs
+    memos = (recovery._principal_operator, recovery._class_ideals, recovery.character_values)
+    assert run_checks(bundle, ["round-trip"])[0].status == "PASS"
+    sizes = [memo.cache_info().currsize for memo in memos]
+    assert run_checks(bundle, ["round-trip"])[0].status == "PASS"
+    assert [memo.cache_info().currsize for memo in memos] == sizes
+
+
 def recover_with_inconsistent_restriction():
     # C2 x C2 has no character that is -1 on all three nontrivial classes
     g = compute_class_group(make_field(21))
@@ -481,9 +526,9 @@ def test_missing_character_values_raise(G17, monkeypatch):
 
 @pytest.mark.parametrize("d", [17, 21, 23, 65, 105])
 def test_each_auxiliary_ideal_is_the_first_that_fits(d):
-    # recover memoises the first ideal per class; every T_{a,a} must still be
-    # the first a in label order coprime to the level (and to t when t is a
-    # prime of square class) with a^2 t w principal
+    # recover reads each auxiliary ideal from a class table; every T_{a,a}
+    # must still be the first a in label order coprime to the level (and to
+    # t when t is a prime of square class) with a^2 t w principal
     g = compute_class_group(make_field(d))
     F = random_eigensystem(g, random.Random(d), bound=80)
     recording = RecordingOracle(SyntheticOracle(F))
