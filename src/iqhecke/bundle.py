@@ -162,6 +162,19 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
     return table
 
 
+def system_from_json(group: ClassGroup, data, name: str | None = None) -> HeckeEigensystem:
+    """Read an eigensystem file: one system, or a table whose row ``name``
+    (by default the first) is returned."""
+    if "systems" not in _checked(data, dict, "an eigensystem file"):
+        return eigensystem_from_json(group, data)
+    systems = systems_from_json(group, data)
+    if name is None and systems:
+        return next(iter(systems.values()))
+    if name not in systems:
+        raise BundleError(f"no system named {name!r} at level {data.get('level')}")
+    return systems[name]
+
+
 def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOracle, Ideal]:
     """Read {"field_disc", "level", "field", "values": [{aa,t,w,value}]}."""
     if _checked(data, dict, "an oracle file").get("field_disc") not in (None, group.field.disc):
@@ -178,6 +191,8 @@ def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOrac
             t=ideal_from_label(group.field, row["t"]) if row.get("t") else None,
             w=ideal_from_label(group.field, row["w"]) if row.get("w") else None,
         )
+        if op in mapping:
+            raise BundleError(f"two oracle rows for {op}")
         mapping[op] = algext.parse_value(f, str(row["value"]))
     return FixtureOracle(mapping), level
 

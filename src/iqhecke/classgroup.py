@@ -16,14 +16,14 @@ alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
 is checked against genus theory, and the class of an ideal once, on its
 first query.  Characters share the law on exponent vectors.
 
-The ideal -> class memo lives on the group.  A ``ClassGroup`` hashes by
-identity, so memos keyed by a group (``recovery``'s, ``character_values``)
-hold one entry per ``compute_class_group`` call: keep one group per field.
+The ideal -> class memo lives on the group, and ``compute_class_group``
+builds one group per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -284,5 +284,7 @@ def _principal_form(field: QuadField) -> tuple[int, int, int]:
     return (1, 1, (1 - d) // 4)
 
 
+@lru_cache(maxsize=None)
 def compute_class_group(field: QuadField) -> ClassGroup:
+    """The class group of field, built once per field (fields compare by value)."""
     return ClassGroup(field)

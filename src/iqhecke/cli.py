@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from . import algext
@@ -18,10 +17,9 @@ from .bundle import (
     DEFAULT_BUNDLE_DIR,
     FixtureBundle,
     curve_from_json,
-    eigensystem_from_json,
     eigensystem_to_json,
     fixture_oracle_from_json,
-    systems_from_json,
+    system_from_json,
 )
 from .characters import character_group, character_order, quadratic_characters
 from .classgroup import compute_class_group
@@ -85,7 +83,7 @@ def cmd_field(args) -> int:
     return 0
 
 
-def _print_system(F, group):
+def _print_system(F):
     print(f"level {label(F.level)}, character exponents {list(F.character.exps)}")
     print(f"value field: {F.vfield.describe()}")
     for p, v in F.alpha:
@@ -104,10 +102,7 @@ def _print_system(F, group):
         f"Hecke fields: principal degree {rep.principal_degree}, "
         f"full degree {rep.full_degree} (ratio {rep.ratio})"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        orbit = twist_orbit(F)
-    print(f"twist orbit size: {len(orbit)}")
+    print(f"twist orbit size: {len(twist_orbit(F))}")
 
 
 def cmd_recover(args) -> int:
@@ -136,7 +131,7 @@ def cmd_recover(args) -> int:
         out["al_incomplete"] = [label(q) for q in res.al_incomplete]
         print(json.dumps(out, indent=1))
         return 0
-    _print_system(res.system, group)
+    _print_system(res.system)
     if res.alpha_gaps:
         print("oracle gaps:")
         for p, op in res.alpha_gaps:
@@ -172,23 +167,11 @@ def cmd_verify(args) -> int:
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
-def _load_system_file(group, path: Path, name: str | None):
-    data = json.loads(path.read_text())
-    if "systems" not in data:
-        return eigensystem_from_json(group, data)
-    systems = systems_from_json(group, data)
-    if name is None and systems:
-        return next(iter(systems.values()))
-    if name not in systems:
-        raise ValueError(f"no system named {name!r} in {path}")
-    return systems[name]
-
-
 def cmd_compare_ap(args) -> int:
     try:
         K = make_field(args.field)
         group = compute_class_group(K)
-        F = _load_system_file(group, Path(args.eigensystem), args.name)
+        F = system_from_json(group, json.loads(Path(args.eigensystem).read_text()), args.name)
         curve = curve_from_json(K, json.loads(Path(args.curve).read_text()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ eigenvalue expansion runs the recursion once per (system, prime).
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,9 +115,6 @@ class HeckeEigensystem:
             if qq == q:
                 return s
         raise EigensystemError(f"no stored involution sign at {label(q)}")
-
-    def max_stored_norm(self) -> int:
-        return max((p.norm for p, _ in self.alpha), default=0)
 
 
 def make_eigensystem(
@@ -250,11 +246,9 @@ def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
 
 
 def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
-    if F.max_stored_norm() < 50:
-        warnings.warn(
-            "twist-orbit deduplication below norm 50 may conflate distinct twists",
-            stacklevel=2,
-        )
+    """The distinct twists of F by the characters of its group.  Twists are
+    told apart by their stored eigenvalues only, so with few stored primes two
+    distinct twists may agree and the orbit comes out too small."""
     out = []
     for psi in character_group(F.group):
         G = twist(F, psi)

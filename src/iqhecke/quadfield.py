@@ -407,10 +407,15 @@ def label(i: Ideal) -> str:
 
 
 def ideal_from_label(field: QuadField, lab: str) -> Ideal:
+    """The ideal a label names, spelled as ``label`` writes it: no sign,
+    space, leading zero, underscore or non-ASCII digit, so that one ideal has
+    one spelling."""
     try:
         norm_s, idx_s = lab.split(".")
         norm, idx = int(norm_s), int(idx_s)
     except (AttributeError, ValueError):
+        norm = idx = None
+    if norm is None or lab != f"{norm}.{idx}":
         raise QuadFieldError(f"bad ideal label {lab!r}")
     ordered = ideals_of_norm(field, norm)
     if not 1 <= idx <= len(ordered):

@@ -19,8 +19,7 @@ genus, and is left to step 2d while there is none.
 
 What depends only on the field, the level or the class group is memoised
 here, so a run of recoveries pays it once per key, and every key is a group,
-an ideal or a class, never an eigensystem (a group hashes by identity, so a
-memo holds one entry per group object):
+an ideal or a class, never an eigensystem:
 - ``_principal_operator`` (group, aa, t, w): the class test [aa]^2 [t] [w] = 1
   and the operator it admits; ``make_principal_operator`` still checks the
   level on every call;

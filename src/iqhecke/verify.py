@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import algext
 from .bundle import FixtureBundle
@@ -96,16 +94,10 @@ def _require(cond, message):
 # -- 1. class-group facts -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _group(d: int) -> ClassGroup:
-    """Q(sqrt(-d))'s class group, one per process: group-keyed memos stay put."""
-    return compute_class_group(make_field(d))
-
-
 def check_class_groups(bundle: FixtureBundle) -> str:
     expectations = {17: (4,), 5: (2,), 23: (3,), 31: (3,), 21: (2, 2)}
     for d, divs in expectations.items():
-        g = _group(d)
+        g = compute_class_group(make_field(d))
         _require(
             g.elementary_divisors == divs,
             f"class group of Q(sqrt(-{d})) is {g.elementary_divisors}, expected {divs}",
@@ -280,7 +272,7 @@ ROUND_TRIP_FIELDS = (1, 5, 23, 17, 21)
 
 def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) -> str:
     rng = random.Random(68)
-    groups = [_group(d) for d in ROUND_TRIP_FIELDS]
+    groups = [compute_class_group(make_field(d)) for d in ROUND_TRIP_FIELDS]
     per_field = -(-count // len(groups))
     done = 0
     for group in groups:
@@ -291,9 +283,7 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
                 not res.alpha_gaps,
                 f"synthetic oracle left eigenvalue gaps: {res.alpha_gaps}",
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                orbit = twist_orbit(F)
+            orbit = twist_orbit(F)
             _require(
                 any(systems_equal(res.system, H) for H in orbit),
                 f"recovered system not in the twist orbit (d={group.field.d}, "
@@ -495,9 +485,7 @@ def check_structure_detectors(bundle: FixtureBundle) -> str:
         st.status == "possible" and st.candidates == (chi2,),
         f"64.1 self-twist screening returned {st}",
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        orbit64 = twist_orbit(F64)
+    orbit64 = twist_orbit(F64)
     _require(len(orbit64) == 2, f"64.1 twist orbit has size {len(orbit64)}")
     sup = support_subgroup(F64)
     _require(sup.index == 2, f"64.1 support subgroup has index {sup.index}")

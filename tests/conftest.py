@@ -26,13 +26,13 @@ def bundle():
     return FixtureBundle()
 
 
-def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `python -O -c code args...` with this iqhecke importable."""
+def _run(flags: list[str], code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python flags -c code args...` with this iqhecke importable."""
     src = str(Path(iqhecke.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-O", "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -40,4 +40,10 @@ def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
 @pytest.fixture(scope="session")
 def run_optimized():
     """The runner for checks that must still hold under `python -O`."""
-    return _run_optimized
+    return lambda code, *args: _run(["-O"], code, *args)
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """The runner for checks that need a process with empty memos."""
+    return lambda code, *args: _run([], code, *args)

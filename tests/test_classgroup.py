@@ -5,6 +5,7 @@ import pytest
 
 from iqhecke import classgroup
 from iqhecke.classgroup import (
+    ClassGroup,
     ClassGroupError,
     compute_class_group,
     form_of_ideal,
@@ -133,7 +134,30 @@ def test_two_rank_is_checked_at_construction(monkeypatch):
     K = make_field(17)
     monkeypatch.setattr(classgroup, "factor_int", lambda n: [(n, 1)])
     with pytest.raises(ClassGroupError, match="2-rank 1 disagrees"):
-        compute_class_group(K)
+        ClassGroup(K)
+
+
+def test_one_group_per_field(bundle):
+    assert compute_class_group(make_field(17)) is bundle.group
+
+
+def test_bundle_and_checks_build_one_group_per_field(run_fresh):
+    # a fresh process, since this session's memo already holds the groups
+    code = (
+        "from collections import Counter\n"
+        "from iqhecke import classgroup\n"
+        "from iqhecke.bundle import FixtureBundle\n"
+        "from iqhecke.verify import run_checks\n"
+        "built, init = Counter(), classgroup.ClassGroup.__init__\n"
+        "def counted(self, field):\n"
+        "    built[field.d] += 1\n"
+        "    init(self, field)\n"
+        "classgroup.ClassGroup.__init__ = counted\n"
+        "run_checks(FixtureBundle())\n"
+        "print(sorted(built.items()))\n"
+    )
+    out = run_fresh(code)
+    assert out.stdout.strip() == "[(1, 1), (5, 1), (17, 1), (21, 1), (23, 1), (31, 1)]", out.stderr
 
 
 def test_two_rank_is_checked_at_construction_under_optimize(run_optimized):

@@ -357,6 +357,34 @@ def test_compare_ap_rejects_a_system_name_that_is_not_a_string(capsys, tmp_path)
     assert err == "error: the name of system 0 at level 7.2 must be a string, not list\n"
 
 
+@pytest.mark.parametrize("content", ["5", "null"])
+def test_compare_ap_rejects_an_eigensystem_file_that_is_not_an_object(capsys, tmp_path, content):
+    path = tmp_path / "eigensystem.json"
+    path.write_text(content)
+    code, _, err = run_cli(
+        capsys, "compare-ap", "--field", "17", "--eigensystem", str(path),
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2
+    assert err.startswith("error: an eigensystem file must be an object, not ")
+
+
+def test_a_second_oracle_row_for_one_operator_is_an_error(capsys, tmp_path):
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    path = target / "oracle_2.1.json"
+    data = json.loads(path.read_text())
+    data["values"].append({"aa": "3.1", "t": "9.1", "value": "7"})
+    path.write_text(json.dumps(data))
+    message = "two oracle rows for T(3.1,3.1)*T(9.1)"
+    code, _, err = run_cli(
+        capsys, "recover", "--field", "17", "--bound", "13", "--oracle", str(path)
+    )
+    assert code == 2 and err == f"error: {message}\n"
+    code, _, err = run_cli(capsys, "verify", "--bundle", str(target))
+    assert code == 2 and err.startswith(f"schema error: {message}")
+
+
 def test_verify_output_is_deterministic(capsys):
     args = ("verify", "--check", "class-groups", "--check", "dimension-table",
             "--check", "structure-detectors")

@@ -1,5 +1,4 @@
 import random
-import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -48,12 +47,6 @@ from iqhecke.quadfield import (
     unit_ideal,
 )
 from iqhecke.verify import random_eigensystem
-
-
-def orbit_quiet(F):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return twist_orbit(F)
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +200,8 @@ def test_twist_composition_property(bundle, G17):
 
 
 def test_twist_orbit_sizes(bundle, F0):
-    assert len(orbit_quiet(F0)) == 4
-    assert len(orbit_quiet(bundle.system("64.1", "selftwist"))) == 2
+    assert len(twist_orbit(F0)) == 4
+    assert len(twist_orbit(bundle.system("64.1", "selftwist"))) == 2
     # class number 1: a one-element orbit
     g = compute_class_group(make_field(1))
     alpha = {
@@ -218,7 +211,7 @@ def test_twist_orbit_sizes(bundle, F0):
     F = make_eigensystem(
         g, unit_ideal(g.field), ClassCharacter(()), alpha, {}
     )
-    assert len(orbit_quiet(F)) == 1
+    assert len(twist_orbit(F)) == 1
 
 
 def test_character_orbit_is_square_coset(bundle, G17):
@@ -227,7 +220,7 @@ def test_character_orbit_is_square_coset(bundle, G17):
     }
     for level, table in bundle.eigensystem_tables.items():
         for F in table.values():
-            orbit_chars = {H.character for H in orbit_quiet(F)}
+            orbit_chars = {H.character for H in twist_orbit(F)}
             coset = {G17.mul(F.character, s) for s in squares}
             assert orbit_chars == coset
             assert len(coset) == len(squares)
@@ -236,7 +229,7 @@ def test_character_orbit_is_square_coset(bundle, G17):
 def test_orbit_size_divides_h_with_selftwist_stabilizer(bundle, G17):
     for level, table in bundle.eigensystem_tables.items():
         for F in table.values():
-            orbit = orbit_quiet(F)
+            orbit = twist_orbit(F)
             assert G17.h % len(orbit) == 0
             if len(orbit) < G17.h:
                 assert selftwist_status(F).status == "possible"

@@ -475,3 +475,11 @@ def test_hnf_invariants_enforced(K17):
         Ideal(K17, 4, 1, 2)  # c does not divide b
     with pytest.raises(QuadFieldError, match="omega-closed"):
         Ideal(K17, 5, 1, 1)  # 5 does not divide N(1 + omega) = 18
+
+
+@pytest.mark.parametrize("lab", ["03.1", "3.01", "+3.1", " 3.1", "3.1 ", "\u0663.1", "1_3.1"])
+def test_ideal_from_label_reads_only_the_written_spelling(K17, lab):
+    # each is an alias of a label of K17 that int() would accept
+    assert label(ideal_from_label(K17, "3.1")) == "3.1"
+    with pytest.raises(QuadFieldError, match="bad ideal label"):
+        ideal_from_label(K17, lab)

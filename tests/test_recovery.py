@@ -1,7 +1,6 @@
 import json
 import random
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -32,12 +31,6 @@ from iqhecke.recovery import (
 )
 from iqhecke.verify import random_eigensystem, run_checks
 from reference_search import first_ideal
-
-
-def orbit_quiet(F):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return twist_orbit(F)
 
 
 def load_oracle(G17):
@@ -162,7 +155,7 @@ def test_16_1_round_trip(bundle, G17):
     for name in ["F1", "F2", "F4", "F6"]:
         F = bundle.system("16.1", name)
         res = recover(SyntheticOracle(F), G17, F.level, bound=17)
-        orbit = orbit_quiet(F)
+        orbit = twist_orbit(F)
         assert any(systems_equal(res.system, H) for H in orbit)
         assert res.system.character in (ClassCharacter((1,)), ClassCharacter((3,)))
 
@@ -171,7 +164,7 @@ def test_sign_flip_lands_in_same_orbit(bundle, G17):
     F0 = bundle.system("2.1", "F0")
     res_a = recover(SyntheticOracle(F0), G17, F0.level, bound=25)
     res_b = recover(SyntheticOracle(F0), G17, F0.level, bound=25, sign_flip=True)
-    orbit = orbit_quiet(F0)
+    orbit = twist_orbit(F0)
     assert any(systems_equal(res_a.system, H) for H in orbit)
     assert any(systems_equal(res_b.system, H) for H in orbit)
     assert not systems_equal(res_a.system, res_b.system)
@@ -186,7 +179,7 @@ def test_round_trip_at_wide_sign_tables(d, sign_flip):
         F = random_eigensystem(g, rng, 200)
         res = recover(SyntheticOracle(F), g, F.level, 200, sign_flip=sign_flip, on_missing="skip")
         assert not res.alpha_gaps
-        assert any(systems_equal(res.system, H) for H in orbit_quiet(F))
+        assert any(systems_equal(res.system, H) for H in twist_orbit(F))
 
 
 def test_sign_table_doubles_and_caps():
@@ -252,7 +245,7 @@ def test_selftwist_pattern_round_trip(bundle, G17):
     assert res.system.character.is_trivial()
     assert not res.alpha_gaps
     assert res.al_incomplete  # the fixture carries no involution signs
-    orbit = orbit_quiet(restricted)
+    orbit = twist_orbit(restricted)
     assert len(orbit) == 2
     assert any(systems_equal(res.system, H) for H in orbit)
     amap = res.system.alpha_map()
