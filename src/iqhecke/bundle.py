@@ -1,14 +1,15 @@
 """Every iqhecke file format, and the shipped fixture bundle.
 
 This module alone reads and writes JSON (value fields, eigensystems and their
-tables, oracle files, characters, dimension rows and curves); files name
-ideals by their ``N.i`` label.  A bundle directory holds the field descriptor with its
-class-group pin, the eigensystem tables, the principal-operator oracle files,
-the newspace dimension table, the Hecke-field table, and elliptic-curve a_p
-lists.  Every file is schema-checked at load time, all ideal labels are
-resolved eagerly, and the newform records that tie the dimension table to the
-self-twist records and the Hecke-field table are built there too, so a broken
-bundle fails fast.
+tables, oracle files, characters, dimension rows and curves), for a bundle and
+for the command line; files name ideals by their ``N.i`` label.  ``read_json``
+parses every file and ``_get`` reads every key, so a malformed file raises a
+``ValueError``, never a ``KeyError`` or ``TypeError``.  A bundle directory
+holds the field descriptor with its class-group pin, the eigensystem tables,
+the principal-operator oracle files, the newspace dimension table, the
+Hecke-field table, and elliptic-curve a_p lists, all checked at load time,
+with the newform records that tie the dimension table to the self-twist
+records and the Hecke-field table, so a broken bundle fails fast.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from pathlib import Path
 from . import algext
 from .algext import ValueField
 from .characters import ClassCharacter, quadratic_characters
-from .classgroup import BQForm, ClassGroup, compute_class_group
+from .classgroup import ClassGroup, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
-from .eigensystem import EigensystemError, HeckeEigensystem, make_eigensystem
+from .eigensystem import HeckeEigensystem, make_eigensystem
 from .quadfield import (
     FACTOR_LABEL_DISCS,
     Ideal,
@@ -33,7 +34,7 @@ from .quadfield import (
     label,
     make_field,
 )
-from .recovery import FixtureOracle, RecoveryError, make_principal_operator
+from .recovery import FixtureOracle, make_principal_operator
 
 
 class BundleError(ValueError):
@@ -43,12 +44,41 @@ class BundleError(ValueError):
 DEFAULT_BUNDLE_DIR = Path(__file__).parent / "data"
 
 
-def _checked(value, kind: type, what: str):
-    """value, if it is a JSON object (kind dict), list (kind list) or string (kind str)."""
-    if not isinstance(value, kind):
-        shape = {dict: "an object", list: "a list", str: "a string"}[kind]
+_SHAPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", None: "null"}
+
+
+def _checked(value, kind, what: str):
+    """value, if its JSON kind is kind or in the tuple kind: dict, list, str,
+    int (a boolean is no int) or None for null; object admits any value."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if object not in kinds and (None if value is None else type(value)) not in kinds:
+        shape = " or ".join(_SHAPES[k] for k in kinds)
         raise BundleError(f"{what} must be {shape}, not {type(value).__name__}")
     return value
+
+
+def _get(data: dict, key: str, kind, what: str, default=...):
+    """data[key], checked to be of kind, or default if key is absent (an error without one)."""
+    if key in data:
+        return _checked(data[key], kind, what)
+    if default is ...:
+        raise BundleError(f"no {what}")
+    return default
+
+
+def _check_field_disc(data: dict, disc: int, what: str) -> None:
+    """A file that names a field_disc must name disc."""
+    named = _get(data, "field_disc", (int, None), f"field_disc of {what}", None)
+    if named not in (None, disc):
+        raise BundleError(f"{what} is for discriminant {named}, not {disc}")
+
+
+def read_json(path: Path | str):
+    """The JSON value in the file at path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise BundleError(f"{path} is not JSON: {exc}") from None
 
 
 def value_field_to_json(f: ValueField) -> dict:
@@ -76,12 +106,10 @@ def _rational(c, what: str) -> Fraction:
 
 def value_field_from_json(data) -> ValueField:
     _checked(data, dict, "a value field")
-    minpoly = [
-        _rational(c, "minpoly") for c in _checked(data.get("minpoly", [0, 1]), list, "minpoly")
-    ]
+    minpoly = [_rational(c, "minpoly") for c in _get(data, "minpoly", list, "minpoly", [0, 1])]
     adjoined = [
         [_rational(c, "adjoined") for c in r] if isinstance(r, list) else _rational(r, "adjoined")
-        for r in _checked(data.get("adjoined", []), list, "adjoined")
+        for r in _get(data, "adjoined", list, "adjoined", [])
     ]
     return algext.make_value_field(minpoly, adjoined)
 
@@ -90,7 +118,7 @@ def character_from_json(group: ClassGroup, exps: list[int]) -> ClassCharacter:
     if any(type(e) is not int for e in _checked(exps, list, "character exponents")):
         raise BundleError(f"character exponents {exps} must be integers")
     if len(exps) != len(group.elementary_divisors):
-        raise ValueError(f"character exponents {exps} do not fit the class group")
+        raise BundleError(f"character exponents {exps} do not fit the class group")
     return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
 
 
@@ -111,30 +139,26 @@ def eigensystem_to_json(F: HeckeEigensystem) -> dict:
 
 
 def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
-    if _checked(data, dict, "an eigensystem").get("field_disc") not in (None, group.field.disc):
-        raise EigensystemError(
-            f"fixture is for discriminant {data['field_disc']}, not {group.field.disc}"
-        )
-    f = value_field_from_json(data.get("field", {}))
-    level = ideal_from_label(group.field, data["level"])
-    at = f"at level {data['level']}"
+    _check_field_disc(_checked(data, dict, "an eigensystem"), group.field.disc, "eigensystem")
+    f = value_field_from_json(_get(data, "field", dict, "a value field", {}))
+    lev = _get(data, "level", object, "level of an eigensystem")
+    level = ideal_from_label(group.field, lev)
+    at = f"at level {lev}"
     chi = character_from_json(
         group, data.get("character", [0] * len(group.elementary_divisors))
     )
     alpha = {
         ideal_from_label(group.field, lab): algext.parse_value(f, text)
-        for lab, text in _checked(data.get("alpha", {}), dict, f"alpha {at}").items()
+        for lab, text in _get(data, "alpha", dict, f"alpha {at}").items()
     }
-    al = data.get("al")
-    if al is not None and any(
-        type(s) is not int for s in _checked(al, dict, f"involution signs {at}").values()
-    ):
+    al = _get(data, "al", (dict, None), f"involution signs {at}", None)
+    if al is not None and any(type(s) is not int for s in al.values()):
         raise BundleError(f"involution signs {al} must be the integers 1 or -1")
     al_map = None if al is None else {ideal_from_label(group.field, q): s for q, s in al.items()}
-    cands = None
-    st = data.get("selftwist")
-    if isinstance(st, dict) and "possible" in st:
-        cands = [character_from_json(group, e) for e in _checked(st["possible"], list, "possible")]
+    st = _get(data, "selftwist", (dict, None), f"selftwist {at}", None)
+    cands = None if st is None else _get(st, "possible", list, "possible", None)
+    if cands is not None:
+        cands = [character_from_json(group, e) for e in cands]
         # a self-twist psi has psi^2 = 1 and is not the trivial character
         if any(c.is_trivial() or not group.power(c, 2).is_trivial() for c in cands):
             raise BundleError(
@@ -149,15 +173,15 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
     """Read a table file {"field_disc", "level", "systems": [{"name", ...}]}:
     each row is an eigensystem at the table's level, keyed by its name."""
     table: dict[str, HeckeEigensystem] = {}
-    rows = _checked(data, dict, "an eigensystem table").get("systems", [])
-    at = f"at level {data.get('level')}"
-    for i, row in enumerate(_checked(rows, list, f"systems {at}")):
-        name = _checked(row, dict, f"system {i} {at}").get("name", str(len(table)))
-        _checked(name, str, f"the name of system {i} {at}")
+    lev = _get(_checked(data, dict, "an eigensystem table"), "level", object, "table level")
+    at = f"at level {lev}"
+    for i, row in enumerate(_get(data, "systems", list, f"systems {at}", [])):
+        _checked(row, dict, f"system {i} {at}")
+        name = _get(row, "name", str, f"the name of system {i} {at}", str(len(table)))
         if name in table:
             raise BundleError(f"two systems named {name!r} {at}")
         table[name] = eigensystem_from_json(
-            group, {**row, "level": data["level"], "field_disc": data.get("field_disc")}
+            group, {**row, "level": lev, "field_disc": data.get("field_disc")}
         )
     return table
 
@@ -171,29 +195,26 @@ def system_from_json(group: ClassGroup, data, name: str | None = None) -> HeckeE
     if name is None and systems:
         return next(iter(systems.values()))
     if name not in systems:
-        raise BundleError(f"no system named {name!r} at level {data.get('level')}")
+        raise BundleError(f"no system named {name!r} at level {data['level']}")
     return systems[name]
 
 
 def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOracle, Ideal]:
     """Read {"field_disc", "level", "field", "values": [{aa,t,w,value}]}."""
-    if _checked(data, dict, "an oracle file").get("field_disc") not in (None, group.field.disc):
-        raise RecoveryError("oracle fixture is for a different field")
-    level = ideal_from_label(group.field, data["level"])
-    f = value_field_from_json(data.get("field", {}))
+    _check_field_disc(_checked(data, dict, "an oracle file"), group.field.disc, "oracle file")
+    level = ideal_from_label(group.field, _get(data, "level", object, "level of an oracle file"))
+    f = value_field_from_json(_get(data, "field", dict, "a value field", {}))
     mapping = {}
-    for i, row in enumerate(_checked(data["values"], list, "oracle values")):
+    for i, row in enumerate(_get(data, "values", list, "oracle values")):
         _checked(row, dict, f"oracle row {i}")
+        labels = [_get(row, k, object, f"{k} in oracle row {i}", None) for k in ("aa", "t", "w")]
         op = make_principal_operator(
-            group,
-            level,
-            aa=ideal_from_label(group.field, row["aa"]) if row.get("aa") else None,
-            t=ideal_from_label(group.field, row["t"]) if row.get("t") else None,
-            w=ideal_from_label(group.field, row["w"]) if row.get("w") else None,
+            group, level, *(None if x is None else ideal_from_label(group.field, x) for x in labels)
         )
         if op in mapping:
             raise BundleError(f"two oracle rows for {op}")
-        mapping[op] = algext.parse_value(f, str(row["value"]))
+        value = str(_get(row, "value", (str, int), f"value in oracle row {i}"))
+        mapping[op] = algext.parse_value(f, value)
     return FixtureOracle(mapping), level
 
 
@@ -202,33 +223,31 @@ def curve_from_json(K: QuadField, data) -> dict:
     "bad_primes": {label: {"ap": a, "reduction": ...}}} and return it: every
     label names an ideal of K, every a_p and bad-prime a is an integer, and
     every bad prime divides the conductor."""
-    if not isinstance(data, dict) or not isinstance(data.get("conductor"), str):
-        raise BundleError("a curve file is an object with a conductor label")
-    if data.get("field_disc") not in (None, K.disc):
-        raise BundleError(f"curve is for discriminant {data['field_disc']}, not {K.disc}")
-    conductor = ideal_from_label(K, data["conductor"])
-    ap, bad = data.get("ap", {}), data.get("bad_primes", {})
-    if not isinstance(ap, dict) or not isinstance(bad, dict):
-        raise BundleError("curve 'ap' and 'bad_primes' must be objects keyed by prime label")
-    for lab, a in ap.items():
+    _check_field_disc(_checked(data, dict, "a curve file"), K.disc, "curve")
+    _get(data, "curve", str, "curve name", None)
+    conductor = ideal_from_label(K, _get(data, "conductor", object, "conductor label of a curve"))
+    for lab, a in _get(data, "ap", dict, "curve 'ap'", {}).items():
         if type(a) is not int:
             raise BundleError(f"curve a_p at {lab} is {a!r}, not an integer")
         ideal_from_label(K, lab)
-    for lab, rec in bad.items():
-        if not isinstance(rec, dict) or type(rec.get("ap")) is not int:
-            raise BundleError(f"bad prime {lab}: {rec!r} has no integer 'ap'")
+    for lab, rec in _get(data, "bad_primes", dict, "curve 'bad_primes'", {}).items():
+        _checked(rec, dict, f"bad prime {lab}")
+        _get(rec, "ap", int, f"integer 'ap' for bad prime {lab}")
         if coprime(ideal_from_label(K, lab), conductor):
             raise BundleError(f"bad prime {lab} does not divide the conductor {data['conductor']}")
     return data
 
 
-def dimension_row_from_json(data: dict) -> DimensionRow:
-    cols = [data.get(key, []) for key in ("Hplus", "Hminus", "chi0", "chi13")]
-    if type(data.get("nd")) is not int or not all(
-        isinstance(col, list) and all(type(x) is int for x in col) for col in cols
-    ):
-        raise BundleError(f"dimension row {data.get('level')}: nd and columns must be integers")
-    return DimensionRow(data["level"], data.get("conj"), data["nd"], *map(tuple, cols))
+def dimension_row_from_json(data, i: int) -> DimensionRow:
+    what = f"dimension row {i}"
+    lev = _get(_checked(data, dict, what), "level", object, f"level of {what}")
+    rule = f"(dimension row {lev}: nd and columns are integers)"
+    cols = [
+        tuple(_checked(x, int, f"{k} entry {rule}") for x in _get(data, k, list, f"{k} {rule}", []))
+        for k in ("Hplus", "Hminus", "chi0", "chi13")
+    ]
+    conj = _get(data, "conj", object, f"conj of dimension row {lev}", None)
+    return DimensionRow(lev, conj, _get(data, "nd", int, f"nd {rule}"), *cols)
 
 
 @dataclass
@@ -258,23 +277,24 @@ class FixtureBundle:
         data = self._read_one("field_*.json")
         if data is None:
             raise BundleError("bundle has no field descriptor")
-        K = make_field(data["d"])
-        if "disc" in data and data["disc"] != K.disc:
+        K = make_field(_get(data, "d", int, "d of the field descriptor"))
+        if _get(data, "disc", int, "disc of the field descriptor", K.disc) != K.disc:
             raise BundleError(f"field descriptor disc {data['disc']} != {K.disc}")
         ordering = "factor" if K.disc in FACTOR_LABEL_DISCS else "hnf"
-        if data.get("label_ordering", ordering) != ordering:
+        if _get(data, "label_ordering", str, "label_ordering", ordering) != ordering:
             raise BundleError(
                 f"label_ordering {data['label_ordering']!r} != {ordering!r} for disc {K.disc}"
             )
         group = compute_class_group(K)
-        pin = data.get("class_group")
-        if pin:
-            if _checked(pin, dict, "class_group").get("h") != group.h:
-                raise BundleError(f"class number pin {pin.get('h')} != computed {group.h}")
-            if tuple(pin.get("elementary_divisors", [])) != group.elementary_divisors:
+        pin = _get(data, "class_group", dict, "class_group", None)
+        if pin is not None:
+            if _get(pin, "h", int, "class number pin") != group.h:
+                raise BundleError(f"class number pin {pin['h']} != computed {group.h}")
+            divisors = _get(pin, "elementary_divisors", list, "elementary-divisor pin")
+            if tuple(divisors) != group.elementary_divisors:
                 raise BundleError("elementary-divisor pin does not match")
-            gens = [BQForm(*g) for g in pin.get("generators", [])]
-            if gens and tuple(gens) != group.generators:
+            gens = _get(pin, "generators", list, "generator pin", [])
+            if gens and gens != [[g.a, g.b, g.c] for g in group.generators]:
                 raise BundleError("generator pin does not match the computed group")
         return K, group
 
@@ -282,10 +302,11 @@ class FixtureBundle:
         out: dict[str, dict[str, HeckeEigensystem]] = {}
         for path in sorted(self.directory.glob("eigensystems_*.json")):
             data = self._read(path)
-            ideal_from_label(self.field, data["level"])
-            if data["level"] in out:
-                raise BundleError(f"two eigensystem files for level {data['level']}")
-            out[data["level"]] = systems_from_json(self.group, data)
+            level = _get(data, "level", object, f"level in {path.name}")
+            ideal_from_label(self.field, level)
+            if level in out:
+                raise BundleError(f"two eigensystem files for level {level}")
+            out[level] = systems_from_json(self.group, data)
         return out
 
     def _load_oracles(self) -> dict[str, tuple[FixtureOracle, Ideal]]:
@@ -307,8 +328,8 @@ class FixtureBundle:
                 f"elementary divisors {self.group.elementary_divisors}"
             )
         rows = [
-            dimension_row_from_json(_checked(r, dict, f"dimension row {i}"))
-            for i, r in enumerate(_checked(data.get("rows", []), list, "dimension rows"))
+            dimension_row_from_json(r, i)
+            for i, r in enumerate(_get(data, "rows", list, "dimension rows", []))
         ]
         seen = set()
         for row in rows:
@@ -318,23 +339,19 @@ class FixtureBundle:
             if row.level in seen:
                 raise BundleError(f"duplicate dimension row {row.level}")
             seen.add(row.level)
-        return rows, [self._selftwist_record(r) for r in data.get("selftwist_records", [])]
+        records = _get(data, "selftwist_records", list, "self-twist records", [])
+        return rows, [self._selftwist_record(i, r) for i, r in enumerate(records)]
 
-    def _selftwist_record(self, data) -> tuple[str, str, int, ClassCharacter]:
+    def _selftwist_record(self, i: int, data) -> tuple[str, str, int, ClassCharacter]:
         """(level, side, degree, character) from {"level", "side", "degree",
         "character"?}; without a character it is the one nontrivial quadratic."""
-        if (
-            not isinstance(data, dict)
-            or not isinstance(data.get("level"), str)
-            or data.get("side") not in ("plus", "minus")
-            or type(data.get("degree")) is not int
-        ):
-            raise BundleError(
-                f"self-twist record {data!r} needs a level label, side plus or minus "
-                "and an integer degree"
-            )
-        ideal_from_label(self.field, data["level"])
-        record = data["level"], data["side"], data["degree"]
+        what = f"self-twist record {i}"
+        level = _get(_checked(data, dict, what), "level", object, f"level of {what}")
+        ideal_from_label(self.field, level)
+        side = _get(data, "side", str, f"side plus or minus of {what}")
+        if side not in ("plus", "minus"):
+            raise BundleError(f"{what} needs side plus or minus, not {side!r}")
+        record = level, side, _get(data, "degree", int, f"integer degree of {what}")
         if "character" in data:
             return (*record, character_from_json(self.group, data["character"]))
         cands = [c for c in quadratic_characters(self.group) if not c.is_trivial()]
@@ -346,19 +363,23 @@ class FixtureBundle:
         data = self._read_one("hecke_fields_*.json", self.field.disc)
         if data is None:
             return None
-        rows = [
-            HeckeFieldRow(**_checked(r, dict, f"Hecke-field row {i}"))
-            for i, r in enumerate(_checked(data.get("rows", []), list, "Hecke-field rows"))
-        ]
-        for r in rows:
-            ideal_from_label(self.field, r.level)
-            if any(type(x) is not int for x in (r.index, r.kf_degree, r.kF_degree)):
-                raise BundleError(f"Hecke-field row {r.level}: index and degrees must be integers")
-            if r.kF_degree not in (r.kf_degree, 2 * r.kf_degree):
+        kinds = dict(level=object, index=int, kf=str, kf_degree=int, kF=str, kF_degree=int)
+        rows = []
+        for i, r in enumerate(_get(data, "rows", list, "Hecke-field rows", [])):
+            what = f"Hecke-field row {i}"
+            lev = _get(_checked(r, dict, what), "level", object, f"level of {what}")
+            ideal_from_label(self.field, lev)
+            rule = f"(Hecke-field row {lev}: index and degrees are integers, kf and kF strings)"
+            kw = {k: _get(r, k, kind, f"{k} {rule}") for k, kind in kinds.items()}
+            if len(r) > len(kw):
+                raise BundleError(f"Hecke-field row {lev} has keys besides {list(kw)}")
+            row = HeckeFieldRow(**kw)
+            if row.kF_degree not in (row.kf_degree, 2 * row.kf_degree):
                 raise BundleError(
-                    f"Hecke-field row {r.level}#{r.index}: degree {r.kF_degree} "
-                    f"is neither d nor 2d for d = {r.kf_degree}"
+                    f"Hecke-field row {lev}#{row.index}: degree {row.kF_degree} "
+                    f"is neither d nor 2d for d = {row.kf_degree}"
                 )
+            rows.append(row)
         return rows
 
     def _load_curves(self):
@@ -373,7 +394,7 @@ class FixtureBundle:
 
     @staticmethod
     def _read(path: Path) -> dict:
-        return _checked(json.loads(path.read_text()), dict, path.name)
+        return _checked(read_json(path), dict, path.name)
 
     def _read_one(self, pattern: str, disc: int | None = None):
         """The one file matching pattern, or None; its field_disc, if any, must be disc."""
@@ -381,17 +402,17 @@ class FixtureBundle:
         if len(paths) > 1:
             raise BundleError(f"two {pattern} files: {paths[0].name} and {paths[1].name}")
         data = self._read(paths[0]) if paths else None
-        if data and disc and data.get("field_disc") not in (None, disc):
-            raise BundleError(f"{paths[0].name} is for discriminant {data['field_disc']}")
+        if data is not None and disc is not None:
+            _check_field_disc(data, disc, paths[0].name)
         return data
 
     # -- derived views ------------------------------------------------------
 
     def system(self, level: str, name: str) -> HeckeEigensystem:
-        try:
-            return self.eigensystem_tables[level][name]
-        except KeyError:
+        F = self.eigensystem_tables.get(level, {}).get(name)
+        if F is None:
             raise BundleError(f"no eigensystem {name!r} at level {level}")
+        return F
 
     def newform_records(self) -> list[NewformRecord]:
         """Records for every dimension-table row, with shapes pinned from the

@@ -1,7 +1,8 @@
 """Command-line surface: field reports, eigensystem recovery, regression
-verification, and the a_p comparison report.
+verification, and the a_p comparison report; ``bundle`` reads every input.
 
-Exit codes: 0 success, 1 check or comparison failure, 2 schema/input error.
+Exit codes: 0 success, 1 check or comparison failure, 2 input error: any OSError
+or ValueError a command raises, which ``main`` prints as one line.
 """
 
 from __future__ import annotations
@@ -15,22 +16,19 @@ from pathlib import Path
 from . import algext
 from .bundle import (
     DEFAULT_BUNDLE_DIR,
+    BundleError,
     FixtureBundle,
     curve_from_json,
     eigensystem_to_json,
     fixture_oracle_from_json,
+    read_json,
     system_from_json,
 )
 from .characters import character_group, character_order, quadratic_characters
 from .classgroup import compute_class_group
-from .eigensystem import (
-    EigensystemError,
-    hecke_field_report,
-    selftwist_status,
-    twist_orbit,
-)
-from .quadfield import QuadFieldError, label, make_field
-from .recovery import RecoveryError, recover
+from .eigensystem import hecke_field_report, selftwist_status, twist_orbit
+from .quadfield import label, make_field
+from .recovery import recover
 from .verify import ALL_CHECKS, compare_ap, run_checks
 
 
@@ -42,11 +40,7 @@ def _bundle_dir(args) -> Path:
 
 
 def cmd_field(args) -> int:
-    try:
-        K = make_field(args.d)
-    except QuadFieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    K = make_field(args.d)
     group = compute_class_group(K)
     chars = character_group(group)
     if args.json:
@@ -106,25 +100,12 @@ def _print_system(F):
 
 
 def cmd_recover(args) -> int:
-    try:
-        K = make_field(args.field)
-        group = compute_class_group(K)
-        data = json.loads(Path(args.oracle).read_text())
-        oracle, level = fixture_oracle_from_json(group, data)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    group = compute_class_group(make_field(args.field))
+    oracle, level = fixture_oracle_from_json(group, read_json(args.oracle))
     if args.level and label(level) != args.level:
-        print(
-            f"error: oracle file is for level {label(level)}, not {args.level}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        res = recover(oracle, group, level, bound=args.bound, on_missing="skip")
-    except (RecoveryError, algext.AlgebraError, EigensystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise BundleError(f"oracle file is for level {label(level)}, not {args.level}")
+    # under "skip" an oracle gap is recorded, so only ValueErrors escape
+    res = recover(oracle, group, level, bound=args.bound, on_missing="skip")
     if args.json:
         out = eigensystem_to_json(res.system)
         out["alpha_gaps"] = {label(p): str(op) for p, op in res.alpha_gaps}
@@ -143,12 +124,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        bundle = FixtureBundle(_bundle_dir(args))
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    results = run_checks(bundle, args.check or None)
+    results = run_checks(FixtureBundle(_bundle_dir(args)), args.check or None)
     if args.json:
         payload = [
             {
@@ -168,14 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare_ap(args) -> int:
-    try:
-        K = make_field(args.field)
-        group = compute_class_group(K)
-        F = system_from_json(group, json.loads(Path(args.eigensystem).read_text()), args.name)
-        curve = curve_from_json(K, json.loads(Path(args.curve).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    K = make_field(args.field)
+    F = system_from_json(compute_class_group(K), read_json(args.eigensystem), args.name)
+    curve = curve_from_json(K, read_json(args.curve))
     cmp = compare_ap(F, curve, bound=args.bound)
     if args.json:
         print(
@@ -260,7 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        prefix = "schema error" if args.command == "verify" else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -545,8 +545,10 @@ class ApComparison:
 def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> ApComparison:
     """Compare stored eigenvalues against a curve's traces of Frobenius, and
     the involution sign against the curve's local data at the bad prime; the
-    curve is a record as ``bundle.curve_from_json`` checks it."""
-    K = F.group.field
+    curve is a record as ``bundle.curve_from_json`` checks it, of conductor F.level."""
+    K, conductor = F.group.field, curve["conductor"]
+    if ideal_from_label(K, conductor) != F.level:
+        raise EigensystemError(f"level {label(F.level)} is not the curve's conductor {conductor}")
     out = ApComparison()
     amap = F.alpha_map()
 

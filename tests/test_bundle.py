@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import shutil
@@ -180,8 +181,12 @@ def _string_involution_sign(target):
 
 
 def _write(name, data):
+    return _write_text(name, json.dumps(data))
+
+
+def _write_text(name, text):
     def breakage(target):
-        (target / name).write_text(json.dumps(data))
+        (target / name).write_text(text)
     return breakage
 
 
@@ -280,6 +285,31 @@ def _value_field(**field):
          "adjoined coefficient [2] must be a number or a fraction string"),
         (_edited("oracle_2.1.json", lambda d: d["field"].update(adjoined=[True])), BundleError,
          "adjoined coefficient True must be a number or a fraction string"),
+        (_edited("eigensystems_7.2.json", lambda d: d["systems"][0].pop("alpha")), BundleError,
+         "no alpha at level 7.2"),
+        (_edited("oracle_2.1.json", lambda d: d["values"][0].pop("value")), BundleError,
+         "no value in oracle row 0"),
+        (_edited("eigensystems_2.1.json", lambda d: d.pop("level")), BundleError,
+         "no level in eigensystems_2.1.json"),
+        (_edited("dimension_table_68.json", lambda d: d["rows"][1].pop("level")), BundleError,
+         "no level of dimension row 1"),
+        (_edited("hecke_fields_68.json", lambda d: d["rows"][0].pop("kf")), BundleError,
+         "no kf (Hecke-field row 2.1: "),
+        (_edited("hecke_fields_68.json", lambda d: d["rows"][0].update(kF=2)), BundleError,
+         "kF (Hecke-field row 2.1: index and degrees are integers, kf and kF strings) must be a "
+         "string, not int"),
+        (_edited("oracle_2.1.json", lambda d: d["values"][0].update(aa=[])), QuadFieldError,
+         "bad ideal label []"),
+        (_edited("eigensystems_64.1.json", lambda d: d["systems"][0].update(selftwist=5)),
+         BundleError, "selftwist at level 64.1 must be an object or null, not int"),
+        (_edited("field_68.json", lambda d: d.update(class_group=[])), BundleError,
+         "class_group must be an object, not list"),
+        (_edited("field_68.json", lambda d: d["class_group"].pop("h")), BundleError,
+         "no class number pin"),
+        (_edited("curve_7.2a2.json", lambda d: d.update(curve=5)), BundleError,
+         "curve name must be a string, not int"),
+        (_write_text("eigensystems_2.1.json", "[" * 100_000), BundleError,
+         "eigensystems_2.1.json is not JSON"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
@@ -290,7 +320,7 @@ def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, 
         FixtureBundle(target)
     assert main(["verify", "--bundle", str(target)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("schema error: ") and message in err
+    assert err.startswith("schema error: ") and message in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("d, disc", [(5, -20), (21, -84), (47, -47)])
@@ -316,8 +346,50 @@ def test_bundle_rejects_bad_json(tmp_path):
     target = tmp_path / "bundle"
     shutil.copytree(DEFAULT_BUNDLE_DIR, target)
     (target / "eigensystems_2.1.json").write_text("{not json")
-    with pytest.raises(Exception):
+    with pytest.raises(BundleError, match="eigensystems_2.1.json is not JSON"):
         FixtureBundle(target)
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key in node, taking the first two entries of each list."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node[:2]):
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DELETED = object()
+
+
+def _mutated(text, path, value):
+    """The data of the JSON text with its entry at path set to value, or deleted."""
+    data = json.loads(text)
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], data)
+    if value is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def test_every_mutation_of_a_shipped_file_loads_or_is_a_typed_error(tmp_path):
+    # each entry of each file, deleted or replaced by a value of every JSON
+    # type, next to the field descriptor alone so that each load is small
+    cases = 0
+    for path in sorted(DEFAULT_BUNDLE_DIR.glob("*.json")):
+        target = tmp_path / path.stem
+        target.mkdir()
+        shutil.copy(DEFAULT_BUNDLE_DIR / "field_68.json", target)
+        text = path.read_text()
+        for key_path in _key_paths(json.loads(text)):
+            for value in (_DELETED, None, 5, "x", [], {}, True, -1.5):
+                (target / path.name).write_text(json.dumps(_mutated(text, key_path, value)))
+                try:
+                    FixtureBundle(target)
+                except ValueError as exc:
+                    assert type(exc) is not ValueError, (path.name, key_path, value, exc)
+                cases += 1
+    assert cases == 2208
 
 
 def test_missing_directory():

@@ -65,12 +65,20 @@ def test_recover_reports_a_missing_character_probe(capsys, tmp_path):
     assert err.strip() == "error: the oracle has no value for the character probe T(9.1,9.1)"
 
 
-def test_recover_reports_an_oracle_file_of_the_wrong_shape(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({"level": "2.1", "values": 5}), "oracle values must be a list, not int"),
+        ("[" * 100_000, "oracle.json is not JSON"),
+    ],
+    ids=["values-not-a-list", "nested-too-deep"],
+)
+def test_recover_reports_an_oracle_file_of_the_wrong_shape(capsys, tmp_path, text, message):
     path = tmp_path / "oracle.json"
-    path.write_text(json.dumps({"level": "2.1", "values": 5}))
+    path.write_text(text)
     code, _, err = run_cli(capsys, "recover", "--field", "17", "--oracle", str(path))
     assert code == 2
-    assert err.strip() == "error: oracle values must be a list, not int"
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -309,6 +317,17 @@ def test_compare_ap_rejects_malformed_curve_files(capsys, tmp_path, breakage, me
     assert code == 2 and err.startswith("error: ") and message in err
 
 
+def test_compare_ap_rejects_a_curve_of_another_conductor(capsys):
+    # the level-2.1 system is no modular form of the conductor-7.2 curve: an input error
+    code, out, err = run_cli(
+        capsys, "compare-ap", "--field", "17",
+        "--eigensystem", str(DEFAULT_BUNDLE_DIR / "eigensystems_2.1.json"),
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: level 2.1 is not the curve's conductor 7.2\n"
+
+
 def test_compare_ap_only_absorbs_missing_signs(bundle, monkeypatch):
     F = bundle.system("7.2", "a")
     curve = bundle.curves["2.0.68.1-7.2-a2"]
@@ -327,7 +346,7 @@ def test_compare_ap_only_absorbs_missing_signs(bundle, monkeypatch):
 
 
 def test_compare_ap_reports_bad_primes_in_label_order(bundle):
-    curve = {"ap": {}, "bad_primes": {"11.1": {"ap": 1}, "2.1": {"ap": 1}}}
+    curve = {"conductor": "7.2", "ap": {}, "bad_primes": {"11.1": {"ap": 1}, "2.1": {"ap": 1}}}
     checks = verify.compare_ap(bundle.system("7.2", "a"), curve).bad_prime_checks
     assert [lab for lab, _, _ in checks] == ["2.1", "11.1"]
 
