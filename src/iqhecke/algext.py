@@ -19,16 +19,16 @@ gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
 ``with_radical`` is memoised per (tower, radicand vector), so its Kummer test
 runs once per pair.
 
-Square roots are exact.  A base square root comes from p-adic lifting at a
-split prime, bounded through the trace form of Q(theta), which
-``make_value_field`` therefore requires to be positive definite: the base is
-totally real.  It also requires an irreducible minimal polynomial, so the base
-is a field.  A root is adjoined only when its radicand is not already a
-square (Kummer theory: no product of the tower's radicands times it is a base
-square), so every tower the library builds is a field; ``make_value_field``
-builds exactly the tower it is given.  The embedding sends theta to the
-largest root of its minimal polynomial and gives every root its value, and
-``canonical_sign`` and ``lift`` follow it.
+Square roots are exact.  A base square root comes from p-adic lifting and
+interpolation at a split prime (``poly``), bounded through the trace form of
+Q(theta), which ``make_value_field`` therefore requires to be positive
+definite: the base is totally real.  It also requires an irreducible minimal
+polynomial, so the base is a field.  A root is adjoined only when its radicand
+is not already a square (Kummer theory: no product of the tower's radicands
+times it is a base square), so every tower the library builds is a field;
+``make_value_field`` builds exactly the tower it is given.  The embedding
+sends theta to the largest root of its minimal polynomial and gives every root
+its value, and ``canonical_sign`` and ``lift`` follow it.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, count, product
+from itertools import product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .quadfield import factor_int, is_rational_prime
+from . import poly
+from .quadfield import factor_int
 
 
 class AlgebraError(ValueError):
@@ -155,7 +156,7 @@ class ValueField:
     def _basis_values(self) -> tuple[complex, ...]:
         """Each basis element under the fixed embedding: theta goes to the
         largest root, sqrt(r) to the principal root."""
-        th = complex(_largest_root([float(c) for c in self.minpoly]))
+        th = complex(poly.largest_root([float(c) for c in self.minpoly]))
         powers = [th**k for k in range(self.base_degree)]
         radicals = [cmath.sqrt(sum(float(c) * p for c, p in zip(r, powers)))
                     for r in self.adjoined]
@@ -182,7 +183,7 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
     _tower(mp, ())._trace_form  # raises unless the base is totally real
-    if len(mp) > 2 and not _is_irreducible([int(c) for c in mp]):
+    if len(mp) > 2 and not poly.is_irreducible([int(c) for c in mp]):
         raise AlgebraError(f"minimal polynomial [{', '.join(map(str, mp))}] is reducible")
     deg = len(mp) - 1
     radicands = [_as_base_vec(deg, r) for r in adjoined]
@@ -331,14 +332,21 @@ def _base_mul(f: ValueField, u: BaseVec, v: BaseVec) -> BaseVec:
 
 
 def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
-    """Inverse of a nonzero element of Q(theta)."""
+    """Inverse of a nonzero element of Q(theta), by Gauss-Jordan elimination
+    over Q on [M | 1], M the multiplication matrix (column k is vec * theta^k)."""
     deg = f.base_degree
-    # column k of the multiplication matrix is vec * theta^k
-    cols = [_base_mul(f, vec, _unit_vec(deg, k)) for k in range(deg)]
-    sol = _solve_linear([[col[i] for col in cols] for i in range(deg)], _unit_vec(deg, 0))
-    if sol is None:
-        raise ZeroDivisionError("value is a zero divisor; tower is degenerate")
-    return tuple(sol)
+    cols = [_base_mul(f, vec, _unit_vec(deg, k)) for k in range(deg)] + [_unit_vec(deg, 0)]
+    m = [[col[i] for col in cols] for i in range(deg)]
+    for k in range(deg):
+        piv = next((r for r in range(k, deg) if m[r][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("value is a zero divisor; tower is degenerate")
+        inv = 1 / Fraction(m[piv][k])
+        m[piv], m[k] = m[k], [x * inv for x in m[piv]]  # swap, scaling the pivot row
+        for r in range(deg):
+            if r != k and (factor := m[r][k]):
+                m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
+    return tuple(m[r][deg] for r in range(deg))
 
 
 def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
@@ -355,24 +363,6 @@ def _merge(f: ValueField, v0: AlgValue, v1: AlgValue) -> AlgValue:
     """v0 + v1*sqrt(r) in f, for v0, v1 in the subtower without the last root."""
     return _value(f, [n * v1.den for n in v0.nums] + [n * v0.den for n in v1.nums],
                   v0.den * v1.den)
-
-
-def _solve_linear(mat, rhs):
-    """Exact Gaussian elimination over Q; None for singular systems."""
-    n = len(mat)
-    m = [list(row) + [r] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / Fraction(m[col][col])
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 # -- constructors ------------------------------------------------------------
@@ -508,72 +498,21 @@ def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
     e = disc * lcm(*(c.denominator for c in vec))
     t = tuple(int(c * e * e) for c in vec)
     mp = [int(c) for c in f.minpoly]
-    for p, xs in _split_primes(mp):
-        images = [_poly_eval(t, x) % p for x in xs]
+    for p, xs in poly.split_primes(mp):
+        images = [poly.evaluate(t, x) % p for x in xs]
         if all(images):
             break
     ys = [next((y for y in range(p) if y * y % p == tx), None) for tx in images]
     if None in ys:
         return None  # t is not a square mod p
-    m = p
-    while m * m <= 4 * bound * sum(map(mul, t, tr)):
-        m *= p
-    xs = [_hensel(mp, x, m) for x in xs]
-    ys = [_hensel([-_poly_eval(t, x), 0, 1], y, m) for x, y in zip(xs, ys)]
-    # the inverse Vandermonde matrix has denominators prod(x_i - x_j), units mod p
-    vander = [[Fraction(x) ** k for k in range(deg)] for x in xs]
-    cols = [[y * c.numerator * pow(c.denominator, -1, m) for c in
-             _solve_linear(vander, _unit_vec(deg, i))] for i, y in enumerate(ys)]
+    m, xs = poly.lift_roots(mp, p, xs, 4 * bound * sum(map(mul, t, tr)))
+    ys = [poly.hensel([-poly.evaluate(t, x), 0, 1], y, m) for x, y in zip(xs, ys)]
+    cols = [[y * c for c in li] for y, li in zip(ys, poly.lagrange_basis(xs, m))]
     for signs in product((1, -1), repeat=deg - 1):
         cand = [(sum(map(mul, (1,) + signs, row)) + m // 2) % m - m // 2 for row in zip(*cols)]
         if _base_mul(f, cand, cand) == t:
             return tuple(Fraction(c, e) for c in cand)
     return None
-
-
-def _split_primes(mp: list[int]):
-    """(p, roots of mp mod p) for each odd prime p, in increasing order, at
-    which the monic integer polynomial mp splits into distinct roots."""
-    for p in count(3, 2):
-        if is_rational_prime(p):
-            xs = [x for x in range(p) if _poly_eval(mp, x) % p == 0]
-            if len(xs) == len(mp) - 1:
-                yield p, xs
-
-
-def _is_irreducible(mp: list[int]) -> bool:
-    """Whether the monic integer polynomial mp is irreducible over Q.  A monic
-    factor of degree k <= deg/2 has integer coefficients (Gauss) of absolute
-    value at most (1 + C)^k, C = 1 + max|c_i| the Cauchy bound on the roots,
-    so it is the product of x - x_i over k roots x_i of mp, lifted mod
-    m > 2(1 + C)^k at a split prime and read with symmetric residues."""
-    deg = len(mp) - 1
-    p, xs = next(_split_primes(mp))
-    m = p
-    while m <= 2 * (2 + max(map(abs, mp[:-1]))) ** (deg // 2):
-        m *= p
-    xs = [_hensel(mp, x, m) for x in xs]
-    for k in range(1, deg // 2 + 1):
-        for roots in combinations(xs, k):
-            g = [1]
-            for x in roots:
-                g = [(a - x * b) % m for a, b in zip([0] + g, g + [0])]
-            g = [(c + m // 2) % m - m // 2 for c in g]
-            rem = list(mp)  # long division by the monic g
-            for i in range(deg - k, -1, -1):
-                rem[i:i + k + 1] = [r - rem[i + k] * c for r, c in zip(rem[i:i + k + 1], g)]
-            if not any(rem):
-                return False
-    return True
-
-
-def _hensel(g: list[int], x: int, m: int) -> int:
-    """The root mod m of the integer polynomial g above its simple root x mod
-    p, by Newton steps, each of which doubles the p-adic precision."""
-    dg = [k * c for k, c in enumerate(g)][1:]
-    while _poly_eval(g, x) % m:
-        x = (x - _poly_eval(g, x) * pow(_poly_eval(dg, x), -1, m)) % m
-    return x
 
 
 def _base_root(f: ValueField, c: BaseVec) -> AlgValue | None:
@@ -659,25 +598,6 @@ def _with_radical(f: ValueField, vec: BaseVec) -> ValueField:
 
 
 # -- numeric embedding (root values, signs and rendering order) --------------
-
-
-def _largest_root(coeffs) -> float:
-    """The largest root of a monic real-rooted polynomial given constant-first,
-    by Newton's method from the Cauchy bound 1 + max|c_i|: right of the largest
-    root the polynomial is increasing and convex, so the iterates descend to it."""
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    x = 1 + max(map(abs, coeffs[:-1]))
-    while (nxt := x - _poly_eval(coeffs, x) / _poly_eval(deriv, x)) < x:
-        x = nxt
-    return x
-
-
-def _poly_eval(coeffs, x):
-    """The polynomial with coefficients constant-first at x, by Horner's rule."""
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def embed(v: AlgValue) -> complex:

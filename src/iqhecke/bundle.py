@@ -180,9 +180,10 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
         name = _get(row, "name", str, f"the name of system {i} {at}", str(len(table)))
         if name in table:
             raise BundleError(f"two systems named {name!r} {at}")
-        table[name] = eigensystem_from_json(
-            group, {**row, "level": lev, "field_disc": data.get("field_disc")}
-        )
+        named = {"field_disc": data.get("field_disc"), "level": lev}
+        if any(row.get(key, value) != value for key, value in named.items()):
+            raise BundleError(f"system {name!r} {at} differs from its table in field_disc or level")
+        table[name] = eigensystem_from_json(group, {**row, **named})
     return table
 
 
@@ -219,10 +220,10 @@ def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOrac
 
 
 def curve_from_json(K: QuadField, data) -> dict:
-    """Check a curve file {"curve", "conductor", "ap": {label: a_p},
-    "bad_primes": {label: {"ap": a, "reduction": ...}}} and return it: every
-    label names an ideal of K, every a_p and bad-prime a is an integer, and
-    every bad prime divides the conductor."""
+    """Check a curve file {"curve", "conductor", "ap": {label: a_p}, "bad_primes":
+    {label: {"ap": a, "reduction": "split", "nonsplit" or "additive"}}} and return
+    it: every label names an ideal of K, every a_p and bad-prime a is an integer,
+    and every bad prime divides the conductor."""
     _check_field_disc(_checked(data, dict, "a curve file"), K.disc, "curve")
     _get(data, "curve", str, "curve name", None)
     conductor = ideal_from_label(K, _get(data, "conductor", object, "conductor label of a curve"))
@@ -233,6 +234,9 @@ def curve_from_json(K: QuadField, data) -> dict:
     for lab, rec in _get(data, "bad_primes", dict, "curve 'bad_primes'", {}).items():
         _checked(rec, dict, f"bad prime {lab}")
         _get(rec, "ap", int, f"integer 'ap' for bad prime {lab}")
+        kind = _get(rec, "reduction", str, f"reduction of bad prime {lab}")
+        if kind not in ("split", "nonsplit", "additive"):
+            raise BundleError(f"reduction {kind!r} at {lab} is not split, nonsplit or additive")
         if coprime(ideal_from_label(K, lab), conductor):
             raise BundleError(f"bad prime {lab} does not divide the conductor {data['conductor']}")
     return data

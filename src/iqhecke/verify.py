@@ -576,8 +576,8 @@ def compare_ap(F: HeckeEigensystem, curve: dict, bound: int | None = None) -> Ap
         except EigensystemError:
             out.bad_prime_checks.append((lab, False, "no involution sign stored"))
             continue
-        ok = rec.get("ap") == eps
-        detail = f"eps={eps:+d}, curve a={rec.get('ap'):+d} ({rec.get('reduction')})"
+        ok = rec["ap"] == eps
+        detail = f"eps={eps:+d}, curve a={rec['ap']:+d} ({rec['reduction']})"
         out.bad_prime_checks.append((lab, ok, detail))
     return out
 

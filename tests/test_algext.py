@@ -256,6 +256,25 @@ def test_squares_with_large_coordinates_stay_in_the_base(f, text):
     assert sqrt_in_tower(-v) is None  # the base is totally real, so -w^2 is no square
 
 
+# Q(2cos(2pi/e)) for e = 7, 11, 13, 19: bases of degree 3, 5, 6 and 9
+REAL_CYCLOTOMIC_BASES = [[-1, -2, 1, 1], [1, 3, -3, -4, 1, 1], [-1, 3, 6, -4, -5, 1, 1],
+                         [1, 5, -10, -20, 15, 21, -7, -8, 1, 1]]
+
+
+@pytest.mark.parametrize("minpoly", REAL_CYCLOTOMIC_BASES, ids=["e7", "e11", "e13", "e19"])
+def test_wide_bases_have_exact_roots_and_inverses(minpoly):
+    f = make_value_field(minpoly=minpoly)
+    rng = random.Random(len(minpoly))
+    for _ in range(8):
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.base_degree))
+        if not any(x):
+            continue
+        square = algext._base_mul(f, x, x)
+        assert algext._base_sqrt(f, square) in (x, tuple(-c for c in x))
+        assert algext._base_sqrt(f, tuple(-c for c in square)) is None
+        assert algext._base_mul(f, algext._base_inv(f, x), x) == algext._unit_vec(f.base_degree, 0)
+
+
 def test_with_radical_is_one_tower_per_radicand_vector():
     # a list radicand and a tuple radicand name one memo entry and one tower
     f = QUAD_SQRT3.subfield()  # Q(sqrt2), base a = sqrt2

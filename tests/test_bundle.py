@@ -203,6 +203,14 @@ def _selftwist_candidates(possible):
     return breakage
 
 
+def _reduction(kind):
+    """Set the reduction at the curve's bad prime to kind, or drop it for None."""
+    def change(curve):
+        rec = curve["bad_primes"]["7.2"]
+        rec.pop("reduction") if kind is None else rec.update(reduction=kind)
+    return _edited("curve_7.2a2.json", change)
+
+
 def _character(exps):
     return _edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(character=exps))
 
@@ -308,6 +316,13 @@ def _value_field(**field):
          "no class number pin"),
         (_edited("curve_7.2a2.json", lambda d: d.update(curve=5)), BundleError,
          "curve name must be a string, not int"),
+        (_reduction([5]), BundleError, "reduction of bad prime 7.2 must be a string, not list"),
+        (_reduction("x"), BundleError, "reduction 'x' at 7.2 is not split, nonsplit or additive"),
+        (_reduction(None), BundleError, "no reduction of bad prime 7.2"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][1].update(field_disc=-20)),
+         BundleError, "system 'F1' at level 2.1 differs from its table in field_disc or level"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(level="3.1")),
+         BundleError, "system 'F0' at level 2.1 differs from its table in field_disc or level"),
         (_write_text("eigensystems_2.1.json", "[" * 100_000), BundleError,
          "eigensystems_2.1.json is not JSON"),
     ],

@@ -299,9 +299,13 @@ def _without_bad_prime_ap(curve):
         (_without_bad_prime_ap, "no integer 'ap'"),
         (lambda curve: curve["ap"].update({"3.1": "-2"}), "not an integer"),
         (lambda curve: curve["ap"].update({"3.9": 1}), "no ideal with label '3.9'"),
-        (lambda curve: curve["bad_primes"].update({"2.1": {"ap": 1}}), "does not divide"),
+        (lambda curve: curve["bad_primes"].update({"2.1": {"ap": 1, "reduction": "split"}}),
+         "does not divide"),
         (lambda curve: curve.pop("conductor"), "conductor"),
         (lambda curve: curve.update({"field_disc": -20}), "discriminant -20"),
+        (lambda curve: curve["bad_primes"]["7.2"].update(reduction=[5]), "must be a string"),
+        (lambda curve: curve["bad_primes"]["7.2"].update(reduction="x"), "is not split"),
+        (lambda curve: curve["bad_primes"]["7.2"].pop("reduction"), "no reduction"),
     ],
 )
 def test_compare_ap_rejects_malformed_curve_files(capsys, tmp_path, breakage, message):
