@@ -9,14 +9,14 @@ at index S*deg + k for a root bitmask S.  The last root owns the top bit, so
 v = v0 + v1*sqrt(r) with v0, v1 the two contiguous halves of ``nums``, in
 the subtower without it.  Inverses and square roots descend through that
 split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
-N = v0^2 - r*v1^2, down to Q(theta), whose elements are base vectors.
+N = v0^2 - r*v1^2, down to the root-free tower ``f.base``.
 
 Each tower memoises its structure constants (e_i*e_j as a sparse sum of
-integers over one denominator), those of Q(theta) for base vectors, and the
+integers over one denominator; Q(theta)'s in the root-free tower), and the
 complex value and name of each basis element, and each pair of towers its
 lift map, so products, lifts and automorphisms are one integer loop and one
 gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
-``with_radical`` is memoised per (tower, radicand vector), so its Kummer test
+``with_radical`` is memoised per (tower, radicand), so its Kummer test
 runs once per pair.
 
 Square roots are exact.  A base square root comes from p-adic lifting and
@@ -62,8 +62,13 @@ MAX_EXPONENT = 1000  # the largest product of nested exponents that parse_value 
 class ValueField:
     """Q(theta) with square roots of base elements; ``_tower`` keeps one object per tower."""
 
-    minpoly: tuple[Fraction, ...]  # monic, constant coefficient first
+    minpoly: tuple[int, ...]  # monic, constant coefficient first; (0, 1) for Q
     adjoined: tuple[BaseVec, ...]  # sorted; each of length deg(minpoly)
+
+    @cached_property
+    def base(self) -> "ValueField":
+        """Q(theta), the tower without roots: its values are the base elements."""
+        return _tower(self.minpoly, ())
 
     @property
     def base_degree(self) -> int:
@@ -90,38 +95,35 @@ class ValueField:
         return f"{base}({names})"
 
     @cached_property
-    def _radicand_products(self) -> tuple[BaseVec, ...]:
-        """prod_{j in S} r_j for every root subset S, by mask."""
-        out = [_unit_vec(self.base_degree, 0)]
+    def _radicand_products(self) -> tuple["AlgValue", ...]:
+        """The base values prod_{j in S} r_j for every root subset S, by mask."""
+        out = [one(self.base)]
         for r in self.adjoined:
-            out += [_base_mul(self, p, r) for p in out]
+            r = from_coeffs(self.base, r)
+            out += [p * r for p in out]
         return tuple(out)
 
     @cached_property
-    def _base_table(self) -> Table:
-        """Structure constants of Q(theta): theta^(a+b), reduced, at [a][b]."""
-        deg = self.base_degree
-        mp = [int(c) for c in self.minpoly]
-        powers = [_unit_vec(deg, k) for k in range(deg)]
-        for _ in range(deg - 1):
-            # theta^n = theta * theta^(n-1), where theta^deg = -(c_0 + c_1*theta + ...)
-            prev = powers[-1]
-            powers.append(tuple((prev[k - 1] if k else 0) - prev[-1] * mp[k] for k in range(deg)))
-        return tuple(tuple(_sparse(powers[a + b]) for b in range(deg)) for a in range(deg))
-
-    @cached_property
     def _table(self) -> tuple[Table, int]:
-        """Structure constants of the tower over one denominator: e_i*e_j at [i][j],
-        from theta^a sqrt(S) * theta^b sqrt(T) = theta^(a+b) r_{S&T} sqrt(S^T)."""
+        """e_i*e_j at [i][j] over one denominator: theta^(a+b), reduced, without
+        roots, and theta^a sqrt(S) * theta^b sqrt(T) = theta^(a+b) r_{S&T} sqrt(S^T)."""
         deg = self.base_degree
-        den = lcm(*(c.denominator for r in self._radicand_products for c in r))
-        radicands = [[c.numerator * (den // c.denominator) for c in r]
-                     for r in self._radicand_products]
         units = [_unit_vec(deg, k) for k in range(deg)]
+        if not self.adjoined:
+            powers = units[:]
+            for _ in range(deg - 1):
+                # theta^n = theta * theta^(n-1), where theta^deg = -(c_0 + c_1*theta + ...)
+                prev = powers[-1]
+                powers.append(tuple((prev[k - 1] if k else 0) - prev[-1] * self.minpoly[k]
+                                    for k in range(deg)))
+            return tuple(tuple(_sparse(powers[a + b]) for b in range(deg)) for a in range(deg)), 1
+        table = self.base._table[0]
+        den = lcm(*(p.den for p in self._radicand_products))
+        radicands = [[n * (den // p.den) for n in p.nums] for p in self._radicand_products]
         basis = [divmod(i, deg) for i in range(self.dim)]  # (S, a) at index S*deg + a
         return tuple(
             tuple(
-                _sparse(_base_mul(self, _base_mul(self, units[a], units[b]), radicands[s & t]),
+                _sparse(_product(_product(units[a], units[b], table), radicands[s & t], table),
                         (s ^ t) * deg)
                 for t, b in basis
             )
@@ -136,7 +138,7 @@ class ValueField:
         x = sum x_j theta^j (Cauchy-Schwarz).  By Hermite, T is positive
         definite, and Gauss-Jordan without row swaps meets only positive
         pivots, exactly when the base is totally real with distinct roots."""
-        deg, table = self.base_degree, self._base_table
+        deg, table = self.base_degree, self.base._table[0]
         tr = tuple(sum(c for a in range(deg) for k, c in table[i][a] if k == a) for i in range(deg))
         m = [[Fraction(sum(c * tr[i] for i, c in table[j][k])) for k in range(deg)]
              + list(_unit_vec(deg, j)) for j in range(deg)]
@@ -182,8 +184,9 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     mp = tuple(Fraction(c) for c in minpoly)
     if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
+    mp = (0, 1) if len(mp) == 2 else tuple(map(int, mp))  # every degree-1 base is Q
     _tower(mp, ())._trace_form  # raises unless the base is totally real
-    if len(mp) > 2 and not poly.is_irreducible([int(c) for c in mp]):
+    if len(mp) > 2 and not poly.is_irreducible(mp):
         raise AlgebraError(f"minimal polynomial [{', '.join(map(str, mp))}] is reducible")
     deg = len(mp) - 1
     radicands = [_as_base_vec(deg, r) for r in adjoined]
@@ -196,7 +199,7 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
 
 
 @lru_cache(maxsize=None)
-def _tower(minpoly: tuple[Fraction, ...], adjoined: tuple[BaseVec, ...]) -> ValueField:
+def _tower(minpoly: tuple[int, ...], adjoined: tuple[BaseVec, ...]) -> ValueField:
     return ValueField(minpoly, adjoined)
 
 
@@ -263,7 +266,7 @@ class AlgValue:
         if f.dim == 1:
             return _value(f, (self.den,), self.nums[0])
         if f.nroots == 0:
-            return from_coeffs(f, _base_inv(f, self.coeffs))
+            return _base_inv(self)
         # v is a unit exactly when its relative norm is a unit of the subtower
         v0, v1, r = _halves(self)
         try:
@@ -298,9 +301,8 @@ def from_coeffs(f: ValueField, coeffs) -> AlgValue:
     return _value(f, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
-def _product(u, v, table: Table) -> list:
-    """The product of two coefficient vectors through integer structure
-    constants; ints for int vectors (numerators), Fractions for base vectors."""
+def _product(u, v, table: Table) -> list[int]:
+    """The product of two integer vectors through integer structure constants."""
     acc = [0] * len(u)
     for a, row in zip(u, table):
         if a:
@@ -327,15 +329,12 @@ def _sparse(coeffs, lead: int = 0) -> Sparse:
     return tuple((lead + k, c) for k, c in enumerate(coeffs) if c)
 
 
-def _base_mul(f: ValueField, u: BaseVec, v: BaseVec) -> BaseVec:
-    return tuple(_product(u, v, f._base_table))
-
-
-def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
-    """Inverse of a nonzero element of Q(theta), by Gauss-Jordan elimination
-    over Q on [M | 1], M the multiplication matrix (column k is vec * theta^k)."""
-    deg = f.base_degree
-    cols = [_base_mul(f, vec, _unit_vec(deg, k)) for k in range(deg)] + [_unit_vec(deg, 0)]
+def _base_inv(v: AlgValue) -> AlgValue:
+    """Inverse of a nonzero base value nums/den: den * x, where Gauss-Jordan
+    elimination over Q on [M | 1] solves M x = 1 for the multiplication matrix
+    M of nums (column k is nums * theta^k)."""
+    deg, (table, _) = v.field.dim, v.field._table
+    cols = [_product(v.nums, _unit_vec(deg, k), table) for k in range(deg)] + [_unit_vec(deg, 0)]
     m = [[col[i] for col in cols] for i in range(deg)]
     for k in range(deg):
         piv = next((r for r in range(k, deg) if m[r][k]), None)
@@ -346,7 +345,7 @@ def _base_inv(f: ValueField, vec: BaseVec) -> BaseVec:
         for r in range(deg):
             if r != k and (factor := m[r][k]):
                 m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
-    return tuple(m[r][deg] for r in range(deg))
+    return from_coeffs(v.field, [m[r][deg] * v.den for r in range(deg)])
 
 
 def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
@@ -355,7 +354,7 @@ def _halves(v: AlgValue) -> tuple[AlgValue, AlgValue, AlgValue]:
     f = v.field
     sub = f.subfield()
     half = len(v.nums) // 2
-    r = from_base_vec(sub, f.adjoined[-1])
+    r = _place(sub, f._radicand_products[1 << (f.nroots - 1)])
     return _value(sub, v.nums[:half], v.den), _value(sub, v.nums[half:], v.den), r
 
 
@@ -393,17 +392,17 @@ def one(f: ValueField) -> AlgValue:
 def theta(f: ValueField) -> AlgValue:
     if f.base_degree < 2:
         raise AlgebraError("base field is Q; there is no generator")
-    return from_base_vec(f, _unit_vec(f.base_degree, 1))
+    return AlgValue(f, _unit_vec(f.dim, 1), 1)
 
 
 def adjoined_root(f: ValueField, j: int) -> AlgValue:
-    return from_base_vec(f, _unit_vec(f.base_degree, 0), 1 << j)
+    return AlgValue(f, _unit_vec(f.dim, f.base_degree << j), 1)
 
 
-def from_base_vec(f: ValueField, vec: BaseVec, mask: int = 0) -> AlgValue:
-    """The base element vec times prod_{j in mask} sqrt(r_j)."""
+def _place(f: ValueField, b: AlgValue, mask: int = 0) -> AlgValue:
+    """The base value b times prod_{j in mask} sqrt(r_j), in f."""
     lead = mask * f.base_degree
-    return from_coeffs(f, (0,) * lead + tuple(vec) + (0,) * (f.dim - lead - len(vec)))
+    return AlgValue(f, (0,) * lead + b.nums + (0,) * (f.dim - lead - len(b.nums)), b.den)
 
 
 # -- field embeddings ---------------------------------------------------------
@@ -436,13 +435,13 @@ def _lift_map(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], 
     """The image in target of each basis element of src, over one denominator:
     sqrt(r) goes to the square root of r in target with the same embedded value."""
     monomials = [one(target)]  # the images of the root products, by mask
-    for j, r in enumerate(src.adjoined):
-        w, z = sqrt_in_tower(from_base_vec(target, r)), embed(adjoined_root(src, j))
+    for j in range(src.nroots):
+        w, z = _base_root(target, src._radicand_products[1 << j]), embed(adjoined_root(src, j))
         if w is None:
             raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
         w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
         monomials += [m * w for m in monomials]
-    powers = [from_base_vec(target, _unit_vec(src.base_degree, k)) for k in range(src.base_degree)]
+    powers = [AlgValue(target, _unit_vec(target.dim, k), 1) for k in range(src.base_degree)]
     images = [p * m for m in monomials for p in powers]
     den = lcm(*(x.den for x in images))
     return tuple(_sparse([n * (den // x.den) for n in x.nums]) for x in images), den
@@ -474,66 +473,65 @@ def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
     return Fraction(isqrt(m // f), q.denominator), f
 
 
-def _base_sqrt(f: ValueField, vec: BaseVec) -> BaseVec | None:
-    """Exact square root of a base element, or None.
+def _base_sqrt(c: AlgValue) -> AlgValue | None:
+    """Exact square root of a base value, or None.
 
     A rational goes by integer square roots first; a base of odd degree holds
     no square root of a rational non-square, one of even degree may (sqrt2
     lies in Q(sqrt2 + sqrt3)).  Otherwise a root w scales to X = e*w in
-    Z[theta], e = disc * D with D the common denominator of vec, as (D*w)^2 is
+    Z[theta], e = disc * D with D the denominator of c, as (D*w)^2 is
     integral and disc * O_K lies in Z[theta].  At the least odd prime p where
     the minimal polynomial splits into distinct roots x_i and t = X^2 has unit
     images, X(x_i) = +-sqrt(t(x_i)); both lift by Newton's method to p^k past
     twice the bound on X's coordinates that Tr(X^2) = Tr(t) gives through the
     trace form, and the sign pattern that interpolates X squares to t exactly.
     """
-    deg = f.base_degree
-    if not any(vec[1:]):
-        r = _rational_sqrt(vec[0])
+    f, deg = c.field, c.field.dim
+    if c.is_rational():
+        r = _rational_sqrt(c.rational_value())
         if r is not None:
-            return _as_base_vec(deg, r)
+            return from_rational(f, r)
         if deg % 2:
             return None
     disc, bound, tr = f._trace_form
-    e = disc * lcm(*(c.denominator for c in vec))
-    t = tuple(int(c * e * e) for c in vec)
-    mp = [int(c) for c in f.minpoly]
-    for p, xs in poly.split_primes(mp):
+    e = disc * c.den
+    t = [n * disc * e for n in c.nums]  # c * e^2
+    for p, xs in poly.split_primes(f.minpoly):
         images = [poly.evaluate(t, x) % p for x in xs]
         if all(images):
             break
     ys = [next((y for y in range(p) if y * y % p == tx), None) for tx in images]
     if None in ys:
         return None  # t is not a square mod p
-    m, xs = poly.lift_roots(mp, p, xs, 4 * bound * sum(map(mul, t, tr)))
+    m, xs = poly.lift_roots(f.minpoly, p, xs, 4 * bound * sum(map(mul, t, tr)))
     ys = [poly.hensel([-poly.evaluate(t, x), 0, 1], y, m) for x, y in zip(xs, ys)]
     cols = [[y * c for c in li] for y, li in zip(ys, poly.lagrange_basis(xs, m))]
     for signs in product((1, -1), repeat=deg - 1):
         cand = [(sum(map(mul, (1,) + signs, row)) + m // 2) % m - m // 2 for row in zip(*cols)]
-        if _base_mul(f, cand, cand) == t:
-            return tuple(Fraction(c, e) for c in cand)
+        if _product(cand, cand, f._table[0]) == t:
+            return _value(f, cand, e)
     return None
 
 
-def _base_root(f: ValueField, c: BaseVec) -> AlgValue | None:
-    """A square root in f of the base element c, or None.  By Kummer theory f
+def _base_root(f: ValueField, c: AlgValue) -> AlgValue | None:
+    """A square root in f of the base value c, or None.  By Kummer theory f
     holds one exactly when c*P is a base square s^2 for a product P of its
     radicands, and then sqrt(c) = (s/P) * sqrt(P)."""
     for mask, p in enumerate(f._radicand_products):
-        s = _base_sqrt(f, _base_mul(f, c, p))
+        s = _base_sqrt(c * p if mask else c)
         if s is not None:
-            return from_base_vec(f, _base_mul(f, s, _base_inv(f, p)), mask)
+            return _place(f, s / p if mask else s, mask)
     return None
 
 
-def _square_class(v: AlgValue) -> tuple[BaseVec, AlgValue] | None:
+def _square_class(v: AlgValue) -> tuple[AlgValue, AlgValue] | None:
     """(c, u) with v = c*u^2, c in the base and u in v's tower; None when v
     has no such form.  Through the last root: with n^2 = v0^2 - r*v1^2 the
     element x = v + n has x^2 = 2v(v0 + n), so v = c*(x/(c*u))^2 once the
     subtower has 2(v0 + n) = c*u^2."""
     f = v.field
     if f.nroots == 0:
-        return v.coeffs, one(f)
+        return v, one(f)
     v0, v1, r = _halves(v)
     sub = v0.field
     if v1.is_zero():
@@ -548,7 +546,7 @@ def _square_class(v: AlgValue) -> tuple[BaseVec, AlgValue] | None:
     if found is None:
         return None
     c, u = found
-    return c, _merge(f, v0 + n, v1) / _merge(f, from_base_vec(sub, c) * u, zero(sub))
+    return c, _merge(f, v0 + n, v1) / _merge(f, _place(sub, c) * u, zero(sub))
 
 
 def sqrt_in_tower(v: AlgValue) -> AlgValue | None:
@@ -572,11 +570,12 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
     root = _base_root(f, c)
     if root is None:
         classes = [
-            squarefree_part(cp[0])[1]
-            for cp in (_base_mul(f, c, p) for p in f._radicand_products)
-            if not any(cp[1:])
+            squarefree_part(cp.rational_value())[1]
+            for cp in (c * p for p in f._radicand_products)
+            if cp.is_rational()
         ]
-        f = with_radical(f, min(classes, key=lambda q: (abs(q), q < 0)) if classes else c)
+        f = _with_radical(f, from_rational(f.base, min(classes, key=lambda q: (abs(q), q < 0)))
+                          if classes else c)
         root, u = _base_root(f, c), lift(u, f)
     return canonical_sign(root * u), f
 
@@ -584,17 +583,17 @@ def sqrt_or_adjoin(v: AlgValue) -> tuple[AlgValue, ValueField]:
 def with_radical(f: ValueField, q) -> ValueField:
     """f with sqrt(q) adjoined, or f itself when q is already a square in f;
     q is a base element, and a rational q is adjoined by its squarefree class.
-    Memoised per (tower, radicand vector), as towers are interned."""
-    return _with_radical(f, _as_base_vec(f.base_degree, q))
+    Memoised per (tower, radicand), as towers are interned."""
+    return _with_radical(f, from_coeffs(f.base, _as_base_vec(f.base_degree, q)))
 
 
 @lru_cache(maxsize=None)
-def _with_radical(f: ValueField, vec: BaseVec) -> ValueField:
-    if vec in f.adjoined or _base_root(f, vec) is not None:
+def _with_radical(f: ValueField, c: AlgValue) -> ValueField:
+    if c.coeffs in f.adjoined or _base_root(f, c) is not None:
         return f
-    if not any(vec[1:]):
-        vec = _as_base_vec(f.base_degree, squarefree_part(vec[0])[1])
-    return _tower(f.minpoly, tuple(sorted(f.adjoined + (vec,))))
+    if c.is_rational():
+        c = from_rational(f.base, squarefree_part(c.rational_value())[1])
+    return _tower(f.minpoly, tuple(sorted(f.adjoined + (c.coeffs,))))
 
 
 # -- numeric embedding (root values, signs and rendering order) --------------
@@ -664,7 +663,7 @@ def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
     # theta' = -c1 - theta for a monic quadratic x^2 + c1 x + c0
     if f.base_degree != 2:
         raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
-    c1 = int(f.minpoly[1])
+    c1 = f.minpoly[1]
     x, y = vec
     return (x - c1 * y, -y)
 

@@ -2,6 +2,7 @@
 roots mod p, Hensel lifting and interpolation mod p^k (Cohen, GTM 138, sec.
 3.4-3.5; von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5 and 15)."""
 
+from fractions import Fraction
 from itertools import combinations, count
 
 from .quadfield import is_rational_prime
@@ -15,9 +16,10 @@ def evaluate(coeffs, x):
     return out
 
 
-def split_primes(mp: list[int]):
+def split_primes(mp):
     """(p, roots of mp mod p) for each odd prime p, in increasing order, at
-    which the monic integer polynomial mp splits into distinct roots."""
+    which the monic integer polynomial mp splits into distinct roots; none
+    does when mp has a repeated root (see ``is_squarefree``)."""
     for p in count(3, 2):
         if is_rational_prime(p):
             xs = [x for x in range(p) if evaluate(mp, x) % p == 0]
@@ -34,7 +36,7 @@ def hensel(g: list[int], x: int, m: int) -> int:
     return x
 
 
-def lift_roots(g: list[int], p: int, xs: list[int], bound: int) -> tuple[int, list[int]]:
+def lift_roots(g, p: int, xs: list[int], bound: int) -> tuple[int, list[int]]:
     """(m, roots): m the least power of p with m^2 > bound, so symmetric residues
     mod m hold every |c| <= sqrt(bound)/2, and the roots xs of g mod p lifted mod m."""
     m = p
@@ -63,12 +65,35 @@ def lagrange_basis(xs: list[int], m: int) -> list[list[int]]:
     return basis
 
 
-def is_irreducible(mp: list[int]) -> bool:
-    """Whether the monic integer polynomial mp with distinct roots is
-    irreducible over Q.  A monic factor of degree k <= deg/2 has integer
-    coefficients (Gauss) of absolute value at most (1 + C)^k, C = 1 + max|c_i|
-    the Cauchy bound on the roots, so it is the product of x - x_i over k roots
-    x_i of mp, lifted mod m > 2(1 + C)^k at a split prime, in symmetric residues."""
+def _remainder(a: list, b: list) -> list:
+    """a mod b over Q, without leading zeros; b has a nonzero leading coefficient."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = Fraction(a[-1]) / b[-1]
+        a = [x - q * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)][:-1]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def is_squarefree(mp) -> bool:
+    """Whether the monic polynomial mp has distinct roots: gcd(mp, mp') over
+    Q, by Euclid's algorithm, is a constant."""
+    a, b = mp, [k * c for k, c in enumerate(mp)][1:]
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) == 1
+
+
+def is_irreducible(mp) -> bool:
+    """Whether the monic integer polynomial mp is irreducible over Q; a
+    ValueError when it has a repeated root.  A monic factor of degree
+    k <= deg/2 has integer coefficients (Gauss) of absolute value at most
+    (1 + C)^k, C = 1 + max|c_i| the Cauchy bound on the roots, so it is the
+    product of x - x_i over k roots x_i of mp, lifted mod m > 2(1 + C)^k at a
+    split prime, in symmetric residues."""
+    if not is_squarefree(mp):
+        raise ValueError(f"polynomial {list(mp)} has a repeated root")
     deg = len(mp) - 1
     p, xs = next(split_primes(mp))
     m, xs = lift_roots(mp, p, xs, 4 * (2 + max(map(abs, mp[:-1]))) ** (deg // 2 * 2))

@@ -26,14 +26,14 @@ def bundle():
     return FixtureBundle()
 
 
-def _run(flags: list[str], code: str, *args: str) -> subprocess.CompletedProcess:
+def _run(flags: list[str], code: str, *args: str, timeout=120) -> subprocess.CompletedProcess:
     """Run `python flags -c code args...` with this iqhecke importable."""
     src = str(Path(iqhecke.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -46,4 +46,4 @@ def run_optimized():
 @pytest.fixture(scope="session")
 def run_fresh():
     """The runner for checks that need a process with empty memos."""
-    return lambda code, *args: _run([], code, *args)
+    return lambda code, *args, **kw: _run([], code, *args, **kw)

@@ -266,13 +266,27 @@ def test_wide_bases_have_exact_roots_and_inverses(minpoly):
     f = make_value_field(minpoly=minpoly)
     rng = random.Random(len(minpoly))
     for _ in range(8):
-        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.base_degree))
-        if not any(x):
+        x = from_coeffs(f, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.dim)])
+        if x.is_zero():
             continue
-        square = algext._base_mul(f, x, x)
-        assert algext._base_sqrt(f, square) in (x, tuple(-c for c in x))
-        assert algext._base_sqrt(f, tuple(-c for c in square)) is None
-        assert algext._base_mul(f, algext._base_inv(f, x), x) == algext._unit_vec(f.base_degree, 0)
+        assert sqrt_in_tower(x * x) in (x, -x)
+        assert sqrt_in_tower(-(x * x)) is None
+        assert x.inv() * x == one(f)
+
+
+@pytest.mark.parametrize("f", [Q, QI2, CUBIC, QUAD_SQRT3, CUBIC_I, QUARTIC],
+                         ids=["Q", "QI2", "cubic", "quad_sqrt3", "cubic_i", "quartic"])
+def test_the_base_is_the_root_free_tower_over_an_integer_minimal_polynomial(f):
+    assert f.base is make_value_field(f.minpoly)
+    assert f.base.base is f.base and not f.base.adjoined
+    assert all(type(c) is int for c in f.minpoly)
+
+
+@pytest.mark.parametrize("minpoly", [[5, 1], [-3, 1], [0, 1], (Fraction(7), 1)])
+def test_every_degree_one_base_is_q(minpoly):
+    assert make_value_field(minpoly) is algext.RATIONAL_FIELD
+    assert make_value_field(minpoly, adjoined=[2]) is make_value_field(adjoined=[2])
+    assert make_value_field(minpoly).describe() == "Q"
 
 
 def test_with_radical_is_one_tower_per_radicand_vector():

@@ -44,6 +44,16 @@ def test_recover_command(capsys):
     assert "oracle gaps" in out
 
 
+def test_recover_reads_any_degree_one_minimal_polynomial_as_q(capsys, tmp_path):
+    oracle = DEFAULT_BUNDLE_DIR / "oracle_2.1.json"
+    data = json.loads(oracle.read_text())
+    data["field"]["minpoly"] = [5, 1]
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    outs = [run_cli(capsys, "recover", "--field", "17", "--oracle", str(p)) for p in (oracle, path)]
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
 def test_recover_reports_a_wrong_oracle_value(capsys, tmp_path):
     data = json.loads((DEFAULT_BUNDLE_DIR / "oracle_2.1.json").read_text())
     probe = next(row for row in data["values"] if row["aa"] == "9.1" and row["t"] is None)

@@ -35,6 +35,16 @@ def test_lift_roots_reaches_the_least_power_above_the_bound(mp):
         assert all(poly.evaluate(mp, r) % m == 0 for r in roots)
 
 
+@pytest.mark.parametrize("mp", [[1, -2, 1], [1, -1, -1, 1]], ids=["(x-1)^2", "(x-1)^2(x+1)"])
+def test_a_repeated_root_is_an_error_not_an_endless_prime_search(run_fresh, mp):
+    # in a subprocess with a timeout, since no prime splits mp into distinct roots
+    code = f"from iqhecke import poly; poly.is_irreducible({mp})"
+    result = run_fresh(code, timeout=10)
+    assert result.returncode == 1
+    assert result.stderr.strip().endswith(f"ValueError: polynomial {mp} has a repeated root")
+    assert not poly.is_squarefree(mp)
+
+
 def test_lagrange_basis_is_one_at_its_point_and_zero_at_the_others():
     rng = random.Random(5)
     p = 101
