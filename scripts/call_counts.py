@@ -19,17 +19,19 @@ values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
 ``factor_ideal`` (the misses of its memo), ``coprime``, ``_hnf_from_rows``
-(every HNF built from generators, products and sums included) and
-``is_rational_prime``. A second table gives, for every ``lru_cache``d
-function of the ``iqhecke`` package (found by its ``cache_info``), the hits
-and misses of its memo in each section. The script exits 1 when any
-operation raised. With
-string hashing pinned the counts repeat exactly from run to run, so two
-trees can be compared without timing noise. Calls are summed over the
-profiler's raw entries, one per code object. ``pstats`` merges entries by
-(file, line, name) and so keeps only one of the dataclass-generated methods,
-which all share one such label; which one it keeps depends on memory
-addresses.
+(every HNF built from generators, products and sums included),
+``is_rational_prime`` and, as ``generated``, the calls of every method that
+``dataclasses`` or ``namedtuple`` wrote at class creation (``__init__``,
+``__eq__``, ``__hash__``, ...: the code objects whose file is ``<string>``),
+the per-object overhead of building, comparing and hashing. A second table
+gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
+by its ``cache_info``), the hits and misses of its memo in each section. The
+script exits 1 when any operation raised. With string hashing pinned the
+counts repeat exactly from run to run, so two trees can be compared without
+timing noise. Calls are summed over the profiler's raw entries, one per code
+object. ``pstats`` merges entries by (file, line, name) and so keeps only one
+of the generated methods, which all share one such label; which one it keeps
+depends on memory addresses.
 """
 
 import cProfile
@@ -63,9 +65,11 @@ def profiled(ops) -> dict:
             prof.disable()
     entries = prof.getstats()  # one per code object; builtins have a str code
     row = {"ops": len(ops), "failed": failed, "calls": sum(e.callcount for e in entries)}
+    codes = [e for e in entries if not isinstance(e.code, str)]
     for filename, func, name in COUNTED:
-        row[name] = sum(e.callcount for e in entries if not isinstance(e.code, str)
-                        and e.code.co_name == func and Path(e.code.co_filename).name == filename)
+        row[name] = sum(e.callcount for e in codes
+                        if e.code.co_name == func and Path(e.code.co_filename).name == filename)
+    row["generated"] = sum(e.callcount for e in codes if e.code.co_filename == "<string>")
     return row
 
 
@@ -96,7 +100,7 @@ def main(tree: Path) -> int:
         "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],
         "run_checks": [lambda: verify.run_checks(bundle)],
     }
-    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED]
+    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED] + ["generated"]
     print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
     failed = 0
     cached = memos()

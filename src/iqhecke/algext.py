@@ -19,6 +19,14 @@ gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
 ``with_radical`` is memoised per (tower, radicand), so its Kummer test
 runs once per pair.
 
+An ``AlgValue`` is the named triple (field, nums, den), a tuple underneath:
+every builder goes through one unchecked constructor, ``_new_value``, a
+single C call, and equality and hashing are tuple's, by tower identity,
+numerators and denominator.  It is no sequence (``len``, iteration and
+``n * v`` raise TypeError).  A product with a rational factor, and so every
+product over Q, scales the other factor's numerators without the structure
+constants, since basis element 0 is 1 in every tower.
+
 Square roots are exact.  A base square root comes from p-adic lifting and
 interpolation at a split prime (``poly``), bounded through the trace form of
 Q(theta), which ``make_value_field`` therefore requires to be positive
@@ -38,10 +46,11 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import poly
 from .quadfield import factor_int
@@ -212,14 +221,28 @@ def _as_base_vec(deg: int, r) -> BaseVec:
     return vec
 
 
-@dataclass(frozen=True)
-class AlgValue:
+class AlgValue(NamedTuple):
     """nums/den on the basis of ``field``, in the canonical form den > 0 and
-    gcd(den, *nums) == 1 that every operation returns (``_value``)."""
+    gcd(den, *nums) == 1 that every operation returns (``_value``); a tuple
+    underneath but no sequence (no ``len``, iteration, indexing, order or
+    ``n * v``), and true like any object."""
 
     field: ValueField
     nums: tuple[int, ...]
     den: int
+
+    def _not_a_sequence(self, *args):
+        raise TypeError("an AlgValue is not a sequence")
+
+    def _unsupported(self, other):
+        return NotImplemented
+
+    __len__ = __iter__ = __getitem__ = __contains__ = _not_a_sequence
+    __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _unsupported
+    del _not_a_sequence, _unsupported
+
+    def __bool__(self):
+        return True
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -244,16 +267,24 @@ class AlgValue:
         return _value(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __neg__(self) -> "AlgValue":
-        return AlgValue(self.field, tuple(-n for n in self.nums), self.den)
+        return _new_value((self.field, tuple(-n for n in self.nums), self.den))
 
     def __sub__(self, other: "AlgValue") -> "AlgValue":
-        return self + (-other)
+        _check_same_field(self, other)
+        a, b = self.den, other.den
+        return _value(self.field, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __mul__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
+        u, v = self.nums, other.nums
+        if not any(v[1:]):
+            c = v[0]
+            return _value(self.field, [c * x for x in u], self.den * other.den)
+        if not any(u[1:]):
+            c = u[0]
+            return _value(self.field, [c * x for x in v], self.den * other.den)
         table, den = self.field._table
-        return _value(self.field, _product(self.nums, other.nums, table),
-                      self.den * other.den * den)
+        return _value(self.field, _product(u, v, table), self.den * other.den * den)
 
     def scale(self, q) -> "AlgValue":
         q = Fraction(q)
@@ -276,14 +307,20 @@ class AlgValue:
         return _merge(f, v0 * n_inv, -(v1 * n_inv))
 
     def __truediv__(self, other: "AlgValue") -> "AlgValue":
+        _check_same_field(self, other)
         return self * other.inv()
 
     def __repr__(self):
         return f"AlgValue({render_value(self)})"
 
 
-def _check_same_field(a: AlgValue, b: AlgValue):
-    if a.field != b.field:
+_new_value = partial(tuple.__new__, AlgValue)  # (field, nums, den) -> AlgValue, unchecked
+
+
+def _check_same_field(a: AlgValue, b):
+    if b.__class__ is not AlgValue:
+        raise TypeError(f"cannot combine an AlgValue with {type(b).__name__}")
+    if a.field is not b.field:
         raise AlgebraError("values live in different fields; lift them first")
 
 
@@ -291,8 +328,8 @@ def _value(f: ValueField, nums, den: int) -> AlgValue:
     """The value nums/den of f in canonical form (den != 0)."""
     g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
     if g == 1:
-        return AlgValue(f, tuple(nums), den)
-    return AlgValue(f, tuple(n // g for n in nums), den // g)
+        return _new_value((f, tuple(nums), den))
+    return _new_value((f, tuple(n // g for n in nums), den // g))
 
 
 def from_coeffs(f: ValueField, coeffs) -> AlgValue:
@@ -376,11 +413,11 @@ RATIONAL_FIELD = make_value_field()
 
 def from_rational(f: ValueField, q) -> AlgValue:
     q = Fraction(q)
-    return AlgValue(f, (q.numerator,) + (0,) * (f.dim - 1), q.denominator)
+    return _new_value((f, (q.numerator,) + (0,) * (f.dim - 1), q.denominator))
 
 
 def zero(f: ValueField) -> AlgValue:
-    return AlgValue(f, (0,) * f.dim, 1)
+    return _new_value((f, (0,) * f.dim, 1))
 
 
 @lru_cache(maxsize=None)
@@ -392,17 +429,17 @@ def one(f: ValueField) -> AlgValue:
 def theta(f: ValueField) -> AlgValue:
     if f.base_degree < 2:
         raise AlgebraError("base field is Q; there is no generator")
-    return AlgValue(f, _unit_vec(f.dim, 1), 1)
+    return _new_value((f, _unit_vec(f.dim, 1), 1))
 
 
 def adjoined_root(f: ValueField, j: int) -> AlgValue:
-    return AlgValue(f, _unit_vec(f.dim, f.base_degree << j), 1)
+    return _new_value((f, _unit_vec(f.dim, f.base_degree << j), 1))
 
 
 def _place(f: ValueField, b: AlgValue, mask: int = 0) -> AlgValue:
     """The base value b times prod_{j in mask} sqrt(r_j), in f."""
     lead = mask * f.base_degree
-    return AlgValue(f, (0,) * lead + b.nums + (0,) * (f.dim - lead - len(b.nums)), b.den)
+    return _new_value((f, (0,) * lead + b.nums + (0,) * (f.dim - lead - len(b.nums)), b.den))
 
 
 # -- field embeddings ---------------------------------------------------------
@@ -441,7 +478,7 @@ def _lift_map(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], 
             raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
         w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
         monomials += [m * w for m in monomials]
-    powers = [AlgValue(target, _unit_vec(target.dim, k), 1) for k in range(src.base_degree)]
+    powers = [_new_value((target, _unit_vec(target.dim, k), 1)) for k in range(src.base_degree)]
     images = [p * m for m in monomials for p in powers]
     den = lcm(*(x.den for x in images))
     return tuple(_sparse([n * (den // x.den) for n in x.nums]) for x in images), den

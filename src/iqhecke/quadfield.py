@@ -19,9 +19,10 @@ Exact quotients come from n * conj(m) = (N m) * (n / m).  Coprimality never
 forms I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of
 J, read from the factorisation memo, contains I.
 
-An ideal stores its norm and hashes its triple once, at construction; the
-field takes part in equality and order but not in the hash, and the norm in
-neither.
+An ideal stores its norm and its hash once, at construction.  Equality, order
+and the hash all read the field (the hash by its discriminant) and the triple,
+so one triple over two fields gives two keys that memos shared across fields
+keep apart; the norm takes part in none of them.
 
 Memos, each keyed by a field or by ideals, so they grow with the primes and
 levels a caller visits and never with eigenvalue data: `factor_rational_prime`
@@ -128,8 +129,7 @@ class Ideal:
         if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
         object.__setattr__(self, "norm", a * c)
-        # the field is compared but not hashed: ideals of two fields may collide
-        object.__setattr__(self, "_hash", hash((a, b, c)))
+        object.__setattr__(self, "_hash", hash((self.field.disc, a, b, c)))
 
     def __hash__(self):
         return self._hash

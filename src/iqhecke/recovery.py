@@ -223,11 +223,15 @@ def recover(
 ) -> RecoveryResult:
     """Run the full recovery procedure against a principal-operator oracle.
 
+    bound: the norm bound of the primes to recover; one below 2, the least
+    norm of a prime, is a RecoveryError.
     on_missing: "error" propagates oracle gaps, "skip" records them and
     leaves the affected eigenvalue out of the result.
     """
     if on_missing not in ("error", "skip"):
         raise RecoveryError(f"bad on_missing={on_missing!r}")
+    if bound < 2:
+        raise RecoveryError(f"bound {bound} is below 2, the least norm of a prime")
     squares = group.squares()
     first, roots = _class_ideals(group, level)
 

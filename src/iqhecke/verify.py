@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import tee
 
 from . import algext
 from .bundle import FixtureBundle
@@ -283,9 +284,10 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
                 not res.alpha_gaps,
                 f"synthetic oracle left eigenvalue gaps: {res.alpha_gaps}",
             )
-            orbit = twist_orbit(F)
+            # twists are built until one matches; the sign-flip test reuses them
+            twists, again = tee(twist(F, psi) for psi in character_group(group))
             _require(
-                any(systems_equal(res.system, H) for H in orbit),
+                any(systems_equal(res.system, H) for H in twists),
                 f"recovered system not in the twist orbit (d={group.field.d}, "
                 f"level {label(F.level)})",
             )
@@ -309,7 +311,7 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
                     on_missing="skip",
                 )
                 _require(
-                    any(systems_equal(res2.system, H) for H in orbit),
+                    any(systems_equal(res2.system, H) for H in again),
                     "sign-flipped recovery left the twist orbit",
                 )
             done += 1

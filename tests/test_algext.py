@@ -66,6 +66,38 @@ def test_basic_arithmetic():
     assert values_equal(a * a * a, parse_value(CUBIC, "a^2+3*a-1"))
 
 
+def test_value_contract():
+    v = parse_value(QI2, "1/2*sqrt2 - i")
+    with pytest.raises(AttributeError):
+        v.den = 2
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    # a value is no sequence: no repetition, length, iteration or indexing
+    for call in (lambda: 3 * v, lambda: v * 3, lambda: len(v), lambda: iter(v),
+                 lambda: v[0], lambda: v < v, lambda: v + 1, lambda: v - 1, lambda: v / 2):
+        with pytest.raises(TypeError):
+            call()
+    assert v and zero(QI2)  # every value is true, as before
+    s2, i = field_symbols(QI2)["sqrt2"], field_symbols(QI2)["i"]
+    routes = [
+        from_coeffs(QI2, [0, -1, Fraction(1, 2), 0]),
+        s2.scale(Fraction(1, 2)) - i,
+        s2 * s2 * s2 / from_rational(QI2, 4) + i * i * i,
+        (s2 - i.scale(2)) * from_rational(QI2, Fraction(1, 2)),
+        lift(parse_value(make_value_field(adjoined=[2]), "sqrt2/2"), QI2) - lift(i, QI2),
+        parse_value(QI2, "(2*sqrt2 - 4*i) / 4"),
+    ]
+    assert all(w == v and hash(w) == hash(v) for w in routes)
+    assert len({v, *routes}) == 1
+    # the same numerators over two towers of one dimension are different values
+    S2, S3 = make_value_field(adjoined=[2]), make_value_field(adjoined=[3])
+    r2, r3 = field_symbols(S2)["sqrt2"], field_symbols(S3)["sqrt3"]
+    assert (r2.nums, r2.den) == (r3.nums, r3.den) and r2 != r3 and len({r2, r3}) == 2
+    assert one(S2) != one(S3) and one(S2) is one(S2)
+    with pytest.raises(AlgebraError, match="different fields"):
+        r2 * r3
+
+
 def test_field_inverse_and_division():
     # the fixed complex embedding is a ring map, an independent reference
     rng = random.Random(11)

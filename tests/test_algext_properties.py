@@ -10,8 +10,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from iqhecke.algext import (  # noqa: E402
+    RATIONAL_FIELD,
     automorphisms,
     from_coeffs,
+    from_rational,
     lift,
     make_value_field,
     one,
@@ -109,6 +111,24 @@ def test_ring_operations_match_the_fraction_reference(data):
         w = v.inv()
         assert_canonical(w)
         assert reference_product(f, v.coeffs, w.coeffs) == list(one(f).coeffs)
+
+
+@pytest.mark.parametrize("f", [RATIONAL_FIELD] + TOWERS, ids=lambda f: f.describe())
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(data=st.data())
+def test_rational_factors_and_subtraction_match_the_fraction_reference(f, data):
+    """The products that skip the structure constants (a rational factor on
+    either side, every product on Q) and subtraction without a negation."""
+    u, v = data.draw(values(f)), data.draw(values(f))
+    q = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | small)
+    r = from_rational(f, q)
+    for w in (u * r, r * u, u * v, u - v, r - u):
+        assert_canonical(w)
+    assert (u * r).coeffs == (r * u).coeffs == tuple(q * a for a in u.coeffs)
+    assert (u * r).coeffs == tuple(reference_product(f, u.coeffs, r.coeffs))
+    assert (u * v).coeffs == tuple(reference_product(f, u.coeffs, v.coeffs))
+    assert u - v == u + (-v) and (u - v).coeffs == tuple(a - b for a, b in zip(u.coeffs, v.coeffs))
+    assert u - u == r - r == from_rational(f, 0)
 
 
 @hypothesis.settings(max_examples=40, deadline=None)

@@ -155,6 +155,16 @@ def test_recover_level_mismatch(capsys):
     assert code == 2 and "2.1" in err
 
 
+@pytest.mark.parametrize("bound", ["-3", "0", "1"])
+def test_recover_rejects_a_bound_below_every_prime_norm(capsys, bound):
+    oracle = str(DEFAULT_BUNDLE_DIR / "oracle_2.1.json")
+    code, out, err = run_cli(
+        capsys, "recover", "--field", "17", "--oracle", oracle, "--bound", bound
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: bound {bound} is below 2, the least norm of a prime"
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "class-groups", "--check", "compare-ap-7.2")
     assert code == 0

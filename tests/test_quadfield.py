@@ -387,11 +387,13 @@ def test_ideal_hash_and_equality_contract():
                 assert ij == ji and hash(ij) == hash(ji)
                 assert ij in ideals_of_norm(K, ij.norm)
                 assert hash(ideal_from_label(K, label(ij))) == hash(ij)
-    # the same triple over two fields: equal hashes are allowed, equality is not
+    # the same triple over two fields: neither equal nor of equal hash, so
+    # memos shared across fields never compare the two
     one5, one17 = unit_ideal(K5), unit_ideal(K17)
     assert one5 != one17 and len({one5, one17}) == 2
     p2_5, p2_17 = ideal_from_label(K5, "2.1"), ideal_from_label(K17, "2.1")
     assert (p2_5.a, p2_5.b, p2_5.c) == (p2_17.a, p2_17.b, p2_17.c) and p2_5 != p2_17
+    assert hash(p2_5) != hash(p2_17)
     # order is lexicographic on (a, b, c) within a field, and ideals are hashable keys
     ideals = [i for n in range(1, 61) for i in ideals_of_norm(K17, n)]
     shuffled = random.Random(0).sample(ideals, len(ideals))
