@@ -16,8 +16,14 @@ The output file holds the parent's commit and the change's subject (when
 the trees are git checkouts), the machine, the method, every run's
 end-to-end metrics, and per metric the median and quartiles of each side
 (``statistics.quantiles``, n=4), the change's median over the parent's and
-the number of pairs in which the change read better. ``call_counts`` holds
-the deterministic counts of ``scripts/call_counts.py`` for both trees (the
+the number of pairs in which the change read better. A metric's summary
+has ``over_bound: true`` when the change's median is worse than the parent's
+by more than the metric's ``bound`` in ``BENCHMARK.json``, a share of the
+parent's median (0.25: a quarter lower for a higher-is-better metric, a
+quarter higher for a lower-is-better one). ``failed`` holds each side's
+failed operations, summed over its runs. The script prints one line per
+workload that names every metric over its bound. ``call_counts`` holds the
+deterministic counts of ``scripts/call_counts.py`` for both trees (the
 change's script runs on each tree's library). ``--claim tables.ops_per_kref``
 names the metric the change claims to improve; it is copied into ``claim``
 with its summary. A run that exits nonzero or reports ``correct: false``
@@ -90,13 +96,15 @@ def machine() -> dict:
 
 
 def summarise(pairs: list, metrics: dict) -> dict:
-    """Median, quartiles, change/parent and pairs won for each metric that
-    every run reported; metrics maps a bare metric name to 'lower'/'higher'."""
+    """Median, quartiles, change/parent, pairs won and whether the change is
+    over the bound, for each metric that every run reported; metrics maps a
+    bare metric name to its ``BENCHMARK.json`` entry."""
     summary = {}
     for key in pairs[0]["parent"]:
-        better = metrics.get(key.rsplit(".", 1)[-1])
-        if better is None:
+        spec = metrics.get(key.rsplit(".", 1)[-1])
+        if spec is None:
             continue
+        better = spec["better"]
         side = {s: [p[s][key] for p in pairs] for s in ("parent", "change")}
         stats = {}
         for s, xs in side.items():
@@ -104,14 +112,36 @@ def summarise(pairs: list, metrics: dict) -> dict:
             stats[s] = {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
         won = sum((c < p) if better == "lower" else (c > p)
                   for p, c in zip(side["parent"], side["change"]))
+        parent_median, change_median = stats["parent"]["median"], stats["change"]["median"]
+        worse_by = (change_median - parent_median) if better == "lower" else (parent_median - change_median)
         summary[key] = {
             "better": better,
             **stats,
-            "change_over_parent": round(stats["change"]["median"] / stats["parent"]["median"], 5)
-            if stats["parent"]["median"] else None,
+            "change_over_parent": round(change_median / parent_median, 5) if parent_median else None,
             "change_better_in": f"{won}/{len(pairs)}",
+            "bound": spec["bound"],
+            "over_bound": worse_by > spec["bound"] * abs(parent_median),
         }
     return summary
+
+
+def failed_totals(pairs: list) -> dict:
+    """Each side's failed operations per ``<workload>.failed`` key, summed over its runs."""
+    keys = [key for key in pairs[0]["parent"] if key.endswith(".failed")]
+    return {side: {key: sum(p[side][key] for p in pairs) for key in keys}
+            for side in ("parent", "change")}
+
+
+def bound_lines(summary: dict) -> list[str]:
+    """One line per workload naming every metric over its bound."""
+    workloads: dict[str, list[str]] = {}
+    for key, row in summary.items():
+        workload, name = key.rsplit(".", 1)
+        over = workloads.setdefault(workload, [])
+        if row["over_bound"]:
+            over.append(f"{name} ({row['change_over_parent']}x the parent, bound {row['bound']})")
+    return [f"{w}: over its bound: {', '.join(over)}" if over else f"{w}: no metric over its bound"
+            for w, over in workloads.items()]
 
 
 def main() -> int:
@@ -125,7 +155,7 @@ def main() -> int:
     args = parser.parse_args()
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
     pairs = []
@@ -156,6 +186,7 @@ def main() -> int:
         ),
         "claim": args.claim and {"metric": args.claim, **summary[args.claim]},
         "summary": summary,
+        "failed": failed_totals(pairs),
         "pairs": pairs,
         "call_counts": {
             "command": "python3 scripts/call_counts.py TREE (cProfile; PYTHONHASHSEED=0)",
@@ -164,6 +195,8 @@ def main() -> int:
         },
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for line in bound_lines(summary):
+        print(line)
     return 0
 
 

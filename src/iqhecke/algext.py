@@ -53,7 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import poly
-from .quadfield import factor_int
+from .quadfield import factor_int, no_sequence
 
 
 class AlgebraError(ValueError):
@@ -221,28 +221,16 @@ def _as_base_vec(deg: int, r) -> BaseVec:
     return vec
 
 
+@no_sequence
 class AlgValue(NamedTuple):
     """nums/den on the basis of ``field``, in the canonical form den > 0 and
     gcd(den, *nums) == 1 that every operation returns (``_value``); a tuple
-    underneath but no sequence (no ``len``, iteration, indexing, order or
-    ``n * v``), and true like any object."""
+    underneath but no sequence (``quadfield.no_sequence``: no ``len``,
+    iteration, indexing, order or ``n * v``), and true like any object."""
 
     field: ValueField
     nums: tuple[int, ...]
     den: int
-
-    def _not_a_sequence(self, *args):
-        raise TypeError("an AlgValue is not a sequence")
-
-    def _unsupported(self, other):
-        return NotImplemented
-
-    __len__ = __iter__ = __getitem__ = __contains__ = _not_a_sequence
-    __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _unsupported
-    del _not_a_sequence, _unsupported
-
-    def __bool__(self):
-        return True
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

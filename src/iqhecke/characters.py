@@ -1,19 +1,23 @@
 """Characters of the ideal class group, with exact root-of-unity values.
 
-Characters are exponent vectors on the generators of CL and use ClassGroup's law.
+Characters are exponent vectors on the generators of CL and use ClassGroup's
+law.  Characters and roots of unity are ordered records (``no_sequence``): a
+tuple underneath, built, compared and hashed in C, in the order of their
+fields, as the dataclasses they replace were.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .classgroup import ClassGroup, IdealClass
-from .quadfield import Ideal, exact_prime_power_divisors
+from .quadfield import Ideal, exact_prime_power_divisors, no_sequence
 
 
-@dataclass(frozen=True, order=True)
-class RootOfUnity:
+@partial(no_sequence, ordered=True)
+class RootOfUnity(NamedTuple):
     """The value zeta_n^k, stored with k/n in lowest terms (0 <= k < n)."""
 
     k: int
@@ -25,7 +29,7 @@ class RootOfUnity:
             raise ValueError(f"root of unity of order {n}")
         k %= n
         g = gcd(k, n)
-        return RootOfUnity(k // g, n // g) if k else RootOfUnity(0, 1)
+        return _new_root((k // g, n // g) if k else (0, 1))
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         n = lcm(self.n, other.n)
@@ -46,8 +50,11 @@ class RootOfUnity:
         raise ValueError(f"{self} is not real")
 
 
-@dataclass(frozen=True, order=True)
-class ClassCharacter:
+_new_root = partial(tuple.__new__, RootOfUnity)  # (k, n) -> RootOfUnity, one C call
+
+
+@partial(no_sequence, ordered=True)
+class ClassCharacter(NamedTuple):
     """Character of CL, given by exponents against the pinned generators.
 
     The i-th generator (of order d_i) is sent to zeta_{d_i}^{e_i}.
@@ -56,7 +63,7 @@ class ClassCharacter:
     exps: tuple[int, ...]
 
     def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps)
+        return not any(self.exps)
 
 
 def character_group(group: ClassGroup) -> list[ClassCharacter]:

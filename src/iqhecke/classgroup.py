@@ -23,11 +23,12 @@ builds one group per field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
-from .quadfield import Ideal, QuadField, factor_int, ideal_mul
+from .quadfield import Ideal, QuadField, factor_int, ideal_mul, no_sequence
 
 
 class ClassGroupError(ValueError):
@@ -106,14 +107,18 @@ def ideal_of_form(field: QuadField, f: BQForm) -> Ideal:
     return Ideal(field, f.a, b0 % f.a, 1)
 
 
-@dataclass(frozen=True)
-class IdealClass:
-    """Exponent vector with respect to the pinned generators of CL."""
+@no_sequence
+class IdealClass(NamedTuple):
+    """Exponent vector with respect to the pinned generators of CL; an
+    unordered record (``no_sequence``) that compares and hashes by ``exps``."""
 
     exps: tuple[int, ...]
 
     def is_identity(self) -> bool:
-        return all(e == 0 for e in self.exps)
+        return not any(self.exps)
+
+
+_new_class = partial(tuple.__new__, IdealClass)  # (exps,) -> IdealClass, one C call
 
 
 class ClassGroup:
@@ -224,27 +229,30 @@ class ClassGroup:
         """The class of i, reduced once per ideal and then read from a memo."""
         cls = self._ideal_classes.get(i)
         if cls is None:
-            cls = self._ideal_classes[i] = IdealClass(self._coords[form_of_ideal(i)])
+            cls = self._ideal_classes[i] = _new_class((self._coords[form_of_ideal(i)],))
         return cls
 
     # One law for classes and characters (Z/d1 x ... x Z/dk on the same
-    # generators): each operation returns the type of its operand.
+    # generators): each operation returns the type of its operand, built by
+    # tuple.__new__ in C.
 
     def mul(self, x, y):
-        return type(x)(
-            tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, self.elementary_divisors))
-        )
+        divisors = self.elementary_divisors
+        exps = tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, divisors))
+        return tuple.__new__(type(x), (exps,))
 
     def inv(self, x):
-        return type(x)(tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors)))
+        exps = tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors))
+        return tuple.__new__(type(x), (exps,))
 
     def power(self, x, e: int):
-        return type(x)(tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors)))
+        exps = tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors))
+        return tuple.__new__(type(x), (exps,))
 
     def all_classes(self) -> list[IdealClass]:
         """Every class once, exponent index 0 varying fastest."""
         ranges = [range(d) for d in reversed(self.elementary_divisors)]
-        return [IdealClass(e[::-1]) for e in product(*ranges)]
+        return [_new_class((e[::-1],)) for e in product(*ranges)]
 
     def class_order(self, x) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))

@@ -165,8 +165,11 @@ def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
 
 
 def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
-    """alpha(a) for any integral ideal: the product of alpha(p^e) over the
-    prime factorisation of a."""
+    """alpha(a) for any integral ideal: the stored eigenvalue at a stored
+    prime, else the product of alpha(p^e) over the prime factorisation of a."""
+    v = F._alpha.get(a)
+    if v is not None:
+        return v
     if a.is_unit():
         return algext.one(F.vfield)
     return reduce(mul, [_prime_powers(F, p, e)[e] for p, e in factor_ideal(a)])

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import gcd, prod
+from typing import NamedTuple
 
 
 class QuadFieldError(ValueError):
@@ -72,9 +73,36 @@ def is_rational_prime(p: int) -> bool:
     return p > 1 and factor_int(p) == [(p, 1)]
 
 
-@dataclass(frozen=True)
-class QuadField:
-    """The field Q(sqrt(-d)) together with its ring of integers Z[omega]."""
+def no_sequence(cls, ordered: bool = False):
+    """Make a ``NamedTuple`` class a record that is a tuple underneath but no
+    sequence: ``len``, iteration, indexing, ``in``, ``+`` and repetition
+    (``n * x``, ``x * n``) raise TypeError, unless the class defines the
+    operator itself; order too, unless ``ordered``.  Construction, equality
+    and hashing stay tuple's, in C, and every record is true.  Records of two
+    such classes with equal contents are equal, so no dict should mix them."""
+
+    def refuse(self, *args):
+        raise TypeError(f"a {cls.__name__} is not a sequence")
+
+    def unsupported(self, other):
+        return NotImplemented
+
+    for name in ("__len__", "__iter__", "__getitem__", "__contains__"):
+        setattr(cls, name, refuse)
+    names = ["__add__", "__radd__", "__mul__", "__rmul__"]
+    if not ordered:
+        names += ["__lt__", "__le__", "__gt__", "__ge__"]
+    for name in names:
+        if name not in vars(cls):
+            setattr(cls, name, unsupported)
+    cls.__bool__ = lambda self: True
+    return cls
+
+
+@no_sequence
+class QuadField(NamedTuple):
+    """The field Q(sqrt(-d)) together with its ring of integers Z[omega],
+    a record (``no_sequence``) that compares and hashes by value."""
 
     d: int
     disc: int

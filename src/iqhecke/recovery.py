@@ -19,12 +19,16 @@ genus, and is left to step 2d while there is none.
 
 What depends only on the field, the level or the class group is memoised
 here, so a run of recoveries pays it once per key, and every key is a group,
-an ideal or a class, never an eigensystem:
+an ideal, a class or a norm bound, never an eigensystem:
 - ``_principal_operator`` (group, aa, t, w): the class test [aa]^2 [t] [w] = 1
   and the operator it admits; ``make_principal_operator`` still checks the
   level on every call;
 - ``_class_ideals`` (group, modulus): the class table over the ideals coprime
   to the level, or to level*t when the level's choice meets t;
+- ``_prime_classes`` (group, bound): each prime of norm <= bound with its
+  class, whether that class is a square and its genus, so step 2 reads them
+  once per group and bound, not once per recovery; coprimality to the level
+  is still tested in the loop;
 - ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
   level*t, each built once through this module's ``ideal_mul``.
 """
@@ -150,6 +154,18 @@ def _class_ideals(group: ClassGroup, modulus: Ideal) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None)
+def _prime_classes(group: ClassGroup, bound: int) -> tuple:
+    """(p, [p], [p] in CL^2, genus of [p]) for each prime p of norm <= bound,
+    in label order; one memoised tuple per (group, bound)."""
+    squares = group.squares()
+    return tuple(
+        (p, cls, cls in squares, group.genus(cls))
+        for p in primes_of_norm_up_to(group.field, bound)
+        for cls in (group.ideal_class(p),)
+    )
+
+
+@lru_cache(maxsize=None)
 def _product(i: Ideal, j: Ideal) -> Ideal:
     """i*j, memoised per pair; a miss calls this module's ``ideal_mul``."""
     return ideal_mul(i, j)
@@ -269,9 +285,12 @@ def recover(
         return v
 
     def absorb(v: AlgValue) -> AlgValue:
+        """v in the work tower, which grows by v's roots when it lacks them."""
         nonlocal work
-        work = algext.join_fields(work, v.field)
-        return lift(v, work)
+        if v.field is not work:  # towers are interned
+            work = algext.join_fields(work, v.field)
+            v = lift(v, work)
+        return v
 
     def principal(cls: IdealClass, t=None, w=None, coprime_to=None) -> AlgValue:
         """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
@@ -286,13 +305,14 @@ def recover(
 
     table: dict[tuple[int, ...], tuple[Ideal, AlgValue]] = {}  # genus -> (a, alpha(a)^-1)
 
-    def read(cls: IdealClass, t=None, w=None) -> AlgValue | None:
-        """The eigenvalue of T_t W_w, with cls = [t w]: read directly for a
-        square class (2a, 2b); else that of T_{t a} W_w times alpha(a)^-1 for
-        the table entry (a, alpha(a)^-1) of cls's genus (2c); else None (2d)."""
-        if cls in squares:
+    def read(cls: IdealClass, square: bool, genus: tuple, t=None, w=None) -> AlgValue | None:
+        """The eigenvalue of T_t W_w, with cls = [t w] of the given genus:
+        read directly for a square class (2a, 2b); else that of T_{t a} W_w
+        times alpha(a)^-1 for the table entry (a, alpha(a)^-1) of the genus
+        (2c); else None (2d)."""
+        if square:
             return principal(cls, t, w, coprime_to=t)
-        hit = table.get(group.genus(cls))
+        hit = table.get(genus)
         if hit is None:
             return None
         a, alpha_inv = hit
@@ -304,12 +324,11 @@ def recover(
     # a nonzero root doubles the sign table.
     alpha: dict[Ideal, AlgValue] = {}
     gaps = []
-    for p in primes_of_norm_up_to(group.field, bound):
+    for p, cls, square, genus in _prime_classes(group, bound):
         if not coprime(p, level):
             continue
-        cls = group.ideal_class(p)
         try:
-            v = read(cls, t=p)
+            v = read(cls, square, genus, t=p)
             if v is None:
                 v = principal(group.power(cls, 2), t=_product(p, p)) + chiv(cls).scale(p.norm)
                 if not v.is_zero():
@@ -328,8 +347,9 @@ def recover(
     if chi.is_trivial():
         al_signs = {}
         for q in exact_prime_power_divisors(level):
+            cls = group.ideal_class(q)
             try:
-                v = read(group.ideal_class(q), w=q)
+                v = read(cls, cls in squares, group.genus(cls), w=q)
             except OracleMissingError:
                 if on_missing == "error":
                     raise

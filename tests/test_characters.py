@@ -11,9 +11,10 @@ from iqhecke.characters import (
     eval_on_class,
     quadratic_characters,
 )
-from iqhecke.classgroup import compute_class_group
-from iqhecke.eigensystem import chi_value
+from iqhecke.classgroup import IdealClass, compute_class_group
+from iqhecke.eigensystem import character_field, character_values, chi_value
 from iqhecke.quadfield import (
+    QuadField,
     ideal_from_label,
     make_field,
     principal_ideal,
@@ -131,3 +132,65 @@ def test_character_serialization(G17):
     assert character_from_json(G17, [7]) == ClassCharacter((3,))
     with pytest.raises(ValueError):
         character_from_json(G17, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "make, same, other",
+    [
+        (lambda: IdealClass((1, 2)), lambda: IdealClass((1, 2)), lambda: IdealClass((2, 1))),
+        (lambda: ClassCharacter((3,)), lambda: ClassCharacter((3,)), lambda: ClassCharacter((1,))),
+        (lambda: RootOfUnity(1, 2), lambda: RootOfUnity.make(6, 12), lambda: RootOfUnity(1, 4)),
+        (lambda: make_field(17), lambda: QuadField(17, -68, False), lambda: make_field(21)),
+    ],
+)
+def test_record_contract(make, same, other):
+    x = make()
+    name = type(x)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(x, name, getattr(x, name))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    # a record is no sequence: no length, iteration, indexing, membership,
+    # concatenation or repetition
+    for call in (lambda: len(x), lambda: iter(x), lambda: x[0], lambda: 0 in x,
+                 lambda: x + x, lambda: 2 * x):
+        with pytest.raises(TypeError):
+            call()
+    # equality and hashing go by the fields, and every record is true
+    y = same()
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != other() and x and make_field(1) and IdealClass(())
+
+
+def test_record_order(G17):
+    # characters and roots of unity sort by their fields, as the dataclasses
+    # did; classes and fields have no order
+    chars = character_group(compute_class_group(make_field(65)))
+    assert [chi.exps for chi in chars] == sorted(chi.exps for chi in chars)
+    roots = [RootOfUnity(1, 4), RootOfUnity(0, 1), RootOfUnity(1, 2), RootOfUnity(3, 4)]
+    assert sorted(roots) == [RootOfUnity(0, 1), RootOfUnity(1, 2), RootOfUnity(1, 4), RootOfUnity(3, 4)]
+    assert ClassCharacter((1,)) < ClassCharacter((2,))
+    for a, b in ((IdealClass((1,)), IdealClass((2,))), (make_field(1), make_field(2))):
+        with pytest.raises(TypeError):
+            a < b
+
+
+def test_group_law_keeps_the_operand_type(G17):
+    c, chi = IdealClass((1,)), ClassCharacter((1,))
+    for x in (c, chi):
+        for y in (G17.mul(x, x), G17.inv(x), G17.power(x, 3), G17.power(x, 4)):
+            assert type(y) is type(x)
+    assert G17.mul(c, c) == IdealClass((2,)) and G17.inv(chi) == ClassCharacter((3,))
+    assert type(G17.ideal_class(ideal_from_label(G17.field, "3.1"))) is IdealClass
+    assert all(type(x) is IdealClass for x in G17.all_classes())
+
+
+@pytest.mark.parametrize("d", [17, 21, 65])
+def test_character_values_are_keyed_by_classes_only(d):
+    # a class and a character with equal exponents are equal records, so no
+    # memo may mix them: character_values is keyed by classes alone
+    g = compute_class_group(make_field(d))
+    for chi in character_group(g):
+        values = character_values(character_field(algext.RATIONAL_FIELD, g, chi), g, chi)
+        assert all(type(x) is IdealClass for x in values)
+        assert len(values) == g.h

@@ -42,6 +42,7 @@ from iqhecke.quadfield import (
     ideal_from_label,
     ideal_mul,
     ideals_of_norm,
+    label,
     make_field,
     primes_of_norm_up_to,
     unit_ideal,
@@ -68,6 +69,22 @@ def test_coefficient_missing_prime_reported(F0, K17):
     with pytest.raises(EigensystemError, match="missing eigenvalue") as err:
         coefficient(F0, ideal_from_label(K17, "53.1"))
     assert "53.1" in str(err.value)
+
+
+def test_coefficient_reads_stored_primes_directly(F0, K17):
+    # a stored prime's coefficient is its stored value, the unit ideal's is
+    # one, a product's is the product of the Euler-factor coefficients, and a
+    # prime the system does not store is an error
+    for p, v in F0.alpha:
+        assert coefficient(F0, p) is v
+    assert coefficient(F0, unit_ideal(K17)) == algext.one(F0.vfield)
+    p31, p131 = ideal_from_label(K17, "3.1"), ideal_from_label(K17, "13.1")
+    a = ideal_mul(ideal_mul(p31, p31), p131)
+    want = euler_factor_coefficients(F0, p31, 2)[2] * euler_factor_coefficients(F0, p131, 1)[1]
+    assert coefficient(F0, a) == want
+    unstored = next(q for q in primes_of_norm_up_to(K17, 200) if q not in F0.alpha_map())
+    with pytest.raises(EigensystemError, match=f"missing eigenvalue at prime {label(unstored)}"):
+        coefficient(F0, unstored)
 
 
 def test_coefficient_memo_is_not_exposed(K17):

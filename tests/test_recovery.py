@@ -338,13 +338,15 @@ def test_fixture_recovery_query_sequence(G17):
 
 
 # the memos of level-free work: operator class tests, class tables of
-# auxiliary ideals, ideal products, prime-power divisors and radical towers
+# auxiliary ideals, ideal products, prime-power divisors, radical towers and
+# the classes of the primes
 LEVEL_FREE_MEMOS = (
     recovery._principal_operator,
     recovery._class_ideals,
     recovery._product,
     quadfield.exact_prime_power_divisors,
     algext._with_radical,
+    recovery._prime_classes,
 )
 
 
@@ -469,6 +471,37 @@ def test_class_table_matches_the_label_order_search(d):
                 got = recovery._class_ideals(g, quadfield.ideal_mul(m, t))[1][c]
                 assert got == first_ideal(g, fits, (m, t))
     assert fallbacks > 0 or len(g.squares()) == 1
+
+
+@pytest.mark.parametrize("d", [1, 5, 23, 17, 21, 14, 65, 105])
+def test_prime_classes_agree_with_the_group(d):
+    g = compute_class_group(make_field(d))
+    entries = recovery._prime_classes(g, 200)
+    assert [p for p, *_ in entries] == list(primes_of_norm_up_to(g.field, 200))
+    for p, cls, square, genus in entries:
+        assert cls == g.ideal_class(p)
+        assert square == (cls in g.squares())
+        assert genus == g.genus(cls)
+    assert recovery._prime_classes(g, 200) is entries
+
+
+def test_prime_classes_are_keyed_by_group_and_bound_only():
+    # recoveries at three levels of one field share one entry: neither the
+    # level nor the eigensystem enters the key
+    g = compute_class_group(make_field(65))
+    systems = {}
+    for seed in range(100):
+        F = random_eigensystem(g, random.Random(seed), bound=200)
+        systems.setdefault(F.level, F)
+        if len(systems) == 3:
+            break
+    assert len(systems) == 3
+    recovery._prime_classes.cache_clear()
+    for level, F in systems.items():
+        res = recover(SyntheticOracle(F), g, level, 200)
+        assert any(systems_equal(res.system, G) for G in twist_orbit(F))
+    info = recovery._prime_classes.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
 def test_repeated_round_trip_check_keeps_group_memos_fixed(bundle):
