@@ -112,15 +112,15 @@ def summarise(pairs: list, metrics: dict) -> dict:
             stats[s] = {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
         won = sum((c < p) if better == "lower" else (c > p)
                   for p, c in zip(side["parent"], side["change"]))
-        parent_median, change_median = stats["parent"]["median"], stats["change"]["median"]
-        worse_by = (change_median - parent_median) if better == "lower" else (parent_median - change_median)
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        worse_by = change - parent if better == "lower" else parent - change
         summary[key] = {
             "better": better,
             **stats,
-            "change_over_parent": round(change_median / parent_median, 5) if parent_median else None,
+            "change_over_parent": round(change / parent, 5) if parent else None,
             "change_better_in": f"{won}/{len(pairs)}",
             "bound": spec["bound"],
-            "over_bound": worse_by > spec["bound"] * abs(parent_median),
+            "over_bound": worse_by > spec["bound"] * parent,
         }
     return summary
 
