@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import algext
 from .algext import ValueField
-from .characters import ClassCharacter, quadratic_characters
-from .classgroup import ClassGroup, compute_class_group
+from .characters import quadratic_characters
+from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, make_eigensystem
 from .quadfield import (
@@ -114,12 +114,12 @@ def value_field_from_json(data) -> ValueField:
     return algext.make_value_field(minpoly, adjoined)
 
 
-def character_from_json(group: ClassGroup, exps: list[int]) -> ClassCharacter:
+def character_from_json(group: ClassGroup, exps: list[int]) -> IdealClass:
     if any(type(e) is not int for e in _checked(exps, list, "character exponents")):
         raise BundleError(f"character exponents {exps} must be integers")
     if len(exps) != len(group.elementary_divisors):
         raise BundleError(f"character exponents {exps} do not fit the class group")
-    return ClassCharacter(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
+    return IdealClass(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
 
 
 def eigensystem_to_json(F: HeckeEigensystem) -> dict:
@@ -346,7 +346,7 @@ class FixtureBundle:
         records = _get(data, "selftwist_records", list, "self-twist records", [])
         return rows, [self._selftwist_record(i, r) for i, r in enumerate(records)]
 
-    def _selftwist_record(self, i: int, data) -> tuple[str, str, int, ClassCharacter]:
+    def _selftwist_record(self, i: int, data) -> tuple[str, str, int, IdealClass]:
         """(level, side, degree, character) from {"level", "side", "degree",
         "character"?}; without a character it is the one nontrivial quadratic."""
         what = f"self-twist record {i}"
@@ -427,7 +427,7 @@ class FixtureBundle:
         hf_by_level: dict[str, list[HeckeFieldRow]] = {}
         for r in self.hecke_field_rows or []:
             hf_by_level.setdefault(r.level, []).append(r)
-        flags: dict[tuple[str, str], list[tuple[int, ClassCharacter]]] = {}
+        flags: dict[tuple[str, str], list[tuple[int, IdealClass]]] = {}
         for lev, side, degree, chi in selftwists:
             flags.setdefault((lev, side), []).append((degree, chi))
         records: list[NewformRecord] = []

@@ -1,9 +1,10 @@
 """Characters of the ideal class group, with exact root-of-unity values.
 
-Characters are exponent vectors on the generators of CL and use ClassGroup's
-law.  Characters and roots of unity are ordered records (``no_sequence``): a
-tuple underneath, built, compared and hashed in C, in the order of their
-fields, as the dataclasses they replace were.
+The pinned generators identify CL with its dual: the character with exponent
+vector e sends the i-th generator (of order d_i) to zeta_{d_i}^{e_i}, so a
+character is the ``IdealClass`` with exponents e and uses ClassGroup's law.
+Roots of unity are records (``no_sequence``): a tuple underneath, built,
+compared and hashed in C.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .classgroup import ClassGroup, IdealClass
 from .quadfield import Ideal, exact_prime_power_divisors, no_sequence
 
 
-@partial(no_sequence, ordered=True)
+@no_sequence
 class RootOfUnity(NamedTuple):
     """The value zeta_n^k, stored with k/n in lowest terms (0 <= k < n)."""
 
@@ -53,28 +54,16 @@ class RootOfUnity(NamedTuple):
 _new_root = partial(tuple.__new__, RootOfUnity)  # (k, n) -> RootOfUnity, one C call
 
 
-@partial(no_sequence, ordered=True)
-class ClassCharacter(NamedTuple):
-    """Character of CL, given by exponents against the pinned generators.
-
-    The i-th generator (of order d_i) is sent to zeta_{d_i}^{e_i}.
-    """
-
-    exps: tuple[int, ...]
-
-    def is_trivial(self) -> bool:
-        return not any(self.exps)
+def character_group(group: ClassGroup) -> list[IdealClass]:
+    """Every character once, in lexicographic exponent order."""
+    return group.all_classes()
 
 
-def character_group(group: ClassGroup) -> list[ClassCharacter]:
-    return sorted(ClassCharacter(c.exps) for c in group.all_classes())
-
-
-def character_order(group: ClassGroup, chi: ClassCharacter) -> int:
+def character_order(group: ClassGroup, chi: IdealClass) -> int:
     return group.class_order(chi)
 
 
-def eval_on_class(group: ClassGroup, chi: ClassCharacter, cls: IdealClass) -> RootOfUnity:
+def eval_on_class(group: ClassGroup, chi: IdealClass, cls: IdealClass) -> RootOfUnity:
     # the divisors are nested, so the last one is the exponent of CL
     n = group.elementary_divisors[-1] if group.elementary_divisors else 1
     k = 0
@@ -83,16 +72,16 @@ def eval_on_class(group: ClassGroup, chi: ClassCharacter, cls: IdealClass) -> Ro
     return RootOfUnity.make(k, n)
 
 
-def is_quadratic(group: ClassGroup, chi: ClassCharacter) -> bool:
+def is_quadratic(group: ClassGroup, chi: IdealClass) -> bool:
     return group.class_order(chi) <= 2
 
 
-def quadratic_characters(group: ClassGroup) -> list[ClassCharacter]:
+def quadratic_characters(group: ClassGroup) -> list[IdealClass]:
     """All characters with values in {+-1}, the trivial one included."""
     return [chi for chi in character_group(group) if is_quadratic(group, chi)]
 
 
-def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[ClassCharacter]:
+def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[IdealClass]:
     """The set C(n): nontrivial quadratic psi with psi(q) = +1 for every exact
     prime-power divisor q of n (q = n included when n is a prime power)."""
     blocks = exact_prime_power_divisors(n)

@@ -14,7 +14,7 @@ grows with each pick until it maps every form to its exponent vector
 (discrete logs).  After that, every class query works on exponent vectors
 alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
 is checked against genus theory, and the class of an ideal once, on its
-first query.  Characters share the law on exponent vectors.
+first query.  A character is the class with the same exponent vector.
 
 The ideal -> class memo lives on the group, and ``compute_class_group``
 builds one group per field.
@@ -109,12 +109,13 @@ def ideal_of_form(field: QuadField, f: BQForm) -> Ideal:
 
 @no_sequence
 class IdealClass(NamedTuple):
-    """Exponent vector with respect to the pinned generators of CL; an
-    unordered record (``no_sequence``) that compares and hashes by ``exps``."""
+    """Exponent vector with respect to the pinned generators of CL, also
+    read as a character (see ``characters``); a record (``no_sequence``) that
+    compares and hashes by ``exps``."""
 
     exps: tuple[int, ...]
 
-    def is_identity(self) -> bool:
+    def is_trivial(self) -> bool:
         return not any(self.exps)
 
 
@@ -146,7 +147,7 @@ class ClassGroup:
             raise ClassGroupError("generators do not give one exponent vector per form")
         classes = self.all_classes()
         self._squares = frozenset(self.power(x, 2) for x in classes)
-        self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_identity())
+        self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_trivial())
         # genus theory: CL/CL^2 and CL[2] have order 2^r2, and r2 + 1 primes
         # divide the discriminant
         genus_order = self.h // len(self._squares)
@@ -232,29 +233,26 @@ class ClassGroup:
             cls = self._ideal_classes[i] = _new_class((self._coords[form_of_ideal(i)],))
         return cls
 
-    # One law for classes and characters (Z/d1 x ... x Z/dk on the same
-    # generators): each operation returns the type of its operand, built by
-    # tuple.__new__ in C.
+    # the law of Z/d1 x ... x Z/dk on exponent vectors
 
-    def mul(self, x, y):
+    def mul(self, x: IdealClass, y: IdealClass) -> IdealClass:
         divisors = self.elementary_divisors
         exps = tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, divisors))
-        return tuple.__new__(type(x), (exps,))
+        return _new_class((exps,))
 
-    def inv(self, x):
+    def inv(self, x: IdealClass) -> IdealClass:
         exps = tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors))
-        return tuple.__new__(type(x), (exps,))
+        return _new_class((exps,))
 
-    def power(self, x, e: int):
+    def power(self, x: IdealClass, e: int) -> IdealClass:
         exps = tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors))
-        return tuple.__new__(type(x), (exps,))
+        return _new_class((exps,))
 
     def all_classes(self) -> list[IdealClass]:
-        """Every class once, exponent index 0 varying fastest."""
-        ranges = [range(d) for d in reversed(self.elementary_divisors)]
-        return [_new_class((e[::-1],)) for e in product(*ranges)]
+        """Every class once, in lexicographic exponent order."""
+        return [_new_class((e,)) for e in product(*map(range, self.elementary_divisors))]
 
-    def class_order(self, x) -> int:
+    def class_order(self, x: IdealClass) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))
 
     def subgroup(self, gens: list[IdealClass]) -> set[IdealClass]:

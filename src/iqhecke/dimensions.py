@@ -12,8 +12,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .characters import ClassCharacter, eval_on_class, is_quadratic
-from .classgroup import ClassGroup
+from .characters import eval_on_class, is_quadratic
+from .classgroup import ClassGroup, IdealClass
 from .quadfield import (
     Ideal,
     divisors,
@@ -67,7 +67,7 @@ class NewformRecord:
     level: Ideal
     side: str
     degree: int
-    selftwist: ClassCharacter | None = None
+    selftwist: IdealClass | None = None
     shape: str | None = None
 
 

@@ -26,14 +26,13 @@ from operator import mul
 from . import algext
 from .algext import AlgValue, ValueField, lift, values_equal
 from .characters import (
-    ClassCharacter,
     RootOfUnity,
     character_group,
     eligible_selftwists,
     eval_on_class,
     is_quadratic,
 )
-from .classgroup import ClassGroup
+from .classgroup import ClassGroup, IdealClass
 from .quadfield import Ideal, coprime, factor_ideal, label, label_key
 
 
@@ -62,7 +61,7 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
     return out
 
 
-def character_field(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> ValueField:
+def character_field(f: ValueField, group: ClassGroup, chi: IdealClass) -> ValueField:
     """f with the values of chi: zeta_n for n the order of chi."""
     n = group.class_order(chi)
     if n not in _ROU_TRACE:
@@ -71,7 +70,7 @@ def character_field(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> Va
 
 
 @lru_cache(maxsize=None)
-def character_values(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> dict:
+def character_values(f: ValueField, group: ClassGroup, chi: IdealClass) -> dict:
     """class -> chi(class) in f, None where f lacks the value; one table per
     (tower, character), as towers are interned.  Callers must not mutate it."""
     return {x: root_of_unity_value(f, eval_on_class(group, chi, x)) for x in group.all_classes()}
@@ -81,11 +80,11 @@ def character_values(f: ValueField, group: ClassGroup, chi: ClassCharacter) -> d
 class HeckeEigensystem:
     group: ClassGroup
     level: Ideal
-    character: ClassCharacter
+    character: IdealClass
     alpha: tuple  # tuple of (Ideal, AlgValue), sorted by (norm, label)
     al_signs: tuple | None  # tuple of (Ideal, +-1) when chi is trivial
     vfield: ValueField
-    selftwist_candidates: tuple[ClassCharacter, ...] | None = None
+    selftwist_candidates: tuple[IdealClass, ...] | None = None
 
     @cached_property
     def _alpha(self) -> dict:
@@ -120,13 +119,21 @@ class HeckeEigensystem:
 def make_eigensystem(
     group: ClassGroup,
     level: Ideal,
-    character: ClassCharacter,
+    character: IdealClass,
     alpha: dict,
     al_signs: dict | None = None,
     vfield: ValueField | None = None,
     selftwist_candidates=None,
 ) -> HeckeEigensystem:
     """Normalize and validate the pieces of an eigensystem."""
+    divisors = group.elementary_divisors
+    if len(character.exps) != len(divisors) or any(
+        not 0 <= e < d for e, d in zip(character.exps, divisors)
+    ):
+        raise EigensystemError(
+            f"character {list(character.exps)} is not a reduced exponent vector"
+            f" for the elementary divisors {list(divisors)}"
+        )
     f = vfield
     if f is None:
         f = algext.RATIONAL_FIELD
@@ -217,7 +224,7 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 # -- structure operations ------------------------------------------------------
 
 
-def twist(F: HeckeEigensystem, psi: ClassCharacter) -> HeckeEigensystem:
+def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     group = F.group
     f = character_field(F.vfield, group, psi)
     values = character_values(f, group, psi)
@@ -262,7 +269,7 @@ def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
 
 @dataclass(frozen=True)
 class SelfTwistReport:
-    candidates: tuple[ClassCharacter, ...]
+    candidates: tuple[IdealClass, ...]
 
     @property
     def status(self) -> str:

@@ -73,13 +73,13 @@ def is_rational_prime(p: int) -> bool:
     return p > 1 and factor_int(p) == [(p, 1)]
 
 
-def no_sequence(cls, ordered: bool = False):
+def no_sequence(cls):
     """Make a ``NamedTuple`` class a record that is a tuple underneath but no
-    sequence: ``len``, iteration, indexing, ``in``, ``+`` and repetition
-    (``n * x``, ``x * n``) raise TypeError, unless the class defines the
-    operator itself; order too, unless ``ordered``.  Construction, equality
-    and hashing stay tuple's, in C, and every record is true.  Records of two
-    such classes with equal contents are equal, so no dict should mix them."""
+    sequence: ``len``, iteration, indexing, ``in``, ``+``, repetition
+    (``n * x``, ``x * n``) and order raise TypeError, unless the class
+    defines the operator itself.  Construction, equality and hashing stay
+    tuple's, in C, and every record is true.  Records of two such classes
+    with equal contents are equal, so no dict should mix them."""
 
     def refuse(self, *args):
         raise TypeError(f"a {cls.__name__} is not a sequence")
@@ -89,10 +89,8 @@ def no_sequence(cls, ordered: bool = False):
 
     for name in ("__len__", "__iter__", "__getitem__", "__contains__"):
         setattr(cls, name, refuse)
-    names = ["__add__", "__radd__", "__mul__", "__rmul__"]
-    if not ordered:
-        names += ["__lt__", "__le__", "__gt__", "__ge__"]
-    for name in names:
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__",
+                 "__lt__", "__le__", "__gt__", "__ge__"):
         if name not in vars(cls):
             setattr(cls, name, unsupported)
     cls.__bool__ = lambda self: True

@@ -128,7 +128,7 @@ def _principal_operator(
     total = group.mul(group.power(group.ideal_class(aa), 2), group.ideal_class(t))
     if w is not None:
         total = group.mul(total, group.ideal_class(w))
-    if not total.is_identity():
+    if not total.is_trivial():
         raise RecoveryError("operator is not principal (total ideal class nontrivial)")
     return PrincipalOperator(aa, t, w)
 
@@ -254,7 +254,7 @@ def recover(
     # Step 1: the character on the two-torsion classes, then its chosen lift.
     restriction = {}
     for cls in sorted(group.two_torsion(), key=lambda c: c.exps):
-        if cls.is_identity():
+        if cls.is_trivial():
             restriction[cls] = 1
             continue
         probe = make_principal_operator(group, level, aa=first[cls])

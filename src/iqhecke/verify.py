@@ -21,13 +21,8 @@ from itertools import tee
 
 from . import algext
 from .bundle import FixtureBundle
-from .characters import (
-    ClassCharacter,
-    character_group,
-    eval_on_class,
-    quadratic_characters,
-)
-from .classgroup import ClassGroup, compute_class_group
+from .characters import character_group, eval_on_class, quadratic_characters
+from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import (
     NewformRecord,
     newspace_dims,
@@ -115,7 +110,7 @@ def check_class_groups(bundle: FixtureBundle) -> str:
 # -- 2. genus-character congruence law ------------------------------------------
 
 
-def _chi2(group: ClassGroup) -> ClassCharacter:
+def _chi2(group: ClassGroup) -> IdealClass:
     cands = [c for c in quadratic_characters(group) if not c.is_trivial()]
     _require(len(cands) == 1, f"{len(cands)} nontrivial quadratic characters, expected one")
     return cands[0]
@@ -186,7 +181,7 @@ def check_recovery_2_1(bundle: FixtureBundle) -> str:
     # twisting the table's first row reproduces all four rows
     F0 = bundle.system("2.1", "F0")
     for j, name in enumerate(["F0", "F1", "F2", "F3"]):
-        got = twist(F0, ClassCharacter((j,)))
+        got = twist(F0, IdealClass((j,)))
         _require(
             systems_equal(got, bundle.system("2.1", name)),
             f"twist by character {j} does not reproduce row {name}",
@@ -238,7 +233,7 @@ def random_eigensystem(
         chi = rng.choice(nontrivial_restriction)
         al = None
     elif mode < 0.75:
-        chi = ClassCharacter(tuple(0 for _ in group.elementary_divisors))
+        chi = group.identity()
         al = {q: rng.choice([1, -1]) for q in exact_prime_power_divisors(level)}
     else:
         # arbitrary character; systems with nontrivial character carry no

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from iqhecke.characters import ClassCharacter
+from iqhecke.classgroup import IdealClass
 from iqhecke.eigensystem import systems_equal, twist
 from iqhecke.verify import (
     check_class_groups,
@@ -48,7 +48,7 @@ def test_criterion_3_recovery_regression(bundle):
     # the four rows are reproduced by twisting exactly, prime by prime
     F0 = bundle.system("2.1", "F0")
     for j, name in enumerate(["F0", "F1", "F2", "F3"]):
-        G = twist(F0, ClassCharacter((j,)))
+        G = twist(F0, IdealClass((j,)))
         expected = bundle.system("2.1", name)
         assert systems_equal(G, expected)
         assert len(G.alpha) == 12

@@ -1,0 +1,85 @@
+"""The acceptance arithmetic of scripts/bench_pairs.py, loaded by path."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = {
+    "p50_ref": {"name": "p50_ref", "better": "lower", "bound": 0.25},
+    "ops_per_kref": {"name": "ops_per_kref", "better": "higher", "bound": 0.25},
+}
+
+
+def _pairs(key: str, parent: list, change: list) -> list:
+    return [
+        {"parent": {key: p, "roundtrip.failed": 0}, "change": {key: c, "roundtrip.failed": 0}}
+        for p, c in zip(parent, change)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, parent, at, past",
+    [
+        ("p50_ref", 100, 125, 125.5),  # lower is better: a quarter higher is the bound
+        ("ops_per_kref", 80, 60, 59.5),  # higher is better: a quarter lower is the bound
+    ],
+)
+def test_over_bound_only_past_the_bound(name, parent, at, past):
+    key = f"roundtrip.{name}"
+    for change, over in ((at, False), (past, True)):
+        summary = bench_pairs.summarise(_pairs(key, [parent] * 3, [change] * 3), METRICS)
+        assert list(summary) == [key]  # counts without a metric spec are left out
+        row = summary[key]
+        assert row["over_bound"] is over
+        assert row["parent"] == {"median": parent, "q1": parent, "q3": parent}
+        assert row["change"]["median"] == change
+        assert row["change_over_parent"] == round(change / parent, 5)
+        assert row["change_better_in"] == "0/3"
+        assert row["bound"] == 0.25 and row["better"] == METRICS[name]["better"]
+
+
+@pytest.mark.parametrize("name", ["p50_ref", "ops_per_kref"])
+def test_ties_count_for_neither_side(name):
+    key = f"roundtrip.{name}"
+    # pairs 2 and 4 tie; of pairs 1 and 3, each side reads better in one
+    a, b = [2.0, 3.0, 4.0, 5.0], [1.0, 3.0, 5.0, 5.0]
+    for parent, change in ((a, b), (b, a)):
+        row = bench_pairs.summarise(_pairs(key, parent, change), METRICS)[key]
+        assert row["change_better_in"] == "1/4"
+
+
+def test_bound_lines_wording():
+    summary = {
+        "roundtrip.p50_ref": {"over_bound": True, "change_over_parent": 1.3, "bound": 0.25},
+        "roundtrip.ops_per_kref": {"over_bound": True, "change_over_parent": 0.7, "bound": 0.25},
+        "roundtrip.peak_rss_mb": {"over_bound": False, "change_over_parent": 1.05, "bound": 0.1},
+        "tables.p50_ref": {"over_bound": False, "change_over_parent": 1.2, "bound": 0.25},
+    }
+    assert bench_pairs.bound_lines(summary) == [
+        "roundtrip: over its bound: p50_ref (1.3x the parent, bound 0.25), "
+        "ops_per_kref (0.7x the parent, bound 0.25)",
+        "tables: no metric over its bound",
+    ]
+
+
+def test_failed_totals_sum_each_side():
+    pairs = [
+        {
+            "parent": {"roundtrip.attempted": 50, "roundtrip.failed": 1, "tables.failed": 0},
+            "change": {"roundtrip.attempted": 60, "roundtrip.failed": 0, "tables.failed": 2},
+        },
+        {
+            "parent": {"roundtrip.attempted": 40, "roundtrip.failed": 3, "tables.failed": 1},
+            "change": {"roundtrip.attempted": 70, "roundtrip.failed": 0, "tables.failed": 5},
+        },
+    ]
+    assert bench_pairs.failed_totals(pairs) == {
+        "parent": {"roundtrip.failed": 4, "tables.failed": 1},
+        "change": {"roundtrip.failed": 0, "tables.failed": 7},
+    }

@@ -52,8 +52,8 @@ def test_structure(d, divs):
     assert {g.ideal_class(ideal_of_form(g.field, f)) for f in g.forms} == set(classes)
     for x in classes:
         k = g.class_order(x)
-        assert g.power(x, k).is_identity()
-        assert not any(g.power(x, j).is_identity() for j in range(1, k))
+        assert g.power(x, k).is_trivial()
+        assert not any(g.power(x, j).is_trivial() for j in range(1, k))
 
 
 def test_generator_pinned_to_norm_3_prime(G17, K17):
@@ -95,10 +95,10 @@ def test_conjugate_class_is_inverse(G17, K17):
 
 
 def test_is_principal_examples(G17, K17):
-    assert G17.ideal_class(principal_ideal(K17, 5, 0)).is_identity()
-    assert not G17.ideal_class(ideal_from_label(K17, "2.1")).is_identity()
+    assert G17.ideal_class(principal_ideal(K17, 5, 0)).is_trivial()
+    assert not G17.ideal_class(ideal_from_label(K17, "2.1")).is_trivial()
     p31, p32 = ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2")
-    assert G17.ideal_class(ideal_mul(p31, p32)).is_identity()
+    assert G17.ideal_class(ideal_mul(p31, p32)).is_trivial()
     # no element of Z[sqrt(-17)] has norm 2
     assert all(
         (x * x + 17 * y * y) != 2 for x in range(-2, 3) for y in range(-1, 2)
@@ -106,7 +106,7 @@ def test_is_principal_examples(G17, K17):
 
 
 def test_ideal_class_examples(G17, K17):
-    assert G17.ideal_class(principal_ideal(K17, 7, 0)).is_identity()
+    assert G17.ideal_class(principal_ideal(K17, 7, 0)).is_trivial()
     c = G17.ideal_class(ideal_from_label(K17, "3.1"))
     assert G17.ideal_class(ideal_from_label(K17, "13.1")) == G17.power(c, 2)
 

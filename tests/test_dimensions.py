@@ -3,8 +3,7 @@ from itertools import chain, product
 
 import pytest
 
-from iqhecke.characters import ClassCharacter
-from iqhecke.classgroup import compute_class_group
+from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.dimensions import (
     DimensionError,
     _cover,
@@ -52,7 +51,7 @@ def test_newspace_missing_divisor_reported(K17):
 
 
 def test_oldclass_multiplicities(G17, K17):
-    chi2 = ClassCharacter((2,))
+    chi2 = IdealClass((2,))
     m = ideal_from_label(K17, "2.1")
     # n = m * p with no self-twist: sigma0(p) = 2
     p = ideal_from_label(K17, "3.1")
@@ -106,7 +105,7 @@ def test_validate_row_applies_the_c4_rules_only_to_c4(d):
 
 
 def test_sigma0_vs_multiplicity_bound(G17, K17):
-    chi2 = ClassCharacter((2,))
+    chi2 = IdealClass((2,))
     m = unit_ideal(K17)
     rec = NewformRecord(level=m, side="plus", degree=2, selftwist=chi2)
     for lab in ("12.1", "16.1", "63.1", "98.2"):

@@ -8,13 +8,12 @@ from iqhecke import algext
 from iqhecke.algext import parse_value, values_equal
 from iqhecke.bundle import eigensystem_from_json, eigensystem_to_json
 from iqhecke.characters import (
-    ClassCharacter,
     RootOfUnity,
     character_group,
     character_order,
     eval_on_class,
 )
-from iqhecke.classgroup import compute_class_group
+from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.eigensystem import (
     EigensystemError,
     HeckeFieldReport,
@@ -194,14 +193,14 @@ def test_span_dimension_stops_reading_once_the_span_fills_the_field():
 
 
 def test_twist_examples(bundle, F0, K17):
-    chi1 = ClassCharacter((1,))
+    chi1 = IdealClass((1,))
     F1 = twist(F0, chi1)
     p31 = ideal_from_label(K17, "3.1")
     assert values_equal(F1.alpha_map()[p31], parse_value(F1.vfield, "2*sqrt2*i"))
     assert systems_equal(F1, bundle.system("2.1", "F1"))
-    assert systems_equal(twist(F0, ClassCharacter((0,))), F0)
+    assert systems_equal(twist(F0, IdealClass((0,))), F0)
     F2 = twist(twist(F0, chi1), chi1)
-    assert systems_equal(F2, twist(F0, ClassCharacter((2,))))
+    assert systems_equal(F2, twist(F0, IdealClass((2,))))
     p231 = ideal_from_label(K17, "23.1")
     assert values_equal(F0.alpha_map()[p231], parse_value(F0.vfield, "-4*sqrt2"))
     assert values_equal(F2.alpha_map()[p231], parse_value(F2.vfield, "4*sqrt2"))
@@ -226,7 +225,7 @@ def test_twist_orbit_sizes(bundle, F0):
         for p in primes_of_norm_up_to(g.field, 60)
     }
     F = make_eigensystem(
-        g, unit_ideal(g.field), ClassCharacter(()), alpha, {}
+        g, unit_ideal(g.field), IdealClass(()), alpha, {}
     )
     assert len(twist_orbit(F)) == 1
 
@@ -258,12 +257,12 @@ def test_selftwist_status(bundle, F0, K17):
     F64 = bundle.system("64.1", "selftwist")
     st64 = selftwist_status(F64)
     assert st64.status == "possible"
-    assert st64.candidates == (ClassCharacter((2,)),)
+    assert st64.candidates == (IdealClass((2,)),)
     # empty eligible set rules self-twist out regardless of the eigenvalues
     F12 = make_eigensystem(
         F0.group,
         ideal_from_label(K17, "12.1"),
-        ClassCharacter((0,)),
+        IdealClass((0,)),
         {p: algext.zero(algext.RATIONAL_FIELD)
          for p in primes_of_norm_up_to(K17, 30)
          if p.norm not in (2, 3)},
@@ -283,7 +282,7 @@ def test_galois_conjugation(bundle, F0, K17):
     assert values_equal(conj.alpha_map()[p31], F72.alpha_map()[p32])
     # at 25.1 conjugation acts on the published system as the twist by chi2
     F25 = bundle.system("25.1", "F0")
-    assert systems_equal(galois_conjugate_system(F25), twist(F25, ClassCharacter((2,))))
+    assert systems_equal(galois_conjugate_system(F25), twist(F25, IdealClass((2,))))
 
 
 def test_conjugate_of_twist_property(bundle, G17):
@@ -296,7 +295,7 @@ def test_conjugate_of_twist_property(bundle, G17):
 
 
 def test_inner_twists(bundle, F0, G17):
-    chi2 = ClassCharacter((2,))
+    chi2 = IdealClass((2,))
     pairs = inner_twist_pairs(F0)
     assert any(
         tau.describe() == "sqrt2 -> -sqrt2" and psi == chi2 for tau, psi in pairs
@@ -307,7 +306,7 @@ def test_inner_twists(bundle, F0, G17):
         p: algext.from_rational(algext.RATIONAL_FIELD, (p.norm % 7) - 3)
         for p in primes_of_norm_up_to(g.field, 60)
     }
-    F = make_eigensystem(g, unit_ideal(g.field), ClassCharacter((0,)), alpha, {})
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((0,)), alpha, {})
     only = inner_twist_pairs(F)
     assert len(only) == 1
     tau, psi = only[0]
@@ -327,7 +326,7 @@ def test_base_change_candidates(bundle, F0, K17):
         q = p.conjugate()
         key = min(p, q)
         alpha[p] = algext.from_rational(algext.RATIONAL_FIELD, key.norm % 5)
-    F = make_eigensystem(g, unit_ideal(g.field), ClassCharacter(()), alpha, {})
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass(()), alpha, {})
     assert base_change_candidate(F)
 
 
@@ -335,7 +334,7 @@ def test_support_subgroup(bundle, F0, G17):
     assert support_subgroup(F0).index == 1
     sup = support_subgroup(bundle.system("64.1", "selftwist"))
     assert sup.index == 2
-    chi2 = ClassCharacter((2,))
+    chi2 = IdealClass((2,))
     from iqhecke.characters import eval_on_class
 
     kernel = {c for c in G17.all_classes() if eval_on_class(G17, chi2, c).is_one()}
@@ -430,11 +429,11 @@ def test_trivial_character_towers_are_totally_real(bundle):
 
 
 def test_al_signs_under_twist(bundle, F0, K17):
-    chi2 = ClassCharacter((2,))
+    chi2 = IdealClass((2,))
     q = ideal_from_label(K17, "2.1")
     F2 = twist(F0, chi2)
     assert F2.al_sign(q) == -1  # chi2 is +1 on the class of 2.1
-    F1 = twist(F0, ClassCharacter((1,)))
+    F1 = twist(F0, IdealClass((1,)))
     assert F1.al_signs is None
 
 
@@ -452,7 +451,7 @@ def test_make_eigensystem_validation(G17, K17):
         make_eigensystem(
             G17,
             ideal_from_label(K17, "2.1"),
-            ClassCharacter((1,)),
+            IdealClass((1,)),
             {},
             {ideal_from_label(K17, "2.1"): 1},
         )
@@ -460,10 +459,17 @@ def test_make_eigensystem_validation(G17, K17):
         make_eigensystem(
             G17,
             ideal_from_label(K17, "2.1"),
-            ClassCharacter((0,)),
+            IdealClass((0,)),
             {},
             {ideal_from_label(K17, "2.1"): 2},
         )
+
+
+@pytest.mark.parametrize("exps", [(1, 0), (), (4,)])
+def test_make_eigensystem_rejects_unreduced_characters(F0, exps):
+    # CL is C4 here: a character has one exponent e with 0 <= e < 4
+    with pytest.raises(EigensystemError, match="not a reduced exponent vector"):
+        make_eigensystem(F0.group, F0.level, IdealClass(exps), F0.alpha_map(), None, F0.vfield)
 
 
 @pytest.mark.parametrize("d", [17, 21, 23, 105])

@@ -8,8 +8,7 @@ import pytest
 from iqhecke import algext, quadfield, recovery
 from iqhecke.algext import values_equal
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, fixture_oracle_from_json
-from iqhecke.characters import ClassCharacter
-from iqhecke.classgroup import compute_class_group
+from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.eigensystem import make_eigensystem, systems_equal, twist_orbit
 from iqhecke.quadfield import (
     ideal_from_label,
@@ -157,7 +156,7 @@ def test_16_1_round_trip(bundle, G17):
         res = recover(SyntheticOracle(F), G17, F.level, bound=17)
         orbit = twist_orbit(F)
         assert any(systems_equal(res.system, H) for H in orbit)
-        assert res.system.character in (ClassCharacter((1,)), ClassCharacter((3,)))
+        assert res.system.character in (IdealClass((1,)), IdealClass((3,)))
 
 
 def test_sign_flip_lands_in_same_orbit(bundle, G17):
@@ -190,7 +189,7 @@ def test_sign_table_doubles_and_caps():
     used = []
     for p in pool:
         cls = g.ideal_class(p)
-        if cls.is_identity() or cls in g.squares():
+        if cls.is_trivial() or cls in g.squares():
             continue
         if g.genus(cls) not in table:
             double_sign_table(g, table, p, algext.from_rational(f, 1))
@@ -286,7 +285,7 @@ def recover_at_31(g, zeroed, sign):
         for p in primes_of_norm_up_to(g.field, 30)
         if p.norm % 3
     }
-    F = make_eigensystem(g, level, ClassCharacter((0,)), alpha, {level: sign})
+    F = make_eigensystem(g, level, IdealClass((0,)), alpha, {level: sign})
     return level, recover(SyntheticOracle(F), g, level, bound=30, on_missing="skip")
 
 
@@ -461,7 +460,7 @@ def test_class_table_matches_the_label_order_search(d):
             assert first[x] == first_ideal(g, lambda y: y == x, (m,))
         for c in g.squares():
             def fits(y, c=c):
-                return g.mul(g.power(y, 2), c).is_identity()
+                return g.mul(g.power(y, 2), c).is_trivial()
 
             assert roots[c] == first_ideal(g, fits, (m,))
             for t in primes:
@@ -523,7 +522,7 @@ def recover_with_inconsistent_restriction():
         {
             make_principal_operator(g, level, aa=first_ideal(g, lambda x, c=c: x == c)): minus_one
             for c in g.two_torsion()
-            if not c.is_identity()
+            if not c.is_trivial()
         }
     )
     recover(oracle, g, level, bound=10)
@@ -567,6 +566,6 @@ def test_each_auxiliary_ideal_is_the_first_that_fits(d):
             cls = g.mul(cls, g.ideal_class(op.w))
         extra = (op.t,) if is_prime_ideal(op.t) else ()
         first = first_ideal(
-            g, lambda x: g.mul(g.power(x, 2), cls).is_identity(), (F.level, *extra)
+            g, lambda x: g.mul(g.power(x, 2), cls).is_trivial(), (F.level, *extra)
         )
         assert op.aa == first
