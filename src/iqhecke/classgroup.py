@@ -22,7 +22,6 @@ builds one group per field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm, prod
@@ -35,8 +34,8 @@ class ClassGroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class BQForm:
+@no_sequence
+class BQForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -87,7 +86,7 @@ def reduced_forms(disc: int) -> list[BQForm]:
             if f.is_reduced():
                 out.append(f)
         a += 1
-    return sorted(out)
+    return sorted(out, key=lambda f: (f.a, f.b, f.c))
 
 
 def form_of_ideal(i: Ideal) -> BQForm:
@@ -213,7 +212,9 @@ class ClassGroup:
         # Order the factors so divisors ascend (d1 | d2 | ... for the groups
         # at hand, where distinct factor orders only occur pairwise coprime
         # or equal; check divisibility to be safe).
-        order = sorted(range(len(gens)), key=lambda i: (len(cycles[gens[i]]), gens[i]))
+        order = sorted(
+            range(len(gens)), key=lambda i: (len(cycles[gens[i]]), gens[i].a, gens[i].b, gens[i].c)
+        )
         divisors = tuple(len(cycles[gens[i]]) for i in order)
         for i in range(len(divisors) - 1):
             if divisors[i + 1] % divisors[i]:

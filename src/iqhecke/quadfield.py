@@ -19,10 +19,8 @@ Exact quotients come from n * conj(m) = (N m) * (n / m).  Coprimality never
 forms I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of
 J, read from the factorisation memo, contains I.
 
-An ideal stores its norm and its hash once, at construction.  Equality, order
-and the hash all read the field (the hash by its discriminant) and the triple,
-so one triple over two fields gives two keys that memos shared across fields
-keep apart; the norm takes part in none of them.
+An ideal is a record (``no_sequence``) of its field, its triple and its norm
+a*c, so one triple over two fields gives two keys.
 
 Memos, each keyed by a field or by ideals, so they grow with the primes and
 levels a caller visits and never with eigenvalue data: `factor_rational_prime`
@@ -33,7 +31,6 @@ levels a caller visits and never with eigenvalue data: `factor_rational_prime`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import gcd, prod
 from typing import NamedTuple
@@ -136,29 +133,29 @@ def _same_field(u, v) -> None:
         raise QuadFieldError(f"operands over different fields {u.field} and {v.field}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Ideal:
-    """Integral ideal [a, b + c*omega] in HNF: c | a, c | b, 0 <= b < a, a*c | N(b + c*omega)."""
-
+# a NamedTuple may not define __new__, so Ideal's checked one is in a subclass
+class _IdealFields(NamedTuple):
     field: QuadField
     a: int
     b: int
     c: int
-    norm: int = dataclass_field(init=False, repr=False, compare=False)
-    _hash: int = dataclass_field(init=False, repr=False, compare=False)
+    norm: int
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+
+@no_sequence
+class Ideal(_IdealFields):
+    """Integral ideal [a, b + c*omega] in HNF: c | a, c | b, 0 <= b < a, a*c | N(b + c*omega),
+    stored with its norm a*c."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: QuadField, a: int, b: int, c: int):
         if a <= 0 or c <= 0 or not 0 <= b < a:
             raise QuadFieldError(f"bad HNF triple ({a}, {b}, {c})")
-        t, n = self.field.trace_omega, self.field.norm_omega
+        t, n = field.trace_omega, field.norm_omega
         if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
-        object.__setattr__(self, "norm", a * c)
-        object.__setattr__(self, "_hash", hash((self.field.disc, a, b, c)))
-
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(cls, (field, a, b, c, a * c))
 
     def is_unit(self) -> bool:
         return self.a == 1 and self.c == 1
@@ -286,8 +283,8 @@ def ideal_pow(i: Ideal, e: int) -> Ideal:
         i = ideal_mul(i, i)
 
 
-@dataclass(frozen=True)
-class SplittingRecord:
+@no_sequence
+class SplittingRecord(NamedTuple):
     kind: str  # "split" | "inert" | "ramified"
     primes: tuple[Ideal, ...]
 
@@ -311,8 +308,8 @@ def factor_rational_prime(field: QuadField, p: int) -> SplittingRecord:
     return SplittingRecord("split", primes)
 
 
-def primes_above(field: QuadField, p: int) -> list[Ideal]:
-    return list(factor_rational_prime(field, p).primes)
+def primes_above(field: QuadField, p: int) -> tuple[Ideal, ...]:
+    return factor_rational_prime(field, p).primes
 
 
 def is_prime_ideal(i: Ideal) -> bool:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
 from math import prod
+from typing import NamedTuple
 
 from . import algext
 from .algext import AlgValue, lift, sqrt_or_adjoin
@@ -61,6 +62,7 @@ from .quadfield import (
     ideals_of_norm,
     is_exact_divisor,
     label,
+    no_sequence,
     primes_of_norm_up_to,
     unit_ideal,
 )
@@ -79,8 +81,8 @@ class RecoveryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrincipalOperator:
+@no_sequence
+class PrincipalOperator(NamedTuple):
     """T_{aa,aa} T_t W_w with trivial total class (use the factory below)."""
 
     aa: Ideal

@@ -10,15 +10,21 @@ from iqhecke.characters import (
     eval_on_class,
     quadratic_characters,
 )
-from iqhecke.classgroup import IdealClass, compute_class_group
+from iqhecke.classgroup import BQForm, IdealClass, compute_class_group, reduce_form
 from iqhecke.eigensystem import character_field, character_values, chi_value
 from iqhecke.quadfield import (
+    Ideal,
     QuadField,
+    SplittingRecord,
+    factor_rational_prime,
+    ideal_from_gens,
     ideal_from_label,
     make_field,
     principal_ideal,
     primes_of_norm_up_to,
+    unit_ideal,
 )
+from iqhecke.recovery import PrincipalOperator
 
 
 def test_roots_of_unity():
@@ -139,6 +145,19 @@ def test_character_serialization(G17):
         (lambda: IdealClass((1, 2)), lambda: IdealClass((1, 2)), lambda: IdealClass((2, 1))),
         (lambda: RootOfUnity(1, 2), lambda: RootOfUnity.make(6, 12), lambda: RootOfUnity(1, 4)),
         (lambda: make_field(17), lambda: QuadField(17, -68, False), lambda: make_field(21)),
+        # one triple over two fields is two ideals
+        (lambda: Ideal(make_field(17), 3, 1, 1),
+         lambda: ideal_from_gens(make_field(17), [(3, 0), (1, 1)]),
+         lambda: Ideal(make_field(5), 3, 1, 1)),
+        (lambda: BQForm(1, 0, 17), lambda: reduce_form(17, 0, 1), lambda: BQForm(2, 2, 9)),
+        (lambda: factor_rational_prime(make_field(17), 3),
+         lambda: SplittingRecord("split", (Ideal(make_field(17), 3, 1, 1),
+                                           Ideal(make_field(17), 3, 2, 1))),
+         lambda: factor_rational_prime(make_field(17), 5)),
+        (lambda: PrincipalOperator(unit_ideal(make_field(17)), unit_ideal(make_field(17))),
+         lambda: PrincipalOperator(unit_ideal(make_field(17)), unit_ideal(make_field(17)), None),
+         lambda: PrincipalOperator(unit_ideal(make_field(17)), unit_ideal(make_field(17)),
+                                   Ideal(make_field(17), 2, 1, 1))),
     ],
 )
 def test_record_contract(make, same, other):
@@ -168,6 +187,11 @@ def test_record_order():
         (IdealClass((1,)), IdealClass((2,))),
         (RootOfUnity(0, 1), RootOfUnity(1, 2)),
         (make_field(1), make_field(2)),
+        (Ideal(make_field(17), 2, 1, 1), Ideal(make_field(17), 3, 1, 1)),
+        (BQForm(1, 0, 17), BQForm(2, 2, 9)),
+        (factor_rational_prime(make_field(17), 2), factor_rational_prime(make_field(17), 3)),
+        (PrincipalOperator(unit_ideal(make_field(17)), unit_ideal(make_field(17))),
+         PrincipalOperator(unit_ideal(make_field(17)), Ideal(make_field(17), 2, 1, 1))),
     )
     for a, b in pairs:
         for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
