@@ -24,7 +24,14 @@ quarter higher for a lower-is-better one). ``failed`` holds each side's
 failed operations, summed over its runs. The script prints one line per
 workload that names every metric over its bound. ``call_counts`` holds the
 deterministic counts of ``scripts/call_counts.py`` for both trees (the
-change's script runs on each tree's library). ``--claim tables.ops_per_kref``
+change's script runs on each tree's library). ``setup_cpu`` holds, per
+target of ``perfbench/ready.py`` (``sweep`` and ``cli``) and per side, the
+median and quartiles of the user+sys CPU seconds of 20 fresh
+``python3 perfbench/ready.py TARGET`` processes per tree, read from
+``os.wait4``; the runs alternate between the trees and use the benchmark's
+child environment (``PYTHONHASHSEED=0``, the tree's ``src`` first on
+``PYTHONPATH``). Unlike the wall time ``setup_s``, CPU time leaves out the
+time a process waits for a CPU. ``--claim tables.ops_per_kref``
 names the metric the change claims to improve; it is copied into ``claim``
 with its summary. A run that exits nonzero or reports ``correct: false``
 stops the script.
@@ -39,6 +46,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SETUP_RUNS = 20
+SETUP_TARGETS = ("sweep", "cli")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -70,6 +80,39 @@ def call_counts(script: Path, tree: Path) -> dict:
         tables.append({row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows})
     counts, *memo_table = tables
     return {**counts, "memos": memo_table[0]} if memo_table else counts
+
+
+def ready_cpu(tree: Path, target: str) -> float:
+    """User+sys CPU seconds of one fresh ``perfbench/ready.py TARGET`` in tree."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "perfbench/ready.py", target], cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"{tree}: perfbench/ready.py {target} exited {proc.returncode}")
+    return usage.ru_utime + usage.ru_stime
+
+
+def setup_cpu(parent: Path, change: Path) -> dict:
+    """{target: {side: quartiles}} of SETUP_RUNS ``ready_cpu`` runs per tree,
+    the parent first in odd runs and the change first in even runs."""
+    trees = {"parent": parent, "change": change}
+    times = {target: {side: [] for side in trees} for target in SETUP_TARGETS}
+    for i in range(1, SETUP_RUNS + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for target in SETUP_TARGETS:
+            for side in order:
+                times[target][side].append(ready_cpu(trees[side], target))
+    return {target: {side: quartiles(xs) for side, xs in sides.items()}
+            for target, sides in times.items()}
+
+
+def quartiles(xs: list) -> dict:
+    """Median and quartiles (``statistics.quantiles``, n=4) of one side's runs."""
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -106,10 +149,7 @@ def summarise(pairs: list, metrics: dict) -> dict:
             continue
         better = spec["better"]
         side = {s: [p[s][key] for p in pairs] for s in ("parent", "change")}
-        stats = {}
-        for s, xs in side.items():
-            q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-            stats[s] = {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+        stats = {s: quartiles(xs) for s, xs in side.items()}
         won = sum((c < p) if better == "lower" else (c > p)
                   for p, c in zip(side["parent"], side["change"]))
         parent, change = stats["parent"]["median"], stats["change"]["median"]
@@ -187,6 +227,11 @@ def main() -> int:
         "claim": args.claim and {"metric": args.claim, **summary[args.claim]},
         "summary": summary,
         "failed": failed_totals(pairs),
+        "setup_cpu": {
+            "command": f"python3 perfbench/ready.py TARGET, {SETUP_RUNS} fresh processes per "
+                       "tree and target, alternating trees; user+sys CPU seconds from os.wait4",
+            **setup_cpu(parent, change),
+        },
         "pairs": pairs,
         "call_counts": {
             "command": "python3 scripts/call_counts.py TREE (cProfile; PYTHONHASHSEED=0)",

@@ -20,10 +20,12 @@ prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
 ``factor_ideal`` (the misses of its memo), ``coprime``, ``_hnf_from_rows``
 (every HNF built from generators, products and sums included),
-``is_rational_prime`` and, as ``generated``, the calls of every method that
-``dataclasses`` or ``namedtuple`` wrote at class creation (``__init__``,
-``__eq__``, ``__hash__``, ...: the code objects whose file is ``<string>``),
-the per-object overhead of building, comparing and hashing. A second table
+``is_rational_prime``, ``reduce_row`` (the rows that the Hecke-field walks
+of ``eigensystem._span_dimension`` reduce) and, as ``generated``, the calls
+of every method that ``dataclasses`` or ``namedtuple`` wrote at class
+creation (``__init__``, ``__eq__``, ``__hash__``, ...: the code objects
+whose file is ``<string>``), the per-object overhead of building, comparing
+and hashing. A second table
 gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
 by its ``cache_info``), the hits and misses of its memo in each section. The
 script exits 1 when any operation raised. With string hashing pinned the
@@ -49,7 +51,8 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("quadfield.py", "factor_ideal", "factor_ideal"),
            ("quadfield.py", "coprime", "coprime"),
            ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"),
-           ("quadfield.py", "is_rational_prime", "is_rational_prime"))
+           ("quadfield.py", "is_rational_prime", "is_rational_prime"),
+           ("eigensystem.py", "reduce_row", "reduce_row"))
 
 
 def profiled(ops) -> dict:

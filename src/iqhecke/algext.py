@@ -74,6 +74,9 @@ class ValueField:
     minpoly: tuple[int, ...]  # monic, constant coefficient first; (0, 1) for Q
     adjoined: tuple[BaseVec, ...]  # sorted; each of length deg(minpoly)
 
+    def __reduce__(self):  # a copied or unpickled tower is the interned one
+        return _tower, (self.minpoly, self.adjoined)
+
     @cached_property
     def base(self) -> "ValueField":
         """Q(theta), the tower without roots: its values are the base elements."""
@@ -693,14 +696,16 @@ def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
     return (x - c1 * y, -y)
 
 
-def automorphisms(f: ValueField) -> list[FieldAutomorphism]:
+@lru_cache(maxsize=None)
+def automorphisms(f: ValueField) -> tuple[FieldAutomorphism, ...]:
     """All ring automorphisms of the tower visible to this representation:
     sign flips of the adjoined roots, times the base conjugation when the
-    base is quadratic and fixes every adjoined element."""
+    base is quadratic and fixes every adjoined element; one tuple per tower."""
     base_opts = [False]
     if f.base_degree == 2 and all(_conjugate_base(f, r) == r for r in f.adjoined):
         base_opts.append(True)
-    return [FieldAutomorphism(f, mask, conj) for conj in base_opts for mask in range(1 << f.nroots)]
+    return tuple(FieldAutomorphism(f, mask, conj)
+                 for conj in base_opts for mask in range(1 << f.nroots))
 
 
 # -- symbolic values ----------------------------------------------------------

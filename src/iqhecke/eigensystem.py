@@ -312,6 +312,40 @@ def galois_conjugate_system(F: HeckeEigensystem) -> HeckeEigensystem:
     )
 
 
+def _alpha_law_pairs(F: HeckeEigensystem, good: list):
+    """Each (tau, psi) with tau(alpha(p)) = psi(p) alpha(p) at the good stored
+    primes p, given as (class of p, alpha(p)) pairs."""
+    group = F.group
+    # every value here lies in F.vfield, where equal values are equal as data;
+    # where the tower lacks psi(p), only alpha(p) = 0 is consistent
+    for tau in algext.automorphisms(F.vfield):
+        moved = [(cls, v, tau.apply(v)) for cls, v in good]
+        for psi in character_group(group):
+            values = character_values(F.vfield, group, psi)
+            if all(
+                v.is_zero() if (z := values[cls]) is None else tv == z * v
+                for cls, v, tv in moved
+            ):
+                yield tau, psi
+
+
+def _chi_law(F: HeckeEigensystem, tau, psi: IdealClass, classes: Iterable) -> bool:
+    """tau(chi(x)) = psi^2(x) chi(x) at each class x, with psi^2(x) in the tower."""
+    chi = character_values(F.vfield, F.group, F.character)
+    squared = character_values(F.vfield, F.group, F.group.power(psi, 2))
+    return all((z2 := squared[x]) is not None and tau.apply(chi[x]) == z2 * chi[x]
+               for x in classes)
+
+
+def _principal_twists(F: HeckeEigensystem) -> set:
+    """T: each tau of some (tau, psi) of _alpha_law_pairs that meets _chi_law at
+    every class.  tau then fixes every principal generator chi(x) alpha(b), as
+    x^2 [b] = 1, so by Artin's theorem k_f <= F.vfield.dim // |T|."""
+    good = [(F.group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+    classes = F.group.all_classes()
+    return {tau for tau, psi in _alpha_law_pairs(F, good) if _chi_law(F, tau, psi, classes)}
+
+
 def inner_twist_pairs(F: HeckeEigensystem) -> list:
     """All (tau, psi) with tau(alpha(p)) = psi(p) alpha(p) on stored primes.
 
@@ -319,25 +353,11 @@ def inner_twist_pairs(F: HeckeEigensystem) -> list:
     detected pair and a violation is a hard failure.
     """
     group = F.group
-    good = [(p, group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
-    pairs = []
-    # every value here lies in F.vfield, where equal values are equal as data;
-    # where the tower lacks psi(p), only alpha(p) = 0 is consistent
-    for tau in algext.automorphisms(F.vfield):
-        moved = [(cls, v, tau.apply(v)) for _, cls, v in good]
-        for psi in character_group(group):
-            values = character_values(F.vfield, group, psi)
-            if all(
-                v.is_zero() if (z := values[cls]) is None else tv == z * v
-                for cls, v, tv in moved
-            ):
-                pairs.append((tau, psi))
+    good = [(group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+    pairs = list(_alpha_law_pairs(F, good))
     for tau, psi in pairs:
-        values = character_values(F.vfield, group, group.power(psi, 2))
-        for p, cls, _ in good:
-            chip, z2 = chi_value(F, p), values[cls]
-            if z2 is None or tau.apply(chip) != z2 * chip:
-                raise EigensystemError("inner-twist pair fails the character compatibility law")
+        if not _chi_law(F, tau, psi, [cls for cls, _ in good]):
+            raise EigensystemError("inner-twist pair fails the character compatibility law")
     return pairs
 
 
@@ -376,13 +396,15 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 # -- Hecke field reporting ----------------------------------------------------
 
 
-def _span_dimension(values: Iterable[AlgValue], f: ValueField) -> int:
+def _span_dimension(values: Iterable[AlgValue], f: ValueField, bound: int | None = None) -> int:
     """Q-dimension of the subfield of f generated by the given tower values.
 
     values may be any iterable. It is read only until the algebra generated
-    so far fills f: that algebra lies in f, so the answer is then f.dim and
-    the values not yet read cannot change it.
+    so far reaches bound (default f.dim), an upper bound on the answer that
+    the caller knows: the values not yet read cannot change it then.
     """
+    if bound is None:
+        bound = f.dim
     rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
@@ -401,7 +423,7 @@ def _span_dimension(values: Iterable[AlgValue], f: ValueField) -> int:
     basis = [algext.one(f)]
     reduce_row(basis[0])
     values = iter(values)
-    while len(basis) < f.dim and (v := next(values, None)) is not None:
+    while len(basis) < bound and (v := next(values, None)) is not None:
         g = lift(v, f)
         if not reduce_row(g):
             continue
@@ -409,7 +431,7 @@ def _span_dimension(values: Iterable[AlgValue], f: ValueField) -> int:
         # S + gS + g^2 S + ... is the algebra with g: close it under g alone
         todo = basis[1:] + [g]
         basis.append(g)
-        while todo and len(basis) < f.dim:
+        while todo and len(basis) < bound:
             prod = g * todo.pop()
             if reduce_row(prod):
                 basis.append(prod)
@@ -435,8 +457,9 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     trivial class-group component: values chi(x) alpha(b) where b runs over
     products of at most three stored primes (with squares allowed) whose
     class lies in CL^2, and x^2 [b] = 1. Both sets of generators are read
-    lazily by _span_dimension, which stops once their span fills the value
-    field f; a product b past that point is never formed.
+    lazily by _span_dimension. The principal walk stops at f.dim // |T|, T
+    from _principal_twists, and the full walk once its span fills the value
+    field f; a product b past the stop is never formed.
     """
     group = F.group
     f = F.vfield
@@ -462,7 +485,8 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
-    k_f = _span_dimension(principal_gens(), f)
+    bound = f.dim // len(_principal_twists(F)) if f.dim > 1 else 1
+    k_f = _span_dimension(principal_gens(), f, bound)
     full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

@@ -74,9 +74,10 @@ def no_sequence(cls):
     """Make a ``NamedTuple`` class a record that is a tuple underneath but no
     sequence: ``len``, iteration, indexing, ``in``, ``+``, repetition
     (``n * x``, ``x * n``) and order raise TypeError, unless the class
-    defines the operator itself.  Construction, equality and hashing stay
-    tuple's, in C, and every record is true.  Records of two such classes
-    with equal contents are equal, so no dict should mix them."""
+    defines the operator itself.  Construction, equality, hashing and the
+    fields that pickle and copy read stay tuple's, in C, and every record is
+    true.  Records of two such classes with equal contents are equal, so no
+    dict should mix them."""
 
     def refuse(self, *args):
         raise TypeError(f"a {cls.__name__} is not a sequence")
@@ -90,6 +91,8 @@ def no_sequence(cls):
                  "__lt__", "__le__", "__gt__", "__ge__"):
         if name not in vars(cls):
             setattr(cls, name, unsupported)
+    if "_fields" in vars(cls):  # NamedTuple's own iterates; a subclass (Ideal) sets its own
+        cls.__getnewargs__ = lambda self: tuple.__getitem__(self, slice(None))
     cls.__bool__ = lambda self: True
     return cls
 
@@ -156,6 +159,9 @@ class Ideal(_IdealFields):
         if a % c or b % c or (b * b + t * b * c + n * c * c) % (a * c):
             raise QuadFieldError(f"HNF triple ({a}, {b}, {c}) not omega-closed")
         return tuple.__new__(cls, (field, a, b, c, a * c))
+
+    def __getnewargs__(self):  # so that unpickling and copying check the triple again
+        return self.field, self.a, self.b, self.c
 
     def is_unit(self) -> bool:
         return self.a == 1 and self.c == 1

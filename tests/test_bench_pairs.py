@@ -83,3 +83,32 @@ def test_failed_totals_sum_each_side():
         "parent": {"roundtrip.failed": 4, "tables.failed": 1},
         "change": {"roundtrip.failed": 0, "tables.failed": 7},
     }
+
+
+def test_setup_cpu_alternates_the_trees(monkeypatch):
+    calls = []
+
+    def fake(tree, target):
+        calls.append((tree, target))
+        return len(calls) / 100 if tree == "change" else 1.0
+
+    monkeypatch.setattr(bench_pairs, "ready_cpu", fake)
+    cpu = bench_pairs.setup_cpu("parent", "change")
+    runs = bench_pairs.SETUP_RUNS
+    assert len(calls) == 2 * runs * len(bench_pairs.SETUP_TARGETS)
+    # run i takes sweep then cli, each on both trees, the parent first in odd runs
+    assert calls[:8] == [("parent", "sweep"), ("change", "sweep"), ("parent", "cli"),
+                         ("change", "cli"), ("change", "sweep"), ("parent", "sweep"),
+                         ("change", "cli"), ("parent", "cli")]
+    assert set(cpu) == {"sweep", "cli"}
+    for target, sides in cpu.items():
+        assert sides["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+        mine = [n / 100 for n, call in enumerate(calls, 1) if call == ("change", target)]
+        assert len(mine) == runs
+        assert sides["change"] == bench_pairs.quartiles(mine)
+        assert sides["change"]["q1"] < sides["change"]["median"] < sides["change"]["q3"]
+
+
+def test_ready_cpu_reads_a_fresh_process():
+    # the one real child: ready.py cli imports the library and loads the bundle
+    assert bench_pairs.ready_cpu(SCRIPT.parents[1], "cli") > 0

@@ -1,12 +1,22 @@
 """The library has no runtime dependencies: it imports only the standard
 library and itself, on every Python version that CI runs.  Its value types
-keep one record contract: no hand-written hash and no ordered dataclass."""
+keep one record contract: no hand-written hash and no ordered dataclass, and
+every record pickles and copies."""
 
 import ast
+import copy
+import pickle
 import sys
 from pathlib import Path
 
+import pytest
+
 import iqhecke
+from iqhecke.algext import make_value_field, parse_value
+from iqhecke.characters import RootOfUnity
+from iqhecke.classgroup import IdealClass, compute_class_group
+from iqhecke.quadfield import Ideal, QuadFieldError, factor_rational_prime, make_field, unit_ideal
+from iqhecke.recovery import make_principal_operator
 
 
 def test_library_imports_only_the_standard_library():
@@ -47,3 +57,38 @@ def test_value_types_share_one_record_contract():
                 ):
                     own_rules.append((path.name, cls.name, "order=True"))
     assert own_rules == []
+
+
+def _records() -> list:
+    """One value of each ``no_sequence`` record type."""
+    K = make_field(17)
+    group = compute_class_group(K)
+    return [K, Ideal(K, 3, 1, 1), factor_rational_prime(K, 3), group.forms[1],
+            IdealClass((1,)), RootOfUnity.make(1, 4),
+            parse_value(make_value_field(adjoined=[-1, 2]), "1 + i*sqrt2"),
+            make_principal_operator(group, unit_ideal(K), t=Ideal(K, 2, 0, 2))]
+
+
+def test_every_record_pickles_and_copies():
+    decorated = {cls.name for path in Path(iqhecke.__file__).parent.glob("*.py")
+                 for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(cls, ast.ClassDef)
+                 and any(getattr(deco, "id", None) == "no_sequence" for deco in cls.decorator_list)}
+    records = _records()
+    assert {type(r).__name__ for r in records} == decorated
+    for record in records:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                       copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record
+    value = records[6]
+    # a copied value lands on the interned tower Q(i, sqrt2), not on a copy of it
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert copied.field is value.field
+
+
+def test_copying_an_ideal_checks_its_triple_again():
+    K = make_field(17)
+    bad = tuple.__new__(Ideal, (K, 3, 4, 1, 3))  # b outside [0, a): not an HNF triple
+    for copier in (copy.copy, copy.deepcopy, lambda i: pickle.loads(pickle.dumps(i))):
+        with pytest.raises(QuadFieldError):
+            copier(bad)

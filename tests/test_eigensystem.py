@@ -17,6 +17,7 @@ from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.eigensystem import (
     EigensystemError,
     HeckeFieldReport,
+    _principal_twists,
     _span_dimension,
     base_change_candidate,
     character_values,
@@ -185,11 +186,12 @@ def test_span_dimension_stops_reading_once_the_span_fills_the_field():
 
     def values(*texts):
         yield from (parse_value(f, t) for t in texts)
-        raise AssertionError("read past a span that fills the field")
+        raise AssertionError("read past a span that fills the field or reaches the bound")
 
     assert _span_dimension(values("sqrt3", "i"), f) == 4
     assert _span_dimension(values("2", "i + sqrt3"), f) == 4
     assert _span_dimension(values(), algext.RATIONAL_FIELD) == 1
+    assert _span_dimension(values("2", "i*sqrt3"), f, 2) == 2
 
 
 def test_twist_examples(bundle, F0, K17):
@@ -399,6 +401,11 @@ def _eager_report(F):
 
 
 def test_hecke_field_report_matches_the_eager_reference(bundle):
+    # the automorphisms T that bound the principal degree: 2.1 F0 has the inner
+    # twist sqrt2 -> -sqrt2 by chi2; the cubic base of 25.1 shows no automorphism
+    twists = _principal_twists(bundle.system("2.1", "F0"))
+    assert sorted(tau.describe() for tau in twists) == ["id", "sqrt2 -> -sqrt2"]
+    assert len(_principal_twists(bundle.system("25.1", "F0"))) == 1
     systems = [bundle.system("16.1", "F1")]
     for d in (1, 5, 17, 21, 65, 105):
         g = compute_class_group(make_field(d))
@@ -411,6 +418,10 @@ def test_hecke_field_report_matches_the_eager_reference(bundle):
     for F in systems:
         rep = hecke_field_report(F)
         assert rep == _eager_report(F)
+        # the walk stops at dim // |T|, which must not be below the principal degree
+        twists = _principal_twists(F)
+        assert any(tau.is_identity() for tau in twists)
+        assert F.vfield.dim // len(twists) >= rep.principal_degree
         shapes.add((F.vfield.dim, rep.principal_degree < F.vfield.dim))
     # towers of dimension 1, 2 and 4, and principal subfields that fill them or not
     assert {(1, False), (2, False), (4, False), (2, True), (4, True)} <= shapes
