@@ -18,14 +18,17 @@ Inputs are drawn and the bundle is loaded before profiling starts; memoised
 values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
-``factor_ideal`` (the misses of its memo), ``coprime``, ``_hnf_from_rows``
-(every HNF built from generators, products and sums included),
-``is_rational_prime``, ``reduce_row`` (the rows that the Hecke-field walks
-of ``eigensystem._span_dimension`` reduce) and, as ``generated``, the calls
-of every method that ``dataclasses`` or ``namedtuple`` wrote at class
-creation (``__init__``, ``__eq__``, ``__hash__``, ...: the code objects
-whose file is ``<string>``), the per-object overhead of building, comparing
-and hashing. A second table
+``factor_ideal`` (the misses of its memo), ``coprime``, ``contains_ideal``
+(the HNF containment tests of ``coprime`` and ``factor_ideal``),
+``_hnf_from_rows`` (every HNF built from generators, products and sums
+included), ``is_rational_prime``, ``reduce_row`` (the rows that the
+Hecke-field walks of ``eigensystem._span_dimension`` reduce), as
+``generated`` the calls of every method that ``dataclasses`` or
+``namedtuple`` wrote at class creation (``__init__``, ``__eq__``,
+``__hash__``, ...: the code objects whose file is ``<string>``), the
+per-object overhead of building, comparing and hashing, and as ``kernel``
+the calls of ``algext``'s compiled products, lifts and automorphisms (file
+``<iqhecke kernel>``). A second table
 gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
 by its ``cache_info``), the hits and misses of its memo in each section. The
 script exits 1 when any operation raised. With string hashing pinned the
@@ -50,6 +53,7 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("quadfield.py", "ideal_mul", "ideal_mul"),
            ("quadfield.py", "factor_ideal", "factor_ideal"),
            ("quadfield.py", "coprime", "coprime"),
+           ("quadfield.py", "contains_ideal", "contains_ideal"),
            ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"),
            ("quadfield.py", "is_rational_prime", "is_rational_prime"),
            ("eigensystem.py", "reduce_row", "reduce_row"))
@@ -72,7 +76,8 @@ def profiled(ops) -> dict:
     for filename, func, name in COUNTED:
         row[name] = sum(e.callcount for e in codes
                         if e.code.co_name == func and Path(e.code.co_filename).name == filename)
-    row["generated"] = sum(e.callcount for e in codes if e.code.co_filename == "<string>")
+    for name, filename in (("generated", "<string>"), ("kernel", "<iqhecke kernel>")):
+        row[name] = sum(e.callcount for e in codes if e.code.co_filename == filename)
     return row
 
 
@@ -103,7 +108,7 @@ def main(tree: Path) -> int:
         "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],
         "run_checks": [lambda: verify.run_checks(bundle)],
     }
-    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED] + ["generated"]
+    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED] + ["generated", "kernel"]
     print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
     failed = 0
     cached = memos()

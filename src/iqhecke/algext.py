@@ -12,20 +12,21 @@ split; the inverse is (v0 - v1*sqrt(r)) / N with the relative norm
 N = v0^2 - r*v1^2, down to the root-free tower ``f.base``.
 
 Each tower memoises its structure constants (e_i*e_j as a sparse sum of
-integers over one denominator; Q(theta)'s in the root-free tower), and the
-complex value and name of each basis element, and each pair of towers its
-lift map, so products, lifts and automorphisms are one integer loop and one
-gcd, and embeddings and rendering loops over the Fraction view ``coeffs``.
-``with_radical`` is memoised per (tower, radicand), so its Kummer test
-runs once per pair.
+integers over one denominator; Q(theta)'s in the root-free tower) and the
+complex value and name of each basis element.  Each fixed sparse integer
+map, a tower's product, the lift map of a pair of towers and each
+automorphism, is compiled once into a straight-line function of the
+numerators (``_compile_kernel``), so a product, a lift or an automorphism
+is one kernel call and one gcd; embeddings and rendering loop over the
+Fraction view ``coeffs``.  A kernel has one term per nonzero constant and
+skips no zero entry.  ``with_radical`` is memoised per (tower, radicand), so
+its Kummer test runs once per pair.
 
 An ``AlgValue`` is the named triple (field, nums, den), a tuple underneath:
 every builder goes through one unchecked constructor, ``_new_value``, a
 single C call, and equality and hashing are tuple's, by tower identity,
 numerators and denominator.  It is no sequence (``len``, iteration and
-``n * v`` raise TypeError).  A product with a rational factor, and so every
-product over Q, scales the other factor's numerators without the structure
-constants, since basis element 0 is 1 in every tower.
+``n * v`` raise TypeError).
 
 Square roots are exact.  A base square root comes from p-adic lifting and
 interpolation at a split prime (``poly``), bounded through the trace form of
@@ -129,18 +130,23 @@ class ValueField:
                 powers.append(tuple((prev[k - 1] if k else 0) - prev[-1] * self.minpoly[k]
                                     for k in range(deg)))
             return tuple(tuple(_sparse(powers[a + b]) for b in range(deg)) for a in range(deg)), 1
-        table = self.base._table[0]
+        mul = self.base._mul[0]
         den = lcm(*(p.den for p in self._radicand_products))
         radicands = [[n * (den // p.den) for n in p.nums] for p in self._radicand_products]
         basis = [divmod(i, deg) for i in range(self.dim)]  # (S, a) at index S*deg + a
         return tuple(
             tuple(
-                _sparse(_product(_product(units[a], units[b], table), radicands[s & t], table),
-                        (s ^ t) * deg)
+                _sparse(mul(mul(units[a], units[b]), radicands[s & t]), (s ^ t) * deg)
                 for t, b in basis
             )
             for s, a in basis
         ), den
+
+    @cached_property
+    def _mul(self):
+        """(kernel, den): the product of numerator vectors u, v is kernel(u, v) / den."""
+        table, den = self._table
+        return _compile_kernel([t for row in table for t in row], self.dim, self.dim, 2), den
 
     @cached_property
     def _trace_form(self) -> tuple[int, Fraction, tuple[Fraction, ...]]:
@@ -227,7 +233,8 @@ def _as_base_vec(deg: int, r) -> BaseVec:
 @no_sequence
 class AlgValue(NamedTuple):
     """nums/den on the basis of ``field``, in the canonical form den > 0 and
-    gcd(den, *nums) == 1 that every operation returns (``_value``); a tuple
+    gcd(den, *nums) == 1 that every operation returns (``_value``, and the
+    product through its tower's kernel and one gcd); a tuple
     underneath but no sequence (``quadfield.no_sequence``: no ``len``,
     iteration, indexing, order or ``n * v``), and true like any object."""
 
@@ -266,16 +273,13 @@ class AlgValue(NamedTuple):
         return _value(self.field, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __mul__(self, other: "AlgValue") -> "AlgValue":
-        _check_same_field(self, other)
-        u, v = self.nums, other.nums
-        if not any(v[1:]):
-            c = v[0]
-            return _value(self.field, [c * x for x in u], self.den * other.den)
-        if not any(u[1:]):
-            c = u[0]
-            return _value(self.field, [c * x for x in v], self.den * other.den)
-        table, den = self.field._table
-        return _value(self.field, _product(u, v, table), self.den * other.den * den)
+        f = self.field
+        if other.__class__ is not AlgValue or other.field is not f:
+            _check_same_field(self, other)
+        kernel, den = f._mul
+        nums, den = kernel(self.nums, other.nums), self.den * other.den * den
+        g = gcd(den, *nums)  # den > 0, so g > 0
+        return _new_value((f, nums, den) if g == 1 else (f, tuple(n // g for n in nums), den // g))
 
     def scale(self, q) -> "AlgValue":
         q = Fraction(q)
@@ -329,27 +333,24 @@ def from_coeffs(f: ValueField, coeffs) -> AlgValue:
     return _value(f, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
-def _product(u, v, table: Table) -> list[int]:
-    """The product of two integer vectors through integer structure constants."""
-    acc = [0] * len(u)
-    for a, row in zip(u, table):
-        if a:
-            for b, terms in zip(v, row):
-                if b:
-                    ab = a * b
-                    for k, c in terms:
-                        acc[k] += ab * c
-    return acc
-
-
-def _linear_image(nums, images: tuple[Sparse, ...], dim: int) -> list[int]:
-    """sum_i nums[i] * images[i]: a sparse integer matrix times a vector."""
-    acc = [0] * dim
-    for c, image in zip(nums, images):
-        if c:
-            for k, x in image:
-                acc[k] += c * x
-    return acc
+def _compile_kernel(images, n: int, dim: int, arity: int = 1):
+    """The fixed integer map that sends monomial x of vectors of length n,
+    u_x (arity 1) or u_i*v_j with x = i*n + j (arity 2), to the sparse vector
+    images[x]: one straight-line function of u (or u and v) that returns a
+    tuple of length dim.  Its source holds only the ints of images and fixed
+    names."""
+    args = "uv"[:arity]
+    sums = [""] * dim
+    for x, image in enumerate(images):
+        m = f"u{x}" if arity == 1 else f"u{x // n}*v{x % n}"
+        for k, c in image:
+            sums[k] += f"+{m}" if c == 1 else f"-{m}" if c == -1 else f"{c:+}*{m}"
+    src = "\n ".join([f"def kernel({', '.join(args)}):",
+                      *(f"{', '.join(f'{a}{i}' for i in range(n))}, = {a}" for a in args),
+                      f"return ({', '.join(t.removeprefix('+') or '0' for t in sums)},)"])
+    scope = {}
+    exec(compile(src, "<iqhecke kernel>", "exec"), scope)
+    return scope["kernel"]
 
 
 def _sparse(coeffs, lead: int = 0) -> Sparse:
@@ -361,8 +362,8 @@ def _base_inv(v: AlgValue) -> AlgValue:
     """Inverse of a nonzero base value nums/den: den * x, where Gauss-Jordan
     elimination over Q on [M | 1] solves M x = 1 for the multiplication matrix
     M of nums (column k is nums * theta^k)."""
-    deg, (table, _) = v.field.dim, v.field._table
-    cols = [_product(v.nums, _unit_vec(deg, k), table) for k in range(deg)] + [_unit_vec(deg, 0)]
+    deg, mul = v.field.dim, v.field._mul[0]
+    cols = [mul(v.nums, _unit_vec(deg, k)) for k in range(deg)] + [_unit_vec(deg, 0)]
     m = [[col[i] for col in cols] for i in range(deg)]
     for k in range(deg):
         piv = next((r for r in range(k, deg) if m[r][k]), None)
@@ -454,12 +455,18 @@ def lift(v: AlgValue, target: ValueField) -> AlgValue:
         return v
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
-    images, den = _lift_map(src, target)
-    return _value(target, _linear_image(v.nums, images, target.dim), v.den * den)
+    kernel, den = _lift_map(src, target)
+    return _value(target, kernel(v.nums), v.den * den)
 
 
 @lru_cache(maxsize=None)
-def _lift_map(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], int]:
+def _lift_map(src: ValueField, target: ValueField):
+    """(kernel, den): src's numerators lift to kernel(nums) / den in target."""
+    images, den = _lift_images(src, target)
+    return _compile_kernel(images, src.dim, target.dim), den
+
+
+def _lift_images(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], int]:
     """The image in target of each basis element of src, over one denominator:
     sqrt(r) goes to the square root of r in target with the same embedded value."""
     monomials = [one(target)]  # the images of the root products, by mask
@@ -523,7 +530,7 @@ def _base_sqrt(c: AlgValue) -> AlgValue | None:
             return None
     disc, bound, tr = f._trace_form
     e = disc * c.den
-    t = [n * disc * e for n in c.nums]  # c * e^2
+    t = tuple(n * disc * e for n in c.nums)  # c * e^2
     for p, xs in poly.split_primes(f.minpoly):
         images = [poly.evaluate(t, x) % p for x in xs]
         if all(images):
@@ -534,9 +541,10 @@ def _base_sqrt(c: AlgValue) -> AlgValue | None:
     m, xs = poly.lift_roots(f.minpoly, p, xs, 4 * bound * sum(map(mul, t, tr)))
     ys = [poly.hensel([-poly.evaluate(t, x), 0, 1], y, m) for x, y in zip(xs, ys)]
     cols = [[y * c for c in li] for y, li in zip(ys, poly.lagrange_basis(xs, m))]
+    square = f._mul[0]
     for signs in product((1, -1), repeat=deg - 1):
         cand = [(sum(map(mul, (1,) + signs, row)) + m // 2) % m - m // 2 for row in zip(*cols)]
-        if _product(cand, cand, f._table[0]) == t:
+        if square(cand, cand) == t:
             return _value(f, cand, e)
     return None
 
@@ -656,9 +664,14 @@ class FieldAutomorphism:
     def apply(self, v: AlgValue) -> AlgValue:
         if v.field != self.field:
             raise AlgebraError("automorphism applied to a foreign value")
-        return _value(self.field, _linear_image(v.nums, self._images, self.field.dim), v.den)
+        return _value(self.field, self._kernel(v.nums), v.den)
 
     @cached_property
+    def _kernel(self):
+        """The map on numerators, compiled once per automorphism."""
+        return _compile_kernel(self._images, self.field.dim, self.field.dim)
+
+    @property
     def _images(self) -> tuple[Sparse, ...]:
         """The image of each basis element, integral: theta^k goes to theta'^k when the
         base is conjugated, and sqrt(S) to -sqrt(S) for an odd number of

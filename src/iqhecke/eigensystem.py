@@ -18,10 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, groupby
 from math import gcd
-from operator import mul
 
 from . import algext
 from .algext import AlgValue, ValueField, lift, values_equal
@@ -173,13 +172,18 @@ def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
 
 def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
     """alpha(a) for any integral ideal: the stored eigenvalue at a stored
-    prime, else the product of alpha(p^e) over the prime factorisation of a."""
+    prime, else the running product of alpha(p^e) over the prime
+    factorisation of a, each read from F's prime-power memo, which
+    _prime_powers grows only where it is short (1 for the unit ideal)."""
     v = F._alpha.get(a)
     if v is not None:
         return v
-    if a.is_unit():
-        return algext.one(F.vfield)
-    return reduce(mul, [_prime_powers(F, p, e)[e] for p, e in factor_ideal(a)])
+    out = None
+    for p, e in factor_ideal(a):
+        memo = F._powers.get(p)
+        v = memo[0][e] if memo and e < len(memo[0]) else _prime_powers(F, p, e)[e]
+        out = v if out is None else out * v
+    return algext.one(F.vfield) if out is None else out
 
 
 def _prime_powers(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
@@ -457,9 +461,11 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     trivial class-group component: values chi(x) alpha(b) where b runs over
     products of at most three stored primes (with squares allowed) whose
     class lies in CL^2, and x^2 [b] = 1. Both sets of generators are read
-    lazily by _span_dimension. The principal walk stops at f.dim // |T|, T
-    from _principal_twists, and the full walk once its span fills the value
-    field f; a product b past the stop is never formed.
+    lazily by _span_dimension. The principal walk reads the single primes
+    first; only when they span less than the value field f does it compute
+    T (_principal_twists) and walk every b, stopping at f.dim // |T|. The
+    full walk stops once its span fills f; a product b past a stop is never
+    formed.
     """
     group = F.group
     f = F.vfield
@@ -472,8 +478,8 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
     exps = [group.ideal_class(p).exps for p in good]
 
-    def principal_gens():
-        for size in (1, 2, 3):
+    def principal_gens(sizes):
+        for size in sizes:
             for combo in combinations_with_replacement(range(len(good)), size):
                 cols = zip(*map(exps.__getitem__, combo))
                 cls = tuple(sum(c) % d for c, d in zip(cols, divisors))
@@ -485,8 +491,9 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
-    bound = f.dim // len(_principal_twists(F)) if f.dim > 1 else 1
-    k_f = _span_dimension(principal_gens(), f, bound)
+    k_f = _span_dimension(principal_gens((1,)), f)
+    if k_f < f.dim and k_f < (bound := f.dim // len(_principal_twists(F))):
+        k_f = _span_dimension(principal_gens((1, 2, 3)), f, bound)
     full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

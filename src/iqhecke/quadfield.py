@@ -270,7 +270,11 @@ def coprime(i: Ideal, j: Ideal) -> bool:
         _same_field(i, j)
     if gcd(i.norm, j.norm) == 1:
         return True
-    return not any(pp.contains_ideal(i) for pp, _ in factor_ideal(j))
+    for pp, _ in factor_ideal(j):
+        # pp contains i only if N(pp) divides N(i): the norm test skips most HNF tests
+        if i.norm % pp.norm == 0 and pp.contains_ideal(i):
+            return False
+    return True
 
 
 def ideal_pow(i: Ideal, e: int) -> Ideal:

@@ -417,3 +417,83 @@ def test_nested_powers_are_bounded_before_any_power_is_computed(monkeypatch):
                         (Q, "1 + ((2^0)^5000)^0")]:
         with pytest.raises(AlgebraError, match="exponent"):
             parse_value(field, text)
+
+
+# -- compiled kernels: each against the loop that interpreted its sparse map ---
+
+
+def reference_product(u, v, table):
+    """sum_{i,j} u_i v_j table[i][j], skipping zero entries."""
+    acc = [0] * len(u)
+    for a, row in zip(u, table):
+        if a:
+            for b, terms in zip(v, row):
+                if b:
+                    for k, c in terms:
+                        acc[k] += a * b * c
+    return tuple(acc)
+
+
+def reference_image(nums, images, dim):
+    """sum_i nums[i] images[i]: a sparse integer matrix times a vector."""
+    acc = [0] * dim
+    for c, image in zip(nums, images):
+        if c:
+            for k, x in image:
+                acc[k] += c * x
+    return tuple(acc)
+
+
+def kernel_inputs(n, seed):
+    """Every unit vector, then random dense and sparse integer vectors of length n."""
+    rng = random.Random(seed)
+    out = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    for _ in range(20):
+        out.append(tuple(rng.randint(-9, 9) for _ in range(n)))
+        sparse = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            sparse[rng.randrange(n)] = rng.randint(-10**12, 10**12)
+        out.append(tuple(sparse))
+    return out
+
+
+PSI7 = make_value_field(minpoly=[-1, -2, 1, 1])  # 2cos(2pi/7)
+PSI7_ROOT = make_value_field(minpoly=[-1, -2, 1, 1], adjoined=[(-4, 0, 1)])  # sqrt(a^2 - 4)
+QM3 = make_value_field(adjoined=[-3])
+QM3_I2 = make_value_field(adjoined=[-3, -1, 2])
+Q2 = make_value_field(adjoined=[2])
+
+
+@pytest.mark.parametrize("f", [Q, QI, Q2, QM3, QI2, QM3_I2, CUBIC, PSI7_ROOT],
+                         ids=lambda f: f.describe())
+def test_product_kernel_matches_the_table_loop(f):
+    kernel, den = f._mul
+    # one kernel per tower, built on the first read
+    assert f._mul is f._mul and make_value_field(f.minpoly, f.adjoined)._mul is f._mul
+    assert den == f._table[1]
+    vectors = kernel_inputs(f.dim, f.dim)
+    for u in vectors:
+        for v in vectors[: f.dim] + [u]:
+            assert kernel(u, v) == kernel(v, u) == reference_product(u, v, f._table[0])
+
+
+@pytest.mark.parametrize("src,target", [
+    (Q, QI), (Q2, QI2), (QI, QI2), (QI2, QM3_I2), (QM3, QM3_I2),
+    (make_value_field(adjoined=[-2]), QI2), (CUBIC, CUBIC_I), (PSI7, PSI7_ROOT),
+], ids=lambda f: f.describe())
+def test_lift_kernel_matches_the_image_loop(src, target):
+    kernel, den = algext._lift_map(src, target)
+    images, image_den = algext._lift_images(src, target)
+    assert den == image_den and algext._lift_map(src, target)[0] is kernel
+    for u in kernel_inputs(src.dim, target.dim):
+        assert kernel(u) == reference_image(u, images, target.dim)
+
+
+@pytest.mark.parametrize("f", [QI2, QUAD_SQRT3], ids=lambda f: f.describe())
+def test_automorphism_kernels_match_the_image_loop(f):
+    autos = automorphisms(f)
+    assert len(autos) == 4
+    for tau in autos:
+        assert tau._kernel is tau._kernel
+        for u in kernel_inputs(f.dim, 4):
+            assert tau._kernel(u) == reference_image(u, tau._images, f.dim)

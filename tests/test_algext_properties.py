@@ -117,8 +117,9 @@ def test_ring_operations_match_the_fraction_reference(data):
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(data=st.data())
 def test_rational_factors_and_subtraction_match_the_fraction_reference(f, data):
-    """The products that skip the structure constants (a rational factor on
-    either side, every product on Q) and subtraction without a negation."""
+    """Products with a rational factor on either side (every product on Q),
+    which the tower's kernel forms like any other, and subtraction without a
+    negation."""
     u, v = data.draw(values(f)), data.draw(values(f))
     q = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | small)
     r = from_rational(f, q)

@@ -1,7 +1,8 @@
 """The library has no runtime dependencies: it imports only the standard
 library and itself, on every Python version that CI runs.  Its value types
 keep one record contract: no hand-written hash and no ordered dataclass, and
-every record pickles and copies."""
+every record pickles and copies.  Only ``algext``'s kernel compiler runs
+generated code."""
 
 import ast
 import copy
@@ -81,9 +82,11 @@ def test_every_record_pickles_and_copies():
                        copy.deepcopy(record)):
             assert type(copied) is type(record) and copied == record
     value = records[6]
-    # a copied value lands on the interned tower Q(i, sqrt2), not on a copy of it
+    # the tower already holds its compiled product, which does not travel: a
+    # copied value lands on the interned tower Q(i, sqrt2), not on a copy of it
+    assert "_mul" in vars(value.field)
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-        assert copied.field is value.field
+        assert copied.field is value.field and copied * copied == value * value
 
 
 def test_copying_an_ideal_checks_its_triple_again():
@@ -92,3 +95,21 @@ def test_copying_an_ideal_checks_its_triple_again():
     for copier in (copy.copy, copy.deepcopy, lambda i: pickle.loads(pickle.dumps(i))):
         with pytest.raises(QuadFieldError):
             copier(bad)
+
+
+def test_only_the_kernel_compiler_runs_generated_code():
+    # exec, eval and compile by name, each with the innermost function around it
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id in ("exec", "eval", "compile"):
+            found.append((where, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(iqhecke.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name)
+    assert sorted(found) == [("_compile_kernel", "compile"), ("_compile_kernel", "exec")]
+    assert "_compile_kernel" in vars(iqhecke.algext)
