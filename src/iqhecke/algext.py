@@ -658,6 +658,9 @@ class FieldAutomorphism:
     sign_mask: int
     conjugate_base: bool
 
+    def __reduce__(self):  # a copy leaves the compiled kernel behind
+        return FieldAutomorphism, (self.field, self.sign_mask, self.conjugate_base)
+
     def is_identity(self) -> bool:
         return self.sign_mask == 0 and not self.conjugate_base
 

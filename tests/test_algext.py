@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from iqhecke import algext
 from iqhecke.algext import (
     MAX_EXPONENT,
     AlgebraError,
+    adjoined_root,
     automorphisms,
     canonical_sign,
     embed,
@@ -497,3 +500,7 @@ def test_automorphism_kernels_match_the_image_loop(f):
         assert tau._kernel is tau._kernel
         for u in kernel_inputs(f.dim, 4):
             assert tau._kernel(u) == reference_image(u, tau._images, f.dim)
+        # an automorphism that holds its kernel still pickles and copies
+        x = one(f) + adjoined_root(f, 0)
+        for copied in (pickle.loads(pickle.dumps(tau)), copy.copy(tau), copy.deepcopy(tau)):
+            assert copied == tau and copied.apply(x) == tau.apply(x)
