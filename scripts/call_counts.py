@@ -22,7 +22,9 @@ the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
 (the HNF containment tests of ``coprime`` and ``factor_ideal``),
 ``_hnf_from_rows`` (every HNF built from generators, products and sums
 included), ``is_rational_prime``, ``reduce_row`` (the rows that the
-Hecke-field walks of ``eigensystem._span_dimension`` reduce), as
+Hecke-field walks of ``eigensystem._span_dimension`` reduce), ``twist``,
+``systems_equal`` (the exact comparisons of two systems' stored
+eigenvalues), ``lift`` (every value re-expressed in another tower), as
 ``generated`` the calls of every method that ``dataclasses`` or
 ``namedtuple`` wrote at class creation (``__init__``, ``__eq__``,
 ``__hash__``, ...: the code objects whose file is ``<string>``), the
@@ -56,7 +58,10 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("quadfield.py", "contains_ideal", "contains_ideal"),
            ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"),
            ("quadfield.py", "is_rational_prime", "is_rational_prime"),
-           ("eigensystem.py", "reduce_row", "reduce_row"))
+           ("eigensystem.py", "reduce_row", "reduce_row"),
+           ("eigensystem.py", "twist", "twist"),
+           ("eigensystem.py", "systems_equal", "systems_equal"),
+           ("algext.py", "lift", "lift"))
 
 
 def profiled(ops) -> dict:

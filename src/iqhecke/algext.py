@@ -265,7 +265,7 @@ class AlgValue(NamedTuple):
         return _value(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __neg__(self) -> "AlgValue":
-        return _new_value((self.field, tuple(-n for n in self.nums), self.den))
+        return _new_value((self.field, tuple([-n for n in self.nums]), self.den))
 
     def __sub__(self, other: "AlgValue") -> "AlgValue":
         _check_same_field(self, other)
@@ -278,8 +278,12 @@ class AlgValue(NamedTuple):
             _check_same_field(self, other)
         kernel, den = f._mul
         nums, den = kernel(self.nums, other.nums), self.den * other.den * den
+        if den == 1:
+            return _new_value((f, nums, 1))
         g = gcd(den, *nums)  # den > 0, so g > 0
-        return _new_value((f, nums, den) if g == 1 else (f, tuple(n // g for n in nums), den // g))
+        if g == 1:
+            return _new_value((f, nums, den))
+        return _new_value((f, tuple([n // g for n in nums]), den // g))
 
     def scale(self, q) -> "AlgValue":
         q = Fraction(q)

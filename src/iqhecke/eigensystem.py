@@ -15,7 +15,7 @@ eigenvalue expansion runs the recursion once per (system, prime).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -95,6 +95,16 @@ class HeckeEigensystem:
         a power past p^1 is asked for], grown in place by _prime_powers."""
         return {}
 
+    @cached_property
+    def _classes(self) -> tuple[IdealClass, ...]:
+        """The class of each stored prime, in alpha order."""
+        return tuple(self.group.ideal_class(p) for p, _ in self.alpha)
+
+    @cached_property
+    def _lifted(self) -> dict:
+        """tower -> the stored values lifted into it, in alpha order; filled by twist."""
+        return {}
+
     def alpha_map(self) -> dict:
         return dict(self.alpha)
 
@@ -125,28 +135,15 @@ def make_eigensystem(
     selftwist_candidates=None,
 ) -> HeckeEigensystem:
     """Normalize and validate the pieces of an eigensystem."""
-    divisors = group.elementary_divisors
-    if len(character.exps) != len(divisors) or any(
-        not 0 <= e < d for e, d in zip(character.exps, divisors)
-    ):
-        raise EigensystemError(
-            f"character {list(character.exps)} is not a reduced exponent vector"
-            f" for the elementary divisors {list(divisors)}"
-        )
     f = vfield
     if f is None:
         f = algext.RATIONAL_FIELD
         for v in alpha.values():
             f = algext.join_fields(f, v.field)
-    f = character_field(f, group, character)
+    f = _checked_field(group, character, f, None if al_signs is None else al_signs.items())
     lifted = {p: lift(v, f) for p, v in alpha.items()}
-    if al_signs is not None and not character.is_trivial():
-        raise EigensystemError("involution signs only make sense for trivial character")
     al = None
     if al_signs is not None:
-        for q, s in al_signs.items():
-            if s not in (1, -1):
-                raise EigensystemError(f"involution sign at {label(q)} must be +-1, got {s}")
         al = tuple(sorted(al_signs.items(), key=lambda qs: qs[0].norm))
     cands = tuple(selftwist_candidates) if selftwist_candidates else None
     return HeckeEigensystem(
@@ -158,6 +155,27 @@ def make_eigensystem(
         vfield=f,
         selftwist_candidates=cands,
     )
+
+
+def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_signs) -> ValueField:
+    """character_field(f, group, character) for a character that is a reduced
+    exponent vector of group, with involution signs ((ideal, sign) pairs, or
+    None) that are +-1 and come only with the trivial character."""
+    divisors = group.elementary_divisors
+    if len(character.exps) != len(divisors) or any(
+        not 0 <= e < d for e, d in zip(character.exps, divisors)
+    ):
+        raise EigensystemError(
+            f"character {list(character.exps)} is not a reduced exponent vector"
+            f" for the elementary divisors {list(divisors)}"
+        )
+    f = character_field(f, group, character)
+    if al_signs is not None and not character.is_trivial():
+        raise EigensystemError("involution signs only make sense for trivial character")
+    for q, s in al_signs or ():
+        if s not in (1, -1):
+            raise EigensystemError(f"involution sign at {label(q)} must be +-1, got {s}")
+    return f
 
 
 def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
@@ -229,24 +247,32 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 
 
 def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
+    """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order,
+    character chi psi^2, and involution signs kept under the trivial psi,
+    multiplied by psi(q) under a quadratic one and dropped otherwise, after
+    make_eigensystem's checks (_checked_field).  F keeps its stored values
+    lifted into each tower, for every psi that shares the tower; a twisted
+    value is that value, its negative or one product."""
     group = F.group
-    f = character_field(F.vfield, group, psi)
-    values = character_values(f, group, psi)
-    new_alpha = {p: lift(v, f) * values[group.ideal_class(p)] for p, v in F.alpha}
-    new_char = group.mul(F.character, group.power(psi, 2))
+    character = group.mul(F.character, group.power(psi, 2))
     al = None
     if F.al_signs is not None:
         if psi.is_trivial():
-            al = dict(F.al_signs)
+            al = F.al_signs
         elif is_quadratic(group, psi):
-            al = {
-                q: s * eval_on_class(group, psi, group.ideal_class(q)).as_sign()
-                for q, s in F.al_signs
-            }
-    cands = F.selftwist_candidates
-    return make_eigensystem(
-        group, F.level, new_char, new_alpha, al, vfield=f, selftwist_candidates=cands
-    )
+            al = tuple((q, s * eval_on_class(group, psi, group.ideal_class(q)).as_sign())
+                       for q, s in F.al_signs)
+    f = _checked_field(group, character, character_field(F.vfield, group, psi), al)
+    lifted = F._lifted.get(f)
+    if lifted is None:
+        lifted = F._lifted[f] = tuple([lift(v, f) for _, v in F.alpha])
+    values, one = character_values(f, group, psi), algext.one(f)
+    minus_one = -one
+    alpha = tuple([
+        (p, v if (z := values[x]) == one else -v if z == minus_one else v * z)
+        for (p, _), v, x in zip(F.alpha, lifted, F._classes)
+    ])
+    return HeckeEigensystem(group, F.level, character, alpha, al, f, F.selftwist_candidates)
 
 
 def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
@@ -260,15 +286,26 @@ def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
 
 
 def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
-    """The distinct twists of F by the characters of its group.  Twists are
-    told apart by their stored eigenvalues only, so with few stored primes two
-    distinct twists may agree and the orbit comes out too small."""
-    out = []
-    for psi in character_group(F.group):
-        G = twist(F, psi)
-        if not any(systems_equal(G, H) for H in out):
-            out.append(G)
-    return out
+    """The distinct twists of F by the characters of its group, chosen on
+    classes: walking the characters in order, psi is kept unless an earlier
+    kept k has k^2 = psi^2 and (psi k^-1)(x) = 1 at the class x of every
+    stored prime with a nonzero eigenvalue.  As towers are fields, that is
+    exactly when the two twists have the same character and stored
+    eigenvalues.  Twists are told apart by their stored eigenvalues only, so
+    with few stored primes two distinct twists may agree and the orbit comes
+    out too small."""
+    group = F.group
+    support = {x for x, (_, v) in zip(F._classes, F.alpha) if not v.is_zero()}
+    kept = []
+    for psi in character_group(group):
+        square = group.power(psi, 2)
+        if not any(
+            group.power(k, 2) == square
+            and all(eval_on_class(group, group.mul(psi, group.inv(k)), x).is_one() for x in support)
+            for k in kept
+        ):
+            kept.append(psi)
+    return [twist(F, psi) for psi in kept]
 
 
 @dataclass(frozen=True)
@@ -400,14 +437,19 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 # -- Hecke field reporting ----------------------------------------------------
 
 
-def _span_dimension(values: Iterable[AlgValue], f: ValueField, bound: int | None = None) -> int:
+def _span_dimension(
+    values: Iterable[AlgValue], f: ValueField, bound: int | Callable[[], int] | None = None
+) -> int:
     """Q-dimension of the subfield of f generated by the given tower values.
 
     values may be any iterable. It is read only until the algebra generated
     so far reaches bound (default f.dim), an upper bound on the answer that
-    the caller knows: the values not yet read cannot change it then.
+    the caller knows: the values not yet read cannot change it then. bound
+    may be a function that returns it, called at most once, when a value
+    first fails to grow the span (until then the bound is f.dim).
     """
-    if bound is None:
+    later = bound if callable(bound) else None
+    if bound is None or later:
         bound = f.dim
     rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
@@ -430,6 +472,8 @@ def _span_dimension(values: Iterable[AlgValue], f: ValueField, bound: int | None
     while len(basis) < bound and (v := next(values, None)) is not None:
         g = lift(v, f)
         if not reduce_row(g):
+            if later:
+                bound, later = later(), None
             continue
         # the span S of basis is the algebra of the earlier generators, so
         # S + gS + g^2 S + ... is the algebra with g: close it under g alone
@@ -461,11 +505,11 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     trivial class-group component: values chi(x) alpha(b) where b runs over
     products of at most three stored primes (with squares allowed) whose
     class lies in CL^2, and x^2 [b] = 1. Both sets of generators are read
-    lazily by _span_dimension. The principal walk reads the single primes
-    first; only when they span less than the value field f does it compute
-    T (_principal_twists) and walk every b, stopping at f.dim // |T|. The
-    full walk stops once its span fills f; a product b past a stop is never
-    formed.
+    lazily by _span_dimension, each walk in one pass. The principal walk
+    reads the single primes, then the products of two and three; it computes
+    T (_principal_twists) only when a value first fails to grow its span,
+    and from then on stops at f.dim // |T|. The full walk stops once its span
+    fills the value field f; a product b past a stop is never formed.
     """
     group = F.group
     f = F.vfield
@@ -478,8 +522,8 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
     exps = [group.ideal_class(p).exps for p in good]
 
-    def principal_gens(sizes):
-        for size in sizes:
+    def principal_gens():
+        for size in (1, 2, 3):
             for combo in combinations_with_replacement(range(len(good)), size):
                 cols = zip(*map(exps.__getitem__, combo))
                 cls = tuple(sum(c) % d for c, d in zip(cols, divisors))
@@ -491,9 +535,7 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
-    k_f = _span_dimension(principal_gens((1,)), f)
-    if k_f < f.dim and k_f < (bound := f.dim // len(_principal_twists(F))):
-        k_f = _span_dimension(principal_gens((1, 2, 3)), f, bound)
+    k_f = _span_dimension(principal_gens(), f, lambda: f.dim // len(_principal_twists(F)))
     full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

@@ -175,7 +175,9 @@ class Ideal(_IdealFields):
     def contains_ideal(self, other: "Ideal") -> bool:
         return self.contains(other.a, 0) and self.contains(other.b, other.c)
 
+    @lru_cache(maxsize=None)
     def conjugate(self) -> "Ideal":
+        """The conjugate ideal, memoised per ideal."""
         t = self.field.trace_omega
         return Ideal(self.field, self.a, (-self.b - self.c * t) % self.a, self.c)
 

@@ -480,6 +480,28 @@ def test_product_kernel_matches_the_table_loop(f):
             assert kernel(u, v) == kernel(v, u) == reference_product(u, v, f._table[0])
 
 
+CUBIC_FRAC = with_radical(CUBIC, [Fraction(1, 2), Fraction(1, 3), 0])  # table denominator 6
+
+
+@pytest.mark.parametrize("f", [Q, QI2, QM3_I2, CUBIC, CUBIC_FRAC], ids=lambda f: f.describe())
+def test_products_and_negatives_are_canonical_for_every_denominator(f):
+    # a product over denominator 1 returns before the gcd; the others reduce by it
+    table, table_den = f._table
+    values = [algext._value(f, nums, den) for den in (1, 2, 6, 35)
+              for nums in kernel_inputs(f.dim, den)[f.dim:f.dim + 8]]
+    dens = set()
+    for u in values:
+        assert -u == algext._value(f, [-n for n in u.nums], u.den) and type((-u).nums) is tuple
+        assert (-u).coeffs == tuple(-c for c in u.coeffs)
+        for v in values[::5]:
+            den = u.den * v.den * table_den
+            dens.add(den == 1)
+            w = u * v
+            assert w == algext._value(f, reference_product(u.nums, v.nums, table), den)
+            assert type(w.nums) is tuple and w.den > 0
+    assert dens == {True, False} or table_den > 1
+
+
 @pytest.mark.parametrize("src,target", [
     (Q, QI), (Q2, QI2), (QI, QI2), (QI2, QM3_I2), (QM3, QM3_I2),
     (make_value_field(adjoined=[-2]), QI2), (CUBIC, CUBIC_I), (PSI7, PSI7_ROOT),

@@ -1,12 +1,13 @@
 """The library has no runtime dependencies: it imports only the standard
 library and itself, on every Python version that CI runs.  Its value types
 keep one record contract: no hand-written hash and no ordered dataclass, and
-every record pickles and copies.  Only ``algext``'s kernel compiler runs
-generated code."""
+every record pickles and copies, as does an eigensystem with its twist caches
+filled.  Only ``algext``'s kernel compiler runs generated code."""
 
 import ast
 import copy
 import pickle
+import random
 import sys
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import iqhecke
 from iqhecke.algext import make_value_field, parse_value
 from iqhecke.characters import RootOfUnity
 from iqhecke.classgroup import IdealClass, compute_class_group
+from iqhecke.eigensystem import twist_orbit
 from iqhecke.quadfield import Ideal, QuadFieldError, factor_rational_prime, make_field, unit_ideal
 from iqhecke.recovery import make_principal_operator
+from iqhecke.verify import random_eigensystem
 
 
 def test_library_imports_only_the_standard_library():
@@ -87,6 +90,21 @@ def test_every_record_pickles_and_copies():
     assert "_mul" in vars(value.field)
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert copied.field is value.field and copied * copied == value * value
+
+
+def test_a_system_with_filled_twist_caches_pickles_and_copies():
+    group = compute_class_group(make_field(17))
+    F = random_eigensystem(group, random.Random(3), 60)
+    orbit = twist_orbit(F)
+    # the classes and the per-tower lifted values that the twists read are filled
+    assert vars(F)["_classes"] and vars(F)["_lifted"]
+
+    def fields(G):  # a pickled or deep-copied system holds a copy of the class group
+        return G.level, G.character, G.alpha, G.al_signs, G.vfield, G.selftwist_candidates
+
+    for copied in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
+        assert fields(copied) == fields(F) and copied._lifted == F._lifted
+        assert list(map(fields, twist_orbit(copied))) == list(map(fields, orbit))
 
 
 def test_copying_an_ideal_checks_its_triple_again():

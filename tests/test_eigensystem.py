@@ -5,13 +5,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 from iqhecke import algext
-from iqhecke.algext import parse_value, values_equal
+from iqhecke.algext import lift, parse_value, values_equal
 from iqhecke.bundle import eigensystem_from_json, eigensystem_to_json
 from iqhecke.characters import (
     RootOfUnity,
     character_group,
     character_order,
     eval_on_class,
+    is_quadratic,
 )
 from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.eigensystem import (
@@ -20,6 +21,7 @@ from iqhecke.eigensystem import (
     _principal_twists,
     _span_dimension,
     base_change_candidate,
+    character_field,
     character_values,
     chi_value,
     coefficient,
@@ -230,6 +232,84 @@ def test_twist_orbit_sizes(bundle, F0):
         g, unit_ideal(g.field), IdealClass(()), alpha, {}
     )
     assert len(twist_orbit(F)) == 1
+
+
+def _pairwise_orbit(F):
+    """The earlier twist_orbit, kept as the oracle: every twist is built, and
+    one equal to an earlier kept twist (systems_equal) is left out."""
+    out = []
+    for psi in character_group(F.group):
+        G = twist(F, psi)
+        if not any(systems_equal(G, H) for H in out):
+            out.append(G)
+    return out
+
+
+def _twist_through_make_eigensystem(F, psi):
+    """The earlier twist, kept as the oracle: each value lifted and multiplied
+    by psi(p), then normalised, lifted and sorted again by make_eigensystem."""
+    g = F.group
+    f = character_field(F.vfield, g, psi)
+    values = character_values(f, g, psi)
+    alpha = {p: lift(v, f) * values[g.ideal_class(p)] for p, v in F.alpha}
+    al = None
+    if F.al_signs is not None and is_quadratic(g, psi):
+        al = {q: s * eval_on_class(g, psi, g.ideal_class(q)).as_sign() for q, s in F.al_signs}
+    return make_eigensystem(g, F.level, g.mul(F.character, g.power(psi, 2)), alpha, al, f,
+                            F.selftwist_candidates)
+
+
+SWEEP_FIELDS = [1, 5, 23, 17, 21, 14, 65, 105]
+
+
+@pytest.mark.parametrize("d", SWEEP_FIELDS)
+def test_twists_and_orbits_match_the_pairwise_oracles(d):
+    g = compute_class_group(make_field(d))
+    F = _random_system(g, d, 100)
+    systems = [F] + [twist(F, psi) for psi in character_group(g)]
+    for G in systems:
+        for psi in character_group(g):
+            assert twist(G, psi) == _twist_through_make_eigensystem(G, psi)
+        # the same members in the same order, with the same towers
+        assert twist_orbit(G) == _pairwise_orbit(G)
+        assert [H.vfield for H in twist_orbit(G)] == [H.vfield for H in _pairwise_orbit(G)]
+
+
+@pytest.mark.parametrize("d,squares", [(17, 2), (65, 2), (105, 1)])
+def test_orbits_with_zero_eigenvalues_match_the_pairwise_oracle(d, squares):
+    # alpha(p) = 0 at the primes outside a set S of classes: the twists by
+    # psi and psi e coincide when e is quadratic and e = 1 on S
+    g = compute_class_group(make_field(d))
+    rng = random.Random(d)
+    F = _random_system(g, d, 100)
+    classes = g.all_classes()
+    supports = [{g.identity()}, set(g.squares()), set(classes)]
+    supports += [set(rng.sample(classes, rng.randint(1, len(classes)))) for _ in range(4)]
+    sizes = []
+    for support in supports:
+        zero = algext.zero(F.vfield)
+        alpha = {p: v if g.ideal_class(p) in support else zero for p, v in F.alpha}
+        al = dict(F.al_signs) if F.al_signs is not None else None
+        G = make_eigensystem(g, F.level, F.character, alpha, al, vfield=F.vfield)
+        orbit = twist_orbit(G)
+        assert orbit == _pairwise_orbit(G)
+        sizes.append(len(orbit))
+    # S = {1} leaves one twist per value of psi^2, S = CL all h of them
+    assert sizes[0] == len(g.squares()) == squares and sizes[2] == g.h
+
+
+def test_twisting_into_an_unsupported_character_order_raises():
+    # CL = C12 at d = 89: an order-4 system twisted by an order-3 character
+    # would have a character of order 12, whose values are not supported
+    g = compute_class_group(make_field(89))
+    alpha = {p: algext.from_rational(algext.RATIONAL_FIELD, p.norm % 7 - 3)
+             for p in primes_of_norm_up_to(g.field, 60)}
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((3,)), alpha)
+    assert character_order(g, F.character) == 4 and character_order(g, IdealClass((4,))) == 3
+    with pytest.raises(EigensystemError, match="order 12"):
+        twist(F, IdealClass((4,)))
+    with pytest.raises(EigensystemError, match="order 12"):
+        twist_orbit(F)
 
 
 def test_character_orbit_is_square_coset(bundle, G17):
