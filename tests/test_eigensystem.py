@@ -259,10 +259,7 @@ def _twist_through_make_eigensystem(F, psi):
                             F.selftwist_candidates)
 
 
-SWEEP_FIELDS = [1, 5, 23, 17, 21, 14, 65, 105]
-
-
-@pytest.mark.parametrize("d", SWEEP_FIELDS)
+@pytest.mark.parametrize("d", [1, 5, 23, 17, 21, 14, 65, 105])
 def test_twists_and_orbits_match_the_pairwise_oracles(d):
     g = compute_class_group(make_field(d))
     F = _random_system(g, d, 100)
@@ -270,9 +267,8 @@ def test_twists_and_orbits_match_the_pairwise_oracles(d):
     for G in systems:
         for psi in character_group(g):
             assert twist(G, psi) == _twist_through_make_eigensystem(G, psi)
-        # the same members in the same order, with the same towers
+        # the same members in the same order, towers included (records compare vfield)
         assert twist_orbit(G) == _pairwise_orbit(G)
-        assert [H.vfield for H in twist_orbit(G)] == [H.vfield for H in _pairwise_orbit(G)]
 
 
 @pytest.mark.parametrize("d,squares", [(17, 2), (65, 2), (105, 1)])
