@@ -438,19 +438,17 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 
 
 def _span_dimension(
-    values: Iterable[AlgValue], f: ValueField, bound: int | Callable[[], int] | None = None
+    values: Iterable[AlgValue], f: ValueField, bound: Callable[[], int] | None = None
 ) -> int:
     """Q-dimension of the subfield of f generated by the given tower values.
 
     values may be any iterable. It is read only until the algebra generated
-    so far reaches bound (default f.dim), an upper bound on the answer that
-    the caller knows: the values not yet read cannot change it then. bound
-    may be a function that returns it, called at most once, when a value
-    first fails to grow the span (until then the bound is f.dim).
+    so far reaches f.dim or, once bound() is known, bound(): an upper bound
+    on the answer that the caller knows, so the values not yet read cannot
+    change it then. bound is called at most once, when a value first fails
+    to grow the span.
     """
-    later = bound if callable(bound) else None
-    if bound is None or later:
-        bound = f.dim
+    later, bound = bound, f.dim
     rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:

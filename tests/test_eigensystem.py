@@ -193,7 +193,7 @@ def test_span_dimension_stops_reading_once_the_span_fills_the_field():
     assert _span_dimension(values("sqrt3", "i"), f) == 4
     assert _span_dimension(values("2", "i + sqrt3"), f) == 4
     assert _span_dimension(values(), algext.RATIONAL_FIELD) == 1
-    assert _span_dimension(values("2", "i*sqrt3"), f, 2) == 2
+    assert _span_dimension(values("2", "i*sqrt3"), f, lambda: 2) == 2
 
 
 def test_twist_examples(bundle, F0, K17):
