@@ -24,11 +24,13 @@ the calls of ``AlgValue.__mul__``, ``AlgValue.inv``, ``ideal_mul``,
 included), ``is_rational_prime``, ``reduce_row`` (the rows that the
 Hecke-field walks of ``eigensystem._span_dimension`` reduce), ``twist``,
 ``systems_equal`` (the exact comparisons of two systems' stored
-eigenvalues), ``lift`` (every value re-expressed in another tower), as
-``generated`` the calls of every method that ``dataclasses`` or
-``namedtuple`` wrote at class creation (``__init__``, ``__eq__``,
-``__hash__``, ...: the code objects whose file is ``<string>``), the
-per-object overhead of building, comparing and hashing, and as ``kernel``
+eigenvalues), ``lift`` (every value re-expressed in another tower),
+``apply`` (every value moved by a field automorphism: the work of the
+inner-twist searches), as ``generated`` the calls of every method that
+``dataclasses`` or ``namedtuple`` wrote at class creation (``__init__``,
+``__eq__``, ``__hash__``, ...: the code objects whose file is
+``<string>``), the per-object overhead of building, comparing and hashing,
+and as ``kernel``
 the calls of ``algext``'s compiled products, lifts and automorphisms (file
 ``<iqhecke kernel>``). A second table
 gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
@@ -61,7 +63,8 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("eigensystem.py", "reduce_row", "reduce_row"),
            ("eigensystem.py", "twist", "twist"),
            ("eigensystem.py", "systems_equal", "systems_equal"),
-           ("algext.py", "lift", "lift"))
+           ("algext.py", "lift", "lift"),
+           ("algext.py", "apply", "apply"))
 
 
 def profiled(ops) -> dict:

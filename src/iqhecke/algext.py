@@ -718,9 +718,9 @@ def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
 
 @lru_cache(maxsize=None)
 def automorphisms(f: ValueField) -> tuple[FieldAutomorphism, ...]:
-    """All ring automorphisms of the tower visible to this representation:
-    sign flips of the adjoined roots, times the base conjugation when the
-    base is quadratic and fixes every adjoined element; one tuple per tower."""
+    """All ring automorphisms of the tower visible to this representation, the
+    identity first: sign flips of the adjoined roots, times the base conjugation
+    when the base is quadratic and fixes every adjoined element; one tuple per tower."""
     base_opts = [False]
     if f.base_degree == 2 and all(_conjugate_base(f, r) == r for r in f.adjoined):
         base_opts.append(True)

@@ -159,6 +159,9 @@ class ClassGroup:
                 f"2-rank {self.r2} disagrees with genus theory ({n_disc_primes} primes divide the discriminant)"
             )
 
+    def __reduce__(self):  # a copied or unpickled group is the memoised one
+        return compute_class_group, (self.field,)
+
     # -- construction ------------------------------------------------------
 
     def _compose(self, f: BQForm, g: BQForm) -> BQForm:

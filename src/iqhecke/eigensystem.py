@@ -15,7 +15,7 @@ eigenvalue expansion runs the recursion once per (system, prime).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -353,13 +353,13 @@ def galois_conjugate_system(F: HeckeEigensystem) -> HeckeEigensystem:
     )
 
 
-def _alpha_law_pairs(F: HeckeEigensystem, good: list):
-    """Each (tau, psi) with tau(alpha(p)) = psi(p) alpha(p) at the good stored
-    primes p, given as (class of p, alpha(p)) pairs."""
+def _alpha_law_pairs(F: HeckeEigensystem, taus, good: list):
+    """Each (tau, psi), tau from taus, with tau(alpha(p)) = psi(p) alpha(p) at
+    the good stored primes p, given as (class of p, alpha(p)) pairs."""
     group = F.group
     # every value here lies in F.vfield, where equal values are equal as data;
     # where the tower lacks psi(p), only alpha(p) = 0 is consistent
-    for tau in algext.automorphisms(F.vfield):
+    for tau in taus:
         moved = [(cls, v, tau.apply(v)) for cls, v in good]
         for psi in character_group(group):
             values = character_values(F.vfield, group, psi)
@@ -379,12 +379,15 @@ def _chi_law(F: HeckeEigensystem, tau, psi: IdealClass, classes: Iterable) -> bo
 
 
 def _principal_twists(F: HeckeEigensystem) -> set:
-    """T: each tau of some (tau, psi) of _alpha_law_pairs that meets _chi_law at
-    every class.  tau then fixes every principal generator chi(x) alpha(b), as
-    x^2 [b] = 1, so by Artin's theorem k_f <= F.vfield.dim // |T|."""
+    """T: the identity (listed first, it meets both laws with the trivial psi)
+    and each other tau of some (tau, psi) of _alpha_law_pairs that meets
+    _chi_law at every class.  tau then fixes every principal generator chi(x)
+    alpha(b), as x^2 [b] = 1, so by Artin's theorem k_f <= F.vfield.dim // |T|."""
+    identity, *others = algext.automorphisms(F.vfield)
     good = [(F.group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
     classes = F.group.all_classes()
-    return {tau for tau, psi in _alpha_law_pairs(F, good) if _chi_law(F, tau, psi, classes)}
+    return {identity} | {tau for tau, psi in _alpha_law_pairs(F, others, good)
+                         if _chi_law(F, tau, psi, classes)}
 
 
 def inner_twist_pairs(F: HeckeEigensystem) -> list:
@@ -395,7 +398,7 @@ def inner_twist_pairs(F: HeckeEigensystem) -> list:
     """
     group = F.group
     good = [(group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
-    pairs = list(_alpha_law_pairs(F, good))
+    pairs = list(_alpha_law_pairs(F, algext.automorphisms(F.vfield), good))
     for tau, psi in pairs:
         if not _chi_law(F, tau, psi, [cls for cls, _ in good]):
             raise EigensystemError("inner-twist pair fails the character compatibility law")
@@ -417,7 +420,7 @@ def base_change_candidate(F: HeckeEigensystem) -> bool:
             "base-change screening needs a conjugation-stable level"
         )
     amap = F._alpha
-    return all(values_equal(v, amap[q]) for p, v in F.alpha if (q := p.conjugate()) in amap)
+    return all(v == amap[q] for p, v in F.alpha if (q := p.conjugate()) in amap)
 
 
 @dataclass(frozen=True)
@@ -437,18 +440,14 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
 # -- Hecke field reporting ----------------------------------------------------
 
 
-def _span_dimension(
-    values: Iterable[AlgValue], f: ValueField, bound: Callable[[], int] | None = None
-) -> int:
+def _span_dimension(values: Iterable[AlgValue], f: ValueField, bound: int | None = None) -> int:
     """Q-dimension of the subfield of f generated by the given tower values.
 
     values may be any iterable. It is read only until the algebra generated
-    so far reaches f.dim or, once bound() is known, bound(): an upper bound
-    on the answer that the caller knows, so the values not yet read cannot
-    change it then. bound is called at most once, when a value first fails
-    to grow the span.
+    so far reaches bound, an upper bound on the answer that the caller knows
+    (f.dim when none is given), so the values not yet read cannot change it.
     """
-    later, bound = bound, f.dim
+    bound = bound or f.dim
     rows: list[tuple[int, list[int]]] = []  # (pivot, echelon row)
 
     def reduce_row(v: AlgValue) -> bool:
@@ -470,8 +469,6 @@ def _span_dimension(
     while len(basis) < bound and (v := next(values, None)) is not None:
         g = lift(v, f)
         if not reduce_row(g):
-            if later:
-                bound, later = later(), None
             continue
         # the span S of basis is the algebra of the earlier generators, so
         # S + gS + g^2 S + ... is the algebra with g: close it under g alone
@@ -504,10 +501,10 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     products of at most three stored primes (with squares allowed) whose
     class lies in CL^2, and x^2 [b] = 1. Both sets of generators are read
     lazily by _span_dimension, each walk in one pass. The principal walk
-    reads the single primes, then the products of two and three; it computes
-    T (_principal_twists) only when a value first fails to grow its span,
-    and from then on stops at f.dim // |T|. The full walk stops once its span
-    fills the value field f; a product b past a stop is never formed.
+    reads the single primes, then the products of two and three, and stops at
+    f.dim // |T| for the inner-twist automorphisms T (_principal_twists),
+    computed before it. The full walk stops once its span fills the value
+    field f; a product b past a stop is never formed.
     """
     group = F.group
     f = F.vfield
@@ -533,7 +530,7 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
-    k_f = _span_dimension(principal_gens(), f, lambda: f.dim // len(_principal_twists(F)))
+    k_f = _span_dimension(principal_gens(), f, f.dim // len(_principal_twists(F)))
     full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

@@ -193,7 +193,7 @@ def test_span_dimension_stops_reading_once_the_span_fills_the_field():
     assert _span_dimension(values("sqrt3", "i"), f) == 4
     assert _span_dimension(values("2", "i + sqrt3"), f) == 4
     assert _span_dimension(values(), algext.RATIONAL_FIELD) == 1
-    assert _span_dimension(values("2", "i*sqrt3"), f, lambda: 2) == 2
+    assert _span_dimension(values("2", "i*sqrt3"), f, 2) == 2
 
 
 def test_twist_examples(bundle, F0, K17):
@@ -476,13 +476,40 @@ def _eager_report(F):
     return HeckeFieldReport(k_f, k_F)
 
 
-def test_hecke_field_report_matches_the_eager_reference(bundle):
+def _reference_principal_twists(F):
+    """T the direct way: every automorphism, the identity included, that meets
+    both laws with some psi, the chi law at every class."""
+    group, f = F.group, F.vfield
+    chi = character_values(f, group, F.character)
+    good = [(group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+
+    def meets(tau, psi):
+        values = character_values(f, group, psi)
+        squared = character_values(f, group, group.power(psi, 2))
+        return all(
+            v.is_zero() if values[x] is None else tau.apply(v) == values[x] * v for x, v in good
+        ) and all(
+            squared[x] is not None and tau.apply(chi[x]) == squared[x] * chi[x]
+            for x in group.all_classes()
+        )
+
+    return {tau for tau in algext.automorphisms(f) if any(meets(tau, psi) for psi in character_group(group))}
+
+
+def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
     # the automorphisms T that bound the principal degree: 2.1 F0 has the inner
     # twist sqrt2 -> -sqrt2 by chi2; the cubic base of 25.1 shows no automorphism
     twists = _principal_twists(bundle.system("2.1", "F0"))
     assert sorted(tau.describe() for tau in twists) == ["id", "sqrt2 -> -sqrt2"]
     assert len(_principal_twists(bundle.system("25.1", "F0"))) == 1
     systems = [bundle.system("16.1", "F1")]
+    # rational eigenvalues under a character of order 4: i -> -i meets the
+    # alpha law with the trivial psi, but not the chi law
+    g17 = compute_class_group(K17)
+    rng = random.Random(5)
+    rational = {p: algext.from_rational(algext.RATIONAL_FIELD, rng.randint(-9, 9))
+                for p in primes_of_norm_up_to(K17, 40)}
+    systems.append(make_eigensystem(g17, unit_ideal(K17), IdealClass((1,)), rational))
     for d in (1, 5, 17, 21, 65, 105):
         g = compute_class_group(make_field(d))
         for seed in range(4):
@@ -496,11 +523,24 @@ def test_hecke_field_report_matches_the_eager_reference(bundle):
         assert rep == _eager_report(F)
         # the walk stops at dim // |T|, which must not be below the principal degree
         twists = _principal_twists(F)
-        assert any(tau.is_identity() for tau in twists)
+        assert twists == _reference_principal_twists(F)
+        assert algext.automorphisms(F.vfield)[0].is_identity()
         assert F.vfield.dim // len(twists) >= rep.principal_degree
         shapes.add((F.vfield.dim, rep.principal_degree < F.vfield.dim))
     # towers of dimension 1, 2 and 4, and principal subfields that fill them or not
     assert {(1, False), (2, False), (4, False), (2, True), (4, True)} <= shapes
+
+
+def test_principal_twists_apply_nothing_over_the_rationals(monkeypatch):
+    g = compute_class_group(make_field(5))
+    F = next(F for seed in range(20) if (F := random_eigensystem(g, random.Random(seed), 40)).vfield.dim == 1)
+
+    def apply(tau, v):
+        raise AssertionError("an automorphism was applied over Q")
+
+    monkeypatch.setattr(algext.FieldAutomorphism, "apply", apply)
+    twists = _principal_twists(F)
+    assert len(twists) == 1 and next(iter(twists)).is_identity()
 
 
 def test_trivial_character_towers_are_totally_real(bundle):
