@@ -30,9 +30,8 @@ inner-twist searches), as ``generated`` the calls of every method that
 ``dataclasses`` or ``namedtuple`` wrote at class creation (``__init__``,
 ``__eq__``, ``__hash__``, ...: the code objects whose file is
 ``<string>``), the per-object overhead of building, comparing and hashing,
-and as ``kernel``
-the calls of ``algext``'s compiled products, lifts and automorphisms (file
-``<iqhecke kernel>``). A second table
+and as ``kernel`` the calls of ``algext``'s compiled products, lifts and
+automorphisms (file ``<iqhecke kernel>``). A second table
 gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
 by its ``cache_info``), the hits and misses of its memo in each section. The
 script exits 1 when any operation raised. With string hashing pinned the

@@ -493,7 +493,8 @@ def _reference_principal_twists(F):
             for x in group.all_classes()
         )
 
-    return {tau for tau in algext.automorphisms(f) if any(meets(tau, psi) for psi in character_group(group))}
+    return {tau for tau in algext.automorphisms(f)
+            if any(meets(tau, psi) for psi in character_group(group))}
 
 
 def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
@@ -533,7 +534,8 @@ def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
 
 def test_principal_twists_apply_nothing_over_the_rationals(monkeypatch):
     g = compute_class_group(make_field(5))
-    F = next(F for seed in range(20) if (F := random_eigensystem(g, random.Random(seed), 40)).vfield.dim == 1)
+    systems = (random_eigensystem(g, random.Random(seed), 40) for seed in range(20))
+    F = next(F for F in systems if F.vfield.dim == 1)
 
     def apply(tau, v):
         raise AssertionError("an automorphism was applied over Q")
