@@ -26,7 +26,11 @@ Hecke-field walks of ``eigensystem._span_dimension`` reduce), ``twist``,
 ``systems_equal`` (the exact comparisons of two systems' stored
 eigenvalues), ``lift`` (every value re-expressed in another tower),
 ``apply`` (every value moved by a field automorphism: the work of the
-inner-twist searches), as ``generated`` the calls of every method that
+inner-twist searches), ``Fraction.__new__`` (every ``Fraction`` built, in
+the library or the standard library, so rationals taken as ints without one
+show), ``_prime_powers`` (the reads of an eigensystem's prime-power memo
+that ``coefficient`` and the Hecke-field walk make, and that a first power
+read from the stored eigenvalues skips), as ``generated`` the calls of every method that
 ``dataclasses`` or ``namedtuple`` wrote at class creation (``__init__``,
 ``__eq__``, ``__hash__``, ...: the code objects whose file is
 ``<string>``), the per-object overhead of building, comparing and hashing,
@@ -63,7 +67,9 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("eigensystem.py", "twist", "twist"),
            ("eigensystem.py", "systems_equal", "systems_equal"),
            ("algext.py", "lift", "lift"),
-           ("algext.py", "apply", "apply"))
+           ("algext.py", "apply", "apply"),
+           ("fractions.py", "__new__", "Fraction.__new__"),
+           ("eigensystem.py", "_prime_powers", "_prime_powers"))
 
 
 def profiled(ops) -> dict:

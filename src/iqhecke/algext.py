@@ -286,8 +286,8 @@ class AlgValue(NamedTuple):
         return _new_value((f, tuple([n // g for n in nums]), den // g))
 
     def scale(self, q) -> "AlgValue":
-        q = Fraction(q)
-        return _value(self.field, [q.numerator * n for n in self.nums], q.denominator * self.den)
+        num, den = _ratio(q)
+        return _value(self.field, [num * n for n in self.nums], den * self.den)
 
     def inv(self) -> "AlgValue":
         if self.is_zero():
@@ -407,9 +407,14 @@ def _unit_vec(deg: int, k: int) -> tuple[int, ...]:
 RATIONAL_FIELD = make_value_field()
 
 
+def _ratio(q) -> tuple[int, int]:
+    """(numerator, denominator) of the rational q; an int skips Fraction."""
+    return (q, 1) if type(q) is int else Fraction(q).as_integer_ratio()
+
+
 def from_rational(f: ValueField, q) -> AlgValue:
-    q = Fraction(q)
-    return _new_value((f, (q.numerator,) + (0,) * (f.dim - 1), q.denominator))
+    num, den = _ratio(q)
+    return _new_value((f, (num,) + (0,) * (f.dim - 1), den))
 
 
 def zero(f: ValueField) -> AlgValue:

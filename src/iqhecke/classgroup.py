@@ -16,7 +16,9 @@ alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
 is checked against genus theory, and the class of an ideal once, on its
 first query.  A character is the class with the same exponent vector.
 
-The ideal -> class memo lives on the group, and ``compute_class_group``
+The ideal -> class memo and the memos of the group law (``mul``, ``inv``
+and ``power``, each filled on first use with the class the exponent formula
+builds) live on the group, one set per group, and ``compute_class_group``
 builds one group per field.
 """
 
@@ -137,6 +139,9 @@ class ClassGroup:
     def __init__(self, field: QuadField):
         self.field = field
         self._ideal_classes: dict[Ideal, IdealClass] = {}
+        self._products: dict[tuple[IdealClass, IdealClass], IdealClass] = {}
+        self._inverses: dict[IdealClass, IdealClass] = {}
+        self._powers: dict[tuple[IdealClass, int], IdealClass] = {}
         self.forms = reduced_forms(field.disc)
         self.h = len(self.forms)
         self._identity = reduce_form(*_principal_form(field))
@@ -237,20 +242,29 @@ class ClassGroup:
             cls = self._ideal_classes[i] = _new_class((self._coords[form_of_ideal(i)],))
         return cls
 
-    # the law of Z/d1 x ... x Z/dk on exponent vectors
+    # the law of Z/d1 x ... x Z/dk on exponent vectors, memoised per group
 
     def mul(self, x: IdealClass, y: IdealClass) -> IdealClass:
-        divisors = self.elementary_divisors
-        exps = tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, divisors))
-        return _new_class((exps,))
+        z = self._products.get((x, y))
+        if z is None:
+            divisors = self.elementary_divisors
+            exps = tuple((a + b) % d for a, b, d in zip(x.exps, y.exps, divisors))
+            z = self._products[x, y] = _new_class((exps,))
+        return z
 
     def inv(self, x: IdealClass) -> IdealClass:
-        exps = tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors))
-        return _new_class((exps,))
+        z = self._inverses.get(x)
+        if z is None:
+            exps = tuple((-a) % d for a, d in zip(x.exps, self.elementary_divisors))
+            z = self._inverses[x] = _new_class((exps,))
+        return z
 
     def power(self, x: IdealClass, e: int) -> IdealClass:
-        exps = tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors))
-        return _new_class((exps,))
+        z = self._powers.get((x, e))
+        if z is None:
+            exps = tuple((a * e) % d for a, d in zip(x.exps, self.elementary_divisors))
+            z = self._powers[x, e] = _new_class((exps,))
+        return z
 
     def all_classes(self) -> list[IdealClass]:
         """Every class once, in lexicographic exponent order."""

@@ -191,15 +191,18 @@ def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
 def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
     """alpha(a) for any integral ideal: the stored eigenvalue at a stored
     prime, else the running product of alpha(p^e) over the prime
-    factorisation of a, each read from F's prime-power memo, which
-    _prime_powers grows only where it is short (1 for the unit ideal)."""
+    factorisation of a (1 for the unit ideal).  A stored alpha(p) for e = 1
+    is read directly; any other alpha(p^e) comes from F's prime-power memo,
+    which _prime_powers grows only where it is short."""
     v = F._alpha.get(a)
     if v is not None:
         return v
     out = None
     for p, e in factor_ideal(a):
-        memo = F._powers.get(p)
-        v = memo[0][e] if memo and e < len(memo[0]) else _prime_powers(F, p, e)[e]
+        v = F._alpha.get(p) if e == 1 else None
+        if v is None:
+            memo = F._powers.get(p)
+            v = memo[0][e] if memo and e < len(memo[0]) else _prime_powers(F, p, e)[e]
         out = v if out is None else out * v
     return algext.one(F.vfield) if out is None else out
 
@@ -378,16 +381,15 @@ def _chi_law(F: HeckeEigensystem, tau, psi: IdealClass, classes: Iterable) -> bo
                for x in classes)
 
 
-def _principal_twists(F: HeckeEigensystem) -> set:
+def _principal_twists(F: HeckeEigensystem, good: list) -> set:
     """T: the identity (listed first, it meets both laws with the trivial psi)
-    and each other tau of some (tau, psi) of _alpha_law_pairs that meets
-    _chi_law at every class.  tau then fixes every principal generator chi(x)
-    alpha(b), as x^2 [b] = 1, so by Artin's theorem k_f <= F.vfield.dim // |T|."""
+    and each other tau of some (tau, psi) of _alpha_law_pairs, at the good
+    stored primes given as (class, alpha(p)) pairs, that meets _chi_law at
+    every class.  tau then fixes every principal generator chi(x) alpha(b),
+    as x^2 [b] = 1, so by Artin's theorem k_f <= F.vfield.dim // |T|."""
     identity, *others = algext.automorphisms(F.vfield)
-    good = [(F.group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
-    classes = F.group.all_classes()
     return {identity} | {tau for tau, psi in _alpha_law_pairs(F, others, good)
-                         if _chi_law(F, tau, psi, classes)}
+                         if _chi_law(F, tau, psi, F.group.all_classes())}
 
 
 def inner_twist_pairs(F: HeckeEigensystem) -> list:
@@ -515,7 +517,8 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     for x in group.all_classes():
         aux_values.setdefault(group.inv(group.power(x, 2)).exps, chi[x])
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
-    exps = [group.ideal_class(p).exps for p in good]
+    classes = [group.ideal_class(p) for p in good]
+    exps = [x.exps for x in classes]
 
     def principal_gens():
         for size in (1, 2, 3):
@@ -530,7 +533,8 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
                     val = val * _prime_powers(F, good[i], e)[e]
                 yield val
 
-    k_f = _span_dimension(principal_gens(), f, f.dim // len(_principal_twists(F)))
+    twists = _principal_twists(F, [(x, F._alpha[p]) for x, p in zip(classes, good)])
+    k_f = _span_dimension(principal_gens(), f, f.dim // len(twists))
     full_gens = chain((v for _, v in F.alpha), (chi_value(F, p) for p in good))
     k_F = _span_dimension(full_gens, f)
     if k_F % k_f:

@@ -350,10 +350,16 @@ def factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
             if e:
                 out[pp] = e
     if prod(pp.norm**e for pp, e in out.items()) != n.norm or not all(
-        (pp if e == 1 else ideal_pow(pp, e)).contains_ideal(n) for pp, e in out.items()
+        (pp if e == 1 else _prime_power(pp, e)).contains_ideal(n) for pp, e in out.items()
     ):
         raise QuadFieldError(f"prime factors {out} of {n} do not recombine to it")
     return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def _prime_power(pp: Ideal, e: int) -> Ideal:
+    """pp^e, memoised per (prime, exponent) for factor_ideal's check."""
+    return ideal_pow(pp, e)
 
 
 def divisors(n: Ideal) -> list[Ideal]:

@@ -13,16 +13,18 @@ Every auxiliary ideal a is the first (label order, coprime to the level) that
 fits, read from one class table per level: the step-1 probe of a two-torsion
 class c is T_{a,a} with a in c, and the eigenvalue of T_t W_w is that of
 T_{a,a} T_t W_w with [a]^2 [t w] trivial, times chi(a^-1); for t*w in a
-trivial class, a is the unit ideal.  A nonsquare [t w] is read as
-T_{t b} W_w times alpha(b)^-1 for the table entry (b, alpha(b)^-1) of its
-genus, and is left to step 2d while there is none.
+trivial class, a is the unit ideal, and under the trivial character no
+product by chi(a^-1) = 1 is formed.  A nonsquare [t w] is read as
+T_{t b} W_w times alpha(b)^-1 for the table entry (b, [b], alpha(b)^-1) of
+its genus, and is left to step 2d while there is none.
 
 What depends only on the field, the level or the class group is memoised
 here, so a run of recoveries pays it once per key, and every key is a group,
 an ideal, a class or a norm bound, never an eigensystem:
 - ``_principal_operator`` (group, aa, t, w): the class test [aa]^2 [t] [w] = 1
   and the operator it admits; ``make_principal_operator`` still checks the
-  level on every call;
+  level on every call, by one norm test gcd(N(aa) N(t), N(level)) = 1 and
+  the two coprimality tests only when that fails;
 - ``_class_ideals`` (group, modulus): the class table over the ideals coprime
   to the level, or to level*t when the level's choice meets t;
 - ``_prime_classes`` (group, bound): each prime of norm <= bound with its
@@ -31,6 +33,10 @@ an ideal, a class or a norm bound, never an eigensystem:
   is still tested in the loop;
 - ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
   level*t, each built once through this module's ``ideal_mul``.
+
+The class arithmetic of the loop reads the group's own memos of its law
+(``ClassGroup.mul``, ``inv`` and ``power``), and each sign-table entry keeps
+the class of its ideal, so a 2c read reduces no form.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import algext
@@ -109,11 +115,14 @@ def make_principal_operator(
 ) -> PrincipalOperator:
     """T_{aa,aa} T_t W_w at the level, after checking on every call that aa
     and t are coprime to the level and w || level; the class test is the
-    memoised ``_principal_operator``."""
+    memoised ``_principal_operator``.  Parts over the level's field whose
+    norms are prime to N(level) are coprime to it, so the two ``coprime``
+    tests run only when that norm test fails."""
     K = group.field
     aa = aa if aa is not None else unit_ideal(K)
     t = t if t is not None else unit_ideal(K)
-    if not coprime(aa, level) or not coprime(t, level):
+    norms_prime = aa.field is t.field is level.field and gcd(aa.norm * t.norm, level.norm) == 1
+    if not norms_prime and (not coprime(aa, level) or not coprime(t, level)):
         raise RecoveryError(f"operator parts must be coprime to the level {label(level)}")
     if w is not None and not is_exact_divisor(w, level):
         raise RecoveryError(f"{label(w)} is not an exact divisor of the level")
@@ -189,8 +198,11 @@ class SyntheticOracle:
 
     def query(self, op: PrincipalOperator) -> AlgValue:
         F = self.system
-        # chi((1)) = 1; chi_value's own EigensystemError is not a gap
-        chi_a = None if op.aa.is_unit() else chi_value(F, op.aa)
+        # chi((1)) = 1, and a trivial chi is 1 at every aa coprime to the
+        # level (0 at the others); chi_value's own EigensystemError is not a gap
+        aa = op.aa
+        is_one = aa.is_unit() or F.character.is_trivial() and coprime(aa, F.level)
+        chi_a = None if is_one else chi_value(F, aa)
         try:
             val = coefficient(F, op.t)
             if op.w is not None:
@@ -213,15 +225,18 @@ class FixtureOracle:
 
 
 def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValue) -> None:
-    """Step 2d: add (p, alpha_p) and its product with every entry to the table
-    genus -> (a, value at a), whose unit entry ((1), 1) is implicit; any
-    multiplicative value doubles this way.  p's genus is new, so the genera
-    double and each keeps one entry."""
-    for a, va in list(table.values()):
+    """Step 2d: add (p, [p], alpha_p) and its product with every entry to the
+    table genus -> (a, [a], value at a), whose unit entry ((1), [(1)], 1) is
+    implicit; any multiplicative value doubles this way.  p's genus is new,
+    so the genera double and each keeps one entry.  An entry keeps the class
+    of its ideal, the product of its factors' classes, so no read of the
+    table reduces a form."""
+    cls_p = group.ideal_class(p)
+    for a, cls_a, va in list(table.values()):
         common = algext.join_fields(va.field, alpha_p.field)
-        ap = _product(a, p)
-        table[group.genus(group.ideal_class(ap))] = (ap, lift(va, common) * lift(alpha_p, common))
-    table[group.genus(group.ideal_class(p))] = (p, alpha_p)
+        cls = group.mul(cls_a, cls_p)
+        table[group.genus(cls)] = (_product(a, p), cls, lift(va, common) * lift(alpha_p, common))
+    table[group.genus(cls_p)] = (p, cls_p, alpha_p)
 
 
 @dataclass
@@ -279,6 +294,7 @@ def recover(
         signs = {c.exps: s for c, s in restriction.items()}
         raise RecoveryError(f"no character has the two-torsion restriction {signs}")
     work = character_field(algext.RATIONAL_FIELD, group, chi)
+    trivial = chi.is_trivial()
 
     def chiv(cls: IdealClass) -> AlgValue:
         v = character_values(work, group, chi)[cls]
@@ -297,29 +313,31 @@ def recover(
     def principal(cls: IdealClass, t=None, w=None, coprime_to=None) -> AlgValue:
         """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
         for the first a, coprime to the level (and to coprime_to if given),
-        that makes it principal, times chi(a^-1)."""
+        that makes it principal, times chi(a^-1), which is 1 for the unit a
+        or the trivial chi."""
         a = roots[cls]
         if coprime_to is not None and not coprime(a, coprime_to):
             # every ideal before a already fails a test that ignores coprime_to
             a = _class_ideals(group, _product(level, coprime_to))[1][cls]
         v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
-        return v if a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
+        return v if trivial or a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
 
-    table: dict[tuple[int, ...], tuple[Ideal, AlgValue]] = {}  # genus -> (a, alpha(a)^-1)
+    # genus -> (a, [a], alpha(a)^-1)
+    table: dict[tuple[int, ...], tuple[Ideal, IdealClass, AlgValue]] = {}
 
     def read(cls: IdealClass, square: bool, genus: tuple, t=None, w=None) -> AlgValue | None:
         """The eigenvalue of T_t W_w, with cls = [t w] of the given genus:
         read directly for a square class (2a, 2b); else that of T_{t a} W_w
-        times alpha(a)^-1 for the table entry (a, alpha(a)^-1) of the genus
-        (2c); else None (2d)."""
+        times alpha(a)^-1 for the table entry (a, [a], alpha(a)^-1) of the
+        genus (2c); else None (2d)."""
         if square:
             return principal(cls, t, w, coprime_to=t)
         hit = table.get(genus)
         if hit is None:
             return None
-        a, alpha_inv = hit
+        a, cls_a, alpha_inv = hit
         ta = a if t is None else _product(t, a)
-        return principal(group.mul(cls, group.ideal_class(a)), ta, w) * absorb(alpha_inv)
+        return principal(group.mul(cls, cls_a), ta, w) * absorb(alpha_inv)
 
     # Step 2: eigenvalues at good primes, in increasing norm order.  A prime
     # that read() cannot reach (2d) gets alpha(p)^2 = alpha(p^2) + chi(p) N(p);

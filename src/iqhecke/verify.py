@@ -364,7 +364,7 @@ def check_dimension_table(bundle: FixtureBundle) -> str:
     for n in nd:
         levels.update(divisors(n))
     full = {
-        n: sum(sigma0(ideal_div_exact(n, m)) * nd.get(m, 0) for m in divisors(n))
+        n: sum(sigma0(ideal_div_exact(n, m)) * nd[m] for m in divisors(n) if nd.get(m))
         for n in levels
     }
     recovered = newspace_dims(full)

@@ -101,6 +101,19 @@ def test_value_contract():
         r2 * r3
 
 
+def test_int_rationals_match_their_fractions():
+    # an int skips Fraction: the value is the one Fraction(n) gives, with int coordinates
+    v = parse_value(QI2, "5/6*sqrt2 - 7/4*i + 1/3")
+    for n in (0, 1, -1, -7, 12, -360, 1000003, -(10**30)):
+        for f in (Q, QI2, CUBIC):
+            w = from_rational(f, n)
+            assert w == from_rational(f, Fraction(n))
+            assert all(type(c) is int for c in (*w.nums, w.den))
+        assert v.scale(n) == v.scale(Fraction(n))
+        assert all(type(c) is int for c in (*v.scale(n).nums, v.scale(n).den))
+    assert from_rational(QI2, 0) == zero(QI2) == v.scale(0)
+
+
 def test_field_inverse_and_division():
     # the fixed complex embedding is a ring map, an independent reference
     rng = random.Random(11)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import prod
 
@@ -7,6 +9,7 @@ from iqhecke import classgroup
 from iqhecke.classgroup import (
     ClassGroup,
     ClassGroupError,
+    IdealClass,
     compute_class_group,
     form_of_ideal,
     ideal_of_form,
@@ -72,6 +75,45 @@ def test_class_map_is_homomorphism():
             assert g.ideal_class(ideal_mul(a, b)) == g.mul(
                 g.ideal_class(a), g.ideal_class(b)
             )
+
+
+@pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105))  # the sweep fields
+def test_memoised_group_law_matches_the_exponent_formula(d):
+    # a fresh group, so the first pass fills the memos and the second reads them
+    g = ClassGroup(make_field(d))
+    divs = g.elementary_divisors
+    classes = g.all_classes()
+
+    def formula(exps):
+        return IdealClass(tuple(e % n for e, n in zip(exps, divs)))
+
+    for _ in range(2):
+        for x in classes:
+            assert g.inv(x) == formula([-a for a in x.exps])
+            for e in (-1, 0, 1, 2, 3, g.h):
+                assert g.power(x, e) == formula([a * e for a in x.exps])
+            for y in classes:
+                assert g.mul(x, y) == formula([a + b for a, b in zip(x.exps, y.exps)])
+    assert all(type(z) is IdealClass for z in (g.mul(x, x), g.inv(x), g.power(x, 2)))
+
+
+def test_group_law_memos_are_per_group():
+    # (1,) is a class of C2 (d = 5) and of C3 (d = 23), with different laws
+    x = IdealClass((1,))
+    c2, c3 = ClassGroup(make_field(5)), ClassGroup(make_field(23))
+    assert (c2.mul(x, x), c2.inv(x), c2.power(x, 2)) == (
+        IdealClass((0,)), IdealClass((1,)), IdealClass((0,)))
+    assert (c3.mul(x, x), c3.inv(x), c3.power(x, 2)) == (
+        IdealClass((2,)), IdealClass((2,)), IdealClass((2,)))
+    assert c2.mul(x, x) == IdealClass((0,))  # read from c2's memo, not c3's
+    # a copied group is the memoised one, and its law agrees with the original's
+    for g in (c2, c3):
+        for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert copied is compute_class_group(g.field)
+            classes = g.all_classes()
+            assert all(copied.mul(a, b) == g.mul(a, b) for a in classes for b in classes)
+            assert all(copied.inv(a) == g.inv(a) and copied.power(a, 2) == g.power(a, 2)
+                       for a in classes)
 
 
 def test_group_law_on_all_form_pairs_small_h():

@@ -476,12 +476,17 @@ def _eager_report(F):
     return HeckeFieldReport(k_f, k_F)
 
 
+def _good_pairs(F):
+    """(class, alpha(p)) at each stored prime p coprime to the level."""
+    return [(F.group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+
+
 def _reference_principal_twists(F):
     """T the direct way: every automorphism, the identity included, that meets
     both laws with some psi, the chi law at every class."""
     group, f = F.group, F.vfield
     chi = character_values(f, group, F.character)
-    good = [(group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+    good = _good_pairs(F)
 
     def meets(tau, psi):
         values = character_values(f, group, psi)
@@ -500,9 +505,11 @@ def _reference_principal_twists(F):
 def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
     # the automorphisms T that bound the principal degree: 2.1 F0 has the inner
     # twist sqrt2 -> -sqrt2 by chi2; the cubic base of 25.1 shows no automorphism
-    twists = _principal_twists(bundle.system("2.1", "F0"))
+    F21 = bundle.system("2.1", "F0")
+    twists = _principal_twists(F21, _good_pairs(F21))
     assert sorted(tau.describe() for tau in twists) == ["id", "sqrt2 -> -sqrt2"]
-    assert len(_principal_twists(bundle.system("25.1", "F0"))) == 1
+    F25 = bundle.system("25.1", "F0")
+    assert len(_principal_twists(F25, _good_pairs(F25))) == 1
     systems = [bundle.system("16.1", "F1")]
     # rational eigenvalues under a character of order 4: i -> -i meets the
     # alpha law with the trivial psi, but not the chi law
@@ -523,7 +530,7 @@ def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
         rep = hecke_field_report(F)
         assert rep == _eager_report(F)
         # the walk stops at dim // |T|, which must not be below the principal degree
-        twists = _principal_twists(F)
+        twists = _principal_twists(F, _good_pairs(F))
         assert twists == _reference_principal_twists(F)
         assert algext.automorphisms(F.vfield)[0].is_identity()
         assert F.vfield.dim // len(twists) >= rep.principal_degree
@@ -541,7 +548,7 @@ def test_principal_twists_apply_nothing_over_the_rationals(monkeypatch):
         raise AssertionError("an automorphism was applied over Q")
 
     monkeypatch.setattr(algext.FieldAutomorphism, "apply", apply)
-    twists = _principal_twists(F)
+    twists = _principal_twists(F, _good_pairs(F))
     assert len(twists) == 1 and next(iter(twists)).is_identity()
 
 

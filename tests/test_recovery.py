@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from iqhecke.quadfield import (
 from iqhecke.recovery import (
     FixtureOracle,
     OracleMissingError,
+    PrincipalOperator,
     RecoveryError,
     SyntheticOracle,
     double_sign_table,
@@ -76,6 +78,15 @@ def test_memoised_operator_still_checks_the_level(G17, K17):
     for level in ("3.1", "6.1", "13.1", "26.1"):
         with pytest.raises(RecoveryError, match="coprime to the level"):
             make_principal_operator(G17, ideal_from_label(K17, level), aa=p31, t=p131)
+    # at the conjugate primes the norms share 3 or 13 with N(level), but the
+    # parts are coprime to the level: the norm test fails and coprime decides
+    for level in ("3.2", "13.2"):
+        n = ideal_from_label(K17, level)
+        assert gcd(p31.norm * p131.norm, n.norm) != 1
+        assert make_principal_operator(G17, n, aa=p31, t=p131) is op
+    # a part over another field is rejected although its norm is prime to N(level)
+    with pytest.raises(quadfield.QuadFieldError, match="different fields"):
+        make_principal_operator(G17, p21, aa=ideal_from_label(make_field(5), "3.1"))
     w_op = make_principal_operator(G17, p21, aa=p31, w=p21)
     assert str(w_op) == "T(3.1,3.1)*W(2.1)"
     with pytest.raises(RecoveryError, match="not an exact divisor"):
@@ -130,6 +141,10 @@ def test_project_to_principal_examples(bundle, G17, K17):
     ]
     for o in ops:
         assert values_equal(oracle.query(o), oracle2.query(o))
+    # chi is 0 at a part that meets the level, also under the trivial character
+    assert F0.character.is_trivial()
+    at_level = PrincipalOperator(level, ideal_from_label(K17, "9.1"))
+    assert not oracle.query(op).is_zero() and oracle.query(at_level).is_zero()
 
 
 def test_oracle_coverage_errors(bundle, G17, K17):
