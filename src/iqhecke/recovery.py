@@ -34,9 +34,8 @@ an ideal, a class or a norm bound, never an eigensystem:
 - ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
   level*t, each built once through this module's ``ideal_mul``.
 
-The class arithmetic of the loop reads the group's own memos of its law
-(``ClassGroup.mul``, ``inv`` and ``power``), and each sign-table entry keeps
-the class of its ideal, so a 2c read reduces no form.
+The loop's class arithmetic reads the group's memos of its law
+(``ClassGroup.mul``, ``inv`` and ``power``).
 """
 
 from __future__ import annotations
@@ -115,9 +114,8 @@ def make_principal_operator(
 ) -> PrincipalOperator:
     """T_{aa,aa} T_t W_w at the level, after checking on every call that aa
     and t are coprime to the level and w || level; the class test is the
-    memoised ``_principal_operator``.  Parts over the level's field whose
-    norms are prime to N(level) are coprime to it, so the two ``coprime``
-    tests run only when that norm test fails."""
+    memoised ``_principal_operator``, and the ``coprime`` tests run only
+    when gcd(N(aa) N(t), N(level)) = 1 fails (or the fields differ)."""
     K = group.field
     aa = aa if aa is not None else unit_ideal(K)
     t = t if t is not None else unit_ideal(K)
@@ -228,9 +226,8 @@ def double_sign_table(group: ClassGroup, table: dict, p: Ideal, alpha_p: AlgValu
     """Step 2d: add (p, [p], alpha_p) and its product with every entry to the
     table genus -> (a, [a], value at a), whose unit entry ((1), [(1)], 1) is
     implicit; any multiplicative value doubles this way.  p's genus is new,
-    so the genera double and each keeps one entry.  An entry keeps the class
-    of its ideal, the product of its factors' classes, so no read of the
-    table reduces a form."""
+    so the genera double and each keeps one entry.  An entry keeps its
+    ideal's class ([a p] = [a] [p]), so a 2c read reduces no form."""
     cls_p = group.ideal_class(p)
     for a, cls_a, va in list(table.values()):
         common = algext.join_fields(va.field, alpha_p.field)
@@ -364,7 +361,7 @@ def recover(
     # Step 3: involution signs, only for the trivial character.
     al_signs = None
     al_incomplete = []
-    if chi.is_trivial():
+    if trivial:
         al_signs = {}
         for q in exact_prime_power_divisors(level):
             cls = group.ideal_class(q)
