@@ -36,8 +36,10 @@ read from the stored eigenvalues skips), as ``generated`` the calls of every met
 ``<string>``), the per-object overhead of building, comparing and hashing,
 and as ``kernel`` the calls of ``algext``'s compiled products, lifts and
 automorphisms (file ``<iqhecke kernel>``). A second table
-gives, for every ``lru_cache``d function of the ``iqhecke`` package (found
-by its ``cache_info``), the hits and misses of its memo in each section. The
+gives, for every ``lru_cache``d function of the ``iqhecke`` package and
+every ``lru_cache``d method of its classes (``ClassGroup.ideal_class``,
+``mul``, ``inv`` and ``power``, ``Ideal.conjugate``; each found by its
+``cache_info``), the hits and misses of its memo in each section. The
 script exits 1 when any operation raised. With string hashing pinned the
 counts repeat exactly from run to run, so two trees can be compared without
 timing noise. Calls are summed over the profiler's raw entries, one per code
@@ -95,11 +97,21 @@ def profiled(ops) -> dict:
 
 
 def memos() -> dict:
-    """Every lru_cache'd function of the loaded iqhecke modules, by dotted name."""
-    return {f"{name}.{attr}": fn
-            for name, module in sorted(sys.modules.items()) if name.startswith("iqhecke.")
-            for attr, fn in vars(module).items()
-            if hasattr(fn, "cache_info") and fn.__module__ == name}
+    """Every lru_cache'd function of the loaded iqhecke modules, and every
+    lru_cache'd method of their classes, by dotted name."""
+    found = {}
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("iqhecke."):
+            continue
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if hasattr(obj, "cache_info"):
+                found[f"{name}.{attr}"] = obj
+            elif isinstance(obj, type):
+                found.update((f"{name}.{attr}.{meth}", fn) for meth, fn in vars(obj).items()
+                             if hasattr(fn, "cache_info"))
+    return found
 
 
 def main(tree: Path) -> int:

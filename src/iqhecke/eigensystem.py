@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations_with_replacement, groupby
 from math import gcd
 
@@ -510,21 +510,18 @@ def hecke_field_report(F: HeckeEigensystem) -> HeckeFieldReport:
     """
     group = F.group
     f = F.vfield
-    divisors = group.elementary_divisors
     chi = character_values(f, group, F.character)
     # each class c of CL^2 -> chi(x) for the first class x with x^2 c = 1
-    aux_values: dict[tuple, AlgValue | None] = {}
+    aux_values: dict[IdealClass, AlgValue | None] = {}
     for x in group.all_classes():
-        aux_values.setdefault(group.inv(group.power(x, 2)).exps, chi[x])
+        aux_values.setdefault(group.inv(group.power(x, 2)), chi[x])
     good = [p for p, _ in F.alpha if coprime(p, F.level)]
     classes = [group.ideal_class(p) for p in good]
-    exps = [x.exps for x in classes]
 
     def principal_gens():
         for size in (1, 2, 3):
             for combo in combinations_with_replacement(range(len(good)), size):
-                cols = zip(*map(exps.__getitem__, combo))
-                cls = tuple(sum(c) % d for c, d in zip(cols, divisors))
+                cls = reduce(group.mul, map(classes.__getitem__, combo))
                 val = aux_values.get(cls)  # None off CL^2, or where f lacks chi(x)
                 if val is None:
                     continue

@@ -34,7 +34,7 @@ an ideal, a class or a norm bound, never an eigensystem:
 - ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
   level*t, each built once through this module's ``ideal_mul``.
 
-The loop's class arithmetic reads the group's memos of its law
+The loop's class arithmetic is the group's ``lru_cache``d law
 (``ClassGroup.mul``, ``inv`` and ``power``).
 """
 

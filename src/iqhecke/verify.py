@@ -214,12 +214,9 @@ def random_eigensystem(
     exercised from both sides.
     """
     K = group.field
-    level_norm = rng.choice([n for n in range(1, 21)])
-    choices = ideals_of_norm(K, level_norm)
-    while not choices:
-        level_norm = rng.choice([n for n in range(1, 21)])
-        choices = ideals_of_norm(K, level_norm)
-    level = rng.choice(list(choices))
+    while not (choices := ideals_of_norm(K, rng.choice(range(1, 21)))):
+        pass
+    level = rng.choice(choices)
     nontrivial_restriction = [
         chi
         for chi in character_group(group)
@@ -264,17 +261,19 @@ def random_eigensystem(
 
 
 ROUND_TRIP_FIELDS = (1, 5, 23, 17, 21)
+ROUND_TRIP_COUNT = 100  # systems, spread evenly over the fields
+ROUND_TRIP_BOUND = 200  # norm bound of the stored primes and of recovery
 
 
-def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) -> str:
+def check_round_trip(bundle: FixtureBundle) -> str:
     rng = random.Random(68)
     groups = [compute_class_group(make_field(d)) for d in ROUND_TRIP_FIELDS]
-    per_field = -(-count // len(groups))
+    per_field = -(-ROUND_TRIP_COUNT // len(groups))
     done = 0
     for group in groups:
         for _ in range(per_field):
-            F = random_eigensystem(group, rng, bound)
-            res = recover(SyntheticOracle(F), group, F.level, bound, on_missing="skip")
+            F = random_eigensystem(group, rng, ROUND_TRIP_BOUND)
+            res = recover(SyntheticOracle(F), group, F.level, ROUND_TRIP_BOUND, on_missing="skip")
             _require(
                 not res.alpha_gaps,
                 f"synthetic oracle left eigenvalue gaps: {res.alpha_gaps}",
@@ -301,7 +300,7 @@ def check_round_trip(bundle: FixtureBundle, count: int = 100, bound: int = 200) 
                     SyntheticOracle(F),
                     group,
                     F.level,
-                    bound,
+                    ROUND_TRIP_BOUND,
                     sign_flip=True,
                     on_missing="skip",
                 )

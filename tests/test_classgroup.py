@@ -97,6 +97,34 @@ def test_memoised_group_law_matches_the_exponent_formula(d):
     assert all(type(z) is IdealClass for z in (g.mul(x, x), g.inv(x), g.power(x, 2)))
 
 
+@pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105))  # the sweep fields
+def test_class_map_and_law_are_lru_cached(d):
+    # a fresh group: a first pass over its classes, pairs and small ideals only
+    # misses the class-level memos, and a second pass only hits them
+    g = ClassGroup(make_field(d))
+    classes = g.all_classes()
+    ideals = [i for n in range(1, 51) for i in ideals_of_norm(g.field, n)]
+    memos = (ClassGroup.mul, ClassGroup.inv, ClassGroup.power, ClassGroup.ideal_class)
+    sizes = (len(classes) ** 2, len(classes), 2 * len(classes), len(ideals))
+
+    def one_pass():
+        for x in classes:
+            g.inv(x)
+            for e in (-1, 3):  # not 2: construction already read power(x, 2)
+                g.power(x, e)
+            for y in classes:
+                g.mul(x, y)
+        for i in ideals:
+            g.ideal_class(i)
+
+    for hits, misses in ((0, 1), (1, 0)):
+        before = [m.cache_info() for m in memos]
+        one_pass()
+        added = [(a.hits - b.hits, a.misses - b.misses)
+                 for a, b in zip((m.cache_info() for m in memos), before)]
+        assert added == [(hits * n, misses * n) for n in sizes]
+
+
 def test_group_law_memos_are_per_group():
     # (1,) is a class of C2 (d = 5) and of C3 (d = 23), with different laws
     x = IdealClass((1,))

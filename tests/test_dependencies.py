@@ -128,3 +128,24 @@ def test_only_the_kernel_compiler_runs_generated_code():
         visit(ast.parse(path.read_text(), str(path)), path.name)
     assert sorted(found) == [("_compile_kernel", "compile"), ("_compile_kernel", "exec")]
     assert "_compile_kernel" in vars(iqhecke.algext)
+
+
+def test_no_constructor_starts_a_memo_dict():
+    # keyed memos are lru_caches, whose cache_info reports their hit rates
+    found = []
+    for path in sorted(Path(iqhecke.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, ast.AnnAssign):
+                    targets = [stmt.target]
+                else:
+                    continue
+                if isinstance(stmt.value, ast.Dict) and not stmt.value.keys:
+                    found += [(path.name, t.attr) for t in targets
+                              if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                              and t.value.id == "self"]
+    assert found == []
