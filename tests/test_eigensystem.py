@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from iqhecke import algext
+from iqhecke import algext, eigensystem
 from iqhecke.algext import lift, parse_value, values_equal
 from iqhecke.bundle import eigensystem_from_json, eigensystem_to_json
 from iqhecke.characters import (
@@ -452,6 +452,16 @@ def _eager_span_dimension(values, f):
 def _eager_report(F):
     """hecke_field_report the eager way: a generator from every combo of at
     most three good primes whose class is in CL^2, then the closure."""
+    f = F.vfield
+    good = [p for p, _ in F.alpha if coprime(p, F.level)]
+    k_f = _eager_span_dimension(_eager_principal_gens(F), f)
+    k_F = _eager_span_dimension([v for _, v in F.alpha] + [chi_value(F, p) for p in good], f)
+    return HeckeFieldReport(k_f, k_F)
+
+
+def _eager_principal_gens(F):
+    """chi(x) alpha(b) for each combo b of at most three good primes, in the
+    walk's order, where [b] is in CL^2 and x is the first class with x^2 [b] = 1."""
     group, f = F.group, F.vfield
     chi = character_values(f, group, F.character)
     aux = {}
@@ -471,9 +481,7 @@ def _eager_report(F):
             for p, e in seen.items():
                 val = val * prime_power_coefficients(F, p, e)[e]
             gens.append(val)
-    k_f = _eager_span_dimension(gens, f)
-    k_F = _eager_span_dimension([v for _, v in F.alpha] + [chi_value(F, p) for p in good], f)
-    return HeckeFieldReport(k_f, k_F)
+    return gens
 
 
 def _good_pairs(F):
@@ -537,6 +545,28 @@ def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
         shapes.add((F.vfield.dim, rep.principal_degree < F.vfield.dim))
     # towers of dimension 1, 2 and 4, and principal subfields that fill them or not
     assert {(1, False), (2, False), (4, False), (2, True), (4, True)} <= shapes
+
+
+def test_principal_walk_reads_the_eager_generators(bundle, monkeypatch):
+    # read to the end, the walk yields the eager generators in order, products
+    # of three included, whose classes the degrees alone do not pin down
+    walks = []
+
+    def read_all(values, f, bound=None):
+        walks.append(list(values))
+        return 1
+
+    monkeypatch.setattr(eigensystem, "_span_dimension", read_all)
+    systems = [bundle.system("2.1", "F0")]
+    for d in (17, 21, 65):
+        F = random_eigensystem(compute_class_group(make_field(d)), random.Random(d), 30)
+        systems += [F, *(twist(F, psi) for psi in character_group(F.group)[1:3])]
+    for F in systems:
+        walks.clear()
+        hecke_field_report(F)
+        expected = _eager_principal_gens(F)
+        assert len(walks[0]) == len(expected)
+        assert all(map(values_equal, walks[0], expected))
 
 
 def test_principal_twists_apply_nothing_over_the_rationals(monkeypatch):
