@@ -19,8 +19,11 @@ automorphism, is compiled once into a straight-line function of the
 numerators (``_compile_kernel``), so a product, a lift or an automorphism
 is one kernel call and one gcd; embeddings and rendering loop over the
 Fraction view ``coeffs``.  A kernel has one term per nonzero constant and
-skips no zero entry.  ``with_radical`` is memoised per (tower, radicand), so
-its Kummer test runs once per pair.
+skips no zero entry.  Lifts and automorphisms are ring maps, fixed by where
+theta and the roots go: one builder (``_ring_map``) takes those images and
+forms the image of every basis element as a product in the target tower.
+``with_radical`` is memoised per (tower, radicand), so its Kummer test runs
+once per pair.
 
 An ``AlgValue`` is the named triple (field, nums, den), a tuple underneath:
 every builder goes through one unchecked constructor, ``_new_value``, a
@@ -35,9 +38,10 @@ definite: the base is totally real.  It also requires an irreducible minimal
 polynomial, so the base is a field.  A root is adjoined only when its radicand
 is not already a square (Kummer theory: no product of the tower's radicands
 times it is a base square), so every tower the library builds is a field;
-``make_value_field`` builds exactly the tower it is given.  The embedding
-sends theta to the largest root of its minimal polynomial and gives every root
-its value, and ``canonical_sign`` and ``lift`` follow it.
+``make_value_field`` applies the same test to each radicand it is given,
+against the tower of the ones before it, and raises on a square.  The
+embedding sends theta to the largest root of its minimal polynomial and gives
+every root its value, and ``canonical_sign`` and ``lift`` follow it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -203,7 +207,8 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     if len(mp) < 2 or mp[-1] != 1 or any(c.denominator != 1 for c in mp):
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
     mp = (0, 1) if len(mp) == 2 else tuple(map(int, mp))  # every degree-1 base is Q
-    _tower(mp, ())._trace_form  # raises unless the base is totally real
+    f = _tower(mp, ())
+    f._trace_form  # raises unless the base is totally real
     if len(mp) > 2 and not poly.is_irreducible(mp):
         raise AlgebraError(f"minimal polynomial [{', '.join(map(str, mp))}] is reducible")
     deg = len(mp) - 1
@@ -213,7 +218,14 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
     for q, *rest in radicands:
         if not any(rest) and (q in (0, 1) or squarefree_part(q) != (1, q)):
             raise AlgebraError(f"radicand {q} is not a squarefree integer other than 0 and 1")
-    return _tower(mp, tuple(sorted(radicands)))
+    for r in radicands:
+        # Kummer: each root must double the degree of the tower before it; in Q
+        # itself the squarefree integers above are no squares
+        if f.dim > 1 and _base_root(f, c := from_coeffs(f.base, r)) is not None:
+            raise AlgebraError(f"radicand {render_value(c)} is a square in {f.describe()}, "
+                               "so the tower is not a field")
+        f = _tower(mp, tuple(sorted(f.adjoined + (r,))))
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -465,30 +477,40 @@ def lift(v: AlgValue, target: ValueField) -> AlgValue:
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
     kernel, den = _lift_map(src, target)
-    return _value(target, kernel(v.nums), v.den * den)
+    return _value(target, kernel(v.nums), den * v.den)
 
 
 @lru_cache(maxsize=None)
 def _lift_map(src: ValueField, target: ValueField):
-    """(kernel, den): src's numerators lift to kernel(nums) / den in target."""
-    images, den = _lift_images(src, target)
-    return _compile_kernel(images, src.dim, target.dim), den
-
-
-def _lift_images(src: ValueField, target: ValueField) -> tuple[tuple[Sparse, ...], int]:
-    """The image in target of each basis element of src, over one denominator:
-    sqrt(r) goes to the square root of r in target with the same embedded value."""
-    monomials = [one(target)]  # the images of the root products, by mask
+    """(kernel, den) of the ring map that sends theta to theta and sqrt(r) to
+    the square root of r in target with the same embedded value."""
+    roots = []
     for j in range(src.nroots):
         w, z = _base_root(target, src._radicand_products[1 << j]), embed(adjoined_root(src, j))
         if w is None:
             raise AlgebraError(f"{target.describe()} has no root {_root_name(src, j)}")
-        w = w if abs(embed(w) - z) < abs(embed(w) + z) else -w
+        roots.append(w if abs(embed(w) - z) < abs(embed(w) + z) else -w)
+    return _ring_map(src, theta(target) if target.base_degree > 1 else zero(target), roots)
+
+
+def _ring_images(src: ValueField, theta_image: AlgValue, root_images):
+    """(images, den): over one denominator, the image of each basis element of
+    src under the ring map that sends theta (0 for Q) and src's roots to the
+    given values of one tower."""
+    target = theta_image.field
+    monomials = [one(target)]  # the images of the root products, by mask
+    for w in root_images:
         monomials += [m * w for m in monomials]
-    powers = [_new_value((target, _unit_vec(target.dim, k), 1)) for k in range(src.base_degree)]
+    powers = list(accumulate([theta_image] * (src.base_degree - 1), mul, initial=one(target)))
     images = [p * m for m in monomials for p in powers]
     den = lcm(*(x.den for x in images))
     return tuple(_sparse([n * (den // x.den) for n in x.nums]) for x in images), den
+
+
+def _ring_map(src: ValueField, theta_image: AlgValue, root_images):
+    """(kernel, den): ``_ring_images`` compiled, nums goes to kernel(nums) / den."""
+    images, den = _ring_images(src, theta_image, root_images)
+    return _compile_kernel(images, src.dim, theta_image.field.dim), den
 
 
 def values_equal(a: AlgValue, b: AlgValue) -> bool:
@@ -667,37 +689,14 @@ class FieldAutomorphism:
     sign_mask: int
     conjugate_base: bool
 
-    def __reduce__(self):  # a copy leaves the compiled kernel behind
-        return FieldAutomorphism, (self.field, self.sign_mask, self.conjugate_base)
-
     def is_identity(self) -> bool:
         return self.sign_mask == 0 and not self.conjugate_base
 
     def apply(self, v: AlgValue) -> AlgValue:
         if v.field != self.field:
             raise AlgebraError("automorphism applied to a foreign value")
-        return _value(self.field, self._kernel(v.nums), v.den)
-
-    @cached_property
-    def _kernel(self):
-        """The map on numerators, compiled once per automorphism."""
-        return _compile_kernel(self._images, self.field.dim, self.field.dim)
-
-    @property
-    def _images(self) -> tuple[Sparse, ...]:
-        """The image of each basis element, integral: theta^k goes to theta'^k when the
-        base is conjugated, and sqrt(S) to -sqrt(S) for an odd number of
-        flipped roots in S."""
-        f = self.field
-        powers = [_unit_vec(f.base_degree, k) for k in range(f.base_degree)]
-        if self.conjugate_base:
-            powers = [_conjugate_base(f, p) for p in powers]
-        return tuple(
-            _sparse(p if bin(mask & self.sign_mask).count("1") % 2 == 0 else [-c for c in p],
-                    mask * f.base_degree)
-            for mask in range(1 << f.nroots)
-            for p in powers
-        )
+        kernel, den = _automorphism_map(self.field, self.sign_mask, self.conjugate_base)
+        return _value(self.field, kernel(v.nums), den * v.den)
 
     def describe(self) -> str:
         if self.is_identity():
@@ -712,25 +711,28 @@ class FieldAutomorphism:
         return ", ".join(parts)
 
 
-def _conjugate_base(f: ValueField, vec: BaseVec) -> BaseVec:
-    # theta' = -c1 - theta for a monic quadratic x^2 + c1 x + c0
-    if f.base_degree != 2:
+@lru_cache(maxsize=None)
+def _automorphism_map(f: ValueField, sign_mask: int, conjugate_base: bool):
+    """(kernel, den) of the ring map of f that sends theta to its conjugate
+    -c1 - theta (x^2 + c1*x + c0 the minimal polynomial) when conjugate_base
+    is set, and each root in sign_mask to its negative."""
+    if conjugate_base and f.base_degree != 2:
         raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
-    c1 = f.minpoly[1]
-    x, y = vec
-    return (x - c1 * y, -y)
+    t = theta(f) if f.base_degree > 1 else zero(f)
+    if conjugate_base:
+        t = from_rational(f, -f.minpoly[1]) - t
+    roots = [adjoined_root(f, j) for j in range(f.nroots)]
+    return _ring_map(f, t, [-w if sign_mask >> j & 1 else w for j, w in enumerate(roots)])
 
 
 @lru_cache(maxsize=None)
 def automorphisms(f: ValueField) -> tuple[FieldAutomorphism, ...]:
     """All ring automorphisms of the tower visible to this representation, the
     identity first: sign flips of the adjoined roots, times the base conjugation
-    when the base is quadratic and fixes every adjoined element; one tuple per tower."""
-    base_opts = [False]
-    if f.base_degree == 2 and all(_conjugate_base(f, r) == r for r in f.adjoined):
-        base_opts.append(True)
-    return tuple(FieldAutomorphism(f, mask, conj)
-                 for conj in base_opts for mask in range(1 << f.nroots))
+    when the base is quadratic and every radicand is rational; one tuple per tower."""
+    conjugable = f.base_degree == 2 and not any(r[1] for r in f.adjoined)
+    return tuple(FieldAutomorphism(f, mask, conj) for conj in (False, True)
+                 if conjugable or not conj for mask in range(1 << f.nroots))
 
 
 # -- symbolic values ----------------------------------------------------------

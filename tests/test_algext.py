@@ -129,8 +129,9 @@ def test_field_inverse_and_division():
             assert close(embed(v.inv()), 1 / embed(v))
     with pytest.raises(ZeroDivisionError):
         zero(QI).inv()
-    # sqrt(-2) and i*sqrt(2) are independent roots here, so the algebra has zero divisors
-    degenerate = make_value_field(adjoined=[-2, -1, 2])
+    # sqrt(-2) and i*sqrt(2) are independent roots here, so the algebra has zero
+    # divisors; make_value_field rejects it, and only the unchecked _tower builds it
+    degenerate = algext._tower((0, 1), ((Fraction(-2),), (Fraction(-1),), (Fraction(2),)))
     with pytest.raises(ZeroDivisionError, match="degenerate"):
         parse_value(degenerate, "sqrtm2 - i*sqrt2").inv()
     v = parse_value(degenerate, "1 + sqrt2")
@@ -378,6 +379,20 @@ def test_malformed_radicands_are_rejected(adjoined, message):
         make_value_field(adjoined=adjoined)
 
 
+@pytest.mark.parametrize("minpoly,adjoined", [
+    ((0, 1), [-2, -1, 2]),  # 2 = (sqrtm2/i)^2
+    ((-2, 0, 1), [2]),  # a^2 = 2
+    ((-2, 0, 1), [[3, 2]]),  # 3 + 2a = (1 + a)^2
+    ((-2, 0, 1), [[0, 1], [0, 2]]),  # 2a = (a * sqrt(a))^2
+])
+def test_radicands_that_are_squares_in_the_tower_are_rejected(minpoly, adjoined):
+    with pytest.raises(AlgebraError, match="is a square in .*, so the tower is not a field"):
+        make_value_field(minpoly, adjoined)
+    # a subset whose products are no squares still builds a field of full degree
+    f = make_value_field(minpoly, adjoined[:-1])
+    assert f.dim == (len(minpoly) - 1) << (len(adjoined) - 1)
+
+
 @pytest.mark.parametrize(
     "minpoly,message",
     [([1, 0, 1], "totally real"), ([0, 0, 1], "totally real"), (["1/2", 0, 1], "integer"),
@@ -521,8 +536,16 @@ def test_products_and_negatives_are_canonical_for_every_denominator(f):
 ], ids=lambda f: f.describe())
 def test_lift_kernel_matches_the_image_loop(src, target):
     kernel, den = algext._lift_map(src, target)
-    images, image_den = algext._lift_images(src, target)
-    assert den == image_den and algext._lift_map(src, target)[0] is kernel
+    assert algext._lift_map(src, target)[0] is kernel
+    # the lift is the ring map that sends theta to theta and each root to a
+    # square root of its radicand with the same embedded value
+    roots = [lift(adjoined_root(src, j), target) for j in range(src.nroots)]
+    for j, w in enumerate(roots):
+        r = adjoined_root(src, j)
+        assert w * w == lift(r * r, target) and close(embed(w), embed(r))
+    t = theta(target) if target.base_degree > 1 else zero(target)
+    images, image_den = algext._ring_images(src, t, roots)
+    assert den == image_den
     for u in kernel_inputs(src.dim, target.dim):
         assert kernel(u) == reference_image(u, images, target.dim)
 
@@ -531,11 +554,59 @@ def test_lift_kernel_matches_the_image_loop(src, target):
 def test_automorphism_kernels_match_the_image_loop(f):
     autos = automorphisms(f)
     assert len(autos) == 4
+    t = theta(f) if f.base_degree > 1 else zero(f)
+    x = one(f) + adjoined_root(f, 0)
     for tau in autos:
-        assert tau._kernel is tau._kernel
+        key = (f, tau.sign_mask, tau.conjugate_base)
+        kernel, den = algext._automorphism_map(*key)
+        assert algext._automorphism_map(*key)[0] is kernel
+        # theta goes to -c1 - theta when the base is conjugated, a flipped root to its negative
+        t_image = from_rational(f, -f.minpoly[1]) - t if tau.conjugate_base else t
+        roots = [adjoined_root(f, j) for j in range(f.nroots)]
+        roots = [-w if tau.sign_mask >> j & 1 else w for j, w in enumerate(roots)]
+        assert tau.apply(t) == t_image
+        assert [tau.apply(adjoined_root(f, j)) for j in range(f.nroots)] == roots
+        images, image_den = algext._ring_images(f, t_image, roots)
+        assert den == image_den == 1
         for u in kernel_inputs(f.dim, 4):
-            assert tau._kernel(u) == reference_image(u, tau._images, f.dim)
-        # an automorphism that holds its kernel still pickles and copies
-        x = one(f) + adjoined_root(f, 0)
+            assert kernel(u) == reference_image(u, images, f.dim)
+        # a used automorphism pickles, copies and applies as the original
         for copied in (pickle.loads(pickle.dumps(tau)), copy.copy(tau), copy.deepcopy(tau)):
             assert copied == tau and copied.apply(x) == tau.apply(x)
+
+
+AUTOMORPHISM_MASKS = [
+    (Q, [(0, False)]),
+    (Q2, [(0, False), (1, False)]),
+    (QI2, [(0, False), (1, False), (2, False), (3, False)]),
+    (QUAD_SQRT3, [(0, False), (1, False), (0, True), (1, True)]),
+    (CUBIC_I, [(0, False), (1, False)]),
+]
+
+
+@pytest.mark.parametrize("f,masks", AUTOMORPHISM_MASKS, ids=lambda f: getattr(f, "describe", str)())
+def test_automorphisms_are_a_group_in_a_fixed_order(f, masks):
+    autos = automorphisms(f)
+    assert [(tau.sign_mask, tau.conjugate_base) for tau in autos] == masks
+    assert autos[0].is_identity()
+    # a map is fixed by the images of theta and the roots: every composite is listed
+    gens = ([theta(f)] if f.base_degree > 1 else []) + [adjoined_root(f, j) for j in range(f.nroots)]
+    rng = random.Random(37)
+    values = [rand_full(f, rng) for _ in range(3)]
+    for sigma in autos:
+        for tau in autos:
+            composite = [sigma.apply(tau.apply(g)) for g in gens]
+            (rho,) = [rho for rho in autos if [rho.apply(g) for g in gens] == composite]
+            assert all(rho.apply(v) == sigma.apply(tau.apply(v)) for v in values)
+
+
+@pytest.mark.parametrize("chain", [
+    (Q, QI, QI2), (make_value_field(adjoined=[-2]), QI2, QI23),
+    (CUBIC, CUBIC_I, with_radical(CUBIC_I, 2)),
+], ids=lambda chain: " < ".join(f.describe() for f in chain))
+def test_lifting_in_two_steps_equals_lifting_in_one(chain):
+    bottom, middle, top = chain
+    rng = random.Random(41)
+    for _ in range(20):
+        v = rand_full(bottom, rng)
+        assert lift(lift(v, middle), top) == lift(v, top)

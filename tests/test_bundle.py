@@ -291,6 +291,10 @@ def _value_field(**field):
          "adjoined coefficient {} must be a number or a fraction string"),
         (_value_field(adjoined=[[[2]]]), BundleError,
          "adjoined coefficient [2] must be a number or a fraction string"),
+        (_value_field(adjoined=[-2, -1, 2]), AlgebraError,
+         "radicand 2 is a square in Q(sqrtm2, i), so the tower is not a field"),
+        (_value_field(minpoly=[-2, 0, 1], adjoined=[[3, 2]]), AlgebraError,
+         "radicand 3 + 2*a is a square in Q(a), deg 2, so the tower is not a field"),
         (_edited("oracle_2.1.json", lambda d: d["field"].update(adjoined=[True])), BundleError,
          "adjoined coefficient True must be a number or a fraction string"),
         (_edited("eigensystems_7.2.json", lambda d: d["systems"][0].pop("alpha")), BundleError,
