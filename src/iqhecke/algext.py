@@ -477,7 +477,7 @@ def lift(v: AlgValue, target: ValueField) -> AlgValue:
     if src.minpoly != target.minpoly:
         raise AlgebraError("cannot lift across different base fields")
     kernel, den = _lift_map(src, target)
-    return _value(target, kernel(v.nums), den * v.den)
+    return _value(target, kernel(v.nums), v.den * den)
 
 
 @lru_cache(maxsize=None)
@@ -696,7 +696,7 @@ class FieldAutomorphism:
         if v.field != self.field:
             raise AlgebraError("automorphism applied to a foreign value")
         kernel, den = _automorphism_map(self.field, self.sign_mask, self.conjugate_base)
-        return _value(self.field, kernel(v.nums), den * v.den)
+        return _value(self.field, kernel(v.nums), v.den * den)
 
     def describe(self) -> str:
         if self.is_identity():
