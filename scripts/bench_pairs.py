@@ -34,7 +34,10 @@ child environment (``PYTHONHASHSEED=0``, the tree's ``src`` first on
 time a process waits for a CPU. ``--claim tables.ops_per_kref``
 names the metric the change claims to improve; it is copied into ``claim``
 with its summary. A run that exits nonzero or reports ``correct: false``
-stops the script.
+stops the script. When a workload's ``setup_s`` is over its bound, its line
+also prints the ``setup_cpu`` medians of the ``ready.py`` target that
+``setup_s`` times there (``sweep`` for roundtrip and tables, ``cli`` for
+verify), as wall time alone is noisy.
 """
 
 import argparse
@@ -49,6 +52,7 @@ from pathlib import Path
 
 SETUP_RUNS = 20
 SETUP_TARGETS = ("sweep", "cli")
+SETUP_TARGET_OF = {"roundtrip": "sweep", "tables": "sweep", "verify": "cli"}  # what setup_s times
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -172,14 +176,21 @@ def failed_totals(pairs: list) -> dict:
             for side in ("parent", "change")}
 
 
-def bound_lines(summary: dict) -> list[str]:
-    """One line per workload naming every metric over its bound."""
+def bound_lines(summary: dict, cpu: dict | None = None) -> list[str]:
+    """One line per workload naming every metric over its bound; a ``setup_s``
+    over its bound also names the ``setup_cpu`` medians (cpu, as in the
+    output file), parent -> change, of the ready.py target that it times."""
     workloads: dict[str, list[str]] = {}
     for key, row in summary.items():
         workload, name = key.rsplit(".", 1)
         over = workloads.setdefault(workload, [])
         if row["over_bound"]:
-            over.append(f"{name} ({row['change_over_parent']}x the parent, bound {row['bound']})")
+            text = f"{name} ({row['change_over_parent']}x the parent, bound {row['bound']}"
+            target = SETUP_TARGET_OF.get(workload)
+            if name == "setup_s" and cpu and target in cpu:
+                medians = [cpu[target][side]["median"] for side in ("parent", "change")]
+                text += f"; setup_cpu {target} {medians[0]} -> {medians[1]} s"
+            over.append(text + ")")
     return [f"{w}: over its bound: {', '.join(over)}" if over else f"{w}: no metric over its bound"
             for w, over in workloads.items()]
 
@@ -240,7 +251,7 @@ def main() -> int:
         },
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    for line in bound_lines(summary):
+    for line in bound_lines(summary, result["setup_cpu"]):
         print(line)
     return 0
 

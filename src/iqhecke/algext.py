@@ -23,7 +23,8 @@ skips no zero entry.  Lifts and automorphisms are ring maps, fixed by where
 theta and the roots go: one builder (``_ring_map``) takes those images and
 forms the image of every basis element as a product in the target tower.
 ``with_radical`` is memoised per (tower, radicand), so its Kummer test runs
-once per pair.
+once per pair, and ``make_value_field`` adds each radicand it is given
+through that memo, so a repeat call is a lookup per radicand.
 
 An ``AlgValue`` is the named triple (field, nums, den), a tuple underneath:
 every builder goes through one unchecked constructor, ``_new_value``, a
@@ -35,12 +36,12 @@ Square roots are exact.  A base square root comes from p-adic lifting and
 interpolation at a split prime (``poly``), bounded through the trace form of
 Q(theta), which ``make_value_field`` therefore requires to be positive
 definite: the base is totally real.  It also requires an irreducible minimal
-polynomial, so the base is a field.  A root is adjoined only when its radicand
-is not already a square (Kummer theory: no product of the tower's radicands
-times it is a base square), so every tower the library builds is a field;
-``make_value_field`` applies the same test to each radicand it is given,
-against the tower of the ones before it, and raises on a square.  The
-embedding sends theta to the largest root of its minimal polynomial and gives
+polynomial, so the base is a field; the base's cached ``_trace_form`` runs
+both tests, once per base.  A root is adjoined only when its radicand is not
+already a square (Kummer theory: no product of the tower's radicands times it
+is a base square), so every tower the library builds is a field;
+``make_value_field`` raises on a radicand that leaves the tower of the ones
+before it unchanged, a square there.  The embedding sends theta to the largest root of its minimal polynomial and gives
 every root its value, and ``canonical_sign`` and ``lift`` follow it.
 """
 
@@ -159,7 +160,8 @@ class ValueField:
         row Tr(theta^i), and b = max_j (T^-1)_jj, so |x_j|^2 <= Tr(x^2) * b for
         x = sum x_j theta^j (Cauchy-Schwarz).  By Hermite, T is positive
         definite, and Gauss-Jordan without row swaps meets only positive
-        pivots, exactly when the base is totally real with distinct roots."""
+        pivots, exactly when the base is totally real with distinct roots.  It
+        raises unless that holds and the minimal polynomial is irreducible."""
         deg, table = self.base_degree, self.base._table[0]
         tr = tuple(sum(c for a in range(deg) for k, c in table[i][a] if k == a) for i in range(deg))
         m = [[Fraction(sum(c * tr[i] for i, c in table[j][k])) for k in range(deg)]
@@ -174,6 +176,9 @@ class ValueField:
             for r in range(deg):
                 if r != k:
                     m[r] = [x - m[r][k] * y for x, y in zip(m[r], m[k])]
+        if deg > 1 and not poly.is_irreducible(self.minpoly):
+            raise AlgebraError(f"minimal polynomial [{', '.join(map(str, self.minpoly))}] "
+                               "is reducible")
         return int(disc), max(m[j][deg + j] for j in range(deg)), tr
 
     @cached_property
@@ -208,23 +213,18 @@ def make_value_field(minpoly=(0, 1), adjoined=()) -> ValueField:
         raise AlgebraError(f"minimal polynomial must be monic and integer, got {minpoly}")
     mp = (0, 1) if len(mp) == 2 else tuple(map(int, mp))  # every degree-1 base is Q
     f = _tower(mp, ())
-    f._trace_form  # raises unless the base is totally real
-    if len(mp) > 2 and not poly.is_irreducible(mp):
-        raise AlgebraError(f"minimal polynomial [{', '.join(map(str, mp))}] is reducible")
-    deg = len(mp) - 1
-    radicands = [_as_base_vec(deg, r) for r in adjoined]
+    f._trace_form  # raises unless the base is a totally real field
+    radicands = [_as_base_vec(f.base_degree, r) for r in adjoined]
     if len(set(radicands)) != len(radicands):
         raise AlgebraError(f"duplicate radicand in {list(adjoined)}")
     for q, *rest in radicands:
         if not any(rest) and (q in (0, 1) or squarefree_part(q) != (1, q)):
             raise AlgebraError(f"radicand {q} is not a squarefree integer other than 0 and 1")
-    for r in radicands:
-        # Kummer: each root must double the degree of the tower before it; in Q
-        # itself the squarefree integers above are no squares
-        if f.dim > 1 and _base_root(f, c := from_coeffs(f.base, r)) is not None:
+    for r in radicands:  # Kummer: each root must double the degree of the tower before it
+        if (grown := _with_radical(f, c := from_coeffs(f.base, r))) is f:
             raise AlgebraError(f"radicand {render_value(c)} is a square in {f.describe()}, "
                                "so the tower is not a field")
-        f = _tower(mp, tuple(sorted(f.adjoined + (r,))))
+        f = grown
     return f
 
 
@@ -715,9 +715,12 @@ class FieldAutomorphism:
 def _automorphism_map(f: ValueField, sign_mask: int, conjugate_base: bool):
     """(kernel, den) of the ring map of f that sends theta to its conjugate
     -c1 - theta (x^2 + c1*x + c0 the minimal polynomial) when conjugate_base
-    is set, and each root in sign_mask to its negative."""
+    is set, and each root in sign_mask to its negative; a ring map only when
+    the conjugation fixes every radicand, so it needs rational ones."""
     if conjugate_base and f.base_degree != 2:
         raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
+    if conjugate_base and any(r[1] for r in f.adjoined):
+        raise AlgebraError(f"base conjugation moves an irrational radicand of {f.describe()}")
     t = theta(f) if f.base_degree > 1 else zero(f)
     if conjugate_base:
         t = from_rational(f, -f.minpoly[1]) - t

@@ -130,17 +130,13 @@ def make_eigensystem(
     level: Ideal,
     character: IdealClass,
     alpha: dict,
-    al_signs: dict | None = None,
-    vfield: ValueField | None = None,
+    al_signs: dict | None,
+    vfield: ValueField,
     selftwist_candidates=None,
 ) -> HeckeEigensystem:
-    """Normalize and validate the pieces of an eigensystem."""
-    f = vfield
-    if f is None:
-        f = algext.RATIONAL_FIELD
-        for v in alpha.values():
-            f = algext.join_fields(f, v.field)
-    f = _checked_field(group, character, f, None if al_signs is None else al_signs.items())
+    """Normalize and validate the pieces of an eigensystem; every value of
+    alpha lifts into vfield (grown by the character's values)."""
+    f = _checked_field(group, character, vfield, None if al_signs is None else al_signs.items())
     lifted = {p: lift(v, f) for p, v in alpha.items()}
     al = None
     if al_signs is not None:

@@ -24,9 +24,10 @@ a*c, so one triple over two fields gives two keys.
 
 Memos, each keyed by a field or by ideals, so they grow with the primes and
 levels a caller visits and never with eigenvalue data: `factor_rational_prime`
-(field, p), `factor_ideal` (n), `exact_prime_power_divisors` (n),
-`ideals_of_norm` (field, N), `label_key` (ideal) and `primes_of_norm_up_to`
-(field, bound).  Callers share each memo's answer, a tuple for a sequence.
+(field, p), `factor_ideal` (n), `ideal_pow` (ideal, e),
+`exact_prime_power_divisors` (n), `ideals_of_norm` (field, N), `label_key`
+(ideal), `primes_of_norm_up_to` (field, bound) and `Ideal.conjugate` (ideal).
+Callers share each memo's answer, a tuple for a sequence.
 """
 
 from __future__ import annotations
@@ -279,7 +280,9 @@ def coprime(i: Ideal, j: Ideal) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def ideal_pow(i: Ideal, e: int) -> Ideal:
+    """i^e, memoised per (ideal, exponent)."""
     if e < 0:
         raise QuadFieldError(f"negative exponent {e} for an integral ideal")
     if e == 0:
@@ -350,16 +353,10 @@ def factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
             if e:
                 out[pp] = e
     if prod(pp.norm**e for pp, e in out.items()) != n.norm or not all(
-        (pp if e == 1 else _prime_power(pp, e)).contains_ideal(n) for pp, e in out.items()
+        (pp if e == 1 else ideal_pow(pp, e)).contains_ideal(n) for pp, e in out.items()
     ):
         raise QuadFieldError(f"prime factors {out} of {n} do not recombine to it")
     return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _prime_power(pp: Ideal, e: int) -> Ideal:
-    """pp^e, memoised per (prime, exponent) for factor_ideal's check."""
-    return ideal_pow(pp, e)
 
 
 def divisors(n: Ideal) -> list[Ideal]:

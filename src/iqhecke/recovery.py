@@ -31,8 +31,10 @@ an ideal, a class or a norm bound, never an eigensystem:
   class, whether that class is a square and its genus, so step 2 reads them
   once per group and bound, not once per recovery; coprimality to the level
   is still tested in the loop;
-- ``_product`` (i, j): t*a (2c), a*p (2d's table doubling), p^2 (2d) and
-  level*t, each built once through this module's ``ideal_mul``.
+- ``_product`` (i, j): t*a (2c), a*p (2d's table doubling) and level*t, each
+  built once through this module's ``ideal_mul``; p^2 (2d) is ``ideal_pow``'s.
+  They are memoised here, not on ``ideal_mul``, which stays a plain function
+  for the tracer that wraps it by name (``perfbench/spans.py``).
 
 The loop's class arithmetic is the group's ``lru_cache``d law
 (``ClassGroup.mul``, ``inv`` and ``power``).
@@ -64,6 +66,7 @@ from .quadfield import (
     coprime,
     exact_prime_power_divisors,
     ideal_mul,
+    ideal_pow,
     ideals_of_norm,
     is_exact_divisor,
     label,
@@ -347,7 +350,7 @@ def recover(
         try:
             v = read(cls, square, genus, t=p)
             if v is None:
-                v = principal(group.power(cls, 2), t=_product(p, p)) + chiv(cls).scale(p.norm)
+                v = principal(group.power(cls, 2), t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
                 if not v.is_zero():
                     root = absorb(sqrt_or_adjoin(v)[0])
                     v = -root if sign_flip else root

@@ -338,6 +338,25 @@ def test_every_degree_one_base_is_q(minpoly):
     assert make_value_field(minpoly).describe() == "Q"
 
 
+def test_a_repeat_make_value_field_runs_no_base_or_kummer_test(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    make_value_field([1, -3, -1, 1], [-1])
+    monkeypatch.setattr(algext.poly, "is_irreducible", counted(algext.poly.is_irreducible))
+    monkeypatch.setattr(algext, "_base_root", counted(algext._base_root))
+    assert make_value_field([1, -3, -1, 1], [-1]) is CUBIC_I
+    assert calls == []
+
+
+def test_make_value_field_is_the_tower_that_with_radical_builds():
+    towers = (make_value_field(adjoined=[-1, 2]), join_fields(QI, make_value_field(adjoined=[2])),
+              with_radical(with_radical(Q, -1), 2))
+    assert all(f is QI2 for f in towers)
+
+
 def test_with_radical_is_one_tower_per_radicand_vector():
     # a list radicand and a tuple radicand name one memo entry and one tower
     f = QUAD_SQRT3.subfield()  # Q(sqrt2), base a = sqrt2
@@ -598,6 +617,16 @@ def test_automorphisms_are_a_group_in_a_fixed_order(f, masks):
             composite = [sigma.apply(tau.apply(g)) for g in gens]
             (rho,) = [rho for rho in autos if [rho.apply(g) for g in gens] == composite]
             assert all(rho.apply(v) == sigma.apply(tau.apply(v)) for v in values)
+
+
+def test_base_conjugation_of_an_irrational_radicand_raises():
+    # over Q(a), a^2 = 2, with sqrt(a) adjoined, a -> -a sends sqrt(a)^2 = a to
+    # -a, so no image of sqrt(a) makes it a ring map
+    f = make_value_field((-2, 0, 1), [[0, 1]])
+    with pytest.raises(AlgebraError, match="irrational radicand"):
+        algext.FieldAutomorphism(f, 0, True).apply(one(f))
+    assert [(tau.sign_mask, tau.conjugate_base) for tau in automorphisms(f)] == [(0, False),
+                                                                                 (1, False)]
 
 
 @pytest.mark.parametrize("chain", [

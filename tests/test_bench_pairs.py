@@ -66,6 +66,23 @@ def test_bound_lines_wording():
         "ops_per_kref (0.7x the parent, bound 0.25)",
         "tables: no metric over its bound",
     ]
+    # setup_s over its bound names the CPU medians of the ready.py target it times
+    cpu = {"sweep": {"parent": {"median": 0.09}, "change": {"median": 0.088}},
+           "cli": {"parent": {"median": 0.128}, "change": {"median": 0.129}}}
+    setup = {
+        "tables.setup_s": {"over_bound": True, "change_over_parent": 1.26, "bound": 0.25},
+        "verify.setup_s": {"over_bound": True, "change_over_parent": 1.3, "bound": 0.25},
+        "roundtrip.setup_s": {"over_bound": False, "change_over_parent": 0.9, "bound": 0.25},
+    }
+    assert bench_pairs.bound_lines(setup, cpu) == [
+        "tables: over its bound: setup_s (1.26x the parent, bound 0.25; "
+        "setup_cpu sweep 0.09 -> 0.088 s)",
+        "verify: over its bound: setup_s (1.3x the parent, bound 0.25; "
+        "setup_cpu cli 0.128 -> 0.129 s)",
+        "roundtrip: no metric over its bound",
+    ]
+    assert bench_pairs.bound_lines(setup)[0] == (
+        "tables: over its bound: setup_s (1.26x the parent, bound 0.25)")
 
 
 def test_failed_totals_sum_each_side():

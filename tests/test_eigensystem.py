@@ -229,7 +229,7 @@ def test_twist_orbit_sizes(bundle, F0):
         for p in primes_of_norm_up_to(g.field, 60)
     }
     F = make_eigensystem(
-        g, unit_ideal(g.field), IdealClass(()), alpha, {}
+        g, unit_ideal(g.field), IdealClass(()), alpha, {}, algext.RATIONAL_FIELD
     )
     assert len(twist_orbit(F)) == 1
 
@@ -300,7 +300,8 @@ def test_twisting_into_an_unsupported_character_order_raises():
     g = compute_class_group(make_field(89))
     alpha = {p: algext.from_rational(algext.RATIONAL_FIELD, p.norm % 7 - 3)
              for p in primes_of_norm_up_to(g.field, 60)}
-    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((3,)), alpha)
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((3,)), alpha, None,
+                         algext.RATIONAL_FIELD)
     assert character_order(g, F.character) == 4 and character_order(g, IdealClass((4,))) == 3
     with pytest.raises(EigensystemError, match="order 12"):
         twist(F, IdealClass((4,)))
@@ -345,6 +346,7 @@ def test_selftwist_status(bundle, F0, K17):
          for p in primes_of_norm_up_to(K17, 30)
          if p.norm not in (2, 3)},
         {},
+        algext.RATIONAL_FIELD,
     )
     assert selftwist_status(F12).status == "impossible"
 
@@ -384,7 +386,8 @@ def test_inner_twists(bundle, F0, G17):
         p: algext.from_rational(algext.RATIONAL_FIELD, (p.norm % 7) - 3)
         for p in primes_of_norm_up_to(g.field, 60)
     }
-    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((0,)), alpha, {})
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass((0,)), alpha, {},
+                         algext.RATIONAL_FIELD)
     only = inner_twist_pairs(F)
     assert len(only) == 1
     tau, psi = only[0]
@@ -402,7 +405,8 @@ def test_base_change_candidates(bundle, F0, K17):
     alpha = {}
     for p in primes_of_norm_up_to(g.field, 60):
         alpha[p] = algext.from_rational(algext.RATIONAL_FIELD, p.norm % 5)
-    F = make_eigensystem(g, unit_ideal(g.field), IdealClass(()), alpha, {})
+    F = make_eigensystem(g, unit_ideal(g.field), IdealClass(()), alpha, {},
+                         algext.RATIONAL_FIELD)
     assert base_change_candidate(F)
 
 
@@ -525,7 +529,8 @@ def test_hecke_field_report_matches_the_eager_reference(bundle, K17):
     rng = random.Random(5)
     rational = {p: algext.from_rational(algext.RATIONAL_FIELD, rng.randint(-9, 9))
                 for p in primes_of_norm_up_to(K17, 40)}
-    systems.append(make_eigensystem(g17, unit_ideal(K17), IdealClass((1,)), rational))
+    systems.append(make_eigensystem(g17, unit_ideal(K17), IdealClass((1,)), rational, None,
+                                    algext.RATIONAL_FIELD))
     for d in (1, 5, 17, 21, 65, 105):
         g = compute_class_group(make_field(d))
         for seed in range(4):
@@ -618,6 +623,7 @@ def test_make_eigensystem_validation(G17, K17):
             IdealClass((1,)),
             {},
             {ideal_from_label(K17, "2.1"): 1},
+            algext.RATIONAL_FIELD,
         )
     with pytest.raises(EigensystemError):
         make_eigensystem(
@@ -626,6 +632,7 @@ def test_make_eigensystem_validation(G17, K17):
             IdealClass((0,)),
             {},
             {ideal_from_label(K17, "2.1"): 2},
+            algext.RATIONAL_FIELD,
         )
 
 

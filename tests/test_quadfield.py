@@ -326,6 +326,7 @@ def test_ideal_pow_matches_repeated_products(monkeypatch):
         return ideal_mul(i, j)
 
     monkeypatch.setattr(quadfield, "ideal_mul", counted)
+    ideal_pow.cache_clear()  # a memo hit forms no product
     for K, p in primes:
         assert ideal_pow(p, 0) == unit_ideal(K)
         assert ideal_pow(p, 1) is p

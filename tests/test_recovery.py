@@ -300,7 +300,7 @@ def recover_at_31(g, zeroed, sign):
         for p in primes_of_norm_up_to(g.field, 30)
         if p.norm % 3
     }
-    F = make_eigensystem(g, level, IdealClass((0,)), alpha, {level: sign})
+    F = make_eigensystem(g, level, IdealClass((0,)), alpha, {level: sign}, f)
     return level, recover(SyntheticOracle(F), g, level, bound=30, on_missing="skip")
 
 
@@ -352,12 +352,13 @@ def test_fixture_recovery_query_sequence(G17):
 
 
 # the memos of level-free work: operator class tests, class tables of
-# auxiliary ideals, ideal products, prime-power divisors, radical towers and
-# the classes of the primes
+# auxiliary ideals, ideal products and powers, prime-power divisors, radical
+# towers and the classes of the primes
 LEVEL_FREE_MEMOS = (
     recovery._principal_operator,
     recovery._class_ideals,
     recovery._product,
+    quadfield.ideal_pow,
     quadfield.exact_prime_power_divisors,
     algext._with_radical,
     recovery._prime_classes,
