@@ -37,7 +37,9 @@ with its summary. A run that exits nonzero or reports ``correct: false``
 stops the script. When a workload's ``setup_s`` is over its bound, its line
 also prints the ``setup_cpu`` medians of the ``ready.py`` target that
 ``setup_s`` times there (``sweep`` for roundtrip and tables, ``cli`` for
-verify), as wall time alone is noisy.
+verify), as wall time alone is noisy. ``library_lines`` holds each tree's
+library size, the line count of ``wc -l src/iqhecke/*.py``, and the script
+prints it after the bound lines.
 """
 
 import argparse
@@ -117,6 +119,12 @@ def quartiles(xs: list) -> dict:
     """Median and quartiles (``statistics.quantiles``, n=4) of one side's runs."""
     q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
     return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def library_lines(tree: Path) -> int:
+    """The total of ``wc -l src/iqhecke/*.py`` in tree: newlines, so a last
+    line without one is not counted."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "iqhecke").glob("*.py"))
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -243,6 +251,7 @@ def main() -> int:
                        "tree and target, alternating trees; user+sys CPU seconds from os.wait4",
             **setup_cpu(parent, change),
         },
+        "library_lines": {"parent": library_lines(parent), "change": library_lines(change)},
         "pairs": pairs,
         "call_counts": {
             "command": "python3 scripts/call_counts.py TREE (cProfile; PYTHONHASHSEED=0)",
@@ -253,6 +262,8 @@ def main() -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for line in bound_lines(summary, result["setup_cpu"]):
         print(line)
+    lines = result["library_lines"]
+    print(f"library: {lines['parent']} -> {lines['change']} lines (wc -l src/iqhecke/*.py)")
     return 0
 
 

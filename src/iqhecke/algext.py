@@ -683,7 +683,8 @@ def canonical_sign(v: AlgValue) -> AlgValue:
 @dataclass(frozen=True)
 class FieldAutomorphism:
     """Sign flips on the adjoined roots, optionally composed with the
-    nontrivial base automorphism (quadratic bases only)."""
+    nontrivial base automorphism; ``apply`` raises unless ``automorphisms``
+    lists the map."""
 
     field: ValueField
     sign_mask: int
@@ -715,12 +716,12 @@ class FieldAutomorphism:
 def _automorphism_map(f: ValueField, sign_mask: int, conjugate_base: bool):
     """(kernel, den) of the ring map of f that sends theta to its conjugate
     -c1 - theta (x^2 + c1*x + c0 the minimal polynomial) when conjugate_base
-    is set, and each root in sign_mask to its negative; a ring map only when
-    the conjugation fixes every radicand, so it needs rational ones."""
-    if conjugate_base and f.base_degree != 2:
-        raise AlgebraError(f"base conjugation needs a quadratic base, not degree {f.base_degree}")
-    if conjugate_base and any(r[1] for r in f.adjoined):
-        raise AlgebraError(f"base conjugation moves an irrational radicand of {f.describe()}")
+    is set, and each root in sign_mask to its negative; an AlgebraError unless
+    ``automorphisms(f)`` lists that map, the one place that states which maps
+    of f are ring maps."""
+    if FieldAutomorphism(f, sign_mask, conjugate_base) not in automorphisms(f):
+        raise AlgebraError(f"{f.describe()} has no automorphism with sign mask {sign_mask}"
+                           f"{' and base conjugation' if conjugate_base else ''}")
     t = theta(f) if f.base_degree > 1 else zero(f)
     if conjugate_base:
         t = from_rational(f, -f.minpoly[1]) - t

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import algext
 from .algext import ValueField
-from .characters import quadratic_characters
+from .characters import is_quadratic, quadratic_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, make_eigensystem
@@ -160,7 +160,7 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
     if cands is not None:
         cands = [character_from_json(group, e) for e in cands]
         # a self-twist psi has psi^2 = 1 and is not the trivial character
-        if any(c.is_trivial() or not group.power(c, 2).is_trivial() for c in cands):
+        if any(c.is_trivial() or not is_quadratic(group, c) for c in cands):
             raise BundleError(
                 f"self-twist candidates {st['possible']} must be nontrivial quadratic characters"
             )
@@ -188,9 +188,11 @@ def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensyst
 
 
 def system_from_json(group: ClassGroup, data, name: str | None = None) -> HeckeEigensystem:
-    """Read an eigensystem file: one system, or a table whose row ``name``
-    (by default the first) is returned."""
+    """Read an eigensystem file: one system, when no name is given, or a
+    table whose row ``name`` (by default the first) is returned."""
     if "systems" not in _checked(data, dict, "an eigensystem file"):
+        if name is not None:
+            raise BundleError(f"no system named {name!r}: the file holds a single system")
         return eigensystem_from_json(group, data)
     systems = systems_from_json(group, data)
     if name is None and systems:

@@ -42,14 +42,6 @@ class BQForm(NamedTuple):
     b: int
     c: int
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
 
 def reduce_form(a: int, b: int, c: int) -> BQForm:
     """Standard reduction of a positive definite form."""
@@ -84,8 +76,8 @@ def reduced_forms(disc: int) -> list[BQForm]:
             if num % (4 * a):
                 continue
             c = num // (4 * a)
-            f = BQForm(a, b, c)
-            if f.is_reduced():
+            # reduction fixes exactly the reduced forms
+            if (f := BQForm(a, b, c)) == reduce_form(a, b, c):
                 out.append(f)
         a += 1
     return sorted(out, key=lambda f: (f.a, f.b, f.c))

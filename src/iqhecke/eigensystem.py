@@ -155,8 +155,20 @@ def make_eigensystem(
 
 def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_signs) -> ValueField:
     """character_field(f, group, character) for a character that is a reduced
-    exponent vector of group, with involution signs ((ideal, sign) pairs, or
-    None) that are +-1 and come only with the trivial character."""
+    exponent vector of group (_check_reduced), with involution signs ((ideal,
+    sign) pairs, or None) that are +-1 and come only with the trivial character."""
+    _check_reduced(group, character)
+    f = character_field(f, group, character)
+    if al_signs is not None and not character.is_trivial():
+        raise EigensystemError("involution signs only make sense for trivial character")
+    for q, s in al_signs or ():
+        if s not in (1, -1):
+            raise EigensystemError(f"involution sign at {label(q)} must be +-1, got {s}")
+    return f
+
+
+def _check_reduced(group: ClassGroup, character: IdealClass) -> None:
+    """An EigensystemError unless character is a reduced exponent vector of group."""
     divisors = group.elementary_divisors
     if len(character.exps) != len(divisors) or any(
         not 0 <= e < d for e, d in zip(character.exps, divisors)
@@ -165,13 +177,6 @@ def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_s
             f"character {list(character.exps)} is not a reduced exponent vector"
             f" for the elementary divisors {list(divisors)}"
         )
-    f = character_field(f, group, character)
-    if al_signs is not None and not character.is_trivial():
-        raise EigensystemError("involution signs only make sense for trivial character")
-    for q, s in al_signs or ():
-        if s not in (1, -1):
-            raise EigensystemError(f"involution sign at {label(q)} must be +-1, got {s}")
-    return f
 
 
 def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
@@ -249,10 +254,12 @@ def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order,
     character chi psi^2, and involution signs kept under the trivial psi,
     multiplied by psi(q) under a quadratic one and dropped otherwise, after
-    make_eigensystem's checks (_checked_field).  F keeps its stored values
-    lifted into each tower, for every psi that shares the tower; a twisted
-    value is that value, its negative or one product."""
+    make_eigensystem's checks (_checked_field) and the same check of psi
+    (_check_reduced).  F keeps its stored values lifted into each tower, for
+    every psi that shares the tower; a twisted value is that value, its
+    negative or one product."""
     group = F.group
+    _check_reduced(group, psi)
     character = group.mul(F.character, group.power(psi, 2))
     al = None
     if F.al_signs is not None:

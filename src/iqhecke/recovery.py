@@ -28,9 +28,8 @@ an ideal, a class or a norm bound, never an eigensystem:
 - ``_class_ideals`` (group, modulus): the class table over the ideals coprime
   to the level, or to level*t when the level's choice meets t;
 - ``_prime_classes`` (group, bound): each prime of norm <= bound with its
-  class, whether that class is a square and its genus, so step 2 reads them
-  once per group and bound, not once per recovery; coprimality to the level
-  is still tested in the loop;
+  class and genus, so step 2 reads them once per group and bound, not once
+  per recovery; coprimality to the level is still tested in the loop;
 - ``_product`` (i, j): t*a (2c), a*p (2d's table doubling) and level*t, each
   built once through this module's ``ideal_mul``; p^2 (2d) is ``ideal_pow``'s.
   They are memoised here, not on ``ideal_mul``, which stays a plain function
@@ -167,11 +166,10 @@ def _class_ideals(group: ClassGroup, modulus: Ideal) -> tuple[dict, dict]:
 
 @lru_cache(maxsize=None)
 def _prime_classes(group: ClassGroup, bound: int) -> tuple:
-    """(p, [p], [p] in CL^2, genus of [p]) for each prime p of norm <= bound,
-    in label order; one memoised tuple per (group, bound)."""
-    squares = group.squares()
+    """(p, [p], genus of [p]) for each prime p of norm <= bound, in label
+    order; one memoised tuple per (group, bound)."""
     return tuple(
-        (p, cls, cls in squares, group.genus(cls))
+        (p, cls, group.genus(cls))
         for p in primes_of_norm_up_to(group.field, bound)
         for cls in (group.ideal_class(p),)
     )
@@ -325,12 +323,12 @@ def recover(
     # genus -> (a, [a], alpha(a)^-1)
     table: dict[tuple[int, ...], tuple[Ideal, IdealClass, AlgValue]] = {}
 
-    def read(cls: IdealClass, square: bool, genus: tuple, t=None, w=None) -> AlgValue | None:
+    def read(cls: IdealClass, genus: tuple, t=None, w=None) -> AlgValue | None:
         """The eigenvalue of T_t W_w, with cls = [t w] of the given genus:
         read directly for a square class (2a, 2b); else that of T_{t a} W_w
         times alpha(a)^-1 for the table entry (a, [a], alpha(a)^-1) of the
         genus (2c); else None (2d)."""
-        if square:
+        if cls in squares:
             return principal(cls, t, w, coprime_to=t)
         hit = table.get(genus)
         if hit is None:
@@ -344,11 +342,11 @@ def recover(
     # a nonzero root doubles the sign table.
     alpha: dict[Ideal, AlgValue] = {}
     gaps = []
-    for p, cls, square, genus in _prime_classes(group, bound):
+    for p, cls, genus in _prime_classes(group, bound):
         if not coprime(p, level):
             continue
         try:
-            v = read(cls, square, genus, t=p)
+            v = read(cls, genus, t=p)
             if v is None:
                 v = principal(group.power(cls, 2), t=ideal_pow(p, 2)) + chiv(cls).scale(p.norm)
                 if not v.is_zero():
@@ -369,7 +367,7 @@ def recover(
         for q in exact_prime_power_divisors(level):
             cls = group.ideal_class(q)
             try:
-                v = read(cls, cls in squares, group.genus(cls), w=q)
+                v = read(cls, group.genus(cls), w=q)
             except OracleMissingError:
                 if on_missing == "error":
                     raise

@@ -203,6 +203,11 @@ def check_recovery_2_1(bundle: FixtureBundle) -> str:
 # -- 4. synthetic round trips -----------------------------------------------------
 
 
+def _restriction_trivial(group: ClassGroup, chi: IdealClass) -> bool:
+    """chi = 1 on CL[2], where every character takes the values +-1."""
+    return all(eval_on_class(group, chi, cls).as_sign() == 1 for cls in group.two_torsion())
+
+
 def random_eigensystem(
     group: ClassGroup, rng: random.Random, bound: int = 200
 ) -> HeckeEigensystem:
@@ -218,12 +223,7 @@ def random_eigensystem(
         pass
     level = rng.choice(choices)
     nontrivial_restriction = [
-        chi
-        for chi in character_group(group)
-        if any(
-            eval_on_class(group, chi, cls).as_sign() == -1
-            for cls in group.two_torsion()
-        )
+        chi for chi in character_group(group) if not _restriction_trivial(group, chi)
     ]
     mode = rng.random()
     if nontrivial_restriction and mode < 0.35:
@@ -285,11 +285,7 @@ def check_round_trip(bundle: FixtureBundle) -> str:
                 f"recovered system not in the twist orbit (d={group.field.d}, "
                 f"level {label(F.level)})",
             )
-            restriction_trivial = all(
-                eval_on_class(group, F.character, cls).as_sign() == 1
-                for cls in group.two_torsion()
-            )
-            if restriction_trivial:
+            if _restriction_trivial(group, F.character):
                 _require(
                     res.system.character.is_trivial(),
                     "restriction trivial but recovered character is not",

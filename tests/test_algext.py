@@ -623,10 +623,25 @@ def test_base_conjugation_of_an_irrational_radicand_raises():
     # over Q(a), a^2 = 2, with sqrt(a) adjoined, a -> -a sends sqrt(a)^2 = a to
     # -a, so no image of sqrt(a) makes it a ring map
     f = make_value_field((-2, 0, 1), [[0, 1]])
-    with pytest.raises(AlgebraError, match="irrational radicand"):
+    with pytest.raises(AlgebraError, match="no automorphism with sign mask 0 and base conj"):
         algext.FieldAutomorphism(f, 0, True).apply(one(f))
     assert [(tau.sign_mask, tau.conjugate_base) for tau in automorphisms(f)] == [(0, False),
                                                                                  (1, False)]
+
+
+@pytest.mark.parametrize("f,masks", AUTOMORPHISM_MASKS, ids=lambda f: getattr(f, "describe", str)())
+def test_only_the_listed_automorphisms_apply(f, masks):
+    # automorphisms is the one statement of the rule: every other (mask,
+    # conjugation), a mask out of range or negative included, raises
+    x = one(f) + (adjoined_root(f, 0) if f.nroots else one(f))
+    for mask in range(-1, (2 << f.nroots) + 1):
+        for conj in (False, True):
+            tau = algext.FieldAutomorphism(f, mask, conj)
+            if (mask, conj) in masks:
+                assert tau.apply(x).field is f
+            else:
+                with pytest.raises(AlgebraError, match=f"no automorphism with sign mask {mask}"):
+                    tau.apply(x)
 
 
 @pytest.mark.parametrize("chain", [

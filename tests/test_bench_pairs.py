@@ -1,6 +1,7 @@
 """The acceptance arithmetic of scripts/bench_pairs.py, loaded by path."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,17 @@ def test_setup_cpu_alternates_the_trees(monkeypatch):
 def test_ready_cpu_reads_a_fresh_process():
     # the one real child: ready.py cli imports the library and loads the bundle
     assert bench_pairs.ready_cpu(SCRIPT.parents[1], "cli") > 0
+
+
+def test_library_lines_counts_as_wc_does(tmp_path):
+    lib = tmp_path / "src" / "iqhecke"
+    lib.mkdir(parents=True)
+    (lib / "a.py").write_text("x = 1\ny = 2\n")
+    (lib / "b.py").write_text("z = 3")  # no last newline: wc -l counts 0 lines
+    (lib / "data.json").write_text("{}\n\n")  # not a .py file
+    assert bench_pairs.library_lines(tmp_path) == 2
+    # on this repository, the figure that wc -l prints on its total line
+    repo = SCRIPT.parents[1]
+    files = sorted(str(path) for path in (repo / "src" / "iqhecke").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
+    assert bench_pairs.library_lines(repo) == int(wc.stdout.splitlines()[-1].split()[0])

@@ -6,7 +6,8 @@ import pytest
 from iqhecke import verify
 from iqhecke.bundle import DEFAULT_BUNDLE_DIR, eigensystem_from_json, eigensystem_to_json
 from iqhecke.cli import main
-from iqhecke.eigensystem import EigensystemError
+from iqhecke.eigensystem import EigensystemError, make_eigensystem
+from iqhecke.quadfield import label
 
 
 def run_cli(capsys, *args):
@@ -373,6 +374,30 @@ def test_compare_ap_reports_bad_primes_in_label_order(bundle):
     curve = {"conductor": "7.2", "ap": {}, "bad_primes": {"11.1": {"ap": 1}, "2.1": {"ap": 1}}}
     checks = verify.compare_ap(bundle.system("7.2", "a"), curve).bad_prime_checks
     assert [lab for lab, _, _ in checks] == ["2.1", "11.1"]
+
+
+def test_compare_ap_cuts_at_the_bound_and_lists_missing_eigenvalues(bundle):
+    F = bundle.system("7.2", "a")
+    curve = bundle.curves["2.0.68.1-7.2-a2"]
+    alpha = {p: v for p, v in F.alpha if label(p) != "11.2"}
+    G = make_eigensystem(F.group, F.level, F.character, alpha, dict(F.al_signs), F.vfield)
+    cmp = verify.compare_ap(G, curve, bound=13)
+    assert cmp.missing == ["11.2"] and not cmp.mismatched and not cmp.ok
+    assert cmp.matched == ["2.1", "3.1", "3.2", "7.1", "11.1", "13.1", "13.2"]
+
+
+def test_compare_ap_rejects_a_name_for_a_single_system_file(capsys, tmp_path):
+    table = json.loads((DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json").read_text())
+    single = {"field_disc": table["field_disc"], "level": table["level"], **table["systems"][0]}
+    path = tmp_path / "eigensystem.json"
+    path.write_text(json.dumps(single))
+    args = ("compare-ap", "--field", "17", "--eigensystem", str(path),
+            "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "result: match" in out
+    code, out, err = run_cli(capsys, *args, "--name", "b")
+    assert code == 2 and out == ""
+    assert err == "error: no system named 'b': the file holds a single system\n"
 
 
 def test_compare_ap_rejects_duplicate_system_names(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import chain, product
 
 import pytest
@@ -18,6 +19,7 @@ from iqhecke.quadfield import (
     ideal_from_label,
     ideal_mul,
     ideal_pow,
+    label,
     make_field,
     principal_ideal,
     sigma0,
@@ -90,6 +92,40 @@ def test_validate_row_catches_mutations(bundle):
     bad_conj = DimensionRow("7.1", "7.1", 4, (1,), (), (1, 1), ())
     rep3 = validate_row(bundle.group, bad_conj, bundle.newform_records())
     assert not rep3.ok and any("conjugate" in v for v in rep3.violations)
+
+
+def _nothing(record):
+    return record
+
+
+@pytest.mark.parametrize("level, row_change, record_change, violations", [
+    ("7.1", {"conj": None}, _nothing, ["level 7.1 is not self-conjugate"]),
+    ("2.1", {"hplus": (1, 1)}, _nothing,
+     ["records do not match the H+ column", "nd = 4 but 4*dimH - deficit = 8"]),
+    ("9.1", {"hminus": ()}, _nothing,
+     ["records do not match the H- column", "nd = 4 but 4*dimH - deficit = 0"]),
+    ("2.1", {"chi0": (1, 1)}, _nothing, ["chi0 column does not decompose into H+ orbit shapes"]),
+    ("2.1", {}, lambda r: replace(r, shape="split"),
+     ["chi0 column does not decompose into H+ orbit shapes"]),
+    ("9.1", {}, lambda r: replace(r, degree=2),
+     ["records do not match the H- column",
+      "chi1,chi3 column does not decompose into H- orbit shapes"]),
+], ids=["not-self-conjugate", "hplus", "hminus", "chi0", "record-shape", "record-degree"])
+def test_validate_row_names_each_broken_rule(bundle, level, row_change, record_change,
+                                             violations):
+    # one row of the shipped table, or the records at its level, mutated
+    row = replace(next(r for r in bundle.dimension_rows if r.level == level), **row_change)
+    records = [record_change(r) if label(r.level) == level else r
+               for r in bundle.newform_records()]
+    assert validate_row(bundle.group, row, records).violations == violations
+
+
+@pytest.mark.parametrize("psi", [(0,), (1,), (3,)])
+def test_oldclass_multiplicity_needs_a_quadratic_nontrivial_selftwist(G17, K17, psi):
+    record = NewformRecord(level=unit_ideal(K17), side="plus", degree=1,
+                           selftwist=IdealClass(psi))
+    with pytest.raises(DimensionError, match="must be quadratic and nontrivial"):
+        oldclass_principal_multiplicity(G17, record, ideal_from_label(K17, "3.1"))
 
 
 @pytest.mark.parametrize("d", [17, 5, 21, 47])  # C4, C2, C2 x C2, C5

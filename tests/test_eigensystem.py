@@ -394,6 +394,17 @@ def test_inner_twists(bundle, F0, G17):
     assert tau.is_identity() and psi.is_trivial()
 
 
+def test_inner_twist_pair_breaking_the_character_law_raises(G17):
+    # rational eigenvalues over Q(i) with a character of order 4: i -> -i
+    # meets the eigenvalue law with the trivial psi, but moves chi = i
+    QI = algext.make_value_field(adjoined=[-1])
+    alpha = {p: algext.from_rational(QI, p.norm % 5 - 2)
+             for p in primes_of_norm_up_to(G17.field, 60)}
+    F = make_eigensystem(G17, unit_ideal(G17.field), IdealClass((1,)), alpha, None, QI)
+    with pytest.raises(EigensystemError, match="character compatibility law"):
+        inner_twist_pairs(F)
+
+
 def test_base_change_candidates(bundle, F0, K17):
     assert base_change_candidate(bundle.system("2.1", "F1"))
     assert base_change_candidate(bundle.system("2.1", "F3"))
@@ -641,6 +652,14 @@ def test_make_eigensystem_rejects_unreduced_characters(F0, exps):
     # CL is C4 here: a character has one exponent e with 0 <= e < 4
     with pytest.raises(EigensystemError, match="not a reduced exponent vector"):
         make_eigensystem(F0.group, F0.level, IdealClass(exps), F0.alpha_map(), None, F0.vfield)
+
+
+@pytest.mark.parametrize("exps", [(1, 2), (5,), (-1,)])
+def test_twist_rejects_unreduced_characters(F0, exps):
+    # the twisting character passes the check of the system's own: no zip
+    # truncation or reduction mod 4 turns it into the twist by (1,) or (3,)
+    with pytest.raises(EigensystemError, match="not a reduced exponent vector"):
+        twist(F0, IdealClass(exps))
 
 
 @pytest.mark.parametrize("d", [17, 21, 23, 105])
