@@ -656,8 +656,8 @@ def test_make_eigensystem_rejects_unreduced_characters(F0, exps):
 
 @pytest.mark.parametrize("exps", [(1, 2), (5,), (-1,)])
 def test_twist_rejects_unreduced_characters(F0, exps):
-    # the twisting character passes the check of the system's own: no zip
-    # truncation or reduction mod 4 turns it into the twist by (1,) or (3,)
+    # psi meets the check of the system's own character: no zip truncation
+    # or reduction mod 4 turns it into the twist by (1,) or (3,)
     with pytest.raises(EigensystemError, match="not a reduced exponent vector"):
         twist(F0, IdealClass(exps))
 
