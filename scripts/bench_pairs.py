@@ -40,6 +40,12 @@ also prints the ``setup_cpu`` medians of the ``ready.py`` target that
 verify), as wall time alone is noisy. ``library_lines`` holds each tree's
 library size, the line count of ``wc -l src/iqhecke/*.py``, and the script
 prints it after the bound lines.
+
+Both trees must start without bytecode caches: the script stops, naming the
+directory, when either tree has a ``__pycache__`` under ``src/`` or
+``perfbench/``. Under ``PYTHONDONTWRITEBYTECODE=1`` a tree with a cache
+compiles fewer modules per process than one without, which shows in
+``setup_s`` and ``peak_rss_mb`` with no cause in the code.
 """
 
 import argparse
@@ -55,6 +61,12 @@ from pathlib import Path
 SETUP_RUNS = 20
 SETUP_TARGETS = ("sweep", "cli")
 SETUP_TARGET_OF = {"roundtrip": "sweep", "tables": "sweep", "verify": "cli"}  # what setup_s times
+
+
+def bytecode_caches(tree: Path) -> list[Path]:
+    """The ``__pycache__`` directories under tree's ``src/`` and ``perfbench/``."""
+    return sorted(path for top in ("src", "perfbench")
+                  for path in (tree / top).rglob("__pycache__") if path.is_dir())
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -213,6 +225,9 @@ def main() -> int:
     parser.add_argument("--claim", help="WORKLOAD.METRIC that the change claims to improve")
     args = parser.parse_args()
     parent, change = args.parent.resolve(), args.change.resolve()
+    for tree in (parent, change):
+        if caches := bytecode_caches(tree):
+            sys.exit(f"{caches[0]}: a bytecode cache; start both trees without one")
     spec = json.loads((change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]

@@ -138,6 +138,7 @@ class ClassGroup:
         if prod(self.elementary_divisors) != self.h or self._coords.keys() != set(self.forms):
             raise ClassGroupError("generators do not give one exponent vector per form")
         classes = self.all_classes()
+        self._classes = frozenset(classes)
         self._squares = frozenset(self.power(x, 2) for x in classes)
         self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_trivial())
         # genus theory: CL/CL^2 and CL[2] have order 2^r2, and r2 + 1 primes
@@ -248,6 +249,10 @@ class ClassGroup:
     def all_classes(self) -> list[IdealClass]:
         """Every class once, in lexicographic exponent order."""
         return [_new_class((e,)) for e in product(*map(range, self.elementary_divisors))]
+
+    def __contains__(self, x: IdealClass) -> bool:
+        """Whether x is a class of this group: a reduced exponent vector."""
+        return x in self._classes
 
     def class_order(self, x: IdealClass) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))

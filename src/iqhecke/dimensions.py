@@ -21,7 +21,7 @@ from .quadfield import (
     ideal_from_label,
     label,
     label_key,
-    sigma0,
+    sigma0_quotient,
 )
 
 
@@ -49,7 +49,7 @@ def newspace_dims(full_dims: dict[Ideal, int]) -> dict[Ideal, int]:
                 raise DimensionError(
                     f"missing dimension data at divisor {label(m)} of {label(n)}"
                 )
-            total += sigma0(ideal_div_exact(n, m)) * new[m]
+            total += sigma0_quotient(n, m) * new[m]
         new[n] = full_dims[n] - total
     return new
 
@@ -79,15 +79,14 @@ def oldclass_principal_multiplicity(
     m = record.level
     if not m.contains_ideal(n):
         raise DimensionError(f"{label(m)} does not divide {label(n)}")
-    quotient = ideal_div_exact(n, m)
     if record.selftwist is None:
-        return sigma0(quotient)
+        return sigma0_quotient(n, m)
     psi = record.selftwist
     if not is_quadratic(group, psi) or psi.is_trivial():
         raise DimensionError("self-twist character must be quadratic and nontrivial")
     return sum(
         eval_on_class(group, psi, group.ideal_class(d)).as_sign() == 1
-        for d in divisors(quotient)
+        for d in divisors(ideal_div_exact(n, m))
     )
 
 

@@ -60,8 +60,11 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
     return out
 
 
+@lru_cache(maxsize=None)
 def character_field(f: ValueField, group: ClassGroup, chi: IdealClass) -> ValueField:
-    """f with the values of chi: zeta_n for n the order of chi."""
+    """f with the values of chi: zeta_n for n the order of chi, one interned
+    tower per (tower, group, character).  An unsupported order raises on
+    every call, as the memo keeps no exception."""
     n = group.class_order(chi)
     if n not in _ROU_TRACE:
         raise EigensystemError(f"roots of unity of order {n} are not supported")
@@ -103,6 +106,12 @@ class HeckeEigensystem:
     @cached_property
     def _lifted(self) -> dict:
         """tower -> the stored values lifted into it, in alpha order; filled by twist."""
+        return {}
+
+    @cached_property
+    def _negated(self) -> dict:
+        """tower -> the negatives of _lifted[tower], in alpha order; filled by
+        the first twist into the tower that negates a class."""
         return {}
 
     def alpha_map(self) -> dict:
@@ -168,14 +177,12 @@ def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_s
 
 
 def _check_reduced(group: ClassGroup, character: IdealClass) -> None:
-    """An EigensystemError unless character is a reduced exponent vector of group."""
-    divisors = group.elementary_divisors
-    if len(character.exps) != len(divisors) or any(
-        not 0 <= e < d for e, d in zip(character.exps, divisors)
-    ):
+    """An EigensystemError unless character is a reduced exponent vector of
+    group, one of its classes."""
+    if character not in group:
         raise EigensystemError(
             f"character {list(character.exps)} is not a reduced exponent vector"
-            f" for the elementary divisors {list(divisors)}"
+            f" for the elementary divisors {list(group.elementary_divisors)}"
         )
 
 
@@ -255,9 +262,12 @@ def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     character chi psi^2, and involution signs kept under the trivial psi,
     multiplied by psi(q) under a quadratic one and dropped otherwise, after
     make_eigensystem's checks (_checked_field) and the same check of psi
-    (_check_reduced).  F keeps its stored values lifted into each tower, for
-    every psi that shares the tower; a twisted value is that value, its
-    negative or one product."""
+    (_check_reduced).  The action of psi is decided once per class: keep the
+    value where psi(x) = 1, negate it where psi(x) = -1, else multiply by
+    psi(x).  F keeps its stored values lifted into each tower, and their
+    negatives once a psi into the tower is -1 on some class, for every psi
+    that shares the tower: a twist orbit negates each value at most once
+    per tower."""
     group = F.group
     _check_reduced(group, psi)
     character = group.mul(F.character, group.power(psi, 2))
@@ -272,12 +282,24 @@ def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     lifted = F._lifted.get(f)
     if lifted is None:
         lifted = F._lifted[f] = tuple([lift(v, f) for _, v in F.alpha])
-    values, one = character_values(f, group, psi), algext.one(f)
+    one = algext.one(f)
     minus_one = -one
-    alpha = tuple([
-        (p, v if (z := values[x]) == one else -v if z == minus_one else v * z)
-        for (p, _), v, x in zip(F.alpha, lifted, F._classes)
-    ])
+    action = {}  # class x -> (the values to read, psi(x) to multiply them by or None)
+    for x, z in character_values(f, group, psi).items():
+        if z == one:
+            action[x] = lifted, None
+        elif z == minus_one:
+            negated = F._negated.get(f)
+            if negated is None:
+                negated = F._negated[f] = tuple([-v for v in lifted])
+            action[x] = negated, None
+        else:
+            action[x] = lifted, z
+    alpha = []
+    for i, ((p, _), x) in enumerate(zip(F.alpha, F._classes)):
+        values, z = action[x]
+        alpha.append((p, values[i] if z is None else values[i] * z))
+    alpha = tuple(alpha)
     return HeckeEigensystem(group, F.level, character, alpha, al, f, F.selftwist_candidates)
 
 

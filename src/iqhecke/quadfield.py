@@ -10,14 +10,18 @@ the (a, b, c) triples.  Everything is exact integer arithmetic.
 Ideal arithmetic rests on two primitives, HNF multiplication (`ideal_mul`)
 and trial division of integers (`factor_int`).  An ideal in HNF is its
 content (c) times the primitive ideal [a/c, b/c + omega], so `factor_ideal`
-reads the exponents off the triple without dividing.  It checks them without
-multiplying back: distinct primes are comaximal, so if the norms of the pp^e
-multiply to N(n) and each pp^e contains n, their product is n.  `divisors`
-keeps the ideals of each norm k | N(n) that contain n, read from the label
-enumeration `ideals_of_norm`, so it is in label order without a product.
-Exact quotients come from n * conj(m) = (N m) * (n / m).  Coprimality never
-forms I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of
-J, read from the factorisation memo, contains I.
+reads the exponents off the triple without dividing, in one pass over the
+primes of a/c and of c.  The same pass checks them without multiplying back:
+distinct primes are comaximal, so if the norms of the pp^e multiply to N(n)
+and each pp^e contains n, their product is n.  Containment J <= I is one
+integer test on the two triples (`Ideal.contains_ideal`): I holds J's Z-basis
+a and b + c*omega.  `divisors` keeps the ideals of each norm k | N(n) that
+contain n, read from the label enumeration `ideals_of_norm`, so it is in
+label order without a product.  Exact quotients come from
+n * conj(m) = (N m) * (n / m); `sigma0_quotient` counts the divisors of n / m
+from the exponents of n and m without forming it.  Coprimality never forms
+I + J: I and J are coprime iff gcd(N I, N J) = 1 or no prime factor of J,
+read from the factorisation memo, contains I.
 
 An ideal is a record (``no_sequence``) of its field, its triple and its norm
 a*c, so one triple over two fields gives two keys.
@@ -33,7 +37,7 @@ Callers share each memo's answer, a tuple for a sequence.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
 
@@ -167,14 +171,11 @@ class Ideal(_IdealFields):
     def is_unit(self) -> bool:
         return self.a == 1 and self.c == 1
 
-    def contains(self, x: int, y: int) -> bool:
-        """Membership of x + y*omega (integer coordinates)."""
-        if y % self.c:
-            return False
-        return (x - (y // self.c) * self.b) % self.a == 0
-
     def contains_ideal(self, other: "Ideal") -> bool:
-        return self.contains(other.a, 0) and self.contains(other.b, other.c)
+        """Whether other <= self: self contains other's Z-basis a and b + c*omega,
+        where x + y*omega lies in self iff c | y and a | x - (y/c)*b."""
+        a, c = self.a, self.c
+        return other.a % a == 0 and other.c % c == 0 and (other.b - other.c // c * self.b) % a == 0
 
     @lru_cache(maxsize=None)
     def conjugate(self) -> "Ideal":
@@ -339,22 +340,32 @@ def factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
     prime above a split or inert p and 2*v_p(c) to the prime above a
     ramified p.  The primitive part is divisible by no rational integer, so
     above each p it lies in the one prime [p, r + omega] with b/c = r (mod p)
-    and carries all of v_p(a/c).  Factorisations are memoised as tuples.
+    and carries all of v_p(a/c).  One pass over the primes of a/c and c, in
+    order, reads each pp^e and checks it: the pp are distinct, each pp^e
+    contains n, and their norms multiply to N(n).  Factorisations are
+    memoised as tuples.
     """
     field, c = n.field, n.c
-    content, primitive = dict(factor_int(c)), dict(factor_int(n.a // c))
-    out = {}  # keyed by prime, so the primes are distinct
-    for p in sorted(content.keys() | primitive.keys()):
-        per_content = 2 if factor_rational_prime(field, p).kind == "ramified" else 1
+    r = n.b // c
+    primes = factor_int(n.a // c)  # (p, v_p(a/c)), then the content primes a/c lacks
+    content = dict(factor_int(c)) if c > 1 else {}
+    if content:
+        seen = {p for p, _ in primes}
+        primes = sorted(primes + [(p, 0) for p in content if p not in seen])
+    out = {}
+    norm, contained = 1, True
+    for p, e_primitive in primes:
+        e_content = content.get(p, 0)
+        if e_content and factor_rational_prime(field, p).kind == "ramified":
+            e_content *= 2
         for pp in primes_above(field, p):
-            e = per_content * content.get(p, 0)
-            if pp.c == 1 and (n.b // c - pp.b) % p == 0:
-                e += primitive.get(p, 0)
+            e = e_content + e_primitive if pp.c == 1 and (r - pp.b) % p == 0 else e_content
             if e:
+                contained = contained and pp not in out and (
+                    pp if e == 1 else ideal_pow(pp, e)).contains_ideal(n)
                 out[pp] = e
-    if prod(pp.norm**e for pp, e in out.items()) != n.norm or not all(
-        (pp if e == 1 else ideal_pow(pp, e)).contains_ideal(n) for pp, e in out.items()
-    ):
+                norm *= pp.norm**e
+    if norm != n.norm or not contained:
         raise QuadFieldError(f"prime factors {out} of {n} do not recombine to it")
     return tuple(out.items())
 
@@ -381,6 +392,18 @@ def sigma0(n: Ideal) -> int:
     out = 1
     for _, e in factor_ideal(n):
         out *= e + 1
+    return out
+
+
+def sigma0_quotient(n: Ideal, m: Ideal) -> int:
+    """sigma0(n / m) for m | n, the product of e_n(pp) - e_m(pp) + 1 over the
+    primes of n, read from both factorisations without forming n / m."""
+    if not m.contains_ideal(n):
+        raise QuadFieldError(f"{m} does not divide {n}")
+    in_m = dict(factor_ideal(m))
+    out = 1
+    for pp, e in factor_ideal(n):
+        out *= e - in_m.get(pp, 0) + 1
     return out
 
 

@@ -51,7 +51,6 @@ from .quadfield import (
     divisors,
     exact_prime_power_divisors,
     factor_rational_prime,
-    ideal_div_exact,
     ideal_from_label,
     ideal_mul,
     ideals_of_norm,
@@ -61,6 +60,7 @@ from .quadfield import (
     make_field,
     primes_of_norm_up_to,
     sigma0,
+    sigma0_quotient,
     unit_ideal,
 )
 from .recovery import SyntheticOracle, make_principal_operator, recover
@@ -359,7 +359,7 @@ def check_dimension_table(bundle: FixtureBundle) -> str:
     for n in nd:
         levels.update(divisors(n))
     full = {
-        n: sum(sigma0(ideal_div_exact(n, m)) * nd[m] for m in divisors(n) if nd.get(m))
+        n: sum(sigma0_quotient(n, m) * nd[m] for m in divisors(n) if nd.get(m))
         for n in levels
     }
     recovered = newspace_dims(full)

@@ -1,6 +1,7 @@
 """The acceptance arithmetic of scripts/bench_pairs.py, loaded by path."""
 
 import importlib.util
+import re
 import subprocess
 from pathlib import Path
 
@@ -144,3 +145,21 @@ def test_library_lines_counts_as_wc_does(tmp_path):
     files = sorted(str(path) for path in (repo / "src" / "iqhecke").glob("*.py"))
     wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
     assert bench_pairs.library_lines(repo) == int(wc.stdout.splitlines()[-1].split()[0])
+
+
+def test_a_tree_with_a_bytecode_cache_stops_the_script(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "iqhecke").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "scripts" / "__pycache__").mkdir(parents=True)  # outside src/ and perfbench/
+    assert bench_pairs.bytecode_caches(parent) == []
+    for tree, where in ((change, "perfbench"), (parent, "src/iqhecke")):
+        cache = tree / where / "__pycache__"
+        cache.mkdir()
+        assert bench_pairs.bytecode_caches(tree) == [cache]
+        monkeypatch.setattr("sys.argv", ["bench_pairs.py", str(parent), str(change),
+                                         "--workload", "tables", "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit, match=re.escape(f"{cache}: a bytecode cache")):
+            bench_pairs.main()
+        assert not (tmp_path / "o").exists()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -95,6 +96,20 @@ def test_memoised_group_law_matches_the_exponent_formula(d):
             for y in classes:
                 assert g.mul(x, y) == formula([a + b for a, b in zip(x.exps, y.exps)])
     assert all(type(z) is IdealClass for z in (g.mul(x, x), g.inv(x), g.power(x, 2)))
+
+
+@pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105))  # the sweep fields
+def test_membership_is_being_a_reduced_exponent_vector(d):
+    g = compute_class_group(make_field(d))
+    divs = g.elementary_divisors
+    assert all(x in g for x in g.all_classes())
+    for exps in product(*(range(-1, n + 2) for n in divs)):
+        reduced = all(0 <= e < n for e, n in zip(exps, divs))
+        assert (IdealClass(exps) in g) == reduced
+    # a vector of the wrong length is no class, also where its entries are in range
+    assert IdealClass((0,) * (len(divs) + 1)) not in g
+    if divs:
+        assert IdealClass((0,) * (len(divs) - 1)) not in g
 
 
 @pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105))  # the sweep fields

@@ -148,12 +148,9 @@ def test_sigma0_vs_multiplicity_bound(G17, K17):
         n = ideal_from_label(K17, lab)
         mult = oldclass_principal_multiplicity(G17, rec, n)
         assert mult <= sigma0(n)
-        passing = [
-            d
-            for d in divisors(n)
-            if G17.power(G17.ideal_class(d), 2) is not None
-        ]
-        assert mult >= 1  # the divisor (1) always passes
+        # chi2 is +1 exactly on CL^2: the multiplicity counts those divisors
+        passing = [d for d in divisors(n) if G17.ideal_class(d) in G17.squares()]
+        assert mult == len(passing) >= 1  # the divisor (1) always passes
 
 
 def _cover_by_brute_force(entries, blocks):

@@ -271,6 +271,49 @@ def test_twists_and_orbits_match_the_pairwise_oracles(d):
         assert twist_orbit(G) == _pairwise_orbit(G)
 
 
+@pytest.mark.parametrize("d", [1, 5, 23, 17, 21, 14, 65, 105])
+def test_twist_is_psi_times_alpha_one_prime_at_a_time(d):
+    g = compute_class_group(make_field(d))
+    Q = algext.RATIONAL_FIELD
+    QS2 = algext.with_radical(Q, 2)
+    sqrt2 = parse_value(QS2, "sqrt2")
+    primes = primes_of_norm_up_to(g.field, 60)
+    values = {
+        Q: {p: algext.from_rational(Q, p.norm % 7 - 3) for p in primes},
+        QS2: {p: algext.from_rational(QS2, p.norm % 5 - 2) + sqrt2.scale(p.norm % 3 - 1)
+              for p in primes},
+    }
+    orders = {character_order(g, psi) for psi in character_group(g)}
+    for f, alpha in values.items():
+        F = make_eigensystem(g, unit_ideal(g.field), g.identity(), alpha, None, f)
+        negating = set()  # the towers of the twists by a psi that is -1 on some class
+        for psi in character_group(g):
+            G = twist(F, psi)
+            z = character_values(G.vfield, g, psi)
+            assert G.stored_primes() == F.stored_primes()
+            for p, w in G.alpha:
+                assert w == lift(alpha[p], G.vfield) * z[g.ideal_class(p)], (psi, label(p))
+            if -algext.one(G.vfield) in z.values():
+                negating.add(G.vfield)
+        # each tower's negatives are built once, where a twist into it negates
+        assert set(F._negated) == negating
+        assert all(F._negated[t] == tuple(-v for v in F._lifted[t]) for t in negating)
+        # a character of order 4 puts negatives in a second tower, with i
+        assert len(negating) == (2 if 4 in orders else 1 if 2 in orders else 0)
+
+
+def test_character_field_is_memoised_and_unsupported_orders_raise_every_time():
+    g = compute_class_group(make_field(17))
+    Q, QI = algext.RATIONAL_FIELD, algext.make_value_field(adjoined=[-1])
+    for chi, tower in zip(character_group(g), (Q, QI, Q, QI)):
+        assert character_field(Q, g, chi) is tower
+        assert character_field(Q, g, chi) is tower
+    g89 = compute_class_group(make_field(89))  # CL = C12
+    for _ in range(2):
+        with pytest.raises(EigensystemError, match="order 12"):
+            character_field(Q, g89, IdealClass((1,)))
+
+
 @pytest.mark.parametrize("d,squares", [(17, 2), (65, 2), (105, 1)])
 def test_orbits_with_zero_eigenvalues_match_the_pairwise_oracle(d, squares):
     # alpha(p) = 0 at the primes outside a set S of classes: the twists by

@@ -30,6 +30,7 @@ from iqhecke.quadfield import (
     primes_of_norm_up_to,
     principal_ideal,
     sigma0,
+    sigma0_quotient,
     unit_ideal,
 )
 
@@ -353,14 +354,28 @@ def test_primes_of_norm_up_to_matches_brute_force(d):
 
 
 def test_coprime_agrees_with_the_sum_ideal():
-    # ramified 2 (d = 1, 2, 5, 14, 17, 65, 105), ramified odd primes, inert
-    # primes and prime powers; the sum ideal is the definition
-    for d in (1, 2, 5, 14, 17, 23, 65, 105):
+    # ramified 2 (d = 1, 2, 5, 14, 17, 21, 65, 105), ramified odd primes, inert
+    # primes and prime powers; the sum ideal is the definition of both
+    # coprimality (I + J = (1)) and containment (I + J = I)
+    for d in (1, 2, 5, 14, 17, 21, 23, 65, 105):
         K = make_field(d)
         ideals = [i for n in range(1, 61) for i in ideals_of_norm(K, n)]
         for i in ideals:
             for j in ideals:
-                assert coprime(i, j) == ideal_add(i, j).is_unit(), (d, i, j)
+                total = ideal_add(i, j)
+                assert coprime(i, j) == total.is_unit(), (d, i, j)
+                assert i.contains_ideal(j) == (total == i), (d, i, j)
+
+
+def test_sigma0_quotient_is_sigma0_of_the_quotient():
+    for d in (1, 5, 17, 105):
+        K = make_field(d)
+        for n in (i for norm in range(1, 101) for i in ideals_of_norm(K, norm)):
+            for m in divisors(n):
+                assert sigma0_quotient(n, m) == sigma0(ideal_div_exact(n, m)), (d, n, m)
+    K17 = make_field(17)
+    with pytest.raises(QuadFieldError, match="does not divide"):
+        sigma0_quotient(ideal_from_label(K17, "3.1"), ideal_from_label(K17, "3.2"))
 
 
 def _equal_ideals_by_several_routes(K):
