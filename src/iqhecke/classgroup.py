@@ -12,9 +12,10 @@ numbers this library targets (h up to a few hundred).  Generators are chosen
 greedily by orbit length, and the exponent table of the subgroup they span
 grows with each pick until it maps every form to its exponent vector
 (discrete logs).  After that, every class query works on exponent vectors
-alone; CL^2 and CL[2] are computed once, at construction, where the 2-rank
-is checked against genus theory, and the class of an ideal once, on its
-first query.  A character is the class with the same exponent vector.
+alone; the set of classes, CL^2 and CL[2] are computed once, at
+construction, where the 2-rank is checked against genus theory, and the
+class of an ideal once, on its first query.  A character is the class with
+the same exponent vector.
 
 The class map ``ideal_class`` and the group law (``mul``, ``inv`` and
 ``power``) are ``lru_cache``d methods: each computes its class once per

@@ -347,11 +347,10 @@ def factor_ideal(n: Ideal) -> tuple[tuple[Ideal, int], ...]:
     """
     field, c = n.field, n.c
     r = n.b // c
-    primes = factor_int(n.a // c)  # (p, v_p(a/c)), then the content primes a/c lacks
+    primes = factor_int(n.a // c)  # (p, v_p(a/c))
     content = dict(factor_int(c)) if c > 1 else {}
-    if content:
-        seen = {p for p, _ in primes}
-        primes = sorted(primes + [(p, 0) for p in content if p not in seen])
+    if content:  # with the content primes that a/c lacks, at v_p(a/c) = 0
+        primes = sorted((dict.fromkeys(content, 0) | dict(primes)).items())
     out = {}
     norm, contained = 1, True
     for p, e_primitive in primes:
