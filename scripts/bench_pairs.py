@@ -38,8 +38,10 @@ stops the script. When a workload's ``setup_s`` is over its bound, its line
 also prints the ``setup_cpu`` medians of the ``ready.py`` target that
 ``setup_s`` times there (``sweep`` for roundtrip and tables, ``cli`` for
 verify), as wall time alone is noisy. ``library_lines`` holds each tree's
-library size, the line count of ``wc -l src/iqhecke/*.py``, and the script
-prints it after the bound lines.
+library size, the line count of ``wc -l src/iqhecke/*.py``, and
+``library_lines_by_module`` the count of each file for both trees; the
+script prints the total after the bound lines, then each file whose count
+changed.
 
 Both trees must start without bytecode caches: the script stops, naming the
 directory, when either tree has a ``__pycache__`` under ``src/`` or
@@ -133,10 +135,24 @@ def quartiles(xs: list) -> dict:
     return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def library_lines_by_module(tree: Path) -> dict[str, int]:
+    """File name -> its line count in ``wc -l src/iqhecke/*.py`` in tree:
+    newlines, so a last line without one is not counted."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "iqhecke").glob("*.py"))}
+
+
 def library_lines(tree: Path) -> int:
-    """The total of ``wc -l src/iqhecke/*.py`` in tree: newlines, so a last
-    line without one is not counted."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "iqhecke").glob("*.py"))
+    """The total of ``wc -l src/iqhecke/*.py`` in tree."""
+    return sum(library_lines_by_module(tree).values())
+
+
+def lines_by_module(parent: Path, change: Path) -> dict[str, dict]:
+    """File name -> {"parent": n, "change": m} over the files of either
+    library, 0 for a file that one tree lacks."""
+    sides = {"parent": library_lines_by_module(parent), "change": library_lines_by_module(change)}
+    names = sorted(sides["parent"].keys() | sides["change"].keys())
+    return {name: {side: counts.get(name, 0) for side, counts in sides.items()} for name in names}
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -267,6 +283,7 @@ def main() -> int:
             **setup_cpu(parent, change),
         },
         "library_lines": {"parent": library_lines(parent), "change": library_lines(change)},
+        "library_lines_by_module": lines_by_module(parent, change),
         "pairs": pairs,
         "call_counts": {
             "command": "python3 scripts/call_counts.py TREE (cProfile; PYTHONHASHSEED=0)",
@@ -279,6 +296,9 @@ def main() -> int:
         print(line)
     lines = result["library_lines"]
     print(f"library: {lines['parent']} -> {lines['change']} lines (wc -l src/iqhecke/*.py)")
+    for name, counts in result["library_lines_by_module"].items():
+        if counts["parent"] != counts["change"]:
+            print(f"  {name}: {counts['parent']} -> {counts['change']}")
     return 0
 
 

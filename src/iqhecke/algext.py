@@ -680,15 +680,29 @@ def canonical_sign(v: AlgValue) -> AlgValue:
 # -- automorphisms ------------------------------------------------------------
 
 
+def _is_automorphism(f: ValueField, sign_mask: int, conjugate_base: bool) -> bool:
+    """The one rule for which maps of f are ring maps: sign_mask names roots
+    of f, and the base is conjugated only when it is quadratic and every
+    radicand is rational."""
+    return sign_mask in range(1 << f.nroots) and (
+        not conjugate_base or f.base_degree == 2 and not any(r[1] for r in f.adjoined))
+
+
 @dataclass(frozen=True)
 class FieldAutomorphism:
     """Sign flips on the adjoined roots, optionally composed with the
-    nontrivial base automorphism; ``apply`` raises unless ``automorphisms``
-    lists the map."""
+    nontrivial base automorphism; construction raises AlgebraError unless
+    ``_is_automorphism`` allows the map, so ``automorphisms`` lists it."""
 
     field: ValueField
     sign_mask: int
     conjugate_base: bool
+
+    def __post_init__(self):
+        if not _is_automorphism(self.field, self.sign_mask, self.conjugate_base):
+            raise AlgebraError(
+                f"{self.field.describe()} has no automorphism with sign mask {self.sign_mask}"
+                f"{' and base conjugation' if self.conjugate_base else ''}")
 
     def is_identity(self) -> bool:
         return self.sign_mask == 0 and not self.conjugate_base
@@ -716,12 +730,8 @@ class FieldAutomorphism:
 def _automorphism_map(f: ValueField, sign_mask: int, conjugate_base: bool):
     """(kernel, den) of the ring map of f that sends theta to its conjugate
     -c1 - theta (x^2 + c1*x + c0 the minimal polynomial) when conjugate_base
-    is set, and each root in sign_mask to its negative; an AlgebraError unless
-    ``automorphisms(f)`` lists that map, the one place that states which maps
-    of f are ring maps."""
-    if FieldAutomorphism(f, sign_mask, conjugate_base) not in automorphisms(f):
-        raise AlgebraError(f"{f.describe()} has no automorphism with sign mask {sign_mask}"
-                           f"{' and base conjugation' if conjugate_base else ''}")
+    is set, and each root in sign_mask to its negative; the arguments are a
+    FieldAutomorphism's, checked when it was built."""
     t = theta(f) if f.base_degree > 1 else zero(f)
     if conjugate_base:
         t = from_rational(f, -f.minpoly[1]) - t
@@ -733,10 +743,9 @@ def _automorphism_map(f: ValueField, sign_mask: int, conjugate_base: bool):
 def automorphisms(f: ValueField) -> tuple[FieldAutomorphism, ...]:
     """All ring automorphisms of the tower visible to this representation, the
     identity first: sign flips of the adjoined roots, times the base conjugation
-    when the base is quadratic and every radicand is rational; one tuple per tower."""
-    conjugable = f.base_degree == 2 and not any(r[1] for r in f.adjoined)
+    when _is_automorphism allows it; one tuple per tower."""
     return tuple(FieldAutomorphism(f, mask, conj) for conj in (False, True)
-                 if conjugable or not conj for mask in range(1 << f.nroots))
+                 for mask in range(1 << f.nroots) if _is_automorphism(f, mask, conj))
 
 
 # -- symbolic values ----------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import algext
 from .algext import ValueField
-from .characters import is_quadratic, quadratic_characters
+from .characters import order_two_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, make_eigensystem
@@ -159,8 +159,8 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
     cands = None if st is None else _get(st, "possible", list, "possible", None)
     if cands is not None:
         cands = [character_from_json(group, e) for e in cands]
-        # a self-twist psi has psi^2 = 1 and is not the trivial character
-        if any(c.is_trivial() or not is_quadratic(group, c) for c in cands):
+        # a self-twist psi has order 2: psi^2 = 1 and psi is not trivial
+        if any(c not in order_two_characters(group) for c in cands):
             raise BundleError(
                 f"self-twist candidates {st['possible']} must be nontrivial quadratic characters"
             )
@@ -360,7 +360,7 @@ class FixtureBundle:
         record = level, side, _get(data, "degree", int, f"integer degree of {what}")
         if "character" in data:
             return (*record, character_from_json(self.group, data["character"]))
-        cands = [c for c in quadratic_characters(self.group) if not c.is_trivial()]
+        cands = order_two_characters(self.group)
         if len(cands) != 1:
             raise BundleError("self-twist record needs an explicit character")
         return (*record, cands[0])

@@ -3,13 +3,15 @@
 The pinned generators identify CL with its dual: the character with exponent
 vector e sends the i-th generator (of order d_i) to zeta_{d_i}^{e_i}, so a
 character is the ``IdealClass`` with exponents e and uses ClassGroup's law.
+The characters of order 2, the genus characters such as chi2 of
+Q(sqrt(-17)), are the one list ``order_two_characters``.
 Roots of unity are records (``no_sequence``): a tuple underneath, built,
 compared and hashed in C.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -72,23 +74,19 @@ def eval_on_class(group: ClassGroup, chi: IdealClass, cls: IdealClass) -> RootOf
     return RootOfUnity.make(k, n)
 
 
-def is_quadratic(group: ClassGroup, chi: IdealClass) -> bool:
-    return group.class_order(chi) <= 2
-
-
-def quadratic_characters(group: ClassGroup) -> list[IdealClass]:
-    """All characters with values in {+-1}, the trivial one included."""
-    return [chi for chi in character_group(group) if is_quadratic(group, chi)]
+@lru_cache(maxsize=None)
+def order_two_characters(group: ClassGroup) -> tuple[IdealClass, ...]:
+    """The characters of order exactly 2, with values in {+-1} and not
+    trivial, in character_group order; one tuple per group."""
+    return tuple(chi for chi in character_group(group) if group.class_order(chi) == 2)
 
 
 def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[IdealClass]:
-    """The set C(n): nontrivial quadratic psi with psi(q) = +1 for every exact
+    """The set C(n): the psi of order 2 with psi(q) = +1 for every exact
     prime-power divisor q of n (q = n included when n is a prime power)."""
     blocks = exact_prime_power_divisors(n)
     return [
         psi
-        for psi in quadratic_characters(group)
-        if not psi.is_trivial()
-        and all(eval_on_class(group, psi, group.ideal_class(q)).as_sign() == 1 for q in blocks)
+        for psi in order_two_characters(group)
+        if all(eval_on_class(group, psi, group.ideal_class(q)).as_sign() == 1 for q in blocks)
     ]
-

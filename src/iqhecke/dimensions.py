@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .characters import eval_on_class, is_quadratic
+from .characters import eval_on_class, order_two_characters
 from .classgroup import ClassGroup, IdealClass
 from .quadfield import (
     Ideal,
@@ -82,7 +82,7 @@ def oldclass_principal_multiplicity(
     if record.selftwist is None:
         return sigma0_quotient(n, m)
     psi = record.selftwist
-    if not is_quadratic(group, psi) or psi.is_trivial():
+    if psi not in order_two_characters(group):
         raise DimensionError("self-twist character must be quadratic and nontrivial")
     return sum(
         eval_on_class(group, psi, group.ideal_class(d)).as_sign() == 1

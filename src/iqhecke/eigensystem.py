@@ -29,7 +29,7 @@ from .characters import (
     character_group,
     eligible_selftwists,
     eval_on_class,
-    is_quadratic,
+    order_two_characters,
 )
 from .classgroup import ClassGroup, IdealClass
 from .quadfield import Ideal, coprime, factor_ideal, label, label_key
@@ -80,11 +80,15 @@ def character_values(f: ValueField, group: ClassGroup, chi: IdealClass) -> dict:
 
 @dataclass(frozen=True)
 class HeckeEigensystem:
+    """lambda = (alpha, chi), with memos that are not fields: among them the
+    stored values lifted into each tower that twists read, but no negatives,
+    which a twist makes as it reads."""
+
     group: ClassGroup
     level: Ideal
     character: IdealClass
     alpha: tuple  # tuple of (Ideal, AlgValue), sorted by (norm, label)
-    al_signs: tuple | None  # tuple of (Ideal, +-1) when chi is trivial
+    al_signs: tuple | None  # tuple of (Ideal, +-1) when chi is trivial, sorted as alpha
     vfield: ValueField
     selftwist_candidates: tuple[IdealClass, ...] | None = None
 
@@ -106,12 +110,6 @@ class HeckeEigensystem:
     @cached_property
     def _lifted(self) -> dict:
         """tower -> the stored values lifted into it, in alpha order; filled by twist."""
-        return {}
-
-    @cached_property
-    def _negated(self) -> dict:
-        """tower -> the negatives of _lifted[tower], in alpha order; filled by
-        the first twist into the tower that negates a class."""
         return {}
 
     def alpha_map(self) -> dict:
@@ -149,7 +147,7 @@ def make_eigensystem(
     lifted = {p: lift(v, f) for p, v in alpha.items()}
     al = None
     if al_signs is not None:
-        al = tuple(sorted(al_signs.items(), key=lambda qs: qs[0].norm))
+        al = tuple(sorted(al_signs.items(), key=lambda qs: label_key(qs[0])))
     cands = tuple(selftwist_candidates) if selftwist_candidates else None
     return HeckeEigensystem(
         group=group,
@@ -258,48 +256,35 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 
 
 def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
-    """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order,
-    character chi psi^2, and involution signs kept under the trivial psi,
-    multiplied by psi(q) under a quadratic one and dropped otherwise, after
-    make_eigensystem's checks (_checked_field) and the same check of psi
-    (_check_reduced).  The action of psi is decided once per class: keep the
-    value where psi(x) = 1, negate it where psi(x) = -1, else multiply by
-    psi(x).  F keeps its stored values lifted into each tower, and their
-    negatives once a psi into the tower is -1 on some class, for every psi
-    that shares the tower: a twist orbit negates each value at most once
-    per tower."""
+    """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order and
+    character chi psi^2, after make_eigensystem's checks (_checked_field) and
+    the same check of psi (_check_reduced).  psi is read once per class, from
+    its values in the twist's tower: the value is kept where psi(x) = 1,
+    negated where psi(x) = -1 and multiplied by psi(x) elsewhere.  Involution
+    signs survive exactly when chi psi^2 is trivial, each multiplied by
+    psi(q) = +-1 from the same table.  F keeps its stored values lifted into
+    each tower, for every psi that shares the tower."""
     group = F.group
     _check_reduced(group, psi)
     character = group.mul(F.character, group.power(psi, 2))
+    f = character_field(F.vfield, group, psi)
+    one = algext.one(f)
+    minus_one = -one
+    # class x -> 1 or -1 where psi(x) is +-1, else psi(x)
+    action = {x: 1 if z == one else -1 if z == minus_one else z
+              for x, z in character_values(f, group, psi).items()}
     al = None
-    if F.al_signs is not None:
-        if psi.is_trivial():
-            al = F.al_signs
-        elif is_quadratic(group, psi):
-            al = tuple((q, s * eval_on_class(group, psi, group.ideal_class(q)).as_sign())
-                       for q, s in F.al_signs)
-    f = _checked_field(group, character, character_field(F.vfield, group, psi), al)
+    if F.al_signs is not None and character.is_trivial():
+        al = tuple((q, s * action[group.ideal_class(q)]) for q, s in F.al_signs)
+    # f holds chi psi^2's values, so the checked tower is f itself
+    _checked_field(group, character, f, al)
     lifted = F._lifted.get(f)
     if lifted is None:
         lifted = F._lifted[f] = tuple([lift(v, f) for _, v in F.alpha])
-    one = algext.one(f)
-    minus_one = -one
-    action = {}  # class x -> (the values to read, psi(x) to multiply them by or None)
-    for x, z in character_values(f, group, psi).items():
-        if z == one:
-            action[x] = lifted, None
-        elif z == minus_one:
-            negated = F._negated.get(f)
-            if negated is None:
-                negated = F._negated[f] = tuple([-v for v in lifted])
-            action[x] = negated, None
-        else:
-            action[x] = lifted, z
-    alpha = []
-    for i, ((p, _), x) in enumerate(zip(F.alpha, F._classes)):
-        values, z = action[x]
-        alpha.append((p, values[i] if z is None else values[i] * z))
-    alpha = tuple(alpha)
+    alpha = tuple([
+        (p, v if (a := action[x]) == 1 else -v if a == -1 else v * a)
+        for (p, _), v, x in zip(F.alpha, lifted, F._classes)
+    ])
     return HeckeEigensystem(group, F.level, character, alpha, al, f, F.selftwist_candidates)
 
 
@@ -436,7 +421,7 @@ def has_quadratic_inner_twist(F: HeckeEigensystem) -> bool:
     """A nontrivial inner twist by a quadratic character (the joined-orbit
     signature in the tables)."""
     return any(
-        not psi.is_trivial() and is_quadratic(F.group, psi) and not tau.is_identity()
+        psi in order_two_characters(F.group) and not tau.is_identity()
         for tau, psi in inner_twist_pairs(F)
     )
 

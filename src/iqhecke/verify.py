@@ -21,7 +21,7 @@ from itertools import tee
 
 from . import algext
 from .bundle import FixtureBundle
-from .characters import character_group, eval_on_class, quadratic_characters
+from .characters import character_group, eval_on_class, order_two_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import (
     NewformRecord,
@@ -111,7 +111,7 @@ def check_class_groups(bundle: FixtureBundle) -> str:
 
 
 def _chi2(group: ClassGroup) -> IdealClass:
-    cands = [c for c in quadratic_characters(group) if not c.is_trivial()]
+    cands = order_two_characters(group)
     _require(len(cands) == 1, f"{len(cands)} nontrivial quadratic characters, expected one")
     return cands[0]
 

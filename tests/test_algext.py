@@ -629,6 +629,18 @@ def test_base_conjugation_of_an_irrational_radicand_raises():
                                                                                  (1, False)]
 
 
+def test_an_automorphism_that_is_no_ring_map_cannot_be_built():
+    # over Q, conjugation has no quadratic base to act on, and Q(sqrt2) has
+    # one root: masks 0 and 1 only, integers
+    QS2 = with_radical(Q, 2)
+    with pytest.raises(AlgebraError, match="no automorphism with sign mask 0 and base conj"):
+        algext.FieldAutomorphism(QS2, 0, True)
+    for mask in (-1, 2, 1.5):
+        with pytest.raises(AlgebraError, match=f"no automorphism with sign mask {mask}$"):
+            algext.FieldAutomorphism(QS2, mask, False)
+    assert algext.FieldAutomorphism(QS2, 1, False) == automorphisms(QS2)[1]
+
+
 @pytest.mark.parametrize("f,masks", AUTOMORPHISM_MASKS, ids=lambda f: getattr(f, "describe", str)())
 def test_only_the_listed_automorphisms_apply(f, masks):
     # automorphisms is the one statement of the rule: every other (mask,
@@ -636,12 +648,11 @@ def test_only_the_listed_automorphisms_apply(f, masks):
     x = one(f) + (adjoined_root(f, 0) if f.nroots else one(f))
     for mask in range(-1, (2 << f.nroots) + 1):
         for conj in (False, True):
-            tau = algext.FieldAutomorphism(f, mask, conj)
             if (mask, conj) in masks:
-                assert tau.apply(x).field is f
+                assert algext.FieldAutomorphism(f, mask, conj).apply(x).field is f
             else:
                 with pytest.raises(AlgebraError, match=f"no automorphism with sign mask {mask}"):
-                    tau.apply(x)
+                    algext.FieldAutomorphism(f, mask, conj)
 
 
 @pytest.mark.parametrize("chain", [

@@ -140,11 +140,23 @@ def test_library_lines_counts_as_wc_does(tmp_path):
     (lib / "b.py").write_text("z = 3")  # no last newline: wc -l counts 0 lines
     (lib / "data.json").write_text("{}\n\n")  # not a .py file
     assert bench_pairs.library_lines(tmp_path) == 2
-    # on this repository, the figure that wc -l prints on its total line
+    assert bench_pairs.library_lines_by_module(tmp_path) == {"a.py": 2, "b.py": 0}
+    # a file that one tree lacks counts 0 lines there
+    other = tmp_path / "other"
+    (other / "src" / "iqhecke").mkdir(parents=True)
+    (other / "src" / "iqhecke" / "a.py").write_text("x = 1\n")
+    (other / "src" / "iqhecke" / "c.py").write_text("\n\n\n")
+    assert bench_pairs.lines_by_module(tmp_path, other) == {
+        "a.py": {"parent": 2, "change": 1}, "b.py": {"parent": 0, "change": 0},
+        "c.py": {"parent": 0, "change": 3}}
+    # on this repository, the figures that wc -l prints per file and on its total line
     repo = SCRIPT.parents[1]
     files = sorted(str(path) for path in (repo / "src" / "iqhecke").glob("*.py"))
     wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
-    assert bench_pairs.library_lines(repo) == int(wc.stdout.splitlines()[-1].split()[0])
+    *rows, total = [line.split() for line in wc.stdout.splitlines()]
+    assert bench_pairs.library_lines(repo) == int(total[0])
+    assert bench_pairs.library_lines_by_module(repo) == {
+        Path(name).name: int(count) for count, name in rows}
 
 
 def test_a_tree_with_a_bytecode_cache_stops_the_script(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from iqhecke.characters import (
     character_order,
     eligible_selftwists,
     eval_on_class,
-    quadratic_characters,
+    order_two_characters,
 )
 from iqhecke.classgroup import BQForm, IdealClass, compute_class_group, reduce_form
 from iqhecke.eigensystem import character_field, character_values, chi_value
@@ -97,9 +97,9 @@ def test_characters_use_the_class_group_law(d):
 
 
 def test_quadratic_character_count():
-    for d in (1, 5, 17, 21, 23):
+    for d in (1, 5, 14, 17, 21, 23, 65, 105):
         g = compute_class_group(make_field(d))
-        assert len(quadratic_characters(g)) == 1 << g.r2
+        assert 1 + len(order_two_characters(g)) == 1 << g.r2
 
 
 def test_eval_with_level_zero_convention(bundle, K17):

@@ -96,12 +96,11 @@ def test_a_system_with_filled_twist_caches_pickles_and_copies():
     group = compute_class_group(make_field(17))
     F = random_eigensystem(group, random.Random(3), 60)
     orbit = twist_orbit(F)
-    # the classes and the per-tower lifted values and negatives that the twists read are filled
-    assert vars(F)["_classes"] and vars(F)["_lifted"] and vars(F)["_negated"]
+    # the classes and the per-tower lifted values that the twists read are filled
+    assert vars(F)["_classes"] and vars(F)["_lifted"]
     for copied in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
         # the copy holds the memoised class group, so the whole systems compare
         assert copied == F and copied.group is F.group and copied._lifted == F._lifted
-        assert copied._negated == F._negated
         assert twist_orbit(copied) == orbit
 
 
