@@ -31,9 +31,12 @@ inner-twist searches), ``Fraction.__new__`` (every ``Fraction`` built, in
 the library or the standard library, so rationals taken as ints without one
 show), ``_prime_powers`` (the reads of an eigensystem's prime-power memo
 that ``coefficient`` and the Hecke-field walk make, and that a first power
-read from the stored eigenvalues skips), as ``compiled`` the calls of
-``algext._compile_kernel`` (the fixed integer maps compiled into kernels,
-each once: tower products, lift maps and automorphisms), as ``generated``
+read from the stored eigenvalues skips), ``chi_value`` (the reads of a
+system's character at an ideal: the oracle's chi(aa), the recursions'
+chi(p); each repeat is one read of the system's memo), as ``compiled``
+the calls of ``algext._compile_kernel`` (the fixed integer maps compiled
+into kernels, each once: tower products, lift maps and automorphisms), as
+``generated``
 the calls of every method that ``dataclasses`` or ``namedtuple`` wrote at
 class creation (``__init__``,
 ``__eq__``, ``__hash__``, ...: the code objects whose file is
@@ -77,6 +80,7 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("algext.py", "apply", "apply"),
            ("fractions.py", "__new__", "Fraction.__new__"),
            ("eigensystem.py", "_prime_powers", "_prime_powers"),
+           ("eigensystem.py", "chi_value", "chi_value"),
            ("algext.py", "_compile_kernel", "compiled"))
 
 

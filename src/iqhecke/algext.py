@@ -17,11 +17,12 @@ complex value and name of each basis element.  Each fixed sparse integer
 map, a tower's product, the lift map of a pair of towers and each
 automorphism, is compiled once into a straight-line function of the
 numerators (``_compile_kernel``), so a product, a lift or an automorphism
-is one kernel call and one gcd; embeddings and rendering loop over the
-Fraction view ``coeffs``.  A kernel has one term per nonzero constant and
-skips no zero entry.  Lifts and automorphisms are ring maps, fixed by where
-theta and the roots go: one builder (``_ring_map``) takes those images and
-forms the image of every basis element as a product in the target tower.
+is one kernel call and one gcd; rendering loops over the Fraction view
+``coeffs``, and embeddings divide each numerator by den.  A kernel has one
+term per nonzero constant and skips no zero entry.  Lifts and automorphisms
+are ring maps, fixed by where theta and the roots go: one builder
+(``_ring_map``) takes those images and forms the image of every basis
+element as a product in the target tower.
 ``with_radical`` is memoised per (tower, radicand), so its Kummer test runs
 once per pair, and ``make_value_field`` adds each radicand it is given
 through that memo, so a repeat call is a lookup per radicand.
@@ -88,15 +89,15 @@ class ValueField:
         """Q(theta), the tower without roots: its values are the base elements."""
         return _tower(self.minpoly, ())
 
-    @property
+    @cached_property
     def base_degree(self) -> int:
         return len(self.minpoly) - 1
 
-    @property
+    @cached_property
     def nroots(self) -> int:
         return len(self.adjoined)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.base_degree << self.nroots
 
@@ -521,11 +522,6 @@ def values_equal(a: AlgValue, b: AlgValue) -> bool:
 # -- square roots -------------------------------------------------------------
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    rn, rd = isqrt(max(q.numerator, 0)), isqrt(q.denominator)
-    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
-
-
 def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
     """Write q = s^2 * f with f a squarefree integer; returns (s, f)."""
     if q == 0:
@@ -542,9 +538,10 @@ def squarefree_part(q: Fraction) -> tuple[Fraction, int]:
 def _base_sqrt(c: AlgValue) -> AlgValue | None:
     """Exact square root of a base value, or None.
 
-    A rational goes by integer square roots first; a base of odd degree holds
-    no square root of a rational non-square, one of even degree may (sqrt2
-    lies in Q(sqrt2 + sqrt3)).  Otherwise a root w scales to X = e*w in
+    A rational n/d (coprime, d > 0) goes by the integer square roots of n
+    and d first, without a Fraction; a base of odd degree holds no square
+    root of a rational non-square, one of even degree may (sqrt2 lies in
+    Q(sqrt2 + sqrt3)).  Otherwise a root w scales to X = e*w in
     Z[theta], e = disc * D with D the denominator of c, as (D*w)^2 is
     integral and disc * O_K lies in Z[theta].  At the least odd prime p where
     the minimal polynomial splits into distinct roots x_i and t = X^2 has unit
@@ -554,9 +551,10 @@ def _base_sqrt(c: AlgValue) -> AlgValue | None:
     """
     f, deg = c.field, c.field.dim
     if c.is_rational():
-        r = _rational_sqrt(c.rational_value())
-        if r is not None:
-            return from_rational(f, r)
+        n, d = c.nums[0], c.den  # coprime, so a root rn/rd is in lowest terms
+        rn, rd = isqrt(max(n, 0)), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return _new_value((f, (rn,) + (0,) * (deg - 1), rd))
         if deg % 2:
             return None
     disc, bound, tr = f._trace_form
@@ -667,7 +665,11 @@ def _with_radical(f: ValueField, c: AlgValue) -> ValueField:
 
 
 def embed(v: AlgValue) -> complex:
-    return sum((float(c) * z for c, z in zip(v.coeffs, v.field._basis_values) if c), 0j)
+    """v under the fixed embedding.  Each coordinate is n / den, which int
+    true division rounds correctly, so it equals float(Fraction(n, den))
+    bit for bit without building the Fraction."""
+    den = v.den
+    return sum((n / den * z for n, z in zip(v.nums, v.field._basis_values) if n), 0j)
 
 
 def canonical_sign(v: AlgValue) -> AlgValue:

@@ -103,6 +103,11 @@ class HeckeEigensystem:
         return {}
 
     @cached_property
+    def _chi(self) -> dict:
+        """ideal -> chi(ideal) in vfield, filled by chi_value."""
+        return {}
+
+    @cached_property
     def _classes(self) -> tuple[IdealClass, ...]:
         """The class of each stored prime, in alpha order."""
         return tuple(self.group.ideal_class(p) for p, _ in self.alpha)
@@ -144,7 +149,7 @@ def make_eigensystem(
     """Normalize and validate the pieces of an eigensystem; every value of
     alpha lifts into vfield (grown by the character's values)."""
     f = _checked_field(group, character, vfield, None if al_signs is None else al_signs.items())
-    lifted = {p: lift(v, f) for p, v in alpha.items()}
+    lifted = {p: v if v.field is f else lift(v, f) for p, v in alpha.items()}
     al = None
     if al_signs is not None:
         al = tuple(sorted(al_signs.items(), key=lambda qs: label_key(qs[0])))
@@ -185,12 +190,19 @@ def _check_reduced(group: ClassGroup, character: IdealClass) -> None:
 
 
 def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
-    """chi(p) as a tower value, with the zero convention at bad primes."""
-    if not coprime(p, F.level):
-        return algext.zero(F.vfield)
-    v = character_values(F.vfield, F.group, F.character)[F.group.ideal_class(p)]
+    """chi(p) as a tower value, with the zero convention at ideals that meet
+    the level; memoised per ideal in F._chi, so a repeat is one dict read.
+    A tower without the value raises on every call, as the memo keeps no
+    exception."""
+    v = F._chi.get(p)
     if v is None:
-        raise EigensystemError("value field does not contain the character values")
+        if not coprime(p, F.level):
+            v = algext.zero(F.vfield)
+        else:
+            v = character_values(F.vfield, F.group, F.character)[F.group.ideal_class(p)]
+            if v is None:
+                raise EigensystemError("value field does not contain the character values")
+        F._chi[p] = v
     return v
 
 

@@ -27,8 +27,8 @@ An ideal is a record (``no_sequence``) of its field, its triple and its norm
 a*c, so one triple over two fields gives two keys.
 
 Memos, each keyed by a field or by ideals, so they grow with the primes and
-levels a caller visits and never with eigenvalue data: `factor_rational_prime`
-(field, p), `factor_ideal` (n), `ideal_pow` (ideal, e),
+levels a caller visits and never with eigenvalue data: `unit_ideal` (field),
+`factor_rational_prime` (field, p), `factor_ideal` (n), `ideal_pow` (ideal, e),
 `exact_prime_power_divisors` (n), `ideals_of_norm` (field, N), `label_key`
 (ideal), `primes_of_norm_up_to` (field, bound) and `Ideal.conjugate` (ideal).
 Callers share each memo's answer, a tuple for a sequence.
@@ -239,6 +239,7 @@ def ideal_from_gens(field: QuadField, gens: list[tuple[int, int]]) -> Ideal:
     return _hnf_from_rows(field, rows)
 
 
+@lru_cache(maxsize=None)
 def unit_ideal(field: QuadField) -> Ideal:
     return Ideal(field, 1, 0, 1)
 

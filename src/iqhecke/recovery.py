@@ -14,9 +14,10 @@ fits, read from one class table per level: the step-1 probe of a two-torsion
 class c is T_{a,a} with a in c, and the eigenvalue of T_t W_w is that of
 T_{a,a} T_t W_w with [a]^2 [t w] trivial, times chi(a^-1); for t*w in a
 trivial class, a is the unit ideal, and under the trivial character no
-product by chi(a^-1) = 1 is formed.  A nonsquare [t w] is read as
-T_{t b} W_w times alpha(b)^-1 for the table entry (b, [b], alpha(b)^-1) of
-its genus, and is left to step 2d while there is none.
+product by chi(a^-1) = 1 is formed; a recovery reads chi(a^-1) once per a
+and value tower.  A nonsquare [t w] is read as T_{t b} W_w times
+alpha(b)^-1 for the table entry (b, [b], alpha(b)^-1) of its genus, and is
+left to step 2d while there is none.
 
 What depends only on the field, the level or the class group is memoised
 here, so a run of recoveries pays it once per key, and every key is a group,
@@ -27,6 +28,8 @@ an ideal, a class or a norm bound, never an eigensystem:
   the two coprimality tests only when that fails;
 - ``_class_ideals`` (group, modulus): the class table over the ideals coprime
   to the level, or to level*t when the level's choice meets t;
+- ``_character_with_restriction`` (group, restriction): step 1's character,
+  the first in ``character_group`` order with the probed signs on CL[2];
 - ``_prime_classes`` (group, bound): each prime of norm <= bound with its
   class and genus, so step 2 reads them once per group and bound, not once
   per recovery; coprimality to the level is still tested in the loop;
@@ -181,11 +184,29 @@ def _product(i: Ideal, j: Ideal) -> Ideal:
     return ideal_mul(i, j)
 
 
+@lru_cache(maxsize=None)
+def _character_with_restriction(group: ClassGroup, restriction: tuple) -> IdealClass | None:
+    """The first character of ``character_group`` order that takes the sign
+    s at each class c of restriction, a tuple of (c, s) pairs; None when no
+    character does.  Memoised per (group, restriction)."""
+    return next(
+        (
+            chi
+            for chi in character_group(group)
+            if all(eval_on_class(group, chi, c).as_sign() == s for c, s in restriction)
+        ),
+        None,
+    )
+
+
 def _sign(v: AlgValue, what: str) -> int:
-    """v as the integer +-1, else a RecoveryError "<what> <v>, not +-1"."""
-    if not v.is_rational() or v.rational_value() not in (1, -1):
+    """v as the integer +-1, else a RecoveryError "<what> <v>, not +-1".  A
+    value is canonical (den > 0, lowest terms), so it is +-1 exactly when den
+    is 1, the first numerator is +-1 and the others are 0."""
+    nums = v.nums
+    if v.den != 1 or nums[0] not in (1, -1) or any(nums[1:]):
         raise RecoveryError(f"{what} {algext.render_value(v)}, not +-1")
-    return int(v.rational_value())
+    return nums[0]
 
 
 class SyntheticOracle:
@@ -197,18 +218,17 @@ class SyntheticOracle:
 
     def query(self, op: PrincipalOperator) -> AlgValue:
         F = self.system
-        # chi((1)) = 1, and a trivial chi is 1 at every aa coprime to the
-        # level (0 at the others); chi_value's own EigensystemError is not a gap
-        aa = op.aa
-        is_one = aa.is_unit() or F.character.is_trivial() and coprime(aa, F.level)
-        chi_a = None if is_one else chi_value(F, aa)
+        # chi(aa) is one read of F's memo, and no product is formed by chi's
+        # value 1 (the shared ``one``); chi_value's own EigensystemError is
+        # not a gap
+        chi_a = chi_value(F, op.aa)
         try:
             val = coefficient(F, op.t)
             if op.w is not None:
                 val = val.scale(prod(map(F.al_sign, exact_prime_power_divisors(op.w))))
         except EigensystemError as exc:
             raise OracleMissingError(op, str(exc))
-        return val if chi_a is None else chi_a * val
+        return val if chi_a is algext.one(F.vfield) else chi_a * val
 
 
 class FixtureOracle:
@@ -280,14 +300,7 @@ def recover(
                 raise
             raise RecoveryError(f"the oracle has no value for the character probe {probe}")
         restriction[cls] = _sign(vrou, f"T_(a,a) at class {cls.exps} returned")
-    chi = next(
-        (
-            chi
-            for chi in character_group(group)
-            if all(eval_on_class(group, chi, c).as_sign() == s for c, s in restriction.items())
-        ),
-        None,
-    )
+    chi = _character_with_restriction(group, tuple(restriction.items()))
     if chi is None:
         signs = {c.exps: s for c, s in restriction.items()}
         raise RecoveryError(f"no character has the two-torsion restriction {signs}")
@@ -308,6 +321,10 @@ def recover(
             v = lift(v, work)
         return v
 
+    # (a, tower) -> chi(a^-1) in the tower, read once per auxiliary ideal
+    # and tower rather than once per prime
+    chi_inv: dict[tuple[Ideal, algext.ValueField], AlgValue] = {}
+
     def principal(cls: IdealClass, t=None, w=None, coprime_to=None) -> AlgValue:
         """The eigenvalue of T_t W_w, with cls = [t w]: query T_{a,a} T_t W_w
         for the first a, coprime to the level (and to coprime_to if given),
@@ -317,8 +334,13 @@ def recover(
         if coprime_to is not None and not coprime(a, coprime_to):
             # every ideal before a already fails a test that ignores coprime_to
             a = _class_ideals(group, _product(level, coprime_to))[1][cls]
-        v = absorb(oracle.query(make_principal_operator(group, level, aa=a, t=t, w=w)))
-        return v if trivial or a.is_unit() else v * chiv(group.inv(group.ideal_class(a)))
+        v = absorb(oracle.query(make_principal_operator(group, level, a, t, w)))
+        if trivial or a.is_unit():
+            return v
+        c = chi_inv.get((a, work))
+        if c is None:
+            c = chi_inv[a, work] = chiv(group.inv(group.ideal_class(a)))
+        return v * c
 
     # genus -> (a, [a], alpha(a)^-1)
     table: dict[tuple[int, ...], tuple[Ideal, IdealClass, AlgValue]] = {}

@@ -243,14 +243,18 @@ def random_eigensystem(
     syms = algext.field_symbols(f)
     sqrt2 = syms.get("sqrt2")
 
+    # (x, y) -> x + y*sqrt2 (1 for 0 + 0*sqrt2), y = 0 without a second
+    # draw; each value is built on its first draw and read after that
+    zero, values = algext.zero(f), {(0, 0): algext.one(f)}
+
     def random_value():
         if rng.random() < 0.12:
-            return algext.zero(f)
-        v = algext.from_rational(f, rng.randint(-4, 4))
-        if sqrt2 is not None and rng.random() < 0.7:
-            v = v + sqrt2.scale(rng.randint(-3, 3))
-        if v.is_zero():
-            v = algext.one(f)
+            return zero
+        x = rng.randint(-4, 4)
+        y = rng.randint(-3, 3) if sqrt2 is not None and rng.random() < 0.7 else 0
+        v = values.get((x, y))
+        if v is None:
+            v = values[x, y] = algext.from_rational(f, x) + (sqrt2.scale(y) if y else zero)
         return v
 
     alpha = {}

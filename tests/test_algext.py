@@ -3,6 +3,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -161,6 +162,42 @@ def test_sqrt_examples():
     # -2 = -1 * 2 and sqrt2 is already there, so the least class adjoined is -1
     r, f = sqrt_or_adjoin(from_rational(make_value_field(adjoined=[2]), -2))
     assert f == QI2 and values_equal(r, parse_value(QI2, "i*sqrt2"))
+
+
+@pytest.mark.parametrize("f, held", [
+    (Q, ()),
+    (CUBIC, ()),
+    (QUAD_SQRT3.base, (2,)),  # Q(sqrt2)
+    (QUARTIC, (2, 6, Fraction(3, 4), Fraction(4, 3))),  # Q(sqrt2 + sqrt3)
+], ids=["Q", "cubic", "Q(sqrt2)", "Q(sqrt2 + sqrt3)"])
+def test_base_sqrt_of_rationals(f, held):
+    # a square p/q in lowest terms gives its rational root; of the non-squares,
+    # only those that the base holds (listed) have a root, and it squares back
+    for q in (Fraction(0), Fraction(1), Fraction(4, 9), Fraction(49, 36), Fraction(8, 18),
+              Fraction(10**40, 9)):
+        root = Fraction(isqrt(q.numerator), isqrt(q.denominator))
+        assert root * root == q
+        assert algext._base_sqrt(from_rational(f, q)) == from_rational(f, root)
+    for q in (2, 6, Fraction(3, 4), Fraction(4, 3), 5, Fraction(7, 2), Fraction(-4, 9),
+              Fraction(10**40 + 1, 9)):
+        r = algext._base_sqrt(from_rational(f, q))
+        if q in held:
+            assert r is not None and r * r == from_rational(f, q)
+        else:
+            assert r is None
+
+
+@pytest.mark.parametrize("f", [Q, QI, QI2, CUBIC, CUBIC_I, QUAD_SQRT3, QUARTIC],
+                         ids=lambda f: f.describe())
+def test_embed_equals_the_fraction_formula_bit_for_bit(f):
+    rng = random.Random(52)
+    values = [rand_value(f, rng) for _ in range(30)]
+    values += [v.scale(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))) for v in values]
+    values += [v.inv() for v in values if not v.is_zero()][:20]
+    for v in values:
+        expected = sum((float(Fraction(n, v.den)) * z for n, z in zip(v.nums, f._basis_values) if n), 0j)
+        got = embed(v)
+        assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_sqrt_or_adjoin_random_towers():

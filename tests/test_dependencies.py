@@ -17,8 +17,15 @@ import iqhecke
 from iqhecke.algext import make_value_field, parse_value
 from iqhecke.characters import RootOfUnity
 from iqhecke.classgroup import IdealClass, compute_class_group
-from iqhecke.eigensystem import twist_orbit
-from iqhecke.quadfield import Ideal, QuadFieldError, factor_rational_prime, make_field, unit_ideal
+from iqhecke.eigensystem import chi_value, twist_orbit
+from iqhecke.quadfield import (
+    Ideal,
+    QuadFieldError,
+    factor_rational_prime,
+    make_field,
+    primes_of_norm_up_to,
+    unit_ideal,
+)
 from iqhecke.recovery import make_principal_operator
 from iqhecke.verify import random_eigensystem
 
@@ -96,11 +103,15 @@ def test_a_system_with_filled_twist_caches_pickles_and_copies():
     group = compute_class_group(make_field(17))
     F = random_eigensystem(group, random.Random(3), 60)
     orbit = twist_orbit(F)
-    # the classes and the per-tower lifted values that the twists read are filled
-    assert vars(F)["_classes"] and vars(F)["_lifted"]
+    chis = [chi_value(F, p) for p in primes_of_norm_up_to(group.field, 30)]
+    # the classes, the per-tower lifted values that the twists read and the
+    # character values, zero at the primes that meet the level, are filled
+    assert vars(F)["_classes"] and vars(F)["_lifted"] and vars(F)["_chi"]
+    assert any(v.is_zero() for v in chis) and not all(v.is_zero() for v in chis)
     for copied in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
         # the copy holds the memoised class group, so the whole systems compare
         assert copied == F and copied.group is F.group and copied._lifted == F._lifted
+        assert copied._chi == F._chi
         assert twist_orbit(copied) == orbit
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def test_fixture_recovery_strict_mode_raises(G17, K17):
         recover(oracle, G17, level, bound=13, on_missing="error")
 
 
-def test_project_to_principal_examples(bundle, G17, K17):
+def test_synthetic_oracle_answers_principal_operators(bundle, G17, K17):
     F0 = bundle.system("2.1", "F0")
     oracle = SyntheticOracle(F0)
     level = F0.level
@@ -221,6 +222,23 @@ def test_character_probe_must_be_sign(G17, K17):
     bad = FixtureOracle({op: algext.from_rational(algext.RATIONAL_FIELD, 3)})
     with pytest.raises(RecoveryError):
         recover(bad, G17, level, bound=3)
+
+
+@pytest.mark.parametrize("adjoined", [[], [2], [-1, 2]], ids=["Q", "Q(sqrt2)", "Q(i, sqrt2)"])
+def test_sign_accepts_exactly_plus_or_minus_one(adjoined):
+    f = algext.make_value_field(adjoined=adjoined)
+    for s in (1, -1):
+        got = recovery._sign(algext.from_rational(f, s), "sign")
+        assert got == s and type(got) is int
+    bad = [algext.zero(f), algext.from_rational(f, 2), algext.from_rational(f, Fraction(-1, 2))]
+    if 2 in adjoined:
+        bad.append(algext.parse_value(f, "1+sqrt2"))
+    for v in bad:
+        with pytest.raises(RecoveryError) as err:
+            recovery._sign(v, "involution sign at 2.1 is")
+        assert str(err.value) == f"involution sign at 2.1 is {algext.render_value(v)}, not +-1"
+    if 2 in adjoined:
+        assert str(err.value) == "involution sign at 2.1 is 1 + sqrt2, not +-1"
 
 
 def test_oracle_fixture_round_trip_serialization(G17):
@@ -357,6 +375,7 @@ def test_fixture_recovery_query_sequence(G17):
 LEVEL_FREE_MEMOS = (
     recovery._principal_operator,
     recovery._class_ideals,
+    recovery._character_with_restriction,
     recovery._product,
     quadfield.ideal_pow,
     quadfield.exact_prime_power_divisors,
@@ -523,7 +542,8 @@ def test_prime_classes_are_keyed_by_group_and_bound_only():
 def test_repeated_round_trip_check_keeps_group_memos_fixed(bundle):
     # verify keeps one class group per check field, so a second run of the
     # round-trip check finds every group-keyed memo entry it needs
-    memos = (recovery._principal_operator, recovery._class_ideals, recovery.character_values)
+    memos = (recovery._principal_operator, recovery._class_ideals, recovery.character_values,
+             recovery._character_with_restriction)
     assert run_checks(bundle, ["round-trip"])[0].status == "PASS"
     sizes = [memo.cache_info().currsize for memo in memos]
     assert run_checks(bundle, ["round-trip"])[0].status == "PASS"
