@@ -33,7 +33,9 @@ show), ``_prime_powers`` (the reads of an eigensystem's prime-power memo
 that ``coefficient`` and the Hecke-field walk make, and that a first power
 read from the stored eigenvalues skips), ``chi_value`` (the reads of a
 system's character at an ideal: the oracle's chi(aa), the recursions'
-chi(p); each repeat is one read of the system's memo), as ``compiled``
+chi(p); each repeat is one read of the system's memo), ``eval_on_class``
+(every value of a character at a class: the tables of ``character_values``
+and the kernels of ``character_kernel``, each built once), as ``compiled``
 the calls of ``algext._compile_kernel`` (the fixed integer maps compiled
 into kernels, each once: tower products, lift maps and automorphisms), as
 ``generated``
@@ -81,6 +83,7 @@ COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("fractions.py", "__new__", "Fraction.__new__"),
            ("eigensystem.py", "_prime_powers", "_prime_powers"),
            ("eigensystem.py", "chi_value", "chi_value"),
+           ("characters.py", "eval_on_class", "eval_on_class"),
            ("algext.py", "_compile_kernel", "compiled"))
 
 

@@ -258,20 +258,6 @@ class ClassGroup:
     def class_order(self, x: IdealClass) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(x.exps, self.elementary_divisors)))
 
-    def subgroup(self, gens: list[IdealClass]) -> set[IdealClass]:
-        out = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
-
     def genus(self, x: IdealClass) -> tuple[int, ...]:
         """The coset of CL^2 holding x: its exponent parities on the even
         cyclic factors (odd factors lie wholly inside CL^2)."""

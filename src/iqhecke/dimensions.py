@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .characters import eval_on_class, order_two_characters
+from .characters import character_kernel, order_two_characters
 from .classgroup import ClassGroup, IdealClass
 from .quadfield import (
     Ideal,
@@ -84,10 +84,8 @@ def oldclass_principal_multiplicity(
     psi = record.selftwist
     if psi not in order_two_characters(group):
         raise DimensionError("self-twist character must be quadratic and nontrivial")
-    return sum(
-        eval_on_class(group, psi, group.ideal_class(d)).as_sign() == 1
-        for d in divisors(ideal_div_exact(n, m))
-    )
+    kernel = character_kernel(group, psi)
+    return sum(group.ideal_class(d) in kernel for d in divisors(ideal_div_exact(n, m)))
 
 
 @dataclass(frozen=True)

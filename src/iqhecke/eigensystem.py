@@ -27,6 +27,8 @@ from .algext import AlgValue, ValueField, lift, values_equal
 from .characters import (
     RootOfUnity,
     character_group,
+    character_kernel,
+    check_reduced,
     eligible_selftwists,
     eval_on_class,
     order_two_characters,
@@ -167,9 +169,9 @@ def make_eigensystem(
 
 def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_signs) -> ValueField:
     """character_field(f, group, character) for a character that is a reduced
-    exponent vector of group (_check_reduced), with involution signs ((ideal,
+    exponent vector of group (check_reduced), with involution signs ((ideal,
     sign) pairs, or None) that are +-1 and come only with the trivial character."""
-    _check_reduced(group, character)
+    check_reduced(group, character, error=EigensystemError)
     f = character_field(f, group, character)
     if al_signs is not None and not character.is_trivial():
         raise EigensystemError("involution signs only make sense for trivial character")
@@ -177,16 +179,6 @@ def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_s
         if s not in (1, -1):
             raise EigensystemError(f"involution sign at {label(q)} must be +-1, got {s}")
     return f
-
-
-def _check_reduced(group: ClassGroup, character: IdealClass) -> None:
-    """An EigensystemError unless character is a reduced exponent vector of
-    group, one of its classes."""
-    if character not in group:
-        raise EigensystemError(
-            f"character {list(character.exps)} is not a reduced exponent vector"
-            f" for the elementary divisors {list(group.elementary_divisors)}"
-        )
 
 
 def chi_value(F: HeckeEigensystem, p: Ideal) -> AlgValue:
@@ -270,14 +262,14 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order and
     character chi psi^2, after make_eigensystem's checks (_checked_field) and
-    the same check of psi (_check_reduced).  psi is read once per class, from
+    the same check of psi (check_reduced).  psi is read once per class, from
     its values in the twist's tower: the value is kept where psi(x) = 1,
     negated where psi(x) = -1 and multiplied by psi(x) elsewhere.  Involution
     signs survive exactly when chi psi^2 is trivial, each multiplied by
     psi(q) = +-1 from the same table.  F keeps its stored values lifted into
     each tower, for every psi that shares the tower."""
     group = F.group
-    _check_reduced(group, psi)
+    check_reduced(group, psi, error=EigensystemError)
     character = group.mul(F.character, group.power(psi, 2))
     f = character_field(F.vfield, group, psi)
     one = algext.one(f)
@@ -313,8 +305,8 @@ def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
 def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
     """The distinct twists of F by the characters of its group, chosen on
     classes: walking the characters in order, psi is kept unless an earlier
-    kept k has k^2 = psi^2 and (psi k^-1)(x) = 1 at the class x of every
-    stored prime with a nonzero eigenvalue.  As towers are fields, that is
+    kept k has k^2 = psi^2 and the kernel of psi k^-1 holds the class of
+    every stored prime with a nonzero eigenvalue.  As towers are fields, that is
     exactly when the two twists have the same character and stored
     eigenvalues.  Twists are told apart by their stored eigenvalues only, so
     with few stored primes two distinct twists may agree and the orbit comes
@@ -326,7 +318,7 @@ def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
         square = group.power(psi, 2)
         if not any(
             group.power(k, 2) == square
-            and all(eval_on_class(group, group.mul(psi, group.inv(k)), x).is_one() for x in support)
+            and support <= character_kernel(group, group.mul(psi, group.inv(k)))
             for k in kept
         ):
             kept.append(psi)
@@ -346,15 +338,15 @@ class SelfTwistReport:
 def selftwist_status(F: HeckeEigensystem, bound: int | None = None) -> SelfTwistReport:
     """Self-twist screening: never proves a self-twist, only rules one out
     or reports the surviving candidate characters, those eligible at the
-    level that are +1 at every good stored prime (of norm <= bound) with a
-    nonzero eigenvalue."""
+    level whose kernel holds the class of every good stored prime (of norm
+    <= bound) with a nonzero eigenvalue."""
     group = F.group
     survivors = (
         psi
         for psi in eligible_selftwists(group, F.level)
         if all(
-            eval_on_class(group, psi, group.ideal_class(p)).as_sign() == 1
-            for p, v in F.alpha
+            x in character_kernel(group, psi)
+            for x, (p, v) in zip(F._classes, F.alpha)
             if coprime(p, F.level) and (bound is None or p.norm <= bound) and not v.is_zero()
         )
     )
@@ -420,8 +412,7 @@ def inner_twist_pairs(F: HeckeEigensystem) -> list:
     The compatibility tau(chi(p)) = psi(p)^2 chi(p) is checked for every
     detected pair and a violation is a hard failure.
     """
-    group = F.group
-    good = [(group.ideal_class(p), v) for p, v in F.alpha if coprime(p, F.level)]
+    good = [(x, v) for x, (p, v) in zip(F._classes, F.alpha) if coprime(p, F.level)]
     pairs = list(_alpha_law_pairs(F, algext.automorphisms(F.vfield), good))
     for tau, psi in pairs:
         if not _chi_law(F, tau, psi, [cls for cls, _ in good]):
@@ -454,11 +445,16 @@ class SupportSubgroup:
 
 
 def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
+    """The subgroup H of CL generated by CL^2 and the classes of the stored
+    primes with a nonzero eigenvalue, with its index.  The characters trivial
+    on H are those of order <= 2 (the identity included) whose kernel holds
+    those classes, so by duality H is the intersection of their kernels and
+    [CL : H] is their number."""
     group = F.group
-    gens = list(group.squares())
-    gens += [group.ideal_class(p) for p, v in F.alpha if not v.is_zero()]
-    sub = group.subgroup(gens)
-    return SupportSubgroup(frozenset(sub), group.h // len(sub))
+    support = {x for x, (_, v) in zip(F._classes, F.alpha) if not v.is_zero()}
+    kernels = [k for chi in (group.identity(), *order_two_characters(group))
+               if support <= (k := character_kernel(group, chi))]
+    return SupportSubgroup(frozenset.intersection(*kernels), len(kernels))
 
 
 # -- Hecke field reporting ----------------------------------------------------

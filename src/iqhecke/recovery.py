@@ -29,7 +29,8 @@ an ideal, a class or a norm bound, never an eigensystem:
 - ``_class_ideals`` (group, modulus): the class table over the ideals coprime
   to the level, or to level*t when the level's choice meets t;
 - ``_character_with_restriction`` (group, restriction): step 1's character,
-  the first in ``character_group`` order with the probed signs on CL[2];
+  the first in ``character_group`` order whose kernel meets CL[2] in the
+  classes probed +1;
 - ``_prime_classes`` (group, bound): each prime of norm <= bound with its
   class and genus, so step 2 reads them once per group and bound, not once
   per recovery; coprimality to the level is still tested in the loop;
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 from . import algext
 from .algext import AlgValue, lift, sqrt_or_adjoin
-from .characters import character_group, eval_on_class
+from .characters import character_group, character_kernel
 from .classgroup import ClassGroup, IdealClass
 from .eigensystem import (
     EigensystemError,
@@ -187,16 +188,14 @@ def _product(i: Ideal, j: Ideal) -> Ideal:
 @lru_cache(maxsize=None)
 def _character_with_restriction(group: ClassGroup, restriction: tuple) -> IdealClass | None:
     """The first character of ``character_group`` order that takes the sign
-    s at each class c of restriction, a tuple of (c, s) pairs; None when no
+    s at each class c of restriction, a tuple of (c, s) pairs of CL[2], where
+    a character is +-1: its kernel holds c exactly when s = 1.  None when no
     character does.  Memoised per (group, restriction)."""
-    return next(
-        (
-            chi
-            for chi in character_group(group)
-            if all(eval_on_class(group, chi, c).as_sign() == s for c, s in restriction)
-        ),
-        None,
-    )
+    for chi in character_group(group):
+        kernel = character_kernel(group, chi)
+        if all((c in kernel) == (s == 1) for c, s in restriction):
+            return chi
+    return None
 
 
 def _sign(v: AlgValue, what: str) -> int:

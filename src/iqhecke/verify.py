@@ -21,7 +21,7 @@ from itertools import tee
 
 from . import algext
 from .bundle import FixtureBundle
-from .characters import character_group, eval_on_class, order_two_characters
+from .characters import character_group, character_kernel, order_two_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import (
     NewformRecord,
@@ -119,7 +119,7 @@ def _chi2(group: ClassGroup) -> IdealClass:
 def check_genus_character(bundle: FixtureBundle) -> str:
     group = bundle.group
     K = bundle.field
-    chi2 = _chi2(group)
+    kernel = character_kernel(group, _chi2(group))
     minus_res = {3, 5, 6, 7, 10, 11, 12, 14}  # +-3, +-5, +-6, +-7 mod 17
     checked = 0
     for p in range(2, 500):
@@ -129,7 +129,7 @@ def check_genus_character(bundle: FixtureBundle) -> str:
         if rec.kind == "inert":
             continue
         for pp in rec.primes:
-            sign = eval_on_class(group, chi2, group.ideal_class(pp)).as_sign()
+            sign = 1 if group.ideal_class(pp) in kernel else -1
             if rec.kind == "ramified":
                 _require(sign == 1, f"chi2 at ramified prime above {p} is {sign}")
             else:
@@ -204,8 +204,8 @@ def check_recovery_2_1(bundle: FixtureBundle) -> str:
 
 
 def _restriction_trivial(group: ClassGroup, chi: IdealClass) -> bool:
-    """chi = 1 on CL[2], where every character takes the values +-1."""
-    return all(eval_on_class(group, chi, cls).as_sign() == 1 for cls in group.two_torsion())
+    """chi = 1 on CL[2]: its kernel holds CL[2]."""
+    return group.two_torsion() <= character_kernel(group, chi)
 
 
 def random_eigensystem(
@@ -601,6 +601,7 @@ def check_oldform_multiplicities(bundle: FixtureBundle) -> str:
     group = bundle.group
     K = bundle.field
     chi2 = _chi2(group)
+    kernel = character_kernel(group, chi2)
     cases = 0
     for _ in range(120):
         m = rng.choice(list(ideals_of_norm(K, rng.randint(1, 12)) or [unit_ideal(K)]))
@@ -615,10 +616,7 @@ def check_oldform_multiplicities(bundle: FixtureBundle) -> str:
         _require(mult_tw <= quotient_sigma0, "self-twist multiplicity exceeds sigma0")
         if mult_tw == quotient_sigma0:
             _require(
-                all(
-                    eval_on_class(group, chi2, group.ideal_class(d)).as_sign() == 1
-                    for d in divisors(extra)
-                ),
+                all(group.ideal_class(d) in kernel for d in divisors(extra)),
                 "equality without chi2 = +1 on every divisor",
             )
         cases += 1
@@ -626,7 +624,7 @@ def check_oldform_multiplicities(bundle: FixtureBundle) -> str:
     p = next(
         pp
         for pp in primes_of_norm_up_to(K, 50)
-        if eval_on_class(group, chi2, group.ideal_class(pp)).as_sign() == -1
+        if group.ideal_class(pp) not in kernel
     )
     m = unit_ideal(K)
     rec = NewformRecord(level=m, side="plus", degree=1, selftwist=chi2)

@@ -5,6 +5,7 @@ from iqhecke.bundle import character_from_json
 from iqhecke.characters import (
     RootOfUnity,
     character_group,
+    character_kernel,
     character_order,
     eligible_selftwists,
     eval_on_class,
@@ -94,6 +95,37 @@ def test_characters_use_the_class_group_law(d):
             for x in g.all_classes():
                 want = eval_on_class(g, chi, x) * eval_on_class(g, psi, x)
                 assert eval_on_class(g, prod, x) == want
+
+
+@pytest.mark.parametrize(
+    "d, chi, cls",
+    [
+        (21, (1,), (0, 0)),  # too short a character
+        (21, (0, 0), (1,)),  # too short a class
+        (21, (1, 1), (1, 1, 1)),  # too long a class
+        (17, (1,), (7,)),  # an entry past its elementary divisor
+        (17, (-1,), (1,)),  # a negative entry
+    ],
+)
+def test_eval_on_class_rejects_vectors_outside_the_group(d, chi, cls):
+    g = compute_class_group(make_field(d))
+    with pytest.raises(ValueError, match="is not a reduced exponent vector"):
+        eval_on_class(g, IdealClass(chi), IdealClass(cls))
+    # the same vector in the other slot is just as wrong
+    with pytest.raises(ValueError, match="is not a reduced exponent vector"):
+        eval_on_class(g, IdealClass(cls), IdealClass(chi))
+
+
+@pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105, 47, 71, 41, 89))
+def test_character_kernel_is_where_the_character_is_one(d):
+    # the sweep fields and four larger groups; kernels need no tower values
+    g = compute_class_group(make_field(d))
+    for chi in character_group(g):
+        kernel = character_kernel(g, chi)
+        assert kernel == {x for x in g.all_classes() if eval_on_class(g, chi, x).is_one()}
+        assert g.h == len(kernel) * character_order(g, chi)
+        assert kernel == character_kernel(g, g.inv(chi))
+        assert character_kernel(g, chi) is kernel  # one set per (group, character)
 
 
 def test_quadratic_character_count():

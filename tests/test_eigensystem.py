@@ -10,8 +10,10 @@ from iqhecke.bundle import eigensystem_from_json, eigensystem_to_json
 from iqhecke.characters import (
     RootOfUnity,
     character_group,
+    character_kernel,
     character_order,
     eval_on_class,
+    order_two_characters,
 )
 from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.eigensystem import (
@@ -49,6 +51,7 @@ from iqhecke.quadfield import (
     unit_ideal,
 )
 from iqhecke.verify import random_eigensystem
+from reference_search import subgroup_closure
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +488,34 @@ def test_support_subgroup(bundle, F0, G17):
 
     kernel = {c for c in G17.all_classes() if eval_on_class(G17, chi2, c).is_one()}
     assert sup.classes == frozenset(kernel)
+
+
+def _cm_like_system(F, psi):
+    """F with its eigenvalues set to 0 at the stored primes outside the
+    kernel of psi, as for a system with CM by psi."""
+    kernel = character_kernel(F.group, psi)
+    zero = algext.zero(F.vfield)
+    alpha = {p: v if x in kernel else zero for x, (p, v) in zip(F._classes, F.alpha)}
+    al = dict(F.al_signs) if F.al_signs is not None else None
+    return make_eigensystem(F.group, F.level, F.character, alpha, al, vfield=F.vfield)
+
+
+@pytest.mark.parametrize("d", (1, 5, 23, 17, 21, 14, 65, 105))  # the sweep fields
+def test_support_subgroup_is_the_closure_of_the_squares_and_the_support(d):
+    g = compute_class_group(make_field(d))
+    systems = [random_eigensystem(g, random.Random(seed), 40) for seed in range(4)]
+    systems += [_cm_like_system(F, psi) for F in systems[:2] for psi in order_two_characters(g)]
+    indices = set()
+    for F in systems:
+        support = [x for x, (_, v) in zip(F._classes, F.alpha) if not v.is_zero()]
+        sup = support_subgroup(F)
+        assert sup.classes == subgroup_closure(g, [*g.squares(), *support])
+        assert sup.index * len(sup.classes) == g.h
+        # twists by psi and k agree exactly when psi k^-1 is trivial on the subgroup
+        assert len(twist_orbit(F)) * sup.index == g.h
+        indices.add(sup.index)
+    # zeroing outside a kernel of index 2 leaves a subgroup of index at least 2
+    assert max(indices) >= 2 or not order_two_characters(g)
 
 
 def test_hecke_field_reports(bundle):
