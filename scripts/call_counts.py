@@ -18,7 +18,9 @@ Inputs are drawn and the bundle is loaded before profiling starts; memoised
 values carry over from one section to the next. For each section the script
 prints the number of operations that raised, the total number of calls and
 the calls of ``AlgValue.__mul__``, ``AlgValue.__neg__`` (the negations
-that twists and the recursions make), ``AlgValue.inv``, ``ideal_mul``,
+that twists and the recursions make), ``AlgValue.inv``,
+``AlgValue.scale`` (values times a rational, such as the N(p) chi(p) of
+the prime-power recursion, with no kernel product), ``ideal_mul``,
 ``factor_ideal`` (the misses of its memo), ``coprime``, ``contains_ideal``
 (the HNF containment tests of ``coprime`` and ``factor_ideal``),
 ``_hnf_from_rows`` (every HNF built from generators, products and sums
@@ -69,6 +71,7 @@ TABLE_OPS, TABLE_SEED = 16, 1
 COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
            ("algext.py", "__neg__", "AlgValue.__neg__"),
            ("algext.py", "inv", "AlgValue.inv"),
+           ("algext.py", "scale", "AlgValue.scale"),
            ("quadfield.py", "ideal_mul", "ideal_mul"),
            ("quadfield.py", "factor_ideal", "factor_ideal"),
            ("quadfield.py", "coprime", "coprime"),

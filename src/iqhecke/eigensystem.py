@@ -83,8 +83,7 @@ def character_values(f: ValueField, group: ClassGroup, chi: IdealClass) -> dict:
 @dataclass(frozen=True)
 class HeckeEigensystem:
     """lambda = (alpha, chi), with memos that are not fields: among them the
-    stored values lifted into each tower that twists read, but no negatives,
-    which a twist makes as it reads."""
+    stored values lifted into each tower that twists read."""
 
     group: ClassGroup
     level: Ideal
@@ -100,8 +99,7 @@ class HeckeEigensystem:
 
     @cached_property
     def _powers(self) -> dict:
-        """prime -> [[alpha(p^0), alpha(p^1), ...], N(p) chi(p) or None until
-        a power past p^1 is asked for], grown in place by _prime_powers."""
+        """prime -> [alpha(p^0), alpha(p^1), ...], grown in place by _prime_powers."""
         return {}
 
     @cached_property
@@ -127,7 +125,7 @@ class HeckeEigensystem:
 
     def alpha_at(self, p: Ideal) -> AlgValue:
         if p not in self._alpha:
-            raise EigensystemError(f"no stored eigenvalue at prime {label(p)}")
+            raise EigensystemError(f"missing eigenvalue at prime {label(p)}")
         return self._alpha[p]
 
     def al_sign(self, q: Ideal) -> int:
@@ -202,8 +200,8 @@ def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
     """alpha(a) for any integral ideal: the stored eigenvalue at a stored
     prime, else the running product of alpha(p^e) over the prime
     factorisation of a (1 for the unit ideal).  A stored alpha(p) for e = 1
-    is read directly; any other alpha(p^e) comes from F's prime-power memo,
-    which _prime_powers grows only where it is short."""
+    is read directly; any other alpha(p^e) is memo[e] of F's prime-power
+    list for p, which _prime_powers starts or grows only where it is short."""
     v = F._alpha.get(a)
     if v is not None:
         return v
@@ -212,24 +210,21 @@ def coefficient(F: HeckeEigensystem, a: Ideal) -> AlgValue:
         v = F._alpha.get(p) if e == 1 else None
         if v is None:
             memo = F._powers.get(p)
-            v = memo[0][e] if memo and e < len(memo[0]) else _prime_powers(F, p, e)[e]
+            v = memo[e] if memo and e < len(memo) else _prime_powers(F, p, e)[e]
         out = v if out is None else out * v
     return algext.one(F.vfield) if out is None else out
 
 
 def _prime_powers(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[AlgValue]:
-    """F's memo [alpha(p^0), alpha(p^1), ...] for p, grown in place by the
-    recursion to at least nmax + 1 terms. Callers must not mutate it."""
-    memo = F._powers.get(p)
-    if memo is None:
-        if p not in F._alpha:
-            raise EigensystemError(f"missing eigenvalue at prime {label(p)}")
-        memo = F._powers[p] = [[algext.one(F.vfield), F._alpha[p]], None]
-    out = memo[0]
+    """F's memo [alpha(p^0), alpha(p^1), ...] for p, started from the stored
+    eigenvalue (alpha_at, which raises for a prime F does not store) and grown
+    in place by the recursion to at least nmax + 1 terms, with N(p) chi(p)
+    scaled from chi_value's memo at each growth. Callers must not mutate it."""
+    out = F._powers.get(p)
+    if out is None:
+        out = F._powers[p] = [algext.one(F.vfield), F.alpha_at(p)]
     if len(out) <= nmax:
-        if memo[1] is None:
-            memo[1] = algext.from_rational(F.vfield, p.norm) * chi_value(F, p)
-        nchi = memo[1]
+        nchi = chi_value(F, p).scale(p.norm)
         while len(out) <= nmax:
             out.append(out[-1] * out[1] - nchi * out[-2])
     return out
@@ -304,23 +299,19 @@ def systems_equal(F: HeckeEigensystem, G: HeckeEigensystem) -> bool:
 
 def twist_orbit(F: HeckeEigensystem) -> list[HeckeEigensystem]:
     """The distinct twists of F by the characters of its group, chosen on
-    classes: walking the characters in order, psi is kept unless an earlier
-    kept k has k^2 = psi^2 and the kernel of psi k^-1 holds the class of
-    every stored prime with a nonzero eigenvalue.  As towers are fields, that is
-    exactly when the two twists have the same character and stored
-    eigenvalues.  Twists are told apart by their stored eigenvalues only, so
-    with few stored primes two distinct twists may agree and the orbit comes
-    out too small."""
+    classes: walking the characters in order, psi is kept unless psi k^-1 is
+    1 on the support subgroup H (support_subgroup) for an earlier kept k.  H
+    holds CL^2, so such psi k^-1 squares to 1 and the two twists have the
+    same character; H holds the class of every stored prime with a nonzero
+    eigenvalue, so they have the same stored eigenvalues.  As towers are
+    fields, the converse holds too, and the orbit has |H| members.  Twists
+    are told apart by their stored eigenvalues only, so with few stored
+    primes two distinct twists may agree and the orbit comes out too small."""
     group = F.group
-    support = {x for x, (_, v) in zip(F._classes, F.alpha) if not v.is_zero()}
+    H = support_subgroup(F).classes
     kept = []
     for psi in character_group(group):
-        square = group.power(psi, 2)
-        if not any(
-            group.power(k, 2) == square
-            and support <= character_kernel(group, group.mul(psi, group.inv(k)))
-            for k in kept
-        ):
+        if not any(H <= character_kernel(group, group.mul(psi, group.inv(k))) for k in kept):
             kept.append(psi)
     return [twist(F, psi) for psi in kept]
 

@@ -17,11 +17,12 @@ import iqhecke
 from iqhecke.algext import make_value_field, parse_value
 from iqhecke.characters import RootOfUnity
 from iqhecke.classgroup import IdealClass, compute_class_group
-from iqhecke.eigensystem import chi_value, twist_orbit
+from iqhecke.eigensystem import chi_value, coefficient, prime_power_coefficients, twist_orbit
 from iqhecke.quadfield import (
     Ideal,
     QuadFieldError,
     factor_rational_prime,
+    ideal_mul,
     make_field,
     primes_of_norm_up_to,
     unit_ideal,
@@ -104,14 +105,21 @@ def test_a_system_with_filled_twist_caches_pickles_and_copies():
     F = random_eigensystem(group, random.Random(3), 60)
     orbit = twist_orbit(F)
     chis = [chi_value(F, p) for p in primes_of_norm_up_to(group.field, 30)]
-    # the classes, the per-tower lifted values that the twists read and the
-    # character values, zero at the primes that meet the level, are filled
-    assert vars(F)["_classes"] and vars(F)["_lifted"] and vars(F)["_chi"]
+    p = F.stored_primes()[0]
+    coefficient(F, ideal_mul(ideal_mul(p, p), p))
+    # the classes, the per-tower lifted values that the twists read, the
+    # character values, zero at the primes that meet the level, and the
+    # prime-power memo are filled
+    assert vars(F)["_classes"] and vars(F)["_lifted"] and vars(F)["_chi"] and vars(F)["_powers"]
     assert any(v.is_zero() for v in chis) and not all(v.is_zero() for v in chis)
     for copied in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
         # the copy holds the memoised class group, so the whole systems compare
         assert copied == F and copied.group is F.group and copied._lifted == F._lifted
-        assert copied._chi == F._chi
+        assert copied._chi == F._chi and copied._powers == F._powers
+        # each memo entry is a plain list of alpha(q^0), ..., alpha(q^n)
+        for q, powers in copied._powers.items():
+            assert type(powers) is list
+            assert powers == prime_power_coefficients(F, q, len(powers) - 1)
         assert twist_orbit(copied) == orbit
 
 

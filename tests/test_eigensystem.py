@@ -86,9 +86,12 @@ def test_coefficient_reads_stored_primes_directly(F0, K17):
     a = ideal_mul(ideal_mul(p31, p31), p131)
     want = euler_factor_coefficients(F0, p31, 2)[2] * euler_factor_coefficients(F0, p131, 1)[1]
     assert coefficient(F0, a) == want
+    # through each reader, with one wording
     unstored = next(q for q in primes_of_norm_up_to(K17, 200) if q not in F0.alpha_map())
-    with pytest.raises(EigensystemError, match=f"missing eigenvalue at prime {label(unstored)}"):
-        coefficient(F0, unstored)
+    for read in (lambda q: coefficient(F0, q), lambda q: prime_power_coefficients(F0, q, 2),
+                 lambda q: euler_factor_coefficients(F0, q, 2)):
+        with pytest.raises(EigensystemError, match=f"missing eigenvalue at prime {label(unstored)}"):
+            read(unstored)
 
 
 def test_coefficient_memo_is_not_exposed(K17):
