@@ -24,7 +24,8 @@ quarter higher for a lower-is-better one). ``failed`` holds each side's
 failed operations, summed over its runs. The script prints one line per
 workload that names every metric over its bound. ``call_counts`` holds the
 deterministic counts of ``scripts/call_counts.py`` for both trees (the
-change's script runs on each tree's library). ``setup_cpu`` holds, per
+change's script runs on each tree's library), ``{row: {section: n}}`` with
+its memo table under ``"memos"``. ``setup_cpu`` holds, per
 target of ``perfbench/ready.py`` (``sweep`` and ``cli``) and per side, the
 median and quartiles of the user+sys CPU seconds of 20 fresh
 ``python3 perfbench/ready.py TARGET`` processes per tree, read from
@@ -41,7 +42,9 @@ verify), as wall time alone is noisy. ``library_lines`` holds each tree's
 library size, the line count of ``wc -l src/iqhecke/*.py``, and
 ``library_lines_by_module`` the count of each file for both trees; the
 script prints the total after the bound lines, then each file whose count
-changed.
+changed, then the 20 call-count rows whose counts differ most between the
+trees (summed over the sections; a row missing on one side reads 0), and
+how many other rows differ.
 
 Both trees must start without bytecode caches: the script stops, naming the
 directory, when either tree has a ``__pycache__`` under ``src/`` or
@@ -63,6 +66,7 @@ from pathlib import Path
 SETUP_RUNS = 20
 SETUP_TARGETS = ("sweep", "cli")
 SETUP_TARGET_OF = {"roundtrip": "sweep", "tables": "sweep", "verify": "cli"}  # what setup_s times
+MOVED_ROWS = 20
 
 
 def bytecode_caches(tree: Path) -> list[Path]:
@@ -90,7 +94,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def call_counts(script: Path, tree: Path) -> dict:
-    """The tables that call_counts.py prints: {section: {column: count}} from
+    """The tables that call_counts.py prints: {row: {section: count}} from
     the first, and under "memos" {memo: {column: count}} from the second."""
     proc = subprocess.run([sys.executable, str(script), str(tree)],
                           capture_output=True, text=True, check=True)
@@ -100,6 +104,26 @@ def call_counts(script: Path, tree: Path) -> dict:
         tables.append({row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows})
     counts, *memo_table = tables
     return {**counts, "memos": memo_table[0]} if memo_table else counts
+
+
+def moved_counts(parent: dict, change: dict) -> list[str]:
+    """A header naming the sections, then the MOVED_ROWS rows of two ``call_counts``
+    results whose counts differ most, summed over the sections (a row that one
+    side lacks reads 0 there), largest first, then how many other rows differ."""
+    rows = (parent.keys() | change.keys()) - {"memos"}
+    sections = list(dict.fromkeys(s for counts in (parent, change) for row in rows
+                                  for s in counts.get(row, {})))
+    moved = []
+    for row in rows:
+        before, after = ([counts.get(row, {}).get(s, 0) for s in sections]
+                         for counts in (parent, change))
+        if before != after:
+            moved.append((-sum(abs(b - a) for b, a in zip(before, after)), row, before, after))
+    moved.sort()
+    return ([f"call counts that moved most ({' / '.join(sections)}):"]
+            + [f"  {row}: {' / '.join(map(str, before))} -> {' / '.join(map(str, after))}"
+               for _, row, before, after in moved[:MOVED_ROWS]]
+            + [f"  {len(moved[MOVED_ROWS:])} other rows differ"])
 
 
 def ready_cpu(tree: Path, target: str) -> float:
@@ -299,6 +323,8 @@ def main() -> int:
     for name, counts in result["library_lines_by_module"].items():
         if counts["parent"] != counts["change"]:
             print(f"  {name}: {counts['parent']} -> {counts['change']}")
+    for line in moved_counts(result["call_counts"]["parent"], result["call_counts"]["change"]):
+        print(line)
     return 0
 
 

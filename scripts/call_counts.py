@@ -15,41 +15,21 @@ cProfile:
 - ``run_checks``: the in-process ``verify.run_checks`` on the default bundle.
 
 Inputs are drawn and the bundle is loaded before profiling starts; memoised
-values carry over from one section to the next. For each section the script
-prints the number of operations that raised, the total number of calls and
-the calls of ``AlgValue.__mul__``, ``AlgValue.__neg__`` (the negations
-that twists and the recursions make), ``AlgValue.inv``,
-``AlgValue.scale`` (values times a rational, such as the N(p) chi(p) of
-the prime-power recursion, with no kernel product), ``ideal_mul``,
-``factor_ideal`` (the misses of its memo), ``coprime``, ``contains_ideal``
-(the HNF containment tests of ``coprime`` and ``factor_ideal``),
-``_hnf_from_rows`` (every HNF built from generators, products and sums
-included), ``is_rational_prime``, ``reduce_row`` (the rows that the
-Hecke-field walks of ``eigensystem._span_dimension`` reduce), ``twist``,
-``systems_equal`` (the exact comparisons of two systems' stored
-eigenvalues), ``lift`` (every value re-expressed in another tower),
-``apply`` (every value moved by a field automorphism: the work of the
-inner-twist searches), ``Fraction.__new__`` (every ``Fraction`` built, in
-the library or the standard library, so rationals taken as ints without one
-show), ``_prime_powers`` (the reads of an eigensystem's prime-power memo
-that ``coefficient`` and the Hecke-field walk make, and that a first power
-read from the stored eigenvalues skips), ``chi_value`` (the reads of a
-system's character at an ideal: the oracle's chi(aa), the recursions'
-chi(p); each repeat is one read of the system's memo), ``eval_on_class``
-(every value of a character at a class: the tables of ``character_values``
-and the kernels of ``character_kernel``, each built once), as ``compiled``
-the calls of ``algext._compile_kernel`` (the fixed integer maps compiled
-into kernels, each once: tower products, lift maps and automorphisms), as
-``generated``
-the calls of every method that ``dataclasses`` or ``namedtuple`` wrote at
-class creation (``__init__``,
-``__eq__``, ``__hash__``, ...: the code objects whose file is
-``<string>``), the per-object overhead of building, comparing and hashing,
-and as ``kernel`` the calls of ``algext``'s compiled products, lifts and
-automorphisms (file ``<iqhecke kernel>``). A second table
-gives, for every ``lru_cache``d function of the ``iqhecke`` package and
-every ``lru_cache``d method of its classes (``ClassGroup.ideal_class``,
-``mul``, ``inv`` and ``power``, ``Ideal.conjugate``; each found by its
+values carry over from one section to the next. The first table has one
+column per section and one row per count. Six rows come first: ``ops``,
+``failed`` (the operations that raised), ``calls`` (every call the profiler
+saw), ``Fraction.__new__`` (every ``Fraction`` built, in the library or the
+standard library), ``generated`` (the methods that ``dataclasses`` and
+``namedtuple`` write: code objects whose file is ``<string>``) and
+``kernel`` (``algext``'s compiled products, lifts and automorphisms: file
+``<iqhecke kernel>``). Then comes one row per function or method of the
+``iqhecke`` package that ran in any section, named ``module.qualname``
+(``algext.AlgValue.__mul__``,
+``eigensystem._span_dimension.<locals>.reduce_row``; plain ``co_name``
+before Python 3.11) and sorted by name. Comprehensions, generator
+expressions and lambdas (code names that start with ``<``) count only in
+``calls``. A second table gives, for every ``lru_cache``d function of the
+package and every ``lru_cache``d method of its classes (each found by its
 ``cache_info``), the hits and misses of its memo in each section. The
 script exits 1 when any operation raised. With string hashing pinned the
 counts repeat exactly from run to run, so two trees can be compared without
@@ -68,29 +48,13 @@ from pathlib import Path
 
 ROUNDTRIP_OPS, ROUNDTRIP_SEED = 120, 7
 TABLE_OPS, TABLE_SEED = 16, 1
-COUNTED = (("algext.py", "__mul__", "AlgValue.__mul__"),
-           ("algext.py", "__neg__", "AlgValue.__neg__"),
-           ("algext.py", "inv", "AlgValue.inv"),
-           ("algext.py", "scale", "AlgValue.scale"),
-           ("quadfield.py", "ideal_mul", "ideal_mul"),
-           ("quadfield.py", "factor_ideal", "factor_ideal"),
-           ("quadfield.py", "coprime", "coprime"),
-           ("quadfield.py", "contains_ideal", "contains_ideal"),
-           ("quadfield.py", "_hnf_from_rows", "_hnf_from_rows"),
-           ("quadfield.py", "is_rational_prime", "is_rational_prime"),
-           ("eigensystem.py", "reduce_row", "reduce_row"),
-           ("eigensystem.py", "twist", "twist"),
-           ("eigensystem.py", "systems_equal", "systems_equal"),
-           ("algext.py", "lift", "lift"),
-           ("algext.py", "apply", "apply"),
-           ("fractions.py", "__new__", "Fraction.__new__"),
-           ("eigensystem.py", "_prime_powers", "_prime_powers"),
-           ("eigensystem.py", "chi_value", "chi_value"),
-           ("characters.py", "eval_on_class", "eval_on_class"),
-           ("algext.py", "_compile_kernel", "compiled"))
+FIXED = ("ops", "failed", "calls", "Fraction.__new__", "generated", "kernel")
+FILE_ROWS = {"<string>": "generated", "<iqhecke kernel>": "kernel"}
 
 
-def profiled(ops) -> dict:
+def profiled(ops, library: Path) -> dict:
+    """The fixed counts of running ops under cProfile, then the calls of each
+    function of the package in library by ``module.qualname``."""
     failed = 0
     prof = cProfile.Profile()
     for op in ops:
@@ -102,13 +66,22 @@ def profiled(ops) -> dict:
         finally:
             prof.disable()
     entries = prof.getstats()  # one per code object; builtins have a str code
-    row = {"ops": len(ops), "failed": failed, "calls": sum(e.callcount for e in entries)}
-    codes = [e for e in entries if not isinstance(e.code, str)]
-    for filename, func, name in COUNTED:
-        row[name] = sum(e.callcount for e in codes
-                        if e.code.co_name == func and Path(e.code.co_filename).name == filename)
-    for name, filename in (("generated", "<string>"), ("kernel", "<iqhecke kernel>")):
-        row[name] = sum(e.callcount for e in codes if e.code.co_filename == filename)
+    row = dict.fromkeys(FIXED, 0)
+    row.update(ops=len(ops), failed=failed, calls=sum(e.callcount for e in entries))
+    for entry in entries:
+        code = entry.code
+        if isinstance(code, str):
+            continue
+        path = Path(code.co_filename)
+        if code.co_filename in FILE_ROWS:
+            name = FILE_ROWS[code.co_filename]
+        elif path.name == "fractions.py" and code.co_name == "__new__":
+            name = "Fraction.__new__"
+        elif path.parent == library and not code.co_name.startswith("<"):
+            name = f"{path.stem}.{getattr(code, 'co_qualname', code.co_name)}"
+        else:
+            continue
+        row[name] = row.get(name, 0) + entry.callcount
     return row
 
 
@@ -130,9 +103,19 @@ def memos() -> dict:
     return found
 
 
+def table(corner: str, rows: dict) -> None:
+    """Print rows, {row: {column: n}}, under a header of corner and the columns."""
+    width = max(map(len, [corner, *rows])) + 2
+    columns = next(iter(rows.values()), {})
+    print(f"{corner:<{width}}" + "".join(f"{c:>20}" for c in columns))
+    for name, row in rows.items():
+        print(f"{name:<{width}}" + "".join(f"{n:>20}" for n in row.values()))
+
+
 def main(tree: Path) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import inputs
+    import iqhecke
     import workloads
     from iqhecke import verify
     from iqhecke.bundle import FixtureBundle
@@ -149,26 +132,24 @@ def main(tree: Path) -> int:
         "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],
         "run_checks": [lambda: verify.run_checks(bundle)],
     }
-    columns = ["ops", "failed", "calls"] + [name for _, _, name in COUNTED] + ["generated", "kernel"]
-    print(f"{'section':<12}" + "".join(f"{c:>18}" for c in columns))
-    failed = 0
+    library = Path(iqhecke.__file__).parent
+    counts = {}
     cached = memos()
     before = {memo: fn.cache_info() for memo, fn in cached.items()}
     used = {memo: {} for memo in cached}
     for name, ops in sections.items():
-        row = profiled(ops)
-        print(f"{name:<12}" + "".join(f"{row[c]:>18}" for c in columns), flush=True)
-        failed += row["failed"]
+        counts[name] = profiled(ops, library)
         for memo, fn in cached.items():
             info = fn.cache_info()
             used[memo][f"{name}.hits"] = info.hits - before[memo].hits
             used[memo][f"{name}.misses"] = info.misses - before[memo].misses
             before[memo] = info
-    width = max(map(len, cached), default=4) + 2
-    print(f"\n{'memo':<{width}}" + "".join(f"{c:>20}" for c in next(iter(used.values()), {})))
-    for memo, row in used.items():
-        print(f"{memo:<{width}}" + "".join(f"{n:>20}" for n in row.values()))
-    return 1 if failed else 0
+    functions = sorted({row for section in counts.values() for row in section} - set(FIXED))
+    table("count", {row: {name: section.get(row, 0) for name, section in counts.items()}
+                    for row in FIXED + tuple(functions)})
+    print()
+    table("memo", used)
+    return 1 if any(section["failed"] for section in counts.values()) else 0
 
 
 if __name__ == "__main__":

@@ -605,8 +605,6 @@ def _square_class(v: AlgValue) -> tuple[AlgValue, AlgValue] | None:
     n = sqrt_in_tower(v0 * v0 - v1 * v1 * r)
     if n is None:
         return None
-    if (v0 + n).is_zero():
-        n = -n
     found = _square_class((v0 + n).scale(2))
     if found is None:
         return None

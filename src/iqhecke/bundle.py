@@ -30,7 +30,9 @@ from .quadfield import (
     Ideal,
     QuadField,
     coprime,
+    exact_prime_power_divisors,
     ideal_from_label,
+    is_prime_ideal,
     label,
     make_field,
 )
@@ -144,17 +146,20 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
     lev = _get(data, "level", object, "level of an eigensystem")
     level = ideal_from_label(group.field, lev)
     at = f"at level {lev}"
-    chi = character_from_json(
-        group, data.get("character", [0] * len(group.elementary_divisors))
-    )
+    chi = character_from_json(group, data.get("character", [0] * len(group.elementary_divisors)))
     alpha = {
         ideal_from_label(group.field, lab): algext.parse_value(f, text)
         for lab, text in _get(data, "alpha", dict, f"alpha {at}").items()
     }
+    if not_prime := [label(p) for p in alpha if not is_prime_ideal(p)]:
+        raise BundleError(f"alpha {at} names ideals that are not prime: {', '.join(not_prime)}")
     al = _get(data, "al", (dict, None), f"involution signs {at}", None)
     if al is not None and any(type(s) is not int for s in al.values()):
         raise BundleError(f"involution signs {al} must be the integers 1 or -1")
     al_map = None if al is None else {ideal_from_label(group.field, q): s for q, s in al.items()}
+    if stray := [label(q) for q in al_map or () if q not in exact_prime_power_divisors(level)]:
+        raise BundleError(f"involution signs {at} name ideals that are not exact prime-power "
+                          f"divisors of the level: {', '.join(stray)}")
     st = _get(data, "selftwist", (dict, None), f"selftwist {at}", None)
     cands = None if st is None else _get(st, "possible", list, "possible", None)
     if cands is not None:

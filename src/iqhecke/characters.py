@@ -4,10 +4,10 @@ The pinned generators identify CL with its dual: the character with exponent
 vector e sends the i-th generator (of order d_i) to zeta_{d_i}^{e_i}, so a
 character is the ``IdealClass`` with exponents e and uses ClassGroup's law.
 The characters of order 2, the genus characters such as chi2 of
-Q(sqrt(-17)), are the one list ``order_two_characters``.  Where a character
-is 1 is its kernel, ``character_kernel``, one memoised set of classes: the
-library tests "chi is 1 on these classes" as a subset or membership test on
-it, and reads no value of chi for that.
+Q(sqrt(-17)), are CL[2] without the identity (``order_two_characters``).
+Where a character is 1 is its kernel, ``character_kernel``, one memoised
+set of classes: the library tests "chi is 1 on these classes" as a subset
+or membership test on it, and reads no value of chi for that.
 Roots of unity are records (``no_sequence``): a tuple underneath, built,
 compared and hashed in C.
 """
@@ -99,11 +99,10 @@ def character_kernel(group: ClassGroup, chi: IdealClass) -> frozenset[IdealClass
     return frozenset(x for x in group.all_classes() if eval_on_class(group, chi, x).is_one())
 
 
-@lru_cache(maxsize=None)
 def order_two_characters(group: ClassGroup) -> tuple[IdealClass, ...]:
     """The characters of order exactly 2, with values in {+-1} and not
-    trivial, in character_group order; one tuple per group."""
-    return tuple(chi for chi in character_group(group) if group.class_order(chi) == 2)
+    trivial, in character_group order: CL[2] without the identity."""
+    return group.two_torsion()[1:]
 
 
 def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[IdealClass]:

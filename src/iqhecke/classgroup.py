@@ -141,7 +141,7 @@ class ClassGroup:
         classes = self.all_classes()
         self._classes = frozenset(classes)
         self._squares = frozenset(self.power(x, 2) for x in classes)
-        self._two_torsion = frozenset(x for x in classes if self.power(x, 2).is_trivial())
+        self._two_torsion = tuple(x for x in classes if self.power(x, 2).is_trivial())
         # genus theory: CL/CL^2 and CL[2] have order 2^r2, and r2 + 1 primes
         # divide the discriminant
         genus_order = self.h // len(self._squares)
@@ -267,8 +267,8 @@ class ClassGroup:
         """CL^2, computed once at construction."""
         return self._squares
 
-    def two_torsion(self) -> frozenset[IdealClass]:
-        """CL[2], computed once at construction."""
+    def two_torsion(self) -> tuple[IdealClass, ...]:
+        """CL[2] in all_classes order, the identity first; computed once."""
         return self._two_torsion
 
 

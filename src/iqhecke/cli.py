@@ -24,7 +24,7 @@ from .bundle import (
     read_json,
     system_from_json,
 )
-from .characters import character_group, character_order, order_two_characters
+from .characters import character_group, character_order
 from .classgroup import compute_class_group
 from .eigensystem import hecke_field_report, selftwist_status, twist_orbit
 from .quadfield import label, make_field
@@ -55,7 +55,7 @@ def cmd_field(args) -> int:
                         "generators": [[g.a, g.b, g.c] for g in group.generators],
                     },
                     "n_characters": len(chars),
-                    "n_quadratic_characters": 1 + len(order_two_characters(group)),
+                    "n_quadratic_characters": len(group.two_torsion()),
                     "r2": group.r2,
                 },
                 indent=1,

@@ -443,8 +443,7 @@ def support_subgroup(F: HeckeEigensystem) -> SupportSubgroup:
     [CL : H] is their number."""
     group = F.group
     support = {x for x, (_, v) in zip(F._classes, F.alpha) if not v.is_zero()}
-    kernels = [k for chi in (group.identity(), *order_two_characters(group))
-               if support <= (k := character_kernel(group, chi))]
+    kernels = [k for chi in group.two_torsion() if support <= (k := character_kernel(group, chi))]
     return SupportSubgroup(frozenset.intersection(*kernels), len(kernels))
 
 

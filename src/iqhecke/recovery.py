@@ -286,11 +286,8 @@ def recover(
     first, roots = _class_ideals(group, level)
 
     # Step 1: the character on the two-torsion classes, then its chosen lift.
-    restriction = {}
-    for cls in sorted(group.two_torsion(), key=lambda c: c.exps):
-        if cls.is_trivial():
-            restriction[cls] = 1
-            continue
+    restriction = {group.identity(): 1}
+    for cls in group.two_torsion()[1:]:
         probe = make_principal_operator(group, level, aa=first[cls])
         try:
             vrou = oracle.query(probe)

@@ -205,7 +205,7 @@ def check_recovery_2_1(bundle: FixtureBundle) -> str:
 
 def _restriction_trivial(group: ClassGroup, chi: IdealClass) -> bool:
     """chi = 1 on CL[2]: its kernel holds CL[2]."""
-    return group.two_torsion() <= character_kernel(group, chi)
+    return character_kernel(group, chi).issuperset(group.two_torsion())
 
 
 def random_eigensystem(

@@ -2,6 +2,7 @@ import cmath
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -244,6 +245,15 @@ def test_sqrt_of_minus_a_square_adjoins_i(text):
     assert values_equal(root * root, lift(v, QI2))
 
 
+def test_a_value_with_no_square_class_has_no_root_in_any_tower():
+    # 1 + sqrt2 has norm -1, so it is c*u^2 for no rational c, and a tower
+    # that only adjoins square roots of rationals never holds its root
+    v = parse_value(make_value_field(adjoined=[2]), "1 + sqrt2")
+    assert sqrt_in_tower(v) is None
+    with pytest.raises(AlgebraError, match=re.escape("cannot adjoin a square root of 1 + sqrt2")):
+        sqrt_or_adjoin(v)
+
+
 def test_canonical_sign():
     root, f = sqrt_or_adjoin(from_rational(Q, 2))
     assert embed(root).real > 0
@@ -262,6 +272,11 @@ def test_automorphisms_are_ring_maps():
                 x, y = rand_value(f, rng), rand_value(f, rng)
                 assert values_equal(au.apply(x + y), au.apply(x) + au.apply(y))
                 assert values_equal(au.apply(x * y), au.apply(x) * au.apply(y))
+
+
+def test_automorphisms_describe_themselves():
+    assert [au.describe() for au in automorphisms(QUAD_SQRT3)] == [
+        "id", "sqrt3 -> -sqrt3", "a -> a'", "a -> a', sqrt3 -> -sqrt3"]
 
 
 def test_quadratic_base_automorphism():

@@ -1,16 +1,26 @@
-"""The acceptance arithmetic of scripts/bench_pairs.py, loaded by path."""
+"""The acceptance arithmetic of scripts/bench_pairs.py, and its reading of
+scripts/call_counts.py's tables; both scripts are loaded by path."""
 
 import importlib.util
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load(SCRIPT)
+call_counts = _load(SCRIPT.with_name("call_counts.py"))
 
 METRICS = {
     "p50_ref": {"name": "p50_ref", "better": "lower", "bound": 0.25},
@@ -175,3 +185,66 @@ def test_a_tree_with_a_bytecode_cache_stops_the_script(tmp_path, monkeypatch):
         with pytest.raises(SystemExit, match=re.escape(f"{cache}: a bytecode cache")):
             bench_pairs.main()
         assert not (tmp_path / "o").exists()
+
+
+def test_call_counts_reads_both_tables_that_the_script_prints(monkeypatch, capsys):
+    counts = {
+        "ops": {"roundtrip": 120, "tables": 16, "run_checks": 1},
+        "calls": {"roundtrip": 215927, "tables": 126845, "run_checks": 331976},
+        "algext.AlgValue.__mul__": {"roundtrip": 9658, "tables": 7031, "run_checks": 8421},
+        "eigensystem._span_dimension.<locals>.reduce_row":
+            {"roundtrip": 0, "tables": 62, "run_checks": 34},
+    }
+    memos = {"iqhecke.quadfield.factor_ideal": {"roundtrip.hits": 4811, "roundtrip.misses": 705,
+                                                "tables.hits": 6372, "tables.misses": 2214}}
+    call_counts.table("count", counts)
+    print()
+    call_counts.table("memo", memos)
+    text = capsys.readouterr().out
+    assert text.splitlines()[0].split() == ["count", "roundtrip", "tables", "run_checks"]
+    runs = []
+
+    def fake(argv, **kwargs):
+        runs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=text, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    assert bench_pairs.call_counts(Path("call_counts.py"), Path("tree")) == {
+        **counts, "memos": memos}
+    assert runs == [[sys.executable, "call_counts.py", "tree"]]
+
+
+def test_moved_counts_lists_the_largest_changes_first(monkeypatch):
+    parent = {
+        "calls": {"roundtrip": 100, "tables": 50},
+        "a.f": {"roundtrip": 5, "tables": 0},
+        "a.g": {"roundtrip": 4, "tables": 4},
+        "a.gone": {"roundtrip": 7, "tables": 1},
+        "a.same": {"roundtrip": 9, "tables": 9},
+        "memos": {"m": {"roundtrip.hits": 1, "roundtrip.misses": 0}},
+    }
+    change = {
+        "calls": {"roundtrip": 90, "tables": 52},
+        "a.f": {"roundtrip": 5, "tables": 3},
+        "a.g": {"roundtrip": 1, "tables": 4},
+        "a.new": {"roundtrip": 2, "tables": 20},
+        "a.same": {"roundtrip": 9, "tables": 9},
+        "memos": {"m": {"roundtrip.hits": 90, "roundtrip.misses": 9}},
+    }
+    # a row that one side lacks reads 0 there; ties go by name; memos are not rows
+    assert bench_pairs.moved_counts(parent, change) == [
+        "call counts that moved most (roundtrip / tables):",
+        "  a.new: 0 / 0 -> 2 / 20",
+        "  calls: 100 / 50 -> 90 / 52",
+        "  a.gone: 7 / 1 -> 0 / 0",
+        "  a.f: 5 / 0 -> 5 / 3",
+        "  a.g: 4 / 4 -> 1 / 4",
+        "  0 other rows differ",
+    ]
+    monkeypatch.setattr(bench_pairs, "MOVED_ROWS", 2)
+    assert bench_pairs.moved_counts(parent, change)[1:] == [
+        "  a.new: 0 / 0 -> 2 / 20",
+        "  calls: 100 / 50 -> 90 / 52",
+        "  3 other rows differ",
+    ]
+    assert bench_pairs.moved_counts(parent, parent)[1:] == ["  0 other rows differ"]

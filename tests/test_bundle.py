@@ -244,6 +244,16 @@ def _value_field(**field):
         (_fractional_involution_sign, BundleError, "involution signs {'2.1': -1.7}"),
         (_boolean_involution_sign, BundleError, "involution signs {'2.1': True}"),
         (_string_involution_sign, BundleError, "involution signs {'2.1': '1'}"),
+        (_edited("eigensystems_2.1.json",
+                 lambda d: d["systems"][0].update(alpha={"3.1": "1", "9.1": "5"})),
+         BundleError, "alpha at level 2.1 names ideals that are not prime: 9.1"),
+        (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(al={"3.2": -1})),
+         BundleError, "involution signs at level 2.1 name ideals that are not exact prime-power "
+         "divisors of the level: 3.2"),
+        (_write("eigensystems_9.1.json", {"field_disc": -68, "level": "9.1", "systems": [
+            {"alpha": {"2.1": "1"}, "al": {"3.1": -1}}]}),
+         BundleError, "involution signs at level 9.1 name ideals that are not exact prime-power "
+         "divisors of the level: 3.1"),
         (_selftwist_candidates([[1, 2]]), ValueError,
          "character exponents [1, 2] do not fit the class group"),
         (_selftwist_candidates([[1]]), BundleError,

@@ -199,7 +199,7 @@ def test_ideal_class_examples(G17, K17):
 def test_genus_data():
     g17 = compute_class_group(make_field(17))
     assert g17.r2 == 1
-    assert g17.squares() == g17.two_torsion() and len(g17.squares()) == 2
+    assert g17.squares() == set(g17.two_torsion()) and len(g17.squares()) == 2
     g1 = compute_class_group(make_field(1))
     assert g1.r2 == 0 and len(g1.squares()) == 1
     g21 = compute_class_group(make_field(21))

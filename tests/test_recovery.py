@@ -339,6 +339,19 @@ def test_al_incomplete_reported(G17, K17):
     assert res.al_incomplete == [level]
 
 
+def test_a_missing_involution_sign_is_a_gap_or_an_error(bundle, G17):
+    # step 3 queries W at each exact prime-power divisor of the level, and a
+    # system with no stored sign there gives the oracle no value to answer with
+    F0 = bundle.system("2.1", "F0")
+    F = make_eigensystem(G17, F0.level, F0.character, F0.alpha_map(), {}, F0.vfield)
+    res = recover(SyntheticOracle(F), G17, F.level, bound=13, on_missing="skip")
+    assert not res.alpha_gaps and res.al_incomplete == [F.level]
+    with pytest.raises(OracleMissingError) as info:
+        recover(SyntheticOracle(F), G17, F.level, bound=13, on_missing="error")
+    assert info.value.operator.w == F.level
+    assert info.value.detail == "no stored involution sign at 2.1"
+
+
 class RecordingOracle:
     def __init__(self, inner):
         self.inner = inner
