@@ -14,8 +14,10 @@ cProfile:
   each ``workloads.tables_op``.
 - ``run_checks``: the in-process ``verify.run_checks`` on the default bundle.
 
-Inputs are drawn and the bundle is loaded before profiling starts; memoised
-values carry over from one section to the next. The first table has one
+Each section's inputs are drawn, or the bundle loaded, just before that
+section and outside the profiler and the memo counts, so no section reads
+memos that the inputs of a later section warmed; memoised values carry over
+from one section to the next. The first table has one
 column per section and one row per count. Six rows come first: ``ops``,
 ``failed`` (the operations that raised), ``calls`` (every call the profiler
 saw), ``Fraction.__new__`` (every ``Fraction`` built, in the library or the
@@ -44,6 +46,7 @@ import os
 import random
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 ROUNDTRIP_OPS, ROUNDTRIP_SEED = 120, 7
@@ -121,29 +124,34 @@ def main(tree: Path) -> int:
     from iqhecke.bundle import FixtureBundle
 
     warnings.simplefilter("ignore")
-    groups = inputs.sweep_groups()
-    source = inputs.RoundTripSource(groups, random.Random(f"timed:{ROUNDTRIP_SEED}"))
-    trips = [source.next() for _ in range(ROUNDTRIP_OPS)]
-    source = inputs.TableSource(groups, random.Random(f"timed:{TABLE_SEED}"))
-    tables = [source.next() for _ in range(TABLE_OPS)]
-    bundle = FixtureBundle()
-    sections = {
-        "roundtrip": [lambda inp=inp: workloads.roundtrip_op(inp) for inp in trips],
-        "tables": [lambda inp=inp: workloads.tables_op(inp) for inp in tables],
-        "run_checks": [lambda: verify.run_checks(bundle)],
+
+    def draw(op, source, seed: int, n: int) -> list:
+        """n operations op(input), on inputs from source seeded with seed."""
+        source = source(inputs.sweep_groups(), random.Random(f"timed:{seed}"))
+        return [lambda inp=inp: op(inp) for inp in [source.next() for _ in range(n)]]
+
+    def checks() -> list:
+        bundle = FixtureBundle()
+        return [lambda: verify.run_checks(bundle)]
+
+    sections = {  # name -> a function that draws the section's operations
+        "roundtrip": partial(draw, workloads.roundtrip_op, inputs.RoundTripSource,
+                             ROUNDTRIP_SEED, ROUNDTRIP_OPS),
+        "tables": partial(draw, workloads.tables_op, inputs.TableSource, TABLE_SEED, TABLE_OPS),
+        "run_checks": checks,
     }
     library = Path(iqhecke.__file__).parent
     counts = {}
     cached = memos()
-    before = {memo: fn.cache_info() for memo, fn in cached.items()}
     used = {memo: {} for memo in cached}
-    for name, ops in sections.items():
+    for name, draw_ops in sections.items():
+        ops = draw_ops()
+        before = {memo: fn.cache_info() for memo, fn in cached.items()}
         counts[name] = profiled(ops, library)
         for memo, fn in cached.items():
             info = fn.cache_info()
             used[memo][f"{name}.hits"] = info.hits - before[memo].hits
             used[memo][f"{name}.misses"] = info.misses - before[memo].misses
-            before[memo] = info
     functions = sorted({row for section in counts.values() for row in section} - set(FIXED))
     table("count", {row: {name: section.get(row, 0) for name, section in counts.items()}
                     for row in FIXED + tuple(functions)})

@@ -824,7 +824,7 @@ def parse_value(f: ValueField, text: str) -> AlgValue:
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             return _BINARY[type(node.op)](value(node.left), value(node.right))
         if _is_power(node):
-            return _power(value(node.left), node.right.value)
+            return power(value(node.left), node.right.value)
         what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
         raise AlgebraError(f"unsupported {what} in value {text!r}")
 
@@ -850,11 +850,11 @@ def _is_power(node: ast.AST) -> bool:
             and isinstance(node.right, ast.Constant) and type(node.right.value) is int)
 
 
-def _power(v: AlgValue, n: int) -> AlgValue:
+def power(v: AlgValue, n: int) -> AlgValue:
     """v^n for n >= 0, by repeated squaring."""
     if n < 2:
         return v if n else one(v.field)
-    half = _power(v * v, n // 2)
+    half = power(v * v, n // 2)
     return half * v if n & 1 else half
 
 

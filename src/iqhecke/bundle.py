@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import algext
 from .algext import ValueField
-from .characters import order_two_characters
+from .characters import check_reduced, order_two_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, make_eigensystem
@@ -119,9 +119,8 @@ def value_field_from_json(data) -> ValueField:
 def character_from_json(group: ClassGroup, exps: list[int]) -> IdealClass:
     if any(type(e) is not int for e in _checked(exps, list, "character exponents")):
         raise BundleError(f"character exponents {exps} must be integers")
-    if len(exps) != len(group.elementary_divisors):
-        raise BundleError(f"character exponents {exps} do not fit the class group")
-    return IdealClass(tuple(e % d for e, d in zip(exps, group.elementary_divisors)))
+    check_reduced(group, chi := IdealClass(tuple(exps)), error=BundleError)
+    return chi
 
 
 def eigensystem_to_json(F: HeckeEigensystem) -> dict:
@@ -229,16 +228,18 @@ def fixture_oracle_from_json(group: ClassGroup, data: dict) -> tuple[FixtureOrac
 def curve_from_json(K: QuadField, data) -> dict:
     """Check a curve file {"curve", "conductor", "ap": {label: a_p}, "bad_primes":
     {label: {"ap": a, "reduction": "split", "nonsplit" or "additive"}}} and return
-    it: every label names an ideal of K, every a_p and bad-prime a is an integer,
-    and every bad prime divides the conductor."""
+    it: every label names a prime ideal of K, every a_p and bad-prime a is an
+    integer, and every bad prime divides the conductor."""
     _check_field_disc(_checked(data, dict, "a curve file"), K.disc, "curve")
     _get(data, "curve", str, "curve name", None)
     conductor = ideal_from_label(K, _get(data, "conductor", object, "conductor label of a curve"))
-    for lab, a in _get(data, "ap", dict, "curve 'ap'", {}).items():
+    ap, bad = (_get(data, key, dict, f"curve {key!r}", {}) for key in ("ap", "bad_primes"))
+    for lab, a in ap.items():
         if type(a) is not int:
             raise BundleError(f"curve a_p at {lab} is {a!r}, not an integer")
-        ideal_from_label(K, lab)
-    for lab, rec in _get(data, "bad_primes", dict, "curve 'bad_primes'", {}).items():
+    if not_prime := [lab for lab in (*ap, *bad) if not is_prime_ideal(ideal_from_label(K, lab))]:
+        raise BundleError(f"curve labels name ideals that are not prime: {', '.join(not_prime)}")
+    for lab, rec in bad.items():
         _checked(rec, dict, f"bad prime {lab}")
         _get(rec, "ap", int, f"integer 'ap' for bad prime {lab}")
         kind = _get(rec, "reduction", str, f"reduction of bad prime {lab}")

@@ -6,16 +6,16 @@ character is the ``IdealClass`` with exponents e and uses ClassGroup's law.
 The characters of order 2, the genus characters such as chi2 of
 Q(sqrt(-17)), are CL[2] without the identity (``order_two_characters``).
 Where a character is 1 is its kernel, ``character_kernel``, one memoised
-set of classes: the library tests "chi is 1 on these classes" as a subset
-or membership test on it, and reads no value of chi for that.
-Roots of unity are records (``no_sequence``): a tuple underneath, built,
-compared and hashed in C.
+set of classes; the library reads chi = 1 there and chi = -1 on the kernel
+of chi^2 outside it, and no value of chi for either.  A value is a reduced
+pair (k, n), ``RootOfUnity``, with no law of its own: a record
+(``no_sequence``), a tuple underneath, built, compared and hashed in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .classgroup import ClassGroup, IdealClass
@@ -36,16 +36,6 @@ class RootOfUnity(NamedTuple):
         k %= n
         g = gcd(k, n)
         return _new_root((k // g, n // g) if k else (0, 1))
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        n = lcm(self.n, other.n)
-        return RootOfUnity.make(self.k * (n // self.n) + other.k * (n // other.n), n)
-
-    def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity.make(self.k * e, self.n)
-
-    def is_one(self) -> bool:
-        return self.n == 1
 
     def as_sign(self) -> int:
         """The value as +-1; only valid for order <= 2."""
@@ -96,7 +86,7 @@ def eval_on_class(group: ClassGroup, chi: IdealClass, cls: IdealClass) -> RootOf
 def character_kernel(group: ClassGroup, chi: IdealClass) -> frozenset[IdealClass]:
     """The classes where chi is 1, a subgroup of index the order of chi; one
     frozenset per (group, character)."""
-    return frozenset(x for x in group.all_classes() if eval_on_class(group, chi, x).is_one())
+    return frozenset(x for x in group.all_classes() if eval_on_class(group, chi, x).n == 1)
 
 
 def order_two_characters(group: ClassGroup) -> tuple[IdealClass, ...]:

@@ -56,10 +56,7 @@ def root_of_unity_value(f: ValueField, z: RootOfUnity) -> AlgValue | None:
     if s is None:
         return None
     zeta = (algext.from_rational(f, t) + algext.canonical_sign(s)).scale(Fraction(1, 2))
-    out = algext.one(f)
-    for _ in range(z.k):
-        out = out * zeta
-    return out
+    return algext.power(zeta, z.k)
 
 
 @lru_cache(maxsize=None)
@@ -257,20 +254,20 @@ def euler_factor_coefficients(F: HeckeEigensystem, p: Ideal, nmax: int) -> list[
 def twist(F: HeckeEigensystem, psi: IdealClass) -> HeckeEigensystem:
     """F twisted by psi: eigenvalues psi(p) alpha(p) in F's prime order and
     character chi psi^2, after make_eigensystem's checks (_checked_field) and
-    the same check of psi (check_reduced).  psi is read once per class, from
-    its values in the twist's tower: the value is kept where psi(x) = 1,
-    negated where psi(x) = -1 and multiplied by psi(x) elsewhere.  Involution
-    signs survive exactly when chi psi^2 is trivial, each multiplied by
-    psi(q) = +-1 from the same table.  F keeps its stored values lifted into
-    each tower, for every psi that shares the tower."""
+    the same check of psi (check_reduced).  alpha(p) is kept where psi(p) =
+    1 (p's class in the kernel of psi), negated where psi(p) = -1 (in the
+    kernel of psi^2 only) and multiplied by psi(p) from the twist's tower
+    elsewhere.  Involution signs survive exactly when chi psi^2 is trivial,
+    each multiplied by psi(q) = +-1 from the same table.  F keeps its stored
+    values lifted into each tower, for every psi that shares the tower."""
     group = F.group
     check_reduced(group, psi, error=EigensystemError)
-    character = group.mul(F.character, group.power(psi, 2))
+    psi2 = group.power(psi, 2)
+    character = group.mul(F.character, psi2)
     f = character_field(F.vfield, group, psi)
-    one = algext.one(f)
-    minus_one = -one
+    ker, ker2 = character_kernel(group, psi), character_kernel(group, psi2)
     # class x -> 1 or -1 where psi(x) is +-1, else psi(x)
-    action = {x: 1 if z == one else -1 if z == minus_one else z
+    action = {x: 1 if x in ker else -1 if x in ker2 else z
               for x, z in character_values(f, group, psi).items()}
     al = None
     if F.al_signs is not None and character.is_trivial():

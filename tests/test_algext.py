@@ -246,12 +246,19 @@ def test_sqrt_of_minus_a_square_adjoins_i(text):
 
 
 def test_a_value_with_no_square_class_has_no_root_in_any_tower():
-    # 1 + sqrt2 has norm -1, so it is c*u^2 for no rational c, and a tower
-    # that only adjoins square roots of rationals never holds its root
-    v = parse_value(make_value_field(adjoined=[2]), "1 + sqrt2")
-    assert sqrt_in_tower(v) is None
-    with pytest.raises(AlgebraError, match=re.escape("cannot adjoin a square root of 1 + sqrt2")):
-        sqrt_or_adjoin(v)
+    for adjoined, text in [
+        # 1 + sqrt2 has norm -1, so it is c*u^2 for no rational c, and a tower
+        # that only adjoins square roots of rationals never holds its root
+        ([2], "1 + sqrt2"),
+        # v = v0 + sqrt3 has a square relative norm v0^2 - 3 = n^2, n = -13/4 +
+        # 11/4*sqrt2, but 2(v0 + n) = 12(sqrt2 - 1) has norm -144 < 0
+        ([2, 3], "-11/4 + 13/4*sqrt2 + sqrt3"),
+    ]:
+        v = parse_value(make_value_field(adjoined=adjoined), text)
+        assert sqrt_in_tower(v) is None
+        message = f"cannot adjoin a square root of {text}"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            sqrt_or_adjoin(v)
 
 
 def test_canonical_sign():
@@ -513,7 +520,7 @@ def test_nested_powers_are_bounded_before_any_power_is_computed(monkeypatch):
     def no_power(v, n):
         raise AssertionError("a power was computed")
 
-    monkeypatch.setattr(algext, "_power", no_power)
+    monkeypatch.setattr(algext, "power", no_power)
     for field, text in [(Q, "((2^1000)^1000)^100"), (QI2, "((1+sqrt2)^1000)^100"),
                         (Q, "(2^11)^100"), (QI2, "(i * (1+sqrt2)^2 + 1)^501"),
                         (Q, "1 + ((2^0)^5000)^0")]:

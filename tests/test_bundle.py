@@ -254,8 +254,13 @@ def _value_field(**field):
             {"alpha": {"2.1": "1"}, "al": {"3.1": -1}}]}),
          BundleError, "involution signs at level 9.1 name ideals that are not exact prime-power "
          "divisors of the level: 3.1"),
-        (_selftwist_candidates([[1, 2]]), ValueError,
-         "character exponents [1, 2] do not fit the class group"),
+        (_selftwist_candidates([[1, 2]]), BundleError,
+         "character [1, 2] is not a reduced exponent vector for the elementary divisors [4]"),
+        # one spelling per character: an unreduced vector is refused, not reduced
+        (_selftwist_candidates([[6]]), BundleError,
+         "character [6] is not a reduced exponent vector for the elementary divisors [4]"),
+        (_character([5]), BundleError, "character [5] is not a reduced exponent vector"),
+        (_character([-1]), BundleError, "character [-1] is not a reduced exponent vector"),
         (_selftwist_candidates([[1]]), BundleError,
          "self-twist candidates [[1]] must be nontrivial quadratic characters"),
         (_selftwist_candidates([[0]]), BundleError,
@@ -333,6 +338,16 @@ def _value_field(**field):
         (_reduction([5]), BundleError, "reduction of bad prime 7.2 must be a string, not list"),
         (_reduction("x"), BundleError, "reduction 'x' at 7.2 is not split, nonsplit or additive"),
         (_reduction(None), BundleError, "no reduction of bad prime 7.2"),
+        (_edited("dimension_table_68.json", lambda d: d["rows"].append(d["rows"][1])),
+         BundleError, "duplicate dimension row 4.1"),
+        (_edited("hecke_fields_68.json", lambda d: d["rows"][0].update(extra=1)), BundleError,
+         "Hecke-field row 2.1 has keys besides ['level', 'index', 'kf', 'kf_degree', 'kF', "
+         "'kF_degree']"),
+        (_edited("dimension_table_68.json",
+                 lambda d: d["selftwist_records"][0].update(character=[6])),
+         BundleError, "character [6] is not a reduced exponent vector"),
+        (_edited("curve_7.2a2.json", lambda d: d["ap"].update({"9.1": 3})), BundleError,
+         "curve labels name ideals that are not prime: 9.1"),
         (_edited("eigensystems_2.1.json", lambda d: d["systems"][1].update(field_disc=-20)),
          BundleError, "system 'F1' at level 2.1 differs from its table in field_disc or level"),
         (_edited("eigensystems_2.1.json", lambda d: d["systems"][0].update(level="3.1")),
@@ -362,6 +377,22 @@ def test_dimension_table_needs_a_c4_class_group(tmp_path, capsys, d, disc):
         FixtureBundle(tmp_path)
     assert main(["verify", "--bundle", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("schema error: the dimension table follows the C4")
+
+
+def test_an_explicit_selftwist_character_is_read(tmp_path, bundle):
+    target = tmp_path / "bundle"
+    shutil.copytree(DEFAULT_BUNDLE_DIR, target)
+    _edit(target, "dimension_table_68.json",
+          lambda d: [r.update(character=[2]) for r in d["selftwist_records"]])
+    # [2] is the one nontrivial quadratic character, the default
+    assert FixtureBundle(target).newform_records() == bundle.newform_records()
+
+
+def test_an_unknown_system_name_is_an_error(bundle):
+    with pytest.raises(BundleError, match="no eigensystem 'nope' at level 2.1"):
+        bundle.system("2.1", "nope")
+    with pytest.raises(BundleError, match="no eigensystem 'F0' at level 3.1"):
+        bundle.system("3.1", "F0")
 
 
 def test_shipped_selftwist_candidate_is_written_back_unchanged(bundle):

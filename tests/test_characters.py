@@ -30,8 +30,6 @@ from iqhecke.recovery import PrincipalOperator
 
 def test_roots_of_unity():
     i = RootOfUnity.make(1, 4)
-    assert i * i == RootOfUnity.make(1, 2)
-    assert (i**4).is_one()
     assert RootOfUnity.make(5, 10) == RootOfUnity.make(1, 2)
     assert RootOfUnity.make(1, 2).as_sign() == -1
     with pytest.raises(ValueError):
@@ -75,12 +73,10 @@ def test_pairing_nondegenerate():
         chars = character_group(g)
         for cls in g.all_classes():
             if not cls.is_trivial():
-                assert any(not eval_on_class(g, chi, cls).is_one() for chi in chars)
+                assert any(eval_on_class(g, chi, cls).n != 1 for chi in chars)
         for chi in chars:
             if not chi.is_trivial():
-                assert any(
-                    not eval_on_class(g, chi, cls).is_one() for cls in g.all_classes()
-                )
+                assert any(eval_on_class(g, chi, cls).n != 1 for cls in g.all_classes())
 
 
 @pytest.mark.parametrize("d", [17, 21, 105])
@@ -93,7 +89,8 @@ def test_characters_use_the_class_group_law(d):
         for psi in chars:
             prod = g.mul(chi, psi)
             for x in g.all_classes():
-                want = eval_on_class(g, chi, x) * eval_on_class(g, psi, x)
+                a, b = eval_on_class(g, chi, x), eval_on_class(g, psi, x)
+                want = RootOfUnity.make(a.k * b.n + b.k * a.n, a.n * b.n)
                 assert eval_on_class(g, prod, x) == want
 
 
@@ -122,7 +119,7 @@ def test_character_kernel_is_where_the_character_is_one(d):
     g = compute_class_group(make_field(d))
     for chi in character_group(g):
         kernel = character_kernel(g, chi)
-        assert kernel == {x for x in g.all_classes() if eval_on_class(g, chi, x).is_one()}
+        assert kernel == {x for x in g.all_classes() if eval_on_class(g, chi, x).n == 1}
         assert g.h == len(kernel) * character_order(g, chi)
         assert kernel == character_kernel(g, g.inv(chi))
         assert character_kernel(g, chi) is kernel  # one set per (group, character)
@@ -166,9 +163,10 @@ def test_eligible_selftwists(G17, K17):
 
 def test_character_serialization(G17):
     assert character_from_json(G17, [3]) == IdealClass((3,))
-    assert character_from_json(G17, [7]) == IdealClass((3,))
-    with pytest.raises(ValueError):
-        character_from_json(G17, [1, 2])
+    # one spelling per character: an unreduced vector is an error, not reduced
+    for exps in ([7], [-1], [4], [1, 2], []):
+        with pytest.raises(ValueError, match="is not a reduced exponent vector"):
+            character_from_json(G17, exps)
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,12 @@ BELOW_400 = [d for d in range(1, 400) if all(d % (p * p) for p in range(2, 20))]
 STRUCTURES = [*FIELDS.items(), *((d, None) for d in BELOW_400 if d not in FIELDS)]
 
 
+@pytest.mark.parametrize("disc", [5, 0, -1, -6])
+def test_reduced_forms_needs_a_negative_discriminant(disc):
+    with pytest.raises(ClassGroupError, match=f"{disc} is not a negative discriminant"):
+        reduced_forms(disc)
+
+
 @pytest.mark.parametrize("d,divs", STRUCTURES)
 def test_structure(d, divs):
     g = compute_class_group(make_field(d))

@@ -26,6 +26,32 @@ def test_field_command(capsys):
     assert code == 0 and "C2 x C2" in out and "r2 = 2" in out
 
 
+# d -> (h, elementary divisors, generators, r2) for the sweep fields
+FIELD_JSON = {
+    1: (1, [], [], 0),
+    5: (2, [2], [[2, 2, 3]], 1),
+    23: (3, [3], [[2, -1, 3]], 0),
+    17: (4, [4], [[3, 2, 6]], 1),
+    21: (4, [2, 2], [[2, 2, 11], [3, 0, 7]], 2),
+    14: (4, [4], [[3, -2, 5]], 1),
+    65: (8, [2, 4], [[2, 2, 33], [3, -2, 22]], 2),
+    105: (8, [2, 2, 2], [[2, 2, 53], [3, 0, 35], [5, 0, 21]], 3),
+}
+
+
+@pytest.mark.parametrize("d", FIELD_JSON)
+def test_field_command_json(capsys, d):
+    h, divisors, generators, r2 = FIELD_JSON[d]
+    code, out, _ = run_cli(capsys, "field", str(d), "--json")
+    assert code == 0
+    disc = -d if d % 4 == 3 else -4 * d
+    assert json.loads(out) == {
+        "d": d, "disc": disc,
+        "class_group": {"h": h, "elementary_divisors": divisors, "generators": generators},
+        "n_characters": h, "n_quadratic_characters": 2**r2, "r2": r2,
+    }
+
+
 def test_field_command_rejects_bad_input(capsys):
     code, _, err = run_cli(capsys, "field", "12")
     assert code == 2 and "squarefree" in err
@@ -261,6 +287,41 @@ def test_compare_ap_command(capsys):
     assert "bad prime 7.2" in out and "agree" in out
 
 
+def test_compare_ap_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "compare-ap", "--field", "17",
+        "--eigensystem", str(DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json"),
+        "--name", "a",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"), "--json",
+    )
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert list(report) == ["curve", "level", "matched", "mismatched", "missing",
+                            "bad_primes", "ok"]
+    assert report["curve"] == "2.0.68.1-7.2-a2" and report["level"] == "7.2"
+    curve = json.loads((DEFAULT_BUNDLE_DIR / "curve_7.2a2.json").read_text())
+    assert sorted(report["matched"]) == sorted(curve["ap"])
+    assert report["mismatched"] == [] and report["missing"] == []
+    assert report["bad_primes"] == [
+        {"prime": "7.2", "ok": True, "detail": "eps=+1, curve a=+1 (nonsplit)"}]
+
+
+def test_compare_ap_rejects_an_unknown_name_in_a_table_file(capsys):
+    code, out, err = run_cli(
+        capsys, "compare-ap", "--field", "17",
+        "--eigensystem", str(DEFAULT_BUNDLE_DIR / "eigensystems_7.2.json"), "--name", "nope",
+        "--curve", str(DEFAULT_BUNDLE_DIR / "curve_7.2a2.json"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: no system named 'nope' at level 7.2\n"
+
+
+def test_compare_ap_skips_primes_that_divide_the_level(bundle):
+    F = bundle.system("7.2", "a")
+    cmp = verify.compare_ap(F, {"conductor": "7.2", "ap": {"7.2": 5, "3.1": -2}})
+    assert cmp.matched == ["3.1"] and not cmp.mismatched and not cmp.missing and cmp.ok
+
+
 def test_compare_ap_detects_mismatch(capsys, tmp_path):
     curve = json.loads((DEFAULT_BUNDLE_DIR / "curve_7.2a2.json").read_text())
     curve["ap"]["11.1"] = 5
@@ -320,6 +381,12 @@ def _without_bad_prime_ap(curve):
         (_without_bad_prime_ap, "no integer 'ap'"),
         (lambda curve: curve["ap"].update({"3.1": "-2"}), "not an integer"),
         (lambda curve: curve["ap"].update({"3.9": 1}), "no ideal with label '3.9'"),
+        # 9.1, the square of a prime over 3, is no prime: an input error, not a
+        # missing eigenvalue
+        (lambda curve: curve["ap"].update({"9.1": 3}),
+         "curve labels name ideals that are not prime: 9.1"),
+        (lambda curve: curve["bad_primes"].update({"49.2": {"ap": 1, "reduction": "split"}}),
+         "curve labels name ideals that are not prime: 49.2"),
         (lambda curve: curve["bad_primes"].update({"2.1": {"ap": 1, "reduction": "split"}}),
          "does not divide"),
         (lambda curve: curve.pop("conductor"), "conductor"),

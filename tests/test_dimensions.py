@@ -8,6 +8,7 @@ from iqhecke.classgroup import IdealClass, compute_class_group
 from iqhecke.dimensions import (
     DimensionError,
     _cover,
+    _shape_options,
     DimensionRow,
     NewformRecord,
     newspace_dims,
@@ -151,6 +152,18 @@ def test_sigma0_vs_multiplicity_bound(G17, K17):
         # chi2 is +1 exactly on CL^2: the multiplicity counts those divisors
         passing = [d for d in divisors(n) if G17.ideal_class(d) in G17.squares()]
         assert mult == len(passing) >= 1  # the divisor (1) always passes
+
+
+def test_shape_options_follow_the_pin_then_the_selftwist(K17):
+    chi2 = IdealClass((2,))
+    for side, d in (("plus", 3), ("minus", 6)):
+        plain = NewformRecord(level=unit_ideal(K17), side=side, degree=3)
+        assert _shape_options(plain) == {"split": (d, d), "joined": (2 * d,)}
+        # a self-twist with no pinned shape may only be a self-twist orbit
+        assert _shape_options(replace(plain, selftwist=chi2)) == {"selftwist": (d,)}
+        # a pinned shape wins
+        pinned = replace(plain, selftwist=chi2, shape="joined")
+        assert _shape_options(pinned) == {"joined": (2 * d,)}
 
 
 def _cover_by_brute_force(entries, blocks):

@@ -99,6 +99,12 @@ def test_ideal_mul_agrees_with_the_ideal_generated_by_the_products(d):
         assert ideal_mul(i, j) == ideal_from_gens(K, prods)
 
 
+def test_ideal_from_gens_rejects_the_zero_module(K17):
+    for gens in ([], [(0, 0)], [(0, 0), (0, 0)]):
+        with pytest.raises(QuadFieldError, match="zero module"):
+            ideal_from_gens(K17, gens)
+
+
 def test_prime_splitting_examples(K17):
     rec3 = factor_rational_prime(K17, 3)
     assert rec3.kind == "split"

@@ -119,6 +119,8 @@ def test_fixture_recovery_strict_mode_raises(G17, K17):
     oracle, level = load_oracle(G17)
     with pytest.raises(OracleMissingError):
         recover(oracle, G17, level, bound=13, on_missing="error")
+    with pytest.raises(RecoveryError, match="bad on_missing='ignore'"):
+        recover(oracle, G17, level, bound=13, on_missing="ignore")
 
 
 def test_synthetic_oracle_answers_principal_operators(bundle, G17, K17):
