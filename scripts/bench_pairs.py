@@ -20,9 +20,12 @@ the number of pairs in which the change read better. A metric's summary
 has ``over_bound: true`` when the change's median is worse than the parent's
 by more than the metric's ``bound`` in ``BENCHMARK.json``, a share of the
 parent's median (0.25: a quarter lower for a higher-is-better metric, a
-quarter higher for a lower-is-better one). ``failed`` holds each side's
-failed operations, summed over its runs. The script prints one line per
-workload that names every metric over its bound. ``call_counts`` holds the
+quarter higher for a lower-is-better one), and ``unresolved: true`` when
+the parent's own q3 - q1 exceeds ``bound`` times its median, so that the
+runs spread too widely to tell, unless every change run reads better than
+every parent run. ``failed`` holds each side's failed operations, summed
+over its runs. The script prints one line per workload that names every
+metric over its bound and every unresolved one. ``call_counts`` holds the
 deterministic counts of ``scripts/call_counts.py`` for both trees (the
 change's script runs on each tree's library), ``{row: {section: n}}`` with
 its memo table under ``"memos"``. ``setup_cpu`` holds, per
@@ -34,7 +37,10 @@ child environment (``PYTHONHASHSEED=0``, the tree's ``src`` first on
 ``PYTHONPATH``). Unlike the wall time ``setup_s``, CPU time leaves out the
 time a process waits for a CPU. ``--claim tables.ops_per_kref``
 names the metric the change claims to improve; it is copied into ``claim``
-with its summary. A run that exits nonzero or reports ``correct: false``
+with its summary and ``met``, which the script prints after the bound
+lines: true only when the change read better in at least 9 of every 10
+pairs (a tie counts for neither side) and its median beats the parent's by
+more than the parent's q3 - q1. A run that exits nonzero or reports ``correct: false``
 stops the script. When a workload's ``setup_s`` is over its bound, its line
 also prints the ``setup_cpu`` medians of the ``ready.py`` target that
 ``setup_s`` times there (``sweep`` for roundtrip and tables, ``cli`` for
@@ -218,6 +224,11 @@ def summarise(pairs: list, metrics: dict) -> dict:
                   for p, c in zip(side["parent"], side["change"]))
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         worse_by = change - parent if better == "lower" else parent - change
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+        if better == "lower":
+            separated = max(side["change"]) < min(side["parent"])
+        else:
+            separated = min(side["change"]) > max(side["parent"])
         summary[key] = {
             "better": better,
             **stats,
@@ -225,8 +236,30 @@ def summarise(pairs: list, metrics: dict) -> dict:
             "change_better_in": f"{won}/{len(pairs)}",
             "bound": spec["bound"],
             "over_bound": worse_by > spec["bound"] * parent,
+            "unresolved": spread > spec["bound"] * parent and not separated,
         }
     return summary
+
+
+def claim(summary: dict, key: str) -> dict:
+    """The claimed metric's summary with ``met``: true when the change read
+    better in at least 9 of every 10 pairs and its median beats the parent's
+    by more than the parent's q3 - q1."""
+    row = summary[key]
+    won, pairs = map(int, row["change_better_in"].split("/"))
+    parent, change = row["parent"], row["change"]["median"]
+    gain = parent["median"] - change if row["better"] == "lower" else change - parent["median"]
+    return {"metric": key, **row,
+            "met": 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]}
+
+
+def claim_line(entry: dict) -> str:
+    """The verdict on a ``claim`` entry, with the figures it rests on."""
+    parent = entry["parent"]
+    spread = round(parent["q3"] - parent["q1"], 6)
+    return (f"claim {entry['metric']}: {'met' if entry['met'] else 'not met'} (better in "
+            f"{entry['change_better_in']} pairs; median {parent['median']} -> "
+            f"{entry['change']['median']}, parent q3 - q1 {spread})")
 
 
 def failed_totals(pairs: list) -> dict:
@@ -237,13 +270,20 @@ def failed_totals(pairs: list) -> dict:
 
 
 def bound_lines(summary: dict, cpu: dict | None = None) -> list[str]:
-    """One line per workload naming every metric over its bound; a ``setup_s``
-    over its bound also names the ``setup_cpu`` medians (cpu, as in the
-    output file), parent -> change, of the ready.py target that it times."""
+    """One line per workload naming every metric over its bound, then every
+    unresolved one; a ``setup_s`` over its bound also names the ``setup_cpu``
+    medians (cpu, as in the output file), parent -> change, of the ready.py
+    target that it times."""
     workloads: dict[str, list[str]] = {}
+    unresolved: dict[str, list[str]] = {}
     for key, row in summary.items():
         workload, name = key.rsplit(".", 1)
         over = workloads.setdefault(workload, [])
+        if row["unresolved"]:
+            parent = row["parent"]
+            spread = round((parent["q3"] - parent["q1"]) / parent["median"], 3)
+            unresolved.setdefault(workload, []).append(
+                f"{name} (parent q3 - q1 {spread}x its median, bound {row['bound']})")
         if row["over_bound"]:
             text = f"{name} ({row['change_over_parent']}x the parent, bound {row['bound']}"
             target = SETUP_TARGET_OF.get(workload)
@@ -251,7 +291,9 @@ def bound_lines(summary: dict, cpu: dict | None = None) -> list[str]:
                 medians = [cpu[target][side]["median"] for side in ("parent", "change")]
                 text += f"; setup_cpu {target} {medians[0]} -> {medians[1]} s"
             over.append(text + ")")
-    return [f"{w}: over its bound: {', '.join(over)}" if over else f"{w}: no metric over its bound"
+    return [(f"{w}: over its bound: {', '.join(over)}" if over
+             else f"{w}: no metric over its bound")
+            + (f"; unresolved: {', '.join(unresolved[w])}" if w in unresolved else "")
             for w, over in workloads.items()]
 
 
@@ -298,7 +340,7 @@ def main() -> int:
             "over the runs of each side (statistics.quantiles, n=4). 'change_better_in' "
             "counts the pairs in which the change read better than the parent on that seed."
         ),
-        "claim": args.claim and {"metric": args.claim, **summary[args.claim]},
+        "claim": args.claim and claim(summary, args.claim),
         "summary": summary,
         "failed": failed_totals(pairs),
         "setup_cpu": {
@@ -318,6 +360,8 @@ def main() -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for line in bound_lines(summary, result["setup_cpu"]):
         print(line)
+    if result["claim"]:
+        print(claim_line(result["claim"]))
     lines = result["library_lines"]
     print(f"library: {lines['parent']} -> {lines['change']} lines (wc -l src/iqhecke/*.py)")
     for name, counts in result["library_lines_by_module"].items():

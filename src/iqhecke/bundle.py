@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import algext
 from .algext import ValueField
-from .characters import check_reduced, order_two_characters
+from .characters import check_reduced, check_selftwist, order_two_characters
 from .classgroup import ClassGroup, IdealClass, compute_class_group
 from .dimensions import C4, DimensionRow, NewformRecord
 from .eigensystem import HeckeEigensystem, make_eigensystem
@@ -97,12 +97,14 @@ def value_field_to_json(f: ValueField) -> dict:
 
 
 def _rational(c, what: str) -> Fraction:
-    """A coefficient written as a JSON number or a fraction string such as "1/2"."""
-    if type(c) not in (int, float, str):
-        raise BundleError(f"{what} coefficient {c!r} must be a number or a fraction string")
+    """A coefficient written as a JSON integer or a fraction string such as
+    "1/2"; a float is refused, as its binary value is not the decimal written."""
+    if type(c) not in (int, str):
+        raise BundleError(f'{what} coefficient {c!r} must be an integer or a fraction string'
+                          ' such as "1/10"')
     try:
         return Fraction(c)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         raise BundleError(f"{what} coefficient {c!r} is not a rational number") from None
 
 
@@ -159,18 +161,9 @@ def eigensystem_from_json(group: ClassGroup, data: dict) -> HeckeEigensystem:
     if stray := [label(q) for q in al_map or () if q not in exact_prime_power_divisors(level)]:
         raise BundleError(f"involution signs {at} name ideals that are not exact prime-power "
                           f"divisors of the level: {', '.join(stray)}")
-    st = _get(data, "selftwist", (dict, None), f"selftwist {at}", None)
-    cands = None if st is None else _get(st, "possible", list, "possible", None)
-    if cands is not None:
-        cands = [character_from_json(group, e) for e in cands]
-        # a self-twist psi has order 2: psi^2 = 1 and psi is not trivial
-        if any(c not in order_two_characters(group) for c in cands):
-            raise BundleError(
-                f"self-twist candidates {st['possible']} must be nontrivial quadratic characters"
-            )
-    return make_eigensystem(
-        group, level, chi, alpha, al_map, vfield=f, selftwist_candidates=cands
-    )
+    st = _get(data, "selftwist", (dict, None), f"selftwist {at}", None) or {}
+    cands = [character_from_json(group, e) for e in _get(st, "possible", list, "possible", [])]
+    return make_eigensystem(group, level, chi, alpha, al_map, vfield=f, selftwist_candidates=cands)
 
 
 def systems_from_json(group: ClassGroup, data: dict) -> dict[str, HeckeEigensystem]:
@@ -356,7 +349,8 @@ class FixtureBundle:
 
     def _selftwist_record(self, i: int, data) -> tuple[str, str, int, IdealClass]:
         """(level, side, degree, character) from {"level", "side", "degree",
-        "character"?}; without a character it is the one nontrivial quadratic."""
+        "character"?}: a character given must pass check_selftwist, and one
+        left out is the group's only nontrivial quadratic character."""
         what = f"self-twist record {i}"
         level = _get(_checked(data, dict, what), "level", object, f"level of {what}")
         ideal_from_label(self.field, level)
@@ -365,7 +359,8 @@ class FixtureBundle:
             raise BundleError(f"{what} needs side plus or minus, not {side!r}")
         record = level, side, _get(data, "degree", int, f"integer degree of {what}")
         if "character" in data:
-            return (*record, character_from_json(self.group, data["character"]))
+            psi = character_from_json(self.group, data["character"])
+            return (*record, check_selftwist(self.group, psi, BundleError))
         cands = order_two_characters(self.group)
         if len(cands) != 1:
             raise BundleError("self-twist record needs an explicit character")

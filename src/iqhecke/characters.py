@@ -4,7 +4,8 @@ The pinned generators identify CL with its dual: the character with exponent
 vector e sends the i-th generator (of order d_i) to zeta_{d_i}^{e_i}, so a
 character is the ``IdealClass`` with exponents e and uses ClassGroup's law.
 The characters of order 2, the genus characters such as chi2 of
-Q(sqrt(-17)), are CL[2] without the identity (``order_two_characters``).
+Q(sqrt(-17)), are CL[2] without the identity (``order_two_characters``),
+and a self-twist character is one of them (``check_selftwist``).
 Where a character is 1 is its kernel, ``character_kernel``, one memoised
 set of classes; the library reads chi = 1 there and chi = -1 on the kernel
 of chi^2 outside it, and no value of chi for either.  A value is a reduced
@@ -93,6 +94,14 @@ def order_two_characters(group: ClassGroup) -> tuple[IdealClass, ...]:
     """The characters of order exactly 2, with values in {+-1} and not
     trivial, in character_group order: CL[2] without the identity."""
     return group.two_torsion()[1:]
+
+
+def check_selftwist(group: ClassGroup, psi: IdealClass, error: type = ValueError) -> IdealClass:
+    """psi; an error of the given type unless psi is a nontrivial quadratic character."""
+    if psi not in order_two_characters(group):
+        raise error(f"self-twist character {list(psi.exps)} is not a nontrivial quadratic"
+                    f" character for the elementary divisors {list(group.elementary_divisors)}")
+    return psi
 
 
 def eligible_selftwists(group: ClassGroup, n: Ideal) -> list[IdealClass]:

@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .characters import character_kernel, order_two_characters
+from .characters import character_kernel, check_selftwist
 from .classgroup import ClassGroup, IdealClass
 from .quadfield import (
     Ideal,
@@ -81,10 +81,7 @@ def oldclass_principal_multiplicity(
         raise DimensionError(f"{label(m)} does not divide {label(n)}")
     if record.selftwist is None:
         return sigma0_quotient(n, m)
-    psi = record.selftwist
-    if psi not in order_two_characters(group):
-        raise DimensionError("self-twist character must be quadratic and nontrivial")
-    kernel = character_kernel(group, psi)
+    kernel = character_kernel(group, check_selftwist(group, record.selftwist, DimensionError))
     return sum(group.ideal_class(d) in kernel for d in divisors(ideal_div_exact(n, m)))
 
 

@@ -29,6 +29,7 @@ from .characters import (
     character_group,
     character_kernel,
     check_reduced,
+    check_selftwist,
     eligible_selftwists,
     eval_on_class,
     order_two_characters,
@@ -144,22 +145,18 @@ def make_eigensystem(
     selftwist_candidates=None,
 ) -> HeckeEigensystem:
     """Normalize and validate the pieces of an eigensystem; every value of
-    alpha lifts into vfield (grown by the character's values)."""
+    alpha lifts into vfield (grown by the character's values), and every
+    self-twist candidate passes check_selftwist."""
     f = _checked_field(group, character, vfield, None if al_signs is None else al_signs.items())
     lifted = {p: v if v.field is f else lift(v, f) for p, v in alpha.items()}
     al = None
     if al_signs is not None:
         al = tuple(sorted(al_signs.items(), key=lambda qs: label_key(qs[0])))
     cands = tuple(selftwist_candidates) if selftwist_candidates else None
-    return HeckeEigensystem(
-        group=group,
-        level=level,
-        character=character,
-        alpha=tuple(sorted(lifted.items(), key=lambda pv: label_key(pv[0]))),
-        al_signs=al,
-        vfield=f,
-        selftwist_candidates=cands,
-    )
+    for psi in cands or ():
+        check_selftwist(group, psi, EigensystemError)
+    by_label = tuple(sorted(lifted.items(), key=lambda pv: label_key(pv[0])))
+    return HeckeEigensystem(group, level, character, by_label, al, f, cands)
 
 
 def _checked_field(group: ClassGroup, character: IdealClass, f: ValueField, al_signs) -> ValueField:

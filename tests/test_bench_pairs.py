@@ -54,6 +54,7 @@ def test_over_bound_only_past_the_bound(name, parent, at, past):
         assert row["change_over_parent"] == round(change / parent, 5)
         assert row["change_better_in"] == "0/3"
         assert row["bound"] == 0.25 and row["better"] == METRICS[name]["better"]
+        assert row["unresolved"] is False  # the parent's runs do not spread at all
 
 
 @pytest.mark.parametrize("name", ["p50_ref", "ops_per_kref"])
@@ -66,6 +67,56 @@ def test_ties_count_for_neither_side(name):
         assert row["change_better_in"] == "1/4"
 
 
+@pytest.mark.parametrize(
+    "name, parent, change, unresolved",
+    [
+        # the parent's q3 - q1 is 50, over 0.25 x its median 110
+        ("p50_ref", [80, 100, 120, 140], [100, 105, 110, 115], True),
+        ("p50_ref", [80, 100, 120, 140], [79, 70, 75, 78], False),  # every change run is better
+        ("p50_ref", [80, 100, 120, 140], [79, 70, 80, 78], True),  # one tie with a parent run
+        ("p50_ref", [100, 101, 102, 103], [200, 300, 400, 500], False),  # the parent is tight
+        ("ops_per_kref", [80, 100, 120, 140], [130, 150, 160, 170], True),
+        ("ops_per_kref", [80, 100, 120, 140], [150, 160, 170, 141], False),
+    ],
+)
+def test_unresolved_when_the_parent_spreads_past_the_bound(name, parent, change, unresolved):
+    key = f"tables.{name}"
+    row = bench_pairs.summarise(_pairs(key, parent, change), METRICS)[key]
+    assert row["unresolved"] is unresolved
+
+
+@pytest.mark.parametrize(
+    "name, sign, worse_pairs, ties, shift, met",
+    [
+        ("p50_ref", -1, 0, 0, 10, True),
+        ("p50_ref", -1, 1, 0, 10, True),  # better in 9 of 10 pairs
+        ("p50_ref", -1, 2, 0, 10, False),  # better in 8 of 10
+        ("p50_ref", -1, 0, 1, 10, True),
+        ("p50_ref", -1, 0, 2, 10, False),  # a tie counts for neither side
+        ("p50_ref", -1, 0, 0, 5, False),  # better in every pair, by less than q3 - q1 = 5.5
+        ("ops_per_kref", 1, 0, 0, 10, True),
+        ("ops_per_kref", 1, 2, 0, 10, False),
+        ("ops_per_kref", 1, 0, 0, 5, False),
+    ],
+)
+def test_claim_is_met_in_nine_of_ten_pairs_by_more_than_the_parent_spread(
+        name, sign, worse_pairs, ties, shift, met):
+    key = f"roundtrip.{name}"
+    parent = [100 + i for i in range(10)]  # median 104.5, q1 101.75, q3 107.25
+    change = [p + sign * shift for p in parent]
+    for i in range(worse_pairs):
+        change[i] = parent[i] - sign
+    for i in range(worse_pairs, worse_pairs + ties):
+        change[i] = parent[i]
+    entry = bench_pairs.claim(bench_pairs.summarise(_pairs(key, parent, change), METRICS), key)
+    assert entry["metric"] == key and entry["met"] is met
+    assert entry["change_better_in"] == f"{10 - worse_pairs - ties}/10"
+    verdict = "met" if met else "not met"
+    assert bench_pairs.claim_line(entry) == (
+        f"claim {key}: {verdict} (better in {entry['change_better_in']} pairs; median 104.5 -> "
+        f"{entry['change']['median']}, parent q3 - q1 5.5)")
+
+
 def test_bound_lines_wording():
     summary = {
         "roundtrip.p50_ref": {"over_bound": True, "change_over_parent": 1.3, "bound": 0.25},
@@ -73,6 +124,7 @@ def test_bound_lines_wording():
         "roundtrip.peak_rss_mb": {"over_bound": False, "change_over_parent": 1.05, "bound": 0.1},
         "tables.p50_ref": {"over_bound": False, "change_over_parent": 1.2, "bound": 0.25},
     }
+    summary = {key: {**row, "unresolved": False} for key, row in summary.items()}
     assert bench_pairs.bound_lines(summary) == [
         "roundtrip: over its bound: p50_ref (1.3x the parent, bound 0.25), "
         "ops_per_kref (0.7x the parent, bound 0.25)",
@@ -86,6 +138,7 @@ def test_bound_lines_wording():
         "verify.setup_s": {"over_bound": True, "change_over_parent": 1.3, "bound": 0.25},
         "roundtrip.setup_s": {"over_bound": False, "change_over_parent": 0.9, "bound": 0.25},
     }
+    setup = {key: {**row, "unresolved": False} for key, row in setup.items()}
     assert bench_pairs.bound_lines(setup, cpu) == [
         "tables: over its bound: setup_s (1.26x the parent, bound 0.25; "
         "setup_cpu sweep 0.09 -> 0.088 s)",
@@ -95,6 +148,19 @@ def test_bound_lines_wording():
     ]
     assert bench_pairs.bound_lines(setup)[0] == (
         "tables: over its bound: setup_s (1.26x the parent, bound 0.25)")
+    # an unresolved row is named after the metrics over their bound
+    spread = {"parent": {"median": 100, "q1": 80, "q3": 120}}
+    summary["roundtrip.setup_s"] = {"over_bound": False, "unresolved": True, "bound": 0.25,
+                                    **spread}
+    summary["tables.p90_ref"] = {"over_bound": False, "unresolved": True, "bound": 0.25,
+                                 **spread}
+    assert bench_pairs.bound_lines(summary) == [
+        "roundtrip: over its bound: p50_ref (1.3x the parent, bound 0.25), "
+        "ops_per_kref (0.7x the parent, bound 0.25); "
+        "unresolved: setup_s (parent q3 - q1 0.4x its median, bound 0.25)",
+        "tables: no metric over its bound; "
+        "unresolved: p90_ref (parent q3 - q1 0.4x its median, bound 0.25)",
+    ]
 
 
 def test_failed_totals_sum_each_side():

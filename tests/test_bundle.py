@@ -2,12 +2,20 @@ import functools
 import json
 import re
 import shutil
+from fractions import Fraction
 
 import pytest
 
 from iqhecke.algext import AlgebraError
-from iqhecke.bundle import DEFAULT_BUNDLE_DIR, BundleError, FixtureBundle, eigensystem_to_json
+from iqhecke.bundle import (
+    DEFAULT_BUNDLE_DIR,
+    BundleError,
+    FixtureBundle,
+    eigensystem_to_json,
+    value_field_from_json,
+)
 from iqhecke.cli import main
+from iqhecke.eigensystem import EigensystemError
 from iqhecke.quadfield import QuadFieldError, label, principal_ideal
 from iqhecke.verify import run_checks
 
@@ -219,6 +227,23 @@ def _value_field(**field):
     return _edited("eigensystems_2.1.json", lambda d: d["systems"][0]["field"].update(field))
 
 
+def _remove(name):
+    def breakage(target):
+        (target / name).unlink()
+    return breakage
+
+
+def _remove_bundle(target):
+    shutil.rmtree(target)
+
+
+def _class_group_pin(**pin):
+    return _edited("field_68.json", lambda d: d["class_group"].update(pin))
+
+
+SELFTWIST_RULE = "is not a nontrivial quadratic character for the elementary divisors [4]"
+
+
 @pytest.mark.parametrize(
     "breakage, error, message",
     [
@@ -261,10 +286,17 @@ def _value_field(**field):
          "character [6] is not a reduced exponent vector for the elementary divisors [4]"),
         (_character([5]), BundleError, "character [5] is not a reduced exponent vector"),
         (_character([-1]), BundleError, "character [-1] is not a reduced exponent vector"),
-        (_selftwist_candidates([[1]]), BundleError,
-         "self-twist candidates [[1]] must be nontrivial quadratic characters"),
-        (_selftwist_candidates([[0]]), BundleError,
-         "self-twist candidates [[0]] must be nontrivial quadratic characters"),
+        # a self-twist is a nontrivial quadratic character (check_selftwist)
+        (_selftwist_candidates([[1]]), EigensystemError,
+         f"self-twist character [1] {SELFTWIST_RULE}"),
+        (_selftwist_candidates([[2], [0]]), EigensystemError,
+         f"self-twist character [0] {SELFTWIST_RULE}"),
+        (_edited("dimension_table_68.json",
+                 lambda d: d["selftwist_records"][0].update(character=[1])),
+         BundleError, f"self-twist character [1] {SELFTWIST_RULE}"),
+        (_edited("dimension_table_68.json",
+                 lambda d: d["selftwist_records"][1].update(character=[0])),
+         BundleError, f"self-twist character [0] {SELFTWIST_RULE}"),
         (_write("oracle_2.1.json", [1]), BundleError,
          "oracle_2.1.json must be an object, not list"),
         (_write("oracle_2.1.json", {"level": "2.1", "values": [1]}), BundleError,
@@ -293,25 +325,30 @@ def _value_field(**field):
         (_character([None]), BundleError, "character exponents [None] must be integers"),
         (_character([True]), BundleError, "character exponents [True] must be integers"),
         (_value_field(minpoly=[None, 1]), BundleError,
-         "minpoly coefficient None must be a number or a fraction string"),
+         'minpoly coefficient None must be an integer or a fraction string such as "1/10"'),
         (_value_field(minpoly=[False, True]), BundleError,
-         "minpoly coefficient False must be a number or a fraction string"),
+         'minpoly coefficient False must be an integer or a fraction string such as "1/10"'),
         (_value_field(minpoly=[[0], 1]), BundleError,
-         "minpoly coefficient [0] must be a number or a fraction string"),
+         'minpoly coefficient [0] must be an integer or a fraction string such as "1/10"'),
         (_value_field(minpoly=["1/0", 1]), BundleError,
          "minpoly coefficient '1/0' is not a rational number"),
         (_value_field(adjoined=[None]), BundleError,
-         "adjoined coefficient None must be a number or a fraction string"),
+         'adjoined coefficient None must be an integer or a fraction string such as "1/10"'),
         (_value_field(adjoined=[{}]), BundleError,
-         "adjoined coefficient {} must be a number or a fraction string"),
+         'adjoined coefficient {} must be an integer or a fraction string such as "1/10"'),
         (_value_field(adjoined=[[[2]]]), BundleError,
-         "adjoined coefficient [2] must be a number or a fraction string"),
+         'adjoined coefficient [2] must be an integer or a fraction string such as "1/10"'),
+        # a float is not read: 0.1 is a binary fraction near 1/10, not 1/10
+        (_value_field(minpoly=[-1, -4, 0, 1], adjoined=[[0.1, 1, 0]]), BundleError,
+         'adjoined coefficient 0.1 must be an integer or a fraction string such as "1/10"'),
+        (_value_field(minpoly=[0.5, 1]), BundleError,
+         'minpoly coefficient 0.5 must be an integer or a fraction string such as "1/10"'),
         (_value_field(adjoined=[-2, -1, 2]), AlgebraError,
          "radicand 2 is a square in Q(sqrtm2, i), so the tower is not a field"),
         (_value_field(minpoly=[-2, 0, 1], adjoined=[[3, 2]]), AlgebraError,
          "radicand 3 + 2*a is a square in Q(a), deg 2, so the tower is not a field"),
         (_edited("oracle_2.1.json", lambda d: d["field"].update(adjoined=[True])), BundleError,
-         "adjoined coefficient True must be a number or a fraction string"),
+         'adjoined coefficient True must be an integer or a fraction string such as "1/10"'),
         (_edited("eigensystems_7.2.json", lambda d: d["systems"][0].pop("alpha")), BundleError,
          "no alpha at level 7.2"),
         (_edited("oracle_2.1.json", lambda d: d["values"][0].pop("value")), BundleError,
@@ -354,6 +391,17 @@ def _value_field(**field):
          BundleError, "system 'F0' at level 2.1 differs from its table in field_disc or level"),
         (_write_text("eigensystems_2.1.json", "[" * 100_000), BundleError,
          "eigensystems_2.1.json is not JSON"),
+        (_remove("field_68.json"), BundleError, "bundle has no field descriptor"),
+        (_class_group_pin(elementary_divisors=[2, 2]), BundleError,
+         "elementary-divisor pin does not match"),
+        (_class_group_pin(generators=[[3, -2, 6]]), BundleError,
+         "generator pin does not match the computed group"),
+        (_edited("hecke_fields_68.json", lambda d: d["rows"][0].update(kF_degree=3)),
+         BundleError, "Hecke-field row 2.1#1: degree 3 is neither d nor 2d for d = 1"),
+        (_edited("curve_7.2a2.json",
+                 lambda d: d["bad_primes"].update({"3.1": d["bad_primes"].pop("7.2")})),
+         BundleError, "bad prime 3.1 does not divide the conductor 7.2"),
+        (_remove_bundle, BundleError, "does not exist"),
     ],
 )
 def test_broken_or_ambiguous_bundle_is_schema_error(tmp_path, capsys, breakage, error, message):
@@ -386,6 +434,12 @@ def test_an_explicit_selftwist_character_is_read(tmp_path, bundle):
           lambda d: [r.update(character=[2]) for r in d["selftwist_records"]])
     # [2] is the one nontrivial quadratic character, the default
     assert FixtureBundle(target).newform_records() == bundle.newform_records()
+
+
+def test_a_fraction_string_coefficient_is_read_exactly():
+    # the exact spelling of the coefficient that a JSON float 0.1 would misread
+    f = value_field_from_json({"minpoly": [-1, -4, 0, 1], "adjoined": [["1/10", 1, 0]]})
+    assert f.adjoined == ((Fraction(1, 10), 1, 0),)
 
 
 def test_an_unknown_system_name_is_an_error(bundle):

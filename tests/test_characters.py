@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from iqhecke import algext
@@ -7,6 +9,7 @@ from iqhecke.characters import (
     character_group,
     character_kernel,
     character_order,
+    check_selftwist,
     eligible_selftwists,
     eval_on_class,
     order_two_characters,
@@ -129,6 +132,25 @@ def test_quadratic_character_count():
     for d in (1, 5, 14, 17, 21, 23, 65, 105):
         g = compute_class_group(make_field(d))
         assert 1 + len(order_two_characters(g)) == 1 << g.r2
+
+
+@pytest.mark.parametrize("d", [17, 5, 21, 47])  # C4, C2, C2 x C2, C5
+def test_check_selftwist_admits_exactly_the_nontrivial_quadratic_characters(d):
+    g = compute_class_group(make_field(d))
+
+    class Refused(ValueError):
+        pass
+
+    for psi in character_group(g):
+        if g.power(psi, 2) == g.identity() and not psi.is_trivial():
+            assert check_selftwist(g, psi, Refused) is psi
+            continue
+        message = (f"self-twist character {list(psi.exps)} is not a nontrivial quadratic"
+                   f" character for the elementary divisors {list(g.elementary_divisors)}")
+        with pytest.raises(Refused, match=re.escape(message)):
+            check_selftwist(g, psi, Refused)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_selftwist(g, psi)
 
 
 def test_eval_with_level_zero_convention(bundle, K17):

@@ -121,10 +121,11 @@ def test_recover_reports_an_oracle_file_of_the_wrong_shape(capsys, tmp_path, tex
 @pytest.mark.parametrize(
     "field, message",
     [
-        ({"minpoly": [None, 1]}, "minpoly coefficient None must be a number"),
-        ({"minpoly": [False, True]}, "minpoly coefficient False must be a number"),
-        ({"adjoined": [None]}, "adjoined coefficient None must be a number"),
-        ({"adjoined": [{}]}, "adjoined coefficient {} must be a number"),
+        ({"minpoly": [None, 1]}, "minpoly coefficient None must be an integer"),
+        ({"minpoly": [False, True]}, "minpoly coefficient False must be an integer"),
+        ({"adjoined": [None]}, "adjoined coefficient None must be an integer"),
+        ({"adjoined": [{}]}, "adjoined coefficient {} must be an integer"),
+        ({"adjoined": [-0.5]}, "adjoined coefficient -0.5 must be an integer"),
     ],
 )
 def test_recover_reports_a_value_field_coefficient_of_the_wrong_type(

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -337,6 +338,19 @@ def test_orbits_with_zero_eigenvalues_match_the_pairwise_oracle(d, squares):
         sizes.append(len(orbit))
     # S = {1} leaves one twist per value of psi^2, S = CL all h of them
     assert sizes[0] == len(g.squares()) == squares and sizes[2] == g.h
+
+
+@pytest.mark.parametrize("psi", [(0,), (1,), (3,), (6,)])
+def test_make_eigensystem_takes_only_quadratic_selftwist_candidates(G17, K17, psi):
+    # candidates from a file and from a caller meet one check, check_selftwist
+    chi2 = IdealClass((2,))
+    args = G17, unit_ideal(K17), G17.identity(), {}, None, algext.RATIONAL_FIELD
+    assert make_eigensystem(*args, selftwist_candidates=[chi2]).selftwist_candidates == (chi2,)
+    assert make_eigensystem(*args, selftwist_candidates=[]).selftwist_candidates is None
+    message = (f"self-twist character {list(psi)} is not a nontrivial quadratic character"
+               " for the elementary divisors [4]")
+    with pytest.raises(EigensystemError, match=re.escape(message)):
+        make_eigensystem(*args, selftwist_candidates=[chi2, IdealClass(psi)])
 
 
 def test_twisting_into_an_unsupported_character_order_raises():
